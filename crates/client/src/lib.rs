@@ -21,8 +21,8 @@
 //!   walk in `siri_store::ship` — only pages absent locally cross the
 //!   wire, and an interrupted sync resumes from what already landed.
 //! * **Proofs verify client-side.** `prove`/`prove_range`/`prove_batch`
-//!   fetch the branch digest and re-verify the server's proof locally
-//!   against it ([`ClientOptions::scheme`] picks the structure's walk)
+//!   fetch the branch digest and replay the server's proof locally
+//!   against it ([`ClientOptions::scheme`] picks the structure's reader)
 //!   before returning; a doctored proof — or a server lying about its own
 //!   root — surfaces as [`IndexError::ProofRejected`], and with
 //!   [`RemoteSession::verified_get`]/[`verified_scan`](RemoteSession::verified_scan)
@@ -68,11 +68,11 @@ pub struct ClientOptions {
     pub page_size: u32,
     /// Frame payload cap (mirror of the server's).
     pub max_frame_bytes: usize,
-    /// The proof-verification walk for the structure the server runs —
-    /// every proof the server returns is re-verified locally against the
-    /// trusted branch digest with this scheme before values reach the
-    /// caller. Pick with [`siri_forkbase::scheme_by_name`] when the
-    /// structure is configured at runtime.
+    /// The reader for the structure the server runs — every proof the
+    /// server returns is replayed locally through it, anchored at the
+    /// trusted branch digest, before values reach the caller. Pick with
+    /// [`siri_forkbase::scheme_by_name`] when the structure is configured
+    /// at runtime.
     pub scheme: &'static dyn ProofScheme,
 }
 
@@ -287,16 +287,60 @@ impl RemoteSession {
         Ok((digest, proof))
     }
 
+    /// Fetch a membership proof, pin it and verify it — once. Both
+    /// [`Session::prove`] and [`RemoteSession::verified_get`] are views of
+    /// this one checked round trip.
+    fn proved_get(&self, branch: &str, key: &[u8]) -> Result<(Hash, Proof, Option<Bytes>)> {
+        let req = Request::Prove { branch: branch.to_string(), key: Bytes::copy_from_slice(key) };
+        let (digest, proof) = self.checked_proof(branch, &req, "Prove")?;
+        match verify_anchored_membership(self.opts.scheme, digest, key, &proof) {
+            ProofVerdict::Present(v) => Ok((digest, proof, Some(v))),
+            ProofVerdict::Absent => Ok((digest, proof, None)),
+            ProofVerdict::Invalid(why) => Err(IndexError::ProofRejected(why)),
+        }
+    }
+
+    /// [`RemoteSession::proved_get`] for a range.
+    fn proved_scan(
+        &self,
+        branch: &str,
+        start: Bound<&[u8]>,
+        end: Bound<&[u8]>,
+    ) -> Result<(Hash, Proof, Vec<Entry>)> {
+        let req = Request::ProveRange {
+            branch: branch.to_string(),
+            start: WireBound::from_bound(start),
+            end: WireBound::from_bound(end),
+        };
+        let (digest, proof) = self.checked_proof(branch, &req, "ProveRange")?;
+        match verify_anchored_range(self.opts.scheme, digest, start, end, &proof) {
+            RangeVerdict::Complete(entries) => Ok((digest, proof, entries)),
+            RangeVerdict::Invalid(why) => Err(IndexError::ProofRejected(why)),
+        }
+    }
+
+    /// [`RemoteSession::proved_get`] for a batch of keys.
+    fn proved_get_many(
+        &self,
+        branch: &str,
+        keys: &[Bytes],
+    ) -> Result<(Hash, Proof, Vec<Option<Bytes>>)> {
+        let req = Request::ProveBatch { branch: branch.to_string(), keys: keys.to_vec() };
+        let (digest, proof) = self.checked_proof(branch, &req, "ProveBatch")?;
+        match verify_anchored_batch(self.opts.scheme, digest, keys, &proof) {
+            BatchVerdict::Verified(verdicts) => {
+                let values = verdicts.into_iter().map(|v| v.value().cloned()).collect();
+                Ok((digest, proof, values))
+            }
+            BatchVerdict::Invalid(why) => Err(IndexError::ProofRejected(why)),
+        }
+    }
+
     /// A point lookup whose value arrives *inside* a verified proof: the
     /// returned bytes are exactly what the trusted branch digest commits
     /// to, or the call fails — a lying server cannot substitute a value.
     pub fn verified_get(&self, branch: &str, key: &[u8]) -> Result<Option<Bytes>> {
-        let (digest, proof) = Session::prove(self, branch, key)?;
-        match verify_anchored_membership(self.opts.scheme, digest, key, &proof) {
-            ProofVerdict::Present(v) => Ok(Some(v)),
-            ProofVerdict::Absent => Ok(None),
-            ProofVerdict::Invalid(why) => Err(IndexError::ProofRejected(why)),
-        }
+        Ok(self.proved_get(branch, key)?.2)
     }
 
     /// A range scan with a completeness guarantee: returns exactly the
@@ -308,23 +352,13 @@ impl RemoteSession {
         start: Bound<&[u8]>,
         end: Bound<&[u8]>,
     ) -> Result<Vec<Entry>> {
-        let (digest, proof) = Session::prove_range(self, branch, start, end)?;
-        match verify_anchored_range(self.opts.scheme, digest, start, end, &proof) {
-            RangeVerdict::Complete(entries) => Ok(entries),
-            RangeVerdict::Invalid(why) => Err(IndexError::ProofRejected(why)),
-        }
+        Ok(self.proved_scan(branch, start, end)?.2)
     }
 
     /// Batched verified lookups: one deduplicated proof covers every key;
-    /// per-key verdicts come back in input order.
+    /// per-key values come back in input order.
     pub fn verified_get_many(&self, branch: &str, keys: &[Bytes]) -> Result<Vec<Option<Bytes>>> {
-        let (digest, proof) = Session::prove_batch(self, branch, keys)?;
-        match verify_anchored_batch(self.opts.scheme, digest, keys, &proof) {
-            BatchVerdict::Verified(verdicts) => {
-                Ok(verdicts.into_iter().map(|v| v.value().cloned()).collect())
-            }
-            BatchVerdict::Invalid(why) => Err(IndexError::ProofRejected(why)),
-        }
+        Ok(self.proved_get_many(branch, keys)?.2)
     }
 }
 
@@ -388,12 +422,7 @@ impl Session for RemoteSession {
     }
 
     fn prove(&self, branch: &str, key: &[u8]) -> Result<(Hash, Proof)> {
-        let req = Request::Prove { branch: branch.to_string(), key: Bytes::copy_from_slice(key) };
-        let (digest, proof) = self.checked_proof(branch, &req, "Prove")?;
-        match verify_anchored_membership(self.opts.scheme, digest, key, &proof) {
-            ProofVerdict::Invalid(why) => Err(IndexError::ProofRejected(why)),
-            _ => Ok((digest, proof)),
-        }
+        self.proved_get(branch, key).map(|(digest, proof, _)| (digest, proof))
     }
 
     fn prove_range(
@@ -402,25 +431,11 @@ impl Session for RemoteSession {
         start: Bound<&[u8]>,
         end: Bound<&[u8]>,
     ) -> Result<(Hash, Proof)> {
-        let req = Request::ProveRange {
-            branch: branch.to_string(),
-            start: WireBound::from_bound(start),
-            end: WireBound::from_bound(end),
-        };
-        let (digest, proof) = self.checked_proof(branch, &req, "ProveRange")?;
-        match verify_anchored_range(self.opts.scheme, digest, start, end, &proof) {
-            RangeVerdict::Invalid(why) => Err(IndexError::ProofRejected(why)),
-            RangeVerdict::Complete(_) => Ok((digest, proof)),
-        }
+        self.proved_scan(branch, start, end).map(|(digest, proof, _)| (digest, proof))
     }
 
     fn prove_batch(&self, branch: &str, keys: &[Bytes]) -> Result<(Hash, Proof)> {
-        let req = Request::ProveBatch { branch: branch.to_string(), keys: keys.to_vec() };
-        let (digest, proof) = self.checked_proof(branch, &req, "ProveBatch")?;
-        match verify_anchored_batch(self.opts.scheme, digest, keys, &proof) {
-            BatchVerdict::Invalid(why) => Err(IndexError::ProofRejected(why)),
-            BatchVerdict::Verified(_) => Ok((digest, proof)),
-        }
+        self.proved_get_many(branch, keys).map(|(digest, proof, _)| (digest, proof))
     }
 }
 

@@ -12,7 +12,7 @@ use siri_crypto::Hash;
 use siri_store::{PageSet, SharedStore};
 
 use crate::cursor::{prefix_successor, EntryCursor};
-use crate::{DiffEntry, Entry, IndexError, Proof, ProofVerdict, Result, WriteBatch};
+use crate::{DiffEntry, Entry, Proof, ProofVerdict, Recorder, Result, WriteBatch};
 
 /// Instrumentation captured by [`SiriIndex::get_traced`].
 ///
@@ -174,25 +174,45 @@ pub trait SiriIndex: Clone + Send + Sync {
     /// exploit structural invariance by skipping identical subtree hashes.
     fn diff(&self, other: &Self) -> Result<Vec<DiffEntry>>;
 
-    /// Produce a Merkle proof for `key` (present or absent).
-    fn prove(&self, key: &[u8]) -> Result<Proof>;
+    /// A handle to the same version — same root, same parameters — reading
+    /// through `store` with **no decoded-node cache**. This is the witness
+    /// handle proofs are recorded with: a cache hit would skip the store
+    /// fetch and the page would be missing from the proof.
+    fn with_store(&self, store: SharedStore) -> Self;
 
-    /// Produce a range proof: the page set whose verification yields
-    /// *exactly* the entries in `[start, end)` (see
-    /// [`crate::verify_anchored_range`]). Pages are deduplicated by
-    /// content hash. The default refuses — the four real structures
-    /// override it.
-    fn prove_range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<Proof> {
-        let _ = (start, end);
-        Err(IndexError::Unsupported("range proofs"))
+    /// Produce a Merkle proof for `key` (present or absent): the pages a
+    /// `get` fetches, root page first (see [`Recorder`]).
+    fn prove(&self, key: &[u8]) -> Result<Proof> {
+        let (rec, witness) = witness(self)?;
+        witness.get(key)?;
+        Ok(rec.proof())
     }
 
-    /// Produce one proof for many keys, deduplicating the interior pages
-    /// their paths share (see [`crate::verify_anchored_batch`]). The
-    /// default refuses — the four real structures override it.
+    /// Produce a range proof: the pages a `range` cursor fetches, root
+    /// page first — at most one look-ahead leaf beyond the window, which
+    /// the cursor reads to learn it is done. Verification replays the
+    /// cursor and yields *exactly* the entries in the window (see
+    /// [`crate::verify_anchored_range`]).
+    fn prove_range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<Proof> {
+        let (rec, witness) = witness(self)?;
+        for entry in witness.range(start, end) {
+            entry?;
+        }
+        Ok(rec.proof())
+    }
+
+    /// Produce one proof for many keys: the distinct pages a loop of
+    /// `get`s fetches, so the interior pages their paths share appear once
+    /// (see [`crate::verify_anchored_batch`]). No keys, no pages.
     fn prove_batch(&self, keys: &[Bytes]) -> Result<Proof> {
-        let _ = keys;
-        Err(IndexError::Unsupported("batched proofs"))
+        if keys.is_empty() {
+            return Ok(Proof::new(Vec::new()));
+        }
+        let (rec, witness) = witness(self)?;
+        for key in keys {
+            witness.get(key)?;
+        }
+        Ok(rec.proof())
     }
 
     /// Verify a proof against a trusted root digest. An associated function
@@ -200,4 +220,14 @@ pub trait SiriIndex: Clone + Send + Sync {
     fn verify_proof(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict
     where
         Self: Sized;
+}
+
+/// What the provided provers record with: a [`Recorder`] over the index's
+/// store that has already served the root page — so even a read that
+/// touches nothing is anchored — and the witness handle reading through it.
+fn witness<I: SiriIndex>(index: &I) -> Result<(std::sync::Arc<Recorder>, I)> {
+    let rec = Recorder::new(index.store().clone());
+    rec.anchor(index.root())?;
+    let handle = index.with_store(rec.clone());
+    Ok((rec, handle))
 }

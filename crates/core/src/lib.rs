@@ -52,8 +52,8 @@ pub use session::Session;
 pub use shard::{chain_cursors, ShardCommit, ShardManifest, ShardRouter, MANIFEST_MAGIC};
 pub use structure::{StructureReport, StructureStats};
 pub use verify::{
-    bounds_contain, child_overlaps, verify_anchored_batch, verify_anchored_membership,
-    verify_anchored_range, BatchVerdict, PagePool, ProofScheme, RangeVerdict,
+    verify_anchored_batch, verify_anchored_membership, verify_anchored_range, AnchoredReader,
+    BatchVerdict, PagePool, ProofScheme, RangeVerdict, Recorder,
 };
 pub use version::{VersionStore, VersionTag};
 

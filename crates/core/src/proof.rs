@@ -1,11 +1,10 @@
 //! Merkle proofs — the tamper-evidence contract.
 //!
-//! A proof is the ordered list of raw pages on the path from the root to
-//! the queried position ("the nodes on the path to the root", §2.3). A
-//! verifier holding only the trusted root digest re-hashes each page,
-//! checks that each parent references the child by that digest, and walks
-//! the same navigation logic as the index — so a forged or tampered page
-//! anywhere on the path is detected.
+//! A proof is the ordered list of raw pages a read fetched, root first
+//! ("the nodes on the path to the root", §2.3). A verifier holding only the
+//! trusted root digest re-runs that read over the pages, each served only
+//! by its content hash and only in its turn — so a forged, tampered,
+//! missing or surplus page anywhere is detected (see `verify.rs`).
 
 use bytes::Bytes;
 
@@ -20,7 +19,7 @@ const PROOF_CODEC_VERSION: u8 = 1;
 /// skeleton is ~2k pages).
 pub const MAX_PROOF_PAGES: usize = 1 << 16;
 
-/// An ordered path of raw pages, root first.
+/// An ordered list of raw pages, anchor page first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Proof {
     pages: Vec<Bytes>,
@@ -48,8 +47,8 @@ impl Proof {
         self.pages.iter().map(|p| p.len()).sum()
     }
 
-    /// Check that the first page hashes to `root`. The per-index verifiers
-    /// start from this and then validate parent→child digests.
+    /// Check that the first page hashes to `root` — the anchoring rule
+    /// every proof obeys (an empty proof anchors only at the zero digest).
     pub fn root_page_matches(&self, root: Hash) -> bool {
         match self.pages.first() {
             Some(first) => sha256(first) == root,

@@ -1,76 +1,163 @@
-//! Anchored proof verification — the structure-agnostic half of the
-//! verified-read contract.
+//! A proof is a recorded read (DESIGN.md §14).
 //!
-//! The per-index crates know how to walk their own page encodings; this
-//! module knows what every proof shares:
+//! The paper defines a proof as "the nodes on the path to the root" (§2.3)
+//! — the pages a lookup touched. Pages are immutable and content-addressed,
+//! so a read is a pure function of the root digest: re-running it over a
+//! hash-checked subset of the pages either returns the same answer or stops
+//! at a missing page. Both halves of the verified-read contract are
+//! therefore the ordinary read path run over a special [`NodeStore`]:
 //!
-//! * **Anchoring** — the first proof page must hash to the trusted branch
-//!   digest. On a sharded branch that digest addresses a
-//!   [`ShardManifest`] page, so the manifest *is* the first page and each
-//!   per-shard sub-proof anchors at the sub-root the (now-verified)
-//!   manifest names. An unsharded digest addresses an index root page
-//!   directly and the walk starts there.
-//! * **The page pool** — range and batch proofs are page *sets*, not
-//!   single paths: interior pages shared by several keys (or several
-//!   shards — MBT's empty-bucket pages are byte-identical across shards)
-//!   appear once. [`PagePool`] indexes pages by content hash, lets walks
-//!   fetch the same page repeatedly, and tracks usage: a proof is complete
-//!   iff every page a walk needs is present *and* every supplied page was
-//!   used at least once. Under that rule any single-bit flip is fatal —
-//!   the flipped page both breaks the hash link that referenced it and
-//!   becomes an unreferenced leftover.
-//! * **Global ordering** — range results must be strictly ascending across
-//!   shard sub-walks, which also rejects duplicated or reordered entries.
+//! * **Prove** — run `get` / `range` / a loop of `get`s over a [`Recorder`],
+//!   which keeps each distinct page it serves in first-fetch order. That
+//!   list *is* the proof.
+//! * **Verify** — run the same read at the trusted digest over a
+//!   [`PagePool`] built from the proof. The pool serves a page only by its
+//!   content hash and only when its turn in the list has come, so the read
+//!   succeeds iff the proof is exactly the recorded read: a dropped,
+//!   flipped, truncated or reordered page is a missing page, and a
+//!   duplicated or foreign one is left over ([`PagePool::all_used`]).
 //!
-//! Provers and verifiers must agree on which subtrees a range touches;
-//! [`child_overlaps`] is that shared pruning predicate for max-key-routed
-//! structures (POS-Tree, MVMB+). It is deliberately conservative on
-//! boundaries: an over-included subtree costs proof bytes, never
-//! soundness, as long as both sides over-include identically.
+//! There is no per-structure prover or verifier: [`ProofScheme`] only says
+//! how to open a structure's reader over a page source.
+//!
+//! **Anchoring** — every proof starts with the page the trusted digest
+//! names. On a sharded branch that is the [`ShardManifest`], which routes
+//! each key (or window) to the sub-roots it lists; otherwise it is the
+//! index root page itself. Provers fetch it first even when the read that
+//! follows touches nothing, so an empty proof can only ever vouch for the
+//! zero digest.
 
 use std::collections::HashMap;
 use std::ops::Bound;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use siri_crypto::{sha256, Hash};
+use siri_crypto::{sha256, FxHashMap, Hash};
+use siri_store::{NodeStore, SharedStore, StoreError, StoreResult, StoreStats};
 
-use crate::shard::ShardManifest;
-use crate::{Entry, Proof, ProofVerdict};
+use crate::shard::{ShardManifest, ShardRouter};
+use crate::{Entry, EntryCursor, IndexError, Proof, ProofVerdict, Result};
 
-/// Content-addressed page set built from a proof's pages, with per-page
-/// usage tracking (see the module docs for the completeness rule).
+/// Witness stores serve reads; a read path that tries to write is a bug.
+fn read_only() -> StoreError {
+    StoreError::Io {
+        op: "put",
+        kind: std::io::ErrorKind::Unsupported,
+        detail: "witness stores are read-only".into(),
+    }
+}
+
+#[derive(Default)]
+struct Served {
+    index: FxHashMap<Hash, usize>,
+    pages: Vec<Bytes>,
+}
+
+impl Served {
+    /// Page first, index second: an index entry always points at a page,
+    /// so the record is valid at every step (and a poisoned lock can be
+    /// recovered).
+    fn keep(&mut self, hash: Hash, page: Bytes) {
+        self.pages.push(page);
+        self.index.insert(hash, self.pages.len() - 1);
+    }
+}
+
+/// The prover's store: a read-through wrapper that keeps each distinct
+/// page it serves, in first-fetch order. Repeated fetches are answered
+/// from the record, so a batch of lookups reads its shared spine from the
+/// backing store once.
+pub struct Recorder {
+    inner: SharedStore,
+    served: Mutex<Served>,
+}
+
+impl Recorder {
+    pub fn new(inner: SharedStore) -> Arc<Recorder> {
+        Arc::new(Recorder { inner, served: Mutex::default() })
+    }
+
+    fn served(&self) -> std::sync::MutexGuard<'_, Served> {
+        self.served.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Record a page the caller holds decoded instead of in the store —
+    /// the engine's shard table *is* the manifest — under the digest a
+    /// verifier will ask for it by.
+    pub fn note(&self, hash: Hash, page: Bytes) {
+        let mut served = self.served();
+        if !served.index.contains_key(&hash) {
+            served.keep(hash, page);
+        }
+    }
+
+    /// Fetch the page `digest` names before the read runs, so that even a
+    /// read that touches no page is anchored. The zero digest names none.
+    pub fn anchor(&self, digest: Hash) -> Result<()> {
+        if !digest.is_zero() {
+            self.try_get(&digest)?.ok_or(IndexError::MissingPage(digest))?;
+        }
+        Ok(())
+    }
+
+    /// The pages served so far, as a proof; the record starts over.
+    pub fn proof(&self) -> Proof {
+        Proof::new(std::mem::take(&mut *self.served()).pages)
+    }
+}
+
+impl NodeStore for Recorder {
+    fn try_put(&self, _page: Bytes) -> StoreResult<Hash> {
+        Err(read_only())
+    }
+
+    fn try_get(&self, hash: &Hash) -> StoreResult<Option<Bytes>> {
+        let mut served = self.served();
+        if let Some(&at) = served.index.get(hash) {
+            return Ok(Some(served.pages[at].clone()));
+        }
+        let page = self.inner.try_get(hash)?;
+        if let Some(page) = &page {
+            served.keep(*hash, page.clone());
+        }
+        Ok(page)
+    }
+
+    fn contains(&self, hash: &Hash) -> bool {
+        self.inner.contains(hash)
+    }
+
+    fn stats(&self) -> StoreStats {
+        self.inner.stats()
+    }
+}
+
+/// The verifier's store: a proof's pages indexed by content hash. A page
+/// is served only once every page before it in the proof has been served,
+/// so a read over the pool succeeds only on the exact page sequence an
+/// honest [`Recorder`] produced; fetching the same page again is free.
 pub struct PagePool {
-    pages: HashMap<Hash, (Bytes, bool)>,
+    pages: HashMap<Hash, (usize, Bytes)>,
+    used: AtomicUsize,
 }
 
 impl PagePool {
     /// Index `pages` by content hash. Duplicate pages are rejected —
-    /// honest provers deduplicate, so a repeat is either waste or padding
-    /// smuggled past the all-used check.
-    pub fn build(pages: &[Bytes]) -> Result<PagePool, &'static str> {
+    /// honest provers record each page once, so a repeat is padding.
+    pub fn build(pages: &[Bytes]) -> std::result::Result<Arc<PagePool>, &'static str> {
         let mut map = HashMap::with_capacity(pages.len());
-        for p in pages {
-            if map.insert(sha256(p), (p.clone(), false)).is_some() {
+        for (at, page) in pages.iter().enumerate() {
+            if map.insert(sha256(page), (at, page.clone())).is_some() {
                 return Err("duplicate page in proof");
             }
         }
-        Ok(PagePool { pages: map })
+        Ok(Arc::new(PagePool { pages: map, used: AtomicUsize::new(0) }))
     }
 
-    /// Fetch a page by content hash, marking it used. Repeated fetches are
-    /// fine — identical pages legitimately recur at different tree
-    /// positions. The returned page is guaranteed to hash to `hash` (that
-    /// is its index), so callers never re-hash.
-    pub fn get(&mut self, hash: &Hash) -> Option<Bytes> {
-        self.pages.get_mut(hash).map(|(page, used)| {
-            *used = true;
-            page.clone()
-        })
-    }
-
-    /// Did every supplied page participate in some walk?
+    /// Did the read consume every supplied page?
     pub fn all_used(&self) -> bool {
-        self.pages.values().all(|(_, used)| *used)
+        self.used.load(Ordering::SeqCst) == self.pages.len()
     }
 
     pub fn len(&self) -> usize {
@@ -82,35 +169,53 @@ impl PagePool {
     }
 }
 
-/// The structure-specific verification walks, behind a dyn-safe trait so a
-/// client can verify proofs for whatever structure the server runs without
-/// compiling against it generically. Implementations are stateless unit
-/// structs (`MptProofScheme`, `MbtProofScheme`, …), one per index crate.
+impl NodeStore for PagePool {
+    fn try_put(&self, _page: Bytes) -> StoreResult<Hash> {
+        Err(read_only())
+    }
+
+    /// The returned page hashes to `hash` (that is its index), so readers
+    /// never re-hash. A page asked for ahead of its turn is a miss.
+    fn try_get(&self, hash: &Hash) -> StoreResult<Option<Bytes>> {
+        let Some((at, page)) = self.pages.get(hash) else {
+            return Ok(None);
+        };
+        // Take the turn if it is this page's; a lost race only ever turns
+        // a hit into a miss.
+        let _ = self.used.compare_exchange(*at, *at + 1, Ordering::SeqCst, Ordering::SeqCst);
+        Ok((*at < self.used.load(Ordering::SeqCst)).then(|| page.clone()))
+    }
+
+    fn contains(&self, hash: &Hash) -> bool {
+        self.pages.contains_key(hash)
+    }
+
+    fn stats(&self) -> StoreStats {
+        StoreStats::default()
+    }
+}
+
+/// How to read one structure from a bare page source and a root digest —
+/// behind a dyn-safe trait so a client can verify proofs for whatever
+/// structure the server runs without compiling against it generically.
+/// Implementations are stateless unit structs (`MptProofScheme`,
+/// `MbtProofScheme`, …), one per index crate, and contain no traversal of
+/// their own: they open the structure's ordinary reader.
 pub trait ProofScheme: Send + Sync {
     /// Structure name as reported by `SiriIndex::kind` / factory `name`.
     fn structure(&self) -> &'static str;
 
-    /// Verify a single-key path proof against an (unsharded) index root —
-    /// the classic membership/non-membership check.
-    fn verify_membership(&self, root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict;
+    /// The structure's point lookup at `root` (non-zero) over `pages`.
+    fn get(&self, pages: SharedStore, root: Hash, key: &[u8]) -> Result<Option<Bytes>>;
 
-    /// Re-walk one key's root→leaf path through a [`PagePool`] — the
-    /// batched-proof primitive, where paths share interior pages.
-    fn verify_key_pages(&self, root: Hash, key: &[u8], pool: &mut PagePool) -> ProofVerdict;
-
-    /// Re-walk every subtree of `root` overlapping `[start, end)` through
-    /// a [`PagePool`], appending the in-bounds entries in key order. A
-    /// missing or undecodable page is an error; bounds filtering and
-    /// ordering of `out` across calls is the caller's (the anchored
-    /// verifier's) concern.
-    fn verify_range_pages(
+    /// The structure's range cursor at `root` (non-zero) over `pages`.
+    fn range(
         &self,
+        pages: SharedStore,
         root: Hash,
         start: Bound<&[u8]>,
         end: Bound<&[u8]>,
-        pool: &mut PagePool,
-        out: &mut Vec<Entry>,
-    ) -> Result<(), &'static str>;
+    ) -> EntryCursor;
 }
 
 /// Outcome of verifying a range proof: either the *complete* entry set of
@@ -166,97 +271,120 @@ impl BatchVerdict {
     }
 }
 
-/// Is `key` inside `[start, end)`-style bounds?
-pub fn bounds_contain(start: Bound<&[u8]>, end: Bound<&[u8]>, key: &[u8]) -> bool {
-    let after_start = match start {
-        Bound::Unbounded => true,
-        Bound::Included(a) => key >= a,
-        Bound::Excluded(a) => key > a,
-    };
-    let before_end = match end {
-        Bound::Unbounded => true,
-        Bound::Included(b) => key <= b,
-        Bound::Excluded(b) => key < b,
-    };
-    after_start && before_end
+/// What a branch digest names: nothing, one index root, or a manifest of
+/// per-range sub-roots.
+enum Head {
+    Empty,
+    Bare(Hash),
+    Sharded(ShardRouter, Vec<Hash>),
 }
 
-/// Shared range-pruning predicate for max-key-routed structures: does the
-/// child subtree covering keys in `(prev_max, max_key]` overlap the query
-/// bounds? Both the prover (deciding which pages to ship) and the verifier
-/// (deciding which children to demand) call this, so they can never
-/// disagree about a boundary subtree.
-pub fn child_overlaps(
-    prev_max: Option<&[u8]>,
-    max_key: &[u8],
-    start: Bound<&[u8]>,
-    end: Bound<&[u8]>,
-) -> bool {
-    let below_start = match start {
-        Bound::Unbounded => false,
-        Bound::Included(a) => max_key < a,
-        Bound::Excluded(a) => max_key <= a,
-    };
-    let above_end = match end {
-        Bound::Unbounded => false,
-        Bound::Included(b) | Bound::Excluded(b) => prev_max.is_some_and(|p| p >= b),
-    };
-    !below_start && !above_end
+/// A reader at a branch digest over a page source — manifest or bare root,
+/// the caller does not need to know which (`branch_digest` is the only
+/// hash a light client holds). This is *the* read of a verified read: the
+/// engine proves by running it over a [`Recorder`], the client verifies by
+/// running it over a [`PagePool`], so the two cannot disagree about
+/// routing, empty shards or page order.
+pub struct AnchoredReader<'a> {
+    scheme: &'a dyn ProofScheme,
+    pages: SharedStore,
+    head: Head,
 }
 
-/// Anchor check shared by the three anchored verifiers: hash the first
-/// page against the trusted digest, then classify it — a manifest page
-/// (sharded branch: route sub-walks at the manifest's sub-roots over the
-/// remaining pages) or an index root page (unsharded: walk everything from
-/// the digest itself).
-fn anchor(digest: Hash, proof: &Proof) -> Result<Option<(ShardManifest, &[Bytes])>, &'static str> {
-    let pages = proof.pages();
-    let Some(first) = pages.first() else {
-        return Err("empty proof for a non-empty digest");
-    };
-    if sha256(first) != digest {
-        return Err("proof does not anchor at the trusted digest");
+impl<'a> AnchoredReader<'a> {
+    /// Resolve `digest`: fetch the page it names (none for the zero
+    /// digest) and, if that is a manifest, take its router and sub-roots.
+    pub fn open(scheme: &'a dyn ProofScheme, pages: SharedStore, digest: Hash) -> Result<Self> {
+        let head = if digest.is_zero() {
+            Head::Empty
+        } else {
+            let page = pages.try_get(&digest)?.ok_or(IndexError::MissingPage(digest))?;
+            if ShardManifest::is_manifest(&page) {
+                let manifest = ShardManifest::decode(&page)?;
+                Head::Sharded(manifest.router(), manifest.roots)
+            } else {
+                Head::Bare(digest)
+            }
+        };
+        Ok(AnchoredReader { scheme, pages, head })
     }
-    if ShardManifest::is_manifest(first) {
-        let manifest = ShardManifest::decode(first).map_err(|_| "manifest page undecodable")?;
-        Ok(Some((manifest, &pages[1..])))
-    } else {
-        Ok(None)
+
+    /// Point lookup in the shard that owns `key`.
+    pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
+        let root = match &self.head {
+            Head::Empty => Hash::ZERO,
+            Head::Bare(root) => *root,
+            Head::Sharded(router, roots) => roots[router.shard_of(key)],
+        };
+        if root.is_zero() {
+            return Ok(None); // an empty shard holds no key and no page
+        }
+        self.scheme.get(self.pages.clone(), root, key)
+    }
+
+    /// The entries of `[start, end)`: each covering shard's cursor drained
+    /// in turn, in partition order.
+    pub fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<Vec<Entry>> {
+        let roots = match &self.head {
+            Head::Empty => &[][..],
+            Head::Bare(root) => std::slice::from_ref(root),
+            Head::Sharded(router, roots) => {
+                let (lo, hi) = router.covering(start, end);
+                &roots[lo..=hi]
+            }
+        };
+        let mut out = Vec::new();
+        for root in roots.iter().filter(|root| !root.is_zero()) {
+            for entry in self.scheme.range(self.pages.clone(), *root, start, end) {
+                out.push(entry?);
+            }
+        }
+        Ok(out)
     }
 }
 
-/// Verify a membership/non-membership proof against a trusted *branch
-/// digest* — manifest or bare root, the caller does not need to know which
-/// (that is the point: `branch_digest` is the only hash a light client
-/// holds).
+/// Replay `read` at `digest` over the proof's pages: `Ok` iff every page
+/// the read asked for was there in turn and nothing was left over.
+fn replay<T>(
+    scheme: &dyn ProofScheme,
+    digest: Hash,
+    proof: &Proof,
+    read: impl FnOnce(&AnchoredReader) -> Result<T>,
+) -> std::result::Result<T, &'static str> {
+    let pool = PagePool::build(proof.pages())?;
+    let out = AnchoredReader::open(scheme, pool.clone(), digest).and_then(|at| read(&at));
+    match out {
+        Err(IndexError::MissingPage(_)) => Err("missing page in proof"),
+        Err(IndexError::Codec(_)) => Err("page undecodable"),
+        Err(IndexError::CorruptStructure(what)) => Err(what),
+        Err(_) => Err("proof pages could not be read"),
+        Ok(_) if !pool.all_used() => Err("unused pages in proof"),
+        Ok(out) => Ok(out),
+    }
+}
+
+fn verdict(value: Option<Bytes>) -> ProofVerdict {
+    value.map_or(ProofVerdict::Absent, ProofVerdict::Present)
+}
+
+/// Verify a membership/non-membership proof against a trusted branch
+/// digest.
 pub fn verify_anchored_membership(
     scheme: &dyn ProofScheme,
     digest: Hash,
     key: &[u8],
     proof: &Proof,
 ) -> ProofVerdict {
-    if digest.is_zero() {
-        return if proof.is_empty() {
-            ProofVerdict::Absent
-        } else {
-            ProofVerdict::Invalid("non-empty proof for an empty digest")
-        };
-    }
-    match anchor(digest, proof) {
+    match replay(scheme, digest, proof, |at| at.get(key)) {
+        Ok(value) => verdict(value),
         Err(why) => ProofVerdict::Invalid(why),
-        Ok(None) => scheme.verify_membership(digest, key, proof),
-        Ok(Some((manifest, rest))) => {
-            let shard = manifest.router().shard_of(key);
-            let sub = Proof::new(rest.to_vec());
-            scheme.verify_membership(manifest.roots[shard], key, &sub)
-        }
     }
 }
 
 /// Verify a range proof against a trusted branch digest: on success the
 /// verdict carries *exactly* the entries of `[start, end)` — nothing
-/// missing (every needed page must be present and every supplied page
-/// used), nothing extra (bounds filtering + strict global ordering).
+/// missing (the cursor read every page it needed), nothing extra (it read
+/// nothing else, and the entries ascend strictly across shards).
 pub fn verify_anchored_range(
     scheme: &dyn ProofScheme,
     digest: Hash,
@@ -264,46 +392,19 @@ pub fn verify_anchored_range(
     end: Bound<&[u8]>,
     proof: &Proof,
 ) -> RangeVerdict {
-    if digest.is_zero() {
-        return if proof.is_empty() {
-            RangeVerdict::Complete(Vec::new())
-        } else {
-            RangeVerdict::Invalid("non-empty proof for an empty digest")
-        };
-    }
-    let mut out = Vec::new();
-    let walked = match anchor(digest, proof) {
-        Err(why) => Err(why),
-        Ok(None) => PagePool::build(proof.pages()).and_then(|mut pool| {
-            scheme.verify_range_pages(digest, start, end, &mut pool, &mut out)?;
-            pool.all_used().then_some(()).ok_or("unused pages in proof")
-        }),
-        Ok(Some((manifest, rest))) => PagePool::build(rest).and_then(|mut pool| {
-            let router = manifest.router();
-            let (lo, hi) = router.covering(start, end);
-            for root in &manifest.roots[lo..=hi] {
-                if root.is_zero() {
-                    continue;
-                }
-                scheme.verify_range_pages(*root, start, end, &mut pool, &mut out)?;
-            }
-            pool.all_used().then_some(()).ok_or("unused pages in proof")
-        }),
-    };
-    match walked {
-        Err(why) => RangeVerdict::Invalid(why),
-        Ok(()) => {
-            if out.windows(2).any(|w| w[0].key >= w[1].key) {
-                return RangeVerdict::Invalid("range entries out of order");
-            }
-            RangeVerdict::Complete(out)
+    match replay(scheme, digest, proof, |at| at.range(start, end)) {
+        Ok(entries) if entries.windows(2).any(|w| w[0].key >= w[1].key) => {
+            RangeVerdict::Invalid("range entries out of order")
         }
+        Ok(entries) => RangeVerdict::Complete(entries),
+        Err(why) => RangeVerdict::Invalid(why),
     }
 }
 
 /// Verify a batched multi-key proof against a trusted branch digest. The
-/// page set is shared: each key's path re-walks through the pool, and the
-/// all-used rule rejects padding. Verdicts come back in `keys` order.
+/// page set is shared: each key's lookup re-reads the spine through the
+/// pool. Verdicts come back in `keys` order; an empty key set reads — and
+/// so needs — nothing, not even the anchor page.
 pub fn verify_anchored_batch(
     scheme: &dyn ProofScheme,
     digest: Hash,
@@ -317,111 +418,83 @@ pub fn verify_anchored_batch(
             BatchVerdict::Invalid("pages for an empty key set")
         };
     }
-    if digest.is_zero() {
-        return if proof.is_empty() {
-            BatchVerdict::Verified(vec![ProofVerdict::Absent; keys.len()])
-        } else {
-            BatchVerdict::Invalid("non-empty proof for an empty digest")
-        };
+    let read = |at: &AnchoredReader| keys.iter().map(|key| at.get(key).map(verdict)).collect();
+    match replay(scheme, digest, proof, read) {
+        Ok(verdicts) => BatchVerdict::Verified(verdicts),
+        Err(why) => BatchVerdict::Invalid(why),
     }
-    let (manifest, rest) = match anchor(digest, proof) {
-        Err(why) => return BatchVerdict::Invalid(why),
-        Ok(None) => (None, proof.pages()),
-        Ok(Some((m, rest))) => (Some(m), rest),
-    };
-    let mut pool = match PagePool::build(rest) {
-        Ok(pool) => pool,
-        Err(why) => return BatchVerdict::Invalid(why),
-    };
-    let router = manifest.as_ref().map(|m| m.router());
-    let mut verdicts = Vec::with_capacity(keys.len());
-    for key in keys {
-        let root = match (&manifest, &router) {
-            (Some(m), Some(r)) => m.roots[r.shard_of(key)],
-            _ => digest,
-        };
-        let verdict = if root.is_zero() {
-            ProofVerdict::Absent
-        } else {
-            scheme.verify_key_pages(root, key, &mut pool)
-        };
-        if let ProofVerdict::Invalid(why) = verdict {
-            return BatchVerdict::Invalid(why);
-        }
-        verdicts.push(verdict);
-    }
-    if !pool.all_used() {
-        return BatchVerdict::Invalid("unused pages in proof");
-    }
-    BatchVerdict::Verified(verdicts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use siri_store::MemStore;
 
     #[test]
-    fn pool_tracks_usage_and_rejects_duplicates() {
+    fn pool_serves_pages_in_proof_order_and_rejects_duplicates() {
         let a = Bytes::from_static(b"page a");
         let b = Bytes::from_static(b"page b");
-        let mut pool = PagePool::build(&[a.clone(), b.clone()]).unwrap();
+        let pool = PagePool::build(&[a.clone(), b.clone()]).unwrap();
         assert_eq!(pool.len(), 2);
         assert!(!pool.all_used());
-        assert_eq!(pool.get(&sha256(&a)).unwrap(), a);
+        // `b` before `a` is out of turn: a miss, and nothing is consumed.
+        assert_eq!(pool.try_get(&sha256(&b)).unwrap(), None);
+        assert_eq!(pool.try_get(&sha256(&a)).unwrap(), Some(a.clone()));
         // Repeated gets are allowed (identical pages recur across shards).
-        assert_eq!(pool.get(&sha256(&a)).unwrap(), a);
+        assert_eq!(pool.try_get(&sha256(&a)).unwrap(), Some(a.clone()));
         assert!(!pool.all_used());
-        assert_eq!(pool.get(&sha256(&b)).unwrap(), b);
+        assert_eq!(pool.try_get(&sha256(&b)).unwrap(), Some(b.clone()));
         assert!(pool.all_used());
-        assert!(pool.get(&sha256(b"absent")).is_none());
+        assert_eq!(pool.try_get(&sha256(b"absent")).unwrap(), None);
+        assert!(pool.try_put(a.clone()).is_err(), "a proof is read-only");
         assert!(PagePool::build(&[a.clone(), a]).is_err(), "duplicates rejected");
     }
 
     #[test]
-    fn bounds_contain_matches_range_semantics() {
-        use Bound::*;
-        assert!(bounds_contain(Unbounded, Unbounded, b"k"));
-        assert!(bounds_contain(Included(b"k"), Excluded(b"m"), b"k"));
-        assert!(!bounds_contain(Excluded(b"k"), Unbounded, b"k"));
-        assert!(!bounds_contain(Unbounded, Excluded(b"k"), b"k"));
-        assert!(bounds_contain(Unbounded, Included(b"k"), b"k"));
+    fn recorder_keeps_distinct_pages_in_first_fetch_order() {
+        let store = MemStore::new_shared();
+        let a = store.put(Bytes::from_static(b"page a"));
+        let b = store.put(Bytes::from_static(b"page b"));
+        let rec = Recorder::new(store.clone());
+        let gets_before = store.stats().gets;
+        for hash in [b, a, b, sha256(b"absent"), a] {
+            let _ = rec.try_get(&hash).unwrap();
+        }
+        assert_eq!(store.stats().gets - gets_before, 3, "repeats are served from the record");
+        let noted = Bytes::from_static(b"held decoded");
+        rec.note(sha256(&noted), noted.clone());
+        assert_eq!(rec.try_get(&sha256(&noted)).unwrap(), Some(noted.clone()));
+        assert!(rec.try_put(noted.clone()).is_err(), "a witness never writes");
+        let proof = rec.proof();
+        assert_eq!(
+            proof.pages(),
+            &[Bytes::from_static(b"page b"), Bytes::from_static(b"page a"), noted]
+        );
+        assert!(rec.proof().is_empty(), "taking the proof starts the record over");
+        // Anchoring a missing page is an error; the zero digest needs none.
+        assert!(rec.anchor(sha256(b"absent")).is_err());
+        rec.anchor(Hash::ZERO).unwrap();
+        rec.anchor(a).unwrap();
+        assert_eq!(rec.proof().len(), 1);
     }
 
     #[test]
-    fn child_overlap_is_conservative_on_boundaries() {
-        use Bound::*;
-        // Subtree covers (None, "m"]: overlaps anything not strictly above.
-        assert!(child_overlaps(None, b"m", Unbounded, Unbounded));
-        assert!(child_overlaps(None, b"m", Included(b"m"), Unbounded));
-        assert!(!child_overlaps(None, b"m", Excluded(b"m"), Unbounded));
-        assert!(!child_overlaps(None, b"m", Included(b"n"), Unbounded));
-        // Subtree covers ("m", "z"]: starts after the end bound ⇒ skip.
-        assert!(!child_overlaps(Some(b"m"), b"z", Unbounded, Excluded(b"m")));
-        assert!(!child_overlaps(Some(b"m"), b"z", Unbounded, Included(b"m")));
-        assert!(child_overlaps(Some(b"m"), b"z", Unbounded, Included(b"n")));
-    }
-
-    #[test]
-    fn zero_digest_anchoring() {
+    fn zero_digest_vouches_for_nothing_and_needs_nothing() {
         struct NoScheme;
         impl ProofScheme for NoScheme {
             fn structure(&self) -> &'static str {
                 "none"
             }
-            fn verify_membership(&self, _: Hash, _: &[u8], _: &Proof) -> ProofVerdict {
+            fn get(&self, _: SharedStore, _: Hash, _: &[u8]) -> Result<Option<Bytes>> {
                 unreachable!("zero digests never reach the scheme")
             }
-            fn verify_key_pages(&self, _: Hash, _: &[u8], _: &mut PagePool) -> ProofVerdict {
-                unreachable!()
-            }
-            fn verify_range_pages(
+            fn range(
                 &self,
+                _: SharedStore,
                 _: Hash,
                 _: Bound<&[u8]>,
                 _: Bound<&[u8]>,
-                _: &mut PagePool,
-                _: &mut Vec<Entry>,
-            ) -> Result<(), &'static str> {
+            ) -> EntryCursor {
                 unreachable!()
             }
         }
@@ -442,15 +515,29 @@ mod tests {
             ),
             RangeVerdict::Complete(Vec::new())
         );
+        assert!(!verify_anchored_range(
+            &NoScheme,
+            Hash::ZERO,
+            Bound::Unbounded,
+            Bound::Unbounded,
+            &junk
+        )
+        .is_valid());
         let keys = vec![Bytes::from_static(b"k")];
         assert_eq!(
             verify_anchored_batch(&NoScheme, Hash::ZERO, &keys, &empty),
             BatchVerdict::Verified(vec![ProofVerdict::Absent])
         );
         assert!(!verify_anchored_batch(&NoScheme, Hash::ZERO, &keys, &junk).is_valid());
+        // No keys, no pages — whatever the digest.
+        let digest = sha256(b"junk");
         assert_eq!(
-            verify_anchored_batch(&NoScheme, Hash::ZERO, &[], &empty),
+            verify_anchored_batch(&NoScheme, digest, &[], &empty),
             BatchVerdict::Verified(Vec::new())
         );
+        assert!(!verify_anchored_batch(&NoScheme, digest, &[], &junk).is_valid());
+        // And an empty proof cannot vouch for a non-zero digest.
+        assert!(!verify_anchored_membership(&NoScheme, digest, b"k", &empty).is_valid());
+        assert!(!verify_anchored_batch(&NoScheme, digest, &keys, &empty).is_valid());
     }
 }

@@ -196,8 +196,8 @@ mod tests {
         fn diff(&self, other: &Self) -> crate::Result<Vec<DiffEntry>> {
             crate::diff_by_scan(self, other)
         }
-        fn prove(&self, _key: &[u8]) -> crate::Result<Proof> {
-            Ok(Proof::new(Vec::new()))
+        fn with_store(&self, store: SharedStore) -> Self {
+            FakeIndex { store, map: self.map.clone() }
         }
         fn verify_proof(_root: Hash, _key: &[u8], _proof: &Proof) -> ProofVerdict {
             ProofVerdict::Absent

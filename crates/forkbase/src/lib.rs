@@ -64,7 +64,7 @@
 
 mod factory;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -72,11 +72,11 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::{LockClass, Mutex, RwLock};
 use siri_core::{
-    chain_cursors, merge, merge_with_base, prefix_successor, CommitInfo, Entry, EntryCursor,
-    IndexError, MergeOutcome, MergeStrategy, Proof, Result, Session, ShardCommit, ShardManifest,
-    ShardRouter, SiriIndex, WriteBatch,
+    chain_cursors, merge, merge_with_base, prefix_successor, AnchoredReader, CommitInfo, Entry,
+    EntryCursor, IndexError, MergeOutcome, MergeStrategy, Proof, Recorder, Result, Session,
+    ShardCommit, ShardManifest, ShardRouter, SiriIndex, WriteBatch,
 };
-use siri_crypto::{sha256, Hash};
+use siri_crypto::Hash;
 use siri_store::{
     CachingStore, FileStore, FileStoreOptions, MemStore, NodeStore, SharedStore, StoreError,
     StoreStats,
@@ -1280,31 +1280,25 @@ impl<F: IndexFactory> Forkbase<F> {
         }
     }
 
-    /// Consistent proof snapshot of a branch: the published digest, the
-    /// partition router and an owned handle to every shard head — all read
-    /// under one table read lock (publications swap sub-roots and the
-    /// digest while holding it exclusively, so the three can never be
-    /// observed torn).
-    fn proof_snapshot(&self, branch: &str) -> Result<(Hash, ShardRouter, Vec<F::Index>)> {
+    /// What a proof of `branch` is recorded against: the published digest
+    /// and a [`Recorder`] over the server store. On a sharded head the
+    /// recorder already holds the manifest page, re-encoded from the table
+    /// under its read lock (publications swap sub-roots and the digest
+    /// while holding it exclusively, so the two can never be observed
+    /// torn) rather than fetched: the table *is* the decoded manifest, and
+    /// a proof must not depend on that page having reached — or survived GC
+    /// in — the store. Everything below the digest is immutable, so the
+    /// read itself needs no lock.
+    fn witness(&self, branch: &str) -> Result<(Hash, Arc<Recorder>)> {
         let slot = self.slot(branch)?;
         let t = slot.head.read();
-        let heads = t.shards.iter().map(|s| s.head.read().clone()).collect();
-        Ok((t.digest, t.router.clone(), heads))
-    }
-
-    /// Re-encode the shard manifest for a multi-shard snapshot — the first
-    /// page of every sharded proof. Rebuilt from the snapshot rather than
-    /// re-fetched so a proof never depends on the manifest page surviving
-    /// GC; the debug assertion pins it to the published digest.
-    fn manifest_page(&self, digest: Hash, router: &ShardRouter, heads: &[F::Index]) -> Bytes {
-        let roots = heads.iter().map(|h| h.root()).collect();
-        let manifest = ShardManifest::new(router.boundaries().to_vec(), roots);
-        debug_assert_eq!(
-            manifest.digest(),
-            digest,
-            "re-encoded manifest must hash to the published branch digest"
-        );
-        Bytes::from(manifest.encode())
+        let rec = Recorder::new(self.server.clone());
+        if t.shard_count() > 1 {
+            let manifest = ShardManifest::new(t.router.boundaries().to_vec(), t.roots());
+            debug_assert_eq!(manifest.digest(), t.digest, "the table must encode to its digest");
+            rec.note(t.digest, Bytes::from(manifest.encode()));
+        }
+        Ok((t.digest, rec))
     }
 
     /// Server storage counters.
@@ -1357,21 +1351,20 @@ impl<F: IndexFactory> Session for Forkbase<F> {
         Forkbase::branch_digest(self, branch)
     }
 
+    // A proof is a recorded read (DESIGN.md §14): the three provers run the
+    // reader a verifier will replay — same routing, same page order — over
+    // a recording store, anchored at the *published* branch digest, i.e.
+    // the hash `commit` returned and `branch_digest` reports, the only one
+    // a light client holds. (An earlier revision proved against the
+    // collapsed logical head instead; on a sharded branch that root
+    // differs from the published manifest digest — and for the MVMB+
+    // baseline it is not even derivable from the shard sub-roots — so
+    // those proofs never verified against anything a client could trust.)
+
     fn prove(&self, branch: &str, key: &[u8]) -> Result<(Hash, Proof)> {
-        // Anchor at the *published* branch digest — the hash `commit`
-        // returned and `branch_digest` reports, i.e. the only one a light
-        // client holds. (An earlier revision proved against the collapsed
-        // logical head instead; on a sharded branch that root differs from
-        // the published manifest digest — and for the MVMB+ baseline it is
-        // not even derivable from the shard sub-roots — so those proofs
-        // never verified against anything a client could trust.)
-        let (digest, router, heads) = self.proof_snapshot(branch)?;
-        if heads.len() == 1 {
-            return Ok((digest, heads[0].prove(key)?));
-        }
-        let mut pages = vec![self.manifest_page(digest, &router, &heads)];
-        pages.extend(heads[router.shard_of(key)].prove(key)?.into_pages());
-        Ok((digest, Proof::new(pages)))
+        let (digest, rec) = self.witness(branch)?;
+        AnchoredReader::open(self.factory.scheme(), rec.clone(), digest)?.get(key)?;
+        Ok((digest, rec.proof()))
     }
 
     fn prove_range(
@@ -1380,49 +1373,22 @@ impl<F: IndexFactory> Session for Forkbase<F> {
         start: Bound<&[u8]>,
         end: Bound<&[u8]>,
     ) -> Result<(Hash, Proof)> {
-        let (digest, router, heads) = self.proof_snapshot(branch)?;
-        if heads.len() == 1 {
-            return Ok((digest, heads[0].prove_range(start, end)?));
-        }
-        let mut pages = vec![self.manifest_page(digest, &router, &heads)];
-        let mut seen = HashSet::new();
-        let (lo, hi) = router.covering(start, end);
-        for head in &heads[lo..=hi] {
-            if head.root().is_zero() {
-                continue; // the verifier skips zero sub-roots identically
-            }
-            for page in head.prove_range(start, end)?.into_pages() {
-                if seen.insert(sha256(&page)) {
-                    pages.push(page);
-                }
-            }
-        }
-        Ok((digest, Proof::new(pages)))
+        let (digest, rec) = self.witness(branch)?;
+        AnchoredReader::open(self.factory.scheme(), rec.clone(), digest)?.range(start, end)?;
+        Ok((digest, rec.proof()))
     }
 
     fn prove_batch(&self, branch: &str, keys: &[Bytes]) -> Result<(Hash, Proof)> {
-        let (digest, router, heads) = self.proof_snapshot(branch)?;
         if keys.is_empty() {
             // Convention shared with the verifier: no keys, no pages.
-            return Ok((digest, Proof::new(Vec::new())));
+            return Ok((self.branch_digest(branch)?, Proof::new(Vec::new())));
         }
-        if heads.len() == 1 {
-            return Ok((digest, heads[0].prove_batch(keys)?));
-        }
-        let mut pages = vec![self.manifest_page(digest, &router, &heads)];
-        let mut seen = HashSet::new();
+        let (digest, rec) = self.witness(branch)?;
+        let reader = AnchoredReader::open(self.factory.scheme(), rec.clone(), digest)?;
         for key in keys {
-            let head = &heads[router.shard_of(key)];
-            if head.root().is_zero() {
-                continue; // zero sub-root proves absence with no pages
-            }
-            for page in head.prove(key)?.into_pages() {
-                if seen.insert(sha256(&page)) {
-                    pages.push(page);
-                }
-            }
+            reader.get(key)?;
         }
-        Ok((digest, Proof::new(pages)))
+        Ok((digest, rec.proof()))
     }
 }
 

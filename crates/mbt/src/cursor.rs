@@ -14,7 +14,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use siri_core::{before_start, past_end, Entry, IndexError, Result};
+use siri_core::{before_start, past_end, Entry, Result};
 
 use crate::node::Node;
 use crate::MerkleBucketTree;
@@ -100,14 +100,8 @@ impl RangeCursor {
         if self.window_is_empty() {
             return Ok(());
         }
-        let count = self.tree.topology().buckets();
-        self.buckets.reserve(count);
-        for bucket in 0..count {
-            let node = self.tree.bucket_node(bucket)?;
-            if !matches!(&*node, Node::Bucket { .. }) {
-                return Err(IndexError::CorruptStructure("path did not end in a bucket"));
-            }
-            self.buckets.push(node);
+        self.buckets = self.tree.bucket_nodes()?;
+        for bucket in 0..self.buckets.len() {
             let entries = self.entries_of(bucket);
             let idx = entries.partition_point(|e| before_start(&self.start, &e.key));
             if idx < entries.len() && !past_end(&self.end, &entries[idx].key) {

@@ -122,6 +122,20 @@ impl MerkleBucketTree {
         }
     }
 
+    /// A cache-less reader at `root` over a bare page source — what proofs
+    /// are verified with (DESIGN.md §14). Every page embeds (B, fanout), so
+    /// the shape comes from the root page itself, which the caller's digest
+    /// vouches for; [`Self::fetch_at`] holds every page below to it.
+    pub(crate) fn reader(store: SharedStore, root: Hash) -> Result<Self> {
+        let page = store.try_get(&root)?.ok_or(IndexError::MissingPage(root))?;
+        let (buckets, fanout) = Node::decode_zc(&page)?.params();
+        if buckets == 0 || fanout < 2 {
+            return Err(IndexError::CorruptStructure("implausible parameters"));
+        }
+        let topo = Topology::new(buckets as usize, fanout as usize);
+        Ok(MerkleBucketTree { store, topo, root, cache: NodeCache::new_shared(0) })
+    }
+
     pub fn topology(&self) -> &Topology {
         &self.topo
     }
@@ -152,6 +166,35 @@ impl MerkleBucketTree {
         })
     }
 
+    /// Fetch the node at topology position `id` and hold it to the
+    /// arithmetic shape — parameters, page kind for the level, child count —
+    /// so that a page from a differently-shaped tree (corrupt disk, wrong
+    /// `open` parameters, a doctored proof) is an error, never a wrong
+    /// answer.
+    fn fetch_at(&self, id: topology::NodeId, hash: &Hash) -> Result<(Arc<Node>, bool)> {
+        let (node, cached) = self.fetch_traced(hash)?;
+        if node.params() != (self.topo.buckets() as u64, self.topo.fanout() as u64) {
+            return Err(IndexError::CorruptStructure("parameter mismatch along path"));
+        }
+        match (&*node, id.0) {
+            (Node::Bucket { .. }, 0) => {}
+            (Node::Bucket { .. }, _) => {
+                return Err(IndexError::CorruptStructure("bucket page at internal level"))
+            }
+            (Node::Internal { .. }, 0) => {
+                return Err(IndexError::CorruptStructure("internal page at bucket level"))
+            }
+            (Node::Internal { children, .. }, _) => {
+                if children.len() != self.topo.children_span(id).1 {
+                    return Err(IndexError::CorruptStructure(
+                        "child count does not match topology",
+                    ));
+                }
+            }
+        }
+        Ok((node, cached))
+    }
+
     /// Decoded nodes along the root→bucket path.
     fn load_path(&self, bucket: usize) -> Result<LoadedPath> {
         let path = self.topo.path_to_bucket(bucket);
@@ -159,48 +202,49 @@ impl MerkleBucketTree {
             LoadedPath { nodes: Vec::with_capacity(path.len()), cache_hits: 0, cache_misses: 0 };
         let mut hash = self.root;
         for (i, id) in path.iter().enumerate() {
-            let (node, cached) = self.fetch_traced(&hash)?;
+            let (node, cached) = self.fetch_at(*id, &hash)?;
             if cached {
                 out.cache_hits += 1;
             } else {
                 out.cache_misses += 1;
             }
-            if i + 1 < path.len() {
-                let next = match &*node {
-                    Node::Internal { children, .. } => {
-                        let slot = self.topo.slot_in_parent(path[i + 1]);
-                        *children
-                            .get(slot)
-                            .ok_or(IndexError::CorruptStructure("missing child slot"))?
-                    }
-                    Node::Bucket { .. } => {
-                        return Err(IndexError::CorruptStructure("bucket above leaf level"))
-                    }
-                };
-                out.nodes.push((hash, node));
-                hash = next;
-            } else {
-                out.nodes.push((hash, node));
-            }
-            let _ = id;
+            let next = match (&*node, path.get(i + 1)) {
+                (Node::Internal { children, .. }, Some(child)) => *children
+                    .get(self.topo.slot_in_parent(*child))
+                    .ok_or(IndexError::CorruptStructure("path slot out of range"))?,
+                _ => hash,
+            };
+            out.nodes.push((hash, node));
+            hash = next;
         }
         Ok(out)
     }
 
-    /// The decoded bucket node at `bucket`, shared out of the node cache —
-    /// how the cursor pins buckets without copying their entries.
-    pub(crate) fn bucket_node(&self, bucket: usize) -> Result<Arc<Node>> {
-        let path = self.load_path(bucket)?;
-        match path.nodes.last() {
-            Some((_, node)) if matches!(&**node, Node::Bucket { .. }) => Ok(node.clone()),
-            _ => Err(IndexError::CorruptStructure("path did not end in a bucket")),
+    /// Every decoded bucket node in bucket order, shared out of the node
+    /// cache — how the cursor pins buckets without copying their entries.
+    /// Descends level by level, so each page is fetched once (not once per
+    /// bucket below it).
+    pub(crate) fn bucket_nodes(&self) -> Result<Vec<Arc<Node>>> {
+        let top = self.topo.height() - 1;
+        let mut level = vec![self.fetch_at((top, 0), &self.root)?.0];
+        for below in (0..top).rev() {
+            let mut next = Vec::with_capacity(self.topo.nodes_on_level(below));
+            for parent in &level {
+                if let Node::Internal { children, .. } = &**parent {
+                    for child in children {
+                        next.push(self.fetch_at((below, next.len()), child)?.0);
+                    }
+                }
+            }
+            level = next;
         }
+        Ok(level)
     }
 
     /// Entries of one bucket by index (copied; write path only).
     fn bucket_entries(&self, bucket: usize) -> Result<Vec<Entry>> {
-        match &*self.bucket_node(bucket)? {
-            Node::Bucket { entries, .. } => Ok(entries.clone()),
+        match self.load_path(bucket)?.nodes.last().map(|(_, node)| &**node) {
+            Some(Node::Bucket { entries, .. }) => Ok(entries.clone()),
             _ => Err(IndexError::CorruptStructure("path did not end in a bucket")),
         }
     }
@@ -212,8 +256,8 @@ impl MerkleBucketTree {
         let mut min = usize::MAX;
         let mut max = 0usize;
         let mut total = 0usize;
-        for bucket in 0..self.topo.buckets() {
-            let n = self.bucket_entries(bucket)?.len();
+        for node in self.bucket_nodes()? {
+            let n = bucket_len(&node);
             min = min.min(n);
             max = max.max(n);
             total += n;
@@ -255,6 +299,13 @@ impl MerkleBucketTree {
             }
             _ => Err(IndexError::CorruptStructure("node kind mismatch in diff")),
         }
+    }
+}
+
+fn bucket_len(node: &Node) -> usize {
+    match node {
+        Node::Bucket { entries, .. } => entries.len(),
+        Node::Internal { .. } => 0,
     }
 }
 
@@ -404,13 +455,7 @@ impl SiriIndex for MerkleBucketTree {
     /// Counting needs only each bucket's entry count — no collation, no
     /// sort, and the bucket nodes come shared out of the node cache.
     fn len(&self) -> Result<usize> {
-        let mut n = 0;
-        for bucket in 0..self.topo.buckets() {
-            if let Node::Bucket { entries, .. } = &*self.bucket_node(bucket)? {
-                n += entries.len();
-            }
-        }
-        Ok(n)
+        Ok(self.bucket_nodes()?.iter().map(|node| bucket_len(node)).sum())
     }
 
     fn is_empty(&self) -> bool {
@@ -438,88 +483,12 @@ impl SiriIndex for MerkleBucketTree {
         Ok(out)
     }
 
-    fn prove(&self, key: &[u8]) -> Result<Proof> {
-        let bucket = self.topo.bucket_of(key);
-        let path = self.topo.path_to_bucket(bucket);
-        let mut pages = Vec::with_capacity(path.len());
-        let mut hash = self.root;
-        for (i, _) in path.iter().enumerate() {
-            let page = self.store.try_get(&hash)?.ok_or(IndexError::MissingPage(hash))?;
-            let node = Node::decode(&page)?;
-            pages.push(page);
-            if i + 1 < path.len() {
-                match node {
-                    Node::Internal { children, .. } => {
-                        let slot = self.topo.slot_in_parent(path[i + 1]);
-                        hash = *children
-                            .get(slot)
-                            .ok_or(IndexError::CorruptStructure("missing child slot"))?;
-                    }
-                    Node::Bucket { .. } => {
-                        return Err(IndexError::CorruptStructure("bucket above leaf level"))
-                    }
-                }
-            }
-        }
-        Ok(Proof::new(pages))
+    fn with_store(&self, store: SharedStore) -> Self {
+        MerkleBucketTree { store, cache: NodeCache::new_shared(0), ..self.clone() }
     }
 
     fn verify_proof(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-        proof::verify(root, key, proof)
-    }
-
-    fn prove_range(&self, _start: Bound<&[u8]>, _end: Bound<&[u8]>) -> Result<Proof> {
-        // Hashing destroys key order: any range may touch any bucket, so
-        // the complete (deduplicated) page set *is* the range proof. The
-        // skeleton's identical pages — empty buckets above all — collapse
-        // to one copy each, so sparse trees stay cheap to prove.
-        let mut pages = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![self.root];
-        while let Some(hash) = stack.pop() {
-            let page = self.store.try_get(&hash)?.ok_or(IndexError::MissingPage(hash))?;
-            let node = Node::decode(&page)?;
-            if !seen.insert(hash) {
-                continue; // identical subtree: identical page set
-            }
-            pages.push(page);
-            if let Node::Internal { children, .. } = node {
-                stack.extend(children);
-            }
-        }
-        Ok(Proof::new(pages))
-    }
-
-    fn prove_batch(&self, keys: &[Bytes]) -> Result<Proof> {
-        let mut pages = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for key in keys {
-            for page in self.prove(key)?.into_pages() {
-                if seen.insert(siri_crypto::sha256(&page)) {
-                    pages.push(page);
-                }
-            }
-        }
-        Ok(Proof::new(pages))
-    }
-}
-
-impl MerkleBucketTree {
-    /// Verify a range proof against a trusted branch digest — see
-    /// [`siri_core::verify_anchored_range`].
-    pub fn verify_range(
-        digest: Hash,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        proof: &Proof,
-    ) -> siri_core::RangeVerdict {
-        siri_core::verify_anchored_range(&proof::MbtProofScheme, digest, start, end, proof)
-    }
-
-    /// Verify a batched multi-key proof against a trusted branch digest —
-    /// see [`siri_core::verify_anchored_batch`].
-    pub fn verify_batch(digest: Hash, keys: &[Bytes], proof: &Proof) -> siri_core::BatchVerdict {
-        siri_core::verify_anchored_batch(&proof::MbtProofScheme, digest, keys, proof)
+        siri_core::verify_anchored_membership(&MbtProofScheme, root, key, proof)
     }
 }
 

@@ -1,200 +1,17 @@
-//! MBT proof verification.
-//!
-//! A proof is the root→bucket page path. The verifier holds only the
-//! trusted digest: it reads B and fanout from the (digest-checked) root
-//! page, re-derives the bucket index and slot path arithmetically, and
-//! checks every parent→child link by re-hashing, so any tampered page or
-//! wrong-path proof is rejected.
+//! MBT's [`ProofScheme`]: a proof is a recorded read (DESIGN.md §14), so
+//! all there is to say is how to open a reader over a page source — which,
+//! every page embedding (B, fanout), needs nothing beyond the trusted digest.
 
 use std::ops::Bound;
 
 use bytes::Bytes;
-use siri_core::{bounds_contain, Entry, PagePool, Proof, ProofScheme, ProofVerdict};
-use siri_crypto::{sha256, Hash};
+use siri_core::{EntryCursor, ProofScheme, Result, SiriIndex};
+use siri_crypto::Hash;
+use siri_store::SharedStore;
 
-use crate::node::Node;
-use crate::topology::Topology;
+use crate::MerkleBucketTree;
 
-pub(crate) fn verify(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-    let pages = proof.pages();
-    let Some(first) = pages.first() else {
-        return ProofVerdict::Invalid("empty proof");
-    };
-    if sha256(first) != root {
-        return ProofVerdict::Invalid("root page does not match digest");
-    }
-    let Ok(root_node) = Node::decode(first) else {
-        return ProofVerdict::Invalid("root page undecodable");
-    };
-    let (b, m) = root_node.params();
-    if b == 0 || m < 2 {
-        return ProofVerdict::Invalid("implausible parameters");
-    }
-    let topo = Topology::new(b as usize, m as usize);
-    let path = topo.path_to_bucket(topo.bucket_of(key));
-    if pages.len() != path.len() {
-        return ProofVerdict::Invalid("proof length does not match tree height");
-    }
-
-    let mut current = root_node;
-    for step in 1..path.len() {
-        let Node::Internal { children, buckets, fanout } = current else {
-            return ProofVerdict::Invalid("bucket page at internal level");
-        };
-        if (buckets, fanout) != (b, m) {
-            return ProofVerdict::Invalid("parameter mismatch along path");
-        }
-        let slot = topo.slot_in_parent(path[step]);
-        let Some(expected) = children.get(slot) else {
-            return ProofVerdict::Invalid("path slot out of range");
-        };
-        if sha256(&pages[step]) != *expected {
-            return ProofVerdict::Invalid("broken hash link");
-        }
-        match Node::decode(&pages[step]) {
-            Ok(node) => current = node,
-            Err(_) => return ProofVerdict::Invalid("page undecodable"),
-        }
-    }
-
-    match current {
-        Node::Bucket { entries, buckets, fanout } => {
-            if (buckets, fanout) != (b, m) {
-                return ProofVerdict::Invalid("parameter mismatch at bucket");
-            }
-            match entries.binary_search_by(|e| e.key.as_ref().cmp(key)) {
-                Ok(i) => ProofVerdict::Present(Bytes::copy_from_slice(&entries[i].value)),
-                Err(_) => ProofVerdict::Absent,
-            }
-        }
-        Node::Internal { .. } => ProofVerdict::Invalid("proof ends at internal node"),
-    }
-}
-
-/// One key's root→bucket re-walk through a shared page pool, deriving the
-/// path arithmetically from the (digest-checked) root page's parameters.
-pub(crate) fn verify_key_pages(root: Hash, key: &[u8], pool: &mut PagePool) -> ProofVerdict {
-    if root.is_zero() {
-        return ProofVerdict::Absent;
-    }
-    let Some(first) = pool.get(&root) else {
-        return ProofVerdict::Invalid("missing page in proof");
-    };
-    let Ok(mut current) = Node::decode_zc(&first) else {
-        return ProofVerdict::Invalid("root page undecodable");
-    };
-    let (b, m) = current.params();
-    if b == 0 || m < 2 {
-        return ProofVerdict::Invalid("implausible parameters");
-    }
-    let topo = Topology::new(b as usize, m as usize);
-    let path = topo.path_to_bucket(topo.bucket_of(key));
-    for node_id in path.iter().skip(1) {
-        let Node::Internal { children, buckets, fanout } = current else {
-            return ProofVerdict::Invalid("bucket page at internal level");
-        };
-        if (buckets, fanout) != (b, m) {
-            return ProofVerdict::Invalid("parameter mismatch along path");
-        }
-        let slot = topo.slot_in_parent(*node_id);
-        let Some(expected) = children.get(slot) else {
-            return ProofVerdict::Invalid("path slot out of range");
-        };
-        let Some(page) = pool.get(expected) else {
-            return ProofVerdict::Invalid("missing page in proof");
-        };
-        match Node::decode_zc(&page) {
-            Ok(node) => current = node,
-            Err(_) => return ProofVerdict::Invalid("page undecodable"),
-        }
-    }
-    match current {
-        Node::Bucket { entries, buckets, fanout } => {
-            if (buckets, fanout) != (b, m) {
-                return ProofVerdict::Invalid("parameter mismatch at bucket");
-            }
-            match entries.binary_search_by(|e| e.key.as_ref().cmp(key)) {
-                Ok(i) => ProofVerdict::Present(entries[i].value.clone()),
-                Err(_) => ProofVerdict::Absent,
-            }
-        }
-        Node::Internal { .. } => ProofVerdict::Invalid("proof ends at internal node"),
-    }
-}
-
-/// Re-walk the *entire* tree through the pool — hashing destroys key
-/// order, so an MBT range proof is the whole page set and the range is
-/// filtered + sorted afterwards. Every page is checked against the
-/// arithmetic topology (level, child count, parameters) so a reshaped
-/// tree cannot masquerade as complete.
-pub(crate) fn verify_range_pages(
-    root: Hash,
-    start: Bound<&[u8]>,
-    end: Bound<&[u8]>,
-    pool: &mut PagePool,
-    out: &mut Vec<Entry>,
-) -> Result<(), &'static str> {
-    if root.is_zero() {
-        return Ok(());
-    }
-    let Some(first) = pool.get(&root) else {
-        return Err("missing page in proof");
-    };
-    let root_node = Node::decode_zc(&first).map_err(|_| "root page undecodable")?;
-    let (b, m) = root_node.params();
-    if b == 0 || m < 2 {
-        return Err("implausible parameters");
-    }
-    let topo = Topology::new(b as usize, m as usize);
-    let mut collected = Vec::new();
-    walk_full(root_node, (topo.height() - 1, 0), &topo, (b, m), pool, &mut collected)?;
-    collected.retain(|e| bounds_contain(start, end, &e.key));
-    collected.sort_by(|x, y| x.key.cmp(&y.key));
-    out.extend(collected);
-    Ok(())
-}
-
-fn walk_full(
-    node: Node,
-    id: crate::topology::NodeId,
-    topo: &Topology,
-    params: (u64, u64),
-    pool: &mut PagePool,
-    out: &mut Vec<Entry>,
-) -> Result<(), &'static str> {
-    match node {
-        Node::Bucket { entries, buckets, fanout } => {
-            if (buckets, fanout) != params {
-                return Err("parameter mismatch along walk");
-            }
-            if id.0 != 0 {
-                return Err("bucket page at internal level");
-            }
-            out.extend(entries);
-            Ok(())
-        }
-        Node::Internal { children, buckets, fanout } => {
-            if (buckets, fanout) != params {
-                return Err("parameter mismatch along walk");
-            }
-            if id.0 == 0 {
-                return Err("internal page at bucket level");
-            }
-            let (first, count) = topo.children_span(id);
-            if children.len() != count {
-                return Err("child count does not match topology");
-            }
-            for (j, h) in children.iter().enumerate() {
-                let page = pool.get(h).ok_or("missing page in proof")?;
-                let child = Node::decode_zc(&page).map_err(|_| "page undecodable")?;
-                walk_full(child, (id.0 - 1, first + j), topo, params, pool, out)?;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// MBT's [`ProofScheme`].
+/// The dyn-safe handle clients verify MBT proofs with.
 pub struct MbtProofScheme;
 
 impl ProofScheme for MbtProofScheme {
@@ -202,31 +19,28 @@ impl ProofScheme for MbtProofScheme {
         "mbt"
     }
 
-    fn verify_membership(&self, root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-        verify(root, key, proof)
+    fn get(&self, pages: SharedStore, root: Hash, key: &[u8]) -> Result<Option<Bytes>> {
+        MerkleBucketTree::reader(pages, root)?.get(key)
     }
 
-    fn verify_key_pages(&self, root: Hash, key: &[u8], pool: &mut PagePool) -> ProofVerdict {
-        verify_key_pages(root, key, pool)
-    }
-
-    fn verify_range_pages(
+    fn range(
         &self,
+        pages: SharedStore,
         root: Hash,
         start: Bound<&[u8]>,
         end: Bound<&[u8]>,
-        pool: &mut PagePool,
-        out: &mut Vec<Entry>,
-    ) -> Result<(), &'static str> {
-        verify_range_pages(root, start, end, pool, out)
+    ) -> EntryCursor {
+        match MerkleBucketTree::reader(pages, root) {
+            Ok(tree) => tree.range(start, end),
+            Err(e) => EntryCursor::fail(e),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::MerkleBucketTree;
-    use siri_core::{Entry, MemStore, SiriIndex};
+    use siri_core::{Entry, Hash, MemStore, Proof, ProofVerdict, SiriIndex};
 
     fn tree_with_data() -> MerkleBucketTree {
         let mut t = MerkleBucketTree::new(MemStore::new_shared(), 32, 4).unwrap();
@@ -293,6 +107,22 @@ mod tests {
         let proof = t.prove(b"key001").unwrap();
         let wrong = siri_crypto::sha256(b"forged root");
         assert!(!MerkleBucketTree::verify_proof(wrong, b"key001", &proof).is_valid());
+    }
+
+    #[test]
+    fn empty_tree_proofs() {
+        // An MBT is never rootless — the skeleton exists from birth — so an
+        // empty tree still proves absence with a full path.
+        let t = MerkleBucketTree::new(MemStore::new_shared(), 32, 4).unwrap();
+        let p = t.prove(b"any").unwrap();
+        assert_eq!(p.len(), t.topology().height());
+        assert_eq!(MerkleBucketTree::verify_proof(t.root(), b"any", &p), ProofVerdict::Absent);
+        // One zero-root rule for every structure: the zero digest names no
+        // page, so it vouches for absence and tolerates no evidence.
+        let none = Proof::new(Vec::new());
+        let junk = Proof::new(vec![bytes::Bytes::from_static(b"junk")]);
+        assert_eq!(MerkleBucketTree::verify_proof(Hash::ZERO, b"any", &none), ProofVerdict::Absent);
+        assert!(!MerkleBucketTree::verify_proof(Hash::ZERO, b"any", &junk).is_valid());
     }
 
     #[test]

@@ -75,6 +75,12 @@ impl MerklePatriciaTrie {
         }
     }
 
+    /// A cache-less reader at `root` over a bare page source — what proofs
+    /// are recorded and verified with (DESIGN.md §14).
+    pub(crate) fn reader(store: SharedStore, root: Hash) -> Self {
+        MerklePatriciaTrie { store, root, cache: NodeCache::new_shared(0) }
+    }
+
     /// Replace the node cache with one bounded to `capacity` decoded nodes
     /// (0 disables caching — every fetch decodes). Benchmarks use this for
     /// cache-size sweeps; clones made *after* this call share the new cache.
@@ -258,61 +264,12 @@ impl SiriIndex for MerklePatriciaTrie {
         diff::diff(self, other)
     }
 
-    fn prove(&self, key: &[u8]) -> Result<Proof> {
-        proof::prove(self, key)
+    fn with_store(&self, store: SharedStore) -> Self {
+        Self::reader(store, self.root)
     }
 
     fn verify_proof(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-        proof::verify(root, key, proof)
-    }
-
-    fn prove_range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<Proof> {
-        let mut pages = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        if !self.root.is_zero() {
-            proof::collect_range_pages(
-                self,
-                self.root,
-                siri_encoding::Nibbles::empty(),
-                start,
-                end,
-                &mut seen,
-                &mut pages,
-            )?;
-        }
-        Ok(Proof::new(pages))
-    }
-
-    fn prove_batch(&self, keys: &[Bytes]) -> Result<Proof> {
-        let mut pages = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for key in keys {
-            for page in self.prove(key)?.into_pages() {
-                if seen.insert(siri_crypto::sha256(&page)) {
-                    pages.push(page);
-                }
-            }
-        }
-        Ok(Proof::new(pages))
-    }
-}
-
-impl MerklePatriciaTrie {
-    /// Verify a range proof against a trusted branch digest — see
-    /// [`siri_core::verify_anchored_range`].
-    pub fn verify_range(
-        digest: Hash,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        proof: &Proof,
-    ) -> siri_core::RangeVerdict {
-        siri_core::verify_anchored_range(&proof::MptProofScheme, digest, start, end, proof)
-    }
-
-    /// Verify a batched multi-key proof against a trusted branch digest —
-    /// see [`siri_core::verify_anchored_batch`].
-    pub fn verify_batch(digest: Hash, keys: &[Bytes], proof: &Proof) -> siri_core::BatchVerdict {
-        siri_core::verify_anchored_batch(&proof::MptProofScheme, digest, keys, proof)
+        siri_core::verify_anchored_membership(&MptProofScheme, root, key, proof)
     }
 }
 

@@ -1,324 +1,19 @@
-//! MPT proofs: the node path from the root toward the key, as in §2.3
-//! ("a proof of data, which contains the nodes on the path to the root").
-//!
-//! Absence is provable too: the path ends at the node that demonstrates
-//! divergence (a leaf with a different tail, a branch with an empty slot,
-//! or an extension whose run the key does not share).
+//! MPT's [`ProofScheme`]: a proof is a recorded read (DESIGN.md §14) — "the
+//! nodes on the path to the root" (§2.3) — so all there is to say is how to
+//! open a reader over a page source. Absence is proven by the node where
+//! the lookup stops: a leaf with a different tail, a branch with an empty
+//! slot, or an extension whose run the key does not share.
 
 use std::ops::Bound;
 
 use bytes::Bytes;
-use siri_core::{
-    bounds_contain, Entry, IndexError, PagePool, Proof, ProofScheme, ProofVerdict, Result,
-    SiriIndex,
-};
-use siri_crypto::{sha256, Hash};
-use siri_encoding::Nibbles;
+use siri_core::{EntryCursor, ProofScheme, Result, SiriIndex};
+use siri_crypto::Hash;
+use siri_store::SharedStore;
 
-use crate::node::Node;
 use crate::MerklePatriciaTrie;
 
-pub(crate) fn prove(trie: &MerklePatriciaTrie, key: &[u8]) -> Result<Proof> {
-    let mut pages = Vec::new();
-    if trie.root().is_zero() {
-        return Ok(Proof::new(pages));
-    }
-    let nibbles = Nibbles::from_key(key);
-    let mut offset = 0usize;
-    let mut hash = trie.root();
-    loop {
-        let page = trie.store().try_get(&hash)?.ok_or(IndexError::MissingPage(hash))?;
-        let node = Node::decode(&page)?;
-        pages.push(page);
-        match node {
-            Node::Leaf { .. } => return Ok(Proof::new(pages)),
-            Node::Extension { path, child } => {
-                if !nibbles.suffix(offset).starts_with(&path) {
-                    return Ok(Proof::new(pages)); // divergence proves absence
-                }
-                offset += path.len();
-                hash = child;
-            }
-            Node::Branch { children, .. } => {
-                if offset == nibbles.len() {
-                    return Ok(Proof::new(pages));
-                }
-                match children[nibbles.at(offset) as usize] {
-                    Some(child) => {
-                        offset += 1;
-                        hash = child;
-                    }
-                    None => return Ok(Proof::new(pages)), // empty slot proves absence
-                }
-            }
-        }
-    }
-}
-
-pub(crate) fn verify(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-    if root.is_zero() {
-        return if proof.is_empty() {
-            ProofVerdict::Absent
-        } else {
-            ProofVerdict::Invalid("non-empty proof for empty trie")
-        };
-    }
-    let pages = proof.pages();
-    if pages.is_empty() {
-        return ProofVerdict::Invalid("empty proof for non-empty trie");
-    }
-    let nibbles = Nibbles::from_key(key);
-    let mut offset = 0usize;
-    let mut expected = root;
-    for (i, page) in pages.iter().enumerate() {
-        if sha256(page) != expected {
-            return ProofVerdict::Invalid("broken hash link");
-        }
-        let node = match Node::decode(page) {
-            Ok(n) => n,
-            Err(_) => return ProofVerdict::Invalid("page undecodable"),
-        };
-        let is_last = i + 1 == pages.len();
-        match node {
-            Node::Leaf { path, value } => {
-                if !is_last {
-                    return ProofVerdict::Invalid("pages after a leaf");
-                }
-                return if nibbles.suffix(offset) == path {
-                    ProofVerdict::Present(Bytes::copy_from_slice(&value))
-                } else {
-                    ProofVerdict::Absent
-                };
-            }
-            Node::Extension { path, child } => {
-                if !nibbles.suffix(offset).starts_with(&path) {
-                    return if is_last {
-                        ProofVerdict::Absent
-                    } else {
-                        ProofVerdict::Invalid("pages after proven divergence")
-                    };
-                }
-                offset += path.len();
-                expected = child;
-            }
-            Node::Branch { children, value } => {
-                if offset == nibbles.len() {
-                    if !is_last {
-                        return ProofVerdict::Invalid("pages after terminal branch");
-                    }
-                    return match value {
-                        Some(v) => ProofVerdict::Present(v),
-                        None => ProofVerdict::Absent,
-                    };
-                }
-                match children[nibbles.at(offset) as usize] {
-                    Some(child) => {
-                        if is_last {
-                            return ProofVerdict::Invalid("proof stops mid-path");
-                        }
-                        offset += 1;
-                        expected = child;
-                    }
-                    None => {
-                        return if is_last {
-                            ProofVerdict::Absent
-                        } else {
-                            ProofVerdict::Invalid("pages after empty slot")
-                        };
-                    }
-                }
-            }
-        }
-    }
-    ProofVerdict::Invalid("proof exhausted before a terminal node")
-}
-
-/// The shared range-pruning predicate: does the subtree at nibble-path
-/// `prefix` overlap `[start, end)`? Both the prover (deciding which pages
-/// to ship) and the verifier (deciding which children to demand) call
-/// this, so a boundary subtree can never be included by one side and
-/// skipped by the other. Nibble order equals byte order, so slicing both
-/// the prefix and the bound key to their common length decides
-/// entirely-below / entirely-above; ties are conservatively included —
-/// over-inclusion costs proof bytes, never soundness.
-pub(crate) fn subtree_overlaps(prefix: &Nibbles, start: Bound<&[u8]>, end: Bound<&[u8]>) -> bool {
-    let p = prefix.as_slice();
-    if let Bound::Included(a) | Bound::Excluded(a) = start {
-        let na = Nibbles::from_key(a);
-        let m = p.len().min(na.len());
-        if p[..m] < na.as_slice()[..m] {
-            return false; // diverges below the start key: every key is < a
-        }
-    }
-    if let Bound::Included(b) | Bound::Excluded(b) = end {
-        let nb = Nibbles::from_key(b);
-        let m = p.len().min(nb.len());
-        if p[..m] > nb.as_slice()[..m] {
-            return false; // diverges above the end key: every key is > b
-        }
-        if m == nb.len() && p.len() > m && p[..m] == nb.as_slice()[..m] {
-            // The prefix strictly extends the end key: every key below is
-            // a proper extension of `b`, hence sorts after it.
-            return false;
-        }
-    }
-    true
-}
-
-/// One key's root→terminal re-walk through a shared page pool. Terminates
-/// without a depth counter: extensions have non-empty paths (the decoder
-/// enforces it) and branches consume a nibble, so the offset strictly
-/// grows toward the key's length.
-pub(crate) fn verify_key_pages(root: Hash, key: &[u8], pool: &mut PagePool) -> ProofVerdict {
-    if root.is_zero() {
-        return ProofVerdict::Absent;
-    }
-    let nibbles = Nibbles::from_key(key);
-    let mut offset = 0usize;
-    let mut expected = root;
-    loop {
-        let Some(page) = pool.get(&expected) else {
-            return ProofVerdict::Invalid("missing page in proof");
-        };
-        match Node::decode(&page) {
-            Ok(Node::Leaf { path, value }) => {
-                return if nibbles.suffix(offset) == path {
-                    ProofVerdict::Present(value)
-                } else {
-                    ProofVerdict::Absent
-                };
-            }
-            Ok(Node::Extension { path, child }) => {
-                if !nibbles.suffix(offset).starts_with(&path) {
-                    return ProofVerdict::Absent;
-                }
-                offset += path.len();
-                expected = child;
-            }
-            Ok(Node::Branch { children, value }) => {
-                if offset == nibbles.len() {
-                    return match value {
-                        Some(v) => ProofVerdict::Present(v),
-                        None => ProofVerdict::Absent,
-                    };
-                }
-                match children[nibbles.at(offset) as usize] {
-                    Some(child) => {
-                        offset += 1;
-                        expected = child;
-                    }
-                    None => return ProofVerdict::Absent,
-                }
-            }
-            Err(_) => return ProofVerdict::Invalid("page undecodable"),
-        }
-    }
-}
-
-/// Re-walk every subtree overlapping the bounds through the pool,
-/// appending in-bounds entries in key order (a branch's own value sorts
-/// before all of its children's keys; children walk in nibble order).
-pub(crate) fn verify_range_pages(
-    root: Hash,
-    start: Bound<&[u8]>,
-    end: Bound<&[u8]>,
-    pool: &mut PagePool,
-    out: &mut Vec<Entry>,
-) -> core::result::Result<(), &'static str> {
-    if root.is_zero() {
-        return Ok(());
-    }
-    walk_range(root, Nibbles::empty(), start, end, pool, out)
-}
-
-fn walk_range(
-    hash: Hash,
-    prefix: Nibbles,
-    start: Bound<&[u8]>,
-    end: Bound<&[u8]>,
-    pool: &mut PagePool,
-    out: &mut Vec<Entry>,
-) -> core::result::Result<(), &'static str> {
-    let Some(page) = pool.get(&hash) else {
-        return Err("missing page in proof");
-    };
-    match Node::decode(&page).map_err(|_| "page undecodable")? {
-        Node::Leaf { path, value } => {
-            let key = prefix.concat(&path).to_key().ok_or("odd-length key in leaf")?;
-            if bounds_contain(start, end, &key) {
-                out.push(Entry::new(key, value));
-            }
-            Ok(())
-        }
-        Node::Extension { path, child } => {
-            let cp = prefix.concat(&path);
-            if subtree_overlaps(&cp, start, end) {
-                walk_range(child, cp, start, end, pool, out)?;
-            }
-            Ok(())
-        }
-        Node::Branch { children, value } => {
-            if let Some(v) = value {
-                let key = prefix.to_key().ok_or("branch value at odd nibble position")?;
-                if bounds_contain(start, end, &key) {
-                    out.push(Entry::new(key, v));
-                }
-            }
-            for (i, child) in children.iter().enumerate() {
-                if let Some(child) = child {
-                    let cp = prefix.join(i as u8, &Nibbles::empty());
-                    if subtree_overlaps(&cp, start, end) {
-                        walk_range(*child, cp, start, end, pool, out)?;
-                    }
-                }
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Prover-side range walk: same traversal as [`walk_range`] reading from
-/// the store, pushing each page once by content hash. Descent is never
-/// skipped for already-pushed pages — an identical page can recur at a
-/// different nibble prefix where the pruning decisions differ.
-pub(crate) fn collect_range_pages(
-    trie: &MerklePatriciaTrie,
-    hash: Hash,
-    prefix: Nibbles,
-    start: Bound<&[u8]>,
-    end: Bound<&[u8]>,
-    seen: &mut std::collections::HashSet<Hash>,
-    pages: &mut Vec<Bytes>,
-) -> Result<()> {
-    let page = trie.store().try_get(&hash)?.ok_or(IndexError::MissingPage(hash))?;
-    let node = Node::decode(&page)?;
-    if seen.insert(hash) {
-        pages.push(page);
-    }
-    match node {
-        Node::Leaf { .. } => Ok(()),
-        Node::Extension { path, child } => {
-            let cp = prefix.concat(&path);
-            if subtree_overlaps(&cp, start, end) {
-                collect_range_pages(trie, child, cp, start, end, seen, pages)?;
-            }
-            Ok(())
-        }
-        Node::Branch { children, .. } => {
-            for (i, child) in children.iter().enumerate() {
-                if let Some(child) = child {
-                    let cp = prefix.join(i as u8, &Nibbles::empty());
-                    if subtree_overlaps(&cp, start, end) {
-                        collect_range_pages(trie, *child, cp, start, end, seen, pages)?;
-                    }
-                }
-            }
-            Ok(())
-        }
-    }
-}
-
-/// MPT's [`ProofScheme`].
+/// The dyn-safe handle clients verify MPT proofs with.
 pub struct MptProofScheme;
 
 impl ProofScheme for MptProofScheme {
@@ -326,30 +21,25 @@ impl ProofScheme for MptProofScheme {
         "mpt"
     }
 
-    fn verify_membership(&self, root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-        verify(root, key, proof)
+    fn get(&self, pages: SharedStore, root: Hash, key: &[u8]) -> Result<Option<Bytes>> {
+        MerklePatriciaTrie::reader(pages, root).get(key)
     }
 
-    fn verify_key_pages(&self, root: Hash, key: &[u8], pool: &mut PagePool) -> ProofVerdict {
-        verify_key_pages(root, key, pool)
-    }
-
-    fn verify_range_pages(
+    fn range(
         &self,
+        pages: SharedStore,
         root: Hash,
         start: Bound<&[u8]>,
         end: Bound<&[u8]>,
-        pool: &mut PagePool,
-        out: &mut Vec<Entry>,
-    ) -> core::result::Result<(), &'static str> {
-        verify_range_pages(root, start, end, pool, out)
+    ) -> EntryCursor {
+        MerklePatriciaTrie::reader(pages, root).range(start, end)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use siri_core::{Entry, MemStore};
+    use crate::MerklePatriciaTrie;
+    use siri_core::{Bytes, Entry, Hash, MemStore, Proof, ProofVerdict, SiriIndex};
 
     fn trie() -> MerklePatriciaTrie {
         let mut t = MerklePatriciaTrie::new(MemStore::new_shared());
@@ -415,6 +105,15 @@ mod tests {
         let t = MerklePatriciaTrie::new(MemStore::new_shared());
         let p = t.prove(b"k").unwrap();
         assert_eq!(MerklePatriciaTrie::verify_proof(t.root(), b"k", &p), ProofVerdict::Absent);
+        // One zero-root rule for every structure: the zero digest names no
+        // page, so it vouches for absence and tolerates no evidence.
+        let none = Proof::new(Vec::new());
+        let junk = Proof::new(vec![bytes::Bytes::from_static(b"junk")]);
+        assert_eq!(
+            MerklePatriciaTrie::verify_proof(Hash::ZERO, b"any", &none),
+            ProofVerdict::Absent
+        );
+        assert!(!MerklePatriciaTrie::verify_proof(Hash::ZERO, b"any", &junk).is_valid());
     }
 
     #[test]

@@ -99,6 +99,13 @@ impl MvmbTree {
         MvmbTree { store, params, root, cache: NodeCache::new_shared(DEFAULT_NODE_CACHE_CAPACITY) }
     }
 
+    /// A cache-less reader at `root` over a bare page source — what proofs
+    /// are verified with (DESIGN.md §14). Reads never consult the node
+    /// capacities, so the defaults open any tree.
+    pub(crate) fn reader(store: SharedStore, root: Hash) -> Self {
+        MvmbTree { store, params: MvmbParams::default(), root, cache: NodeCache::new_shared(0) }
+    }
+
     pub fn params(&self) -> MvmbParams {
         self.params
     }
@@ -364,100 +371,12 @@ impl SiriIndex for MvmbTree {
         siri_core::diff_by_scan(self, other)
     }
 
-    fn prove(&self, key: &[u8]) -> Result<Proof> {
-        let mut pages = Vec::new();
-        if self.root.is_zero() {
-            return Ok(Proof::new(pages));
-        }
-        let mut hash = self.root;
-        loop {
-            let page = self.store.try_get(&hash)?.ok_or(IndexError::MissingPage(hash))?;
-            let node = Node::decode(&page)?;
-            pages.push(page);
-            match node {
-                Node::Internal(children) => {
-                    if key > children.last().expect("non-empty").max_key.as_ref() {
-                        // This node already proves the key exceeds every
-                        // stored key; the verifier re-derives the absence.
-                        return Ok(Proof::new(pages));
-                    }
-                    hash = children[route(&children, key)].child;
-                }
-                Node::Leaf(_) => return Ok(Proof::new(pages)),
-            }
-        }
+    fn with_store(&self, store: SharedStore) -> Self {
+        MvmbTree { store, cache: NodeCache::new_shared(0), ..self.clone() }
     }
 
     fn verify_proof(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-        proof::verify(root, key, proof)
-    }
-
-    fn prove_range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<Proof> {
-        let mut pages = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        if !self.root.is_zero() {
-            self.collect_range_pages(self.root, start, end, &mut seen, &mut pages)?;
-        }
-        Ok(Proof::new(pages))
-    }
-
-    fn prove_batch(&self, keys: &[Bytes]) -> Result<Proof> {
-        let mut pages = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for key in keys {
-            for page in self.prove(key)?.into_pages() {
-                if seen.insert(siri_crypto::sha256(&page)) {
-                    pages.push(page);
-                }
-            }
-        }
-        Ok(Proof::new(pages))
-    }
-}
-
-impl MvmbTree {
-    /// Prover-side range walk — same pruning predicate as the verifier,
-    /// pages pushed once by content hash, descent never skipped.
-    fn collect_range_pages(
-        &self,
-        hash: Hash,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        seen: &mut std::collections::HashSet<Hash>,
-        pages: &mut Vec<Bytes>,
-    ) -> Result<()> {
-        let page = self.store.try_get(&hash)?.ok_or(IndexError::MissingPage(hash))?;
-        let node = Node::decode(&page)?;
-        if seen.insert(hash) {
-            pages.push(page);
-        }
-        if let Node::Internal(children) = node {
-            let mut prev: Option<Bytes> = None;
-            for c in children {
-                if siri_core::child_overlaps(prev.as_deref(), &c.max_key, start, end) {
-                    self.collect_range_pages(c.child, start, end, seen, pages)?;
-                }
-                prev = Some(c.max_key);
-            }
-        }
-        Ok(())
-    }
-
-    /// Verify a range proof against a trusted branch digest — see
-    /// [`siri_core::verify_anchored_range`].
-    pub fn verify_range(
-        digest: Hash,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        proof: &Proof,
-    ) -> siri_core::RangeVerdict {
-        siri_core::verify_anchored_range(&proof::MvmbProofScheme, digest, start, end, proof)
-    }
-
-    /// Verify a batched multi-key proof against a trusted branch digest —
-    /// see [`siri_core::verify_anchored_batch`].
-    pub fn verify_batch(digest: Hash, keys: &[Bytes], proof: &Proof) -> siri_core::BatchVerdict {
-        siri_core::verify_anchored_batch(&proof::MvmbProofScheme, digest, keys, proof)
+        siri_core::verify_anchored_membership(&MvmbProofScheme, root, key, proof)
     }
 }
 

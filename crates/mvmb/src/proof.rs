@@ -1,134 +1,20 @@
-//! MVMB+-Tree proof verification: re-hash every page, re-run the routing
-//! decision at every level, and only then trust the leaf's answer. Also
-//! the [`PagePool`] walkers behind range/batched proofs and the
-//! [`MvmbProofScheme`] glue into the anchored verifiers — the baseline
-//! gets the same verified-read surface as the SIRI structures, which is
-//! essential on sharded branches (its collapsed root is not derivable
-//! from the shard sub-roots, so manifest-anchored proofs are the *only*
-//! sound ones).
+//! MVMB+-Tree's [`ProofScheme`]: a proof is a recorded read (DESIGN.md
+//! §14), so all there is to say is how to open a reader over a page source.
+//! The baseline gets the same verified-read surface as the SIRI structures,
+//! which is essential on sharded branches: its collapsed root is not
+//! derivable from the shard sub-roots, so manifest-anchored proofs are the
+//! *only* sound ones.
 
 use std::ops::Bound;
 
 use bytes::Bytes;
-use siri_core::{
-    bounds_contain, child_overlaps, Entry, PagePool, Proof, ProofScheme, ProofVerdict,
-};
-use siri_crypto::{sha256, Hash};
+use siri_core::{EntryCursor, ProofScheme, Result, SiriIndex};
+use siri_crypto::Hash;
+use siri_store::SharedStore;
 
-use crate::node::{route, Node};
+use crate::MvmbTree;
 
-pub(crate) fn verify(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-    if root.is_zero() {
-        return if proof.is_empty() {
-            ProofVerdict::Absent
-        } else {
-            ProofVerdict::Invalid("non-empty proof for empty tree")
-        };
-    }
-    let pages = proof.pages();
-    if pages.is_empty() {
-        return ProofVerdict::Invalid("empty proof for non-empty tree");
-    }
-    let mut expected = root;
-    for (depth, page) in pages.iter().enumerate() {
-        if sha256(page) != expected {
-            return ProofVerdict::Invalid("broken hash link");
-        }
-        match Node::decode(page) {
-            Ok(Node::Internal(children)) => {
-                if key > children.last().expect("non-empty").max_key.as_ref() {
-                    // This (digest-checked) node already proves the key is
-                    // larger than everything stored below it.
-                    return if depth + 1 == pages.len() {
-                        ProofVerdict::Absent
-                    } else {
-                        ProofVerdict::Invalid("pages after proven absence")
-                    };
-                }
-                if depth + 1 == pages.len() {
-                    return ProofVerdict::Invalid("proof ends at internal node");
-                }
-                expected = children[route(&children, key)].child;
-            }
-            Ok(Node::Leaf(entries)) => {
-                if depth + 1 != pages.len() {
-                    return ProofVerdict::Invalid("leaf before end of proof");
-                }
-                return match entries.binary_search_by(|e| e.key.as_ref().cmp(key)) {
-                    Ok(i) => ProofVerdict::Present(Bytes::copy_from_slice(&entries[i].value)),
-                    Err(_) => ProofVerdict::Absent,
-                };
-            }
-            Err(_) => return ProofVerdict::Invalid("page undecodable"),
-        }
-    }
-    ProofVerdict::Invalid("proof exhausted before a leaf")
-}
-
-/// One key's root→leaf re-walk through a shared page pool. Cycle-free by
-/// construction: each fetched page hashes to the digest that referenced it.
-pub(crate) fn verify_key_pages(root: Hash, key: &[u8], pool: &mut PagePool) -> ProofVerdict {
-    if root.is_zero() {
-        return ProofVerdict::Absent;
-    }
-    let mut expected = root;
-    loop {
-        let Some(page) = pool.get(&expected) else {
-            return ProofVerdict::Invalid("missing page in proof");
-        };
-        match Node::decode_zc(&page) {
-            Ok(Node::Internal(children)) => {
-                if key > children.last().expect("non-empty").max_key.as_ref() {
-                    return ProofVerdict::Absent;
-                }
-                expected = children[route(&children, key)].child;
-            }
-            Ok(Node::Leaf(entries)) => {
-                return match entries.binary_search_by(|e| e.key.as_ref().cmp(key)) {
-                    Ok(i) => ProofVerdict::Present(entries[i].value.clone()),
-                    Err(_) => ProofVerdict::Absent,
-                };
-            }
-            Err(_) => return ProofVerdict::Invalid("page undecodable"),
-        }
-    }
-}
-
-/// Re-walk every subtree overlapping the bounds through the pool,
-/// appending in-bounds entries in key order — pruning via the same
-/// [`child_overlaps`] predicate the prover uses.
-pub(crate) fn verify_range_pages(
-    root: Hash,
-    start: Bound<&[u8]>,
-    end: Bound<&[u8]>,
-    pool: &mut PagePool,
-    out: &mut Vec<Entry>,
-) -> Result<(), &'static str> {
-    if root.is_zero() {
-        return Ok(());
-    }
-    let Some(page) = pool.get(&root) else {
-        return Err("missing page in proof");
-    };
-    match Node::decode_zc(&page).map_err(|_| "page undecodable")? {
-        Node::Leaf(entries) => {
-            out.extend(entries.into_iter().filter(|e| bounds_contain(start, end, &e.key)));
-            Ok(())
-        }
-        Node::Internal(children) => {
-            let mut prev: Option<Bytes> = None;
-            for c in children {
-                if child_overlaps(prev.as_deref(), &c.max_key, start, end) {
-                    verify_range_pages(c.child, start, end, pool, out)?;
-                }
-                prev = Some(c.max_key);
-            }
-            Ok(())
-        }
-    }
-}
-
-/// MVMB+-Tree's [`ProofScheme`].
+/// The dyn-safe handle clients verify MVMB+-Tree proofs with.
 pub struct MvmbProofScheme;
 
 impl ProofScheme for MvmbProofScheme {
@@ -136,31 +22,25 @@ impl ProofScheme for MvmbProofScheme {
         "mvmb+-tree"
     }
 
-    fn verify_membership(&self, root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-        verify(root, key, proof)
+    fn get(&self, pages: SharedStore, root: Hash, key: &[u8]) -> Result<Option<Bytes>> {
+        MvmbTree::reader(pages, root).get(key)
     }
 
-    fn verify_key_pages(&self, root: Hash, key: &[u8], pool: &mut PagePool) -> ProofVerdict {
-        verify_key_pages(root, key, pool)
-    }
-
-    fn verify_range_pages(
+    fn range(
         &self,
+        pages: SharedStore,
         root: Hash,
         start: Bound<&[u8]>,
         end: Bound<&[u8]>,
-        pool: &mut PagePool,
-        out: &mut Vec<Entry>,
-    ) -> Result<(), &'static str> {
-        verify_range_pages(root, start, end, pool, out)
+    ) -> EntryCursor {
+        MvmbTree::reader(pages, root).range(start, end)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{MvmbParams, MvmbTree};
-    use siri_core::{Entry, MemStore, SiriIndex};
+    use siri_core::{Bytes, Entry, Hash, MemStore, Proof, ProofVerdict, SiriIndex};
 
     fn tree() -> MvmbTree {
         let mut t = MvmbTree::new(MemStore::new_shared(), MvmbParams::default());
@@ -204,9 +84,12 @@ mod tests {
         let t = MvmbTree::new(MemStore::new_shared(), MvmbParams::default());
         let p = t.prove(b"anything").unwrap();
         assert_eq!(MvmbTree::verify_proof(t.root(), b"anything", &p), ProofVerdict::Absent);
-        // Forged non-empty proof against the empty root:
-        let forged = Proof::new(vec![Bytes::from_static(b"junk")]);
-        assert!(!MvmbTree::verify_proof(t.root(), b"anything", &forged).is_valid());
+        // One zero-root rule for every structure: the zero digest names no
+        // page, so it vouches for absence and tolerates no evidence.
+        let none = Proof::new(Vec::new());
+        let junk = Proof::new(vec![bytes::Bytes::from_static(b"junk")]);
+        assert_eq!(MvmbTree::verify_proof(Hash::ZERO, b"any", &none), ProofVerdict::Absent);
+        assert!(!MvmbTree::verify_proof(Hash::ZERO, b"any", &junk).is_valid());
     }
 
     #[test]

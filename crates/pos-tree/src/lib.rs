@@ -72,28 +72,26 @@ pub struct PosTree {
 }
 
 impl PosTree {
+    fn at(store: SharedStore, params: PosParams, root: Hash, cache_capacity: usize) -> Self {
+        let cache = NodeCache::new_shared(cache_capacity);
+        PosTree { store, params, root, salt: 0, copy_all: false, cache }
+    }
+
     /// An empty tree with the given chunking parameters.
     pub fn new(store: SharedStore, params: PosParams) -> Self {
-        PosTree {
-            store,
-            params,
-            root: Hash::ZERO,
-            salt: 0,
-            copy_all: false,
-            cache: NodeCache::new_shared(DEFAULT_NODE_CACHE_CAPACITY),
-        }
+        Self::at(store, params, Hash::ZERO, DEFAULT_NODE_CACHE_CAPACITY)
     }
 
     /// Re-open an existing version by root digest.
     pub fn open(store: SharedStore, params: PosParams, root: Hash) -> Self {
-        PosTree {
-            store,
-            params,
-            root,
-            salt: 0,
-            copy_all: false,
-            cache: NodeCache::new_shared(DEFAULT_NODE_CACHE_CAPACITY),
-        }
+        Self::at(store, params, root, DEFAULT_NODE_CACHE_CAPACITY)
+    }
+
+    /// A cache-less reader at `root` over a bare page source — what proofs
+    /// are verified with (DESIGN.md §14). Reads never consult the chunking
+    /// parameters, so the defaults open any tree.
+    pub(crate) fn reader(store: SharedStore, root: Hash) -> Self {
+        Self::at(store, PosParams::default(), root, 0)
     }
 
     /// §5.5.1 ablation: forced splits + leaf-local splice updates. The
@@ -109,14 +107,8 @@ impl PosTree {
     /// addressing, un-salted identical pages would still deduplicate,
     /// which is exactly the property this ablation removes.
     pub fn new_copy_all(store: SharedStore, params: PosParams, namespace: u64) -> Self {
-        PosTree {
-            store,
-            params,
-            root: Hash::ZERO,
-            salt: namespace << 20,
-            copy_all: true,
-            cache: NodeCache::new_shared(DEFAULT_NODE_CACHE_CAPACITY),
-        }
+        let tree = Self::new(store, params);
+        PosTree { salt: namespace << 20, copy_all: true, ..tree }
     }
 
     pub fn params(&self) -> &PosParams {
@@ -346,104 +338,12 @@ impl SiriIndex for PosTree {
         diff::diff(self, other)
     }
 
-    fn prove(&self, key: &[u8]) -> Result<Proof> {
-        let mut pages = Vec::new();
-        if self.root.is_zero() {
-            return Ok(Proof::new(pages));
-        }
-        let mut hash = self.root;
-        loop {
-            let page = self.store.try_get(&hash)?.ok_or(IndexError::MissingPage(hash))?;
-            let node = Node::decode(&page)?;
-            pages.push(page);
-            match node {
-                Node::Internal { children, .. } => {
-                    if key > children.last().expect("non-empty").max_key.as_ref() {
-                        // The node itself proves the key exceeds every
-                        // stored key; stop here (the verifier re-derives
-                        // this absence from the max key).
-                        return Ok(Proof::new(pages));
-                    }
-                    hash = children[route(&children, key)].hash;
-                }
-                Node::Leaf { .. } => return Ok(Proof::new(pages)),
-            }
-        }
+    fn with_store(&self, store: SharedStore) -> Self {
+        PosTree { store, cache: NodeCache::new_shared(0), ..self.clone() }
     }
 
     fn verify_proof(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-        proof::verify(root, key, proof)
-    }
-
-    fn prove_range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<Proof> {
-        let mut pages = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        if !self.root.is_zero() {
-            self.collect_range_pages(self.root, start, end, &mut seen, &mut pages)?;
-        }
-        Ok(Proof::new(pages))
-    }
-
-    fn prove_batch(&self, keys: &[Bytes]) -> Result<Proof> {
-        let mut pages = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for key in keys {
-            for page in self.prove(key)?.into_pages() {
-                if seen.insert(siri_crypto::sha256(&page)) {
-                    pages.push(page);
-                }
-            }
-        }
-        Ok(Proof::new(pages))
-    }
-}
-
-impl PosTree {
-    /// Prover-side range walk: descend every subtree overlapping the
-    /// bounds (same [`siri_core::child_overlaps`] predicate the verifier
-    /// uses), pushing each page once by content hash. Descent is *not*
-    /// skipped for already-pushed pages — dedup applies to the page list
-    /// only, so the walk shape stays identical to the verifier's.
-    fn collect_range_pages(
-        &self,
-        hash: Hash,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        seen: &mut std::collections::HashSet<Hash>,
-        pages: &mut Vec<Bytes>,
-    ) -> Result<()> {
-        let page = self.store.try_get(&hash)?.ok_or(IndexError::MissingPage(hash))?;
-        let node = Node::decode(&page)?;
-        if seen.insert(hash) {
-            pages.push(page);
-        }
-        if let Node::Internal { children, .. } = node {
-            let mut prev: Option<Bytes> = None;
-            for c in children {
-                if siri_core::child_overlaps(prev.as_deref(), &c.max_key, start, end) {
-                    self.collect_range_pages(c.hash, start, end, seen, pages)?;
-                }
-                prev = Some(c.max_key);
-            }
-        }
-        Ok(())
-    }
-
-    /// Verify a range proof against a trusted branch digest (manifest or
-    /// bare root) — see [`siri_core::verify_anchored_range`].
-    pub fn verify_range(
-        digest: Hash,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        proof: &Proof,
-    ) -> siri_core::RangeVerdict {
-        siri_core::verify_anchored_range(&proof::PosProofScheme, digest, start, end, proof)
-    }
-
-    /// Verify a batched multi-key proof against a trusted branch digest —
-    /// see [`siri_core::verify_anchored_batch`].
-    pub fn verify_batch(digest: Hash, keys: &[Bytes], proof: &Proof) -> siri_core::BatchVerdict {
-        siri_core::verify_anchored_batch(&proof::PosProofScheme, digest, keys, proof)
+        siri_core::verify_anchored_membership(&PosProofScheme, root, key, proof)
     }
 }
 

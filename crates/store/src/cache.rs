@@ -195,9 +195,11 @@ impl<V: Clone> ShardedLru<V> {
     /// skewed key set may evict slightly before the total is reached, but
     /// resident entries never exceed `capacity`. Capacities below the
     /// shard count leave some shards with no budget (their inserts are
-    /// dropped) — use ≥ 16 for a cache that can hold every key.
+    /// dropped) — use ≥ 16 for a cache that can hold every key. A disabled
+    /// cache allocates no shards at all, so the per-proof witness handles
+    /// (DESIGN.md §14) cost one `Arc`.
     pub fn new(capacity: usize) -> Self {
-        let shards = (0..SHARDS)
+        let shards = (0..if capacity == 0 { 0 } else { SHARDS })
             .map(|i| Shard {
                 lru: Mutex::with_class(LruShard::new(), &CACHE_SHARD_CLASS),
                 capacity: capacity / SHARDS + usize::from(i < capacity % SHARDS),
@@ -253,10 +255,13 @@ impl<V: Clone> ShardedLru<V> {
     /// address only refreshes its recency — the value cannot differ, the
     /// key *is* the content hash.
     pub fn insert(&self, hash: Hash, value: V) {
+        if self.capacity == 0 {
+            return;
+        }
         let shard = self.shard(&hash);
         if shard.capacity == 0 {
-            // Total capacity 0, or a sub-16 capacity leaving this shard
-            // with no budget: drop the insert rather than exceed the bound.
+            // A sub-16 capacity leaves this shard with no budget: drop the
+            // insert rather than exceed the bound.
             return;
         }
         let evicted = shard.lru.lock().insert(hash, value, shard.capacity);

@@ -46,15 +46,14 @@
 //! paper-reproduction map.
 
 pub use siri_core::{
-    apply_ops, bounds_contain, chain_cursors, child_overlaps, cost_model, diff_by_scan,
-    diff_sorted_entries, entry_codec, merge, merge_with_base, metrics, prefix_successor,
-    siri_properties, verify_anchored_batch, verify_anchored_membership, verify_anchored_range,
-    BatchOp, BatchVerdict, Bytes, CacheStats, CommitInfo, DiffEntry, DiffSide, Entry, EntryCursor,
-    Hash, IndexError, LookupTrace, MemStore, MergeOutcome, MergeStrategy, NodeStore, Op, PagePool,
-    PageSet, Proof, ProofScheme, ProofVerdict, RangeVerdict, Reclaim, Result, Session, ShardCommit,
-    ShardManifest, ShardRouter, SharedStore, SiriIndex, StoreError, StoreResult, StoreStats,
-    StructureReport, StructureStats, VersionStore, VersionTag, WriteBatch, MANIFEST_MAGIC,
-    MAX_PROOF_PAGES,
+    apply_ops, chain_cursors, cost_model, diff_by_scan, diff_sorted_entries, entry_codec, merge,
+    merge_with_base, metrics, prefix_successor, siri_properties, verify_anchored_batch,
+    verify_anchored_membership, verify_anchored_range, BatchOp, BatchVerdict, Bytes, CacheStats,
+    CommitInfo, DiffEntry, DiffSide, Entry, EntryCursor, Hash, IndexError, LookupTrace, MemStore,
+    MergeOutcome, MergeStrategy, NodeStore, Op, PagePool, PageSet, Proof, ProofScheme,
+    ProofVerdict, RangeVerdict, Reclaim, Recorder, Result, Session, ShardCommit, ShardManifest,
+    ShardRouter, SharedStore, SiriIndex, StoreError, StoreResult, StoreStats, StructureReport,
+    StructureStats, VersionStore, VersionTag, WriteBatch, MANIFEST_MAGIC, MAX_PROOF_PAGES,
 };
 
 pub use siri_client::{ClientOptions, RemoteSession, SyncOptions, SyncReport};

@@ -173,97 +173,164 @@ fn sharded_branch_proofs_anchor_at_branch_digest() {
 /// Tamper matrix: {membership, non-membership, range, batched} × all four
 /// structures, proven over a sharded branch and verified through the
 /// anchored path. Runs over [`siri::env_store`], so the CI file-store leg
-/// exercises the same matrix against the durable backend. Every proof
-/// page participates in verification (`PagePool::all_used`), so a single
-/// flipped bit anywhere — manifest page included — must be fatal.
+/// exercises the same matrix against the durable backend. A proof verifies
+/// only if it is exactly the page sequence the read fetches (DESIGN.md
+/// §14), so every mutation below — not just a flipped bit — must be
+/// `Invalid`, and none may panic: a dropped, truncated or reordered page is
+/// a missing page, a duplicated or foreign one is left over, and a proof
+/// for one query is the wrong page sequence for another.
 #[test]
 fn anchored_tamper_matrix_rejects_every_bit_flip() {
     use std::ops::Bound;
 
     use siri::{
-        env_store, Forkbase, MbtFactory, MptFactory, MvmbFactory, PosFactory, Proof, Session,
-        ShardingPolicy, WriteBatch,
+        env_store, Bytes, Forkbase, MbtFactory, MptFactory, MvmbFactory, PosFactory, Proof,
+        Session, ShardingPolicy, WriteBatch,
     };
+
+    /// Every single-step corruption of `good`'s page list.
+    fn mutations(good: &Proof, foreign: &Bytes) -> Vec<(String, Proof)> {
+        let pages = good.pages();
+        let mut out = Vec::new();
+        let mut push = |what: String, pages: Vec<Bytes>| {
+            let bad = Proof::new(pages);
+            if bad != *good {
+                out.push((what, bad)); // else: the mutation hit an identical pattern
+            }
+        };
+        for at in 0..pages.len() {
+            for bit in [0usize, 9, 100] {
+                let mut bad = good.clone();
+                bad.tamper(at, bit);
+                push(format!("flip page {at} bit {bit}"), bad.into_pages());
+            }
+            let mut dropped = pages.to_vec();
+            dropped.remove(at);
+            push(format!("drop page {at}"), dropped);
+            for to in [at + 1, pages.len()] {
+                let mut doubled = pages.to_vec();
+                doubled.insert(to, pages[at].clone());
+                push(format!("duplicate page {at} at {to}"), doubled);
+            }
+            for other in [at + 1, pages.len() - 1] {
+                if other < pages.len() {
+                    let mut swapped = pages.to_vec();
+                    swapped.swap(at, other);
+                    push(format!("swap pages {at} and {other}"), swapped);
+                }
+            }
+            for keep in [pages[at].len() - 1, pages[at].len() / 2, 0] {
+                let mut cut = pages.to_vec();
+                cut[at] = pages[at].slice(..keep);
+                push(format!("truncate page {at} to {keep}"), cut);
+            }
+            let mut padded = pages.to_vec();
+            padded.insert(at, foreign.clone());
+            push(format!("foreign page before {at}"), padded);
+        }
+        let mut padded = pages.to_vec();
+        padded.push(foreign.clone());
+        push("foreign page appended".into(), padded);
+        out
+    }
 
     fn check<F: siri::IndexFactory>(factory: F) {
         let scheme = factory.scheme();
         let engine = Forkbase::with_sharding(factory, env_store(), ShardingPolicy::pinned(4), 0);
+        // Enough under every first byte that each of the four shards is a
+        // multi-page tree.
         let mut batch = WriteBatch::new();
         for i in (0u16..=255).step_by(5) {
-            batch.put(vec![i as u8, 7], format!("val{i}").into_bytes());
+            for j in [3u8, 7, 11] {
+                batch.put(vec![i as u8, j], format!("val{i}-{j}-{}", "x".repeat(40)).into_bytes());
+            }
         }
         Session::commit(&engine, "master", batch).unwrap();
         let digest = Session::branch_digest(&engine, "master").unwrap();
+        // A perfectly valid page of some *other* tree.
+        Session::fork(&engine, "master", "other").unwrap();
+        let mut other = WriteBatch::new();
+        other.put(vec![120u8, 7], b"something else".to_vec());
+        Session::commit(&engine, "other", other).unwrap();
+        let (_, other_proof) = Session::prove(&engine, "other", &[120u8, 7]).unwrap();
+        let foreign = other_proof.pages().last().unwrap().clone();
 
+        // Shards are [..64), [64..128), [128..192), [192..]: the queries
+        // below leave at least one shard untouched, and each "wrong query"
+        // reaches into a shard its proof never visited.
         let present = [120u8, 7];
-        let batch_keys: Vec<siri::Bytes> = [[10u8, 7], [120, 7], [255, 255]]
-            .iter()
-            .map(|k| siri::Bytes::copy_from_slice(k))
-            .collect();
-        let (_, membership) = Session::prove(&engine, "master", &present).unwrap();
-        let (_, non_membership) = Session::prove(&engine, "master", b"no-such-key").unwrap();
-        let (_, range) = Session::prove_range(
-            &engine,
-            "master",
-            Bound::Included(&[50u8][..]),
-            Bound::Excluded(&[200u8][..]),
-        )
-        .unwrap();
-        let (_, batched) = Session::prove_batch(&engine, "master", &batch_keys).unwrap();
+        let absent = b"no-such-key";
+        let elsewhere = [200u8, 7];
+        let keys_of = |ks: &[[u8; 2]]| -> Vec<Bytes> {
+            ks.iter().map(|k| Bytes::copy_from_slice(k)).collect()
+        };
+        let batch_keys = keys_of(&[[10, 7], [120, 7], [255, 255]]);
+        let other_keys = keys_of(&[[10, 7], [150, 7], [255, 255]]);
+        let window = (Bound::Included(&[70u8][..]), Bound::Excluded(&[200u8][..]));
+        let narrower = (Bound::Included(&[130u8][..]), Bound::Excluded(&[200u8][..]));
+        let wider = (Bound::Unbounded, Bound::Excluded(&[200u8][..]));
 
-        type Valid<'a> = Box<dyn Fn(&Proof) -> bool + 'a>;
-        let keys = &batch_keys;
-        let cases: Vec<(&str, Proof, Valid)> = vec![
+        let (_, membership) = Session::prove(&engine, "master", &present).unwrap();
+        let (_, non_membership) = Session::prove(&engine, "master", absent).unwrap();
+        let (_, range) = Session::prove_range(&engine, "master", window.0, window.1).unwrap();
+        let (_, batched) = Session::prove_batch(&engine, "master", &batch_keys).unwrap();
+        assert!(!membership.pages().contains(&foreign) && !range.pages().contains(&foreign));
+
+        let member = |key: &[u8], p: &Proof| {
+            siri::verify_anchored_membership(scheme, digest, key, p).is_valid()
+        };
+        let ranged = |w: (Bound<&[u8]>, Bound<&[u8]>), p: &Proof| {
+            siri::verify_anchored_range(scheme, digest, w.0, w.1, p).is_valid()
+        };
+        let many = |keys: &[Bytes], p: &Proof| {
+            siri::verify_anchored_batch(scheme, digest, keys, p).is_valid()
+        };
+
+        type Check<'a> = Box<dyn Fn(&Proof) -> bool + 'a>;
+        // (label, proof, its own query, the same proof under other queries)
+        type Case<'a> = (&'a str, Proof, Check<'a>, Vec<(&'a str, Check<'a>)>);
+        let cases: Vec<Case> = vec![
             (
                 "membership",
                 membership,
-                Box::new(move |p| {
-                    siri::verify_anchored_membership(scheme, digest, &present, p).is_valid()
-                }),
+                Box::new(|p| member(&present, p)),
+                vec![("a different key", Box::new(|p| member(&elsewhere, p)))],
             ),
             (
                 "non-membership",
                 non_membership,
-                Box::new(move |p| {
-                    siri::verify_anchored_membership(scheme, digest, b"no-such-key", p).is_valid()
-                }),
+                Box::new(|p| member(absent, p)),
+                vec![("a different key", Box::new(|p| member(&elsewhere, p)))],
             ),
             (
                 "range",
                 range,
-                Box::new(move |p| {
-                    siri::verify_anchored_range(
-                        scheme,
-                        digest,
-                        Bound::Included(&[50u8][..]),
-                        Bound::Excluded(&[200u8][..]),
-                        p,
-                    )
-                    .is_valid()
-                }),
+                Box::new(|p| ranged(window, p)),
+                vec![
+                    ("a narrower window", Box::new(|p| ranged(narrower, p))),
+                    ("a wider window", Box::new(|p| ranged(wider, p))),
+                ],
             ),
             (
                 "batched",
                 batched,
-                Box::new(move |p| siri::verify_anchored_batch(scheme, digest, keys, p).is_valid()),
+                Box::new(|p| many(&batch_keys, p)),
+                vec![
+                    ("a different key set", Box::new(|p| many(&other_keys, p))),
+                    ("fewer keys", Box::new(|p| many(&batch_keys[..2], p))),
+                ],
             ),
         ];
 
-        for (label, good, valid) in &cases {
-            assert!(valid(good), "{}: untampered {label} proof must verify", scheme.structure());
-            for page in 0..good.len() {
-                for bit in [0usize, 9, 100] {
-                    let mut bad = good.clone();
-                    bad.tamper(page, bit);
-                    if bad == *good {
-                        continue; // tamper hit an identical bit pattern
-                    }
-                    assert!(
-                        !valid(&bad),
-                        "{}: tampered {label} proof (page {page}, bit {bit}) accepted",
-                        scheme.structure()
-                    );
-                }
+        for (label, good, valid, wrong_queries) in &cases {
+            let who = scheme.structure();
+            assert!(valid(good), "{who}: untampered {label} proof must verify");
+            assert!(good.len() >= 3, "{who}: {label} proof should span manifest + a real path");
+            for (what, bad) in mutations(good, &foreign) {
+                assert!(!valid(&bad), "{who}: {label} proof accepted after: {what}");
+            }
+            for (what, wrong) in wrong_queries {
+                assert!(!wrong(good), "{who}: {label} proof accepted for {what}");
             }
         }
     }

@@ -204,6 +204,18 @@ fn malicious_server_proofs_are_rejected_client_side() {
     let keys = vec![bytes::Bytes::from_static(b"k")];
     assert!(matches!(session.prove_batch("master", &keys), Err(IndexError::ProofRejected(_))));
 
+    // The value-returning helpers share that one checked round trip: the
+    // same three lies are rejected before any value reaches the caller.
+    assert!(matches!(session.verified_get("master", b"k"), Err(IndexError::ProofRejected(_))));
+    assert!(matches!(
+        session.verified_scan("master", std::ops::Bound::Unbounded, std::ops::Bound::Unbounded),
+        Err(IndexError::ProofRejected(_))
+    ));
+    assert!(matches!(
+        session.verified_get_many("master", &keys),
+        Err(IndexError::ProofRejected(_))
+    ));
+
     drop(session);
     server.join().unwrap();
 }
