@@ -64,7 +64,9 @@ pub struct ClientOptions {
     pub read_timeout: Option<Duration>,
     /// Socket write timeout.
     pub write_timeout: Option<Duration>,
-    /// Entries requested per scan page.
+    /// Cap on the entries requested per scan page. A scan's first page asks
+    /// for at most 64 and each later page for 4× the one before, up to this
+    /// cap — it prices long scans; short ones do not pay for it.
     pub page_size: u32,
     /// Frame payload cap (mirror of the server's).
     pub max_frame_bytes: usize,
@@ -380,13 +382,15 @@ impl Session for RemoteSession {
     }
 
     fn range(&self, branch: &str, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<EntryCursor> {
+        let page_size = self.opts.page_size.max(1);
         Ok(EntryCursor::new(RemoteCursor {
             conn: self.conn.clone(),
             branch: branch.to_string(),
             start: WireBound::from_bound(start),
             end: WireBound::from_bound(end),
             after: None,
-            page_size: self.opts.page_size.max(1),
+            page_size,
+            next_limit: FIRST_PAGE.min(page_size),
             buf: VecDeque::new(),
             state: CursorState::Fresh,
         }))
@@ -448,6 +452,15 @@ enum CursorState {
     Done,
 }
 
+/// Entries the first `Range` of a scan asks for (when `page_size` allows).
+/// The server walks `limit + 1` cursor steps per page whether or not the
+/// caller consumes them, and most scans are short — `.take(50)` against a
+/// 256-entry page made the server do 5× the work. Later pages grow by
+/// [`PAGE_GROWTH`] up to [`ClientOptions::page_size`], so a long scan pays
+/// one extra round trip in total.
+const FIRST_PAGE: u32 = 64;
+const PAGE_GROWTH: u32 = 4;
+
 /// The lazy paging state machine behind a remote [`EntryCursor`]. Each
 /// refill is one `Range` round trip anchored after the last delivered key;
 /// entries buffer locally so iteration between refills is allocation-only.
@@ -458,6 +471,8 @@ struct RemoteCursor {
     end: WireBound,
     after: Option<Bytes>,
     page_size: u32,
+    /// `limit` of the next `Range`: slow start, capped at `page_size`.
+    next_limit: u32,
     buf: VecDeque<Entry>,
     state: CursorState,
 }
@@ -469,8 +484,9 @@ impl RemoteCursor {
             start: self.start.clone(),
             end: self.end.clone(),
             after: self.after.clone(),
-            limit: self.page_size,
+            limit: self.next_limit,
         };
+        self.next_limit = self.next_limit.saturating_mul(PAGE_GROWTH).min(self.page_size);
         match self.conn.lock().round_trip(&req)? {
             Response::Page { entries, done } => {
                 if done {

@@ -17,26 +17,32 @@
 /// Noms default quoted in §5.6.2 of the paper.
 pub const DEFAULT_WINDOW: usize = 67;
 
-/// 256 pseudo-random 64-bit values, one per byte value. Generated once from
-/// a SplitMix64 sequence with a fixed seed so chunk boundaries are stable
-/// across runs and platforms (structural invariance depends on this).
-fn byte_table() -> &'static [u64; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut table = [0u64; 256];
-        for slot in table.iter_mut() {
-            // SplitMix64 step.
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            *slot = z ^ (z >> 31);
-        }
-        table
-    })
+/// 256 pseudo-random 64-bit values, one per byte value, from a SplitMix64
+/// sequence with a fixed seed — evaluated at compile time, so chunk
+/// boundaries are stable across runs and platforms (structural invariance
+/// depends on this) and the hot loops index a plain static.
+const fn splitmix_table(seed: u64) -> [u64; 256] {
+    let mut state = seed;
+    let mut table = [0u64; 256];
+    let mut i = 0;
+    while i < 256 {
+        // SplitMix64 step.
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        table[i] = z ^ (z >> 31);
+        i += 1;
+    }
+    table
 }
+
+/// Buzhash byte table.
+static BUZ_TABLE: [u64; 256] = splitmix_table(0x9E37_79B9_7F4A_7C15);
+
+/// Gear byte table: independent of the buzhash table (different seed) so
+/// the two chunkers cannot accidentally correlate.
+static GEAR_TABLE: [u64; 256] = splitmix_table(0xD1B5_4A32_D192_ED03);
 
 /// A rolling fingerprint over the last `window` bytes fed in.
 ///
@@ -55,18 +61,33 @@ fn byte_table() -> &'static [u64; 256] {
 /// ```
 #[derive(Clone)]
 pub struct RollingHash {
-    window: usize,
-    ring: Vec<u8>,
+    /// The last `min(filled, window)` bytes, oldest at `head`.
+    ring: Box<[u8]>,
     head: usize,
     filled: usize,
     value: u64,
+    /// `BUZ_TABLE` pre-rotated by `window % 64`: the contribution a byte
+    /// still has in `value` at the moment it leaves the window, so expelling
+    /// it is one lookup and one XOR.
+    expel: Box<[u64; 256]>,
 }
 
 impl RollingHash {
     /// Create a roller with the given window size (must be > 0).
     pub fn new(window: usize) -> Self {
         assert!(window > 0, "rolling hash window must be positive");
-        RollingHash { window, ring: vec![0; window], head: 0, filled: 0, value: 0 }
+        let rot = (window % 64) as u32;
+        let mut expel = Box::new(BUZ_TABLE);
+        for slot in expel.iter_mut() {
+            *slot = slot.rotate_left(rot);
+        }
+        RollingHash {
+            ring: vec![0; window].into_boxed_slice(),
+            head: 0,
+            filled: 0,
+            value: 0,
+            expel,
+        }
     }
 
     pub fn with_default_window() -> Self {
@@ -74,35 +95,87 @@ impl RollingHash {
     }
 
     pub fn window(&self) -> usize {
-        self.window
+        self.ring.len()
     }
 
     /// Slide the window forward by one byte.
     #[inline]
     pub fn push(&mut self, byte: u8) {
-        let table = byte_table();
-        let outgoing = self.ring[self.head];
-        self.ring[self.head] = byte;
-        self.head = (self.head + 1) % self.window;
-        if self.filled < self.window {
-            self.filled += 1;
-            self.value = self.value.rotate_left(1) ^ table[byte as usize];
-        } else {
-            // Remove the contribution of the byte leaving the window: it has
-            // been rotated `window` times since insertion.
-            let w = (self.window % 64) as u32;
-            self.value = self.value.rotate_left(1)
-                ^ table[outgoing as usize].rotate_left(w)
-                ^ table[byte as usize];
-        }
+        self.roll::<false>(&[byte], 0);
     }
 
     /// Feed a whole slice.
     #[inline]
     pub fn push_slice(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.push(b);
+        self.roll::<false>(bytes, 0);
+    }
+
+    /// Feed a whole slice and report whether `fingerprint() & mask == mask`
+    /// held after any byte of it at which the window was fully populated —
+    /// the content-defined boundary test, fused into the slide. A cold
+    /// window never fires: right after a node boundary the decision would
+    /// depend on too few bytes — in the worst case firing deterministically
+    /// inside a repeated max-key prefix and growing an unbounded tower of
+    /// single-child nodes.
+    #[inline]
+    pub fn push_slice_fires(&mut self, bytes: &[u8], mask: u64) -> bool {
+        self.roll::<true>(bytes, mask)
+    }
+
+    /// The slice kernel. Two phases: a cold fill until the window is
+    /// populated, then a warm loop that never computes a ring index per
+    /// byte — the outgoing byte comes from the ring for the first `window`
+    /// bytes of the call and from the slice itself after that, and the ring
+    /// is brought up to date once, at the end.
+    fn roll<const TEST: bool>(&mut self, bytes: &[u8], mask: u64) -> bool {
+        let window = self.ring.len();
+        let mut v = self.value;
+        let mut fired = false;
+
+        // Cold: nothing leaves the window yet. The ring is written in
+        // arrival order from slot 0 (`reset` rewinds `head`), so it cannot
+        // wrap here.
+        let cold = (window - self.filled).min(bytes.len());
+        let (fill, warm) = bytes.split_at(cold);
+        if cold > 0 {
+            for &b in fill {
+                v = v.rotate_left(1) ^ BUZ_TABLE[b as usize];
+            }
+            self.ring[self.filled..self.filled + cold].copy_from_slice(fill);
+            self.filled += cold;
+            // Only the byte that completes the window is testable.
+            fired = TEST && self.filled == window && v & mask == mask;
         }
+
+        // Warm: the outgoing bytes are the ring from `head` round to `head`
+        // again, then the slice's own bytes `window` positions back.
+        let n = warm.len();
+        let from_ring = n.min(window);
+        let unwrapped = from_ring.min(window - self.head);
+        for (outgoing, incoming) in [
+            (&self.ring[self.head..self.head + unwrapped], &warm[..unwrapped]),
+            (&self.ring[..from_ring - unwrapped], &warm[unwrapped..from_ring]),
+            (&warm[..n - from_ring], &warm[from_ring..]),
+        ] {
+            let (slid, hit) = buz_slide::<TEST>(v, &self.expel, outgoing, incoming, mask);
+            v = slid;
+            fired |= hit;
+        }
+        if n >= window {
+            self.ring.copy_from_slice(&warm[n - window..]);
+            self.head = 0;
+        } else {
+            // Fewer than `window` new bytes: overwrite the `n` oldest,
+            // wrapping by compare, not by division.
+            self.ring[self.head..self.head + unwrapped].copy_from_slice(&warm[..unwrapped]);
+            self.ring[..n - unwrapped].copy_from_slice(&warm[unwrapped..]);
+            self.head += n;
+            if self.head >= window {
+                self.head -= window;
+            }
+        }
+        self.value = v;
+        fired
     }
 
     /// Current window fingerprint. Only meaningful once at least `window`
@@ -116,19 +189,41 @@ impl RollingHash {
     /// Whether the window is fully populated.
     #[inline]
     pub fn is_warm(&self) -> bool {
-        self.filled >= self.window
+        self.filled >= self.ring.len()
     }
 
     /// Reset to the empty state, keeping the window size *and the ring
-    /// allocation*. O(1): stale ring contents need no clearing because
-    /// `push` only reads an expelled byte once `filled == window`, by which
-    /// point every slot has been freshly written. Chunkers reset at every
-    /// node boundary, so this runs once per chunk on the build hot path.
+    /// allocation*. O(1): stale ring contents need no clearing because a
+    /// byte is only read back out of the ring once `filled == window`, by
+    /// which point every slot has been freshly written. Chunkers reset at
+    /// every node boundary, so this runs once per chunk on the build hot
+    /// path.
     pub fn reset(&mut self) {
         self.head = 0;
         self.filled = 0;
         self.value = 0;
     }
+}
+
+/// The warm buzhash loop over two equally long runs: each step expels one
+/// `outgoing` byte and admits one `incoming` byte, optionally OR-ing the
+/// boundary test of every position into the returned flag (branch-free).
+#[inline(always)]
+fn buz_slide<const TEST: bool>(
+    mut v: u64,
+    expel: &[u64; 256],
+    outgoing: &[u8],
+    incoming: &[u8],
+    mask: u64,
+) -> (u64, bool) {
+    let mut fired = false;
+    for (&out, &inc) in outgoing.iter().zip(incoming) {
+        v = v.rotate_left(1) ^ (expel[out as usize] ^ BUZ_TABLE[inc as usize]);
+        if TEST {
+            fired |= v & mask == mask;
+        }
+    }
+    (v, fired)
 }
 
 /// Gear rolling hash — the fast content-defined-chunking fingerprint
@@ -173,15 +268,33 @@ impl GearHash {
     /// Slide forward by one byte.
     #[inline]
     pub fn push(&mut self, byte: u8) {
-        self.value = (self.value << 1).wrapping_add(gear_table()[byte as usize]);
-        self.fed = (self.fed + 1).min(GEAR_WINDOW);
+        self.push_slice(&[byte]);
     }
 
     #[inline]
     pub fn push_slice(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.push(b);
-        }
+        self.value = gear_roll::<false>(self.value, bytes, 0).0;
+        self.feed(bytes.len());
+    }
+
+    /// Feed a whole slice and report whether `fingerprint() & mask == mask`
+    /// held after any byte of it at which the hash was warm.
+    #[inline]
+    pub fn push_slice_fires(&mut self, bytes: &[u8], mask: u64) -> bool {
+        // The byte that brings `fed` to the window is the first one tested.
+        let cold = ((GEAR_WINDOW - 1).saturating_sub(self.fed) as usize).min(bytes.len());
+        let (fill, warm) = bytes.split_at(cold);
+        let (v, _) = gear_roll::<false>(self.value, fill, 0);
+        let (v, fired) = gear_roll::<true>(v, warm, mask);
+        self.value = v;
+        self.feed(bytes.len());
+        fired
+    }
+
+    /// Account for `n` pushed bytes: one saturation per slice.
+    #[inline]
+    fn feed(&mut self, n: usize) {
+        self.fed = (self.fed as usize + n).min(GEAR_WINDOW as usize) as u32;
     }
 
     #[inline]
@@ -202,24 +315,18 @@ impl GearHash {
     }
 }
 
-/// Gear byte table: independent of the buzhash table (different SplitMix64
-/// seed) so the two chunkers cannot accidentally correlate. Fixed seed ⇒
-/// boundaries stable across runs and platforms.
-fn gear_table() -> &'static [u64; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut state: u64 = 0xD1B5_4A32_D192_ED03;
-        let mut table = [0u64; 256];
-        for slot in table.iter_mut() {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            *slot = z ^ (z >> 31);
+/// The gear slice kernel: slide `v` over `bytes`, optionally OR-ing the
+/// boundary test of every position into the returned flag.
+#[inline]
+fn gear_roll<const TEST: bool>(mut v: u64, bytes: &[u8], mask: u64) -> (u64, bool) {
+    let mut fired = false;
+    for &b in bytes {
+        v = (v << 1).wrapping_add(GEAR_TABLE[b as usize]);
+        if TEST {
+            fired |= v & mask == mask;
         }
-        table
-    })
+    }
+    (v, fired)
 }
 
 /// Convenience: fingerprint of the last `window` bytes of `data` (or of all
@@ -230,9 +337,190 @@ pub fn fingerprint(data: &[u8], window: usize) -> u64 {
     r.fingerprint()
 }
 
+/// The per-byte definition both fingerprints had before the slice kernels:
+/// `% window` ring indexing, a rotate per expelled byte, lazily built tables
+/// and a warm check per byte. Kept as the oracle the kernels are tested
+/// against — it shares no code with them, the table generator included.
+#[cfg(test)]
+mod reference {
+    fn table(seed: u64) -> [u64; 256] {
+        let mut state = seed;
+        let mut table = [0u64; 256];
+        for slot in table.iter_mut() {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            *slot = z ^ (z >> 31);
+        }
+        table
+    }
+
+    pub struct RollingHash {
+        table: [u64; 256],
+        window: usize,
+        ring: Vec<u8>,
+        head: usize,
+        filled: usize,
+        value: u64,
+    }
+
+    impl RollingHash {
+        pub fn new(window: usize) -> Self {
+            RollingHash {
+                table: table(0x9E37_79B9_7F4A_7C15),
+                window,
+                ring: vec![0; window],
+                head: 0,
+                filled: 0,
+                value: 0,
+            }
+        }
+
+        pub fn push(&mut self, byte: u8) {
+            let outgoing = self.ring[self.head];
+            self.ring[self.head] = byte;
+            self.head = (self.head + 1) % self.window;
+            if self.filled < self.window {
+                self.filled += 1;
+                self.value = self.value.rotate_left(1) ^ self.table[byte as usize];
+            } else {
+                let w = (self.window % 64) as u32;
+                self.value = self.value.rotate_left(1)
+                    ^ self.table[outgoing as usize].rotate_left(w)
+                    ^ self.table[byte as usize];
+            }
+        }
+
+        pub fn fingerprint(&self) -> u64 {
+            self.value
+        }
+
+        pub fn is_warm(&self) -> bool {
+            self.filled >= self.window
+        }
+
+        pub fn reset(&mut self) {
+            self.head = 0;
+            self.filled = 0;
+            self.value = 0;
+        }
+    }
+
+    pub struct GearHash {
+        table: [u64; 256],
+        value: u64,
+        fed: u32,
+    }
+
+    impl GearHash {
+        pub fn new() -> Self {
+            GearHash { table: table(0xD1B5_4A32_D192_ED03), value: 0, fed: 0 }
+        }
+
+        pub fn push(&mut self, byte: u8) {
+            self.value = (self.value << 1).wrapping_add(self.table[byte as usize]);
+            self.fed = (self.fed + 1).min(super::GEAR_WINDOW);
+        }
+
+        pub fn fingerprint(&self) -> u64 {
+            self.value
+        }
+
+        pub fn is_warm(&self) -> bool {
+            self.fed >= super::GEAR_WINDOW
+        }
+
+        pub fn reset(&mut self) {
+            self.value = 0;
+            self.fed = 0;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Feed `$stream` to a kernel in the ragged call lengths `$cuts` (then
+    /// the rest in one call), to a second kernel one byte per call, and to
+    /// the per-byte oracle; all three are reset before call `$reset_call`.
+    /// The one-byte kernel must fire at exactly the oracle's positions, a
+    /// ragged call must fire exactly when one of its positions does, and
+    /// fingerprint and warm flag must agree after every call. Odd calls go
+    /// through `push_slice`, which must leave the same state behind.
+    macro_rules! assert_kernel_matches_reference {
+        ($kernel:expr, $oracle:expr, $stream:expr, $cuts:expr, $reset_call:expr, $mask:expr) => {{
+            let (mut ragged, mut bytewise, mut oracle) = ($kernel, $kernel, $oracle);
+            let (stream, mask): (&[u8], u64) = ($stream, $mask);
+            let mut pos = 0;
+            for (call, len) in $cuts.iter().copied().chain([usize::MAX]).enumerate() {
+                if call == $reset_call {
+                    ragged.reset();
+                    bytewise.reset();
+                    oracle.reset();
+                }
+                let span = &stream[pos..pos + len.min(stream.len() - pos)];
+                let mut expected = false;
+                for (i, &b) in span.iter().enumerate() {
+                    oracle.push(b);
+                    let fires = oracle.is_warm() && oracle.fingerprint() & mask == mask;
+                    assert_eq!(bytewise.push_slice_fires(&[b], mask), fires, "at {}", pos + i);
+                    expected |= fires;
+                }
+                if call % 2 == 0 {
+                    assert_eq!(ragged.push_slice_fires(span, mask), expected, "call at {pos}");
+                } else {
+                    ragged.push_slice(span);
+                }
+                pos += span.len();
+                assert_eq!(ragged.fingerprint(), oracle.fingerprint(), "ragged at {pos}");
+                assert_eq!(bytewise.fingerprint(), oracle.fingerprint(), "bytewise at {pos}");
+                assert_eq!(ragged.is_warm(), oracle.is_warm(), "warm flag at {pos}");
+            }
+        }};
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        #[test]
+        fn buzhash_kernel_equals_per_byte_reference(
+            stream in proptest::collection::vec(proptest::num::u8::ANY, 0..700),
+            cuts in proptest::collection::vec(0usize..300, 0..12),
+            reset_call in 0usize..14,
+            bits in 1u32..6,
+        ) {
+            for window in [1usize, 2, 63, 64, 65, 67, 128] {
+                assert_kernel_matches_reference!(
+                    RollingHash::new(window),
+                    reference::RollingHash::new(window),
+                    &stream,
+                    cuts,
+                    reset_call,
+                    (1u64 << bits) - 1
+                );
+            }
+        }
+
+        #[test]
+        fn gear_kernel_equals_per_byte_reference(
+            stream in proptest::collection::vec(proptest::num::u8::ANY, 0..700),
+            cuts in proptest::collection::vec(0usize..300, 0..12),
+            reset_call in 0usize..14,
+            bits in 1u32..6,
+        ) {
+            assert_kernel_matches_reference!(
+                GearHash::new(),
+                reference::GearHash::new(),
+                &stream,
+                cuts,
+                reset_call,
+                GearHash::mask_high(bits)
+            );
+        }
+    }
 
     #[test]
     fn depends_only_on_window_contents() {

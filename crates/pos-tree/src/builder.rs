@@ -1,11 +1,12 @@
-//! Bottom-up tree construction: boundary judges and the per-level builder
-//! pipeline.
+//! Bottom-up tree construction: boundary detectors and the per-level
+//! builder pipeline.
 //!
-//! Each level of the tree has a [`LevelBuilder`] holding the items of the
-//! node currently being formed. When the boundary judge fires (or the
+//! Level 0 has a [`LeafBuilder`] holding the leaf page currently being
+//! formed, every internal level a [`LevelBuilder`] holding the child
+//! references of its node. When the boundary detector fires (or the
 //! forced maximum is hit), the node is sealed, stored, and its
-//! [`Piece`] cascades as an item into the builder one level up — the
-//! "bottom-up build order" whose batching advantage §5.2/§5.3.1 highlight.
+//! [`Piece`] cascades into the builder one level up — the "bottom-up
+//! build order" whose batching advantage §5.2/§5.3.1 highlight.
 //!
 //! Builders also support *pass-through*: an untouched old node can be
 //! re-used wholesale when every builder at its level and below is sitting
@@ -20,7 +21,7 @@ use siri_crypto::{GearHash, Hash, RollingHash, GEAR_WINDOW};
 use siri_encoding::{ByteWriter, Scratch};
 use siri_store::SharedStore;
 
-use crate::node::{Node, Piece};
+use crate::node::{self, Node, Piece};
 use crate::params::{ChunkerKind, InternalChunking, PosParams, SplitPolicy};
 
 /// Leaves queued for one multi-lane hash+store round. Small enough that a
@@ -28,61 +29,30 @@ use crate::params::{ChunkerKind, InternalChunking, PosParams, SplitPolicy};
 /// SHA-256 lanes on a fresh build.
 const LEAF_BATCH: usize = 8;
 
-/// An item flowing through a level: an entry (level 0) or a child piece.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Item {
-    Entry(Entry),
-    Ref(Piece),
-}
-
-impl Item {
-    pub fn key(&self) -> &Bytes {
-        match self {
-            Item::Entry(e) => &e.key,
-            Item::Ref(p) => &p.max_key,
-        }
-    }
-}
-
-/// Content-defined boundary detector for one level.
-enum Judge {
-    /// Roll a window over item bytes; fire when the low `bits` of the
+/// Sliding-window boundary detector: fires with probability 2^-bits per
+/// byte of the node-local stream.
+enum Chunker {
+    /// Roll a window over the bytes; fire when the low `bits` of the
     /// fingerprint are all ones (the paper's example pattern).
-    Roller { roller: RollingHash, mask: u64 },
+    Buzhash { roller: RollingHash, mask: u64 },
     /// Gear fast path: implicit 64-byte window, one table lookup + shift +
     /// add per byte, boundary tested on the fingerprint's *high* bits, and
     /// min-chunk cut-point skipping (FastCDC): no byte before `min_test`
     /// can end a node, so bytes more than a gear window before it are not
-    /// even hashed. `fed` counts bytes since the node start, which keeps the
-    /// decision a pure function of the node-local stream — the structural-
-    /// invariance requirement.
+    /// even hashed. `fed` counts bytes since the node start (saturating at
+    /// `min_test`), which keeps the decision a pure function of the
+    /// node-local stream — the structural-invariance requirement.
     Gear { gear: GearHash, mask: u64, min_test: usize, fed: usize },
-    /// Test the low bits of the child digest directly (§3.4.3's
-    /// optimization for internal layers).
-    HashBits { mask: u64 },
 }
 
-impl Judge {
-    fn leaf(params: &PosParams) -> Judge {
-        Judge::rolling(params, params.leaf_pattern_bits)
-    }
-
-    fn internal(params: &PosParams) -> Judge {
-        match params.internal_chunking {
-            InternalChunking::HashPattern => {
-                Judge::HashBits { mask: (1u64 << params.internal_pattern_bits) - 1 }
-            }
-            InternalChunking::RollingWindow => Judge::rolling(params, params.internal_pattern_bits),
-        }
-    }
-
-    /// Sliding-window judge firing with probability 2^-bits per byte.
-    fn rolling(params: &PosParams, bits: u32) -> Judge {
+impl Chunker {
+    fn new(params: &PosParams, bits: u32) -> Chunker {
         match params.chunker {
-            ChunkerKind::Buzhash => {
-                Judge::Roller { roller: RollingHash::new(params.window), mask: (1u64 << bits) - 1 }
-            }
-            ChunkerKind::Gear => Judge::Gear {
+            ChunkerKind::Buzhash => Chunker::Buzhash {
+                roller: RollingHash::new(params.window),
+                mask: (1u64 << bits) - 1,
+            },
+            ChunkerKind::Gear => Chunker::Gear {
                 gear: GearHash::new(),
                 mask: GearHash::mask_high(bits),
                 // Expected node 2^bits bytes; skip the first quarter (but
@@ -93,71 +63,29 @@ impl Judge {
         }
     }
 
-    /// Feed one item; true if a boundary fires at (or within) it.
-    /// `buf` is a caller-owned scratch for item serialization, reused
-    /// across every item of the level.
-    fn feed(&mut self, item: &Item, buf: &mut ByteWriter) -> bool {
-        if let Judge::HashBits { mask } = self {
-            return match item {
-                Item::Ref(p) => p.hash.low64() & *mask == *mask,
-                Item::Entry(_) => unreachable!("hash judge on leaf level"),
-            };
-        }
-        // Serialize once; both rolling judges consume the same byte stream
-        // (entry framing for leaves, max_key ++ digest for refs — exactly
-        // the bytes the node codec will emit).
-        buf.clear();
-        match item {
-            Item::Entry(e) => entry_codec::write_entry(buf, e),
-            Item::Ref(p) => {
-                buf.put_raw(&p.max_key);
-                buf.put_raw(p.hash.as_bytes());
-            }
-        }
-        let mut fired = false;
+    /// Roll `bytes`; true if a boundary fires at any byte of them. Only a
+    /// warm window counts (see [`RollingHash::push_slice_fires`]).
+    fn fires(&mut self, bytes: &[u8]) -> bool {
         match self {
-            Judge::Roller { roller, mask } => {
-                for &b in buf.as_slice() {
-                    roller.push(b);
-                    // Only a fully-populated window counts: a cold
-                    // window right after a node boundary would make the
-                    // decision depend on too few bytes — in the worst
-                    // case firing deterministically inside a repeated
-                    // max-key prefix and growing an unbounded tower of
-                    // single-child nodes.
-                    if roller.is_warm() && roller.fingerprint() & *mask == *mask {
-                        fired = true;
-                    }
-                }
+            Chunker::Buzhash { roller, mask } => roller.push_slice_fires(bytes, *mask),
+            Chunker::Gear { gear, mask, min_test, fed } => {
+                // Hashing starts a gear window before the first testable
+                // position, so the hash turns warm exactly there and its
+                // own warm-up gate is the `min_test` gate.
+                let skip = (*min_test - GEAR_WINDOW as usize).saturating_sub(*fed).min(bytes.len());
+                *fed = (*fed + bytes.len()).min(*min_test);
+                gear.push_slice_fires(&bytes[skip..], *mask)
             }
-            Judge::Gear { gear, mask, min_test, fed } => {
-                for &b in buf.as_slice() {
-                    *fed += 1;
-                    // Bytes ending more than a gear window before the first
-                    // testable position can never influence a tested
-                    // fingerprint — skip the hash entirely.
-                    if *fed + GEAR_WINDOW as usize <= *min_test {
-                        continue;
-                    }
-                    gear.push(b);
-                    if *fed >= *min_test && gear.is_warm() && gear.fingerprint() & *mask == *mask {
-                        fired = true;
-                    }
-                }
-            }
-            Judge::HashBits { .. } => unreachable!("handled above"),
         }
-        fired
     }
 
     fn reset(&mut self) {
         match self {
-            Judge::Roller { roller, .. } => roller.reset(),
-            Judge::Gear { gear, fed, .. } => {
+            Chunker::Buzhash { roller, .. } => roller.reset(),
+            Chunker::Gear { gear, fed, .. } => {
                 gear.reset();
                 *fed = 0;
             }
-            Judge::HashBits { .. } => {}
         }
     }
 }
@@ -170,126 +98,178 @@ pub struct DeferredSeal {
     pub page: Bytes,
 }
 
-/// Builds the nodes of one level.
+impl DeferredSeal {
+    /// Hash and store the page on its own.
+    pub fn store(self, store: &SharedStore) -> Result<Piece> {
+        Ok(Piece { max_key: self.max_key, hash: store.try_put(self.page)? })
+    }
+}
+
+/// Builds the leaves (level 0).
+///
+/// A leaf page is `header ‖ entry ‖ entry ‖ …`, and the entries' encoding
+/// is exactly the byte stream the chunker rolls, so each entry is
+/// serialized once, straight into the page under construction, and the
+/// chunker reads it from there. The header holds the entry count and is
+/// written last, right-aligned into a gap reserved in front of the entries.
+pub struct LeafBuilder {
+    salt: u64,
+    chunker: Chunker,
+    forced_max: Option<usize>,
+    /// `LEAF_HEADER_MAX` bytes of gap, then the entries so far.
+    page: ByteWriter,
+    count: u64,
+    /// Key of the last entry appended (entries arrive in key order).
+    max_key: Bytes,
+    /// Header scratch, reused across seals.
+    header: ByteWriter,
+}
+
+impl LeafBuilder {
+    pub fn new(salt: u64, params: &PosParams) -> Self {
+        let mut page = ByteWriter::new();
+        page.buf_mut().resize(node::LEAF_HEADER_MAX, 0);
+        LeafBuilder {
+            salt,
+            chunker: Chunker::new(params, params.leaf_pattern_bits),
+            forced_max: forced_max(params),
+            page,
+            count: 0,
+            max_key: Bytes::new(),
+            header: ByteWriter::new(),
+        }
+    }
+
+    /// No node currently under construction.
+    pub fn at_boundary(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Append one entry; returns the sealed leaf if a boundary fired.
+    pub fn push(&mut self, entry: &Entry) -> Option<DeferredSeal> {
+        let start = self.page.len();
+        entry_codec::write_entry(&mut self.page, entry);
+        self.count += 1;
+        self.max_key = entry.key.clone();
+        let fired = self.chunker.fires(&self.page.as_slice()[start..]);
+        let body = self.page.len() - node::LEAF_HEADER_MAX;
+        (fired || self.forced_max.is_some_and(|max| body >= max)).then(|| self.seal())
+    }
+
+    /// Seal the trailing leaf at end of stream, if any.
+    pub fn finish(&mut self) -> Option<DeferredSeal> {
+        (!self.at_boundary()).then(|| self.seal())
+    }
+
+    fn seal(&mut self) -> DeferredSeal {
+        self.header.clear();
+        node::write_leaf_header(&mut self.header, self.salt, self.count);
+        let start = node::LEAF_HEADER_MAX - self.header.len();
+        let buf = self.page.buf_mut();
+        buf[start..node::LEAF_HEADER_MAX].copy_from_slice(self.header.as_slice());
+        let page = Bytes::copy_from_slice(&buf[start..]);
+        buf.truncate(node::LEAF_HEADER_MAX);
+        self.count = 0;
+        self.chunker.reset();
+        DeferredSeal { max_key: std::mem::take(&mut self.max_key), page }
+    }
+}
+
+fn forced_max(params: &PosParams) -> Option<usize> {
+    match params.split_policy {
+        SplitPolicy::Pattern => None,
+        SplitPolicy::ForcedSplice { max_node_bytes } => Some(max_node_bytes),
+    }
+}
+
+/// Content-defined boundary detector for an internal level.
+enum Judge {
+    /// Test the low bits of the child digest directly (§3.4.3's
+    /// optimization for internal layers).
+    HashBits { mask: u64 },
+    /// Prolly style: roll `max_key ‖ digest` of every child reference.
+    Window(Chunker),
+}
+
+/// Builds the nodes of one internal level (≥ 1).
 pub struct LevelBuilder {
     level: u32,
     salt: u64,
     judge: Judge,
-    items: Vec<Item>,
+    children: Vec<Piece>,
     bytes_in_node: usize,
     forced_max: Option<usize>,
-    /// Judge serialization scratch, reused across items (no per-entry
-    /// allocation on the feed path).
-    feed_buf: ByteWriter,
-    /// Page encoding scratch for immediate seals: dedup hits never
-    /// materialize an owned page at all.
+    /// Page encoding scratch: dedup hits never materialize an owned page.
     page_buf: Scratch,
 }
 
 impl LevelBuilder {
     pub fn new(level: u32, salt: u64, params: &PosParams) -> Self {
-        let judge = if level == 0 { Judge::leaf(params) } else { Judge::internal(params) };
-        let forced_max = match params.split_policy {
-            SplitPolicy::Pattern => None,
-            SplitPolicy::ForcedSplice { max_node_bytes } => Some(max_node_bytes),
+        debug_assert!(level > 0, "level 0 is built by LeafBuilder");
+        let judge = match params.internal_chunking {
+            InternalChunking::HashPattern => {
+                Judge::HashBits { mask: (1u64 << params.internal_pattern_bits) - 1 }
+            }
+            InternalChunking::RollingWindow => {
+                Judge::Window(Chunker::new(params, params.internal_pattern_bits))
+            }
         };
         LevelBuilder {
             level,
             salt,
             judge,
-            items: Vec::new(),
+            children: Vec::new(),
             bytes_in_node: 0,
-            forced_max,
-            feed_buf: ByteWriter::new(),
+            forced_max: forced_max(params),
             page_buf: Scratch::new(),
         }
     }
 
     /// No node currently under construction.
     pub fn at_boundary(&self) -> bool {
-        self.items.is_empty()
+        self.children.is_empty()
     }
 
-    pub fn pending_items(&self) -> &[Item] {
-        &self.items
+    pub fn pending(&self) -> &[Piece] {
+        &self.children
     }
 
-    /// Feed and buffer one item; true when a boundary fires at it.
-    fn absorb(&mut self, item: Item) -> bool {
-        let fired = self.judge.feed(&item, &mut self.feed_buf);
-        self.bytes_in_node += match &item {
-            Item::Entry(e) => entry_codec::entry_encoded_len(e),
-            Item::Ref(p) => p.max_key.len() + Hash::LEN,
+    /// Push one child reference; returns the sealed node's piece if a
+    /// boundary fired.
+    pub fn push(&mut self, piece: Piece, store: &SharedStore) -> Result<Option<Piece>> {
+        let fired = match &mut self.judge {
+            Judge::HashBits { mask } => piece.hash.low64() & *mask == *mask,
+            // `|`, not `||`: the digest is part of the stream whether or
+            // not the key already fired.
+            Judge::Window(chunker) => {
+                chunker.fires(&piece.max_key) | chunker.fires(piece.hash.as_bytes())
+            }
         };
-        self.items.push(item);
-        fired || self.forced_max.is_some_and(|max| self.bytes_in_node >= max)
-    }
-
-    /// Push one item; returns the sealed node's piece if a boundary fired.
-    pub fn push(&mut self, item: Item, store: &SharedStore) -> Result<Option<Piece>> {
-        if self.absorb(item) {
+        self.bytes_in_node += piece.max_key.len() + Hash::LEN;
+        self.children.push(piece);
+        if fired || self.forced_max.is_some_and(|max| self.bytes_in_node >= max) {
             Ok(Some(self.seal(store)?))
         } else {
             Ok(None)
-        }
-    }
-
-    /// Push one item, deferring storage: a fired boundary yields the
-    /// encoded page for the caller to hash/store in a batch.
-    pub fn push_deferred(&mut self, item: Item) -> Option<DeferredSeal> {
-        if self.absorb(item) {
-            Some(self.seal_deferred())
-        } else {
-            None
         }
     }
 
     /// Seal the trailing node at end of stream, if any.
     pub fn finish(&mut self, store: &SharedStore) -> Result<Option<Piece>> {
-        if self.items.is_empty() {
+        if self.children.is_empty() {
             Ok(None)
         } else {
             Ok(Some(self.seal(store)?))
         }
     }
 
-    /// Deferred-storage counterpart of [`LevelBuilder::finish`].
-    pub fn finish_deferred(&mut self) -> Option<DeferredSeal> {
-        if self.items.is_empty() {
-            None
-        } else {
-            Some(self.seal_deferred())
-        }
-    }
-
-    /// Drain the buffered items into a node and reset chunker state.
-    fn take_node(&mut self) -> Node {
-        let items = std::mem::take(&mut self.items);
-        self.bytes_in_node = 0;
-        self.judge.reset();
-        if self.level == 0 {
-            let entries = items
-                .into_iter()
-                .map(|i| match i {
-                    Item::Entry(e) => e,
-                    Item::Ref(_) => unreachable!("ref at leaf level"),
-                })
-                .collect();
-            Node::Leaf { salt: self.salt, entries }
-        } else {
-            let children = items
-                .into_iter()
-                .map(|i| match i {
-                    Item::Ref(p) => p,
-                    Item::Entry(_) => unreachable!("entry at internal level"),
-                })
-                .collect();
-            Node::Internal { salt: self.salt, level: self.level, children }
-        }
-    }
-
     fn seal(&mut self, store: &SharedStore) -> Result<Piece> {
-        let node = self.take_node();
+        let children = std::mem::take(&mut self.children);
+        self.bytes_in_node = 0;
+        if let Judge::Window(chunker) = &mut self.judge {
+            chunker.reset();
+        }
+        let node = Node::Internal { salt: self.salt, level: self.level, children };
         let max_key = node.max_key().expect("sealed nodes are non-empty");
         let w = self.page_buf.start();
         w.reserve_total(node.encoded_len());
@@ -297,21 +277,17 @@ impl LevelBuilder {
         let hash = store.try_put_raw(self.page_buf.bytes())?;
         Ok(Piece { max_key, hash })
     }
-
-    fn seal_deferred(&mut self) -> DeferredSeal {
-        let node = self.take_node();
-        let max_key = node.max_key().expect("sealed nodes are non-empty");
-        DeferredSeal { max_key, page: node.encode() }
-    }
 }
 
-/// The full builder pipeline, one [`LevelBuilder`] per level, with cascade
-/// and pass-through plumbing.
+/// The full builder pipeline — a [`LeafBuilder`] and one [`LevelBuilder`]
+/// per internal level — with cascade and pass-through plumbing.
 pub struct Builders<'a> {
     store: &'a SharedStore,
     params: &'a PosParams,
     salt: u64,
-    levels: Vec<LevelBuilder>,
+    leaf: LeafBuilder,
+    /// Internal levels: `upper[i]` builds level `i + 1`.
+    upper: Vec<LevelBuilder>,
     /// Leaves sealed by the chunker but not yet hashed/stored. Drained in
     /// stream order through one `try_put_many` per batch so sibling pages
     /// hit the multi-lane SHA-256 backend together.
@@ -320,33 +296,42 @@ pub struct Builders<'a> {
 
 impl<'a> Builders<'a> {
     pub fn new(store: &'a SharedStore, params: &'a PosParams, salt: u64) -> Self {
-        Builders { store, params, salt, levels: Vec::new(), pending_leaves: Vec::new() }
-    }
-
-    fn ensure_level(&mut self, level: u32) {
-        while self.levels.len() <= level as usize {
-            self.levels.push(LevelBuilder::new(self.levels.len() as u32, self.salt, self.params));
+        Builders {
+            store,
+            params,
+            salt,
+            leaf: LeafBuilder::new(salt, params),
+            upper: Vec::new(),
+            pending_leaves: Vec::new(),
         }
     }
 
-    /// Feed one item into `level`, cascading sealed nodes upward. Sealed
-    /// leaves queue for batched hashing; anything entering level 1 or above
-    /// drains the queue first so items arrive in stream order.
-    pub fn push(&mut self, level: u32, item: Item) -> Result<()> {
-        if level == 0 {
-            self.ensure_level(0);
-            if let Some(sealed) = self.levels[0].push_deferred(item) {
-                self.pending_leaves.push(sealed);
-                if self.pending_leaves.len() >= LEAF_BATCH {
-                    self.flush_leaves()?;
-                }
+    /// Feed one entry into the leaf level. Sealed leaves queue for batched
+    /// hashing.
+    pub fn push_entry(&mut self, entry: &Entry) -> Result<()> {
+        if let Some(sealed) = self.leaf.push(entry) {
+            self.pending_leaves.push(sealed);
+            if self.pending_leaves.len() >= LEAF_BATCH {
+                self.flush_leaves()?;
             }
-            return Ok(());
         }
+        Ok(())
+    }
+
+    /// Feed one child reference into internal `level` (≥ 1), cascading
+    /// sealed nodes upward. Drains the leaf queue first so references
+    /// arrive in stream order.
+    pub fn push_piece(&mut self, level: u32, piece: Piece) -> Result<()> {
         self.flush_leaves()?;
-        self.ensure_level(level);
-        if let Some(piece) = self.levels[level as usize].push(item, self.store)? {
-            self.push(level + 1, Item::Ref(piece))?;
+        let mut next = Some(piece);
+        let mut slot = level as usize - 1;
+        while let Some(piece) = next {
+            while self.upper.len() <= slot {
+                let level = self.upper.len() as u32 + 1;
+                self.upper.push(LevelBuilder::new(level, self.salt, self.params));
+            }
+            next = self.upper[slot].push(piece, self.store)?;
+            slot += 1;
         }
         Ok(())
     }
@@ -361,9 +346,9 @@ impl<'a> Builders<'a> {
         let pages: Vec<Bytes> = batch.iter().map(|s| s.page.clone()).collect();
         let hashes = self.store.try_put_many(&pages)?;
         for (sealed, hash) in batch.into_iter().zip(hashes) {
-            // Re-entrant push(1, ..) sees an empty queue, so this cannot
-            // loop.
-            self.push(1, Item::Ref(Piece { max_key: sealed.max_key, hash }))?;
+            // Re-entrant flush inside push_piece sees an empty queue, so
+            // this cannot loop.
+            self.push_piece(1, Piece { max_key: sealed.max_key, hash })?;
         }
         Ok(())
     }
@@ -371,7 +356,8 @@ impl<'a> Builders<'a> {
     /// Non-mutating boundary check; only meaningful once queued leaves have
     /// been drained (their cascade can still close or reopen upper nodes).
     fn boundaries_clean(&self, level: u32) -> bool {
-        self.levels.iter().take(level as usize + 1).all(LevelBuilder::at_boundary)
+        self.leaf.at_boundary()
+            && self.upper.iter().take(level as usize).all(LevelBuilder::at_boundary)
     }
 
     /// All builders at `level` and below sit exactly on node boundaries —
@@ -387,7 +373,7 @@ impl<'a> Builders<'a> {
     pub fn pass_through(&mut self, level: u32, piece: Piece) -> Result<()> {
         self.flush_leaves()?;
         debug_assert!(self.boundaries_clean(level), "pass-through requires clean builders");
-        self.push(level + 1, Item::Ref(piece))
+        self.push_piece(level + 1, piece)
     }
 
     /// Seal every trailing node bottom-up and collapse to the root piece.
@@ -401,24 +387,22 @@ impl<'a> Builders<'a> {
     pub fn finalize(mut self) -> Result<Option<Piece>> {
         // Seal the trailing leaf and drain the queue so level 1 holds every
         // leaf reference before the upward sweep.
-        if let Some(l0) = self.levels.first_mut() {
-            if let Some(sealed) = l0.finish_deferred() {
-                self.pending_leaves.push(sealed);
-            }
+        if let Some(sealed) = self.leaf.finish() {
+            self.pending_leaves.push(sealed);
         }
         self.flush_leaves()?;
-        let mut level = 1usize;
-        while level < self.levels.len() {
-            let is_top = level + 1 == self.levels.len();
+        let mut slot = 0usize;
+        while slot < self.upper.len() {
+            let is_top = slot + 1 == self.upper.len();
             if is_top {
-                if let [Item::Ref(piece)] = self.levels[level].pending_items() {
+                if let [piece] = self.upper[slot].pending() {
                     return Ok(Some(piece.clone()));
                 }
             }
-            if let Some(piece) = self.levels[level].finish(self.store)? {
-                self.push(level as u32 + 1, Item::Ref(piece))?;
+            if let Some(piece) = self.upper[slot].finish(self.store)? {
+                self.push_piece(slot as u32 + 2, piece)?;
             }
-            level += 1;
+            slot += 1;
         }
         Ok(None)
     }
@@ -436,7 +420,7 @@ mod tests {
     fn build(store: &SharedStore, params: &PosParams, es: &[Entry]) -> Option<Piece> {
         let mut b = Builders::new(store, params, 0);
         for e in es {
-            b.push(0, Item::Entry(e.clone())).unwrap();
+            b.push_entry(e).unwrap();
         }
         b.finalize().unwrap()
     }
@@ -454,6 +438,30 @@ mod tests {
         let piece = build(&store, &PosParams::default(), &es).unwrap();
         let node = Node::decode(&store.get(&piece.hash).unwrap()).unwrap();
         assert!(matches!(node, Node::Leaf { .. }));
+    }
+
+    #[test]
+    fn leaf_builder_page_is_the_node_codec_page() {
+        // The builder writes entries first and the header last; the result
+        // must be byte-for-byte what `Node::encode` produces, for one- and
+        // multi-byte salt and count varints alike.
+        // A 40-bit pattern never fires here: one leaf per run.
+        let params = PosParams { leaf_pattern_bits: 40, ..PosParams::default() };
+        for (salt, n) in [(0u64, 1usize), (0, 127), (0, 128), (7 << 20, 300), (u64::MAX, 3)] {
+            let es: Vec<Entry> = (0..n)
+                .map(|i| Entry::new(format!("k{i:04}").into_bytes(), vec![i as u8; i % 90]))
+                .collect();
+            let mut b = LeafBuilder::new(salt, &params);
+            assert!(es.iter().all(|e| b.push(e).is_none()));
+            let sealed = b.finish().unwrap();
+            assert!(b.at_boundary());
+            assert_eq!(sealed.max_key, es[n - 1].key);
+            assert_eq!(
+                sealed.page,
+                Node::Leaf { salt, entries: es }.encode(),
+                "salt {salt}, {n} entries"
+            );
+        }
     }
 
     #[test]

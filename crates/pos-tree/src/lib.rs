@@ -49,7 +49,7 @@ use siri_store::{
     reachable_pages, CacheStats, NodeCache, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY,
 };
 
-pub use builder::{Builders, DeferredSeal, Item, LevelBuilder};
+pub use builder::{Builders, DeferredSeal, LeafBuilder, LevelBuilder};
 pub use cursor::Cursor;
 pub use node::{route, Node, Piece};
 pub use params::{ChunkerKind, InternalChunking, PosParams, SplitPolicy};

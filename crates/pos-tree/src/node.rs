@@ -20,6 +20,20 @@ use siri_encoding::{ByteReader, ByteWriter, CodecError};
 const TAG_LEAF: u8 = 0x21;
 const TAG_INTERNAL: u8 = 0x22;
 
+/// Longest possible leaf header: tag, then two 10-byte varints.
+pub(crate) const LEAF_HEADER_MAX: usize = 21;
+
+/// Everything of a leaf page that precedes its first entry:
+/// `tag ‖ varint(salt) ‖ varint(count)` — `count` being the run prefix
+/// `entry_codec::decode_entries_zc` reads. The one place that layout is
+/// written: [`Node::encode_into`] and the leaf builder (which appends
+/// entries first and the header last) both call it.
+pub(crate) fn write_leaf_header(w: &mut ByteWriter, salt: u64, count: u64) {
+    w.put_u8(TAG_LEAF);
+    w.put_varint(salt);
+    w.put_varint(count);
+}
+
 /// Reference to a child node: the maximum key in its subtree + its digest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Piece {
@@ -67,9 +81,10 @@ impl Node {
     pub fn encode_into(&self, w: &mut ByteWriter) {
         match self {
             Node::Leaf { salt, entries } => {
-                w.put_u8(TAG_LEAF);
-                w.put_varint(*salt);
-                entry_codec::encode_entries_into(w, entries);
+                write_leaf_header(w, *salt, entries.len() as u64);
+                for e in entries {
+                    entry_codec::write_entry(w, e);
+                }
             }
             Node::Internal { salt, level, children } => {
                 w.put_u8(TAG_INTERNAL);

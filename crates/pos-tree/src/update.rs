@@ -27,7 +27,7 @@ use siri_core::{apply_ops, BatchOp, Entry, IndexError, Result};
 use siri_crypto::Hash;
 use siri_store::SharedStore;
 
-use crate::builder::{Builders, Item, LevelBuilder};
+use crate::builder::{Builders, LeafBuilder, LevelBuilder};
 use crate::node::{Node, Piece};
 use crate::params::PosParams;
 
@@ -53,7 +53,7 @@ pub(crate) fn build_from_entries(
 ) -> Result<Option<Piece>> {
     let mut builders = Builders::new(store, params, salt);
     for e in entries {
-        builders.push(0, Item::Entry(e.clone()))?;
+        builders.push_entry(e)?;
     }
     builders.finalize()
 }
@@ -98,7 +98,7 @@ fn process(
     match node {
         Node::Leaf { entries, .. } => {
             for e in apply_ops(entries, edits) {
-                builders.push(0, Item::Entry(e))?;
+                builders.push_entry(&e)?;
             }
             Ok(())
         }
@@ -170,16 +170,15 @@ fn splice_rec(
 ) -> Result<Vec<Piece>> {
     match node {
         Node::Leaf { entries, .. } => {
-            let merged = apply_ops(entries, edits);
-            let mut b = LevelBuilder::new(0, salt, params);
+            let mut b = LeafBuilder::new(salt, params);
             let mut out = Vec::new();
-            for e in merged {
-                if let Some(p) = b.push(Item::Entry(e), store)? {
-                    out.push(p);
+            for e in apply_ops(entries, edits) {
+                if let Some(sealed) = b.push(&e) {
+                    out.push(sealed.store(store)?);
                 }
             }
-            if let Some(p) = b.finish(store)? {
-                out.push(p);
+            if let Some(sealed) = b.finish() {
+                out.push(sealed.store(store)?);
             }
             Ok(out)
         }
@@ -219,7 +218,7 @@ fn chunk_pieces(
     let mut b = LevelBuilder::new(level, salt, params);
     let mut out = Vec::new();
     for p in pieces {
-        if let Some(sealed) = b.push(Item::Ref(p), store)? {
+        if let Some(sealed) = b.push(p, store)? {
             out.push(sealed);
         }
     }

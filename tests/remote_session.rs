@@ -121,6 +121,129 @@ fn tiny_pages_stream_the_full_range() {
     );
 }
 
+/// Per `Range` request: the `limit` asked for and how many cursor steps
+/// serving it drained.
+type RangeLog = Arc<std::sync::Mutex<Vec<(u32, usize)>>>;
+
+/// A hand-rolled server over a real engine that records every `Range` it
+/// serves (the real server's `limit + 1` look-ahead included).
+fn recording_range_server(
+    engine: Arc<Forkbase<PosFactory>>,
+) -> (std::net::SocketAddr, RangeLog, std::thread::JoinHandle<()>) {
+    use siri::proto::{read_frame, write_frame, Request, Response, MAX_FRAME_BYTES, WIRE_VERSION};
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let log = RangeLog::default();
+    let recorded = log.clone();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        while let Ok(frame) = read_frame(&mut stream, MAX_FRAME_BYTES) {
+            let resp = match Request::decode(&frame).unwrap() {
+                Request::Hello { .. } => Response::Hello { version: WIRE_VERSION },
+                Request::Range { branch, start, end, after, limit } => {
+                    let from = match &after {
+                        Some(k) => std::ops::Bound::Excluded(k.as_ref()),
+                        None => start.as_bound(),
+                    };
+                    let mut drained = 0;
+                    let mut entries: Vec<_> =
+                        Session::range(&*engine, &branch, from, end.as_bound())
+                            .unwrap()
+                            .take(limit as usize + 1)
+                            .inspect(|_| drained += 1)
+                            .collect::<siri::Result<_>>()
+                            .unwrap();
+                    let done = entries.len() <= limit as usize;
+                    entries.truncate(limit as usize);
+                    recorded.lock().unwrap().push((limit, drained));
+                    Response::Page { entries, done }
+                }
+                _ => Response::Ok,
+            };
+            if write_frame(&mut stream, &resp.encode()).is_err() {
+                return;
+            }
+        }
+    });
+    (addr, log, server)
+}
+
+/// Scans start with a small page and ramp up to `page_size`: a short scan
+/// must not make the server walk a full page it will never deliver, and a
+/// long one must still be seamless across every page boundary.
+#[test]
+fn scan_paging_starts_small_and_ramps_to_the_cap() {
+    use std::ops::Bound::{Excluded, Included, Unbounded};
+
+    let served = engine();
+    let mut b = WriteBatch::new();
+    for i in 0..700u32 {
+        b.put(format!("k{i:04}").into_bytes(), format!("v{i}").into_bytes());
+    }
+    Session::commit(served.as_ref(), "master", b).unwrap();
+    let local = |start, end| -> Vec<siri::Entry> {
+        Session::range(served.as_ref(), "master", start, end)
+            .unwrap()
+            .collect::<siri::Result<_>>()
+            .unwrap()
+    };
+
+    let (addr, log, server) = recording_range_server(served.clone());
+    let session = RemoteSession::connect(addr).unwrap();
+    let take_log = || std::mem::take(&mut *log.lock().unwrap());
+
+    // The common short scan: one round trip, one small page.
+    let first50: Vec<_> = session
+        .range("master", Unbounded, Unbounded)
+        .unwrap()
+        .take(50)
+        .collect::<siri::Result<_>>()
+        .unwrap();
+    assert_eq!(first50, local(Unbounded, Unbounded)[..50]);
+    assert_eq!(take_log(), [(64, 65)], "take(50) must cost one 64-entry page");
+
+    // A full scan ramps 64 → 256 and stays there; the result is the
+    // in-process scan, seams (63|64, 319|320, 575|576) included.
+    let all: Vec<_> = session
+        .range("master", Unbounded, Unbounded)
+        .unwrap()
+        .collect::<siri::Result<_>>()
+        .unwrap();
+    assert_eq!(all, local(Unbounded, Unbounded));
+    assert_eq!(take_log(), [(64, 65), (256, 257), (256, 257), (256, 124)]);
+
+    // A range of exactly 64 + 256 + 256 entries ends on `done`, with no
+    // fourth round trip to discover the end.
+    let (lo, hi) = (b"k0010".as_ref(), b"k0586".as_ref());
+    let exact: Vec<_> = session
+        .range("master", Included(lo), Excluded(hi))
+        .unwrap()
+        .collect::<siri::Result<_>>()
+        .unwrap();
+    assert_eq!(exact.len(), 576);
+    assert_eq!(exact, local(Included(lo), Excluded(hi)));
+    assert_eq!(take_log(), [(64, 65), (256, 257), (256, 256)]);
+    drop(session);
+    server.join().unwrap();
+
+    // `page_size` is the cap: below the first-page size it is the size of
+    // every page, the first included.
+    let (addr, log, server) = recording_range_server(served.clone());
+    let opts = ClientOptions { page_size: 7, ..ClientOptions::default() };
+    let session = RemoteSession::connect_with(addr, opts).unwrap();
+    let some: Vec<_> = session
+        .range("master", Unbounded, Unbounded)
+        .unwrap()
+        .take(30)
+        .collect::<siri::Result<_>>()
+        .unwrap();
+    assert_eq!(some, local(Unbounded, Unbounded)[..30]);
+    assert_eq!(*log.lock().unwrap(), [(7, 8); 5]);
+    drop(session);
+    server.join().unwrap();
+}
+
 #[test]
 fn remote_proofs_verify_offline() {
     let (served, handle) = loopback(ServerOptions::default());
