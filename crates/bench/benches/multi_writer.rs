@@ -71,7 +71,7 @@ fn bench_multi_writer(c: &mut Criterion) {
 
     // ── disjoint branches: per-slot heads, no CAS conflicts ─────────────
     for writers in [1usize, 2, 4, 8] {
-        let fb = Arc::new(Forkbase::new(PosFactory(PosParams::default()), 0));
+        let fb = Arc::new(Forkbase::new(PosFactory(PosParams::default())));
         for t in 0..writers {
             fb.fork("master", &format!("w{t}")).unwrap();
         }
@@ -95,7 +95,7 @@ fn bench_multi_writer(c: &mut Criterion) {
 
     // ── one shared branch: optimistic CAS with re-apply ─────────────────
     for writers in [2usize, 4, 8] {
-        let fb = Arc::new(Forkbase::new(PosFactory(PosParams::default()), 0));
+        let fb = Arc::new(Forkbase::new(PosFactory(PosParams::default())));
         let dt = run_writers(&fb, writers, commits, |_| "master".to_string());
         let stats = fb.engine_stats();
         let expected = writers * commits * BATCH;
@@ -126,7 +126,7 @@ fn bench_multi_writer(c: &mut Criterion) {
             let path = bench_dir(&format!("group-{label}"));
             let opts = FileStoreOptions { fsync: policy, ..FileStoreOptions::default() };
             let fb = Arc::new(
-                Forkbase::new_durable(PosFactory(PosParams::default()), &path, opts, 0).unwrap(),
+                Forkbase::new_durable(PosFactory(PosParams::default()), &path, opts).unwrap(),
             );
             for t in 0..writers {
                 fb.fork("master", &format!("w{t}")).unwrap();
@@ -155,7 +155,7 @@ fn bench_multi_writer(c: &mut Criterion) {
     // ── uncontended commit latency through the &self CAS path ───────────
     {
         let ycsb = YcsbConfig::default();
-        let fb = Forkbase::new(PosFactory(PosParams::default()), 0);
+        let fb = Forkbase::new(PosFactory(PosParams::default()));
         fb.put("master", ycsb.dataset(5_000)).unwrap();
         let mut group = c.benchmark_group("multi_writer_commit_latency");
         group.sample_size(20);

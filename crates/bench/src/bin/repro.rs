@@ -30,8 +30,9 @@ use siri::workloads::params;
 use siri::workloads::wiki::WikiConfig;
 use siri::workloads::ycsb::YcsbConfig;
 use siri::{
-    cost_model, metrics, Entry, FileStoreOptions, Forkbase, FsyncPolicy, IndexFactory, MemStore,
-    NomsEngine, PosFactory, PosParams, PosTree, ShardingPolicy, SiriIndex, WriteBatch,
+    cost_model, metrics, Bytes, Entry, FileStoreOptions, Forkbase, FsyncPolicy, IndexFactory,
+    MemStore, PosFactory, PosParams, PosTree, ShardingPolicy, SiriIndex, WriteBatch,
+    DEFAULT_CLIENT_CACHE_PAGES,
 };
 use siri_bench::harness::*;
 use siri_bench::table::{kops, mib, micros, ratio, Table};
@@ -999,6 +1000,28 @@ fn fig19_20(cfg: RunConfig, kind: AblationKind) -> Vec<Table> {
 // ---------------------------------------------------------------------------
 // Figure 21 — Forkbase-integrated throughput (client cache + remote cost)
 // ---------------------------------------------------------------------------
+
+/// The engine of Figures 21/22, pinned to one shard so the branch digest
+/// is a bare index root whatever `SIRI_SHARDS` says.
+fn single_shard_engine<F: IndexFactory>(factory: F) -> Forkbase<F> {
+    Forkbase::with_sharding(factory, MemStore::new_shared(), ShardingPolicy::single(), 0)
+}
+
+/// The §5.6.1 client: look `keys` up at `fb`'s master head through a
+/// default-capacity client page cache over the engine's store. Returns
+/// wall time plus the modelled remote-fetch latency, in nanoseconds.
+fn client_read_nanos<F: IndexFactory>(fb: &Forkbase<F>, factory: &F, keys: &[Bytes]) -> u64 {
+    let digest = fb.branch_digest("master").unwrap();
+    let point = client_cache_sweep(
+        &fb.server_store(),
+        |store| factory.open(store, digest),
+        keys,
+        &[DEFAULT_CLIENT_CACHE_PAGES],
+        DEFAULT_FETCH_COST_NANOS,
+    )[0];
+    point.wall_nanos + point.synthetic_nanos
+}
+
 fn fig21(cfg: RunConfig) -> Vec<Table> {
     let ycsb = YcsbConfig::default();
     let icfg = IndexCfg::ycsb(cfg.node_bytes);
@@ -1010,7 +1033,7 @@ fn fig21(cfg: RunConfig) -> Vec<Table> {
     let mut read_t = Table::new(
         format!(
             "Figure 21(a) — Forkbase-integrated read throughput (kops/s), fetch cost {}µs",
-            siri::DEFAULT_FETCH_COST_NANOS / 1000
+            DEFAULT_FETCH_COST_NANOS / 1000
         ),
         &["records", "pos-tree", "mbt", "mpt", "mvmb+"],
     );
@@ -1023,19 +1046,14 @@ fn fig21(cfg: RunConfig) -> Vec<Table> {
         let mut r_cells = vec![n.to_string()];
         let mut w_cells = vec![n.to_string()];
         for_each_index!(icfg, |_name, factory| {
-            let fb = Forkbase::new(factory, siri::DEFAULT_FETCH_COST_NANOS);
+            let fb = single_shard_engine(factory.clone());
             for chunk in data.chunks(8_000) {
                 fb.put("master", chunk.to_vec()).unwrap();
             }
             // Client reads: wall time + modelled remote latency.
             let reads = cfg.ops.min(3_000);
-            let t0 = Instant::now();
-            for i in 0..reads {
-                fb.get("master", &ycsb.key((i * 29 % n) as u64)).unwrap();
-            }
-            let (_, _, synthetic) = fb.client_stats();
-            let nanos = t0.elapsed().as_nanos() as u64 + synthetic;
-            r_cells.push(kops(reads, nanos));
+            let keys: Vec<Bytes> = (0..reads).map(|i| ycsb.key((i * 29 % n) as u64)).collect();
+            r_cells.push(kops(reads, client_read_nanos(&fb, &factory, &keys)));
             // Server-side writes.
             let writes = cfg.ops.min(1_500);
             let t0 = Instant::now();
@@ -1066,20 +1084,15 @@ fn fig22(cfg: RunConfig) -> Vec<Table> {
         let data = ycsb.dataset(n);
         let reads = cfg.ops.min(2_000);
         let writes = cfg.ops.min(500);
+        let keys: Vec<Bytes> = (0..reads).map(|i| ycsb.key((i * 29 % n) as u64)).collect();
 
         // Forkbase: POS-Tree with Noms' 4 KB node size, batched writes.
-        let fb = Forkbase::new(
-            PosFactory(PosParams::default().with_node_bytes(4096)),
-            siri::DEFAULT_FETCH_COST_NANOS,
-        );
+        let factory = PosFactory(PosParams::default().with_node_bytes(4096));
+        let fb = single_shard_engine(factory.clone());
         for chunk in data.chunks(8_000) {
             fb.put("master", chunk.to_vec()).unwrap();
         }
-        let t0 = Instant::now();
-        for i in 0..reads {
-            fb.get("master", &ycsb.key((i * 29 % n) as u64)).unwrap();
-        }
-        let fb_read = t0.elapsed().as_nanos() as u64 + fb.client_stats().2;
+        let fb_read = client_read_nanos(&fb, &factory, &keys);
         let t0 = Instant::now();
         fb.put("master", (0..writes as u64).map(|i| ycsb.entry(i * 53 % n as u64, 9)).collect())
             .unwrap();
@@ -1087,20 +1100,17 @@ fn fig22(cfg: RunConfig) -> Vec<Table> {
 
         // Noms: Prolly chunking (sliding-window internal hashing), per-op
         // writes.
-        let noms = NomsEngine::new(PosFactory::noms(), siri::DEFAULT_FETCH_COST_NANOS);
+        let noms = single_shard_engine(PosFactory::noms());
         for chunk in data.chunks(8_000) {
             // Initial load may batch — the measured difference is the
             // update path, as in the paper's experiment.
             noms.put("master", chunk.to_vec()).unwrap();
         }
+        let noms_read = client_read_nanos(&noms, &PosFactory::noms(), &keys);
         let t0 = Instant::now();
-        for i in 0..reads {
-            noms.get("master", &ycsb.key((i * 29 % n) as u64)).unwrap();
+        for i in 0..writes as u64 {
+            noms.put("master", vec![ycsb.entry(i * 53 % n as u64, 9)]).unwrap();
         }
-        let noms_read = t0.elapsed().as_nanos() as u64 + noms.engine().client_stats().2;
-        let t0 = Instant::now();
-        noms.put("master", (0..writes as u64).map(|i| ycsb.entry(i * 53 % n as u64, 9)).collect())
-            .unwrap();
         let noms_write = t0.elapsed().as_nanos() as u64;
 
         t.row(vec![
@@ -1145,7 +1155,7 @@ fn concurrency(cfg: RunConfig) -> Vec<Table> {
     );
     let mut writers = 1usize;
     while writers <= cfg.threads.max(1) {
-        let fb = Arc::new(Forkbase::new(PosFactory(PosParams::default()), 0));
+        let fb = Arc::new(Forkbase::new(PosFactory(PosParams::default())));
         for t in 0..writers {
             fb.fork("master", &format!("w{t}")).unwrap();
         }
@@ -1175,7 +1185,7 @@ fn concurrency(cfg: RunConfig) -> Vec<Table> {
     );
     let mut writers = 2usize;
     while writers <= cfg.threads.max(2) {
-        let fb = Arc::new(Forkbase::new(PosFactory(PosParams::default()), 0));
+        let fb = Arc::new(Forkbase::new(PosFactory(PosParams::default())));
         let dt = run_concurrent_writers(
             &fb,
             writers,
@@ -1318,9 +1328,8 @@ fn concurrency(cfg: RunConfig) -> Vec<Table> {
             .join(format!("{label}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let opts = FileStoreOptions { fsync: policy, ..FileStoreOptions::default() };
-        let fb = Arc::new(
-            Forkbase::new_durable(PosFactory(PosParams::default()), &dir, opts, 0).unwrap(),
-        );
+        let fb =
+            Arc::new(Forkbase::new_durable(PosFactory(PosParams::default()), &dir, opts).unwrap());
         for t in 0..writers {
             fb.fork("master", &format!("w{t}")).unwrap();
         }

@@ -390,6 +390,12 @@ pub fn version_page_sets<F: IndexFactory>(
     roots.iter().map(|r| factory.open(store.clone(), *r).page_set()).collect()
 }
 
+/// Default modelled cost of one client→server page fetch, in nanoseconds.
+/// Roughly a small object read over 1 GbE with kernel overheads — the
+/// absolute value only scales Figure 21's y-axis; the crossovers come from
+/// hit ratios.
+pub const DEFAULT_FETCH_COST_NANOS: u64 = 20_000;
+
 /// One point of a Figure 21-style client-cache sweep: lookup traffic
 /// through a [`CachingStore`] of the given capacity.
 #[derive(Debug, Clone, Copy)]

@@ -1,15 +1,14 @@
 //! A Forkbase-style storage engine over any SIRI index (§5.6).
 //!
-//! Architecture (matching the paper's single-servlet setup, grown to many
-//! concurrent clients):
+//! This crate is the *server* of the paper's single-servlet setup, grown
+//! to many concurrent sessions — what `siri-server` serves and what the
+//! in-process [`Session`] is. The client side (verifying what it is told
+//! against a digest it trusts) lives in `siri-client`, not here.
 //!
-//! * **writes** execute entirely server-side against the shared page store
-//!   ("the write operations will be performed on the server side
-//!   completely");
-//! * **reads** run client-side through a [`CachingStore`]: pages are pulled
-//!   from the server once and cached, so throughput is governed by the
-//!   cache hit ratio ("Forkbase caches the nodes at clients after retrieved
-//!   from servers");
+//! * **writes** execute against the shared page store ("the write
+//!   operations will be performed on the server side completely");
+//! * **reads** go through the same shard heads commits build on: one read
+//!   path, one decoded-node cache per shard lineage, warmed by both;
 //! * **branches** are named heads over immutable roots, so forking is
 //!   O(1) and history is always intact.
 //!
@@ -45,11 +44,11 @@
 //!   publish points: a shard absorbing conflicts splits at its median
 //!   key, persistently cold adjacent shards merge back (the
 //!   contention-adapting-tree idea applied to immutable sub-roots);
-//! * client-side views (the decoded-node caches, one per shard) live
-//!   behind a per-branch mutex, so concurrent readers of different
-//!   branches never share a lock either. Cursors chain per-shard range
-//!   scans in partition order, so `range`/`scan_prefix` see one logical
-//!   tree.
+//! * a read takes shared locks only: it clones the owning shard's head
+//!   handle under the table's read lock and traverses unlocked, so readers
+//!   never serialize. A cursor clones every covering shard head under that
+//!   one read lock and chains the per-shard scans in partition order, so
+//!   `range`/`scan_prefix` see one logical tree at one atomic snapshot.
 //!
 //! On a durable server store, commits fsync (per the store's
 //! [`siri_store::FsyncPolicy`] — including group commit) *before*
@@ -58,9 +57,8 @@
 //! acknowledging, so a returned digest is always re-openable.
 //!
 //! [`IndexFactory`] abstracts over which of the four structures backs the
-//! store; [`NomsEngine`] wraps the same machinery with Noms' behaviour —
-//! Prolly-tree chunking and unbatched, per-record writes — for the
-//! Figure 22 comparison.
+//! store ([`PosFactory::noms`] gives Noms' Prolly-tree chunking for the
+//! Figure 22 comparison).
 
 mod factory;
 
@@ -70,7 +68,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::{LockClass, Mutex, RwLock};
+use parking_lot::{LockClass, RwLock};
 use siri_core::{
     chain_cursors, merge, merge_with_base, prefix_successor, AnchoredReader, CommitInfo, Entry,
     EntryCursor, IndexError, MergeOutcome, MergeStrategy, Proof, Recorder, Result, Session,
@@ -78,17 +76,10 @@ use siri_core::{
 };
 use siri_crypto::Hash;
 use siri_store::{
-    CachingStore, FileStore, FileStoreOptions, MemStore, NodeStore, SharedStore, StoreError,
-    StoreStats,
+    FileStore, FileStoreOptions, MemStore, NodeStore, SharedStore, StoreError, StoreStats,
 };
 
 pub use factory::{scheme_by_name, IndexFactory, MbtFactory, MptFactory, MvmbFactory, PosFactory};
-
-/// Default modelled cost of one client→server page fetch, in nanoseconds.
-/// Roughly a small object read over 1 GbE with kernel overheads — the
-/// absolute value only scales Figure 21's y-axis; the crossovers come from
-/// hit ratios.
-pub const DEFAULT_FETCH_COST_NANOS: u64 = 20_000;
 
 /// Upper bound on optimistic-commit attempts before a commit gives up with
 /// [`IndexError::CommitContention`]. Each lost race implies another
@@ -116,12 +107,11 @@ pub fn max_commit_attempts() -> u32 {
 
 /// Lock classes for the runtime lock-order tracker (DESIGN.md §9): the
 /// engine's documented acquisition order is branch map → slot head (the
-/// shard table) → shard head → client view → store internals. Debug
+/// shard table) → shard head → store internals. Debug
 /// builds with `SIRI_LOCK_ORDER=1` panic on any out-of-order acquisition.
 static BRANCH_MAP_CLASS: LockClass = LockClass::new(10, "forkbase.branch-map");
 static SLOT_HEAD_CLASS: LockClass = LockClass::new(20, "forkbase.slot-head");
 static SHARD_HEAD_CLASS: LockClass = LockClass::new(25, "forkbase.shard-head");
-static CLIENT_VIEW_CLASS: LockClass = LockClass::new(30, "forkbase.client-view");
 
 /// Engine-level commit counters (monotone, relaxed atomics underneath).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -258,7 +248,7 @@ impl<I: SiriIndex> ShardSlot<I> {
 /// happens under the enclosing [`BranchSlot`]'s write lock, so any reader
 /// holding the read lock sees a consistent multi-shard snapshot. `epoch`
 /// bumps whenever the partition shape changes, invalidating routed-but-
-/// unpublished builds and cached client views.
+/// unpublished builds.
 struct ShardTable<I> {
     router: ShardRouter,
     shards: Vec<Arc<ShardSlot<I>>>,
@@ -291,22 +281,7 @@ impl<I: SiriIndex> ShardTable<I> {
     }
 }
 
-/// The client-side face of a branch: one decoded-node-cache view per
-/// shard, re-rooted in place as sub-roots move, rebuilt when the
-/// partition shape changes.
-struct ClientView<I> {
-    epoch: u64,
-    router: ShardRouter,
-    views: Vec<I>,
-}
-
-impl<I: Clone> Clone for ClientView<I> {
-    fn clone(&self) -> Self {
-        ClientView { epoch: self.epoch, router: self.router.clone(), views: self.views.clone() }
-    }
-}
-
-/// The per-branch mutable state: the shard table and a client-side view.
+/// The per-branch mutable state: the shard table.
 ///
 /// This is the whole trick from the paper's immutability argument: all
 /// versions are immutable and shared, so concurrency control reduces to
@@ -314,15 +289,10 @@ impl<I: Clone> Clone for ClientView<I> {
 /// handed out as `Arc`s — a commit holds the slot, not the branch table,
 /// so renames/deletes/creates of *other* branches never block it.
 struct BranchSlot<I> {
-    /// The authoritative server-side head (partition + sub-root slots).
-    /// Readers take it shared; every publication takes it exclusive for
-    /// the duration of the pointer swaps only.
+    /// The authoritative head (partition + sub-root slots). Readers take
+    /// it shared; every publication takes it exclusive for the duration
+    /// of the pointer swaps only.
     head: RwLock<ShardTable<I>>,
-    /// The persistent client-side views (decoded-node caches above the
-    /// page cache), created lazily on first read. Per-branch on purpose:
-    /// readers of different branches must not serialize on a shared map
-    /// lock.
-    view: Mutex<Option<ClientView<I>>>,
     /// Set (under the head write lock) by `delete_branch`: all shard
     /// slots are retired atomically and any in-flight commit fails its
     /// publication with [`IndexError::BranchDeleted`] instead of
@@ -334,7 +304,6 @@ impl<I: SiriIndex> BranchSlot<I> {
     fn new(table: ShardTable<I>) -> Self {
         BranchSlot {
             head: RwLock::with_class(table, &SLOT_HEAD_CLASS),
-            view: Mutex::with_class(None, &CLIENT_VIEW_CLASS),
             retired: AtomicBool::new(false),
         }
     }
@@ -350,7 +319,7 @@ struct ShardBuild<I> {
 
 /// A Forkbase-style versioned KV engine backed by index `F::Index`.
 ///
-/// The server-side page store is pluggable: the default is an in-memory
+/// The page store is pluggable: the default is an in-memory
 /// [`MemStore`] (the paper's experiments), while
 /// [`Forkbase::new_durable`] runs the same engine over a [`FileStore`],
 /// fsyncing acknowledged commits per that store's
@@ -364,7 +333,6 @@ pub struct Forkbase<F: IndexFactory> {
     /// Set when the server store is file-backed: the handle the engine
     /// drives durability (fsync-per-commit policy) through.
     durable: Option<Arc<FileStore>>,
-    client_store: Arc<CachingStore>,
     /// Branch name → slot. The map lock is only for name resolution and
     /// branch creation/deletion; all per-branch state hides behind the
     /// slot's own locks.
@@ -380,34 +348,29 @@ impl<F: IndexFactory> Forkbase<F> {
     /// Create an engine with one empty branch `"master"`. Sharding comes
     /// from the environment ([`ShardingPolicy::from_env`]): unsharded
     /// unless `SIRI_SHARDS` says otherwise.
-    pub fn new(factory: F, fetch_cost_nanos: u64) -> Self {
-        Self::with_server(
-            factory,
-            Arc::new(MemStore::new()),
-            None,
-            ShardingPolicy::from_env(),
-            fetch_cost_nanos,
-        )
+    pub fn new(factory: F) -> Self {
+        Self::with_server(factory, Arc::new(MemStore::new()), None, ShardingPolicy::from_env())
     }
 
     /// An engine over a caller-supplied server store (e.g. the store
     /// `siri::env_store()` selected), with one empty branch `"master"`.
     /// No durability handle is attached — if the store is file-backed the
     /// caller owns the fsync cadence.
-    pub fn with_store(factory: F, server: SharedStore, fetch_cost_nanos: u64) -> Self {
-        Self::with_server(factory, server, None, ShardingPolicy::from_env(), fetch_cost_nanos)
+    pub fn with_store(factory: F, server: SharedStore) -> Self {
+        Self::with_server(factory, server, None, ShardingPolicy::from_env())
     }
 
     /// [`Forkbase::with_store`] with an explicit [`ShardingPolicy`]
     /// (ignoring `SIRI_SHARDS`) — for tests and benchmarks that pin the
-    /// partition regardless of the environment.
+    /// partition regardless of the environment. `_reserved` is ignored;
+    /// the frozen `bench/e2e` still passes a `0` there (ROADMAP item 6(e)).
     pub fn with_sharding(
         factory: F,
         server: SharedStore,
         policy: ShardingPolicy,
-        fetch_cost_nanos: u64,
+        _reserved: u64,
     ) -> Self {
-        Self::with_server(factory, server, None, policy, fetch_cost_nanos)
+        Self::with_server(factory, server, None, policy)
     }
 
     /// An engine whose server store persists to `path` (a [`FileStore`]
@@ -419,39 +382,30 @@ impl<F: IndexFactory> Forkbase<F> {
         factory: F,
         path: impl AsRef<std::path::Path>,
         opts: FileStoreOptions,
-        fetch_cost_nanos: u64,
     ) -> std::io::Result<Self> {
-        Self::new_durable_with_sharding(
-            factory,
-            path,
-            opts,
-            ShardingPolicy::from_env(),
-            fetch_cost_nanos,
-        )
+        Self::new_durable_with_sharding(factory, path, opts, ShardingPolicy::from_env(), 0)
     }
 
     /// [`Forkbase::new_durable`] with an explicit [`ShardingPolicy`].
+    /// `_reserved` is ignored, as on [`Forkbase::with_sharding`].
     pub fn new_durable_with_sharding(
         factory: F,
         path: impl AsRef<std::path::Path>,
         opts: FileStoreOptions,
         policy: ShardingPolicy,
-        fetch_cost_nanos: u64,
+        _reserved: u64,
     ) -> std::io::Result<Self> {
         let (fs, _) = FileStore::open_with(path, opts)?;
         let fs = Arc::new(fs);
-        Ok(Self::with_server(factory, fs.clone(), Some(fs), policy, fetch_cost_nanos))
+        Ok(Self::with_server(factory, fs.clone(), Some(fs), policy))
     }
 
     fn with_server(
         factory: F,
-        server: Arc<dyn NodeStore>,
+        server: SharedStore,
         durable: Option<Arc<FileStore>>,
         policy: ShardingPolicy,
-        fetch_cost_nanos: u64,
     ) -> Self {
-        let server: SharedStore = server;
-        let client_store = Arc::new(CachingStore::new(server.clone(), fetch_cost_nanos));
         let master = Self::fresh_table(&factory, &server, &policy.initial_router());
         let mut branches = HashMap::new();
         branches.insert("master".to_string(), Arc::new(BranchSlot::new(master)));
@@ -459,7 +413,6 @@ impl<F: IndexFactory> Forkbase<F> {
             factory,
             server,
             durable,
-            client_store,
             branches: RwLock::with_class(branches, &BRANCH_MAP_CLASS),
             policy,
             commits: AtomicU64::new(0),
@@ -849,84 +802,9 @@ impl<F: IndexFactory> Forkbase<F> {
         Ok(digest)
     }
 
-    /// The persistent client-side views of a branch, read through the page
-    /// cache *and* each shard view's decoded-node cache. When sub-roots
-    /// have moved the views are re-rooted in place, keeping both caches
-    /// warm (adjacent versions share most pages); a partition-shape change
-    /// rebuilds them. The view lock is per-branch and held only to clone
-    /// the handles out — never during traversal — so concurrent readers
-    /// neither serialize across branches nor block each other for long
-    /// within one.
-    fn client_views(&self, branch: &str) -> Result<ClientView<F::Index>> {
-        let slot = self.slot(branch)?;
-        let (router, epoch, roots) = {
-            let t = slot.head.read();
-            (t.router.clone(), t.epoch, t.roots())
-        };
-        let mut view = slot.view.lock();
-        match view.as_mut() {
-            Some(v) if v.epoch == epoch && v.views.len() == roots.len() => {
-                for (i, root) in roots.iter().enumerate() {
-                    if v.views[i].root() != *root {
-                        v.views[i] = v.views[i].at_root(*root);
-                    }
-                }
-                Ok(v.clone())
-            }
-            _ => {
-                let client_store: SharedStore = self.client_store.clone();
-                let fresh = ClientView {
-                    epoch,
-                    router,
-                    views: roots
-                        .iter()
-                        .map(|r| self.factory.open(client_store.clone(), *r))
-                        .collect(),
-                };
-                *view = Some(fresh.clone());
-                Ok(fresh)
-            }
-        }
-    }
-
-    /// Client-side point read through the persistent branch view's two
-    /// cache layers (decoded nodes above, pages beneath). Routed to the
-    /// one shard owning the key.
+    /// Point read through the head handle of the one shard owning the key
+    /// — the handle commits build on, so both warm one decoded-node cache.
     pub fn get(&self, branch: &str, key: &[u8]) -> Result<Option<Bytes>> {
-        let v = self.client_views(branch)?;
-        v.views[v.router.shard_of(key)].get(key)
-    }
-
-    /// Client-side streaming range read: per-shard lazy cursors chained in
-    /// partition order, so the caller sees one logical tree. Each cursor
-    /// snapshots its sub-root at creation — concurrent writes to the
-    /// branch do not disturb an open cursor (immutability in action).
-    pub fn range(
-        &self,
-        branch: &str,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-    ) -> Result<EntryCursor> {
-        let v = self.client_views(branch)?;
-        let (lo, hi) = v.router.covering(start, end);
-        Ok(chain_cursors((lo..=hi).map(|i| v.views[i].range(start, end)).collect()))
-    }
-
-    /// Client-side prefix cursor (the prefix window of [`Forkbase::range`],
-    /// restricted to the shards the prefix can touch).
-    pub fn scan_prefix(&self, branch: &str, prefix: &[u8]) -> Result<EntryCursor> {
-        let v = self.client_views(branch)?;
-        let succ = prefix_successor(prefix);
-        let end = match &succ {
-            Some(s) => Bound::Excluded(s.as_slice()),
-            None => Bound::Unbounded,
-        };
-        let (lo, hi) = v.router.covering(Bound::Included(prefix), end);
-        Ok(chain_cursors((lo..=hi).map(|i| v.views[i].scan_prefix(prefix)).collect()))
-    }
-
-    /// Read bypassing the cache (server-side read, for comparisons).
-    pub fn get_uncached(&self, branch: &str, key: &[u8]) -> Result<Option<Bytes>> {
         let slot = self.slot(branch)?;
         let head = {
             let t = slot.head.read();
@@ -934,6 +812,48 @@ impl<F: IndexFactory> Forkbase<F> {
             snap
         };
         head.get(key)
+    }
+
+    /// The head handles of every shard `[start, end]` can touch, in
+    /// partition order, cloned under one table read lock — publications
+    /// need that lock exclusively, so the handles are one atomic snapshot
+    /// of the branch however many shards it spans.
+    fn covering_heads(
+        &self,
+        branch: &str,
+        start: Bound<&[u8]>,
+        end: Bound<&[u8]>,
+    ) -> Result<Vec<F::Index>> {
+        let slot = self.slot(branch)?;
+        let t = slot.head.read();
+        let (lo, hi) = t.router.covering(start, end);
+        Ok(t.shards[lo..=hi].iter().map(|s| s.head.read().clone()).collect())
+    }
+
+    /// Streaming range read: per-shard lazy cursors chained in partition
+    /// order, so the caller sees one logical tree. The cursor reads the
+    /// snapshot it was created on — concurrent writes to the branch do
+    /// not disturb it (immutability in action).
+    pub fn range(
+        &self,
+        branch: &str,
+        start: Bound<&[u8]>,
+        end: Bound<&[u8]>,
+    ) -> Result<EntryCursor> {
+        let heads = self.covering_heads(branch, start, end)?;
+        Ok(chain_cursors(heads.iter().map(|h| h.range(start, end)).collect()))
+    }
+
+    /// Prefix cursor (the prefix window of [`Forkbase::range`], restricted
+    /// to the shards the prefix can touch).
+    pub fn scan_prefix(&self, branch: &str, prefix: &[u8]) -> Result<EntryCursor> {
+        let succ = prefix_successor(prefix);
+        let end = match &succ {
+            Some(s) => Bound::Excluded(s.as_slice()),
+            None => Bound::Unbounded,
+        };
+        let heads = self.covering_heads(branch, Bound::Included(prefix), end)?;
+        Ok(chain_cursors(heads.iter().map(|h| h.scan_prefix(prefix)).collect()))
     }
 
     /// Fork `from` into a new branch `to` — O(#shards), pages fully
@@ -951,7 +871,7 @@ impl<F: IndexFactory> Forkbase<F> {
         Ok(())
     }
 
-    /// Drop a branch head (and its client views). Pages stay in the
+    /// Drop a branch head. Pages stay in the
     /// store — they are content-addressed and may be shared with other
     /// branches; reclaiming unreachable ones is the offline GC's job.
     /// Other branches' page sets are untouched by construction.
@@ -1033,21 +953,14 @@ impl<F: IndexFactory> Forkbase<F> {
         Ok(outcome)
     }
 
-    /// The branch's current head handle (server-side view) — an owned
-    /// snapshot: immutable versions make a clone of the handle a
-    /// point-in-time view of the branch. A multi-shard head collapses into
-    /// one fresh logical index (for the structurally invariant structures
-    /// its digest equals the unsharded build of the same contents).
+    /// The branch's current head handle — an owned snapshot: immutable
+    /// versions make a clone of the handle a point-in-time view of the
+    /// branch. A multi-shard head collapses into one fresh logical index
+    /// (for the structurally invariant structures its digest equals the
+    /// unsharded build of the same contents).
     pub fn head(&self, branch: &str) -> Option<F::Index> {
-        let slot = self.branches.read().get(branch).cloned()?;
-        let heads = {
-            let t = slot.head.read();
-            if t.shard_count() == 1 {
-                return Some(t.shards[0].head.read().clone());
-            }
-            t.shards.iter().map(|s| s.head.read().clone()).collect::<Vec<F::Index>>()
-        };
-        self.collapse(&heads).ok()
+        let slot = self.slot(branch).ok()?;
+        self.logical_head(&slot).ok().map(|(index, _, _)| index)
     }
 
     /// The branch's published head digest: the sole sub-root when
@@ -1241,20 +1154,6 @@ impl<F: IndexFactory> Forkbase<F> {
         Ok(true)
     }
 
-    /// Client cache statistics: (hits, remote fetches, synthetic
-    /// nanoseconds charged).
-    pub fn client_stats(&self) -> (u64, u64, u64) {
-        (
-            self.client_store.local_hits(),
-            self.client_store.remote_fetches(),
-            self.client_store.synthetic_nanos(),
-        )
-    }
-
-    pub fn client_hit_ratio(&self) -> f64 {
-        self.client_store.hit_ratio()
-    }
-
     /// Engine-level commit/conflict/reshard counters (the optimistic-
     /// concurrency scoreboard).
     pub fn engine_stats(&self) -> EngineStats {
@@ -1269,15 +1168,6 @@ impl<F: IndexFactory> Forkbase<F> {
     /// The engine's sharding policy.
     pub fn sharding_policy(&self) -> ShardingPolicy {
         self.policy
-    }
-
-    /// Reset the client cache (a "fresh client"): drops the cached pages
-    /// *and* the per-branch client views with their decoded-node caches.
-    pub fn reset_client(&self) {
-        self.client_store.clear();
-        for slot in self.branches.read().values() {
-            *slot.view.lock() = None;
-        }
     }
 
     /// What a proof of `branch` is recorded against: the published digest
@@ -1392,37 +1282,6 @@ impl<F: IndexFactory> Session for Forkbase<F> {
     }
 }
 
-/// Noms-style engine: same client/server split, but writes are applied one
-/// record at a time ("top-down building process" per §5.6.2 — no batch
-/// amortization). Pair it with [`PosFactory::noms`] to get Prolly-tree
-/// chunking with sliding-window hashing in internal layers.
-pub struct NomsEngine<F: IndexFactory> {
-    inner: Forkbase<F>,
-}
-
-impl<F: IndexFactory> NomsEngine<F> {
-    pub fn new(factory: F, fetch_cost_nanos: u64) -> Self {
-        NomsEngine { inner: Forkbase::new(factory, fetch_cost_nanos) }
-    }
-
-    /// Unbatched write path: one tree rebuild per record.
-    pub fn put(&self, branch: &str, entries: Vec<Entry>) -> Result<Hash> {
-        let mut root = Hash::ZERO;
-        for e in entries {
-            root = self.inner.put(branch, vec![e])?;
-        }
-        Ok(root)
-    }
-
-    pub fn get(&self, branch: &str, key: &[u8]) -> Result<Option<Bytes>> {
-        self.inner.get(branch, key)
-    }
-
-    pub fn engine(&self) -> &Forkbase<F> {
-        &self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1457,62 +1316,15 @@ mod tests {
 
     #[test]
     fn put_get_round_trip() {
-        let fb = Forkbase::new(PosFactory(PosParams::default()), 1_000);
+        let fb = Forkbase::new(PosFactory(PosParams::default()));
         fb.put("master", entries(0..500)).unwrap();
         assert_eq!(fb.get("master", b"key00123").unwrap().unwrap().len(), 64);
         assert_eq!(fb.get("master", b"missing").unwrap(), None);
     }
 
     #[test]
-    fn client_cache_warms_up() {
-        let fb = Forkbase::new(PosFactory(PosParams::default()), 1_000);
-        fb.put("master", entries(0..2000)).unwrap();
-        fb.get("master", b"key00100").unwrap();
-        let (_, misses_cold, nanos_cold) = fb.client_stats();
-        assert!(misses_cold > 0, "cold read must fetch the path");
-        assert_eq!(nanos_cold, misses_cold * 1_000);
-        // Re-reading the same key costs nothing remotely — absorbed by the
-        // client's caches (decoded nodes first, pages beneath).
-        fb.get("master", b"key00100").unwrap();
-        let (_, misses, nanos) = fb.client_stats();
-        assert_eq!(misses, misses_cold, "second read must not fetch");
-        assert_eq!(nanos, nanos_cold, "no synthetic cost on a warm read");
-        // A key in a distant leaf shares the internal spine: only its
-        // leaf-side pages are fetched, strictly fewer than the cold path.
-        fb.get("master", b"key01900").unwrap();
-        let (_, misses_2, _) = fb.client_stats();
-        assert!(misses_2 > misses, "a new leaf must fetch");
-        assert!(misses_2 - misses < misses_cold, "the shared spine must not refetch");
-    }
-
-    #[test]
-    fn client_view_persists_across_reads() {
-        let fb = Forkbase::new(PosFactory(PosParams::default()), 1_000);
-        fb.put("master", entries(0..2000)).unwrap();
-        fb.get("master", b"key00100").unwrap();
-        let (hits_1, misses_1, _) = fb.client_stats();
-        // The second identical read is served entirely by the persistent
-        // view's decoded-node cache: it never reaches the page cache, so
-        // neither page-cache counter moves.
-        fb.get("master", b"key00100").unwrap();
-        let (hits_2, misses_2, _) = fb.client_stats();
-        assert_eq!((hits_1, misses_1), (hits_2, misses_2), "node cache must absorb the read");
-        // A write moves the head; the re-rooted view still answers
-        // correctly and reuses the shared spine.
-        fb.put("master", entries(2000..2001)).unwrap();
-        assert!(fb.get("master", b"key02000").unwrap().is_some());
-        assert!(fb.get("master", b"key00100").unwrap().is_some());
-        // A fresh client starts cold again.
-        fb.reset_client();
-        let (_, misses_before, _) = fb.client_stats();
-        fb.get("master", b"key00100").unwrap();
-        let (_, misses_after, _) = fb.client_stats();
-        assert!(misses_after > misses_before, "reset must drop both cache layers");
-    }
-
-    #[test]
     fn forks_share_pages_and_diverge() {
-        let fb = Forkbase::new(PosFactory(PosParams::default()), 0);
+        let fb = Forkbase::new(PosFactory(PosParams::default()));
         fb.put("master", entries(0..300)).unwrap();
         fb.fork("master", "feature").unwrap();
         fb.put("feature", entries(300..350)).unwrap();
@@ -1526,7 +1338,7 @@ mod tests {
 
     #[test]
     fn merge_branches_combines_and_detects_conflicts() {
-        let fb = Forkbase::new(PosFactory(PosParams::default()), 0);
+        let fb = Forkbase::new(PosFactory(PosParams::default()));
         fb.put("master", entries(0..100)).unwrap();
         fb.fork("master", "other").unwrap();
         fb.put("other", entries(100..120)).unwrap();
@@ -1542,12 +1354,12 @@ mod tests {
         // Resolvable with a policy.
         let outcome = fb.merge_branches("master", "other", MergeStrategy::PreferRight).unwrap();
         assert_eq!(outcome.conflicts_resolved, 1);
-        assert_eq!(fb.get_uncached("master", b"key00005").unwrap().unwrap().as_ref(), b"theirs");
+        assert_eq!(fb.get("master", b"key00005").unwrap().unwrap().as_ref(), b"theirs");
     }
 
     #[test]
     fn unknown_branch_is_an_error() {
-        let fb = Forkbase::new(PosFactory(PosParams::default()), 0);
+        let fb = Forkbase::new(PosFactory(PosParams::default()));
         assert!(fb.put("ghost", entries(0..1)).is_err());
         assert!(fb.get("ghost", b"k").is_err());
         assert!(fb.delete_branch("ghost").is_err());
@@ -1556,7 +1368,7 @@ mod tests {
 
     #[test]
     fn branch_deletes_flow_through_write_batches() {
-        let fb = Forkbase::new(PosFactory(PosParams::default()), 0);
+        let fb = Forkbase::new(PosFactory(PosParams::default()));
         fb.put("master", entries(0..100)).unwrap();
         let before = fb.head("master").unwrap().root();
         fb.delete("master", [&b"key00042"[..]]).unwrap();
@@ -1581,7 +1393,7 @@ mod tests {
 
     #[test]
     fn three_way_merge_propagates_branch_deletions() {
-        let fb = Forkbase::new(PosFactory(PosParams::default()), 0);
+        let fb = Forkbase::new(PosFactory(PosParams::default()));
         fb.put("master", entries(0..100)).unwrap();
         let base_root = fb.head("master").unwrap().root();
         fb.fork("master", "cleaning").unwrap();
@@ -1597,8 +1409,8 @@ mod tests {
         assert_eq!(outcome.removed_by_right, 10);
         assert_eq!(outcome.added_from_right, 1, "the edit applies cleanly");
         assert_eq!(fb.head("master").unwrap().len().unwrap(), 90);
-        assert_eq!(fb.get_uncached("master", b"key00005").unwrap(), None);
-        assert_eq!(fb.get_uncached("master", b"key00050").unwrap().unwrap().as_ref(), b"edited");
+        assert_eq!(fb.get("master", b"key00005").unwrap(), None);
+        assert_eq!(fb.get("master", b"key00050").unwrap().unwrap().as_ref(), b"edited");
 
         // Edit-vs-delete is a conflict under Strict, resolvable by policy.
         let base2 = fb.head("master").unwrap().root();
@@ -1613,7 +1425,7 @@ mod tests {
             .merge_branches_with_base("master", "hotfix", base2, MergeStrategy::PreferRight)
             .unwrap();
         assert_eq!(outcome.conflicts_resolved, 1);
-        assert_eq!(fb.get_uncached("master", b"key00060").unwrap(), None, "delete won");
+        assert_eq!(fb.get("master", b"key00060").unwrap(), None, "delete won");
         // Both sides deleting the same key converges without conflict.
         let base3 = fb.head("master").unwrap().root();
         fb.fork("master", "twin").unwrap();
@@ -1627,7 +1439,7 @@ mod tests {
 
     #[test]
     fn delete_branch_leaves_other_branches_pages_intact() {
-        let fb = Forkbase::new(PosFactory(PosParams::default()), 0);
+        let fb = Forkbase::new(PosFactory(PosParams::default()));
         fb.put("master", entries(0..300)).unwrap();
         fb.fork("master", "doomed").unwrap();
         fb.put("doomed", entries(300..400)).unwrap();
@@ -1646,8 +1458,9 @@ mod tests {
 
     #[test]
     fn client_range_cursor_streams_in_key_order() {
-        let fb = Forkbase::new(PosFactory(PosParams::default()), 1_000);
+        let fb = Forkbase::new(PosFactory(PosParams::default()));
         fb.put("master", entries(0..2000)).unwrap();
+        let gets_before = fb.server_stats().gets;
         use std::ops::Bound;
         let window: Vec<Entry> = fb
             .range("master", Bound::Included(b"key00100"), Bound::Excluded(b"key00110"))
@@ -1660,9 +1473,9 @@ mod tests {
         let pre: Vec<Entry> =
             fb.scan_prefix("master", b"key0003").unwrap().collect::<Result<_>>().unwrap();
         assert_eq!(pre.len(), 10, "key00030..key00039");
-        // A bounded window must not pull the whole dataset through the
-        // client cache: remote fetches stay far below the page count.
-        let (_, fetches, _) = fb.client_stats();
+        // A bounded window must not pull the whole dataset out of the
+        // store: page reads stay far below the page count.
+        let fetches = fb.server_stats().gets - gets_before;
         let total_pages = fb.head("master").unwrap().page_set().len() as u64;
         assert!(fetches < total_pages / 2, "cursor reads fetched {fetches} of {total_pages} pages");
         // An open cursor survives a concurrent branch write (it reads the
@@ -1686,12 +1499,11 @@ mod tests {
         let opts = FileStoreOptions { fsync: FsyncPolicy::OnCommit, ..FileStoreOptions::default() };
 
         let root = {
-            let fb =
-                Forkbase::new_durable(PosFactory(PosParams::default()), &dir, opts, 0).unwrap();
+            let fb = Forkbase::new_durable(PosFactory(PosParams::default()), &dir, opts).unwrap();
             fb.put("master", entries(0..300)).unwrap()
         }; // "process exits" — the commit was fsynced before put returned
 
-        let fb = Forkbase::new_durable(PosFactory(PosParams::default()), &dir, opts, 0).unwrap();
+        let fb = Forkbase::new_durable(PosFactory(PosParams::default()), &dir, opts).unwrap();
         fb.open_branch("master", root);
         assert_eq!(fb.head("master").unwrap().len().unwrap(), 300);
         assert_eq!(fb.get("master", b"key00123").unwrap().unwrap().len(), 64);
@@ -1702,7 +1514,7 @@ mod tests {
 
     #[test]
     fn concurrent_commits_to_disjoint_branches_never_conflict() {
-        let fb = Arc::new(Forkbase::new(PosFactory(PosParams::default()), 0));
+        let fb = Arc::new(Forkbase::new(PosFactory(PosParams::default())));
         for t in 0..4 {
             fb.fork("master", &format!("b{t}")).unwrap();
         }
@@ -1759,7 +1571,7 @@ mod tests {
             for k in 0..15 {
                 let key = format!("t{t}-k{k:03}");
                 assert_eq!(
-                    fb.get_uncached("master", key.as_bytes()).unwrap().as_deref(),
+                    fb.get("master", key.as_bytes()).unwrap().as_deref(),
                     Some(format!("v{t}-{k}").as_bytes()),
                 );
             }
@@ -1987,18 +1799,22 @@ mod tests {
 
     #[test]
     fn noms_engine_writes_one_by_one_same_content() {
-        let noms = NomsEngine::new(PosFactory(PosParams::noms()), 0);
-        let fb = Forkbase::new(PosFactory(PosParams::noms()), 0);
+        // Noms (§5.6.2) applies writes one record at a time; Forkbase
+        // batches them.
+        let noms = Forkbase::new(PosFactory::noms());
+        let fb = Forkbase::new(PosFactory::noms());
         let data = entries(0..200);
-        noms.put("master", data.clone()).unwrap();
+        for e in data.clone() {
+            noms.put("master", vec![e]).unwrap();
+        }
         fb.put("master", data).unwrap();
         // Structural invariance ⇒ same root despite different batching…
-        assert_eq!(noms.engine().head("master").unwrap().root(), fb.head("master").unwrap().root());
+        assert_eq!(noms.head("master").unwrap().root(), fb.head("master").unwrap().root());
         // …but the unbatched path paid many more page writes.
         assert!(
-            noms.engine().server_stats().puts > fb.server_stats().puts * 5,
+            noms.server_stats().puts > fb.server_stats().puts * 5,
             "noms {} vs forkbase {}",
-            noms.engine().server_stats().puts,
+            noms.server_stats().puts,
             fb.server_stats().puts
         );
     }

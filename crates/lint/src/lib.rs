@@ -11,8 +11,8 @@
 //! * `safety-comment` — every `unsafe` carries a `// SAFETY:` comment;
 //! * `determinism` — no wall clock or OS randomness in digest/encode/chunk
 //!   paths;
-//! * `lock-order` — never acquire the branch-map lock while a slot-head or
-//!   client-view guard is held.
+//! * `lock-order` — never acquire the branch-map lock while a slot-head
+//!   guard is held.
 //!
 //! Findings can be suppressed by `lint.toml` allowlist entries, each of
 //! which must carry a reason. The static pass is paired with a runtime

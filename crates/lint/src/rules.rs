@@ -40,7 +40,7 @@ pub const RULES: &[(&str, &str)] = &[
     ("fallible-store", "index/engine code must use try_put/try_get, not panicking sugar"),
     ("safety-comment", "every `unsafe` needs a // SAFETY: (or /// # Safety) comment"),
     ("determinism", "no Instant::now/SystemTime::now/thread_rng in digest/encode/chunk paths"),
-    ("lock-order", "never acquire the branch-map lock while a slot/view lock is held"),
+    ("lock-order", "never acquire the branch-map lock while a slot-head lock is held"),
 ];
 
 /// Lex `source` and run every applicable rule.
@@ -134,8 +134,7 @@ fn fallible_store(path: &Path, lexed: &Lexed, in_test: &[bool], out: &mut Vec<Di
             continue;
         }
         let Some(recv) = (i >= 2).then(|| lexed.ident_at(i - 2)).flatten() else { continue };
-        let store_shaped =
-            matches!(recv, "store" | "server" | "client_store") || recv.ends_with("_store");
+        let store_shaped = matches!(recv, "store" | "server") || recv.ends_with("_store");
         if store_shaped {
             out.push(diag(
                 path,
@@ -234,8 +233,6 @@ fn lock_rank(chain: &[&str]) -> Option<(u8, &'static str)> {
         Some((0, "branch-map"))
     } else if chain.contains(&"head") {
         Some((1, "slot-head"))
-    } else if chain.contains(&"view") {
-        Some((2, "client-view"))
     } else {
         None
     }
@@ -243,8 +240,8 @@ fn lock_rank(chain: &[&str]) -> Option<(u8, &'static str)> {
 
 /// Rule 5: static nested-lock scan. Tracks let-bound guards per brace scope
 /// and statement temporaries, and flags any acquisition whose rank is lower
-/// than a lock already held (e.g. the branch-map lock while a slot-head or
-/// client-view guard is live). Heuristic by design: receiver chains are
+/// than a lock already held (e.g. the branch-map lock while a slot-head
+/// guard is live). Heuristic by design: receiver chains are
 /// matched by field name, and guards are assumed to live to the end of
 /// their statement (temporaries) or scope (let-bound), which over- rather
 /// than under-approximates if-let scrutinee extension.
@@ -324,8 +321,8 @@ fn lock_order(path: &Path, lexed: &Lexed, in_test: &[bool], out: &mut Vec<Diagno
                             i,
                             "lock-order",
                             format!("{what} lock acquired while a {} guard is held", h.what),
-                            "the documented order is branch map -> slot head -> client \
-                             view (DESIGN.md \u{a7}9); release the inner guard first or \
+                            "the documented order is branch map -> slot head -> shard \
+                             head (DESIGN.md \u{a7}9); release the inner guard first or \
                              restructure to acquire in order"
                                 .into(),
                         ));
@@ -447,17 +444,19 @@ mod tests {
         let d = run("fn f(&self) {\n    let g = self.slot.head.read();\n    \
              let b = self.branches.write();\n}");
         assert_eq!(rules_of(&d), ["lock-order"]);
-        // View guard held, then branch map: inversion.
-        let d = run("fn f(&self) {\n    let v = slot.view.lock();\n    self.branches.read();\n}");
+        // A shard-head guard (same field name, same class) held, then the
+        // branch map as a statement temporary: inversion.
+        let d = run("fn f(&self) {\n    let s = t.shards[i].head.write();\n    \
+             self.branches.read();\n}");
         assert_eq!(rules_of(&d), ["lock-order"]);
     }
 
     #[test]
     fn lock_order_accepts_documented_order_and_drops() {
-        // branch map -> head -> view is the documented order.
+        // branch map -> slot head -> shard head is the documented order.
         let d = run(
-            "fn f(&self) {\n    let m = self.branches.read();\n    let h = slot.head.read();\n    \
-             let v = slot.view.lock();\n}",
+            "fn f(&self) {\n    let m = self.branches.read();\n    let t = slot.head.read();\n    \
+             let s = t.shards[i].head.read();\n}",
         );
         assert!(d.is_empty(), "{d:?}");
         // Temporaries die at the end of their statement.

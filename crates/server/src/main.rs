@@ -82,7 +82,7 @@ fn main() {
     let (engine, on_commit): (Arc<Forkbase<PosFactory>>, Option<CommitHook>) = match db {
         Some(path) => {
             let store_opts = FileStoreOptions { fsync, ..FileStoreOptions::default() };
-            let engine = match Forkbase::new_durable(factory, &path, store_opts, 0) {
+            let engine = match Forkbase::new_durable(factory, &path, store_opts) {
                 Ok(e) => Arc::new(e),
                 Err(e) => fail(format_args!("cannot open database at {path}: {e}")),
             };
@@ -114,9 +114,7 @@ fn main() {
             });
             (engine, Some(hook))
         }
-        None => {
-            (Arc::new(Forkbase::with_store(factory, siri_store::MemStore::new_shared(), 0)), None)
-        }
+        None => (Arc::new(Forkbase::with_store(factory, siri_store::MemStore::new_shared())), None),
     };
 
     match serve_addr(engine, &listen, opts, on_commit) {

@@ -11,7 +11,7 @@ use siri::{metrics, Forkbase, MergeStrategy, PosFactory, PosParams, SiriIndex, W
 
 fn main() -> siri::Result<()> {
     let ycsb = YcsbConfig::default();
-    let lab = Forkbase::new(PosFactory(PosParams::default()), 0);
+    let lab = Forkbase::new(PosFactory(PosParams::default()));
 
     // The shared source dataset. Remember the fork-point root: it is the
     // *base* for deletion-aware three-way merges later.

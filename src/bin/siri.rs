@@ -397,7 +397,7 @@ fn main() {
             // wire protocol honor. The proof prints as one hex artifact
             // (`siri::Proof::encode`) after the anchoring root.
             use siri::Session;
-            let engine = siri::Forkbase::with_store(siri::PosFactory(params), store.clone(), 0);
+            let engine = siri::Forkbase::with_store(siri::PosFactory(params), store.clone());
             engine.open_branch("master", head_root);
             let (digest, proof) = match rest.get(1).map(String::as_str) {
                 Some("--range") => {
@@ -575,7 +575,7 @@ fn main() {
             // fsync per the policy first, then record the head — the same
             // durability-before-acknowledgement order `put` uses.
             let engine =
-                Arc::new(siri::Forkbase::with_store(siri::PosFactory(params), store.clone(), 0));
+                Arc::new(siri::Forkbase::with_store(siri::PosFactory(params), store.clone()));
             engine.open_branch("master", head_root);
             let hook_fs = fs.clone();
             let hook_head = head_file.clone();

@@ -61,8 +61,7 @@ pub use siri_crypto as crypto;
 pub use siri_encoding as encoding;
 pub use siri_forkbase::{
     max_commit_attempts, scheme_by_name, EngineStats, Forkbase, IndexFactory, MbtFactory,
-    MptFactory, MvmbFactory, NomsEngine, PosFactory, ShardStats, ShardingPolicy,
-    DEFAULT_FETCH_COST_NANOS, MAX_COMMIT_ATTEMPTS,
+    MptFactory, MvmbFactory, PosFactory, ShardStats, ShardingPolicy, MAX_COMMIT_ATTEMPTS,
 };
 pub use siri_mbt::{MbtProofScheme, MerkleBucketTree, DEFAULT_BUCKETS, DEFAULT_FANOUT};
 pub use siri_mpt::{MerklePatriciaTrie, MptProofScheme};
@@ -73,7 +72,8 @@ pub use siri_pos_tree::{
 };
 pub use siri_server::{self as server, proto, serve, serve_addr, ServerHandle, ServerOptions};
 pub use siri_store::{
-    gc, ship, CachingStore, FileStore, FileStoreOptions, FsyncPolicy, DEFAULT_SEGMENT_BYTES,
+    gc, ship, CachingStore, FileStore, FileStoreOptions, FsyncPolicy, DEFAULT_CLIENT_CACHE_PAGES,
+    DEFAULT_SEGMENT_BYTES,
 };
 pub use siri_workloads as workloads;
 
@@ -130,7 +130,7 @@ impl std::ops::Deref for SessionHandle {
 /// in-process engine passes.
 pub fn env_session() -> SessionHandle {
     let engine =
-        std::sync::Arc::new(Forkbase::with_store(PosFactory(PosParams::default()), env_store(), 0));
+        std::sync::Arc::new(Forkbase::with_store(PosFactory(PosParams::default()), env_store()));
     if std::env::var("SIRI_REMOTE").as_deref() == Ok("1") {
         let listener = std::net::TcpListener::bind("127.0.0.1:0")
             .expect("SIRI_REMOTE=1: cannot bind a loopback listener");

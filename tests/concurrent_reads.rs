@@ -4,14 +4,16 @@
 //! counters must stay coherent. Plus a property test pinning cached and
 //! uncached lookups to each other for every index structure.
 
-use std::sync::Arc;
+use std::ops::Bound;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use proptest::prelude::*;
 use siri::workloads::YcsbConfig;
 use siri::{
     Entry, Forkbase, IndexFactory, MbtFactory, MerklePatriciaTrie, MptFactory, MvmbFactory,
-    MvmbParams, PosFactory, PosParams, PosTree, SiriIndex,
+    MvmbParams, PosFactory, PosParams, PosTree, ShardingPolicy, SiriIndex, WriteBatch,
 };
 
 const N: usize = 5_000;
@@ -129,19 +131,24 @@ fn concurrent_readers_with_concurrent_version_writer() {
     assert_eq!(snapshot.get(&ycsb.key(0)).unwrap().as_deref(), Some(ycsb.value(0, 0).as_ref()));
 }
 
+/// The `STRESS_N` iteration multiplier of the CI stress legs (1 by default).
+fn stress_n() -> usize {
+    std::env::var("STRESS_N").ok().and_then(|v| v.parse().ok()).unwrap_or(1).max(1)
+}
+
 #[test]
-fn concurrent_branch_readers_use_disjoint_view_locks() {
-    // Regression for the whole-map `client_views: Mutex<HashMap>`: reads
-    // of different branches used to serialize on one engine-wide lock.
-    // Views now live one per branch slot, so readers pinned to different
-    // branches touch disjoint locks while a writer advances every head
-    // under them. Correctness here, lock granularity by construction (the
-    // per-slot mutex is held only to clone the handle out).
+fn concurrent_readers_of_moving_branch_heads_read_consistently() {
+    // A read takes shared locks only (branch map, shard table, shard
+    // head), so nothing serializes readers — not across branches, not
+    // several on the same branch — while a writer advances every head
+    // under them. Correctness here; that no exclusive lock or mutex sits
+    // on the read path is by construction (tests/lock_order.rs pins the
+    // engine's lock classes).
     const BRANCHES: usize = 6;
+    const READERS_PER_BRANCH: usize = 3;
     const RECORDS: usize = 400;
-    let stress: usize =
-        std::env::var("STRESS_N").ok().and_then(|v| v.parse().ok()).unwrap_or(1).max(1);
-    let fb = Arc::new(Forkbase::with_store(PosFactory(PosParams::default()), siri::env_store(), 0));
+    let stress = stress_n();
+    let fb = Arc::new(Forkbase::with_store(PosFactory(PosParams::default()), siri::env_store()));
     for b in 0..BRANCHES {
         let branch = format!("b{b}");
         fb.fork("master", &branch).unwrap();
@@ -155,7 +162,7 @@ fn concurrent_branch_readers_use_disjoint_view_locks() {
 
     thread::scope(|s| {
         // One writer commits fresh keys round-robin across every branch:
-        // heads keep moving while the readers' views re-root in place.
+        // heads keep moving under the readers.
         let writer = {
             let fb = Arc::clone(&fb);
             s.spawn(move || {
@@ -169,12 +176,13 @@ fn concurrent_branch_readers_use_disjoint_view_locks() {
                 }
             })
         };
-        for b in 0..BRANCHES {
+        for r in 0..BRANCHES * READERS_PER_BRANCH {
             let fb = Arc::clone(&fb);
             s.spawn(move || {
+                let b = r % BRANCHES;
                 let branch = format!("b{b}");
                 for i in 0..800 * stress {
-                    let id = (i * 37) % RECORDS;
+                    let id = (i * 37 + r) % RECORDS;
                     let key = format!("b{b}-k{id:04}");
                     // The initial records are immutable under the writer's
                     // append-only churn: every read must see them.
@@ -204,6 +212,118 @@ fn concurrent_branch_readers_use_disjoint_view_locks() {
         assert!(head.len().unwrap() > RECORDS, "writer's commits must be visible at the end");
     }
     assert_eq!(fb.engine_stats().conflicts, 0, "distinct branches: no CAS conflicts");
+}
+
+/// Sets its flag when dropped — also when its thread unwinds, so a failed
+/// assertion in one thread stops the others instead of leaving them waiting.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// A cross-shard read is one snapshot, also while the partition is being
+/// reshaped: a writer stamps one version number into a key of every shard
+/// with spanning batches, a second thread splits and merges shards under
+/// it, and readers assert that every scan — full `range` and `scan_prefix`
+/// alike — sees a single version, that versions never go backwards, and
+/// that a `get` issued after `commit` returned sees that commit.
+fn cross_shard_reads_are_one_snapshot<F: IndexFactory>(factory: F, policy: ShardingPolicy) {
+    const STAMPED: usize = 16;
+    let commits = 60 * stress_n() as u64;
+    // Lead bytes 8, 24, … 248: four keys in each quarter of the key space,
+    // so every shard of a uniform 4-way partition (and both halves of any
+    // median split) holds stamped keys.
+    let key = |i: usize| vec![(i * 16 + 8) as u8, b's', i as u8];
+    let stamp = |v: u64| {
+        let mut batch = WriteBatch::new();
+        for i in 0..STAMPED {
+            batch.put(key(i), format!("{v:08}").into_bytes());
+        }
+        batch
+    };
+    let version = |value: &[u8]| std::str::from_utf8(value).unwrap().parse::<u64>().unwrap();
+    // Every stamped key of one scan must carry the same version.
+    let scan_version = |scan: siri::EntryCursor, what: &str| {
+        let entries: Vec<Entry> = scan.collect::<siri::Result<_>>().unwrap();
+        assert_eq!(entries.len(), STAMPED, "{what}: a scan lost or duplicated keys");
+        let v = version(&entries[0].value);
+        for e in &entries {
+            assert_eq!(version(&e.value), v, "{what}: torn cross-shard snapshot at {:?}", e.key);
+        }
+        v
+    };
+
+    let fb = Forkbase::with_sharding(factory, siri::env_store(), policy, 0);
+    fb.commit("master", stamp(0)).unwrap();
+    let done = AtomicBool::new(false);
+    let reshapes = AtomicUsize::new(0);
+    // All four threads start together, so scans overlap commits and reshapes.
+    let start = Barrier::new(4);
+    let last_version = thread::scope(|s| {
+        let writer = s.spawn(|| {
+            let _stop = SetOnDrop(&done);
+            start.wait();
+            // Keep committing until enough reshapes landed in between.
+            let mut v = 0;
+            while !done.load(Ordering::Acquire)
+                && (v < commits || reshapes.load(Ordering::Acquire) < 8)
+            {
+                v += 1;
+                fb.commit("master", stamp(v)).unwrap();
+                let got = fb.get("master", &key(v as usize % STAMPED)).unwrap().unwrap();
+                assert_eq!(version(&got), v, "a get after commit returned must see it");
+            }
+            v
+        });
+        s.spawn(|| {
+            let _stop = SetOnDrop(&done);
+            start.wait();
+            let mut step = 0usize;
+            while !done.load(Ordering::Acquire) {
+                let n = fb.shard_count("master").unwrap();
+                // A lost race (Ok(false)) just leaves the shape for the
+                // next step; only a store error would be a failure.
+                let reshaped = if n >= 6 || (n > 1 && step % 3 == 2) {
+                    fb.merge_branch_shards("master", step % (n - 1)).unwrap()
+                } else {
+                    fb.split_branch_shard("master", step % n).unwrap()
+                };
+                reshapes.fetch_add(reshaped as usize, Ordering::Release);
+                step += 1;
+            }
+        });
+        for _ in 0..2 {
+            s.spawn(|| {
+                let _stop = SetOnDrop(&done);
+                start.wait();
+                let mut last = 0u64;
+                let mut scans = 0usize;
+                while !done.load(Ordering::Acquire) || scans < 10 {
+                    let full = fb.range("master", Bound::Unbounded, Bound::Unbounded).unwrap();
+                    let v = scan_version(full, "range");
+                    assert!(v >= last, "range went back in time: {v} after {last}");
+                    let w = scan_version(fb.scan_prefix("master", b"").unwrap(), "scan_prefix");
+                    assert!(w >= v, "scan_prefix went back in time: {w} after {v}");
+                    last = w;
+                    scans += 1;
+                }
+            });
+        }
+        writer.join().unwrap()
+    });
+    let end = fb.range("master", Bound::Unbounded, Bound::Unbounded).unwrap();
+    assert_eq!(scan_version(end, "final"), last_version);
+}
+
+#[test]
+fn cross_shard_reads_are_one_snapshot_under_reshaping() {
+    for policy in [ShardingPolicy::pinned(4), ShardingPolicy::adaptive_default()] {
+        cross_shard_reads_are_one_snapshot(PosFactory(PosParams::default()), policy);
+        cross_shard_reads_are_one_snapshot(MptFactory, policy);
+    }
 }
 
 fn to_entries(raw: &[(Vec<u8>, Vec<u8>)]) -> Vec<Entry> {

@@ -39,7 +39,7 @@ fn factory() -> PosFactory {
 }
 
 fn engine() -> Arc<Forkbase<PosFactory>> {
-    Arc::new(Forkbase::with_store(factory(), siri::env_store(), 0))
+    Arc::new(Forkbase::with_store(factory(), siri::env_store()))
 }
 
 /// An engine pinned to the classic single-slot head, regardless of
@@ -218,7 +218,7 @@ fn group_commit_engine_acks_survive_reopen_with_fewer_fsyncs() {
 
     let mut final_roots = vec![Hash::ZERO; WRITERS];
     {
-        let fb = Arc::new(Forkbase::new_durable(factory(), &dir, opts, 0).unwrap());
+        let fb = Arc::new(Forkbase::new_durable(factory(), &dir, opts).unwrap());
         for t in 0..WRITERS {
             fb.fork("master", &format!("b{t}")).unwrap();
         }
@@ -254,7 +254,7 @@ fn group_commit_engine_acks_survive_reopen_with_fewer_fsyncs() {
         );
     } // drop the engine without any extra sync — acked roots must stand alone
 
-    let fb = Forkbase::new_durable(factory(), &dir, opts, 0).unwrap();
+    let fb = Forkbase::new_durable(factory(), &dir, opts).unwrap();
     for (t, root) in final_roots.iter().enumerate() {
         let branch = format!("b{t}");
         fb.open_branch(&branch, *root);
@@ -366,7 +366,7 @@ fn racing_sharded_commit_and_delete_is_all_or_nothing() {
             for shard in 0..8usize {
                 let key = vec![(shard * 32) as u8, round as u8, k as u8];
                 assert_eq!(
-                    fb.get_uncached(&probe, &key).unwrap().as_deref(),
+                    fb.get(&probe, &key).unwrap().as_deref(),
                     Some(format!("r{round}-{k}").as_bytes()),
                     "round {round} commit {k}: acked root missing shard {shard}'s write"
                 );

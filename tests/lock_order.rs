@@ -1,8 +1,8 @@
 //! Runtime lock-order tracker battery (ISSUE 7).
 //!
 //! The vendored `parking_lot` shim assigns classed locks a position in the
-//! engine's documented acquisition order (branch map → slot head → client
-//! view → store internals, DESIGN.md §9) and — in debug builds with
+//! engine's documented acquisition order (branch map → slot head → shard
+//! head → store internals, DESIGN.md §9) and — in debug builds with
 //! `SIRI_LOCK_ORDER=1` — panics the moment any thread acquires a
 //! lower-order lock while holding a higher-order guard.
 //!
@@ -121,7 +121,7 @@ fn ascending_order_and_try_lock_stay_silent() {
 #[test]
 fn engine_commit_merge_fork_delete_interleavings_run_clean() {
     init();
-    let fb = Arc::new(Forkbase::with_store(factory(), siri::env_store(), 0));
+    let fb = Arc::new(Forkbase::with_store(factory(), siri::env_store()));
     const WRITERS: usize = 4;
     const COMMITS: usize = 6;
 
@@ -169,8 +169,8 @@ fn engine_commit_merge_fork_delete_interleavings_run_clean() {
                 }
             });
         }
-        // Readers: client views (view mutex under branch-map read) on the
-        // moving branches.
+        // Readers: gets through the moving branches' heads (shared locks
+        // only: branch map, then slot head → shard head).
         {
             let fb = Arc::clone(&fb);
             s.spawn(move || {
@@ -205,12 +205,12 @@ fn engine_commit_merge_fork_delete_interleavings_run_clean() {
 #[test]
 fn sharded_commit_merge_delete_interleavings_run_clean() {
     // ISSUE 8: the sharded head adds the `forkbase.shard-head` class (25)
-    // between the slot head (20) and the client view (30). This
+    // between the slot head (20) and the store internals (40+). This
     // interleaving drives every acquisition pattern the sharded engine
     // has — routed commits (20r → 25r builds, then 20w → 25w swaps),
     // spanning batches, whole-branch merges (collapse reads under 20r),
     // split/merge resharding, branch deletion's atomic retirement, and
-    // routed client reads (20r → 30) — under the armed tracker and the
+    // routed reads (20r → 25r) — under the armed tracker and the
     // pinned 3-attempt bound.
     init();
     const SHARDS: usize = 4;
@@ -257,8 +257,8 @@ fn sharded_commit_merge_delete_interleavings_run_clean() {
                 }
             });
         }
-        // Readers: routed gets and cross-shard range cursors (20r → 30,
-        // then cursor reads through the caching store).
+        // Readers: routed gets and cross-shard range cursors (20r → 25r
+        // to clone the covering heads, then unlocked cursor reads).
         {
             let fb = Arc::clone(&fb);
             s.spawn(move || {
@@ -291,7 +291,7 @@ fn group_commit_interleavings_run_clean_under_tracker() {
         fsync: FsyncPolicy::Group(std::time::Duration::from_millis(1)),
         ..FileStoreOptions::default()
     };
-    let fb = Arc::new(Forkbase::new_durable(factory(), &dir, opts, 0).unwrap());
+    let fb = Arc::new(Forkbase::new_durable(factory(), &dir, opts).unwrap());
     const WRITERS: usize = 4;
     for t in 0..WRITERS {
         fb.fork("master", &format!("g{t}")).unwrap();
@@ -395,7 +395,7 @@ fn env_bounded_commit_attempts_force_deterministic_contention() {
 
     let hook = Arc::new(ContentionStore::new(siri::MemStore::new_shared()));
     let store: SharedStore = hook.clone();
-    let fb = Arc::new(Forkbase::with_store(factory(), store, 0));
+    let fb = Arc::new(Forkbase::with_store(factory(), store));
     *hook.engine.lock().unwrap() = Some(Arc::downgrade(&fb));
 
     // Sanity: unarmed, commits go through.
@@ -433,11 +433,24 @@ fn recorded_acquisition_edges_are_ascending() {
         return;
     }
     // Drive a little real engine traffic so engine/store edges exist.
-    let fb = Forkbase::with_store(factory(), siri::env_store(), 0);
+    let fb = Forkbase::with_store(factory(), siri::env_store());
     fb.commit("master", batch("edges", 0)).unwrap();
     let _ = fb.get("master", b"edges-k0000-0");
 
     for ((from_order, from_name), (to_order, to_name)) in lock_order::edges() {
+        // The engine has exactly three lock classes; a read goes through
+        // the shard heads, with no per-branch view lock (the old class 30)
+        // between them and the store.
+        for name in [from_name, to_name] {
+            assert!(
+                !name.starts_with("forkbase.")
+                    || matches!(
+                        name,
+                        "forkbase.branch-map" | "forkbase.slot-head" | "forkbase.shard-head"
+                    ),
+                "unexpected engine lock class in edge {from_name} -> {to_name}"
+            );
+        }
         // Test-local classes above deliberately invert; engine/store
         // classes (the `forkbase.`/`store.` namespaces) never may.
         let project = |n: &str| n.starts_with("forkbase.") || n.starts_with("store.");

@@ -17,7 +17,7 @@ use siri::{
 };
 
 fn engine() -> Arc<Forkbase<PosFactory>> {
-    Arc::new(Forkbase::with_store(PosFactory(PosParams::default()), MemStore::new_shared(), 0))
+    Arc::new(Forkbase::with_store(PosFactory(PosParams::default()), MemStore::new_shared()))
 }
 
 fn loopback(opts: ServerOptions) -> (Arc<Forkbase<PosFactory>>, ServerHandle<PosFactory>) {
@@ -368,7 +368,7 @@ fn anti_entropy_over_the_wire_ships_deltas_and_resumes() {
     // The replica answers reads with no server involved. Open through an
     // engine, which resolves a shard-manifest digest (SIRI_SHARDS runs)
     // exactly like a bare tree root.
-    let replica = Forkbase::with_store(PosFactory(PosParams::default()), local.clone(), 0);
+    let replica = Forkbase::with_store(PosFactory(PosParams::default()), local.clone());
     replica.open_branch("v1", v1);
     assert_eq!(
         Session::get(&replica, "v1", b"key00042").unwrap().unwrap().as_ref(),
