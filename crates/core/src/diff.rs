@@ -183,8 +183,12 @@ pub fn merge<I: SiriIndex>(
 /// both sides converging on the same final state — including both
 /// deleting — is not a conflict).
 ///
-/// The result is built by committing one [`WriteBatch`] of the right
-/// side's effective changes (puts *and* deletes) onto a copy-on-write
+/// When only one side moved since the base nothing is built: if `right` is
+/// still the base the result is `left` itself, and if `left` is still the
+/// base it is a **fast-forward** — `left` re-rooted at `right`'s tree, whose
+/// pages already exist, with the counts of the one `base.diff(right)`.
+/// Otherwise the result is built by committing one [`WriteBatch`] of the
+/// right side's effective changes (puts *and* deletes) onto a copy-on-write
 /// snapshot of `left`, so a merge still costs O(δ) and one version.
 pub fn merge_with_base<I: SiriIndex>(
     base: &I,
@@ -193,6 +197,29 @@ pub fn merge_with_base<I: SiriIndex>(
     strategy: MergeStrategy,
 ) -> Result<MergeOutcome<I>> {
     use std::collections::BTreeMap;
+    if right.root() == base.root() {
+        return Ok(MergeOutcome {
+            merged: left.clone(),
+            added_from_right: 0,
+            removed_by_right: 0,
+            conflicts_resolved: 0,
+        });
+    }
+    let right_changes = base.diff(right)?;
+    // Fast-forward only onto a tree `left`'s store can read, and never for
+    // the ablation whose versions must not share pages.
+    if left.root() == base.root()
+        && left.recursively_identical()
+        && left.store().contains(&right.root())
+    {
+        let added_from_right = right_changes.iter().filter(|d| d.right.is_some()).count();
+        return Ok(MergeOutcome {
+            merged: left.at_root(right.root()),
+            added_from_right,
+            removed_by_right: right_changes.len() - added_from_right,
+            conflicts_resolved: 0,
+        });
+    }
     // For each changed key, the side's *final* state: Some(v) = added or
     // edited to v, None = deleted (diff is against base, so `d.right` is
     // the side's value and its absence means the side dropped the key).
@@ -205,7 +232,7 @@ pub fn merge_with_base<I: SiriIndex>(
     let mut removed_by_right = 0usize;
     let mut conflicts_resolved = 0usize;
 
-    for d in base.diff(right)? {
+    for d in right_changes {
         let right_final = d.right;
         match left_changes.get(&d.key) {
             // Untouched on the left: the right side's change applies.

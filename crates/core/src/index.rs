@@ -5,6 +5,7 @@
 //! deduplication metrics.
 
 use std::ops::Bound;
+use std::time::Instant;
 
 use bytes::Bytes;
 
@@ -38,6 +39,98 @@ pub struct LookupTrace {
     pub cache_hits: u32,
     /// Path nodes that had to be fetched from the store and decoded.
     pub cache_misses: u32,
+}
+
+/// What a point-lookup descent reports while it runs. Each structure
+/// writes its descent once ([`SiriIndex::lookup`]), generic over this:
+/// [`SiriIndex::get`] passes `()`, whose calls compile to nothing — a plain
+/// lookup reads no clock and counts nothing — and [`SiriIndex::get_traced`]
+/// passes a [`TimedTrace`].
+pub trait LookupTracer {
+    /// One more path node was needed; `cached` when the decoded-node cache
+    /// served it.
+    fn node(&mut self, cached: bool);
+    /// The path is loaded, or the miss is decided: "load time" ends here.
+    fn loaded(&mut self);
+    /// One entry of the final leaf/bucket was examined.
+    fn probe(&mut self);
+    /// The search inside the leaf/bucket is over: "scan time" ends here.
+    fn searched(&mut self);
+}
+
+impl LookupTracer for () {
+    #[inline(always)]
+    fn node(&mut self, _cached: bool) {}
+    #[inline(always)]
+    fn loaded(&mut self) {}
+    #[inline(always)]
+    fn probe(&mut self) {}
+    #[inline(always)]
+    fn searched(&mut self) {}
+}
+
+/// The [`LookupTracer`] that fills a [`LookupTrace`], clock reads included.
+pub struct TimedTrace {
+    trace: LookupTrace,
+    /// Start of the phase being timed: the descent, then the leaf search.
+    since: Instant,
+}
+
+impl TimedTrace {
+    pub fn start() -> Self {
+        TimedTrace { trace: LookupTrace::default(), since: Instant::now() }
+    }
+
+    pub fn finish(self) -> LookupTrace {
+        self.trace
+    }
+}
+
+impl LookupTracer for TimedTrace {
+    fn node(&mut self, cached: bool) {
+        self.trace.pages_loaded += 1;
+        self.trace.height += 1;
+        if cached {
+            self.trace.cache_hits += 1;
+        } else {
+            self.trace.cache_misses += 1;
+        }
+    }
+
+    fn loaded(&mut self) {
+        let now = Instant::now();
+        self.trace.load_nanos = (now - self.since).as_nanos() as u64;
+        self.since = now;
+    }
+
+    fn probe(&mut self) {
+        self.trace.leaf_entries_scanned += 1;
+    }
+
+    fn searched(&mut self) {
+        self.trace.scan_nanos = self.since.elapsed().as_nanos() as u64;
+    }
+}
+
+/// Binary search of a sorted leaf/bucket for `key`, reporting each probed
+/// entry — the last step of the POS-Tree, MBT and MVMB+ lookups.
+pub fn search_entries(entries: &[Entry], key: &[u8], t: &mut impl LookupTracer) -> Option<Bytes> {
+    let (mut lo, mut hi) = (0usize, entries.len());
+    let mut found = None;
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        t.probe();
+        match entries[mid].key.as_ref().cmp(key) {
+            std::cmp::Ordering::Equal => {
+                found = Some(entries[mid].value.clone());
+                break;
+            }
+            std::cmp::Ordering::Less => lo = mid + 1,
+            std::cmp::Ordering::Greater => hi = mid,
+        }
+    }
+    t.searched();
+    found
 }
 
 /// The SIRI index interface (paper §3, §4).
@@ -95,11 +188,30 @@ pub trait SiriIndex: Clone + Send + Sync {
     /// so re-rooting keeps the cache warm.
     fn at_root(&self, root: Hash) -> Self;
 
-    /// Point lookup.
-    fn get(&self, key: &[u8]) -> Result<Option<Bytes>>;
+    /// Whether versions of this index share their unchanged pages
+    /// (*Recursively Identical*, Def. 3.1-2) — true of all four structures.
+    /// Only POS-Tree's §5.5.2 ablation answers false: its versions must
+    /// share nothing, so a merge may not adopt another version's tree.
+    fn recursively_identical(&self) -> bool {
+        true
+    }
+
+    /// The point-lookup descent, reporting to `tracer` as it goes — the one
+    /// implementation behind [`SiriIndex::get`] and
+    /// [`SiriIndex::get_traced`].
+    fn lookup(&self, key: &[u8], tracer: &mut impl LookupTracer) -> Result<Option<Bytes>>;
+
+    /// Point lookup. Reads no clock and counts nothing.
+    fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
+        self.lookup(key, &mut ())
+    }
 
     /// Point lookup with instrumentation (Figures 9 and 13).
-    fn get_traced(&self, key: &[u8]) -> Result<(Option<Bytes>, LookupTrace)>;
+    fn get_traced(&self, key: &[u8]) -> Result<(Option<Bytes>, LookupTrace)> {
+        let mut trace = TimedTrace::start();
+        let found = self.lookup(key, &mut trace)?;
+        Ok((found, trace.finish()))
+    }
 
     /// Apply a [`WriteBatch`] of puts and deletes atomically in one
     /// copy-on-write pass, returning the new root digest. Operations on the

@@ -46,7 +46,7 @@ pub use diff::{
 };
 pub use entry::Entry;
 pub use error::{IndexError, Result};
-pub use index::{LookupTrace, SiriIndex};
+pub use index::{search_entries, LookupTrace, LookupTracer, SiriIndex, TimedTrace};
 pub use proof::{Proof, ProofVerdict, MAX_PROOF_PAGES};
 pub use session::Session;
 pub use shard::{chain_cursors, ShardCommit, ShardManifest, ShardRouter, MANIFEST_MAGIC};

@@ -119,7 +119,7 @@ impl<I: SiriIndex> VersionStore<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DiffEntry, Entry, EntryCursor, LookupTrace, Proof, ProofVerdict, WriteBatch};
+    use crate::{DiffEntry, Entry, EntryCursor, Proof, ProofVerdict, WriteBatch};
     use bytes::Bytes;
     use siri_crypto::{sha256, Hash};
     use siri_store::{MemStore, PageSet, SharedStore};
@@ -165,11 +165,12 @@ mod tests {
             // tests only re-root to the current head, so a clone suffices.
             self.clone()
         }
-        fn get(&self, key: &[u8]) -> crate::Result<Option<Bytes>> {
+        fn lookup(
+            &self,
+            key: &[u8],
+            _: &mut impl crate::LookupTracer,
+        ) -> crate::Result<Option<Bytes>> {
             Ok(self.map.get(key).cloned())
-        }
-        fn get_traced(&self, key: &[u8]) -> crate::Result<(Option<Bytes>, LookupTrace)> {
-            Ok((self.map.get(key).cloned(), LookupTrace::default()))
         }
         fn commit(&mut self, batch: WriteBatch) -> crate::Result<Hash> {
             for op in batch.normalize() {

@@ -26,13 +26,12 @@ mod topology;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
 use siri_core::{
-    apply_ops, diff_sorted_entries, entry_codec, own_bound, BatchOp, DiffEntry, Entry, EntryCursor,
-    IndexError, LookupTrace, Proof, ProofVerdict, Result, SiriIndex, StructureReport,
-    StructureStats, WriteBatch,
+    apply_ops, diff_sorted_entries, entry_codec, own_bound, search_entries, BatchOp, DiffEntry,
+    Entry, EntryCursor, IndexError, LookupTracer, Proof, ProofVerdict, Result, SiriIndex,
+    StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::{FxHashMap, Hash};
 use siri_store::{
@@ -59,13 +58,6 @@ pub struct MerkleBucketTree {
     topo: Topology,
     root: Hash,
     cache: Arc<NodeCache<Node>>,
-}
-
-/// A decoded root→bucket path plus the cache traffic loading it caused.
-struct LoadedPath {
-    nodes: Vec<(Hash, Arc<Node>)>,
-    cache_hits: u32,
-    cache_misses: u32,
 }
 
 impl MerkleBucketTree {
@@ -195,29 +187,28 @@ impl MerkleBucketTree {
         Ok((node, cached))
     }
 
-    /// Decoded nodes along the root→bucket path.
-    fn load_path(&self, bucket: usize) -> Result<LoadedPath> {
+    /// Decoded nodes along the root→bucket path, each reported to `t`.
+    fn load_path(
+        &self,
+        bucket: usize,
+        t: &mut impl LookupTracer,
+    ) -> Result<Vec<(Hash, Arc<Node>)>> {
         let path = self.topo.path_to_bucket(bucket);
-        let mut out =
-            LoadedPath { nodes: Vec::with_capacity(path.len()), cache_hits: 0, cache_misses: 0 };
+        let mut nodes = Vec::with_capacity(path.len());
         let mut hash = self.root;
         for (i, id) in path.iter().enumerate() {
             let (node, cached) = self.fetch_at(*id, &hash)?;
-            if cached {
-                out.cache_hits += 1;
-            } else {
-                out.cache_misses += 1;
-            }
+            t.node(cached);
             let next = match (&*node, path.get(i + 1)) {
                 (Node::Internal { children, .. }, Some(child)) => *children
                     .get(self.topo.slot_in_parent(*child))
                     .ok_or(IndexError::CorruptStructure("path slot out of range"))?,
                 _ => hash,
             };
-            out.nodes.push((hash, node));
+            nodes.push((hash, node));
             hash = next;
         }
-        Ok(out)
+        Ok(nodes)
     }
 
     /// Every decoded bucket node in bucket order, shared out of the node
@@ -243,7 +234,7 @@ impl MerkleBucketTree {
 
     /// Entries of one bucket by index (copied; write path only).
     fn bucket_entries(&self, bucket: usize) -> Result<Vec<Entry>> {
-        match self.load_path(bucket)?.nodes.last().map(|(_, node)| &**node) {
+        match self.load_path(bucket, &mut ())?.last().map(|(_, node)| &**node) {
             Some(Node::Bucket { entries, .. }) => Ok(entries.clone()),
             _ => Err(IndexError::CorruptStructure("path did not end in a bucket")),
         }
@@ -328,45 +319,16 @@ impl SiriIndex for MerkleBucketTree {
         handle
     }
 
-    fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        // Through get_traced: it searches the bucket by reference out of
-        // the cached Arc<Node> instead of cloning the entry Vec.
-        Ok(self.get_traced(key)?.0)
-    }
-
-    fn get_traced(&self, key: &[u8]) -> Result<(Option<Bytes>, LookupTrace)> {
-        let mut trace = LookupTrace::default();
-        let load_start = Instant::now();
-        let path = self.load_path(self.topo.bucket_of(key))?;
-        trace.load_nanos = load_start.elapsed().as_nanos() as u64;
-        trace.pages_loaded = path.nodes.len() as u32;
-        trace.height = path.nodes.len() as u32;
-        trace.cache_hits = path.cache_hits;
-        trace.cache_misses = path.cache_misses;
-
-        let entries = match &*path.nodes.last().expect("non-empty path").1 {
-            Node::Bucket { entries, .. } => entries,
-            _ => return Err(IndexError::CorruptStructure("path did not end in a bucket")),
-        };
-        let scan_start = Instant::now();
-        // Manual binary search so we can count probed entries (Fig. 13's
-        // "scan time" companion metric).
-        let (mut lo, mut hi) = (0usize, entries.len());
-        let mut found = None;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            trace.leaf_entries_scanned += 1;
-            match entries[mid].key.as_ref().cmp(key) {
-                std::cmp::Ordering::Equal => {
-                    found = Some(entries[mid].value.clone());
-                    break;
-                }
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-            }
+    /// The point lookup behind `get` and `get_traced`: load the key's
+    /// bucket path, then search the bucket by reference out of the cached
+    /// `Arc<Node>`.
+    fn lookup(&self, key: &[u8], t: &mut impl LookupTracer) -> Result<Option<Bytes>> {
+        let path = self.load_path(self.topo.bucket_of(key), t)?;
+        t.loaded();
+        match &*path.last().expect("non-empty path").1 {
+            Node::Bucket { entries, .. } => Ok(search_entries(entries, key, t)),
+            _ => Err(IndexError::CorruptStructure("path did not end in a bucket")),
         }
-        trace.scan_nanos = scan_start.elapsed().as_nanos() as u64;
-        Ok((found, trace))
     }
 
     fn commit(&mut self, batch: WriteBatch) -> Result<Hash> {
@@ -419,9 +381,9 @@ impl SiriIndex for MerkleBucketTree {
                 let id = (level, parent);
                 // Load the old parent via the path of its leftmost bucket.
                 let leftmost_bucket = parent * self.topo.fanout().pow(level as u32);
-                let path = self.load_path(leftmost_bucket.min(self.topo.buckets() - 1))?;
+                let path = self.load_path(leftmost_bucket.min(self.topo.buckets() - 1), &mut ())?;
                 let depth_from_root = self.topo.height() - 1 - level;
-                let (_, old_node) = &path.nodes[depth_from_root];
+                let (_, old_node) = &path[depth_from_root];
                 let mut children = match &**old_node {
                     Node::Internal { children, .. } => children.clone(),
                     Node::Bucket { .. } => {

@@ -28,11 +28,10 @@ mod proof;
 
 use std::ops::Bound;
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
 use siri_core::{
-    own_bound, DiffEntry, EntryCursor, IndexError, LookupTrace, Proof, ProofVerdict, Result,
+    own_bound, DiffEntry, EntryCursor, IndexError, LookupTracer, Proof, ProofVerdict, Result,
     SiriIndex, StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::Hash;
@@ -170,61 +169,44 @@ impl SiriIndex for MerklePatriciaTrie {
         handle
     }
 
-    fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        Ok(self.get_traced(key)?.0)
-    }
-
-    fn get_traced(&self, key: &[u8]) -> Result<(Option<Bytes>, LookupTrace)> {
-        let mut trace = LookupTrace::default();
+    fn lookup(&self, key: &[u8], t: &mut impl LookupTracer) -> Result<Option<Bytes>> {
         if self.root.is_zero() {
-            return Ok((None, trace));
+            return Ok(None);
         }
         let nibbles = Nibbles::from_key(key);
         let mut offset = 0usize;
         let mut hash = self.root;
-        let started = Instant::now();
-        loop {
+        let found = loop {
             let (node, cached) = self.fetch_traced(&hash)?;
-            trace.pages_loaded += 1;
-            trace.height += 1;
-            if cached {
-                trace.cache_hits += 1;
-            } else {
-                trace.cache_misses += 1;
-            }
+            t.node(cached);
             match &*node {
                 Node::Leaf { path, value } => {
-                    trace.load_nanos = started.elapsed().as_nanos() as u64;
-                    trace.leaf_entries_scanned = 1;
-                    let rest = nibbles.suffix(offset);
-                    return Ok(((rest == *path).then(|| value.clone()), trace));
+                    t.probe();
+                    break (nibbles.suffix(offset) == *path).then(|| value.clone());
                 }
                 Node::Extension { path, child } => {
                     if !nibbles.suffix(offset).starts_with(path) {
-                        trace.load_nanos = started.elapsed().as_nanos() as u64;
-                        return Ok((None, trace));
+                        break None;
                     }
                     offset += path.len();
                     hash = *child;
                 }
                 Node::Branch { children, value } => {
                     if offset == nibbles.len() {
-                        trace.load_nanos = started.elapsed().as_nanos() as u64;
-                        return Ok((value.clone(), trace));
+                        break value.clone();
                     }
                     match children[nibbles.at(offset) as usize] {
                         Some(child) => {
                             offset += 1;
                             hash = child;
                         }
-                        None => {
-                            trace.load_nanos = started.elapsed().as_nanos() as u64;
-                            return Ok((None, trace));
-                        }
+                        None => break None,
                     }
                 }
             }
-        }
+        };
+        t.loaded();
+        Ok(found)
     }
 
     fn commit(&mut self, batch: WriteBatch) -> Result<Hash> {

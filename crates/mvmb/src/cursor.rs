@@ -177,6 +177,11 @@ impl Iterator for RangeCursor {
                 return None;
             }
             let skipped = before_start(&self.start, &entry.key);
+            if !skipped {
+                // Entries arrive in key order: once one is inside the start
+                // bound every later one is, so stop comparing against it.
+                self.start = Bound::Unbounded;
+            }
             self.leaf_idx += 1;
             if self.leaf_idx >= self.leaf_entries().len() {
                 if let Err(e) = self.next_leaf() {

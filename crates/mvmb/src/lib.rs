@@ -23,12 +23,12 @@ mod proof;
 
 use std::ops::Bound;
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
 use siri_core::{
-    apply_ops, own_bound, BatchOp, DiffEntry, Entry, EntryCursor, IndexError, LookupTrace, Proof,
-    ProofVerdict, Result, SiriIndex, StructureReport, StructureStats, WriteBatch,
+    apply_ops, own_bound, search_entries, BatchOp, DiffEntry, Entry, EntryCursor, IndexError,
+    LookupTracer, Proof, ProofVerdict, Result, SiriIndex, StructureReport, StructureStats,
+    WriteBatch,
 };
 use siri_crypto::{FxHashSet, Hash};
 use siri_store::{
@@ -269,53 +269,25 @@ impl SiriIndex for MvmbTree {
         handle
     }
 
-    fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        Ok(self.get_traced(key)?.0)
-    }
-
-    fn get_traced(&self, key: &[u8]) -> Result<(Option<Bytes>, LookupTrace)> {
-        let mut trace = LookupTrace::default();
+    fn lookup(&self, key: &[u8], t: &mut impl LookupTracer) -> Result<Option<Bytes>> {
         if self.root.is_zero() {
-            return Ok((None, trace));
+            return Ok(None);
         }
         let mut hash = self.root;
-        let load_start = Instant::now();
         loop {
             let (node, cached) = self.fetch_traced(&hash)?;
-            trace.pages_loaded += 1;
-            trace.height += 1;
-            if cached {
-                trace.cache_hits += 1;
-            } else {
-                trace.cache_misses += 1;
-            }
+            t.node(cached);
             match &*node {
                 Node::Internal(children) => {
                     if key > children.last().expect("non-empty").max_key.as_ref() {
-                        trace.load_nanos = load_start.elapsed().as_nanos() as u64;
-                        return Ok((None, trace));
+                        t.loaded();
+                        return Ok(None);
                     }
                     hash = children[route(children, key)].child;
                 }
                 Node::Leaf(entries) => {
-                    trace.load_nanos = load_start.elapsed().as_nanos() as u64;
-                    let scan_start = Instant::now();
-                    let (mut lo, mut hi) = (0usize, entries.len());
-                    let mut found = None;
-                    while lo < hi {
-                        let mid = lo + (hi - lo) / 2;
-                        trace.leaf_entries_scanned += 1;
-                        match entries[mid].key.as_ref().cmp(key) {
-                            std::cmp::Ordering::Equal => {
-                                found = Some(entries[mid].value.clone());
-                                break;
-                            }
-                            std::cmp::Ordering::Less => lo = mid + 1,
-                            std::cmp::Ordering::Greater => hi = mid,
-                        }
-                    }
-                    trace.scan_nanos = scan_start.elapsed().as_nanos() as u64;
-                    return Ok((found, trace));
+                    t.loaded();
+                    return Ok(search_entries(entries, key, t));
                 }
             }
         }

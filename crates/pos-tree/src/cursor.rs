@@ -1,5 +1,5 @@
-//! In-order cursor over a POS-Tree — the engine behind scans, bounded
-//! range reads and the subtree-skipping diff.
+//! In-order cursor over a POS-Tree — the engine behind scans and bounded
+//! range reads.
 
 use std::ops::Bound;
 use std::sync::Arc;
@@ -25,8 +25,7 @@ impl Frame {
     }
 }
 
-/// Iterates entries in key order while exposing the node boundaries the
-/// current position sits on, so callers can skip whole shared subtrees.
+/// Iterates entries in key order.
 ///
 /// Nodes are held as `Arc`s straight out of the tree's decoded-node cache
 /// (when one is supplied): advancing across a leaf boundary on a warm
@@ -37,8 +36,6 @@ pub struct Cursor {
     /// Internal-node frames from the root down; empty when the root is a
     /// leaf.
     stack: Vec<Frame>,
-    /// Hash of the leaf currently being read.
-    leaf_hash: Hash,
     /// The current leaf node; `None` before the first descent / when done.
     leaf: Option<Arc<Node>>,
     leaf_idx: usize,
@@ -62,7 +59,6 @@ impl Cursor {
             store,
             cache,
             stack: Vec::new(),
-            leaf_hash: Hash::ZERO,
             leaf: None,
             leaf_idx: 0,
             done: root.is_zero(),
@@ -99,7 +95,6 @@ impl Cursor {
                     if entries.is_empty() {
                         return Err(IndexError::CorruptStructure("empty stored leaf"));
                     }
-                    self.leaf_hash = hash;
                     self.leaf = Some(node);
                     self.leaf_idx = 0;
                     return Ok(());
@@ -148,67 +143,6 @@ impl Cursor {
         }
     }
 
-    /// Hashes of every node whose *first* entry is the current position,
-    /// innermost (leaf) first. Non-empty only at leaf starts.
-    pub fn start_hashes(&self) -> Vec<Hash> {
-        let mut out = Vec::new();
-        if self.done || self.leaf_idx != 0 {
-            return out;
-        }
-        out.push(self.leaf_hash);
-        // Walking outward, the node at depth i starts here iff every deeper
-        // frame sits on its first child. (The root itself is excluded:
-        // callers compare roots before cursoring.)
-        for i in (1..self.stack.len()).rev() {
-            if self.stack[i].idx != 0 {
-                break;
-            }
-            let f = &self.stack[i - 1];
-            out.push(f.children()[f.idx].hash);
-        }
-        out
-    }
-
-    /// Skip the subtree whose root has `hash`, which must be one of
-    /// [`Cursor::start_hashes`]. Positions the cursor at the first entry
-    /// after that subtree.
-    pub fn skip_subtree(&mut self, hash: Hash) -> Result<()> {
-        debug_assert!(!self.done);
-        if self.leaf_hash == hash {
-            self.move_to_next_leaf()?;
-            return Ok(());
-        }
-        // Find the frame whose current child is the subtree.
-        let Some(depth) = self.stack.iter().position(|f| f.children()[f.idx].hash == hash) else {
-            return Err(IndexError::CorruptStructure("skip target not on cursor path"));
-        };
-        self.stack.truncate(depth + 1);
-        let frame = self.stack.last_mut().expect("non-empty");
-        frame.idx += 1;
-        if frame.idx < frame.children().len() {
-            let next = frame.children()[frame.idx].hash;
-            self.descend_to_first_leaf(next)
-        } else {
-            self.stack.pop();
-            self.move_up_and_descend()
-        }
-    }
-
-    fn move_up_and_descend(&mut self) -> Result<()> {
-        loop {
-            let Some(frame) = self.stack.last_mut() else {
-                self.done = true;
-                return Ok(());
-            };
-            frame.idx += 1;
-            if frame.idx < frame.children().len() {
-                let hash = frame.children()[frame.idx].hash;
-                return self.descend_to_first_leaf(hash);
-            }
-            self.stack.pop();
-        }
-    }
-
     pub fn is_done(&self) -> bool {
         self.done
     }
@@ -230,7 +164,6 @@ impl Cursor {
             store,
             cache,
             stack: Vec::new(),
-            leaf_hash: Hash::ZERO,
             leaf: None,
             leaf_idx: 0,
             done: root.is_zero(),
@@ -247,7 +180,6 @@ impl Cursor {
                         return Err(IndexError::CorruptStructure("empty stored leaf"));
                     }
                     let idx = entries.partition_point(|e| e.key.as_ref() < key);
-                    c.leaf_hash = hash;
                     c.leaf = Some(node.clone());
                     c.leaf_idx = idx;
                     if c.leaf_idx >= c.leaf_entries().len() {
@@ -308,6 +240,11 @@ impl Iterator for RangeIter {
                 return None;
             }
             let skipped = before_start(&self.start, &entry.key);
+            if !skipped {
+                // Entries arrive in key order: once one is inside the start
+                // bound every later one is, so stop comparing against it.
+                self.start = Bound::Unbounded;
+            }
             if let Err(e) = self.cursor.advance() {
                 if skipped {
                     self.done = true;
@@ -380,43 +317,5 @@ mod tests {
         let c = Cursor::new(store, Hash::ZERO).unwrap();
         assert!(c.peek().is_none());
         assert!(c.is_done());
-    }
-
-    #[test]
-    fn start_hashes_at_boundaries() {
-        let store = MemStore::new_shared();
-        let es = entries(2500);
-        let root = build_from_entries(&store, &PosParams::default(), 0, &es).unwrap().unwrap();
-        let mut c = Cursor::new(store.clone(), root.hash).unwrap();
-        // At position 0 the leaf (and possibly enclosing nodes) start here.
-        let starts = c.start_hashes();
-        assert!(!starts.is_empty());
-        c.advance().unwrap();
-        assert!(c.start_hashes().is_empty(), "mid-leaf positions are not starts");
-    }
-
-    #[test]
-    fn skip_subtree_jumps_exactly_past_it() {
-        let store = MemStore::new_shared();
-        let es = entries(2500);
-        let root = build_from_entries(&store, &PosParams::default(), 0, &es).unwrap().unwrap();
-        // Reference iteration to know leaf extents.
-        let mut reference = Cursor::new(store.clone(), root.hash).unwrap();
-        let leaf_hash = reference.start_hashes()[0];
-        let mut leaf_len = 0;
-        while reference.peek().is_some() {
-            if reference.start_hashes().first() == Some(&leaf_hash) && leaf_len > 0 {
-                break;
-            }
-            leaf_len += 1;
-            reference.advance().unwrap();
-            if !reference.start_hashes().is_empty() {
-                break; // reached the next leaf start
-            }
-        }
-        // Now skip that first leaf with a fresh cursor and compare.
-        let mut c = Cursor::new(store.clone(), root.hash).unwrap();
-        c.skip_subtree(leaf_hash).unwrap();
-        assert_eq!(c.peek().map(|e| e.key.clone()), Some(es[leaf_len].key.clone()));
     }
 }

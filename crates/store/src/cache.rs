@@ -316,11 +316,17 @@ pub struct NodeCache<N> {
     lru: ShardedLru<Arc<N>>,
 }
 
-/// Default per-index decoded-node budget. At the paper's ≈1 KB node size
-/// this is ≈8 MB of pages kept alive per index family — comfortably more
-/// than the working set of a point-lookup benchmark, small enough to
-/// evict under scan-heavy churn.
-pub const DEFAULT_NODE_CACHE_CAPACITY: usize = 8192;
+/// Default per-lineage decoded-node budget, sized to hold a **live tree
+/// plus a few cycles of version churn**: the collaboration and mixed
+/// workloads keep 8–12k nodes reachable from their heads, and every
+/// fork/commit/merge cycle decodes a few thousand more that are dead a cycle
+/// later. A budget just below the live tree (the former 8,192) only looked
+/// sufficient while diff and merge re-walked — and so re-warmed — every leaf
+/// before the reads that follow; with δ-cost walks the reads found half
+/// their leaves evicted (DESIGN.md §3). The bound is in nodes, so the bytes
+/// kept alive depend on the structure: at most ≈45 MB of 1.25 KB POS-Tree
+/// pages, ≈12 MB of 354 B MPT nodes.
+pub const DEFAULT_NODE_CACHE_CAPACITY: usize = 32_768;
 
 impl<N> NodeCache<N> {
     pub fn new(capacity: usize) -> Self {

@@ -174,3 +174,28 @@ fn copy_on_write_preserves_arbitrary_version_history() {
     check!(MbtFactory { buckets: 64, fanout: 4 });
     check!(MvmbFactory(MvmbParams::default()));
 }
+
+/// An exclusive start bound on every stored key in turn — so on the first
+/// and the last key of every leaf or bucket too — yields exactly the keys
+/// after it: the cursors drop the start bound once one entry is inside it.
+#[test]
+fn exclusive_start_at_every_key_including_leaf_edges() {
+    use std::ops::Bound;
+    let mut sorted = dataset(600);
+    sorted.sort();
+    fn check<I: SiriIndex>(idx: &I, sorted: &[Entry]) {
+        for (i, e) in sorted.iter().enumerate() {
+            let got: Vec<Entry> = idx
+                .range(Bound::Excluded(&e.key), Bound::Unbounded)
+                .take(3)
+                .collect::<siri::Result<_>>()
+                .unwrap();
+            let want = &sorted[i + 1..sorted.len().min(i + 4)];
+            assert_eq!(got, want, "{} after key #{i}", idx.kind());
+        }
+    }
+    check(&build(&PosFactory(PosParams::default().with_node_bytes(256)), &sorted), &sorted);
+    check(&build(&MptFactory, &sorted), &sorted);
+    check(&build(&MbtFactory { buckets: 16, fanout: 4 }, &sorted), &sorted);
+    check(&build(&MvmbFactory(MvmbParams::default()), &sorted), &sorted);
+}
