@@ -9,12 +9,16 @@
 //!
 //! `RANGE_SCAN_N` overrides the dataset size (CI smoke-runs use a small
 //! value so the bench executes on every push without burning minutes).
+//!
+//! It also asserts what it measures: every window yields exactly `WINDOW`
+//! entries, and on the two ordered trees one cold-cache window costs a
+//! descent plus its own leaves ([`assert_cold_window_cost`]).
 
 use std::ops::Bound;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use siri::workloads::YcsbConfig;
-use siri::SiriIndex;
+use siri::{SiriIndex, StructureStats};
 use siri_bench::harness::{
     load_batched, mbt_factory, mpt_factory, mvmb_factory, pos_factory, IndexCfg,
 };
@@ -26,6 +30,25 @@ fn dataset_size() -> usize {
     let n = std::env::var("RANGE_SCAN_N").ok().and_then(|v| v.parse().ok()).unwrap_or(100_000);
     // The window-start rotation needs room past the window.
     n.max(WINDOW * 2)
+}
+
+/// One window read with no node cache must cost a descent plus the leaves
+/// under the window — at most `2 × height + WINDOW` store gets, however few
+/// entries a leaf holds — not a walk of the tree (≈ 5× that at
+/// `RANGE_SCAN_N=2000`). Guards the shared ordered-tree cursor against
+/// turning into one that is correct but reads too much.
+fn assert_cold_window_cost<I: SiriIndex + StructureStats>(name: &str, idx: &I, window: [&[u8]; 2]) {
+    let height = idx.structure_stats().expect("structure_stats failed").height as usize;
+    let cold = idx.with_store(idx.store().clone());
+    let before = idx.store().stats().gets;
+    let streamed = cold.range(Bound::Included(window[0]), Bound::Excluded(window[1])).count();
+    let gets = (idx.store().stats().gets - before) as usize;
+    let budget = 2 * height + WINDOW;
+    println!(
+        "range_scan/{name}: cold window of {streamed} entries = {gets} store gets \
+         (budget {budget}, height {height})"
+    );
+    assert!(gets <= budget, "{name}: a {WINDOW}-entry window read {gets} pages");
 }
 
 fn bench_range_scan(c: &mut Criterion) {
@@ -40,6 +63,13 @@ fn bench_range_scan(c: &mut Criterion) {
     macro_rules! bench_index {
         ($group:expr, $name:expr, $factory:expr, $cursor:expr) => {{
             let (idx, _) = load_batched(&$factory, &data, 10_000);
+            if $cursor && matches!($name, "pos-tree" | "mvmb+") {
+                assert_cold_window_cost(
+                    $name,
+                    &idx,
+                    [&sorted_keys[n / 2], &sorted_keys[n / 2 + WINDOW]],
+                );
+            }
             let mut w = 0usize;
             $group.bench_function(BenchmarkId::from_parameter($name), |b| {
                 b.iter(|| {
@@ -60,7 +90,7 @@ fn bench_range_scan(c: &mut Criterion) {
                             .filter(|e| e.key >= *start && e.key < *end)
                             .count()
                     };
-                    std::hint::black_box(streamed);
+                    assert_eq!(streamed, WINDOW, "{}: window at rank {w}", $name);
                 })
             });
         }};

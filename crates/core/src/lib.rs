@@ -8,6 +8,9 @@
 //! * [`Entry`]/[`entry_codec`] — the canonical record representation shared
 //!   by leaf codecs;
 //! * [`Proof`] — Merkle proofs and the tamper-evidence contract;
+//! * [`PageReader`] — the one place a content address becomes a decoded
+//!   node, and [`ordered`] — the lookup and range cursor POS-Tree and
+//!   MVMB+ share;
 //! * [`metrics`] — the deduplication ratio η(S) of §4.2 and the node
 //!   sharing ratio of §5.4.2;
 //! * [`merge`] — two-way, conflict-aware merge built on structural diff
@@ -25,6 +28,7 @@ mod entry;
 mod error;
 mod index;
 mod proof;
+mod reader;
 mod session;
 mod shard;
 mod structure;
@@ -34,6 +38,7 @@ mod version;
 pub mod cost_model;
 pub mod entry_codec;
 pub mod metrics;
+pub mod ordered;
 pub mod siri_properties;
 
 pub use batch::{apply_ops, BatchOp, CommitInfo, Op, WriteBatch};
@@ -48,6 +53,7 @@ pub use entry::Entry;
 pub use error::{IndexError, Result};
 pub use index::{search_entries, LookupTrace, LookupTracer, SiriIndex, TimedTrace};
 pub use proof::{Proof, ProofVerdict, MAX_PROOF_PAGES};
+pub use reader::{PageNode, PageReader};
 pub use session::Session;
 pub use shard::{chain_cursors, ShardCommit, ShardManifest, ShardRouter, MANIFEST_MAGIC};
 pub use structure::{StructureReport, StructureStats};

@@ -103,3 +103,46 @@ pub trait Session: Send + Sync {
     /// Verify with [`crate::verify_anchored_batch`].
     fn prove_batch(&self, branch: &str, keys: &[bytes::Bytes]) -> Result<(Hash, Proof)>;
 }
+
+/// A shared session is a session: whoever holds the `Arc` can hand it out
+/// as a `Box<dyn Session>` and keep the engine alive with it.
+impl<S: Session + ?Sized> Session for std::sync::Arc<S> {
+    fn commit(&self, branch: &str, batch: WriteBatch) -> Result<CommitInfo> {
+        (**self).commit(branch, batch)
+    }
+    fn get(&self, branch: &str, key: &[u8]) -> Result<Option<bytes::Bytes>> {
+        (**self).get(branch, key)
+    }
+    fn range(&self, branch: &str, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<EntryCursor> {
+        (**self).range(branch, start, end)
+    }
+    fn scan_prefix(&self, branch: &str, prefix: &[u8]) -> Result<EntryCursor> {
+        (**self).scan_prefix(branch, prefix)
+    }
+    fn fork(&self, from: &str, to: &str) -> Result<()> {
+        (**self).fork(from, to)
+    }
+    fn delete_branch(&self, branch: &str) -> Result<()> {
+        (**self).delete_branch(branch)
+    }
+    fn branches(&self) -> Result<Vec<String>> {
+        (**self).branches()
+    }
+    fn branch_digest(&self, branch: &str) -> Result<Hash> {
+        (**self).branch_digest(branch)
+    }
+    fn prove(&self, branch: &str, key: &[u8]) -> Result<(Hash, Proof)> {
+        (**self).prove(branch, key)
+    }
+    fn prove_range(
+        &self,
+        branch: &str,
+        start: Bound<&[u8]>,
+        end: Bound<&[u8]>,
+    ) -> Result<(Hash, Proof)> {
+        (**self).prove_range(branch, start, end)
+    }
+    fn prove_batch(&self, branch: &str, keys: &[bytes::Bytes]) -> Result<(Hash, Proof)> {
+        (**self).prove_batch(branch, keys)
+    }
+}

@@ -30,13 +30,11 @@ use std::sync::Arc;
 use bytes::Bytes;
 use siri_core::{
     apply_ops, diff_sorted_entries, entry_codec, own_bound, search_entries, BatchOp, DiffEntry,
-    Entry, EntryCursor, IndexError, LookupTracer, Proof, ProofVerdict, Result, SiriIndex,
-    StructureReport, StructureStats, WriteBatch,
+    Entry, EntryCursor, IndexError, LookupTracer, PageReader, Proof, ProofVerdict, Result,
+    SiriIndex, StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::{FxHashMap, Hash};
-use siri_store::{
-    reachable_pages, CacheStats, NodeCache, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY,
-};
+use siri_store::{reachable_pages, CacheStats, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY};
 
 pub use cursor::RangeCursor;
 pub use node::Node;
@@ -54,10 +52,9 @@ pub const DEFAULT_FANOUT: usize = 32;
 /// by *every* lookup and pin themselves at the LRU front.
 #[derive(Clone)]
 pub struct MerkleBucketTree {
-    store: SharedStore,
+    reader: PageReader<Node>,
     topo: Topology,
     root: Hash,
-    cache: Arc<NodeCache<Node>>,
 }
 
 impl MerkleBucketTree {
@@ -93,25 +90,16 @@ impl MerkleBucketTree {
             let hashes = store.try_put_many(&pages)?;
             level = slots.into_iter().map(|s| hashes[s]).collect();
         }
-        let root = level[0];
-        Ok(MerkleBucketTree {
-            store,
-            topo,
-            root,
-            cache: NodeCache::new_shared(DEFAULT_NODE_CACHE_CAPACITY),
-        })
+        let reader = PageReader::new(store, DEFAULT_NODE_CACHE_CAPACITY);
+        Ok(MerkleBucketTree { reader, topo, root: level[0] })
     }
 
     /// Re-open an existing version by root hash. The parameters must match
     /// those the tree was built with; they are validated against the root
     /// page on first access.
     pub fn open(store: SharedStore, buckets: usize, fanout: usize, root: Hash) -> Self {
-        MerkleBucketTree {
-            store,
-            topo: Topology::new(buckets, fanout),
-            root,
-            cache: NodeCache::new_shared(DEFAULT_NODE_CACHE_CAPACITY),
-        }
+        let reader = PageReader::new(store, DEFAULT_NODE_CACHE_CAPACITY);
+        MerkleBucketTree { reader, topo: Topology::new(buckets, fanout), root }
     }
 
     /// A cache-less reader at `root` over a bare page source — what proofs
@@ -119,13 +107,13 @@ impl MerkleBucketTree {
     /// the shape comes from the root page itself, which the caller's digest
     /// vouches for; [`Self::fetch_at`] holds every page below to it.
     pub(crate) fn reader(store: SharedStore, root: Hash) -> Result<Self> {
-        let page = store.try_get(&root)?.ok_or(IndexError::MissingPage(root))?;
-        let (buckets, fanout) = Node::decode_zc(&page)?.params();
+        let reader = PageReader::<Node>::new(store, 0);
+        let (buckets, fanout) = reader.load(&root)?.params();
         if buckets == 0 || fanout < 2 {
             return Err(IndexError::CorruptStructure("implausible parameters"));
         }
         let topo = Topology::new(buckets as usize, fanout as usize);
-        Ok(MerkleBucketTree { store, topo, root, cache: NodeCache::new_shared(0) })
+        Ok(MerkleBucketTree { reader, topo, root })
     }
 
     pub fn topology(&self) -> &Topology {
@@ -136,26 +124,13 @@ impl MerkleBucketTree {
     /// (0 disables caching — every fetch decodes). Benchmarks use this for
     /// cache-size sweeps; clones made *after* this call share the new cache.
     pub fn with_node_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = NodeCache::new_shared(capacity);
+        self.reader = PageReader::new(self.reader.store().clone(), capacity);
         self
     }
 
     /// Hit/miss/eviction counters of the shared decoded-node cache.
     pub fn node_cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    fn fetch(&self, hash: &Hash) -> Result<Arc<Node>> {
-        Ok(self.fetch_traced(hash)?.0)
-    }
-
-    /// Fetch a node through the cache; the flag reports whether it was a
-    /// cache hit (no store access, no decode).
-    fn fetch_traced(&self, hash: &Hash) -> Result<(Arc<Node>, bool)> {
-        self.cache.get_or_load(hash, || {
-            let page = self.store.try_get(hash)?.ok_or(IndexError::MissingPage(*hash))?;
-            Node::decode_zc(&page)
-        })
+        self.reader.cache_stats()
     }
 
     /// Fetch the node at topology position `id` and hold it to the
@@ -164,7 +139,7 @@ impl MerkleBucketTree {
     /// `open` parameters, a doctored proof) is an error, never a wrong
     /// answer.
     fn fetch_at(&self, id: topology::NodeId, hash: &Hash) -> Result<(Arc<Node>, bool)> {
-        let (node, cached) = self.fetch_traced(hash)?;
+        let (node, cached) = self.reader.fetch(hash)?;
         if node.params() != (self.topo.buckets() as u64, self.topo.fanout() as u64) {
             return Err(IndexError::CorruptStructure("parameter mismatch along path"));
         }
@@ -271,8 +246,8 @@ impl MerkleBucketTree {
             // nodes at the corresponding position", §5.3.2).
             return Ok(());
         }
-        let na = self.fetch(&ha)?;
-        let nb = other.fetch(&hb)?;
+        let na = self.reader.fetch(&ha)?.0;
+        let nb = other.reader.fetch(&hb)?.0;
         match (&*na, &*nb) {
             (Node::Internal { children: ca, .. }, Node::Internal { children: cb, .. }) => {
                 if ca.len() != cb.len() {
@@ -306,7 +281,7 @@ impl SiriIndex for MerkleBucketTree {
     }
 
     fn store(&self) -> &SharedStore {
-        &self.store
+        self.reader.store()
     }
 
     fn root(&self) -> Hash {
@@ -360,7 +335,7 @@ impl SiriIndex for MerkleBucketTree {
             let merged = apply_ops(&old, bucket_ops);
             bucket_pages.push(Node::Bucket { buckets: b, fanout: m, entries: merged }.encode());
         }
-        let hashes = self.store.try_put_many(&bucket_pages)?;
+        let hashes = self.store().try_put_many(&bucket_pages)?;
         for (bucket, h) in per_bucket.keys().zip(hashes) {
             changed.insert((0, *bucket), h);
         }
@@ -399,7 +374,7 @@ impl SiriIndex for MerkleBucketTree {
                 parent_pages.push(Node::Internal { buckets: b, fanout: m, children }.encode());
                 parent_ids.push(id);
             }
-            let hashes = self.store.try_put_many(&parent_pages)?;
+            let hashes = self.store().try_put_many(&parent_pages)?;
             for (id, h) in parent_ids.into_iter().zip(hashes) {
                 changed.insert(id, h);
             }
@@ -429,7 +404,7 @@ impl SiriIndex for MerkleBucketTree {
     }
 
     fn page_set(&self) -> PageSet {
-        reachable_pages(self.store.as_ref(), self.root, Node::children_of_page)
+        reachable_pages(self.store().as_ref(), self.root, Node::children_of_page)
     }
 
     fn diff(&self, other: &Self) -> Result<Vec<DiffEntry>> {
@@ -446,7 +421,7 @@ impl SiriIndex for MerkleBucketTree {
     }
 
     fn with_store(&self, store: SharedStore) -> Self {
-        MerkleBucketTree { store, cache: NodeCache::new_shared(0), ..self.clone() }
+        MerkleBucketTree { reader: PageReader::new(store, 0), ..self.clone() }
     }
 
     fn verify_proof(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {

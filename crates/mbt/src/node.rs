@@ -11,7 +11,7 @@
 //! from differently-parameterised MBTs can never be confused.
 
 use bytes::Bytes;
-use siri_core::{entry_codec, Entry, IndexError, Result};
+use siri_core::{entry_codec, Entry, IndexError, PageNode, Result};
 use siri_crypto::Hash;
 use siri_encoding::{ByteReader, ByteWriter, CodecError};
 
@@ -122,12 +122,22 @@ impl Node {
         }
     }
 
-    /// Child hashes referenced by a page — the store-walk decoder.
+    /// Child hashes referenced by a page — the store-walk decoder. A bucket
+    /// says so in its tag byte and is not decoded.
     pub fn children_of_page(page: &[u8]) -> Vec<Hash> {
+        if page.first() == Some(&TAG_BUCKET) {
+            return Vec::new();
+        }
         match Node::decode(page) {
             Ok(Node::Internal { children, .. }) => children,
             _ => Vec::new(),
         }
+    }
+}
+
+impl PageNode for Node {
+    fn decode_page(page: &Bytes) -> Result<Self> {
+        Node::decode_zc(page)
     }
 }
 

@@ -110,8 +110,8 @@ impl Iterator for RangeCursor {
                 }
                 Work::Node(hash, prefix) => (hash, prefix),
             };
-            let node = match self.trie.fetch(&hash) {
-                Ok(node) => node,
+            let node = match self.trie.reader.fetch(&hash) {
+                Ok((node, _)) => node,
                 Err(e) => {
                     self.done = true;
                     return Some(Err(e));

@@ -53,7 +53,7 @@ fn expand(trie: &MerklePatriciaTrie, cursor: Cursor) -> Result<(Option<Bytes>, S
         Cursor::Node { hash, .. } => {
             // Through the trie's node cache: diffing adjacent versions
             // re-visits the shared spine, which the cache serves for free.
-            match &*trie.fetch(&hash)? {
+            match &*trie.reader.fetch(&hash)?.0 {
                 Node::Leaf { path, value } => {
                     if path.is_empty() {
                         return Ok((Some(value.clone()), slots));

@@ -27,18 +27,15 @@ mod node;
 mod proof;
 
 use std::ops::Bound;
-use std::sync::Arc;
 
 use bytes::Bytes;
 use siri_core::{
-    own_bound, DiffEntry, EntryCursor, IndexError, LookupTracer, Proof, ProofVerdict, Result,
-    SiriIndex, StructureReport, StructureStats, WriteBatch,
+    own_bound, DiffEntry, EntryCursor, IndexError, LookupTracer, PageReader, Proof, ProofVerdict,
+    Result, SiriIndex, StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::Hash;
 use siri_encoding::Nibbles;
-use siri_store::{
-    reachable_pages, CacheStats, NodeCache, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY,
-};
+use siri_store::{reachable_pages, CacheStats, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY};
 
 pub use cursor::RangeCursor;
 pub use node::Node;
@@ -50,60 +47,38 @@ pub use proof::MptProofScheme;
 /// node forever, so snapshots and their successors warm each other.
 #[derive(Clone)]
 pub struct MerklePatriciaTrie {
-    store: SharedStore,
+    reader: PageReader<Node>,
     root: Hash,
-    cache: Arc<NodeCache<Node>>,
 }
 
 impl MerklePatriciaTrie {
     /// An empty trie (root = zero digest, the paper's *null* node).
     pub fn new(store: SharedStore) -> Self {
-        MerklePatriciaTrie {
-            store,
-            root: Hash::ZERO,
-            cache: NodeCache::new_shared(DEFAULT_NODE_CACHE_CAPACITY),
-        }
+        Self::open(store, Hash::ZERO)
     }
 
     /// Re-open an existing version by root digest.
     pub fn open(store: SharedStore, root: Hash) -> Self {
-        MerklePatriciaTrie {
-            store,
-            root,
-            cache: NodeCache::new_shared(DEFAULT_NODE_CACHE_CAPACITY),
-        }
+        MerklePatriciaTrie { reader: PageReader::new(store, DEFAULT_NODE_CACHE_CAPACITY), root }
     }
 
     /// A cache-less reader at `root` over a bare page source — what proofs
     /// are recorded and verified with (DESIGN.md §14).
     pub(crate) fn reader(store: SharedStore, root: Hash) -> Self {
-        MerklePatriciaTrie { store, root, cache: NodeCache::new_shared(0) }
+        MerklePatriciaTrie { reader: PageReader::new(store, 0), root }
     }
 
     /// Replace the node cache with one bounded to `capacity` decoded nodes
     /// (0 disables caching — every fetch decodes). Benchmarks use this for
     /// cache-size sweeps; clones made *after* this call share the new cache.
     pub fn with_node_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = NodeCache::new_shared(capacity);
+        self.reader = PageReader::new(self.reader.store().clone(), capacity);
         self
     }
 
     /// Hit/miss/eviction counters of the shared decoded-node cache.
     pub fn node_cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    pub(crate) fn fetch(&self, hash: &Hash) -> Result<Arc<Node>> {
-        Ok(self.fetch_traced(hash)?.0)
-    }
-
-    /// Fetch a node through the cache; the flag reports whether it was a
-    /// cache hit (no store access, no decode).
-    fn fetch_traced(&self, hash: &Hash) -> Result<(Arc<Node>, bool)> {
-        self.cache.get_or_load(hash, || {
-            let page = self.store.try_get(hash)?.ok_or(IndexError::MissingPage(*hash))?;
-            Node::decode_zc(&page)
-        })
+        self.reader.cache_stats()
     }
 
     /// Depth statistics over all leaf positions: (average, maximum), in
@@ -118,7 +93,7 @@ impl MerklePatriciaTrie {
         let mut max = 0u32;
         let mut stack: Vec<(Hash, u32)> = vec![(self.root, 1)];
         while let Some((h, depth)) = stack.pop() {
-            match &*self.fetch(&h)? {
+            match &*self.reader.fetch(&h)?.0 {
                 Node::Leaf { .. } => {
                     total += depth as u64;
                     count += 1;
@@ -156,7 +131,7 @@ impl SiriIndex for MerklePatriciaTrie {
     }
 
     fn store(&self) -> &SharedStore {
-        &self.store
+        self.reader.store()
     }
 
     fn root(&self) -> Hash {
@@ -177,7 +152,7 @@ impl SiriIndex for MerklePatriciaTrie {
         let mut offset = 0usize;
         let mut hash = self.root;
         let found = loop {
-            let (node, cached) = self.fetch_traced(&hash)?;
+            let (node, cached) = self.reader.fetch(&hash)?;
             t.node(cached);
             match &*node {
                 Node::Leaf { path, value } => {
@@ -227,7 +202,7 @@ impl SiriIndex for MerklePatriciaTrie {
             Some(overlay) => {
                 // One scratch buffer serves every node this commit encodes.
                 let mut scratch = siri_encoding::Scratch::new();
-                overlay.commit(&self.store, &mut scratch)?
+                overlay.commit(self.store(), &mut scratch)?
             }
             None => Hash::ZERO, // every record deleted
         };
@@ -239,7 +214,7 @@ impl SiriIndex for MerklePatriciaTrie {
     }
 
     fn page_set(&self) -> PageSet {
-        reachable_pages(self.store.as_ref(), self.root, Node::children_of_page)
+        reachable_pages(self.store().as_ref(), self.root, Node::children_of_page)
     }
 
     fn diff(&self, other: &Self) -> Result<Vec<DiffEntry>> {

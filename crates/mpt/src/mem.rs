@@ -48,7 +48,7 @@ impl MemNode {
     /// `Stored` stubs). Loads go through the trie's node cache, so batched
     /// updates re-walking a hot spine skip the store and the decode.
     fn load(trie: &MerklePatriciaTrie, hash: Hash) -> Result<MemNode> {
-        Ok(match &*trie.fetch(&hash)? {
+        Ok(match &*trie.reader.fetch(&hash)?.0 {
             Node::Branch { children, value } => {
                 let mut slots = empty_children();
                 for (i, c) in children.iter().enumerate() {

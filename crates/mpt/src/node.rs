@@ -14,7 +14,7 @@
 //! bytes are not inlined into their parents.
 
 use bytes::Bytes;
-use siri_core::{IndexError, Result};
+use siri_core::{IndexError, PageNode, Result};
 use siri_crypto::Hash;
 use siri_encoding::{rlp, Nibbles, RlpItem};
 
@@ -245,6 +245,12 @@ impl Node {
             Ok(Node::Extension { child, .. }) => vec![child],
             _ => Vec::new(),
         }
+    }
+}
+
+impl PageNode for Node {
+    fn decode_page(page: &Bytes) -> Result<Self> {
+        Node::decode_zc(page)
     }
 }
 

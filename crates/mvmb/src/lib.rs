@@ -17,26 +17,22 @@
 //! assert_eq!(t.get(b"k").unwrap().unwrap().as_ref(), b"v");
 //! ```
 
-mod cursor;
 mod node;
 mod proof;
 
 use std::ops::Bound;
-use std::sync::Arc;
 
 use bytes::Bytes;
+use siri_core::ordered::{self, ChildRef};
 use siri_core::{
-    apply_ops, own_bound, search_entries, BatchOp, DiffEntry, Entry, EntryCursor, IndexError,
-    LookupTracer, Proof, ProofVerdict, Result, SiriIndex, StructureReport, StructureStats,
+    apply_ops, own_bound, BatchOp, DiffEntry, Entry, EntryCursor, IndexError, LookupTracer,
+    PageReader, Proof, ProofVerdict, Result, SiriIndex, StructureReport, StructureStats,
     WriteBatch,
 };
 use siri_crypto::{FxHashSet, Hash};
-use siri_store::{
-    reachable_pages, CacheStats, NodeCache, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY,
-};
+use siri_store::{reachable_pages, CacheStats, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY};
 
-pub use cursor::RangeCursor;
-pub use node::{route, ChildRef, Node};
+pub use node::Node;
 pub use proof::MvmbProofScheme;
 
 /// Node capacity limits.
@@ -72,38 +68,29 @@ impl MvmbParams {
 /// (coherent for free under content addressing).
 #[derive(Clone)]
 pub struct MvmbTree {
-    store: SharedStore,
+    reader: PageReader<Node>,
     params: MvmbParams,
     root: Hash,
-    cache: Arc<NodeCache<Node>>,
 }
-
-/// A rebuilt subtree piece handed back to the parent: (max key, page hash).
-type Piece = (Bytes, Hash);
 
 impl MvmbTree {
     /// An empty tree (root = zero hash).
     pub fn new(store: SharedStore, params: MvmbParams) -> Self {
         assert!(params.max_leaf_entries >= 2, "leaf capacity must be ≥ 2");
         assert!(params.max_internal_children >= 2, "fanout must be ≥ 2");
-        MvmbTree {
-            store,
-            params,
-            root: Hash::ZERO,
-            cache: NodeCache::new_shared(DEFAULT_NODE_CACHE_CAPACITY),
-        }
+        Self::open(store, params, Hash::ZERO)
     }
 
     /// Re-open an existing version by root hash.
     pub fn open(store: SharedStore, params: MvmbParams, root: Hash) -> Self {
-        MvmbTree { store, params, root, cache: NodeCache::new_shared(DEFAULT_NODE_CACHE_CAPACITY) }
+        MvmbTree { reader: PageReader::new(store, DEFAULT_NODE_CACHE_CAPACITY), params, root }
     }
 
     /// A cache-less reader at `root` over a bare page source — what proofs
     /// are verified with (DESIGN.md §14). Reads never consult the node
     /// capacities, so the defaults open any tree.
     pub(crate) fn reader(store: SharedStore, root: Hash) -> Self {
-        MvmbTree { store, params: MvmbParams::default(), root, cache: NodeCache::new_shared(0) }
+        MvmbTree { reader: PageReader::new(store, 0), params: MvmbParams::default(), root }
     }
 
     pub fn params(&self) -> MvmbParams {
@@ -114,26 +101,13 @@ impl MvmbTree {
     /// (0 disables caching — every fetch decodes). Benchmarks use this for
     /// cache-size sweeps; clones made *after* this call share the new cache.
     pub fn with_node_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = NodeCache::new_shared(capacity);
+        self.reader = PageReader::new(self.reader.store().clone(), capacity);
         self
     }
 
     /// Hit/miss/eviction counters of the shared decoded-node cache.
     pub fn node_cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    fn fetch(&self, hash: &Hash) -> Result<Arc<Node>> {
-        Ok(self.fetch_traced(hash)?.0)
-    }
-
-    /// Fetch a node through the cache; the flag reports whether it was a
-    /// cache hit (no store access, no decode).
-    fn fetch_traced(&self, hash: &Hash) -> Result<(Arc<Node>, bool)> {
-        self.cache.get_or_load(hash, || {
-            let page = self.store.try_get(hash)?.ok_or(IndexError::MissingPage(*hash))?;
-            Node::decode_zc(&page)
-        })
+        self.reader.cache_stats()
     }
 
     /// Split `items` into balanced chunks of at most `max` and emit one
@@ -145,7 +119,7 @@ impl MvmbTree {
         items: Vec<T>,
         max: usize,
         build: impl Fn(Vec<T>) -> Node,
-    ) -> Result<Vec<Piece>> {
+    ) -> Result<Vec<ChildRef>> {
         if items.is_empty() {
             return Ok(Vec::new());
         }
@@ -158,8 +132,12 @@ impl MvmbTree {
             max_keys.push(node.max_key().expect("never store empty nodes"));
             pages.push(node.encode());
         }
-        let hashes = self.store.try_put_many(&pages)?;
-        Ok(max_keys.into_iter().zip(hashes).collect())
+        let hashes = self.store().try_put_many(&pages)?;
+        Ok(max_keys
+            .into_iter()
+            .zip(hashes)
+            .map(|(max_key, hash)| ChildRef { max_key, hash })
+            .collect())
     }
 
     /// Recursive copy-on-write batch application. `ops` is normalized
@@ -167,22 +145,22 @@ impl MvmbTree {
     /// pieces for this subtree — possibly none, when deletes empty it
     /// (underflow handling: emptied nodes are pruned and their siblings
     /// re-chunked by the parent rebuild).
-    fn apply_rec(&self, node_hash: Hash, ops: &[BatchOp]) -> Result<Vec<Piece>> {
+    fn apply_rec(&self, node_hash: Hash, ops: &[BatchOp]) -> Result<Vec<ChildRef>> {
+        let node = self.reader.fetch(&node_hash)?.0;
         if ops.is_empty() {
             // Untouched subtree: reuse wholesale (Recursively Identical in
             // action). Need its max key for the parent rebuild.
-            let node = self.fetch(&node_hash)?;
-            let max = node.max_key().ok_or(IndexError::CorruptStructure("empty node"))?;
-            return Ok(vec![(max, node_hash)]);
+            let max_key = node.max_key().ok_or(IndexError::CorruptStructure("empty node"))?;
+            return Ok(vec![ChildRef { max_key, hash: node_hash }]);
         }
-        match &*self.fetch(&node_hash)? {
+        match &*node {
             Node::Leaf(old) => {
                 let merged = apply_ops(old, ops);
                 self.emit_chunks(merged, self.params.max_leaf_entries, Node::Leaf)
             }
             Node::Internal(children) => {
                 // Partition the batch across children by routing range.
-                let mut pieces: Vec<Piece> = Vec::with_capacity(children.len() + 2);
+                let mut pieces: Vec<ChildRef> = Vec::with_capacity(children.len() + 2);
                 let mut rest = ops;
                 for (slot, child) in children.iter().enumerate() {
                     let is_last = slot + 1 == children.len();
@@ -193,14 +171,10 @@ impl MvmbTree {
                     };
                     let (mine, remaining) = rest.split_at(split);
                     rest = remaining;
-                    pieces.extend(self.apply_rec(child.child, mine)?);
+                    pieces.extend(self.apply_rec(child.hash, mine)?);
                 }
                 debug_assert!(rest.is_empty());
-                let refs: Vec<ChildRef> = pieces
-                    .into_iter()
-                    .map(|(max_key, child)| ChildRef { max_key, child })
-                    .collect();
-                self.emit_chunks(refs, self.params.max_internal_children, Node::Internal)
+                self.emit_chunks(pieces, self.params.max_internal_children, Node::Internal)
             }
         }
     }
@@ -213,40 +187,25 @@ impl MvmbTree {
             if root.is_zero() {
                 return Ok(root);
             }
-            match &*self.fetch(&root)? {
-                Node::Internal(children) if children.len() == 1 => root = children[0].child,
+            match &*self.reader.fetch(&root)?.0 {
+                Node::Internal(children) if children.len() == 1 => root = children[0].hash,
                 _ => return Ok(root),
             }
         }
     }
 
     /// Build a tree bottom-up from scratch for the first batch.
-    fn build_fresh(&self, entries: Vec<Entry>) -> Result<Vec<Piece>> {
+    fn build_fresh(&self, entries: Vec<Entry>) -> Result<Vec<ChildRef>> {
         let mut pieces = self.emit_chunks(entries, self.params.max_leaf_entries, Node::Leaf)?;
         while pieces.len() > 1 {
-            let refs: Vec<ChildRef> =
-                pieces.into_iter().map(|(max_key, child)| ChildRef { max_key, child }).collect();
-            pieces = self.emit_chunks(refs, self.params.max_internal_children, Node::Internal)?;
+            pieces = self.emit_chunks(pieces, self.params.max_internal_children, Node::Internal)?;
         }
         Ok(pieces)
     }
 
     /// Number of levels (0 for an empty tree).
-    pub fn height(&self) -> Result<usize> {
-        if self.root.is_zero() {
-            return Ok(0);
-        }
-        let mut h = 1;
-        let mut hash = self.root;
-        loop {
-            match &*self.fetch(&hash)? {
-                Node::Leaf(_) => return Ok(h),
-                Node::Internal(children) => {
-                    hash = children[0].child;
-                    h += 1;
-                }
-            }
-        }
+    pub fn height(&self) -> Result<u32> {
+        ordered::height(&self.reader, self.root)
     }
 }
 
@@ -256,7 +215,7 @@ impl SiriIndex for MvmbTree {
     }
 
     fn store(&self) -> &SharedStore {
-        &self.store
+        self.reader.store()
     }
 
     fn root(&self) -> Hash {
@@ -270,27 +229,7 @@ impl SiriIndex for MvmbTree {
     }
 
     fn lookup(&self, key: &[u8], t: &mut impl LookupTracer) -> Result<Option<Bytes>> {
-        if self.root.is_zero() {
-            return Ok(None);
-        }
-        let mut hash = self.root;
-        loop {
-            let (node, cached) = self.fetch_traced(&hash)?;
-            t.node(cached);
-            match &*node {
-                Node::Internal(children) => {
-                    if key > children.last().expect("non-empty").max_key.as_ref() {
-                        t.loaded();
-                        return Ok(None);
-                    }
-                    hash = children[route(children, key)].child;
-                }
-                Node::Leaf(entries) => {
-                    t.loaded();
-                    return Ok(search_entries(entries, key, t));
-                }
-            }
-        }
+        ordered::lookup(&self.reader, self.root, key, t)
     }
 
     fn commit(&mut self, batch: WriteBatch) -> Result<Hash> {
@@ -306,31 +245,32 @@ impl SiriIndex for MvmbTree {
         };
         // Grow upward while the top level overflows a single node.
         while pieces.len() > 1 {
-            let refs: Vec<ChildRef> =
-                pieces.into_iter().map(|(max_key, child)| ChildRef { max_key, child }).collect();
-            pieces = self.emit_chunks(refs, self.params.max_internal_children, Node::Internal)?;
+            pieces = self.emit_chunks(pieces, self.params.max_internal_children, Node::Internal)?;
         }
         // Deletes may have emptied the tree entirely, or left a lone-child
         // chain at the top; prune both.
         self.root = match pieces.pop() {
-            Some((_, hash)) => self.collapse_root(hash)?,
+            Some(top) => self.collapse_root(top.hash)?,
             None => Hash::ZERO,
         };
         Ok(self.root)
     }
 
     fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> EntryCursor {
-        EntryCursor::new(cursor::RangeCursor::new(
-            self.store.clone(),
-            self.cache.clone(),
+        EntryCursor::new(ordered::RangeCursor::new(
+            self.reader.clone(),
             self.root,
             own_bound(start),
             own_bound(end),
         ))
     }
 
+    fn len(&self) -> Result<usize> {
+        ordered::count(&self.reader, self.root)
+    }
+
     fn page_set(&self) -> PageSet {
-        reachable_pages(self.store.as_ref(), self.root, Node::children_of_page)
+        reachable_pages(self.store().as_ref(), self.root, Node::children_of_page)
     }
 
     fn diff(&self, other: &Self) -> Result<Vec<DiffEntry>> {
@@ -344,7 +284,7 @@ impl SiriIndex for MvmbTree {
     }
 
     fn with_store(&self, store: SharedStore) -> Self {
-        MvmbTree { store, cache: NodeCache::new_shared(0), ..self.clone() }
+        MvmbTree { reader: PageReader::new(store, 0), ..self.clone() }
     }
 
     fn verify_proof(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
@@ -365,18 +305,18 @@ impl StructureStats for MvmbTree {
             if !seen.insert(h) {
                 continue;
             }
-            match &*self.fetch(&h)? {
+            match &*self.reader.fetch(&h)?.0 {
                 Node::Leaf(items) => {
                     leaves += 1;
                     entries += items.len() as u64;
                 }
-                Node::Internal(children) => stack.extend(children.iter().map(|c| c.child)),
+                Node::Internal(children) => stack.extend(children.iter().map(|c| c.hash)),
             }
         }
         Ok(StructureReport {
             nodes: pages.len() as u64,
             bytes: pages.byte_size(),
-            height: self.height()? as u32,
+            height: self.height()?,
             entries,
             leaf_occupancy: if leaves == 0 { 0.0 } else { entries as f64 / leaves as f64 },
         })

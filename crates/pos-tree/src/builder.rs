@@ -5,7 +5,7 @@
 //! formed, every internal level a [`LevelBuilder`] holding the child
 //! references of its node. When the boundary detector fires (or the
 //! forced maximum is hit), the node is sealed, stored, and its
-//! [`Piece`] cascades into the builder one level up — the "bottom-up
+//! [`ChildRef`] cascades into the builder one level up — the "bottom-up
 //! build order" whose batching advantage §5.2/§5.3.1 highlight.
 //!
 //! Builders also support *pass-through*: an untouched old node can be
@@ -16,12 +16,13 @@
 //! the tree Structurally Invariant.
 
 use bytes::Bytes;
+use siri_core::ordered::ChildRef;
 use siri_core::{entry_codec, Entry, Result};
 use siri_crypto::{GearHash, Hash, RollingHash, GEAR_WINDOW};
 use siri_encoding::{ByteWriter, Scratch};
 use siri_store::SharedStore;
 
-use crate::node::{self, Node, Piece};
+use crate::node::{self, Node};
 use crate::params::{ChunkerKind, InternalChunking, PosParams, SplitPolicy};
 
 /// Leaves queued for one multi-lane hash+store round. Small enough that a
@@ -100,8 +101,8 @@ pub struct DeferredSeal {
 
 impl DeferredSeal {
     /// Hash and store the page on its own.
-    pub fn store(self, store: &SharedStore) -> Result<Piece> {
-        Ok(Piece { max_key: self.max_key, hash: store.try_put(self.page)? })
+    pub fn store(self, store: &SharedStore) -> Result<ChildRef> {
+        Ok(ChildRef { max_key: self.max_key, hash: store.try_put(self.page)? })
     }
 }
 
@@ -196,7 +197,7 @@ pub struct LevelBuilder {
     level: u32,
     salt: u64,
     judge: Judge,
-    children: Vec<Piece>,
+    children: Vec<ChildRef>,
     bytes_in_node: usize,
     forced_max: Option<usize>,
     /// Page encoding scratch: dedup hits never materialize an owned page.
@@ -230,13 +231,13 @@ impl LevelBuilder {
         self.children.is_empty()
     }
 
-    pub fn pending(&self) -> &[Piece] {
+    pub fn pending(&self) -> &[ChildRef] {
         &self.children
     }
 
     /// Push one child reference; returns the sealed node's piece if a
     /// boundary fired.
-    pub fn push(&mut self, piece: Piece, store: &SharedStore) -> Result<Option<Piece>> {
+    pub fn push(&mut self, piece: ChildRef, store: &SharedStore) -> Result<Option<ChildRef>> {
         let fired = match &mut self.judge {
             Judge::HashBits { mask } => piece.hash.low64() & *mask == *mask,
             // `|`, not `||`: the digest is part of the stream whether or
@@ -255,7 +256,7 @@ impl LevelBuilder {
     }
 
     /// Seal the trailing node at end of stream, if any.
-    pub fn finish(&mut self, store: &SharedStore) -> Result<Option<Piece>> {
+    pub fn finish(&mut self, store: &SharedStore) -> Result<Option<ChildRef>> {
         if self.children.is_empty() {
             Ok(None)
         } else {
@@ -263,7 +264,7 @@ impl LevelBuilder {
         }
     }
 
-    fn seal(&mut self, store: &SharedStore) -> Result<Piece> {
+    fn seal(&mut self, store: &SharedStore) -> Result<ChildRef> {
         let children = std::mem::take(&mut self.children);
         self.bytes_in_node = 0;
         if let Judge::Window(chunker) = &mut self.judge {
@@ -275,7 +276,7 @@ impl LevelBuilder {
         w.reserve_total(node.encoded_len());
         node.encode_into(w);
         let hash = store.try_put_raw(self.page_buf.bytes())?;
-        Ok(Piece { max_key, hash })
+        Ok(ChildRef { max_key, hash })
     }
 }
 
@@ -321,7 +322,7 @@ impl<'a> Builders<'a> {
     /// Feed one child reference into internal `level` (≥ 1), cascading
     /// sealed nodes upward. Drains the leaf queue first so references
     /// arrive in stream order.
-    pub fn push_piece(&mut self, level: u32, piece: Piece) -> Result<()> {
+    pub fn push_piece(&mut self, level: u32, piece: ChildRef) -> Result<()> {
         self.flush_leaves()?;
         let mut next = Some(piece);
         let mut slot = level as usize - 1;
@@ -348,7 +349,7 @@ impl<'a> Builders<'a> {
         for (sealed, hash) in batch.into_iter().zip(hashes) {
             // Re-entrant flush inside push_piece sees an empty queue, so
             // this cannot loop.
-            self.push_piece(1, Piece { max_key: sealed.max_key, hash })?;
+            self.push_piece(1, ChildRef { max_key: sealed.max_key, hash })?;
         }
         Ok(())
     }
@@ -370,7 +371,7 @@ impl<'a> Builders<'a> {
 
     /// Re-use an untouched old node of `level` wholesale. Caller must have
     /// checked [`Builders::clean_below`]`(level)`.
-    pub fn pass_through(&mut self, level: u32, piece: Piece) -> Result<()> {
+    pub fn pass_through(&mut self, level: u32, piece: ChildRef) -> Result<()> {
         self.flush_leaves()?;
         debug_assert!(self.boundaries_clean(level), "pass-through requires clean builders");
         self.push_piece(level + 1, piece)
@@ -384,7 +385,7 @@ impl<'a> Builders<'a> {
     /// is the root — wrapping it would create a useless single-child chain
     /// (and break structural invariance, since chain length would depend on
     /// history).
-    pub fn finalize(mut self) -> Result<Option<Piece>> {
+    pub fn finalize(mut self) -> Result<Option<ChildRef>> {
         // Seal the trailing leaf and drain the queue so level 1 holds every
         // leaf reference before the upward sweep.
         if let Some(sealed) = self.leaf.finish() {
@@ -417,7 +418,7 @@ mod tests {
         (0..n).map(|i| Entry::new(format!("key{i:06}").into_bytes(), vec![0xAB; 100])).collect()
     }
 
-    fn build(store: &SharedStore, params: &PosParams, es: &[Entry]) -> Option<Piece> {
+    fn build(store: &SharedStore, params: &PosParams, es: &[Entry]) -> Option<ChildRef> {
         let mut b = Builders::new(store, params, 0);
         for e in es {
             b.push_entry(e).unwrap();

@@ -58,15 +58,18 @@ pub(crate) fn diff(a: &PosTree, b: &PosTree) -> Result<Vec<DiffEntry>> {
 /// The one-node run a tree starts as (none for an empty tree) and its level
 /// (0 = leaves).
 fn root_run(tree: &PosTree) -> Result<(Vec<Hash>, u32)> {
-    let run = if tree.root().is_zero() { Vec::new() } else { vec![tree.root()] };
-    Ok((run, tree.height()?.saturating_sub(1)))
+    if tree.root().is_zero() {
+        return Ok((Vec::new(), 0));
+    }
+    let level = tree.reader.fetch(&tree.root())?.0.level();
+    Ok((vec![tree.root()], level))
 }
 
 /// The run one level below `run`: the child hashes of its nodes, in order.
 fn children(tree: &PosTree, run: &[Hash], level: u32) -> Result<Vec<Hash>> {
     let mut out = Vec::new();
     for hash in run {
-        match &*tree.fetch(hash)? {
+        match &*tree.reader.fetch(hash)?.0 {
             Node::Internal { level: l, children, .. } if *l == level => {
                 out.extend(children.iter().map(|c| c.hash));
             }
@@ -157,7 +160,10 @@ impl<'t> LeafStream<'t> {
 
     fn next_leaf(&mut self) -> Result<()> {
         self.idx = 0;
-        self.leaf = self.rest.next().map(|hash| self.tree.fetch(hash)).transpose()?;
+        self.leaf = match self.rest.next() {
+            Some(hash) => Some(self.tree.reader.fetch(hash)?.0),
+            None => None,
+        };
         match self.leaf.as_deref() {
             Some(Node::Internal { .. }) => Err(IndexError::CorruptStructure("level mismatch")),
             Some(Node::Leaf { entries, .. }) if entries.is_empty() => {

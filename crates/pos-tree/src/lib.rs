@@ -28,7 +28,6 @@
 //! ```
 
 mod builder;
-mod cursor;
 mod diff;
 mod node;
 mod params;
@@ -36,21 +35,18 @@ mod proof;
 mod update;
 
 use std::ops::Bound;
-use std::sync::Arc;
 
 use bytes::Bytes;
+use siri_core::ordered::{self, OrderedNode};
 use siri_core::{
-    apply_ops, own_bound, search_entries, DiffEntry, EntryCursor, IndexError, LookupTracer, Proof,
-    ProofVerdict, Result, SiriIndex, StructureReport, StructureStats, WriteBatch,
+    apply_ops, own_bound, DiffEntry, EntryCursor, LookupTracer, PageReader, Proof, ProofVerdict,
+    Result, SiriIndex, StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::Hash;
-use siri_store::{
-    reachable_pages, CacheStats, NodeCache, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY,
-};
+use siri_store::{reachable_pages, CacheStats, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY};
 
 pub use builder::{Builders, DeferredSeal, LeafBuilder, LevelBuilder};
-pub use cursor::Cursor;
-pub use node::{route, Node, Piece};
+pub use node::Node;
 pub use params::{ChunkerKind, InternalChunking, PosParams, SplitPolicy};
 pub use proof::PosProofScheme;
 
@@ -59,7 +55,7 @@ pub use proof::PosProofScheme;
 /// versions, and the shared spine of adjacent versions warms it for free.
 #[derive(Clone)]
 pub struct PosTree {
-    store: SharedStore,
+    reader: PageReader<Node>,
     params: PosParams,
     root: Hash,
     /// Per-version page salt; stays 0 unless `copy_all` is set.
@@ -67,13 +63,12 @@ pub struct PosTree {
     /// §5.5.2 ablation: rebuild every page on every batch so no page is
     /// ever shared between versions.
     copy_all: bool,
-    cache: Arc<NodeCache<Node>>,
 }
 
 impl PosTree {
     fn at(store: SharedStore, params: PosParams, root: Hash, cache_capacity: usize) -> Self {
-        let cache = NodeCache::new_shared(cache_capacity);
-        PosTree { store, params, root, salt: 0, copy_all: false, cache }
+        let reader = PageReader::new(store, cache_capacity);
+        PosTree { reader, params, root, salt: 0, copy_all: false }
     }
 
     /// An empty tree with the given chunking parameters.
@@ -118,26 +113,13 @@ impl PosTree {
     /// (0 disables caching — every fetch decodes). Benchmarks use this for
     /// cache-size sweeps; clones made *after* this call share the new cache.
     pub fn with_node_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = NodeCache::new_shared(capacity);
+        self.reader = PageReader::new(self.reader.store().clone(), capacity);
         self
     }
 
     /// Hit/miss/eviction counters of the shared decoded-node cache.
     pub fn node_cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    fn fetch(&self, hash: &Hash) -> Result<Arc<Node>> {
-        Ok(self.fetch_traced(hash)?.0)
-    }
-
-    /// Fetch a node through the cache; the flag reports whether it was a
-    /// cache hit (no store access, no decode).
-    fn fetch_traced(&self, hash: &Hash) -> Result<(Arc<Node>, bool)> {
-        self.cache.get_or_load(hash, || {
-            let page = self.store.try_get(hash)?.ok_or(IndexError::MissingPage(*hash))?;
-            Node::decode_zc(&page)
-        })
+        self.reader.cache_stats()
     }
 
     /// Per-level statistics: for each level from the leaves up,
@@ -154,33 +136,22 @@ impl PosTree {
             if !seen.insert(h) {
                 continue;
             }
-            let page = self.store.try_get(&h)?.ok_or(IndexError::MissingPage(h))?;
-            let node = Node::decode_zc(&page)?;
-            let level = match &node {
-                Node::Leaf { .. } => 0usize,
-                Node::Internal { level, children, .. } => {
-                    stack.extend(children.iter().map(|c| c.hash));
-                    *level as usize
-                }
-            };
+            let node = self.reader.load(&h)?;
+            stack.extend(node.children().iter().map(|c| c.hash));
+            let level = node.level() as usize;
             if levels.len() <= level {
                 levels.resize(level + 1, (0, 0));
             }
             levels[level].0 += 1;
-            levels[level].1 += page.len() as u64;
+            // Stored pages are canonical encodings: this is the page length.
+            levels[level].1 += node.encoded_len() as u64;
         }
         Ok(levels)
     }
 
     /// Number of levels (0 for an empty tree).
     pub fn height(&self) -> Result<u32> {
-        if self.root.is_zero() {
-            return Ok(0);
-        }
-        Ok(match &*self.fetch(&self.root)? {
-            Node::Leaf { .. } => 1,
-            Node::Internal { level, .. } => level + 1,
-        })
+        ordered::height(&self.reader, self.root)
     }
 }
 
@@ -197,7 +168,7 @@ impl SiriIndex for PosTree {
     }
 
     fn store(&self) -> &SharedStore {
-        &self.store
+        self.reader.store()
     }
 
     fn root(&self) -> Hash {
@@ -215,27 +186,7 @@ impl SiriIndex for PosTree {
     }
 
     fn lookup(&self, key: &[u8], t: &mut impl LookupTracer) -> Result<Option<Bytes>> {
-        if self.root.is_zero() {
-            return Ok(None);
-        }
-        let mut hash = self.root;
-        loop {
-            let (node, cached) = self.fetch_traced(&hash)?;
-            t.node(cached);
-            match &*node {
-                Node::Internal { children, .. } => {
-                    if key > children.last().expect("non-empty").max_key.as_ref() {
-                        t.loaded();
-                        return Ok(None);
-                    }
-                    hash = children[route(children, key)].hash;
-                }
-                Node::Leaf { entries, .. } => {
-                    t.loaded();
-                    return Ok(search_entries(entries, key, t));
-                }
-            }
-        }
+        ordered::lookup(&self.reader, self.root, key, t)
     }
 
     fn commit(&mut self, batch: WriteBatch) -> Result<Hash> {
@@ -249,17 +200,17 @@ impl SiriIndex for PosTree {
             // previous version.
             let merged = apply_ops(&self.scan()?, &ops);
             self.salt += 1;
-            self.root = update::build_from_entries(&self.store, &self.params, self.salt, &merged)?
+            self.root = update::build_from_entries(self.store(), &self.params, self.salt, &merged)?
                 .map(|p| p.hash)
                 .unwrap_or(Hash::ZERO);
             return Ok(self.root);
         }
         let piece = match self.params.split_policy {
             SplitPolicy::Pattern => {
-                update::streaming_update(&self.store, &self.params, self.salt, self.root, &ops)?
+                update::streaming_update(&self.reader, &self.params, self.salt, self.root, &ops)?
             }
             SplitPolicy::ForcedSplice { .. } => {
-                update::splice_update(&self.store, &self.params, self.salt, self.root, &ops)?
+                update::splice_update(&self.reader, &self.params, self.salt, self.root, &ops)?
             }
         };
         self.root = piece.map(|p| p.hash).unwrap_or(Hash::ZERO);
@@ -267,46 +218,20 @@ impl SiriIndex for PosTree {
     }
 
     fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> EntryCursor {
-        let start = own_bound(start);
-        let cursor = match &start {
-            Bound::Unbounded => {
-                Cursor::with_cache(self.store.clone(), Some(self.cache.clone()), self.root)
-            }
-            Bound::Included(k) | Bound::Excluded(k) => {
-                Cursor::seek_with_cache(self.store.clone(), Some(self.cache.clone()), self.root, k)
-            }
-        };
-        match cursor {
-            Ok(cursor) => EntryCursor::new(cursor::RangeIter {
-                cursor,
-                start,
-                end: own_bound(end),
-                pending_err: None,
-                done: false,
-            }),
-            Err(e) => EntryCursor::fail(e),
-        }
+        EntryCursor::new(ordered::RangeCursor::new(
+            self.reader.clone(),
+            self.root,
+            own_bound(start),
+            own_bound(end),
+        ))
     }
 
-    /// Counting walks the leaves and sums their entry counts; the interior
-    /// descent reuses cached nodes and nothing is cloned or sorted.
     fn len(&self) -> Result<usize> {
-        if self.root.is_zero() {
-            return Ok(0);
-        }
-        let mut n = 0usize;
-        let mut stack = vec![self.root];
-        while let Some(h) = stack.pop() {
-            match &*self.fetch(&h)? {
-                Node::Leaf { entries, .. } => n += entries.len(),
-                Node::Internal { children, .. } => stack.extend(children.iter().map(|c| c.hash)),
-            }
-        }
-        Ok(n)
+        ordered::count(&self.reader, self.root)
     }
 
     fn page_set(&self) -> PageSet {
-        reachable_pages(self.store.as_ref(), self.root, Node::children_of_page)
+        reachable_pages(self.store().as_ref(), self.root, Node::children_of_page)
     }
 
     fn diff(&self, other: &Self) -> Result<Vec<DiffEntry>> {
@@ -314,7 +239,7 @@ impl SiriIndex for PosTree {
     }
 
     fn with_store(&self, store: SharedStore) -> Self {
-        PosTree { store, cache: NodeCache::new_shared(0), ..self.clone() }
+        PosTree { reader: PageReader::new(store, 0), ..self.clone() }
     }
 
     fn verify_proof(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {

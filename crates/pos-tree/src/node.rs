@@ -13,7 +13,8 @@
 //! the tree" under content addressing.
 
 use bytes::Bytes;
-use siri_core::{entry_codec, Entry, IndexError, Result};
+use siri_core::ordered::{ChildRef, OrderedNode};
+use siri_core::{entry_codec, Entry, IndexError, PageNode, Result};
 use siri_crypto::Hash;
 use siri_encoding::{ByteReader, ByteWriter, CodecError};
 
@@ -34,18 +35,11 @@ pub(crate) fn write_leaf_header(w: &mut ByteWriter, salt: u64, count: u64) {
     w.put_varint(count);
 }
 
-/// Reference to a child node: the maximum key in its subtree + its digest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Piece {
-    pub max_key: Bytes,
-    pub hash: Hash,
-}
-
 /// Decoded POS-Tree page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
     Leaf { salt: u64, entries: Vec<Entry> },
-    Internal { salt: u64, level: u32, children: Vec<Piece> },
+    Internal { salt: u64, level: u32, children: Vec<ChildRef> },
 }
 
 impl Node {
@@ -132,7 +126,7 @@ impl Node {
                     let max_key = page.slice(koff..koff + klen);
                     let hash = Hash::from_slice(r.get_raw(Hash::LEN)?)
                         .ok_or(IndexError::CorruptStructure("bad child digest length"))?;
-                    children.push(Piece { max_key, hash });
+                    children.push(ChildRef { max_key, hash });
                 }
                 r.finish()?;
                 if children.windows(2).any(|w| w[0].max_key >= w[1].max_key) {
@@ -144,11 +138,23 @@ impl Node {
         }
     }
 
-    /// Child digests referenced by a page — the store-walk decoder.
+    /// Child digests referenced by a page — the store-walk decoder. A leaf
+    /// says so in its tag byte and is not decoded.
     pub fn children_of_page(page: &[u8]) -> Vec<Hash> {
+        if page.first() == Some(&TAG_LEAF) {
+            return Vec::new();
+        }
         match Node::decode(page) {
             Ok(Node::Internal { children, .. }) => children.into_iter().map(|c| c.hash).collect(),
             _ => Vec::new(),
+        }
+    }
+
+    /// Level of the node in its tree (0 = leaf).
+    pub fn level(&self) -> u32 {
+        match self {
+            Node::Leaf { .. } => 0,
+            Node::Internal { level, .. } => *level,
         }
     }
 
@@ -160,12 +166,25 @@ impl Node {
     }
 }
 
-/// Route a key to a child slot: first child with `max_key >= key`, clamping
-/// beyond-max keys to the rightmost child.
-pub fn route(children: &[Piece], key: &[u8]) -> usize {
-    match children.binary_search_by(|c| c.max_key.as_ref().cmp(key)) {
-        Ok(i) => i,
-        Err(i) => i.min(children.len() - 1),
+impl PageNode for Node {
+    fn decode_page(page: &Bytes) -> Result<Self> {
+        Node::decode_zc(page)
+    }
+}
+
+impl OrderedNode for Node {
+    fn entries(&self) -> Option<&[Entry]> {
+        match self {
+            Node::Leaf { entries, .. } => Some(entries),
+            Node::Internal { .. } => None,
+        }
+    }
+
+    fn children(&self) -> &[ChildRef] {
+        match self {
+            Node::Leaf { .. } => &[],
+            Node::Internal { children, .. } => children,
+        }
     }
 }
 
@@ -178,8 +197,8 @@ mod tests {
         Entry::new(k.as_bytes().to_vec(), v.as_bytes().to_vec())
     }
 
-    fn p(k: &str, s: &str) -> Piece {
-        Piece { max_key: Bytes::copy_from_slice(k.as_bytes()), hash: sha256(s.as_bytes()) }
+    fn p(k: &str, s: &str) -> ChildRef {
+        ChildRef { max_key: Bytes::copy_from_slice(k.as_bytes()), hash: sha256(s.as_bytes()) }
     }
 
     #[test]
@@ -217,9 +236,10 @@ mod tests {
 
     #[test]
     fn routing_clamps() {
-        let children = vec![p("f", "1"), p("m", "2")];
-        assert_eq!(route(&children, b"a"), 0);
-        assert_eq!(route(&children, b"f"), 0);
-        assert_eq!(route(&children, b"zzz"), 1);
+        use siri_core::ordered::route;
+        let node = Node::Internal { salt: 0, level: 1, children: vec![p("f", "1"), p("m", "2")] };
+        assert_eq!(route(node.children(), b"a"), Ok(0));
+        assert_eq!(route(node.children(), b"f"), Ok(0));
+        assert_eq!(route(node.children(), b"zzz"), Ok(1));
     }
 }

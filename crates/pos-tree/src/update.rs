@@ -23,26 +23,14 @@
 //!   boundaries never migrate across old node ends. Cheap, but the
 //!   structure now depends on insertion history — deliberately non-SI.
 
-use siri_core::{apply_ops, BatchOp, Entry, IndexError, Result};
+use siri_core::ordered::ChildRef;
+use siri_core::{apply_ops, BatchOp, Entry, IndexError, PageReader, Result};
 use siri_crypto::Hash;
 use siri_store::SharedStore;
 
 use crate::builder::{Builders, LeafBuilder, LevelBuilder};
-use crate::node::{Node, Piece};
+use crate::node::Node;
 use crate::params::PosParams;
-
-fn fetch(store: &SharedStore, hash: &Hash) -> Result<Node> {
-    let page = store.try_get(hash)?.ok_or(IndexError::MissingPage(*hash))?;
-    Node::decode_zc(&page)
-}
-
-/// Level of a node (0 = leaf).
-fn node_level(node: &Node) -> u32 {
-    match node {
-        Node::Leaf { .. } => 0,
-        Node::Internal { level, .. } => *level,
-    }
-}
 
 /// Build a tree from scratch out of sorted unique entries.
 pub(crate) fn build_from_entries(
@@ -50,7 +38,7 @@ pub(crate) fn build_from_entries(
     params: &PosParams,
     salt: u64,
     entries: &[Entry],
-) -> Result<Option<Piece>> {
+) -> Result<Option<ChildRef>> {
     let mut builders = Builders::new(store, params, salt);
     for e in entries {
         builders.push_entry(e)?;
@@ -62,23 +50,23 @@ pub(crate) fn build_from_entries(
 /// builder pipeline with pass-through. `edits` must be normalized (sorted,
 /// key-unique); deletes drop entries from the replay stream.
 pub(crate) fn streaming_update(
-    store: &SharedStore,
+    reader: &PageReader<Node>,
     params: &PosParams,
     salt: u64,
     root: Hash,
     edits: &[BatchOp],
-) -> Result<Option<Piece>> {
+) -> Result<Option<ChildRef>> {
     if root.is_zero() {
-        return build_from_entries(store, params, salt, &apply_ops(&[], edits));
+        return build_from_entries(reader.store(), params, salt, &apply_ops(&[], edits));
     }
     if edits.is_empty() {
-        let node = fetch(store, &root)?;
+        let node = reader.load(&root)?;
         let max_key = node.max_key().ok_or(IndexError::CorruptStructure("empty root"))?;
-        return Ok(Some(Piece { max_key, hash: root }));
+        return Ok(Some(ChildRef { max_key, hash: root }));
     }
-    let mut builders = Builders::new(store, params, salt);
-    let root_node = fetch(store, &root)?;
-    process(store, &mut builders, &root_node, edits, true)?;
+    let mut builders = Builders::new(reader.store(), params, salt);
+    let root_node = reader.load(&root)?;
+    process(reader, &mut builders, &root_node, edits, true)?;
     builders.finalize()
 }
 
@@ -89,7 +77,7 @@ pub(crate) fn streaming_update(
 /// content would *not* reproduce a boundary at their end — they must never
 /// pass through mid-stream.
 fn process(
-    store: &SharedStore,
+    reader: &PageReader<Node>,
     builders: &mut Builders<'_>,
     node: &Node,
     edits: &[BatchOp],
@@ -121,11 +109,11 @@ fn process(
                     // boundary: reuse the node wholesale.
                     builders.pass_through(child_level, piece.clone())?;
                 } else {
-                    let child = fetch(store, &piece.hash)?;
-                    if node_level(&child) != child_level {
+                    let child = reader.load(&piece.hash)?;
+                    if child.level() != child_level {
                         return Err(IndexError::CorruptStructure("level mismatch"));
                     }
-                    process(store, builders, &child, mine, child_rightmost)?;
+                    process(reader, builders, &child, mine, child_rightmost)?;
                 }
             }
             debug_assert!(rest.is_empty());
@@ -136,24 +124,25 @@ fn process(
 
 /// §5.5.1 splice update: rebuild only within old node extents.
 pub(crate) fn splice_update(
-    store: &SharedStore,
+    reader: &PageReader<Node>,
     params: &PosParams,
     salt: u64,
     root: Hash,
     edits: &[BatchOp],
-) -> Result<Option<Piece>> {
+) -> Result<Option<ChildRef>> {
+    let store = reader.store();
     if root.is_zero() {
         return build_from_entries(store, params, salt, &apply_ops(&[], edits));
     }
     if edits.is_empty() {
-        let node = fetch(store, &root)?;
+        let node = reader.load(&root)?;
         let max_key = node.max_key().ok_or(IndexError::CorruptStructure("empty root"))?;
-        return Ok(Some(Piece { max_key, hash: root }));
+        return Ok(Some(ChildRef { max_key, hash: root }));
     }
-    let root_node = fetch(store, &root)?;
-    let mut pieces = splice_rec(store, params, salt, &root_node, edits)?;
+    let root_node = reader.load(&root)?;
+    let mut pieces = splice_rec(reader, params, salt, &root_node, edits)?;
     // If the root burst into several pieces, grow extra levels locally.
-    let mut level = node_level(&root_node);
+    let mut level = root_node.level();
     while pieces.len() > 1 {
         level += 1;
         pieces = chunk_pieces(store, params, salt, level, pieces)?;
@@ -162,12 +151,13 @@ pub(crate) fn splice_update(
 }
 
 fn splice_rec(
-    store: &SharedStore,
+    reader: &PageReader<Node>,
     params: &PosParams,
     salt: u64,
     node: &Node,
     edits: &[BatchOp],
-) -> Result<Vec<Piece>> {
+) -> Result<Vec<ChildRef>> {
+    let store = reader.store();
     match node {
         Node::Leaf { entries, .. } => {
             let mut b = LeafBuilder::new(salt, params);
@@ -184,7 +174,7 @@ fn splice_rec(
         }
         Node::Internal { children, level, .. } => {
             let mut rest = edits;
-            let mut new_children: Vec<Piece> = Vec::with_capacity(children.len() + 2);
+            let mut new_children: Vec<ChildRef> = Vec::with_capacity(children.len() + 2);
             for (slot, piece) in children.iter().enumerate() {
                 let last = slot + 1 == children.len();
                 let split = if last {
@@ -197,8 +187,8 @@ fn splice_rec(
                 if mine.is_empty() {
                     new_children.push(piece.clone());
                 } else {
-                    let child = fetch(store, &piece.hash)?;
-                    new_children.extend(splice_rec(store, params, salt, &child, mine)?);
+                    let child = reader.load(&piece.hash)?;
+                    new_children.extend(splice_rec(reader, params, salt, &child, mine)?);
                 }
             }
             chunk_pieces(store, params, salt, *level, new_children)
@@ -213,8 +203,8 @@ fn chunk_pieces(
     params: &PosParams,
     salt: u64,
     level: u32,
-    pieces: Vec<Piece>,
-) -> Result<Vec<Piece>> {
+    pieces: Vec<ChildRef>,
+) -> Result<Vec<ChildRef>> {
     let mut b = LevelBuilder::new(level, salt, params);
     let mut out = Vec::new();
     for p in pieces {
@@ -232,6 +222,10 @@ fn chunk_pieces(
 mod tests {
     use super::*;
     use siri_core::MemStore;
+
+    fn reader(store: &SharedStore) -> PageReader<Node> {
+        PageReader::new(store.clone(), 0)
+    }
 
     fn entries(range: std::ops::Range<usize>) -> Vec<Entry> {
         range
@@ -270,7 +264,8 @@ mod tests {
         // overwrite, appended tail — each with changed payloads.
         for edit_range in [100..101, 1500..1540, 3000..3100] {
             let delta = puts(&edits(edit_range.clone()));
-            let updated = streaming_update(&store, &params, 0, root.hash, &delta).unwrap().unwrap();
+            let updated =
+                streaming_update(&reader(&store), &params, 0, root.hash, &delta).unwrap().unwrap();
             let merged = apply_ops(&base, &delta);
             let fresh = build_from_entries(&store, &params, 0, &merged).unwrap().unwrap();
             assert_ne!(updated.hash, root.hash, "edits must change the digest");
@@ -290,7 +285,8 @@ mod tests {
         let mut all = entries(0..1000);
         for step in 0..5 {
             let delta = puts(&edits(step * 400..step * 400 + 37));
-            root = streaming_update(&store, &params, 0, root, &delta).unwrap().unwrap().hash;
+            root =
+                streaming_update(&reader(&store), &params, 0, root, &delta).unwrap().unwrap().hash;
             all = apply_ops(&all, &delta);
         }
         let fresh = build_from_entries(&store, &params, 0, &all).unwrap().unwrap();
@@ -305,7 +301,7 @@ mod tests {
         let root = build_from_entries(&store, &params, 0, &base).unwrap().unwrap();
         let puts_before = store.stats().puts;
         let delta = puts(&edits(7000..7001));
-        streaming_update(&store, &params, 0, root.hash, &delta).unwrap();
+        streaming_update(&reader(&store), &params, 0, root.hash, &delta).unwrap();
         let puts = store.stats().puts - puts_before;
         // One edit must rewrite O(resync-window × height) pages, far fewer
         // than the ~2400 pages of the whole tree.
@@ -316,9 +312,10 @@ mod tests {
     fn update_into_empty_tree_builds() {
         let store = MemStore::new_shared();
         let params = PosParams::default();
-        let piece = streaming_update(&store, &params, 0, Hash::ZERO, &puts(&entries(0..10)))
-            .unwrap()
-            .unwrap();
+        let piece =
+            streaming_update(&reader(&store), &params, 0, Hash::ZERO, &puts(&entries(0..10)))
+                .unwrap()
+                .unwrap();
         assert_eq!(piece.max_key.as_ref(), b"key000009");
     }
 
@@ -327,7 +324,7 @@ mod tests {
         let store = MemStore::new_shared();
         let params = PosParams::default();
         let root = build_from_entries(&store, &params, 0, &entries(0..500)).unwrap().unwrap();
-        let same = streaming_update(&store, &params, 0, root.hash, &[]).unwrap().unwrap();
+        let same = streaming_update(&reader(&store), &params, 0, root.hash, &[]).unwrap().unwrap();
         assert_eq!(same.hash, root.hash);
     }
 
@@ -342,7 +339,7 @@ mod tests {
         // tail, and a no-op (absent keys).
         for del_range in [100..101, 1500..1560, 2900..3000, 5000..5010] {
             let delta = dels(del_range.clone());
-            let updated = streaming_update(&store, &params, 0, root.hash, &delta).unwrap();
+            let updated = streaming_update(&reader(&store), &params, 0, root.hash, &delta).unwrap();
             let remaining = apply_ops(&base, &delta);
             let fresh = build_from_entries(&store, &params, 0, &remaining).unwrap();
             assert_eq!(
@@ -353,7 +350,8 @@ mod tests {
         }
 
         // Deleting everything collapses to the empty tree.
-        let all_deleted = streaming_update(&store, &params, 0, root.hash, &dels(0..3000)).unwrap();
+        let all_deleted =
+            streaming_update(&reader(&store), &params, 0, root.hash, &dels(0..3000)).unwrap();
         assert!(all_deleted.is_none());
     }
 
@@ -369,7 +367,8 @@ mod tests {
         let root = build_from_entries(&store, &gear, 0, &base).unwrap().unwrap();
         for edit_range in [100..101, 1500..1540, 3000..3100] {
             let delta = puts(&edits(edit_range.clone()));
-            let updated = streaming_update(&store, &gear, 0, root.hash, &delta).unwrap().unwrap();
+            let updated =
+                streaming_update(&reader(&store), &gear, 0, root.hash, &delta).unwrap().unwrap();
             let merged = apply_ops(&base, &delta);
             let fresh = build_from_entries(&store, &gear, 0, &merged).unwrap().unwrap();
             assert_eq!(updated.hash, fresh.hash, "gear SI broken for edits {edit_range:?}");
@@ -395,7 +394,7 @@ mod tests {
         let root = build_from_entries(&store, &gear, 0, &base).unwrap().unwrap();
         for del_range in [50..51, 900..960, 1900..2000] {
             let delta = dels(del_range.clone());
-            let updated = streaming_update(&store, &gear, 0, root.hash, &delta).unwrap();
+            let updated = streaming_update(&reader(&store), &gear, 0, root.hash, &delta).unwrap();
             let remaining = apply_ops(&base, &delta);
             let fresh = build_from_entries(&store, &gear, 0, &remaining).unwrap();
             assert_eq!(
@@ -415,7 +414,8 @@ mod tests {
 
         // Content correctness: updated tree contains the merged entries.
         let delta = puts(&edits(100..140));
-        let updated = splice_update(&store, &params, 0, root.hash, &delta).unwrap().unwrap();
+        let updated =
+            splice_update(&reader(&store), &params, 0, root.hash, &delta).unwrap().unwrap();
         let merged = apply_ops(&base, &delta);
         let fresh = build_from_entries(&store, &params, 0, &merged).unwrap().unwrap();
         // Order dependence: incremental generally ≠ fresh for forced splits.

@@ -47,13 +47,14 @@
 
 pub use siri_core::{
     apply_ops, chain_cursors, cost_model, diff_by_scan, diff_sorted_entries, entry_codec, merge,
-    merge_with_base, metrics, prefix_successor, siri_properties, verify_anchored_batch,
+    merge_with_base, metrics, ordered, prefix_successor, siri_properties, verify_anchored_batch,
     verify_anchored_membership, verify_anchored_range, BatchOp, BatchVerdict, Bytes, CacheStats,
     CommitInfo, DiffEntry, DiffSide, Entry, EntryCursor, Hash, IndexError, LookupTrace, MemStore,
-    MergeOutcome, MergeStrategy, NodeStore, Op, PagePool, PageSet, Proof, ProofScheme,
-    ProofVerdict, RangeVerdict, Reclaim, Recorder, Result, Session, ShardCommit, ShardManifest,
-    ShardRouter, SharedStore, SiriIndex, StoreError, StoreResult, StoreStats, StructureReport,
-    StructureStats, VersionStore, VersionTag, WriteBatch, MANIFEST_MAGIC, MAX_PROOF_PAGES,
+    MergeOutcome, MergeStrategy, NodeStore, Op, PageNode, PagePool, PageReader, PageSet, Proof,
+    ProofScheme, ProofVerdict, RangeVerdict, Reclaim, Recorder, Result, Session, ShardCommit,
+    ShardManifest, ShardRouter, SharedStore, SiriIndex, StoreError, StoreResult, StoreStats,
+    StructureReport, StructureStats, VersionStore, VersionTag, WriteBatch, MANIFEST_MAGIC,
+    MAX_PROOF_PAGES,
 };
 
 pub use siri_client::{ClientOptions, RemoteSession, SyncOptions, SyncReport};
@@ -140,56 +141,6 @@ pub fn env_session() -> SessionHandle {
             .expect("SIRI_REMOTE=1: cannot connect to the loopback server");
         SessionHandle { session: Box::new(session), _server: Some(server) }
     } else {
-        SessionHandle { session: Box::new(ArcSession(engine)), _server: None }
-    }
-}
-
-/// `Arc<Forkbase>` forwarding shim so [`SessionHandle`] can own the engine
-/// it serves.
-struct ArcSession(std::sync::Arc<Forkbase<PosFactory>>);
-
-impl Session for ArcSession {
-    fn commit(&self, branch: &str, batch: WriteBatch) -> Result<CommitInfo> {
-        Session::commit(self.0.as_ref(), branch, batch)
-    }
-    fn get(&self, branch: &str, key: &[u8]) -> Result<Option<Bytes>> {
-        Session::get(self.0.as_ref(), branch, key)
-    }
-    fn range(
-        &self,
-        branch: &str,
-        start: std::ops::Bound<&[u8]>,
-        end: std::ops::Bound<&[u8]>,
-    ) -> Result<EntryCursor> {
-        Session::range(self.0.as_ref(), branch, start, end)
-    }
-    fn scan_prefix(&self, branch: &str, prefix: &[u8]) -> Result<EntryCursor> {
-        Session::scan_prefix(self.0.as_ref(), branch, prefix)
-    }
-    fn fork(&self, from: &str, to: &str) -> Result<()> {
-        Session::fork(self.0.as_ref(), from, to)
-    }
-    fn delete_branch(&self, branch: &str) -> Result<()> {
-        Session::delete_branch(self.0.as_ref(), branch)
-    }
-    fn branches(&self) -> Result<Vec<String>> {
-        Session::branches(self.0.as_ref())
-    }
-    fn branch_digest(&self, branch: &str) -> Result<Hash> {
-        Session::branch_digest(self.0.as_ref(), branch)
-    }
-    fn prove(&self, branch: &str, key: &[u8]) -> Result<(Hash, Proof)> {
-        Session::prove(self.0.as_ref(), branch, key)
-    }
-    fn prove_range(
-        &self,
-        branch: &str,
-        start: std::ops::Bound<&[u8]>,
-        end: std::ops::Bound<&[u8]>,
-    ) -> Result<(Hash, Proof)> {
-        Session::prove_range(self.0.as_ref(), branch, start, end)
-    }
-    fn prove_batch(&self, branch: &str, keys: &[Bytes]) -> Result<(Hash, Proof)> {
-        Session::prove_batch(self.0.as_ref(), branch, keys)
+        SessionHandle { session: Box::new(engine), _server: None }
     }
 }

@@ -2,10 +2,15 @@
 //! the *content* of any workload, whatever their internal shape — plus the
 //! executable SIRI property checks of Definition 3.1.
 
+use std::ops::Bound::Unbounded;
+
+use siri::crypto::sha256;
+use siri::ordered::OrderedNode;
 use siri::workloads::YcsbConfig;
 use siri::{
-    siri_properties, Entry, IndexFactory, MbtFactory, MptFactory, MvmbFactory, MvmbParams,
-    PosFactory, PosParams, SiriIndex,
+    siri_properties, Bytes, Entry, Hash, IndexError, IndexFactory, MbtFactory, MemStore,
+    MptFactory, MvmbFactory, MvmbParams, NodeStore, PageNode, PagePool, PageReader, PosFactory,
+    PosParams, Recorder, SharedStore, SiriIndex, StructureStats,
 };
 
 fn dataset(n: usize) -> Vec<Entry> {
@@ -198,4 +203,166 @@ fn exclusive_start_at_every_key_including_leaf_edges() {
     check(&build(&MptFactory, &sorted), &sorted);
     check(&build(&MbtFactory { buckets: 16, fanout: 4 }, &sorted), &sorted);
     check(&build(&MvmbFactory(MvmbParams::default()), &sorted), &sorted);
+}
+
+// ---- POS-Tree and MVMB+ are read by one descent (`siri::ordered`) ----------
+//
+// Each check is written once over `SiriIndex` and the two-method node view
+// and run for both trees.
+
+type PosNode = siri::pos_tree::Node;
+type MvmbNode = siri_mvmb::Node;
+
+fn pos() -> PosFactory {
+    PosFactory(PosParams::default())
+}
+
+fn mvmb() -> MvmbFactory {
+    MvmbFactory(MvmbParams::default())
+}
+
+fn sorted_dataset() -> Vec<Entry> {
+    let mut sorted = dataset(600);
+    sorted.sort();
+    sorted
+}
+
+/// The leaves of the tree at `root`, left to right: digest and entries.
+fn leaves<N: PageNode + OrderedNode>(store: &SharedStore, root: Hash) -> Vec<(Hash, Vec<Entry>)> {
+    let reader = PageReader::<N>::new(store.clone(), 0);
+    let mut out = Vec::new();
+    let mut stack = vec![root];
+    while let Some(hash) = stack.pop() {
+        let node = reader.load(&hash).unwrap();
+        match node.entries() {
+            Some(entries) => out.push((hash, entries.to_vec())),
+            None => stack.extend(node.children().iter().rev().map(|c| c.hash)),
+        }
+    }
+    out
+}
+
+/// A fault in the middle of a scan: every entry before the missing leaf
+/// arrives, then the error, once, then the end of the stream.
+#[test]
+fn cursor_delivers_a_missing_leaf_as_one_error_after_the_entries_before_it() {
+    fn check<F: IndexFactory, N: PageNode + OrderedNode>(factory: &F) {
+        let sorted = sorted_dataset();
+        let idx = build(factory, &sorted);
+        let leaves = leaves::<N>(idx.store(), idx.root());
+        let (missing, _) = leaves[leaves.len() / 2];
+        let holey = MemStore::new_shared();
+        for (hash, _) in idx.page_set().iter().filter(|(hash, _)| **hash != missing) {
+            holey.put(idx.store().get(hash).unwrap());
+        }
+        let before: usize = leaves[..leaves.len() / 2].iter().map(|(_, es)| es.len()).sum();
+        assert!(before > 0 && before < sorted.len());
+
+        let mut cursor = idx.with_store(holey).range(Unbounded, Unbounded);
+        for want in &sorted[..before] {
+            assert_eq!(cursor.next(), Some(Ok(want.clone())), "{}", idx.kind());
+        }
+        assert_eq!(cursor.next(), Some(Err(IndexError::MissingPage(missing))));
+        assert_eq!(cursor.next(), None);
+    }
+    check::<_, PosNode>(&pos());
+    check::<_, MvmbNode>(&mvmb());
+}
+
+/// The cursor loads a leaf when it needs its first entry: a reader that
+/// stops on the last entry of a leaf never fetches the next one.
+#[test]
+fn take_ending_on_a_leaf_edge_does_not_load_the_next_leaf() {
+    fn check<F: IndexFactory, N: PageNode + OrderedNode>(factory: &F) {
+        let sorted = sorted_dataset();
+        let idx = build(factory, &sorted);
+        let leaves = leaves::<N>(idx.store(), idx.root());
+        let k: usize = leaves[..3].iter().map(|(_, es)| es.len()).sum();
+
+        // A witness handle has no node cache, and records what it fetches.
+        let rec = Recorder::new(idx.store().clone());
+        let got: Vec<Entry> = idx
+            .with_store(rec.clone())
+            .range(Unbounded, Unbounded)
+            .take(k)
+            .collect::<siri::Result<_>>()
+            .unwrap();
+        assert_eq!(got, sorted[..k]);
+        let fetched: Vec<Hash> = rec.proof().pages().iter().map(|p| sha256(p)).collect();
+        assert!(fetched.contains(&leaves[2].0));
+        assert!(!fetched.contains(&leaves[3].0), "{}: loaded a leaf nobody read", idx.kind());
+    }
+    check::<_, PosNode>(&pos());
+    check::<_, MvmbNode>(&mvmb());
+}
+
+/// A stored leaf without entries decodes, but the descent relies on leaves
+/// having a first entry; an internal node without children does not even
+/// decode. Either is an error on every read, never a panic.
+#[test]
+fn childless_internal_and_empty_leaf_roots_are_errors() {
+    fn check<F: IndexFactory>(factory: &F, childless: Bytes, empty_leaf: Bytes) {
+        let empty = IndexError::CorruptStructure("empty stored leaf");
+        for (page, want) in [(childless, None), (empty_leaf, Some(empty))] {
+            let pool = PagePool::build(std::slice::from_ref(&page)).unwrap();
+            let idx = factory.open(pool, sha256(&page));
+            let errors = [
+                idx.get(b"k").unwrap_err(),
+                idx.len().unwrap_err(),
+                idx.range(Unbounded, Unbounded).next().unwrap().unwrap_err(),
+            ];
+            for err in errors {
+                assert!(want.as_ref().is_none_or(|w| *w == err), "{}: {err}", idx.kind());
+            }
+            assert_eq!(idx.range(Unbounded, Unbounded).count(), 1, "the error ends the stream");
+        }
+    }
+    let childless = PosNode::Internal { salt: 0, level: 1, children: Vec::new() };
+    let empty_leaf = PosNode::Leaf { salt: 0, entries: Vec::new() };
+    check(&pos(), childless.encode(), empty_leaf.encode());
+    check(&mvmb(), MvmbNode::Internal(Vec::new()).encode(), MvmbNode::Leaf(Vec::new()).encode());
+}
+
+#[test]
+fn ordered_cursor_iterates_all_entries_in_order() {
+    fn check<F: IndexFactory>(factory: &F) {
+        let sorted = sorted_dataset();
+        let idx = build(factory, &sorted);
+        let mut cursor = idx.range(Unbounded, Unbounded);
+        let seen: Vec<Entry> = cursor.by_ref().map(Result::unwrap).collect();
+        assert_eq!(seen, sorted, "{}", idx.kind());
+        assert_eq!(cursor.next(), None, "a finished cursor stays finished");
+    }
+    check(&pos());
+    check(&mvmb());
+}
+
+#[test]
+fn ordered_cursor_warm_second_scan_is_all_cache_hits() {
+    fn check<F: IndexFactory>(factory: &F) {
+        let sorted = sorted_dataset();
+        let built = build(factory, &sorted);
+        // A fresh handle: its node cache has seen nothing yet.
+        let idx = factory.open(built.store().clone(), built.root());
+        assert_eq!(idx.scan().unwrap(), sorted, "{} cold scan", idx.kind());
+        let cold = idx.node_cache_stats();
+        assert!(cold.misses > 0 && cold.hits == 0);
+        assert_eq!(idx.scan().unwrap(), sorted, "{} warm scan", idx.kind());
+        let warm = idx.node_cache_stats();
+        assert_eq!(warm.misses, cold.misses, "second scan must be all cache hits");
+        assert_eq!(warm.hits, cold.misses);
+    }
+    check(&pos());
+    check(&mvmb());
+}
+
+#[test]
+fn ordered_cursor_over_an_empty_tree() {
+    fn check<F: IndexFactory>(factory: &F) {
+        let idx = factory.empty(siri::env_store());
+        assert_eq!(idx.range(Unbounded, Unbounded).next(), None);
+        assert_eq!(idx.len().unwrap(), 0);
+    }
+    check(&pos());
+    check(&mvmb());
 }
