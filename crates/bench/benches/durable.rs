@@ -19,8 +19,8 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use siri::workloads::YcsbConfig;
 use siri::{
-    FileStore, FileStoreOptions, FsyncPolicy, MemStore, PosParams, PosTree, Reclaim, SharedStore,
-    SiriIndex,
+    FileStore, FileStoreOptions, FsyncPolicy, MemStore, NodeStore, PosParams, PosTree, Reclaim,
+    SharedStore, SiriIndex,
 };
 
 fn dataset_size() -> usize {
@@ -120,6 +120,7 @@ fn bench_durable(c: &mut Criterion) {
             let mut idx = PosTree::new(store, PosParams::default());
             idx.batch_insert(ycsb.dataset(n.min(5_000))).unwrap();
             let mut v = 1u32;
+            let before = durable.as_ref().map(|fs| fs.stats());
             group.bench_function(BenchmarkId::from_parameter(label), |b| {
                 b.iter(|| {
                     v += 1;
@@ -131,6 +132,19 @@ fn bench_durable(c: &mut Criterion) {
                     }
                 })
             });
+            // Every commit's pages are one append (a regression back to
+            // per-page appends shows up here, not only as a slower row).
+            if let (Some(fs), Some(before)) = (&durable, before) {
+                let after = fs.stats();
+                let commits = after.commits - before.commits;
+                let appends = after.appends - before.appends;
+                println!(
+                    "durable_commit_100/{label}: {appends} appends over {commits} commits \
+                     ({:.2} per commit)",
+                    appends as f64 / commits.max(1) as f64
+                );
+                assert_eq!(appends, commits, "{label}: one append per commit");
+            }
         }
         group.finish();
     }

@@ -34,7 +34,9 @@ use siri_core::{
     SiriIndex, StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::{FxHashMap, Hash};
-use siri_store::{reachable_pages, CacheStats, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY};
+use siri_store::{
+    reachable_pages, CacheStats, PageBatch, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY,
+};
 
 pub use cursor::RangeCursor;
 pub use node::Node;
@@ -65,14 +67,14 @@ impl MerkleBucketTree {
         let topo = Topology::new(buckets, fanout);
         let (b, m) = (buckets as u64, fanout as u64);
 
+        let mut batch = PageBatch::new();
         let empty_bucket = Node::Bucket { buckets: b, fanout: m, entries: Vec::new() }.encode();
-        let bucket_hash = store.try_put(empty_bucket)?;
-        let mut level: Vec<Hash> = vec![bucket_hash; buckets];
+        let mut level: Vec<Hash> = vec![batch.push(empty_bucket); buckets];
 
         while level.len() > 1 {
             // Lower levels repeat a handful of distinct child runs (full
             // nodes plus ragged tails), so memoize pages by their *content*
-            // and persist the distinct ones as a single multi-lane batch.
+            // and hash the distinct ones as a single multi-lane group.
             // (An earlier revision keyed the memo by chunk length, which
             // conflates e.g. [full, full] with [full, tail] on ragged
             // shapes like 9 buckets × fanout 2.)
@@ -87,9 +89,10 @@ impl MerkleBucketTree {
                 });
                 slots.push(slot);
             }
-            let hashes = store.try_put_many(&pages)?;
+            let hashes = batch.push_many(pages);
             level = slots.into_iter().map(|s| hashes[s]).collect();
         }
+        store.try_put_batch(&batch)?;
         let reader = PageReader::new(store, DEFAULT_NODE_CACHE_CAPACITY);
         Ok(MerkleBucketTree { reader, topo, root: level[0] })
     }
@@ -325,9 +328,10 @@ impl SiriIndex for MerkleBucketTree {
         // for life), so content addressing collapses it back onto the page
         // every empty bucket shares — delete-then-reinsert restores the
         // identical root.
-        // All rewritten buckets are persisted as one sibling batch: the
-        // store digests the batch with the multi-lane hasher before taking
-        // any shard lock.
+        // All rewritten buckets are hashed as one sibling group with the
+        // multi-lane hasher, and every page of the commit reaches the store
+        // as one batch (spilled level by level once it is full).
+        let mut pages = PageBatch::new();
         let mut changed: FxHashMap<topology::NodeId, Hash> = FxHashMap::default();
         let mut bucket_pages = Vec::with_capacity(per_bucket.len());
         for (bucket, bucket_ops) in &per_bucket {
@@ -335,10 +339,11 @@ impl SiriIndex for MerkleBucketTree {
             let merged = apply_ops(&old, bucket_ops);
             bucket_pages.push(Node::Bucket { buckets: b, fanout: m, entries: merged }.encode());
         }
-        let hashes = self.store().try_put_many(&bucket_pages)?;
+        let hashes = pages.push_many(bucket_pages);
         for (bucket, h) in per_bucket.keys().zip(hashes) {
             changed.insert((0, *bucket), h);
         }
+        pages.spill_if_full(self.store())?;
 
         // Propagate new hashes level by level ("the hashes of the bucket
         // and the nodes are recalculated recursively", §3.4.2).
@@ -349,7 +354,7 @@ impl SiriIndex for MerkleBucketTree {
                 .map(|(_, idx)| idx / self.topo.fanout())
                 .collect();
             // Parents on one level are siblings of each other: encode them
-            // all, then put them as one batch.
+            // all, then hash them as one group.
             let mut parent_ids = Vec::with_capacity(parents.len());
             let mut parent_pages = Vec::with_capacity(parents.len());
             for parent in parents {
@@ -374,11 +379,13 @@ impl SiriIndex for MerkleBucketTree {
                 parent_pages.push(Node::Internal { buckets: b, fanout: m, children }.encode());
                 parent_ids.push(id);
             }
-            let hashes = self.store().try_put_many(&parent_pages)?;
+            let hashes = pages.push_many(parent_pages);
             for (id, h) in parent_ids.into_iter().zip(hashes) {
                 changed.insert(id, h);
             }
+            pages.spill_if_full(self.store())?;
         }
+        self.store().try_put_batch(&pages)?;
 
         let root_id = (self.topo.height() - 1, 0);
         self.root = *changed.get(&root_id).expect("root must change when buckets change");

@@ -200,9 +200,13 @@ impl SiriIndex for MerklePatriciaTrie {
         }
         self.root = match overlay {
             Some(overlay) => {
-                // One scratch buffer serves every node this commit encodes.
+                // One scratch buffer serves every node this commit encodes,
+                // and one batch carries every page it writes to the store.
+                let mut pages = siri_store::PageBatch::new();
                 let mut scratch = siri_encoding::Scratch::new();
-                overlay.commit(self.store(), &mut scratch)?
+                let root = overlay.commit(self.store(), &mut pages, &mut scratch)?;
+                self.store().try_put_batch(&pages)?;
+                root
             }
             None => Hash::ZERO, // every record deleted
         };

@@ -16,7 +16,7 @@ use bytes::Bytes;
 use siri_core::Result;
 use siri_crypto::Hash;
 use siri_encoding::{Nibbles, Scratch};
-use siri_store::{NodeStore, SharedStore};
+use siri_store::{PageBatch, SharedStore};
 
 use crate::node::Node;
 use crate::MerklePatriciaTrie;
@@ -189,45 +189,56 @@ impl MemNode {
         }
     }
 
-    /// Persist the overlay, returning the subtree digest. Untouched
-    /// `Stored` stubs cost nothing. A store fault propagates without
-    /// touching the handle's root — the half-written subtree is garbage a
-    /// future sweep reclaims, never a visible version.
+    /// Encode the overlay's dirty nodes into the commit's `batch`,
+    /// returning the subtree digest. Untouched `Stored` stubs cost nothing.
+    /// The caller hands the batch to the store; a store fault there (or in
+    /// an early spill to `store`) propagates without touching the handle's
+    /// root — spilled pages are garbage a future sweep reclaims, never a
+    /// visible version.
     ///
-    /// Dirty branch children are persisted as one sibling batch through
-    /// [`siri_store::NodeStore::try_put_many`], so the store digests them
-    /// with the multi-lane hasher; the node itself is encoded into the
-    /// commit's reusable `scratch` and put as a borrowed slice (a
-    /// deduplicated page then allocates nothing).
-    pub(crate) fn commit(self, store: &SharedStore, scratch: &mut Scratch) -> Result<Hash> {
+    /// Dirty branch children join the batch as one sibling group
+    /// ([`PageBatch::push_many`], the multi-lane hasher); the node itself
+    /// is encoded into the commit's reusable `scratch` and copied in.
+    pub(crate) fn commit(
+        self,
+        store: &SharedStore,
+        batch: &mut PageBatch,
+        scratch: &mut Scratch,
+    ) -> Result<Hash> {
         match self {
             MemNode::Stored(h) => Ok(h),
             dirty => {
-                let node = dirty.into_committed_node(store, scratch)?;
+                let node = dirty.into_committed_node(store, batch, scratch)?;
                 let w = scratch.start();
                 w.reserve_total(node.encoded_len());
                 node.encode_into(w.buf_mut());
-                Ok(store.try_put_raw(scratch.bytes())?)
+                Ok(batch.push_slice(scratch.bytes()))
             }
         }
     }
 
     /// Commit every descendant, turning this materialized overlay node into
     /// a codec [`Node`] whose child references are digests. Branch children
-    /// that are dirty encode into owned pages and land in the store as one
-    /// `try_put_many` batch; an extension's lone child commits on its own.
-    fn into_committed_node(self, store: &SharedStore, scratch: &mut Scratch) -> Result<Node> {
+    /// that are dirty encode into owned pages and join the batch as one
+    /// `push_many` group (after which a full batch spills to `store`); an
+    /// extension's lone child commits on its own.
+    fn into_committed_node(
+        self,
+        store: &SharedStore,
+        batch: &mut PageBatch,
+        scratch: &mut Scratch,
+    ) -> Result<Node> {
         Ok(match self {
             MemNode::Stored(_) => unreachable!("commit resolves stored stubs"),
             MemNode::Leaf { path, value } => Node::Leaf { path, value },
             MemNode::Extension { path, child } => {
-                let child = child.commit(store, scratch)?;
+                let child = child.commit(store, batch, scratch)?;
                 Node::Extension { path, child }
             }
             MemNode::Branch { children, value } => {
                 let mut slots: [Option<Hash>; 16] = Default::default();
-                let mut batch: Vec<Bytes> = Vec::new();
-                let mut batch_slots: Vec<usize> = Vec::new();
+                let mut dirty_pages: Vec<Bytes> = Vec::new();
+                let mut dirty_slots: Vec<usize> = Vec::new();
                 for (i, c) in children.into_iter().enumerate() {
                     match c {
                         None => {}
@@ -235,17 +246,18 @@ impl MemNode {
                         Some(dirty) => {
                             // Batch members must coexist, so each gets an
                             // owned page (exact-sized, single allocation).
-                            let node = dirty.into_committed_node(store, scratch)?;
-                            batch.push(node.encode());
-                            batch_slots.push(i);
+                            let node = dirty.into_committed_node(store, batch, scratch)?;
+                            dirty_pages.push(node.encode());
+                            dirty_slots.push(i);
                         }
                     }
                 }
-                if !batch.is_empty() {
-                    let hashes = store.try_put_many(&batch)?;
-                    for (slot, h) in batch_slots.into_iter().zip(hashes) {
+                if !dirty_pages.is_empty() {
+                    let hashes = batch.push_many(dirty_pages);
+                    for (slot, h) in dirty_slots.into_iter().zip(hashes) {
                         slots[slot] = Some(h);
                     }
+                    batch.spill_if_full(store)?;
                 }
                 Node::Branch { children: slots, value }
             }

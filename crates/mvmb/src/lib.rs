@@ -30,7 +30,9 @@ use siri_core::{
     WriteBatch,
 };
 use siri_crypto::{FxHashSet, Hash};
-use siri_store::{reachable_pages, CacheStats, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY};
+use siri_store::{
+    reachable_pages, CacheStats, PageBatch, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY,
+};
 
 pub use node::Node;
 pub use proof::MvmbProofScheme;
@@ -111,11 +113,13 @@ impl MvmbTree {
     }
 
     /// Split `items` into balanced chunks of at most `max` and emit one
-    /// node per chunk via `build`. The chunk nodes are siblings, so they
-    /// are persisted as one [`siri_store::NodeStore::try_put_many`] batch:
-    /// the store digests them with the multi-lane hasher.
+    /// node per chunk via `build` into the commit's `batch`. The chunk
+    /// nodes are siblings, so they are hashed as one
+    /// [`PageBatch::push_many`] group (the multi-lane hasher); a batch
+    /// grown past the spill threshold is then handed to the store early.
     fn emit_chunks<T: Clone>(
         &self,
+        batch: &mut PageBatch,
         items: Vec<T>,
         max: usize,
         build: impl Fn(Vec<T>) -> Node,
@@ -132,7 +136,8 @@ impl MvmbTree {
             max_keys.push(node.max_key().expect("never store empty nodes"));
             pages.push(node.encode());
         }
-        let hashes = self.store().try_put_many(&pages)?;
+        let hashes = batch.push_many(pages);
+        batch.spill_if_full(self.store())?;
         Ok(max_keys
             .into_iter()
             .zip(hashes)
@@ -145,7 +150,12 @@ impl MvmbTree {
     /// pieces for this subtree — possibly none, when deletes empty it
     /// (underflow handling: emptied nodes are pruned and their siblings
     /// re-chunked by the parent rebuild).
-    fn apply_rec(&self, node_hash: Hash, ops: &[BatchOp]) -> Result<Vec<ChildRef>> {
+    fn apply_rec(
+        &self,
+        batch: &mut PageBatch,
+        node_hash: Hash,
+        ops: &[BatchOp],
+    ) -> Result<Vec<ChildRef>> {
         let node = self.reader.fetch(&node_hash)?.0;
         if ops.is_empty() {
             // Untouched subtree: reuse wholesale (Recursively Identical in
@@ -156,7 +166,7 @@ impl MvmbTree {
         match &*node {
             Node::Leaf(old) => {
                 let merged = apply_ops(old, ops);
-                self.emit_chunks(merged, self.params.max_leaf_entries, Node::Leaf)
+                self.emit_chunks(batch, merged, self.params.max_leaf_entries, Node::Leaf)
             }
             Node::Internal(children) => {
                 // Partition the batch across children by routing range.
@@ -171,10 +181,10 @@ impl MvmbTree {
                     };
                     let (mine, remaining) = rest.split_at(split);
                     rest = remaining;
-                    pieces.extend(self.apply_rec(child.hash, mine)?);
+                    pieces.extend(self.apply_rec(batch, child.hash, mine)?);
                 }
                 debug_assert!(rest.is_empty());
-                self.emit_chunks(pieces, self.params.max_internal_children, Node::Internal)
+                self.emit_chunks(batch, pieces, self.params.max_internal_children, Node::Internal)
             }
         }
     }
@@ -195,10 +205,12 @@ impl MvmbTree {
     }
 
     /// Build a tree bottom-up from scratch for the first batch.
-    fn build_fresh(&self, entries: Vec<Entry>) -> Result<Vec<ChildRef>> {
-        let mut pieces = self.emit_chunks(entries, self.params.max_leaf_entries, Node::Leaf)?;
+    fn build_fresh(&self, batch: &mut PageBatch, entries: Vec<Entry>) -> Result<Vec<ChildRef>> {
+        let mut pieces =
+            self.emit_chunks(batch, entries, self.params.max_leaf_entries, Node::Leaf)?;
         while pieces.len() > 1 {
-            pieces = self.emit_chunks(pieces, self.params.max_internal_children, Node::Internal)?;
+            pieces =
+                self.emit_chunks(batch, pieces, self.params.max_internal_children, Node::Internal)?;
         }
         Ok(pieces)
     }
@@ -237,16 +249,25 @@ impl SiriIndex for MvmbTree {
         if ops.is_empty() {
             return Ok(self.root);
         }
+        let mut pages = PageBatch::new();
         let mut pieces = if self.root.is_zero() {
             let puts: Vec<Entry> = ops.into_iter().filter_map(BatchOp::into_entry).collect();
-            self.build_fresh(puts)?
+            self.build_fresh(&mut pages, puts)?
         } else {
-            self.apply_rec(self.root, &ops)?
+            self.apply_rec(&mut pages, self.root, &ops)?
         };
         // Grow upward while the top level overflows a single node.
         while pieces.len() > 1 {
-            pieces = self.emit_chunks(pieces, self.params.max_internal_children, Node::Internal)?;
+            pieces = self.emit_chunks(
+                &mut pages,
+                pieces,
+                self.params.max_internal_children,
+                Node::Internal,
+            )?;
         }
+        // The new pages must be readable before the collapse below walks
+        // the new top.
+        self.store().try_put_batch(&pages)?;
         // Deletes may have emptied the tree entirely, or left a lone-child
         // chain at the top; prune both.
         self.root = match pieces.pop() {

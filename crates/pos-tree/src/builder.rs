@@ -4,9 +4,10 @@
 //! Level 0 has a [`LeafBuilder`] holding the leaf page currently being
 //! formed, every internal level a [`LevelBuilder`] holding the child
 //! references of its node. When the boundary detector fires (or the
-//! forced maximum is hit), the node is sealed, stored, and its
-//! [`ChildRef`] cascades into the builder one level up — the "bottom-up
-//! build order" whose batching advantage §5.2/§5.3.1 highlight.
+//! forced maximum is hit), the node is sealed, hashed into the commit's
+//! [`PageBatch`], and its [`ChildRef`] cascades into the builder one level
+//! up — the "bottom-up build order" whose batching advantage §5.2/§5.3.1
+//! highlight.
 //!
 //! Builders also support *pass-through*: an untouched old node can be
 //! re-used wholesale when every builder at its level and below is sitting
@@ -20,12 +21,12 @@ use siri_core::ordered::ChildRef;
 use siri_core::{entry_codec, Entry, Result};
 use siri_crypto::{GearHash, Hash, RollingHash, GEAR_WINDOW};
 use siri_encoding::{ByteWriter, Scratch};
-use siri_store::SharedStore;
+use siri_store::{PageBatch, SharedStore};
 
 use crate::node::{self, Node};
 use crate::params::{ChunkerKind, InternalChunking, PosParams, SplitPolicy};
 
-/// Leaves queued for one multi-lane hash+store round. Small enough that a
+/// Leaves queued for one multi-lane hashing round. Small enough that a
 /// resync flush mid-update wastes little batching, large enough to fill the
 /// SHA-256 lanes on a fresh build.
 const LEAF_BATCH: usize = 8;
@@ -91,7 +92,7 @@ impl Chunker {
     }
 }
 
-/// A node sealed by the chunker but not yet hashed or stored: its encoded
+/// A node sealed by the chunker but not yet hashed: its encoded
 /// page plus the max key its parent reference needs. Queued so sibling
 /// leaves can be hashed together through the multi-lane SHA-256 backend.
 pub struct DeferredSeal {
@@ -100,9 +101,9 @@ pub struct DeferredSeal {
 }
 
 impl DeferredSeal {
-    /// Hash and store the page on its own.
-    pub fn store(self, store: &SharedStore) -> Result<ChildRef> {
-        Ok(ChildRef { max_key: self.max_key, hash: store.try_put(self.page)? })
+    /// Hash the page on its own into the commit's batch.
+    pub fn push_into(self, batch: &mut PageBatch) -> ChildRef {
+        ChildRef { max_key: self.max_key, hash: batch.push(self.page) }
     }
 }
 
@@ -200,7 +201,7 @@ pub struct LevelBuilder {
     children: Vec<ChildRef>,
     bytes_in_node: usize,
     forced_max: Option<usize>,
-    /// Page encoding scratch: dedup hits never materialize an owned page.
+    /// Page encoding scratch, reused across seals.
     page_buf: Scratch,
 }
 
@@ -235,9 +236,9 @@ impl LevelBuilder {
         &self.children
     }
 
-    /// Push one child reference; returns the sealed node's piece if a
-    /// boundary fired.
-    pub fn push(&mut self, piece: ChildRef, store: &SharedStore) -> Result<Option<ChildRef>> {
+    /// Push one child reference; returns the sealed node's piece (its page
+    /// added to `batch`) if a boundary fired.
+    pub fn push(&mut self, piece: ChildRef, batch: &mut PageBatch) -> Option<ChildRef> {
         let fired = match &mut self.judge {
             Judge::HashBits { mask } => piece.hash.low64() & *mask == *mask,
             // `|`, not `||`: the digest is part of the stream whether or
@@ -248,23 +249,16 @@ impl LevelBuilder {
         };
         self.bytes_in_node += piece.max_key.len() + Hash::LEN;
         self.children.push(piece);
-        if fired || self.forced_max.is_some_and(|max| self.bytes_in_node >= max) {
-            Ok(Some(self.seal(store)?))
-        } else {
-            Ok(None)
-        }
+        (fired || self.forced_max.is_some_and(|max| self.bytes_in_node >= max))
+            .then(|| self.seal(batch))
     }
 
     /// Seal the trailing node at end of stream, if any.
-    pub fn finish(&mut self, store: &SharedStore) -> Result<Option<ChildRef>> {
-        if self.children.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(self.seal(store)?))
-        }
+    pub fn finish(&mut self, batch: &mut PageBatch) -> Option<ChildRef> {
+        (!self.at_boundary()).then(|| self.seal(batch))
     }
 
-    fn seal(&mut self, store: &SharedStore) -> Result<ChildRef> {
+    fn seal(&mut self, batch: &mut PageBatch) -> ChildRef {
         let children = std::mem::take(&mut self.children);
         self.bytes_in_node = 0;
         if let Judge::Window(chunker) = &mut self.judge {
@@ -275,13 +269,18 @@ impl LevelBuilder {
         let w = self.page_buf.start();
         w.reserve_total(node.encoded_len());
         node.encode_into(w);
-        let hash = store.try_put_raw(self.page_buf.bytes())?;
-        Ok(ChildRef { max_key, hash })
+        let hash = batch.push_slice(self.page_buf.bytes());
+        ChildRef { max_key, hash }
     }
 }
 
 /// The full builder pipeline — a [`LeafBuilder`] and one [`LevelBuilder`]
 /// per internal level — with cascade and pass-through plumbing.
+///
+/// Every sealed page goes into the commit's [`PageBatch`]; the caller hands
+/// the batch to the store after [`Builders::finalize`]. `store` is only the
+/// spill target: a batch past [`siri_store::PAGE_BATCH_SPILL_BYTES`] is
+/// handed over early, so a whole-dataset build never holds the whole tree.
 pub struct Builders<'a> {
     store: &'a SharedStore,
     params: &'a PosParams,
@@ -289,14 +288,20 @@ pub struct Builders<'a> {
     leaf: LeafBuilder,
     /// Internal levels: `upper[i]` builds level `i + 1`.
     upper: Vec<LevelBuilder>,
-    /// Leaves sealed by the chunker but not yet hashed/stored. Drained in
-    /// stream order through one `try_put_many` per batch so sibling pages
-    /// hit the multi-lane SHA-256 backend together.
+    /// Leaves sealed by the chunker but not yet hashed. Drained in stream
+    /// order through one `push_many` per round so sibling pages hit the
+    /// multi-lane SHA-256 backend together.
     pending_leaves: Vec<DeferredSeal>,
+    batch: &'a mut PageBatch,
 }
 
 impl<'a> Builders<'a> {
-    pub fn new(store: &'a SharedStore, params: &'a PosParams, salt: u64) -> Self {
+    pub fn new(
+        store: &'a SharedStore,
+        params: &'a PosParams,
+        salt: u64,
+        batch: &'a mut PageBatch,
+    ) -> Self {
         Builders {
             store,
             params,
@@ -304,6 +309,7 @@ impl<'a> Builders<'a> {
             leaf: LeafBuilder::new(salt, params),
             upper: Vec::new(),
             pending_leaves: Vec::new(),
+            batch,
         }
     }
 
@@ -331,27 +337,30 @@ impl<'a> Builders<'a> {
                 let level = self.upper.len() as u32 + 1;
                 self.upper.push(LevelBuilder::new(level, self.salt, self.params));
             }
-            next = self.upper[slot].push(piece, self.store)?;
+            next = self.upper[slot].push(piece, self.batch);
             slot += 1;
         }
         Ok(())
     }
 
-    /// Hash and store every queued leaf in one multi-lane round, then
-    /// cascade their references upward in stream order.
+    /// Hash every queued leaf into the batch in one multi-lane round,
+    /// cascade their references upward in stream order, then spill the
+    /// batch if it has grown past the threshold.
     fn flush_leaves(&mut self) -> Result<()> {
         if self.pending_leaves.is_empty() {
             return Ok(());
         }
-        let batch = std::mem::take(&mut self.pending_leaves);
-        let pages: Vec<Bytes> = batch.iter().map(|s| s.page.clone()).collect();
-        let hashes = self.store.try_put_many(&pages)?;
-        for (sealed, hash) in batch.into_iter().zip(hashes) {
+        let (max_keys, pages): (Vec<Bytes>, Vec<Bytes>) = std::mem::take(&mut self.pending_leaves)
+            .into_iter()
+            .map(|s| (s.max_key, s.page))
+            .unzip();
+        let hashes = self.batch.push_many(pages);
+        for (max_key, hash) in max_keys.into_iter().zip(hashes) {
             // Re-entrant flush inside push_piece sees an empty queue, so
             // this cannot loop.
-            self.push_piece(1, ChildRef { max_key: sealed.max_key, hash })?;
+            self.push_piece(1, ChildRef { max_key, hash })?;
         }
-        Ok(())
+        Ok(self.batch.spill_if_full(self.store)?)
     }
 
     /// Non-mutating boundary check; only meaningful once queued leaves have
@@ -400,7 +409,7 @@ impl<'a> Builders<'a> {
                     return Ok(Some(piece.clone()));
                 }
             }
-            if let Some(piece) = self.upper[slot].finish(self.store)? {
+            if let Some(piece) = self.upper[slot].finish(self.batch) {
                 self.push_piece(slot as u32 + 2, piece)?;
             }
             slot += 1;
@@ -419,11 +428,14 @@ mod tests {
     }
 
     fn build(store: &SharedStore, params: &PosParams, es: &[Entry]) -> Option<ChildRef> {
-        let mut b = Builders::new(store, params, 0);
+        let mut batch = PageBatch::new();
+        let mut b = Builders::new(store, params, 0, &mut batch);
         for e in es {
             b.push_entry(e).unwrap();
         }
-        b.finalize().unwrap()
+        let root = b.finalize().unwrap();
+        store.try_put_batch(&batch).unwrap();
+        root
     }
 
     #[test]

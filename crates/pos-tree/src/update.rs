@@ -26,24 +26,28 @@
 use siri_core::ordered::ChildRef;
 use siri_core::{apply_ops, BatchOp, Entry, IndexError, PageReader, Result};
 use siri_crypto::Hash;
-use siri_store::SharedStore;
+use siri_store::{PageBatch, SharedStore};
 
 use crate::builder::{Builders, LeafBuilder, LevelBuilder};
 use crate::node::Node;
 use crate::params::PosParams;
 
-/// Build a tree from scratch out of sorted unique entries.
+/// Build a tree from scratch out of sorted unique entries; its pages reach
+/// the store as one batch (plus any early spills).
 pub(crate) fn build_from_entries(
     store: &SharedStore,
     params: &PosParams,
     salt: u64,
     entries: &[Entry],
 ) -> Result<Option<ChildRef>> {
-    let mut builders = Builders::new(store, params, salt);
+    let mut batch = PageBatch::new();
+    let mut builders = Builders::new(store, params, salt, &mut batch);
     for e in entries {
         builders.push_entry(e)?;
     }
-    builders.finalize()
+    let root = builders.finalize()?;
+    store.try_put_batch(&batch)?;
+    Ok(root)
 }
 
 /// Streaming update: walk the old tree, replaying content through the
@@ -64,10 +68,13 @@ pub(crate) fn streaming_update(
         let max_key = node.max_key().ok_or(IndexError::CorruptStructure("empty root"))?;
         return Ok(Some(ChildRef { max_key, hash: root }));
     }
-    let mut builders = Builders::new(reader.store(), params, salt);
+    let mut batch = PageBatch::new();
+    let mut builders = Builders::new(reader.store(), params, salt, &mut batch);
     let root_node = reader.load(&root)?;
     process(reader, &mut builders, &root_node, edits, true)?;
-    builders.finalize()
+    let piece = builders.finalize()?;
+    reader.store().try_put_batch(&batch)?;
+    Ok(piece)
 }
 
 /// Feed one old subtree (with its pending edits) into the builders.
@@ -140,13 +147,15 @@ pub(crate) fn splice_update(
         return Ok(Some(ChildRef { max_key, hash: root }));
     }
     let root_node = reader.load(&root)?;
-    let mut pieces = splice_rec(reader, params, salt, &root_node, edits)?;
+    let mut batch = PageBatch::new();
+    let mut pieces = splice_rec(reader, params, salt, &root_node, edits, &mut batch)?;
     // If the root burst into several pieces, grow extra levels locally.
     let mut level = root_node.level();
     while pieces.len() > 1 {
         level += 1;
-        pieces = chunk_pieces(store, params, salt, level, pieces)?;
+        pieces = chunk_pieces(params, salt, level, pieces, &mut batch);
     }
+    store.try_put_batch(&batch)?;
     Ok(pieces.pop())
 }
 
@@ -156,20 +165,21 @@ fn splice_rec(
     salt: u64,
     node: &Node,
     edits: &[BatchOp],
+    batch: &mut PageBatch,
 ) -> Result<Vec<ChildRef>> {
-    let store = reader.store();
     match node {
         Node::Leaf { entries, .. } => {
             let mut b = LeafBuilder::new(salt, params);
             let mut out = Vec::new();
             for e in apply_ops(entries, edits) {
                 if let Some(sealed) = b.push(&e) {
-                    out.push(sealed.store(store)?);
+                    out.push(sealed.push_into(batch));
                 }
             }
             if let Some(sealed) = b.finish() {
-                out.push(sealed.store(store)?);
+                out.push(sealed.push_into(batch));
             }
+            batch.spill_if_full(reader.store())?;
             Ok(out)
         }
         Node::Internal { children, level, .. } => {
@@ -188,10 +198,10 @@ fn splice_rec(
                     new_children.push(piece.clone());
                 } else {
                     let child = reader.load(&piece.hash)?;
-                    new_children.extend(splice_rec(reader, params, salt, &child, mine)?);
+                    new_children.extend(splice_rec(reader, params, salt, &child, mine, batch)?);
                 }
             }
-            chunk_pieces(store, params, salt, *level, new_children)
+            Ok(chunk_pieces(params, salt, *level, new_children, batch))
         }
     }
 }
@@ -199,23 +209,16 @@ fn splice_rec(
 /// Chunk a list of pieces into internal nodes of `level` with a local
 /// builder (splice semantics: no spill beyond this list).
 fn chunk_pieces(
-    store: &SharedStore,
     params: &PosParams,
     salt: u64,
     level: u32,
     pieces: Vec<ChildRef>,
-) -> Result<Vec<ChildRef>> {
+    batch: &mut PageBatch,
+) -> Vec<ChildRef> {
     let mut b = LevelBuilder::new(level, salt, params);
-    let mut out = Vec::new();
-    for p in pieces {
-        if let Some(sealed) = b.push(p, store)? {
-            out.push(sealed);
-        }
-    }
-    if let Some(sealed) = b.finish(store)? {
-        out.push(sealed);
-    }
-    Ok(out)
+    let mut out: Vec<ChildRef> = pieces.into_iter().filter_map(|p| b.push(p, batch)).collect();
+    out.extend(b.finish(batch));
+    out
 }
 
 #[cfg(test)]

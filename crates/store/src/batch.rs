@@ -1,0 +1,110 @@
+//! A commit's pages, hashed on the way in and handed to the store at once.
+
+use bytes::Bytes;
+use siri_crypto::{hash_many, sha256, Hash};
+
+use crate::{NodeStore, StoreResult};
+
+/// Payload bytes past which a commit hands its batch to the store early and
+/// carries on with an empty one, so a whole-dataset load never holds a
+/// whole tree of pages (DESIGN.md §5). A constant, not a knob.
+pub const PAGE_BATCH_SPILL_BYTES: usize = 4 * 1024 * 1024;
+
+/// The pages one index commit writes, each next to its content address.
+///
+/// The only way in is [`PageBatch::push`], [`PageBatch::push_slice`] or
+/// [`PageBatch::push_many`], and each computes the SHA-256 itself — so a
+/// digest in a batch *is* its page's digest, and
+/// [`NodeStore::try_put_batch`] can trust it without hashing again.
+#[derive(Debug, Default)]
+pub struct PageBatch {
+    pages: Vec<(Hash, Bytes)>,
+    bytes: usize,
+}
+
+impl PageBatch {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Add an owned page; returns its content address.
+    pub fn push(&mut self, page: Bytes) -> Hash {
+        let hash = sha256(&page);
+        self.bytes += page.len();
+        self.pages.push((hash, page));
+        hash
+    }
+
+    /// Add a page from a borrowed buffer (e.g. a reusable encode scratch),
+    /// copying it; returns its content address.
+    pub fn push_slice(&mut self, page: &[u8]) -> Hash {
+        self.push(Bytes::copy_from_slice(page))
+    }
+
+    /// Add sibling pages, digested together by the multi-lane
+    /// [`hash_many`]; returns one content address per page, in order.
+    pub fn push_many(&mut self, pages: Vec<Bytes>) -> Vec<Hash> {
+        let views: Vec<&[u8]> = pages.iter().map(|p| p.as_ref()).collect();
+        let hashes = hash_many(&views);
+        self.pages.reserve(pages.len());
+        for (hash, page) in hashes.iter().zip(pages) {
+            self.bytes += page.len();
+            self.pages.push((*hash, page));
+        }
+        hashes
+    }
+
+    /// The pages in push order, each with its content address.
+    pub fn pages(&self) -> &[(Hash, Bytes)] {
+        &self.pages
+    }
+
+    /// Hand the batch to `store` and start over empty — but only once it
+    /// holds at least [`PAGE_BATCH_SPILL_BYTES`]. Commits call this at
+    /// natural seams; a failure leaves the batch as it was.
+    pub fn spill_if_full<S: NodeStore + ?Sized>(&mut self, store: &S) -> StoreResult<()> {
+        if self.bytes >= PAGE_BATCH_SPILL_BYTES {
+            store.try_put_batch(self)?;
+            self.pages.clear();
+            self.bytes = 0;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MemStore;
+
+    #[test]
+    fn every_constructor_hashes_what_it_keeps() {
+        let mut batch = PageBatch::new();
+        let a = batch.push(Bytes::from_static(b"alpha"));
+        let b = batch.push_slice(b"beta");
+        let many = batch.push_many(vec![Bytes::from_static(b"gamma"), Bytes::from_static(b"")]);
+        assert_eq!(a, sha256(b"alpha"));
+        assert_eq!(b, sha256(b"beta"));
+        assert_eq!(many, vec![sha256(b"gamma"), sha256(b"")]);
+        assert_eq!(batch.pages().len(), 4);
+        for (hash, page) in batch.pages() {
+            assert_eq!(*hash, sha256(page));
+        }
+    }
+
+    #[test]
+    fn spill_waits_for_the_threshold_then_empties() {
+        let store = MemStore::new();
+        let mut batch = PageBatch::new();
+        batch.push_slice(b"small");
+        batch.spill_if_full(&store).unwrap();
+        assert_eq!((batch.pages().len(), store.len()), (1, 0), "under the threshold: kept");
+        batch.push(Bytes::from(vec![7u8; PAGE_BATCH_SPILL_BYTES]));
+        batch.spill_if_full(&store).unwrap();
+        assert!(batch.pages().is_empty());
+        assert_eq!(store.len(), 2, "both pages handed over");
+        batch.push_slice(b"small");
+        batch.spill_if_full(&store).unwrap();
+        assert_eq!(batch.pages().len(), 1, "the byte count restarted at zero");
+    }
+}

@@ -22,7 +22,7 @@ use bytes::Bytes;
 use siri_crypto::Hash;
 
 use crate::cache::{CacheStats, ShardedLru};
-use crate::{NodeStore, SharedStore, StoreResult, StoreStats};
+use crate::{NodeStore, PageBatch, SharedStore, StoreResult, StoreStats};
 
 /// Default page capacity of a client cache: ≈16 MB at 1 KB pages, the
 /// mid-range point of the §5.6.1 sweep.
@@ -123,6 +123,10 @@ impl NodeStore for CachingStore {
 
     fn try_put_many(&self, pages: &[Bytes]) -> StoreResult<Vec<Hash>> {
         self.server.try_put_many(pages)
+    }
+
+    fn try_put_batch(&self, batch: &PageBatch) -> StoreResult<()> {
+        self.server.try_put_batch(batch)
     }
 
     fn try_get(&self, hash: &Hash) -> StoreResult<Option<Bytes>> {

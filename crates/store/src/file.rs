@@ -36,16 +36,26 @@
 //!   point leaves either the old or the new generation fully intact;
 //!   segment files not named by an intact manifest are leftovers of an
 //!   interrupted compaction or rotation and are deleted on open.
-//! * **Writes can fail without lying.** `try_put` propagates I/O errors;
-//!   on a short or failed append the segment is rewound to the last clean
-//!   frame boundary and neither the in-memory index nor the counters move —
-//!   the store behaves as if the call never happened.
+//! * **Writes can fail without lying.** Every put call — one page, a
+//!   `try_put_many` slice or a whole commit's [`PageBatch`] — is *one*
+//!   append: its new frames are assembled in memory and written with one
+//!   `write(2)`. Each call is all-or-nothing: on a short or failed write
+//!   the segment is rewound to the frame boundary where the call began and
+//!   neither the in-memory index nor the counters move — the store behaves
+//!   as if the call never happened.
+//!
+//! ## Rotation
+//!
+//! The active segment rolls over once it has reached
+//! [`FileStoreOptions::max_segment_bytes`], checked once per append before
+//! it writes — so a segment may overshoot the cap by at most one append's
+//! frames (one commit batch, or one spill of [`crate::PAGE_BATCH_SPILL_BYTES`]).
 //!
 //! ## Crash matrix
 //!
 //! | crash during            | on-disk state found at reopen                   | outcome |
 //! |-------------------------|--------------------------------------------------|---------|
-//! | append                  | torn frame at active-segment tail                | tail truncated, prefix kept |
+//! | append (page or batch)  | torn frame at active-segment tail — a torn batch leaves its whole frames before the cut | tail truncated at the last whole frame, prefix kept |
 //! | rotation (pre-manifest) | new empty segment not in manifest                | stray deleted |
 //! | compaction (pre-swap)   | partial new generation, old manifest             | new gen deleted, old gen served |
 //! | compaction (post-swap)  | new manifest, old segments linger                | old gen deleted, new gen served |
@@ -75,14 +85,15 @@ static FILE_READERS_CLASS: LockClass = LockClass::new(65, "store.file-readers");
 use siri_crypto::{sha256, FxHashMap, Hash};
 
 use crate::stats::AtomicStoreStats;
-use crate::{NodeStore, PageSet, Reclaim, StoreError, StoreResult, StoreStats};
+use crate::{NodeStore, PageBatch, PageSet, Reclaim, StoreError, StoreResult, StoreStats};
 
 const FRAME_MAGIC: u8 = 0xA5;
 /// Frame header bytes preceding the payload: magic + len + digest.
 const FRAME_HEADER: u64 = 1 + 4 + 32;
 /// Refuse absurd frame lengths when scanning (corruption guard).
 const MAX_PAGE: u32 = 64 * 1024 * 1024;
-/// Segments roll over once the active one grows past this.
+/// Segments roll over once the active one grows past this (module docs,
+/// *Rotation*).
 pub const DEFAULT_SEGMENT_BYTES: u64 = 64 * 1024 * 1024;
 
 const MANIFEST: &str = "MANIFEST";
@@ -141,7 +152,8 @@ impl FsyncPolicy {
 /// Tuning knobs for [`FileStore::open_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct FileStoreOptions {
-    /// Roll to a new segment once the active one reaches this size.
+    /// Roll to a new segment once the active one reaches this size (a
+    /// segment may overshoot it by one append).
     pub max_segment_bytes: u64,
     /// When acknowledged commits reach stable storage.
     pub fsync: FsyncPolicy,
@@ -187,6 +199,9 @@ struct Appender {
     /// mutex anyway, so one allocation serves every put for the store's
     /// lifetime.
     frame_buf: Vec<u8>,
+    /// Reusable scratch of the append in progress: each new page's
+    /// location, its offset relative to the start of `frame_buf`.
+    fresh: FxHashMap<Hash, PageLoc>,
 }
 
 /// Group-commit bookkeeping: arrival tickets vs flush coverage.
@@ -472,6 +487,7 @@ impl FileStore {
                         active,
                         end: active_end,
                         frame_buf: Vec::new(),
+                        fresh: FxHashMap::default(),
                     },
                     &FILE_APPENDER_CLASS,
                 ),
@@ -762,86 +778,107 @@ impl FileStore {
 }
 
 impl FileStore {
-    /// Append `page` under its (already computed) content address. The
-    /// slice-based core of every put flavor: the page bytes are only ever
-    /// copied into the appender's reusable frame buffer, and a dedup hit
-    /// touches neither the disk nor any allocation.
-    fn put_hashed(&self, digest: Hash, page: &[u8]) -> StoreResult<Hash> {
+    /// Append `pages`, each under its already computed content address:
+    /// the one routine that writes page frames (every put flavor lands
+    /// here; compaction has its own writer). Under the appender lock it
+    /// skips pages the index holds and repeats within `pages` (shared
+    /// puts, exactly as a loop of single puts would count them), builds
+    /// every new frame in the reusable frame buffer, rotates the segment
+    /// at most once, and issues **one** `write_all`. A failed write is
+    /// rewound to the last clean frame boundary and returns with file,
+    /// index and counters untouched — the call is all-or-nothing. On
+    /// success the new locations go in under one index write lock.
+    ///
+    /// Lock order: appender (50) → index (60), read then write.
+    fn append<'p>(&self, pages: impl IntoIterator<Item = (Hash, &'p [u8])>) -> StoreResult<()> {
+        let mut guard = self.appender.lock();
+        let ap = &mut *guard;
+        ap.frame_buf.clear();
+        ap.fresh.clear();
+        let (mut puts, mut logical, mut shared, mut shared_bytes) = (0u64, 0u64, 0u64, 0u64);
+        {
+            // Only appends and compaction write the index, both under the
+            // appender lock we hold: this snapshot cannot go stale.
+            let index = self.index.read();
+            for (digest, page) in pages {
+                let len = page.len() as u64;
+                puts += 1;
+                logical += len;
+                if index.contains_key(&digest) || ap.fresh.contains_key(&digest) {
+                    shared += 1;
+                    shared_bytes += len;
+                    continue;
+                }
+                let off = ap.frame_buf.len() as u64 + FRAME_HEADER;
+                ap.frame_buf.push(FRAME_MAGIC);
+                ap.frame_buf.extend_from_slice(&(page.len() as u32).to_le_bytes());
+                ap.frame_buf.extend_from_slice(digest.as_bytes());
+                ap.frame_buf.extend_from_slice(page);
+                // `seg` and the segment base are known only after rotation.
+                ap.fresh.insert(digest, PageLoc { seg: 0, off, len: page.len() as u32 });
+            }
+        }
+        let written = ap.frame_buf.len() as u64;
+        if written > 0 {
+            if ap.end >= self.opts.max_segment_bytes && ap.end > 0 {
+                self.rotate(ap).map_err(|e| StoreError::io("rotate", e))?;
+            }
+            if let Err(e) = ap.active.write_all(&ap.frame_buf) {
+                // A short write may have left torn frames: rewind to the
+                // last clean boundary so the failed call leaves no trace.
+                let _ = ap.active.set_len(ap.end);
+                return Err(StoreError::io("append", e));
+            }
+            let (seg, base) = (ap.active_id, ap.end);
+            ap.end += written;
+            let mut index = self.index.write();
+            for (digest, loc) in ap.fresh.drain() {
+                index.insert(digest, PageLoc { seg, off: base + loc.off, len: loc.len });
+            }
+        }
+        let unique = puts - shared;
+        drop(guard);
         // Counters move only on success: `puts`/`logical_bytes` tally
-        // *accepted* writes (including dedup hits), never failed attempts.
-        let count_put = |stats: &AtomicStoreStats| {
-            AtomicStoreStats::add(&stats.puts, 1);
-            AtomicStoreStats::add(&stats.logical_bytes, page.len() as u64);
-        };
-        // A dedup hit is a *shared* put: the page bytes never reach disk.
-        let count_shared = |stats: &AtomicStoreStats| {
-            AtomicStoreStats::add(&stats.shared_puts, 1);
-            AtomicStoreStats::add(&stats.shared_bytes, page.len() as u64);
-        };
-        if self.index.read().contains_key(&digest) {
-            count_put(&self.stats);
-            count_shared(&self.stats);
-            return Ok(digest);
+        // *accepted* writes (dedup hits included), never failed attempts.
+        let stats = &self.stats;
+        AtomicStoreStats::add(&stats.puts, puts);
+        AtomicStoreStats::add(&stats.logical_bytes, logical);
+        AtomicStoreStats::add(&stats.shared_puts, shared);
+        AtomicStoreStats::add(&stats.shared_bytes, shared_bytes);
+        AtomicStoreStats::add(&stats.unique_pages, unique);
+        AtomicStoreStats::add(&stats.unique_bytes, logical - shared_bytes);
+        if written > 0 {
+            // Frame headers included: this is the disk traffic the write cost.
+            AtomicStoreStats::add(&stats.bytes_written, written);
+            AtomicStoreStats::add(&stats.appends, 1);
         }
-        let mut ap = self.appender.lock();
-        // Re-check under the appender lock: another writer may have stored
-        // the page between the optimistic check and here.
-        if self.index.read().contains_key(&digest) {
-            count_put(&self.stats);
-            count_shared(&self.stats);
-            return Ok(digest);
-        }
-        if ap.end >= self.opts.max_segment_bytes && ap.end > 0 {
-            self.rotate(&mut ap).map_err(|e| StoreError::io("rotate", e))?;
-        }
-        let mut frame = std::mem::take(&mut ap.frame_buf);
-        frame.clear();
-        frame.reserve(FRAME_HEADER as usize + page.len());
-        frame.push(FRAME_MAGIC);
-        frame.extend_from_slice(&(page.len() as u32).to_le_bytes());
-        frame.extend_from_slice(digest.as_bytes());
-        frame.extend_from_slice(page);
-        let write_result = ap.active.write_all(&frame);
-        let frame_len = frame.len();
-        ap.frame_buf = frame;
-        if let Err(e) = write_result {
-            // A short write may have left a torn frame: rewind to the last
-            // clean boundary so neither the file nor the index/counters
-            // reflect the failed append.
-            let _ = ap.active.set_len(ap.end);
-            return Err(StoreError::io("append", e));
-        }
-        let loc = PageLoc { seg: ap.active_id, off: ap.end + FRAME_HEADER, len: page.len() as u32 };
-        ap.end += frame_len as u64;
-        self.index.write().insert(digest, loc);
-        drop(ap);
-        count_put(&self.stats);
-        AtomicStoreStats::add(&self.stats.unique_pages, 1);
-        AtomicStoreStats::add(&self.stats.unique_bytes, page.len() as u64);
-        // Frame header included: this is the disk traffic the write cost.
-        AtomicStoreStats::add(&self.stats.bytes_written, frame_len as u64);
-        Ok(digest)
+        Ok(())
     }
 }
 
 impl NodeStore for FileStore {
     fn try_put(&self, page: Bytes) -> StoreResult<Hash> {
-        self.put_hashed(sha256(&page), &page)
+        self.try_put_raw(&page)
     }
 
     fn try_put_raw(&self, page: &[u8]) -> StoreResult<Hash> {
-        self.put_hashed(sha256(page), page)
+        let digest = sha256(page);
+        self.append([(digest, page)])?;
+        Ok(digest)
     }
 
     /// Batch put: one multi-lane digest pass over the whole sibling batch,
-    /// then sequential appends (the log is inherently serial).
+    /// then one append.
     fn try_put_many(&self, pages: &[Bytes]) -> StoreResult<Vec<Hash>> {
         let views: Vec<&[u8]> = pages.iter().map(|p| p.as_ref()).collect();
         let hashes = siri_crypto::hash_many(&views);
-        for (digest, page) in hashes.iter().zip(pages) {
-            self.put_hashed(*digest, page)?;
-        }
+        self.append(hashes.iter().copied().zip(views))?;
         Ok(hashes)
+    }
+
+    /// One append for the whole batch; its digests are trusted.
+    fn try_put_batch(&self, batch: &PageBatch) -> StoreResult<()> {
+        self.append(batch.pages().iter().map(|(digest, page)| (*digest, page.as_ref())))
     }
 
     fn try_get(&self, hash: &Hash) -> StoreResult<Option<Bytes>> {
@@ -967,6 +1004,44 @@ mod tests {
         let (store, recovered) = FileStore::open(&path).unwrap();
         assert_eq!(recovered, 2);
         let _ = store;
+    }
+
+    #[test]
+    fn failed_append_is_all_or_nothing() {
+        let path = tmp("failed-append");
+        let (store, _) =
+            FileStore::open_with(&path, small_segments(DEFAULT_SEGMENT_BYTES)).unwrap();
+        let acked = store.put(Bytes::from_static(b"acknowledged"));
+        let seg = seg_path(&path, 1);
+        let before = (store.len(), store.stats(), fs::metadata(&seg).unwrap().len());
+
+        let mut batch = PageBatch::new();
+        let fresh: Vec<Hash> = (0..5u8).map(|i| batch.push(Bytes::from(vec![i; 100]))).collect();
+        batch.push_slice(b"acknowledged"); // a dedup hit riding in the failing call
+
+        // A read-only handle on the same segment: the write fails (EBADF)
+        // with no fault hook and no new option.
+        let writable =
+            std::mem::replace(&mut store.appender.lock().active, File::open(&seg).unwrap());
+        assert!(store.try_put_batch(&batch).is_err());
+        assert_eq!(
+            (store.len(), store.stats(), fs::metadata(&seg).unwrap().len()),
+            before,
+            "a failed append moves neither index, counters nor file"
+        );
+        assert!(fresh.iter().all(|h| !store.contains(h)));
+
+        store.appender.lock().active = writable;
+        store.try_put_batch(&batch).unwrap();
+        assert!(fresh.iter().all(|h| store.contains(h)));
+        let after = store.stats();
+        assert_eq!(after.appends, before.1.appends + 1);
+        assert_eq!((after.puts, after.shared_puts), (before.1.puts + 6, before.1.shared_puts + 1));
+        drop(store);
+
+        let (store, recovered) = FileStore::open(&path).unwrap();
+        assert_eq!(recovered, 1 + fresh.len(), "exactly the acknowledged pages");
+        assert!(fresh.iter().chain([&acked]).all(|h| store.get(h).is_some()));
     }
 
     #[test]

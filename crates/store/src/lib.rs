@@ -18,9 +18,12 @@
 //!   lookups skip the store lock, the page clone and the decode entirely.
 //! * [`PageSet`] — the reachable page set P(I) of one index instance, the
 //!   input to the deduplication metrics.
+//! * [`PageBatch`] — the pages of one commit, hashed as they are added and
+//!   handed to the store in one [`NodeStore::try_put_batch`].
 //!
 //! The layering and the cache design are documented in DESIGN.md.
 
+mod batch;
 mod cache;
 mod caching;
 mod error;
@@ -34,6 +37,7 @@ mod stats;
 use bytes::Bytes;
 use siri_crypto::Hash;
 
+pub use batch::{PageBatch, PAGE_BATCH_SPILL_BYTES};
 pub use cache::{CacheStats, NodeCache, ShardedLru, DEFAULT_NODE_CACHE_CAPACITY};
 pub use caching::{CachingStore, DEFAULT_CLIENT_CACHE_PAGES};
 pub use error::{StoreError, StoreResult};
@@ -75,9 +79,23 @@ pub trait NodeStore: Send + Sync {
     /// Store a batch of sibling pages, returning one content address per
     /// page in order. Semantically a loop of [`NodeStore::try_put`];
     /// backends override it to digest the whole batch with the multi-lane
-    /// [`siri_crypto::hash_many`] before inserting.
+    /// [`siri_crypto::hash_many`] before inserting. Atomic on
+    /// [`FileStore`] (one append: every page or none).
     fn try_put_many(&self, pages: &[Bytes]) -> StoreResult<Vec<Hash>> {
         pages.iter().map(|p| self.try_put(p.clone())).collect()
+    }
+
+    /// Store a commit's worth of pages that a [`PageBatch`] has already
+    /// hashed. The digests are trusted, not recomputed: `PageBatch` only
+    /// admits a page by hashing it. Counters move exactly as for a loop of
+    /// [`NodeStore::try_put`] over the batch (repeats inside the batch are
+    /// shared puts). The default *is* that loop; [`FileStore`] overrides it
+    /// with one append, all-or-nothing.
+    fn try_put_batch(&self, batch: &PageBatch) -> StoreResult<()> {
+        for (_, page) in batch.pages() {
+            self.try_put(page.clone())?;
+        }
+        Ok(())
     }
 
     /// Whether the page exists without fetching it.
@@ -130,6 +148,9 @@ impl<S: NodeStore + ?Sized> NodeStore for std::sync::Arc<S> {
     }
     fn try_put_many(&self, pages: &[Bytes]) -> StoreResult<Vec<Hash>> {
         (**self).try_put_many(pages)
+    }
+    fn try_put_batch(&self, batch: &PageBatch) -> StoreResult<()> {
+        (**self).try_put_batch(batch)
     }
     fn put(&self, page: Bytes) -> Hash {
         (**self).put(page)

@@ -9,7 +9,7 @@ static MEM_SHARD_CLASS: LockClass = LockClass::new(55, "store.mem-shard");
 use siri_crypto::{hash_many, sha256, FxHashMap, FxHashSet, Hash};
 
 use crate::stats::AtomicStoreStats;
-use crate::{NodeStore, PageSet, Reclaim, StoreResult, StoreStats};
+use crate::{NodeStore, PageBatch, PageSet, Reclaim, StoreResult, StoreStats};
 
 /// Shard count for the page map. Content addresses are uniform, so a small
 /// power of two spreads both reader and writer traffic; 16 shards already
@@ -148,6 +148,15 @@ impl NodeStore for MemStore {
             self.insert_hashed(*hash, page, Some(page));
         }
         Ok(hashes)
+    }
+
+    /// The batch's digests are trusted: no page is hashed again, and a new
+    /// page is kept by a refcount bump, not a copy.
+    fn try_put_batch(&self, batch: &PageBatch) -> StoreResult<()> {
+        for (hash, page) in batch.pages() {
+            self.insert_hashed(*hash, page, Some(page));
+        }
+        Ok(())
     }
 
     // Memory cannot fault: the infallible methods are the real

@@ -28,6 +28,11 @@ pub struct StoreStats {
     /// for [`crate::FileStore`] it includes frame headers, so it tracks
     /// real disk traffic (the write-amplification numerator).
     pub bytes_written: u64,
+    /// Segment `write(2)` calls made by puts — one per put call that
+    /// stored anything new, so one per index commit on
+    /// [`crate::FileStore`]. Compaction is not counted; zero for
+    /// [`crate::MemStore`].
+    pub appends: u64,
     /// Number of distinct pages held.
     pub unique_pages: u64,
     /// Sum of page sizes over distinct pages (deduplicated bytes).
@@ -115,6 +120,7 @@ pub struct AtomicStoreStats {
     pub shared_puts: AtomicU64,
     pub shared_bytes: AtomicU64,
     pub bytes_written: AtomicU64,
+    pub appends: AtomicU64,
     pub unique_pages: AtomicU64,
     pub unique_bytes: AtomicU64,
     pub gets: AtomicU64,
@@ -141,6 +147,7 @@ impl AtomicStoreStats {
             shared_puts: self.shared_puts.load(Ordering::Relaxed),
             shared_bytes: self.shared_bytes.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
+            appends: self.appends.load(Ordering::Relaxed),
             unique_pages: self.unique_pages.load(Ordering::Relaxed),
             unique_bytes: self.unique_bytes.load(Ordering::Relaxed),
             gets: self.gets.load(Ordering::Relaxed),
@@ -169,6 +176,7 @@ mod tests {
             shared_puts: 3,
             shared_bytes: 300,
             bytes_written: 100,
+            appends: 1,
             unique_pages: 1,
             unique_bytes: 100,
             gets: 10,

@@ -5,7 +5,9 @@
 //! * **Torn append** — the active segment (or the manifest) is truncated at
 //!   an arbitrary byte offset, simulating power loss mid-write. Reopen must
 //!   recover *exactly* the committed prefix: every frame wholly before the
-//!   cut, nothing after it, and the store must keep working.
+//!   cut, nothing after it, and the store must keep working. A commit's
+//!   `PageBatch` is one append, so the cut may also land inside a batch:
+//!   its whole frames before the cut survive, the rest is gone.
 //! * **Crashed compaction** — the sweep is aborted at each of its
 //!   crash points (new generation written / manifest tmp written / manifest
 //!   swapped but old generation not yet deleted), optionally with the
@@ -21,7 +23,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use siri_crypto::{sha256, Hash};
 use siri_store::{
-    CrashPoint, FileStore, FileStoreOptions, FsyncPolicy, NodeStore, PageSet, Reclaim,
+    CrashPoint, FileStore, FileStoreOptions, FsyncPolicy, NodeStore, PageBatch, PageSet, Reclaim,
 };
 
 fn tmp(name: &str, case: u64) -> std::path::PathBuf {
@@ -102,6 +104,72 @@ proptest! {
         let (store, re2) = FileStore::open_with(&dir, opts(u64::MAX)).unwrap();
         prop_assert_eq!(re2, expect + 1);
         prop_assert!(store.contains(&h));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Torn *batch*: `k` synced one-append batches, then one more batch
+    /// whose single write is cut at an arbitrary byte. Reopen keeps every
+    /// synced page plus exactly the torn batch's frames wholly before the
+    /// cut, and the store keeps appending across a second reopen.
+    #[test]
+    fn torn_batch_recovers_synced_batches_and_whole_frames(
+        k in 0usize..5,
+        per_batch in 1usize..12,
+        cut_permille in 0u64..1000,
+        case in 0u64..u64::MAX,
+    ) {
+        let dir = tmp("torn-batch", case);
+        let synced = k * per_batch;
+        let batch_of = |pages: std::ops::Range<usize>| {
+            let mut batch = PageBatch::new();
+            for i in pages {
+                batch.push(page(i));
+            }
+            batch
+        };
+        {
+            let (store, _) = FileStore::open_with(&dir, opts(u64::MAX)).unwrap();
+            for b in 0..k {
+                store.try_put_batch(&batch_of(b * per_batch..(b + 1) * per_batch)).unwrap();
+                store.sync().unwrap();
+            }
+            store.try_put_batch(&batch_of(synced..synced + per_batch)).unwrap();
+            prop_assert_eq!(store.stats().appends, k as u64 + 1, "one append per batch");
+        } // power loss during the last batch's write
+
+        let synced_bytes: u64 = (0..synced).map(frame_len).sum();
+        let torn_bytes: u64 = (synced..synced + per_batch).map(frame_len).sum();
+        let cut = synced_bytes + torn_bytes * cut_permille / 1000;
+        let seg = dir.join("seg-00000001.seg");
+        std::fs::OpenOptions::new().write(true).open(&seg).unwrap().set_len(cut).unwrap();
+
+        let mut end = synced_bytes;
+        let mut expect = synced;
+        for i in synced..synced + per_batch {
+            end += frame_len(i);
+            if end > cut {
+                break;
+            }
+            expect = i + 1;
+        }
+
+        let (store, recovered) = FileStore::open_with(&dir, opts(u64::MAX)).unwrap();
+        prop_assert_eq!(recovered, expect, "synced pages plus the torn batch's whole frames");
+        for i in 0..synced + per_batch {
+            let h = sha256(&page(i));
+            if i < expect {
+                prop_assert_eq!(store.get(&h), Some(page(i)));
+            } else {
+                prop_assert!(!store.contains(&h), "page {} past the cut must be gone", i);
+            }
+        }
+        // Appends resume at the clean boundary and survive another reopen.
+        let next = synced + per_batch;
+        store.try_put_batch(&batch_of(next..next + 2)).unwrap();
+        drop(store);
+        let (store, re2) = FileStore::open_with(&dir, opts(u64::MAX)).unwrap();
+        prop_assert_eq!(re2, expect + 2);
+        prop_assert!(store.contains(&sha256(&page(next + 1))));
         std::fs::remove_dir_all(&dir).ok();
     }
 

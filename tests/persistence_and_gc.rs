@@ -9,7 +9,8 @@ use std::sync::Arc;
 
 use siri::workloads::YcsbConfig;
 use siri::{
-    CachingStore, Entry, MemStore, PageSet, PosParams, PosTree, Reclaim, SharedStore, SiriIndex,
+    CachingStore, Entry, FileStoreOptions, Forkbase, FsyncPolicy, MemStore, NodeStore, PageSet,
+    PosParams, PosTree, Reclaim, ShardingPolicy, SharedStore, SiriIndex, WriteBatch,
 };
 use siri_store::{gc, FileStore};
 
@@ -66,6 +67,63 @@ fn all_indexes_work_over_the_file_store() {
     check!("fs-mpt", MptFactory);
     check!("fs-mbt", MbtFactory { buckets: 64, fanout: 4 });
     check!("fs-mvmb", MvmbFactory(MvmbParams::default()));
+}
+
+/// One append per commit: every structure hands a commit's pages to the
+/// store as one `PageBatch`, which `FileStore` writes with one `write(2)`.
+#[test]
+fn an_index_commit_is_one_append_on_the_file_store() {
+    use siri::{IndexFactory, MbtFactory, MptFactory, MvmbFactory, MvmbParams, PosFactory};
+    let ycsb = YcsbConfig::default();
+    // 150 overwrites and fresh keys plus 50 deletes.
+    let ops = || {
+        let mut batch = WriteBatch::new();
+        for i in 0..150u64 {
+            batch.put(ycsb.key(i * 17 % 2_500), ycsb.value(i, 1));
+        }
+        for i in 0..50u64 {
+            batch.delete(ycsb.key(i * 31 % 2_000 + 1));
+        }
+        batch
+    };
+
+    macro_rules! check {
+        ($name:expr, $factory:expr) => {{
+            let (fs, _) = FileStore::open(tmp($name)).unwrap();
+            let fs = Arc::new(fs);
+            let mut idx = $factory.empty(fs.clone() as SharedStore);
+            idx.batch_insert(ycsb.dataset(2_000)).unwrap();
+            let before = fs.stats();
+            idx.commit(ops()).unwrap();
+            let after = fs.stats();
+            assert!(after.unique_pages > before.unique_pages, "{}: the commit wrote pages", $name);
+            assert_eq!(after.appends - before.appends, 1, "{}: one append per commit", $name);
+        }};
+    }
+    check!("append-pos", PosFactory(PosParams::default()));
+    check!("append-mpt", MptFactory);
+    check!("append-mbt", MbtFactory { buckets: 64, fanout: 4 });
+    check!("append-mvmb", MvmbFactory(MvmbParams::default()));
+
+    // A sharded commit pays one append per shard it touches, plus one for
+    // the manifest page that publishes it.
+    let engine = Forkbase::new_durable_with_sharding(
+        MptFactory,
+        tmp("append-sharded"),
+        FileStoreOptions { fsync: FsyncPolicy::Never, ..FileStoreOptions::default() },
+        ShardingPolicy::pinned(4),
+        0,
+    )
+    .unwrap();
+    let mut batch = WriteBatch::new();
+    for i in 0..100u8 {
+        batch.put(vec![0x10, i], vec![i; 40]); // shard 0 of 4
+        batch.put(vec![0x50, i], vec![i; 40]); // shard 1 of 4
+    }
+    let before = engine.server_stats().appends;
+    let info = engine.commit_with_info("master", batch).unwrap();
+    assert_eq!(info.shards.len(), 2, "the commit spans two shards");
+    assert_eq!(engine.server_stats().appends - before, 2 + 1);
 }
 
 /// Build versions, retire all but the head, sweep, and check the head
