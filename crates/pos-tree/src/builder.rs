@@ -15,6 +15,10 @@
 //! starts, the chunker would provably reproduce the same node — this is
 //! what makes incremental updates O(polylog) instead of O(N) while keeping
 //! the tree Structurally Invariant.
+//!
+//! The leaf level is its own [`LeafStage`], so a key range of a commit can
+//! seal and hash its leaves apart from the level builders and hand them
+//! over later (`update.rs`, DESIGN.md §8 *Two-stage commit*).
 
 use bytes::Bytes;
 use siri_core::ordered::ChildRef;
@@ -274,8 +278,57 @@ impl LevelBuilder {
     }
 }
 
-/// The full builder pipeline — a [`LeafBuilder`] and one [`LevelBuilder`]
-/// per internal level — with cascade and pass-through plumbing.
+/// The leaf level of the pipeline: a [`LeafBuilder`] and the leaves it
+/// sealed that are not yet hashed. They are drained in stream order through
+/// one `push_many` per round, so sibling pages hit the multi-lane SHA-256
+/// backend together.
+pub(crate) struct LeafStage {
+    leaf: LeafBuilder,
+    pending: Vec<DeferredSeal>,
+}
+
+impl LeafStage {
+    pub fn new(salt: u64, params: &PosParams) -> Self {
+        LeafStage { leaf: LeafBuilder::new(salt, params), pending: Vec::new() }
+    }
+
+    /// The leaf builder sits on a node boundary. Queued leaves are sealed
+    /// already, so they do not change the answer.
+    pub fn at_boundary(&self) -> bool {
+        self.leaf.at_boundary()
+    }
+
+    /// Feed one entry; true once a full hashing round is queued.
+    pub fn push(&mut self, entry: &Entry) -> bool {
+        if let Some(sealed) = self.leaf.push(entry) {
+            self.pending.push(sealed);
+        }
+        self.pending.len() >= LEAF_BATCH
+    }
+
+    /// Seal the trailing leaf at end of stream, if any.
+    pub fn finish(&mut self) {
+        if let Some(sealed) = self.leaf.finish() {
+            self.pending.push(sealed);
+        }
+    }
+
+    /// Hash every queued leaf into `batch` in one multi-lane round; their
+    /// references, in stream order.
+    pub fn drain(&mut self, batch: &mut PageBatch) -> Vec<ChildRef> {
+        if self.pending.is_empty() {
+            return Vec::new();
+        }
+        let (max_keys, pages): (Vec<Bytes>, Vec<Bytes>) =
+            std::mem::take(&mut self.pending).into_iter().map(|s| (s.max_key, s.page)).unzip();
+        let hashes = batch.push_many(pages);
+        max_keys.into_iter().zip(hashes).map(|(max_key, hash)| ChildRef { max_key, hash }).collect()
+    }
+}
+
+/// The full builder pipeline — a [`LeafBuilder`] with its queue of leaves
+/// to hash, and one [`LevelBuilder`] per internal level — with cascade and
+/// pass-through plumbing.
 ///
 /// Every sealed page goes into the commit's [`PageBatch`]; the caller hands
 /// the batch to the store after [`Builders::finalize`]. `store` is only the
@@ -285,13 +338,9 @@ pub struct Builders<'a> {
     store: &'a SharedStore,
     params: &'a PosParams,
     salt: u64,
-    leaf: LeafBuilder,
+    leaves: LeafStage,
     /// Internal levels: `upper[i]` builds level `i + 1`.
     upper: Vec<LevelBuilder>,
-    /// Leaves sealed by the chunker but not yet hashed. Drained in stream
-    /// order through one `push_many` per round so sibling pages hit the
-    /// multi-lane SHA-256 backend together.
-    pending_leaves: Vec<DeferredSeal>,
     batch: &'a mut PageBatch,
 }
 
@@ -306,9 +355,8 @@ impl<'a> Builders<'a> {
             store,
             params,
             salt,
-            leaf: LeafBuilder::new(salt, params),
+            leaves: LeafStage::new(salt, params),
             upper: Vec::new(),
-            pending_leaves: Vec::new(),
             batch,
         }
     }
@@ -316,13 +364,17 @@ impl<'a> Builders<'a> {
     /// Feed one entry into the leaf level. Sealed leaves queue for batched
     /// hashing.
     pub fn push_entry(&mut self, entry: &Entry) -> Result<()> {
-        if let Some(sealed) = self.leaf.push(entry) {
-            self.pending_leaves.push(sealed);
-            if self.pending_leaves.len() >= LEAF_BATCH {
-                self.flush_leaves()?;
-            }
+        if self.leaves.push(entry) {
+            self.flush_leaves()?;
         }
         Ok(())
+    }
+
+    /// Take over pages another builder already hashed — a leaf stage run
+    /// apart — spilling if the batch has grown past the threshold.
+    pub(crate) fn absorb(&mut self, pages: PageBatch) -> Result<()> {
+        self.batch.append(pages);
+        Ok(self.batch.spill_if_full(self.store)?)
     }
 
     /// Feed one child reference into internal `level` (≥ 1), cascading
@@ -347,18 +399,15 @@ impl<'a> Builders<'a> {
     /// cascade their references upward in stream order, then spill the
     /// batch if it has grown past the threshold.
     fn flush_leaves(&mut self) -> Result<()> {
-        if self.pending_leaves.is_empty() {
+        // Checked here, not only in `drain`: every boundary check and
+        // pass-through comes through this call.
+        if self.leaves.pending.is_empty() {
             return Ok(());
         }
-        let (max_keys, pages): (Vec<Bytes>, Vec<Bytes>) = std::mem::take(&mut self.pending_leaves)
-            .into_iter()
-            .map(|s| (s.max_key, s.page))
-            .unzip();
-        let hashes = self.batch.push_many(pages);
-        for (max_key, hash) in max_keys.into_iter().zip(hashes) {
+        for piece in self.leaves.drain(self.batch) {
             // Re-entrant flush inside push_piece sees an empty queue, so
             // this cannot loop.
-            self.push_piece(1, ChildRef { max_key, hash })?;
+            self.push_piece(1, piece)?;
         }
         Ok(self.batch.spill_if_full(self.store)?)
     }
@@ -366,7 +415,7 @@ impl<'a> Builders<'a> {
     /// Non-mutating boundary check; only meaningful once queued leaves have
     /// been drained (their cascade can still close or reopen upper nodes).
     fn boundaries_clean(&self, level: u32) -> bool {
-        self.leaf.at_boundary()
+        self.leaves.at_boundary()
             && self.upper.iter().take(level as usize).all(LevelBuilder::at_boundary)
     }
 
@@ -397,9 +446,7 @@ impl<'a> Builders<'a> {
     pub fn finalize(mut self) -> Result<Option<ChildRef>> {
         // Seal the trailing leaf and drain the queue so level 1 holds every
         // leaf reference before the upward sweep.
-        if let Some(sealed) = self.leaf.finish() {
-            self.pending_leaves.push(sealed);
-        }
+        self.leaves.finish();
         self.flush_leaves()?;
         let mut slot = 0usize;
         while slot < self.upper.len() {
@@ -474,6 +521,44 @@ mod tests {
                 Node::Leaf { salt, entries: es }.encode(),
                 "salt {salt}, {n} entries"
             );
+        }
+    }
+
+    /// The seam rule of the two-stage commit: an entry that a freshly reset
+    /// leaf chunker fires on by itself ends a leaf after any history.
+    #[test]
+    fn an_entry_that_ends_a_fresh_leaf_ends_a_leaf_after_any_history() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut entry = |i: u64| {
+            // Mostly under a leaf, sometimes past the forced maximum.
+            let len = if next() % 10 == 0 { 2000 + next() % 1000 } else { next() % 700 };
+            let value: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            Entry::new(format!("k{i:08}").into_bytes(), value)
+        };
+        let gear = PosParams::default().with_chunker(crate::params::ChunkerKind::Gear);
+        for params in [PosParams::default(), PosParams::noms(), gear, PosParams::forced_split()] {
+            let mut free = 0;
+            for i in 0..300 {
+                let e = entry(i);
+                if LeafBuilder::new(0, &params).push(&e).is_none() {
+                    continue;
+                }
+                free += 1;
+                for h in 0..8 {
+                    let mut b = LeafBuilder::new(0, &params);
+                    for j in 0..(i + h) % 13 {
+                        b.push(&entry(1_000 + j));
+                    }
+                    assert!(b.push(&e).is_some(), "{params:?}: entry {i}, history {h}");
+                }
+            }
+            assert!(free > 0, "{params:?}: no entry fired alone");
         }
     }
 

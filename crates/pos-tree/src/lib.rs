@@ -200,7 +200,7 @@ impl SiriIndex for PosTree {
             // previous version.
             let merged = apply_ops(&self.scan()?, &ops);
             self.salt += 1;
-            self.root = update::build_from_entries(self.store(), &self.params, self.salt, &merged)?
+            self.root = update::build_from_entries(&self.reader, &self.params, self.salt, &merged)?
                 .map(|p| p.hash)
                 .unwrap_or(Hash::ZERO);
             return Ok(self.root);

@@ -54,6 +54,13 @@ impl PageBatch {
         hashes
     }
 
+    /// Move every page of `other` to the end of this batch. The digests
+    /// come along unchanged: `other` hashed each page on the way in.
+    pub fn append(&mut self, other: PageBatch) {
+        self.bytes += other.bytes;
+        self.pages.extend(other.pages);
+    }
+
     /// The pages in push order, each with its content address.
     pub fn pages(&self) -> &[(Hash, Bytes)] {
         &self.pages
@@ -90,6 +97,22 @@ mod tests {
         for (hash, page) in batch.pages() {
             assert_eq!(*hash, sha256(page));
         }
+    }
+
+    #[test]
+    fn append_keeps_order_digests_and_the_byte_count() {
+        let store = MemStore::new();
+        let mut batch = PageBatch::new();
+        batch.push_slice(b"first");
+        let mut other = PageBatch::new();
+        other.push_slice(b"second");
+        other.push(Bytes::from(vec![7u8; PAGE_BATCH_SPILL_BYTES]));
+        batch.append(other);
+        let pages: Vec<&[u8]> = batch.pages().iter().map(|(_, p)| p.as_ref()).collect();
+        assert_eq!(&pages[..2], &[&b"first"[..], &b"second"[..]]);
+        assert!(batch.pages().iter().all(|(hash, page)| *hash == sha256(page)));
+        batch.spill_if_full(&store).unwrap();
+        assert_eq!(store.len(), 3, "the appended bytes count toward the spill threshold");
     }
 
     #[test]

@@ -116,6 +116,58 @@ fn disjoint_branch_writers_match_single_threaded_replay() {
     }
 }
 
+/// A batch wide enough that a POS-Tree commit splits its leaf work into
+/// key ranges on a multi-core host (DESIGN.md §8, *Two-stage commit*): 300
+/// puts spread over the writer's keys, with 200-byte pseudo-random values
+/// — enough bytes for an entry to end a leaf by itself.
+fn wide_batch(t: usize, k: usize) -> WriteBatch {
+    let mut b = WriteBatch::new();
+    for i in 0..300u64 {
+        let id = (i * 7 + k as u64 * 3) % 2_000;
+        let mut x = (id << 20 | (t as u64) << 8 | k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let value: Vec<u8> = (0..200)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        b.put(format!("t{t:02}-w{id:05}").into_bytes(), value);
+    }
+    b
+}
+
+#[test]
+fn disjoint_branch_writers_whose_commits_split_match_single_threaded_replay() {
+    // Each writer's commits run their own leaf-stage workers, which take
+    // store locks from threads of their own — under `SIRI_LOCK_ORDER=1`
+    // the tracker checks those too.
+    let (writers, commits) = (4, 3 * stress_n());
+    let fb = engine();
+    for t in 0..writers {
+        fb.fork("master", &format!("w{t}")).unwrap();
+    }
+    std::thread::scope(|s| {
+        for t in 0..writers {
+            let fb = Arc::clone(&fb);
+            s.spawn(move || {
+                for k in 0..commits {
+                    fb.commit(&format!("w{t}"), wide_batch(t, k)).unwrap();
+                }
+            });
+        }
+    });
+    for t in 0..writers {
+        let mut model = factory().empty(MemStore::new_shared());
+        for k in 0..commits {
+            model.commit(wide_batch(t, k)).unwrap();
+        }
+        let head = fb.head(&format!("w{t}")).unwrap();
+        assert_eq!(head.root(), model.root(), "branch w{t} diverged from its sequential replay");
+    }
+}
+
 /// Reconstruct the head-commit order from the commit receipts: the
 /// `parent → root` edges must chain from `start` through every commit
 /// exactly once. Panics (with context) when the receipts do not form a
