@@ -1,27 +1,18 @@
-//! `repro` — regenerates the paper's §5 tables/figures and runs the
-//! Table 2 experiment grid with machine-readable BENCH output.
+//! `repro` — regenerates the paper's §5 tables and figures as text tables.
 //!
 //! Usage:
 //! ```text
-//! repro <experiment> [--scale F] [--ops N] [--csv]
-//! repro grid [--backend mem|file|both] [--out DIR]
-//! repro --smoke [--out DIR]
-//! repro all
+//! repro [experiment] [--scale F] [--ops N] [--threads N] [--csv]
 //! ```
 //! Experiments: fig1 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
 //! fig15 fig16 fig17 fig18 tab3 fig19 fig20 fig21 fig22 bounds
-//! concurrency grid.
-//!
-//! `grid` runs {YCSB, wiki, eth} × {MPT, MBT, POS-Tree, MVMB+} on the
-//! selected backends and writes one versioned `BENCH_<workload>_<backend>
-//! .json` artifact per cell (see `siri_bench::report` for the schema) next
-//! to the usual text tables. `--smoke` is the CI entry point: the same
-//! grid at a fixed tiny scale on both backends.
+//! concurrency, or `all` (the default).
 //!
 //! `--scale` multiplies the paper's dataset sizes (default 0.05: laptop
 //! scale, a couple of minutes for `all`; 1.0 = full paper sizes). Shapes —
 //! who wins, slopes, crossovers — are scale-stable; absolute numbers are
-//! not expected to match the paper's hardware.
+//! not expected to match the paper's hardware. Performance is gated by
+//! `bench/e2e`, not by these tables.
 
 use std::time::Instant;
 
@@ -36,7 +27,7 @@ use siri::{
 };
 use siri_bench::harness::*;
 use siri_bench::table::{kops, mib, micros, ratio, Table};
-use siri_bench::{for_each_index, grid, Backend, RunConfig};
+use siri_bench::{for_each_index, RunConfig};
 
 const HELP: &str = "\
 repro — regenerate the paper's §5 experiments
@@ -51,22 +42,12 @@ EXPERIMENTS:
     concurrency    multi-writer Forkbase cells: disjoint-branch commit
                    scaling, same-branch CAS contention (retry counter +
                    model agreement), and group-commit fsync sharing
-    grid           the Table 2 grid: {ycsb, wiki, eth} x all four indexes
-                   on the selected backends; emits one
-                   BENCH_<workload>_<backend>.json artifact per cell
 
 FLAGS:
-    --smoke        CI smoke entry point: `grid` on both backends at a
-                   fixed tiny scale (scale 0.01, 600 ops, best of 5
-                   repetitions)
     --scale F      multiply the paper's dataset sizes (default 0.05)
     --ops N        operations per measured workload (default 5000)
-    --reps N       timed repetitions per grid measurement; the best
-                   sample is reported (default 1)
-    --backend B    grid backends: mem | file | both (default both)
     --threads N    writer-thread ceiling for the concurrency cells
                    (default 4; swept in powers of two)
-    --out DIR      directory for BENCH_*.json artifacts (default .)
     --csv          print tables as CSV instead of aligned text
     -h, --help     this text
 ";
@@ -75,9 +56,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = RunConfig::default();
     let mut csv = false;
-    let mut smoke = false;
-    let mut out_dir = std::path::PathBuf::from(".");
-    let mut backends = Backend::BOTH.to_vec();
     let mut experiment = String::from("all");
     let mut i = 0;
     while i < args.len() {
@@ -90,27 +68,11 @@ fn main() {
                 i += 1;
                 cfg.ops = args[i].parse().expect("--ops takes an integer");
             }
-            "--reps" => {
-                i += 1;
-                cfg.reps = args[i].parse().expect("--reps takes an integer");
-            }
             "--threads" => {
                 i += 1;
                 cfg.threads = args[i].parse().expect("--threads takes an integer");
                 assert!(cfg.threads > 0, "--threads must be positive");
             }
-            "--backend" => {
-                i += 1;
-                backends = Backend::parse(&args[i]).unwrap_or_else(|| {
-                    eprintln!("--backend takes mem, file or both");
-                    std::process::exit(2);
-                });
-            }
-            "--out" => {
-                i += 1;
-                out_dir = std::path::PathBuf::from(&args[i]);
-            }
-            "--smoke" => smoke = true,
             "--csv" => csv = true,
             "-h" | "--help" => {
                 print!("{HELP}");
@@ -123,22 +85,6 @@ fn main() {
             }
         }
         i += 1;
-    }
-
-    if smoke {
-        // The fixed CI configuration: tiny but deterministic, both
-        // backends, every workload — enough to exercise every code path
-        // and produce comparable BENCH artifacts in seconds.
-        experiment = "grid".into();
-        cfg.scale = 0.01;
-        cfg.ops = 600;
-        cfg.reps = 5;
-        backends = Backend::BOTH.to_vec();
-    }
-
-    if experiment == "grid" {
-        run_grid(cfg, &backends, &out_dir, csv);
-        return;
     }
 
     let all = [
@@ -169,7 +115,7 @@ fn main() {
     } else if all.contains(&experiment.as_str()) {
         vec![all[all.iter().position(|e| *e == experiment).unwrap()]]
     } else {
-        eprintln!("unknown experiment '{experiment}'; choose one of {all:?}, 'grid' or 'all'");
+        eprintln!("unknown experiment '{experiment}'; choose one of {all:?} or 'all'");
         std::process::exit(2);
     };
 
@@ -214,38 +160,6 @@ fn main() {
     }
 }
 
-/// The Table 2 grid: every workload on every selected backend, one BENCH
-/// JSON artifact per cell plus the usual table rendering.
-fn run_grid(cfg: RunConfig, backends: &[Backend], out_dir: &std::path::Path, csv: bool) {
-    println!(
-        "# repro grid: scale={} ops={} backends={:?} -> {}",
-        cfg.scale,
-        cfg.ops,
-        backends.iter().map(|b| b.name()).collect::<Vec<_>>(),
-        out_dir.display()
-    );
-    for workload in grid::GRID_WORKLOADS {
-        for &backend in backends {
-            let started = Instant::now();
-            let report = grid::run_cell(workload, backend, cfg);
-            for t in report.to_tables() {
-                if csv {
-                    print!("{}", t.render_csv());
-                } else {
-                    t.print();
-                }
-            }
-            let path = report.write_to(out_dir).expect("cannot write BENCH artifact");
-            eprintln!(
-                "[grid {workload}/{}] wrote {} in {:.1}s",
-                backend.name(),
-                path.display(),
-                started.elapsed().as_secs_f64()
-            );
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Figure 1 — storage & transmission time, deduplicated vs raw
 // ---------------------------------------------------------------------------
@@ -253,10 +167,12 @@ fn fig1(cfg: RunConfig) -> Vec<Table> {
     let ycsb = YcsbConfig::default();
     let initial = cfg.scaled(100_000);
     let per_version = cfg.scaled(1_000).min(initial / 10).max(100);
-    let checkpoints: Vec<usize> = [100usize, 200, 300, 400, 500]
+    let mut checkpoints: Vec<usize> = [100usize, 200, 300, 400, 500]
         .iter()
         .map(|v| ((*v as f64 * cfg.scale) as usize).max(5))
         .collect();
+    // Small scales clamp several checkpoints to the floor; keep each once.
+    checkpoints.dedup();
     let max_versions = *checkpoints.last().unwrap();
 
     let factory = PosFactory(PosParams::default());
@@ -708,10 +624,13 @@ fn fig14(cfg: RunConfig) -> Vec<Table> {
 fn fig15(cfg: RunConfig) -> Vec<Table> {
     let wiki = WikiConfig { pages: cfg.scaled(200_000), update_pct: 1, ..Default::default() };
     let icfg = IndexCfg::wiki(cfg.node_bytes);
-    let checkpoints: Vec<u32> = [100u32, 150, 200, 250, 300]
+    let mut checkpoints: Vec<u32> = [100u32, 150, 200, 250, 300]
         .iter()
         .map(|v| ((*v as f64 * cfg.scale) as u32).max(3))
         .collect();
+    // One row per distinct checkpoint: the rows below index `points`,
+    // which records each version once.
+    checkpoints.dedup();
     let max_v = *checkpoints.last().unwrap();
     let mut storage = Table::new(
         format!("Figure 15(a) — Wiki storage (MiB), {} pages", wiki.pages),
@@ -756,10 +675,12 @@ fn fig15(cfg: RunConfig) -> Vec<Table> {
 fn fig16(cfg: RunConfig) -> Vec<Table> {
     let eth = EthConfig::default();
     let icfg = IndexCfg::eth(cfg.node_bytes);
-    let checkpoints: Vec<u64> = [100_000u64, 200_000, 300_000]
+    let mut checkpoints: Vec<u64> = [100_000u64, 200_000, 300_000]
         .iter()
         .map(|b| ((*b as f64 * cfg.scale / 100.0) as u64).max(20))
         .collect();
+    // One row per distinct checkpoint, as in Figure 15.
+    checkpoints.dedup();
     let max_b = *checkpoints.last().unwrap();
     let mut storage = Table::new(
         format!("Figure 16(a) — Ethereum storage (MiB), {} txs/block", eth.txs_per_block),

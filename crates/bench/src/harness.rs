@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use siri::workloads::ycsb::Op;
 use siri::{
     Bytes, CachingStore, Entry, Forkbase, Hash, IndexFactory, MbtFactory, MemStore, MptFactory,
-    MvmbFactory, MvmbParams, PageSet, PosFactory, PosParams, SharedStore, SiriIndex, WriteBatch,
+    MvmbFactory, MvmbParams, PosFactory, PosParams, SharedStore, SiriIndex, WriteBatch,
 };
 
 /// Per-workload structure tuning, following §5's "node size ≈ 1 KB" rule.
@@ -71,22 +71,12 @@ pub fn pos_factory(cfg: IndexCfg) -> PosFactory {
 
 /// POS-Tree chunker selected for this run: `SIRI_CHUNKER=gear` opts into
 /// the gear fast path, anything else (including unset) keeps the
-/// digest-stable buzhash default. Stamped into every BENCH artifact so
-/// `bench-diff` refuses cross-chunker comparisons.
+/// digest-stable buzhash default.
 pub fn chunker_kind() -> siri::ChunkerKind {
     match std::env::var("SIRI_CHUNKER").as_deref() {
         Ok("gear") => siri::ChunkerKind::Gear,
         _ => siri::ChunkerKind::Buzhash,
     }
-}
-
-/// Branch-head shard configuration for this run, as stamped into every
-/// BENCH artifact: `(initial shard count, adaptive?)` straight from the
-/// engine's `SIRI_SHARDS` policy, so `bench-diff` refuses cross-partition
-/// comparisons the same way it refuses cross-chunker ones.
-pub fn shard_config() -> (u64, bool) {
-    let policy = siri::ShardingPolicy::from_env();
-    (policy.initial as u64, policy.adaptive)
 }
 
 pub fn mbt_factory(cfg: IndexCfg) -> MbtFactory {
@@ -139,8 +129,8 @@ pub fn load_batched<F: IndexFactory>(
     load_batched_on(factory, MemStore::new_shared(), entries, batch)
 }
 
-/// [`load_batched`] over a caller-supplied store — the grid runner passes
-/// a durable backend here; everything else defaults to memory.
+/// [`load_batched`] over a caller-supplied store, so the caller can read
+/// its counters afterwards.
 pub fn load_batched_on<F: IndexFactory>(
     factory: &F,
     store: siri::SharedStore,
@@ -156,8 +146,7 @@ pub fn load_batched_on<F: IndexFactory>(
     (index, roots)
 }
 
-/// The operation class a latency sample belongs to — the per-verb axis of
-/// the BENCH latency schema.
+/// The operation a latency sample belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpVerb {
     Read,
@@ -167,20 +156,9 @@ pub enum OpVerb {
 }
 
 impl OpVerb {
-    pub const ALL: [OpVerb; 4] = [OpVerb::Read, OpVerb::Write, OpVerb::Delete, OpVerb::Scan];
-
     /// Whether the verb mutates the tree (deletes rewrite paths too).
     pub fn is_write(self) -> bool {
         matches!(self, OpVerb::Write | OpVerb::Delete)
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            OpVerb::Read => "read",
-            OpVerb::Write => "write",
-            OpVerb::Delete => "delete",
-            OpVerb::Scan => "scan",
-        }
     }
 }
 
@@ -197,8 +175,7 @@ pub struct WorkloadStats {
     pub scan_entries: usize,
     pub read_nanos: u64,
     pub write_nanos: u64,
-    /// (verb, latency ns) per op, for the distribution figures and the
-    /// per-verb percentiles of the BENCH reports.
+    /// (verb, latency ns) per op, for the distribution figures.
     pub latencies: Vec<(OpVerb, u64)>,
 }
 
@@ -212,26 +189,15 @@ impl WorkloadStats {
     }
 
     /// Latency percentile over the read class (`writes == false`: reads +
-    /// scans) or the write class (writes + deletes), in µs.
+    /// scans) or the write class (writes + deletes), in µs; 0.0 when the
+    /// class never ran.
     pub fn percentile_micros(&self, writes: bool, p: f64) -> f64 {
-        Self::percentile(
-            self.latencies.iter().filter(|(v, _)| v.is_write() == writes).map(|(_, n)| *n),
-            p,
-        )
-    }
-
-    /// Latency percentile of one verb (µs); 0.0 when the verb never ran.
-    pub fn percentile_micros_verb(&self, verb: OpVerb, p: f64) -> f64 {
-        Self::percentile(self.latencies.iter().filter(|(v, _)| *v == verb).map(|(_, n)| *n), p)
-    }
-
-    /// Number of ops of one verb in the replayed stream.
-    pub fn verb_count(&self, verb: OpVerb) -> usize {
-        self.latencies.iter().filter(|(v, _)| *v == verb).count()
-    }
-
-    fn percentile(samples: impl Iterator<Item = u64>, p: f64) -> f64 {
-        let mut lats: Vec<u64> = samples.collect();
+        let mut lats: Vec<u64> = self
+            .latencies
+            .iter()
+            .filter(|(v, _)| v.is_write() == writes)
+            .map(|(_, n)| *n)
+            .collect();
         if lats.is_empty() {
             return 0.0;
         }
@@ -293,101 +259,6 @@ pub fn run_ops<I: SiriIndex>(index: &mut I, ops: &[Op]) -> WorkloadStats {
         }
     }
     stats
-}
-
-/// Verified-read cost of one structure (Figure 12): encoded proof size
-/// and client-side verification latency, for membership proofs over the
-/// stream's read keys and range proofs over its scan windows.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub struct ProofCost {
-    pub membership_count: u64,
-    /// Mean encoded size of a membership proof (bytes).
-    pub membership_bytes_avg: f64,
-    /// Median client-side verify latency of a membership proof (µs).
-    pub membership_verify_us_p50: f64,
-    pub scan_count: u64,
-    /// Mean encoded size of a verified-scan range proof (bytes).
-    pub scan_bytes_avg: f64,
-    /// Median client-side verify latency of a range proof (µs).
-    pub scan_verify_us_p50: f64,
-}
-
-/// Replay the stream's reads as proved lookups and its scans as *verified
-/// scans* — prove the scanned window, verify the range proof against the
-/// index root — sampling at most `cap` ops of each verb. Every proof is
-/// required to verify: a structure that ships a proof its own scheme
-/// rejects is a bug, not a measurement.
-pub fn measure_proofs<F: IndexFactory>(
-    factory: &F,
-    index: &F::Index,
-    ops: &[Op],
-    cap: usize,
-) -> ProofCost {
-    use std::ops::Bound;
-    let scheme = factory.scheme();
-    let root = index.root();
-    let mut cost = ProofCost::default();
-
-    let mut bytes = 0u64;
-    let mut verify_ns = Vec::new();
-    for key in ops.iter().filter_map(|op| match op {
-        Op::Read(key) => Some(key),
-        _ => None,
-    }) {
-        if verify_ns.len() >= cap {
-            break;
-        }
-        let proof = index.prove(key).expect("proofs: prove failed");
-        bytes += proof.encode().len() as u64;
-        let t = Instant::now();
-        let verdict = siri::verify_anchored_membership(scheme, root, key, &proof);
-        verify_ns.push(t.elapsed().as_nanos() as u64);
-        assert!(verdict.is_valid(), "{}: membership proof rejected", scheme.structure());
-    }
-    cost.membership_count = verify_ns.len() as u64;
-    cost.membership_bytes_avg = bytes as f64 / verify_ns.len().max(1) as f64;
-    cost.membership_verify_us_p50 = WorkloadStats::percentile(verify_ns.into_iter(), 0.50);
-
-    let mut bytes = 0u64;
-    let mut verify_ns = Vec::new();
-    for (start, limit) in ops.iter().filter_map(|op| match op {
-        Op::Scan { start, limit } => Some((start, *limit)),
-        _ => None,
-    }) {
-        if verify_ns.len() >= cap {
-            break;
-        }
-        // Learn the window's end key from the cursor, then prove exactly
-        // the entries the scan streamed.
-        let mut last = None;
-        for entry in index.range(Bound::Included(start), Bound::Unbounded).take(limit) {
-            last = Some(entry.expect("proofs: scan failed").key);
-        }
-        let end = match &last {
-            Some(k) => Bound::Included(&k[..]),
-            None => Bound::Unbounded,
-        };
-        let sb = Bound::Included(&start[..]);
-        let proof = index.prove_range(sb, end).expect("proofs: prove_range");
-        bytes += proof.encode().len() as u64;
-        let t = Instant::now();
-        let verdict = siri::verify_anchored_range(scheme, root, sb, end, &proof);
-        verify_ns.push(t.elapsed().as_nanos() as u64);
-        assert!(verdict.is_valid(), "{}: range proof rejected", scheme.structure());
-    }
-    cost.scan_count = verify_ns.len() as u64;
-    cost.scan_bytes_avg = bytes as f64 / verify_ns.len().max(1) as f64;
-    cost.scan_verify_us_p50 = WorkloadStats::percentile(verify_ns.into_iter(), 0.50);
-    cost
-}
-
-/// Reachable page sets for a list of version roots.
-pub fn version_page_sets<F: IndexFactory>(
-    factory: &F,
-    store: &siri::SharedStore,
-    roots: &[Hash],
-) -> Vec<PageSet> {
-    roots.iter().map(|r| factory.open(store.clone(), *r).page_set()).collect()
 }
 
 /// Default modelled cost of one client→server page fetch, in nanoseconds.
@@ -453,25 +324,6 @@ pub fn client_cache_sweep<I: SiriIndex>(
             }
         })
         .collect()
-}
-
-/// A latency histogram with fixed bucket width, for the Figure 10–12
-/// distribution plots.
-pub fn latency_histogram(
-    stats: &WorkloadStats,
-    writes: bool,
-    bucket_micros: f64,
-    buckets: usize,
-) -> Vec<usize> {
-    let mut hist = vec![0usize; buckets];
-    for (v, nanos) in &stats.latencies {
-        if v.is_write() == writes {
-            let us = *nanos as f64 / 1e3;
-            let b = ((us / bucket_micros) as usize).min(buckets - 1);
-            hist[b] += 1;
-        }
-    }
-    hist
 }
 
 #[cfg(test)]
@@ -556,18 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets() {
-        let stats = WorkloadStats {
-            reads: 2,
-            read_nanos: 3_000,
-            latencies: vec![(OpVerb::Read, 1_000), (OpVerb::Scan, 2_000), (OpVerb::Write, 9_000)],
-            ..Default::default()
-        };
-        let h = latency_histogram(&stats, false, 1.0, 4);
-        assert_eq!(h, vec![0, 1, 1, 0]);
-    }
-
-    #[test]
     fn per_verb_percentiles_split_the_classes() {
         let stats = WorkloadStats {
             latencies: vec![
@@ -578,15 +418,13 @@ mod tests {
             ],
             ..Default::default()
         };
-        assert_eq!(stats.percentile_micros_verb(OpVerb::Read, 0.5), 1.0);
-        assert_eq!(stats.percentile_micros_verb(OpVerb::Scan, 0.5), 5.0);
-        assert_eq!(stats.percentile_micros_verb(OpVerb::Delete, 0.99), 8.0);
-        assert_eq!(stats.verb_count(OpVerb::Write), 1);
         // Class-level percentiles pool {read,scan} and {write,delete}.
+        assert_eq!(stats.percentile_micros(false, 0.0), 1.0);
         assert_eq!(stats.percentile_micros(false, 1.0), 5.0);
+        assert_eq!(stats.percentile_micros(true, 0.0), 2.0);
         assert_eq!(stats.percentile_micros(true, 1.0), 8.0);
-        // A verb that never ran reports 0, not a panic.
+        // A class that never ran reports 0, not a panic.
         let empty = WorkloadStats::default();
-        assert_eq!(empty.percentile_micros_verb(OpVerb::Scan, 0.5), 0.0);
+        assert_eq!(empty.percentile_micros(false, 0.5), 0.0);
     }
 }

@@ -1,18 +1,9 @@
-//! Shared machinery for the reproduction harness and the Criterion
-//! benchmarks: index-agnostic experiment drivers, timing helpers, the
-//! plain-text table printer, and the `repro` experiment subsystem — the
-//! paper-grid runner ([`grid`]), the machine-readable BENCH report model
-//! ([`report`]) and the hand-rolled JSON codec it serializes with.
+//! Shared machinery for the `repro` figure reproducer and the Criterion
+//! benchmarks: index-agnostic experiment drivers, timing helpers and the
+//! plain-text table printer.
 
-pub mod grid;
 pub mod harness;
-pub mod report;
 pub mod table;
-
-pub use grid::{run_cell, Backend, GRID_WORKLOADS};
-pub use harness::*;
-pub use report::{diff_reports, DiffThresholds, IndexReport, Report, BENCH_SCHEMA_VERSION};
-pub use table::{Json, Table};
 
 /// Configuration common to all experiments.
 #[derive(Debug, Clone, Copy)]
@@ -25,10 +16,6 @@ pub struct RunConfig {
     /// Target node size (the paper tunes ≈1 KB).
     pub node_bytes: usize,
     pub seed: u64,
-    /// Timed repetitions per grid measurement; the best (least-disturbed)
-    /// sample is reported. 1 everywhere except the short CI smoke runs,
-    /// where scheduler noise would otherwise dominate millisecond phases.
-    pub reps: usize,
     /// Writer-thread ceiling for the multi-writer concurrency cells
     /// (`repro concurrency` sweeps 1..=threads in powers of two).
     pub threads: usize,
@@ -36,7 +23,7 @@ pub struct RunConfig {
 
 impl Default for RunConfig {
     fn default() -> Self {
-        RunConfig { scale: 0.05, ops: 5_000, node_bytes: 1024, seed: 42, reps: 1, threads: 4 }
+        RunConfig { scale: 0.05, ops: 5_000, node_bytes: 1024, seed: 42, threads: 4 }
     }
 }
 

@@ -1,6 +1,4 @@
-//! Minimal aligned-text table printer plus the hand-rolled JSON value type
-//! the BENCH report artifacts are written with (and parsed back from — the
-//! build has no registry access, so no serde).
+//! Minimal aligned-text table printer, CSV emitter and number formatters.
 
 /// A printable results table; also emits CSV for post-processing.
 pub struct Table {
@@ -105,311 +103,6 @@ pub fn micros(nanos: u64) -> String {
     format!("{:.2}", nanos as f64 / 1e3)
 }
 
-// ---------------------------------------------------------------------------
-// JSON — the BENCH artifact encoding
-// ---------------------------------------------------------------------------
-
-/// A JSON value. Objects keep insertion order (`Vec`, not a map) so the
-/// emitted artifacts are byte-stable for a given report — diffs of two
-/// BENCH files are then meaningful line diffs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    pub fn num(n: impl Into<f64>) -> Json {
-        Json::Num(n.into())
-    }
-
-    /// `u64` counters pass through `f64`; exact below 2^53, which covers
-    /// every counter the reports emit.
-    pub fn u64(n: u64) -> Json {
-        Json::Num(n as f64)
-    }
-
-    /// Object field lookup; `None` on non-objects and absent keys.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().filter(|n| *n >= 0.0 && n.fract() == 0.0).map(|n| n as u64)
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Serialize with two-space indentation (the artifact format: BENCH
-    /// files are meant to be read and diffed by humans too).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    // Shortest round-trip repr; integers print without ".0".
-                    out.push_str(&format!("{n}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_json_string(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(depth + 1));
-                    item.write(out, depth + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(depth));
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(depth + 1));
-                    write_json_string(out, k);
-                    out.push_str(": ");
-                    v.write(out, depth + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(depth));
-                out.push('}');
-            }
-        }
-    }
-
-    /// Parse a JSON document. Errors carry a byte offset — enough to
-    /// debug a hand-edited baseline file.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
-    }
-}
-
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("expected `{lit}` at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
-        Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|_| "bad \\u escape")?;
-                        // Surrogate pairs are not emitted by the writer;
-                        // lone surrogates decode to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe
-                // to do bytewise until the next ASCII quote/backslash).
-                let start = *pos;
-                *pos += 1;
-                while *pos < bytes.len() && bytes[*pos] & 0xC0 == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad UTF-8")?);
-            }
-        }
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad number")?;
-    text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number `{text}` at byte {start}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,55 +144,5 @@ mod tests {
         assert_eq!(mib(1024 * 1024), "1.00");
         assert_eq!(ratio(0.51234), "0.512");
         assert_eq!(micros(1500), "1.50");
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let doc = Json::Obj(vec![
-            ("schema_version".into(), Json::u64(1)),
-            ("name".into(), Json::str("ycsb \"smoke\"\n")),
-            ("ratio".into(), Json::num(0.125)),
-            ("empty_arr".into(), Json::Arr(vec![])),
-            ("empty_obj".into(), Json::Obj(vec![])),
-            ("flag".into(), Json::Bool(true)),
-            ("nothing".into(), Json::Null),
-            ("items".into(), Json::Arr(vec![Json::u64(3), Json::str("x"), Json::Num(-2.5e3)])),
-        ]);
-        let text = doc.render();
-        let back = Json::parse(&text).unwrap();
-        assert_eq!(back, doc);
-        assert_eq!(back.get("schema_version").unwrap().as_u64(), Some(1));
-        assert_eq!(back.get("name").unwrap().as_str(), Some("ycsb \"smoke\"\n"));
-        assert_eq!(back.get("items").unwrap().as_arr().unwrap().len(), 3);
-    }
-
-    #[test]
-    fn json_parses_foreign_formatting() {
-        let back = Json::parse("  {\"a\":[1,2.5,-3e2],\"b\":{\"c\":\"\\u0041\\t\"}} ").unwrap();
-        assert_eq!(back.get("a").unwrap().as_arr().unwrap()[2], Json::Num(-300.0));
-        assert_eq!(back.get("b").unwrap().get("c").unwrap().as_str(), Some("A\t"));
-    }
-
-    #[test]
-    fn json_rejects_garbage() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("12 34").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
-        assert!(Json::parse("nope").is_err());
-    }
-
-    #[test]
-    fn json_non_finite_numbers_become_null() {
-        assert_eq!(Json::Num(f64::NAN).render(), "null");
-        assert_eq!(Json::Num(f64::INFINITY).render(), "null");
-    }
-
-    #[test]
-    fn as_u64_guards_fractions_and_negatives() {
-        assert_eq!(Json::Num(3.0).as_u64(), Some(3));
-        assert_eq!(Json::Num(3.5).as_u64(), None);
-        assert_eq!(Json::Num(-1.0).as_u64(), None);
-        assert_eq!(Json::str("3").as_u64(), None);
     }
 }

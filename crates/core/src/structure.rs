@@ -1,5 +1,5 @@
-//! Structure-level instrumentation — the per-index shape counters behind
-//! the BENCH report schema (node count, height, occupancy).
+//! Structure-level instrumentation — the per-index shape counters the
+//! experiment harnesses read (node count, height, occupancy).
 //!
 //! [`crate::SiriIndex`] deliberately stays free of reporting concerns;
 //! the four index crates implement [`StructureStats`] alongside it so the

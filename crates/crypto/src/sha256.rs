@@ -62,8 +62,7 @@ pub enum Sha256Backend {
 }
 
 impl Sha256Backend {
-    /// Stable name stamped into BENCH_*.json artifacts (`scalar`,
-    /// `sha-ni`, `neon`).
+    /// Stable display name (`scalar`, `sha-ni`, `neon`).
     pub fn name(self) -> &'static str {
         match self {
             Sha256Backend::Scalar => "scalar",

@@ -12,8 +12,8 @@ use siri_store::SharedStore;
 /// Construct or re-open a concrete index over a page store.
 ///
 /// `Index` must also report its shape ([`StructureStats`]) so factory-
-/// generic harness code can fill the BENCH report schema without knowing
-/// which structure it drives.
+/// generic harness code can report shape without knowing which structure
+/// it drives.
 pub trait IndexFactory: Clone + Send + Sync {
     type Index: SiriIndex + StructureStats;
 

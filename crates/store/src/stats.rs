@@ -72,17 +72,6 @@ impl StoreStats {
         }
     }
 
-    /// Fraction of `put` calls absorbed by an already-stored identical
-    /// page — the paper's share ratio over the write stream; 0.0 when
-    /// nothing was written.
-    pub fn share_ratio(&self) -> f64 {
-        if self.puts == 0 {
-            0.0
-        } else {
-            self.shared_puts as f64 / self.puts as f64
-        }
-    }
-
     /// `get` hit rate; 1.0 when no gets were issued.
     pub fn hit_rate(&self) -> f64 {
         if self.gets == 0 {
@@ -190,8 +179,6 @@ mod tests {
         assert!((s.dedup_savings() - 0.75).abs() < 1e-12);
         assert!((s.hit_rate() - 0.9).abs() < 1e-12);
         assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);
-        assert!((s.share_ratio() - 0.75).abs() < 1e-12);
-        assert_eq!(StoreStats::default().share_ratio(), 0.0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Workload-generator contracts the experiment grid depends on:
-//! determinism under a fixed seed (BENCH artifacts must be reproducible),
+//! Workload-generator contracts the experiments depend on: determinism
+//! under a fixed seed (the golden space test pins exact byte counts),
 //! the Zipfian rank-frequency shape at the paper's three θ settings, and
 //! the wiki/eth size distributions staying within ±10% of the documented
 //! averages.

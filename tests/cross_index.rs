@@ -2,7 +2,7 @@
 //! the *content* of any workload, whatever their internal shape — plus the
 //! executable SIRI property checks of Definition 3.1.
 
-use std::ops::Bound::Unbounded;
+use std::ops::Bound::{Excluded, Included, Unbounded};
 
 use siri::crypto::sha256;
 use siri::ordered::OrderedNode;
@@ -321,6 +321,33 @@ fn childless_internal_and_empty_leaf_roots_are_errors() {
     let empty_leaf = PosNode::Leaf { salt: 0, entries: Vec::new() };
     check(&pos(), childless.encode(), empty_leaf.encode());
     check(&mvmb(), MvmbNode::Internal(Vec::new()).encode(), MvmbNode::Leaf(Vec::new()).encode());
+}
+
+/// A window read with no node cache costs a descent plus the leaves under
+/// the window — at most `2 × height + 100` store gets for 100 entries,
+/// however few entries a leaf holds — not a walk of the tree (≈ 4× that
+/// here).
+#[test]
+fn cold_window_reads_a_descent_plus_its_leaves() {
+    const WINDOW: usize = 100;
+    fn check<F: IndexFactory>(factory: &F) {
+        let mut sorted = dataset(2_000);
+        sorted.sort();
+        let idx = build(factory, &sorted);
+        let height = idx.structure_stats().unwrap().height as usize;
+        let window = (&sorted[1_000].key[..], &sorted[1_000 + WINDOW].key[..]);
+        let before = idx.store().stats().gets;
+        let streamed = idx
+            .with_store(idx.store().clone())
+            .range(Included(window.0), Excluded(window.1))
+            .map(Result::unwrap)
+            .count();
+        let gets = (idx.store().stats().gets - before) as usize;
+        assert_eq!(streamed, WINDOW, "{}", idx.kind());
+        assert!(gets <= 2 * height + WINDOW, "{}: the window read {gets} pages", idx.kind());
+    }
+    check(&pos());
+    check(&mvmb());
 }
 
 #[test]
