@@ -1,32 +1,56 @@
-//! Cache-on vs cache-off point lookups across the four indexes, plus the
-//! Figure 21-style client-cache capacity sweep.
+//! Cache-on vs cache-off point lookups across the four indexes, the
+//! Figure 21-style client-cache capacity sweep, and what a commit costs
+//! over a full node cache.
 //!
 //! The acceptance bar for the read-path overhaul: on a ≥100k-entry index,
 //! cached point lookups must be ≥2× faster than the uncached path for MPT
 //! and POS-Tree. `cached` uses the default decoded-node cache (warmed by
 //! one pass); `uncached` sets capacity 0, so every fetch pays
 //! store-lock + page-clone + decode.
+//!
+//! `commit_full_cache` is the write path's side of the cache (DESIGN.md
+//! §3): a ledger-style block of 200 fresh 64-byte hex keys committed into
+//! an MPT whose default-capacity node cache is full, so any install a
+//! commit made would evict a node a reader still wants.
+//!
+//! `CACHED_READS_N` overrides the dataset size (CI smoke-runs use a small
+//! value so the bench executes on every push without burning minutes).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use siri::crypto::sha256;
 use siri::workloads::YcsbConfig;
 use siri::{
-    MemStore, MerkleBucketTree, MerklePatriciaTrie, MvmbParams, MvmbTree, PosParams, PosTree,
-    SiriIndex,
+    Bytes, Entry, MemStore, MerkleBucketTree, MerklePatriciaTrie, MvmbParams, MvmbTree, PosParams,
+    PosTree, SiriIndex, WriteBatch,
 };
 use siri_bench::harness::client_cache_sweep;
-
-const N: usize = 100_000;
 
 /// Cache sized to hold the whole decoded working set of a 100k-entry
 /// index — the "cache covers the hot set" end of the sweep, where the
 /// §5.6.1 hit ratio approaches 1.
 const WARM_CACHE_NODES: usize = 512 * 1024;
 
+/// Keys per block in `commit_full_cache`, as in the ledger workload.
+const BLOCK_KEYS: u64 = 200;
+
+/// Distinct blocks of fresh keys, more than one run of the group commits.
+const BLOCKS: u64 = 64;
+
+fn dataset_size() -> usize {
+    std::env::var("CACHED_READS_N").ok().and_then(|v| v.parse().ok()).unwrap_or(100_000).max(1)
+}
+
+/// The `i`-th ledger key: the 64-byte ASCII hex of a digest.
+fn hex_key(i: u64) -> Bytes {
+    Bytes::from(sha256(&i.to_le_bytes()).to_hex().into_bytes())
+}
+
 fn bench_cached_reads(c: &mut Criterion) {
+    let n = dataset_size();
     let ycsb = YcsbConfig::default();
-    let data = ycsb.dataset(N);
+    let data = ycsb.dataset(n);
     // Pre-generated lookup keys so the measured loop is pure index work.
-    let lookup_keys: Vec<_> = (0..N as u64).map(|i| ycsb.key(i)).collect();
+    let lookup_keys: Vec<_> = (0..n as u64).map(|i| ycsb.key(i)).collect();
 
     // One index per structure over its own store, built once.
     macro_rules! bench_pair {
@@ -40,7 +64,7 @@ fn bench_cached_reads(c: &mut Criterion) {
             let mut i = 0usize;
             $group.bench_function(BenchmarkId::new($name, "cached"), |b| {
                 b.iter(|| {
-                    i = (i + 7) % N;
+                    i = (i + 7) % n;
                     std::hint::black_box(cached.get(&lookup_keys[i]).unwrap())
                 })
             });
@@ -49,14 +73,14 @@ fn bench_cached_reads(c: &mut Criterion) {
             let mut i = 0usize;
             $group.bench_function(BenchmarkId::new($name, "uncached"), |b| {
                 b.iter(|| {
-                    i = (i + 7) % N;
+                    i = (i + 7) % n;
                     std::hint::black_box(uncached.get(&lookup_keys[i]).unwrap())
                 })
             });
         }};
     }
 
-    let mut group = c.benchmark_group("lookup_100k");
+    let mut group = c.benchmark_group("lookup");
     group.sample_size(20);
     bench_pair!(group, "mpt", {
         let mut t = MerklePatriciaTrie::new(MemStore::new_shared());
@@ -84,15 +108,62 @@ fn bench_cached_reads(c: &mut Criterion) {
     });
     group.finish();
 
+    // Write path over a full cache. Blocks commit one after another onto
+    // the head, as a ledger's do, so each reads the path nodes the block
+    // before it wrote, which no reader has installed.
+    let value = Bytes::from(vec![0x5a; 128]);
+    let mut ledger = MerklePatriciaTrie::new(MemStore::new_shared());
+    for start in (0..n as u64).step_by(10_000) {
+        let end = (start + 10_000).min(n as u64);
+        ledger
+            .batch_insert((start..end).map(|i| Entry::new(hex_key(i), value.clone())).collect())
+            .unwrap();
+    }
+    for i in 0..n as u64 {
+        let _ = ledger.get(&hex_key(i)).unwrap();
+    }
+    let before = ledger.node_cache_stats();
+    println!(
+        "commit_full_cache/mpt: {} of {} cache slots filled by reads",
+        before.len, before.capacity
+    );
+    // Later cycles re-put the same records, which still reads and rewrites
+    // every path.
+    let blocks: Vec<WriteBatch> = (0..BLOCKS)
+        .map(|b| {
+            let first = n as u64 + b * BLOCK_KEYS;
+            let block = (first..first + BLOCK_KEYS).map(|i| Entry::new(hex_key(i), value.clone()));
+            WriteBatch::from_entries(block.collect())
+        })
+        .collect();
+    let mut group = c.benchmark_group("commit_full_cache");
+    group.sample_size(10);
+    let mut next = 0usize;
+    group.bench_function(BenchmarkId::new("mpt", BLOCK_KEYS), |b| {
+        b.iter(|| {
+            next = (next + 1) % blocks.len();
+            ledger.commit(blocks[next].clone()).unwrap()
+        })
+    });
+    group.finish();
+    let after = ledger.node_cache_stats();
+    println!(
+        "commit_full_cache/mpt: commits moved the cache by {} misses, {} evictions",
+        after.misses - before.misses,
+        after.evictions - before.evictions
+    );
+    drop(ledger);
+
     // Figure 21-style capacity sweep: lookups through a bounded client
     // page cache with a 100 µs modelled remote fetch. Printed once per
     // capacity (hit ratio + modelled client latency), then the pure
     // wall-clock cost is measured per capacity.
+    let records = (n / 5).max(2) as u64;
     let server = MemStore::new_shared();
     let mut base = PosTree::new(server.clone(), PosParams::default());
-    base.batch_insert(ycsb.dataset(20_000)).unwrap();
+    base.batch_insert(ycsb.dataset(records as usize)).unwrap();
     let root = base.root();
-    let keys: Vec<_> = (0..10_000u64).map(|i| ycsb.key(i % 20_000)).collect();
+    let keys: Vec<_> = (0..records / 2).map(|i| ycsb.key(i)).collect();
     let params = PosParams::default();
     let points = client_cache_sweep(
         &server,

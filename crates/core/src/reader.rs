@@ -2,12 +2,15 @@
 //!
 //! Every index handle reaches its store through a [`PageReader`]: the
 //! shared page store plus the decoded-node cache the handle's clones share
-//! (DESIGN.md §3). There are two ways to read and no other knob:
+//! (DESIGN.md §3). There are two ways to read and one rule between them,
+//! **readers install, writers borrow**:
 //!
 //! * [`PageReader::fetch`] — the read path: probe the cache, and on a miss
 //!   get the page, decode it and install it.
-//! * [`PageReader::load`] — get and decode past the cache, leaving it and
-//!   its counters untouched: POS-Tree's commit path and the one-off walks
+//! * [`PageReader::load`] — the write path: share the cached node if one
+//!   is resident, else get and decode; either way it installs nothing and
+//!   moves no recency or counter. Every commit reads through it, since the
+//!   nodes a commit loads are the ones it replaces; so do the one-off walks
 //!   (`level_stats`, MBT's root-parameter peek).
 
 use std::sync::Arc;
@@ -38,7 +41,7 @@ impl<N> Clone for PageReader<N> {
 
 impl<N: PageNode> PageReader<N> {
     /// A reader over `store` caching up to `capacity` decoded nodes (0
-    /// disables caching — every fetch decodes, which is what proof
+    /// disables caching — every read decodes, which is what proof
     /// witnesses need: a cache hit would keep a page out of the record).
     pub fn new(store: SharedStore, capacity: usize) -> Self {
         PageReader { store, cache: NodeCache::new_shared(capacity) }
@@ -56,11 +59,19 @@ impl<N: PageNode> PageReader<N> {
     /// The node at `hash` through the cache; the flag reports a cache hit
     /// (no store access, no decode).
     pub fn fetch(&self, hash: &Hash) -> Result<(Arc<N>, bool)> {
-        self.cache.get_or_load(hash, || self.load(hash))
+        self.cache.get_or_load(hash, || self.decode(hash))
     }
 
-    /// The node at `hash` from the store, past the cache.
-    pub fn load(&self, hash: &Hash) -> Result<N> {
+    /// The node at `hash` for a writer: the cached node if resident,
+    /// otherwise one decoded from the store; the cache is left as it was.
+    pub fn load(&self, hash: &Hash) -> Result<Arc<N>> {
+        match self.cache.peek(hash) {
+            Some(node) => Ok(node),
+            None => self.decode(hash).map(Arc::new),
+        }
+    }
+
+    fn decode(&self, hash: &Hash) -> Result<N> {
         let page = self.store.try_get(hash)?.ok_or(IndexError::MissingPage(*hash))?;
         N::decode_page(&page)
     }
@@ -106,11 +117,25 @@ mod tests {
     }
 
     #[test]
+    fn load_borrows_a_cached_node_without_a_store_get() {
+        let (reader, hash) = one_page(64);
+        let (cached, _) = reader.fetch(&hash).unwrap();
+        let before = reader.cache_stats();
+        let borrowed = reader.load(&hash).unwrap();
+        assert!(Arc::ptr_eq(&cached, &borrowed), "a hit shares the cached node");
+        assert_eq!(reader.cache_stats(), before, "and moves no counter");
+        assert_eq!(reader.store().stats().gets, 1);
+        let absent = Hash::from_slice(&[7; Hash::LEN]).unwrap();
+        assert_eq!(reader.load(&absent).err(), Some(IndexError::MissingPage(absent)));
+    }
+
+    #[test]
     fn capacity_zero_never_inserts() {
         let (reader, hash) = one_page(0);
         assert!(!reader.fetch(&hash).unwrap().1);
         assert!(!reader.fetch(&hash).unwrap().1);
+        assert!(reader.load(&hash).is_ok());
         assert_eq!(reader.cache_stats().len, 0);
-        assert_eq!(reader.store().stats().gets, 2);
+        assert_eq!(reader.store().stats().gets, 3, "capacity 0 reads the store every time");
     }
 }

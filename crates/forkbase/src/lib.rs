@@ -363,7 +363,7 @@ impl<F: IndexFactory> Forkbase<F> {
     /// [`Forkbase::with_store`] with an explicit [`ShardingPolicy`]
     /// (ignoring `SIRI_SHARDS`) — for tests and benchmarks that pin the
     /// partition regardless of the environment. `_reserved` is ignored;
-    /// the frozen `bench/e2e` still passes a `0` there (ROADMAP item 6(e)).
+    /// `bench/e2e` still passes a `0` there (ROADMAP item 6(c)).
     pub fn with_sharding(
         factory: F,
         server: SharedStore,

@@ -30,8 +30,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use siri_core::{
     apply_ops, diff_sorted_entries, entry_codec, own_bound, search_entries, BatchOp, DiffEntry,
-    Entry, EntryCursor, IndexError, LookupTracer, PageReader, Proof, ProofVerdict, Result,
-    SiriIndex, StructureReport, StructureStats, WriteBatch,
+    EntryCursor, IndexError, LookupTracer, PageReader, Proof, ProofVerdict, Result, SiriIndex,
+    StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::{FxHashMap, Hash};
 use siri_store::{
@@ -108,7 +108,7 @@ impl MerkleBucketTree {
     /// A cache-less reader at `root` over a bare page source — what proofs
     /// are verified with (DESIGN.md §14). Every page embeds (B, fanout), so
     /// the shape comes from the root page itself, which the caller's digest
-    /// vouches for; [`Self::fetch_at`] holds every page below to it.
+    /// vouches for; [`Self::check_at`] holds every page below to it.
     pub(crate) fn reader(store: SharedStore, root: Hash) -> Result<Self> {
         let reader = PageReader::<Node>::new(store, 0);
         let (buckets, fanout) = reader.load(&root)?.params();
@@ -137,16 +137,22 @@ impl MerkleBucketTree {
     }
 
     /// Fetch the node at topology position `id` and hold it to the
-    /// arithmetic shape — parameters, page kind for the level, child count —
-    /// so that a page from a differently-shaped tree (corrupt disk, wrong
-    /// `open` parameters, a doctored proof) is an error, never a wrong
-    /// answer.
+    /// arithmetic shape ([`Self::check_at`]).
     fn fetch_at(&self, id: topology::NodeId, hash: &Hash) -> Result<(Arc<Node>, bool)> {
         let (node, cached) = self.reader.fetch(hash)?;
+        self.check_at(id, &node)?;
+        Ok((node, cached))
+    }
+
+    /// Hold a node read for topology position `id` to the arithmetic shape
+    /// — parameters, page kind for the level, child count — so that a page
+    /// from a differently-shaped tree (corrupt disk, wrong `open`
+    /// parameters, a doctored proof) is an error, never a wrong answer.
+    fn check_at(&self, id: topology::NodeId, node: &Node) -> Result<()> {
         if node.params() != (self.topo.buckets() as u64, self.topo.fanout() as u64) {
             return Err(IndexError::CorruptStructure("parameter mismatch along path"));
         }
-        match (&*node, id.0) {
+        match (node, id.0) {
             (Node::Bucket { .. }, 0) => {}
             (Node::Bucket { .. }, _) => {
                 return Err(IndexError::CorruptStructure("bucket page at internal level"))
@@ -162,31 +168,30 @@ impl MerkleBucketTree {
                 }
             }
         }
-        Ok((node, cached))
+        Ok(())
     }
 
-    /// Decoded nodes along the root→bucket path, each reported to `t`.
-    fn load_path(
+    /// Walk the root→bucket path, reading each node with
+    /// `read(position, digest)`; returns the last node read, the bucket.
+    fn descend(
         &self,
         bucket: usize,
-        t: &mut impl LookupTracer,
-    ) -> Result<Vec<(Hash, Arc<Node>)>> {
+        mut read: impl FnMut(topology::NodeId, &Hash) -> Result<Arc<Node>>,
+    ) -> Result<Arc<Node>> {
         let path = self.topo.path_to_bucket(bucket);
-        let mut nodes = Vec::with_capacity(path.len());
-        let mut hash = self.root;
-        for (i, id) in path.iter().enumerate() {
-            let (node, cached) = self.fetch_at(*id, &hash)?;
-            t.node(cached);
-            let next = match (&*node, path.get(i + 1)) {
-                (Node::Internal { children, .. }, Some(child)) => *children
+        let mut node = read(path[0], &self.root)?;
+        for child in &path[1..] {
+            let hash = match &*node {
+                Node::Internal { children, .. } => *children
                     .get(self.topo.slot_in_parent(*child))
                     .ok_or(IndexError::CorruptStructure("path slot out of range"))?,
-                _ => hash,
+                Node::Bucket { .. } => {
+                    return Err(IndexError::CorruptStructure("bucket page at internal level"))
+                }
             };
-            nodes.push((hash, node));
-            hash = next;
+            node = read(*child, &hash)?;
         }
-        Ok(nodes)
+        Ok(node)
     }
 
     /// Every decoded bucket node in bucket order, shared out of the node
@@ -208,14 +213,6 @@ impl MerkleBucketTree {
             level = next;
         }
         Ok(level)
-    }
-
-    /// Entries of one bucket by index (copied; write path only).
-    fn bucket_entries(&self, bucket: usize) -> Result<Vec<Entry>> {
-        match self.load_path(bucket, &mut ())?.last().map(|(_, node)| &**node) {
-            Some(Node::Bucket { entries, .. }) => Ok(entries.clone()),
-            _ => Err(IndexError::CorruptStructure("path did not end in a bucket")),
-        }
     }
 
     /// Bucket fill statistics: (min, max, mean entries per bucket) — the
@@ -301,9 +298,13 @@ impl SiriIndex for MerkleBucketTree {
     /// bucket path, then search the bucket by reference out of the cached
     /// `Arc<Node>`.
     fn lookup(&self, key: &[u8], t: &mut impl LookupTracer) -> Result<Option<Bytes>> {
-        let path = self.load_path(self.topo.bucket_of(key), t)?;
+        let bucket = self.descend(self.topo.bucket_of(key), |id, hash| {
+            let (node, cached) = self.fetch_at(id, hash)?;
+            t.node(cached);
+            Ok(node)
+        })?;
         t.loaded();
-        match &*path.last().expect("non-empty path").1 {
+        match &*bucket {
             Node::Bucket { entries, .. } => Ok(search_entries(entries, key, t)),
             _ => Err(IndexError::CorruptStructure("path did not end in a bucket")),
         }
@@ -331,12 +332,31 @@ impl SiriIndex for MerkleBucketTree {
         // All rewritten buckets are hashed as one sibling group with the
         // multi-lane hasher, and every page of the commit reaches the store
         // as one batch (spilled level by level once it is full).
+        //
+        // Each touched root→bucket path is read once, and the old nodes are
+        // kept by position for the parent rebuild below. The commit replaces
+        // every one of them, so it borrows cached nodes and installs none
+        // (DESIGN.md §3).
+        let mut old: FxHashMap<topology::NodeId, Arc<Node>> = FxHashMap::default();
+        let mut load_once = |id: topology::NodeId, hash: &Hash| -> Result<Arc<Node>> {
+            if let Some(node) = old.get(&id) {
+                return Ok(Arc::clone(node));
+            }
+            let node = self.reader.load(hash)?;
+            self.check_at(id, &node)?;
+            old.insert(id, Arc::clone(&node));
+            Ok(node)
+        };
         let mut pages = PageBatch::new();
         let mut changed: FxHashMap<topology::NodeId, Hash> = FxHashMap::default();
         let mut bucket_pages = Vec::with_capacity(per_bucket.len());
         for (bucket, bucket_ops) in &per_bucket {
-            let old = self.bucket_entries(*bucket)?;
-            let merged = apply_ops(&old, bucket_ops);
+            let merged = match &*self.descend(*bucket, &mut load_once)? {
+                Node::Bucket { entries, .. } => apply_ops(entries, bucket_ops),
+                Node::Internal { .. } => {
+                    return Err(IndexError::CorruptStructure("path did not end in a bucket"))
+                }
+            };
             bucket_pages.push(Node::Bucket { buckets: b, fanout: m, entries: merged }.encode());
         }
         let hashes = pages.push_many(bucket_pages);
@@ -359,16 +379,10 @@ impl SiriIndex for MerkleBucketTree {
             let mut parent_pages = Vec::with_capacity(parents.len());
             for parent in parents {
                 let id = (level, parent);
-                // Load the old parent via the path of its leftmost bucket.
-                let leftmost_bucket = parent * self.topo.fanout().pow(level as u32);
-                let path = self.load_path(leftmost_bucket.min(self.topo.buckets() - 1), &mut ())?;
-                let depth_from_root = self.topo.height() - 1 - level;
-                let (_, old_node) = &path[depth_from_root];
-                let mut children = match &**old_node {
-                    Node::Internal { children, .. } => children.clone(),
-                    Node::Bucket { .. } => {
-                        return Err(IndexError::CorruptStructure("bucket at internal level"))
-                    }
+                // A changed node's parent lies on the same loaded path.
+                let mut children = match old.get(&id).map(|node| &**node) {
+                    Some(Node::Internal { children, .. }) => children.clone(),
+                    _ => return Err(IndexError::CorruptStructure("parent off the loaded paths")),
                 };
                 let (first, count) = self.topo.children_span(id);
                 for (slot, child) in children.iter_mut().enumerate().take(count) {
@@ -464,7 +478,7 @@ pub use entry_codec::entry_encoded_len;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siri_core::MemStore;
+    use siri_core::{Entry, MemStore};
 
     fn make(buckets: usize, fanout: usize) -> MerkleBucketTree {
         MerkleBucketTree::new(MemStore::new_shared(), buckets, fanout).unwrap()
@@ -698,5 +712,15 @@ mod tests {
         let fresh = after.difference(&before);
         // Exactly one path is rewritten: height 4 → ≤4 new pages.
         assert!(fresh.len() <= 4, "expected ≤4 new pages, got {}", fresh.len());
+    }
+
+    #[test]
+    fn one_key_commit_reads_its_path_once() {
+        let mut t = make(64, 4).with_node_cache_capacity(0); // height 4
+        t.batch_insert((0..500).map(|i| e(&format!("k{i}"), "v")).collect()).unwrap();
+        let before = t.store().stats().gets;
+        t.insert(b"k123", Bytes::from_static(b"changed")).unwrap();
+        let gets = t.store().stats().gets - before;
+        assert_eq!(gets, t.topology().height() as u64, "one store get per path node");
     }
 }

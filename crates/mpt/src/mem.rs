@@ -1,7 +1,7 @@
 //! In-memory overlay used for batched copy-on-write commits.
 //!
 //! A batch is applied to a tree of [`MemNode`]s: stored pages are pulled in
-//! lazily (one fetch per touched node) and stay as [`MemNode::Stored`]
+//! lazily (one load per touched node) and stay as [`MemNode::Stored`]
 //! stubs when untouched, so committing writes exactly one new page per
 //! modified node — the copy-on-write cost the paper's update bound counts
 //! (§4.1.2).
@@ -45,10 +45,10 @@ fn empty_children() -> Box<[Option<MemNode>; 16]> {
 
 impl MemNode {
     /// Materialize a stored page as a shallow overlay node (children remain
-    /// `Stored` stubs). Loads go through the trie's node cache, so batched
-    /// updates re-walking a hot spine skip the store and the decode.
+    /// `Stored` stubs). The commit replaces every node it materializes, so
+    /// it borrows a cached node but installs none (DESIGN.md §3).
     fn load(trie: &MerklePatriciaTrie, hash: Hash) -> Result<MemNode> {
-        Ok(match &*trie.reader.fetch(&hash)?.0 {
+        Ok(match &*trie.reader.load(&hash)? {
             Node::Branch { children, value } => {
                 let mut slots = empty_children();
                 for (i, c) in children.iter().enumerate() {

@@ -25,9 +25,8 @@ use std::ops::Bound;
 use bytes::Bytes;
 use siri_core::ordered::{self, ChildRef};
 use siri_core::{
-    apply_ops, own_bound, BatchOp, DiffEntry, Entry, EntryCursor, IndexError, LookupTracer,
-    PageReader, Proof, ProofVerdict, Result, SiriIndex, StructureReport, StructureStats,
-    WriteBatch,
+    apply_ops, own_bound, BatchOp, DiffEntry, Entry, EntryCursor, LookupTracer, PageReader, Proof,
+    ProofVerdict, Result, SiriIndex, StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::{FxHashSet, Hash};
 use siri_store::{
@@ -146,24 +145,18 @@ impl MvmbTree {
     }
 
     /// Recursive copy-on-write batch application. `ops` is normalized
-    /// (sorted, key-unique, puts and deletes). Returns the replacement
-    /// pieces for this subtree — possibly none, when deletes empty it
-    /// (underflow handling: emptied nodes are pruned and their siblings
-    /// re-chunked by the parent rebuild).
+    /// (sorted, key-unique, puts and deletes) and non-empty. Returns the
+    /// replacement pieces for this subtree — possibly none, when deletes
+    /// empty it (underflow handling: emptied nodes are pruned and their
+    /// siblings re-chunked by the parent rebuild). Every node it loads is
+    /// replaced, so it borrows cached nodes and installs none (DESIGN.md §3).
     fn apply_rec(
         &self,
         batch: &mut PageBatch,
         node_hash: Hash,
         ops: &[BatchOp],
     ) -> Result<Vec<ChildRef>> {
-        let node = self.reader.fetch(&node_hash)?.0;
-        if ops.is_empty() {
-            // Untouched subtree: reuse wholesale (Recursively Identical in
-            // action). Need its max key for the parent rebuild.
-            let max_key = node.max_key().ok_or(IndexError::CorruptStructure("empty node"))?;
-            return Ok(vec![ChildRef { max_key, hash: node_hash }]);
-        }
-        match &*node {
+        match &*self.reader.load(&node_hash)? {
             Node::Leaf(old) => {
                 let merged = apply_ops(old, ops);
                 self.emit_chunks(batch, merged, self.params.max_leaf_entries, Node::Leaf)
@@ -181,7 +174,14 @@ impl MvmbTree {
                     };
                     let (mine, remaining) = rest.split_at(split);
                     rest = remaining;
-                    pieces.extend(self.apply_rec(batch, child.hash, mine)?);
+                    if mine.is_empty() {
+                        // Untouched subtree: reuse wholesale (Recursively
+                        // Identical in action) without reading it — its
+                        // routing entry already holds the max key.
+                        pieces.push(child.clone());
+                    } else {
+                        pieces.extend(self.apply_rec(batch, child.hash, mine)?);
+                    }
                 }
                 debug_assert!(rest.is_empty());
                 self.emit_chunks(batch, pieces, self.params.max_internal_children, Node::Internal)
@@ -197,7 +197,7 @@ impl MvmbTree {
             if root.is_zero() {
                 return Ok(root);
             }
-            match &*self.reader.fetch(&root)?.0 {
+            match &*self.reader.load(&root)? {
                 Node::Internal(children) if children.len() == 1 => root = children[0].hash,
                 _ => return Ok(root),
             }
@@ -548,6 +548,18 @@ mod tests {
         assert_eq!(t.get(b"key00010").unwrap().unwrap().as_ref(), b"back");
         assert_eq!(t.get(b"key00020").unwrap(), None);
         assert_eq!(t.len().unwrap(), 49);
+    }
+
+    #[test]
+    fn one_key_commit_reads_only_its_path() {
+        let mut t = make().with_node_cache_capacity(0);
+        t.batch_insert(keys(2000)).unwrap();
+        let height = t.height().unwrap() as u64;
+        let before = t.store().stats().gets;
+        t.insert(b"key01000", Bytes::from_static(b"new")).unwrap();
+        // The root→leaf path, plus the new root that the collapse checks.
+        let gets = t.store().stats().gets - before;
+        assert!(gets <= height + 1, "{gets} store gets under a height-{height} tree");
     }
 
     #[test]

@@ -1198,7 +1198,7 @@ mod tests {
             // The rightmost spine is always walked, by the last range, and
             // the planner never reads it: its pages fault in the worker.
             let mut spine = vec![root];
-            while let Node::Internal { children, .. } = reader(&store).load(&spine[0]).unwrap() {
+            while let Node::Internal { children, .. } = &*reader(&store).load(&spine[0]).unwrap() {
                 spine.insert(0, children[children.len() - 1].hash);
             }
             let (leaf, parent) = (spine[0], spine[1]);

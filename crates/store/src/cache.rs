@@ -244,11 +244,16 @@ impl<V: Clone> ShardedLru<V> {
         }
     }
 
-    /// Side-effect-free membership probe: no counter bumps, no recency
-    /// refresh. For existence checks (`NodeStore::contains`) that must not
-    /// distort the hit-ratio metrics or the eviction order.
-    pub fn peek(&self, hash: &Hash) -> bool {
-        self.capacity != 0 && self.shard(hash).lru.lock().map.contains_key(hash)
+    /// Side-effect-free probe: no counter bumps, no recency refresh. For
+    /// existence checks (`NodeStore::contains`) and write paths
+    /// ([`NodeCache::peek`]) that must not distort the hit-ratio metrics or
+    /// the eviction order.
+    pub fn peek(&self, hash: &Hash) -> Option<V> {
+        if self.capacity == 0 {
+            return None;
+        }
+        let lru = self.shard(hash).lru.lock();
+        lru.map.get(hash).map(|&idx| lru.slots[idx as usize].value.clone())
     }
 
     /// Install a value (no-op when capacity is 0). Inserting an existing
@@ -340,6 +345,12 @@ impl<N> NodeCache<N> {
 
     pub fn get(&self, hash: &Hash) -> Option<Arc<N>> {
         self.lru.get(hash)
+    }
+
+    /// The cached node, if resident, leaving recency and counters alone:
+    /// how a commit borrows a node it is about to replace (DESIGN.md §3).
+    pub fn peek(&self, hash: &Hash) -> Option<Arc<N>> {
+        self.lru.peek(hash)
     }
 
     pub fn insert(&self, hash: Hash, node: Arc<N>) {
@@ -491,6 +502,27 @@ mod tests {
         }
         let after = c.stats();
         assert_eq!((before.hits, before.misses), (after.hits, after.misses));
+    }
+
+    #[test]
+    fn peek_returns_the_value_without_refreshing_recency() {
+        let c: ShardedLru<u64> = ShardedLru::new(2 * SHARDS); // 2 per shard
+        let same_shard: Vec<Hash> = (0..1000u64)
+            .map(h)
+            .filter(|x| x.as_bytes()[0] & (SHARDS as u8 - 1) == 5)
+            .take(3)
+            .collect();
+        let &[a, b, x] = &same_shard[..] else { panic!() };
+        c.insert(a, 1);
+        c.insert(b, 2);
+        assert_eq!(c.peek(&a), Some(1));
+        assert_eq!(c.peek(&x), None);
+        c.insert(x, 3); // a stays least recent: the peek did not touch it
+        assert_eq!(c.peek(&a), None, "peek must not refresh recency");
+        assert_eq!(c.peek(&b), Some(2));
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (0, 0, 1));
+        assert_eq!(ShardedLru::<u64>::new(0).peek(&a), None);
     }
 
     #[test]

@@ -147,7 +147,7 @@ impl NodeStore for CachingStore {
     fn contains(&self, hash: &Hash) -> bool {
         // `peek`, not `get`: an existence check is not a read — it must not
         // count toward the hit ratio or disturb LRU recency.
-        self.cache.peek(hash) || self.server.contains(hash)
+        self.cache.peek(hash).is_some() || self.server.contains(hash)
     }
 
     fn stats(&self) -> StoreStats {

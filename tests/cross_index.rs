@@ -2,6 +2,7 @@
 //! the *content* of any workload, whatever their internal shape — plus the
 //! executable SIRI property checks of Definition 3.1.
 
+use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Included, Unbounded};
 
 use siri::crypto::sha256;
@@ -10,7 +11,7 @@ use siri::workloads::YcsbConfig;
 use siri::{
     siri_properties, Bytes, Entry, Hash, IndexError, IndexFactory, MbtFactory, MemStore,
     MptFactory, MvmbFactory, MvmbParams, NodeStore, PageNode, PagePool, PageReader, PosFactory,
-    PosParams, Recorder, SharedStore, SiriIndex, StructureStats,
+    PosParams, Recorder, SharedStore, SiriIndex, StructureStats, WriteBatch,
 };
 
 fn dataset(n: usize) -> Vec<Entry> {
@@ -203,6 +204,79 @@ fn exclusive_start_at_every_key_including_leaf_edges() {
     check(&build(&MptFactory, &sorted), &sorted);
     check(&build(&MbtFactory { buckets: 16, fanout: 4 }, &sorted), &sorted);
     check(&build(&MvmbFactory(MvmbParams::default()), &sorted), &sorted);
+}
+
+/// Readers install, writers borrow (DESIGN.md §3). Over a node cache
+/// warmed by reading every key, a mixed commit leaves the cache's contents
+/// and counters exactly as they were, yet reads the store less often than
+/// the same commit with no cache at all; a read afterwards still installs.
+#[test]
+fn commits_borrow_the_node_cache_and_reads_install() {
+    fn check<F: IndexFactory>(factory: &F, structurally_invariant: bool) {
+        let base = dataset(1_000);
+        let built = build(factory, &base);
+        // A fresh handle: its node cache holds exactly what the reads install.
+        let idx = factory.open(built.store().clone(), built.root());
+        for e in &base {
+            assert!(idx.get(&e.key).unwrap().is_some());
+        }
+        let warm = idx.node_cache_stats();
+        assert!(warm.len > 0 && warm.evictions == 0, "{}: {warm:?}", idx.kind());
+
+        let ycsb = YcsbConfig::default();
+        let mut want: BTreeMap<Bytes, Bytes> =
+            base.iter().map(|e| (e.key.clone(), e.value.clone())).collect();
+        let mut batch = WriteBatch::new();
+        for i in 0..60u64 {
+            let e = if i % 4 == 3 { ycsb.entry(1_000 + i, 0) } else { ycsb.entry(i * 13, 1) };
+            batch.put(e.key.clone(), e.value.clone());
+            want.insert(e.key, e.value);
+        }
+        for e in base.iter().skip(7).step_by(53) {
+            batch.delete(e.key.clone());
+            want.remove(&e.key);
+        }
+
+        let gets = |i: &F::Index| i.store().stats().gets;
+        let mut head = idx.clone();
+        let before = gets(&head);
+        head.commit(batch.clone()).unwrap();
+        let warm_gets = gets(&head) - before;
+        let after = head.node_cache_stats();
+        assert_eq!(
+            (after.len, after.hits, after.misses, after.evictions),
+            (warm.len, warm.hits, warm.misses, warm.evictions),
+            "{}: the commit moved the node cache",
+            head.kind()
+        );
+
+        // The same commit with no cache reads every node it replaces.
+        let mut cold = idx.with_store(idx.store().clone());
+        let before = gets(&cold);
+        cold.commit(batch).unwrap();
+        let cold_gets = gets(&cold) - before;
+        assert_eq!(cold.root(), head.root(), "{}: the cache changed the digest", head.kind());
+        assert!(warm_gets < cold_gets, "{}: {warm_gets} vs {cold_gets} gets", head.kind());
+
+        let (key, value) = want.iter().find(|(k, _)| !base.iter().any(|e| e.key == **k)).unwrap();
+        assert_eq!(head.get(key).unwrap().as_ref(), Some(value));
+        let read = head.node_cache_stats();
+        assert!(
+            read.misses > after.misses && read.len > after.len,
+            "{}: a read installs",
+            head.kind()
+        );
+
+        let want: Vec<Entry> = want.into_iter().map(|(k, v)| Entry::new(k, v)).collect();
+        assert_eq!(head.scan().unwrap(), want, "{}", head.kind());
+        if structurally_invariant {
+            assert_eq!(head.root(), build(factory, &want).root(), "{}", head.kind());
+        }
+    }
+    check(&pos(), true);
+    check(&MptFactory, true);
+    check(&MbtFactory { buckets: 64, fanout: 4 }, true);
+    check(&mvmb(), false);
 }
 
 // ---- POS-Tree and MVMB+ are read by one descent (`siri::ordered`) ----------
