@@ -26,7 +26,8 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use siri::workloads::YcsbConfig;
 use siri::{
-    Entry, FileStoreOptions, Forkbase, FsyncPolicy, PosFactory, PosParams, SiriIndex, WriteBatch,
+    Entry, FileStoreOptions, Forkbase, FsyncPolicy, PosFactory, PosParams, Session, SiriIndex,
+    WriteBatch,
 };
 use siri_bench::harness::run_concurrent_writers;
 
@@ -156,7 +157,7 @@ fn bench_multi_writer(c: &mut Criterion) {
     {
         let ycsb = YcsbConfig::default();
         let fb = Forkbase::new(PosFactory(PosParams::default()));
-        fb.put("master", ycsb.dataset(5_000)).unwrap();
+        fb.commit("master", WriteBatch::from_entries(ycsb.dataset(5_000))).unwrap();
         let mut group = c.benchmark_group("multi_writer_commit_latency");
         group.sample_size(20);
         let mut v = 1u32;
@@ -165,7 +166,7 @@ fn bench_multi_writer(c: &mut Criterion) {
                 v += 1;
                 let batch: Vec<Entry> =
                     (0..BATCH as u64).map(|i| ycsb.entry((i * 37 + v as u64) % 5_000, v)).collect();
-                std::hint::black_box(fb.put("master", batch).unwrap());
+                std::hint::black_box(fb.commit("master", WriteBatch::from_entries(batch)).unwrap());
             })
         });
         group.finish();

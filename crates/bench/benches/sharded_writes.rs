@@ -25,7 +25,8 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use siri::workloads::YcsbConfig;
 use siri::{
-    Entry, Forkbase, MemStore, PosFactory, PosParams, ShardingPolicy, SiriIndex, WriteBatch,
+    Entry, Forkbase, MemStore, PosFactory, PosParams, Session, ShardingPolicy, SiriIndex,
+    WriteBatch,
 };
 use siri_bench::harness::run_concurrent_writers;
 

@@ -22,7 +22,7 @@ use siri::workloads::wiki::WikiConfig;
 use siri::workloads::ycsb::YcsbConfig;
 use siri::{
     cost_model, metrics, Bytes, Entry, FileStoreOptions, Forkbase, FsyncPolicy, IndexFactory,
-    MemStore, PosFactory, PosParams, PosTree, ShardingPolicy, SiriIndex, WriteBatch,
+    MemStore, PosFactory, PosParams, PosTree, Session, ShardingPolicy, SiriIndex, WriteBatch,
     DEFAULT_CLIENT_CACHE_PAGES,
 };
 use siri_bench::harness::*;
@@ -969,7 +969,7 @@ fn fig21(cfg: RunConfig) -> Vec<Table> {
         for_each_index!(icfg, |_name, factory| {
             let fb = single_shard_engine(factory.clone());
             for chunk in data.chunks(8_000) {
-                fb.put("master", chunk.to_vec()).unwrap();
+                fb.commit("master", WriteBatch::from_entries(chunk.to_vec())).unwrap();
             }
             // Client reads: wall time + modelled remote latency.
             let reads = cfg.ops.min(3_000);
@@ -979,7 +979,11 @@ fn fig21(cfg: RunConfig) -> Vec<Table> {
             let writes = cfg.ops.min(1_500);
             let t0 = Instant::now();
             for i in 0..writes {
-                fb.put("master", vec![ycsb.entry((i * 53 % n) as u64, 9)]).unwrap();
+                fb.commit(
+                    "master",
+                    WriteBatch::from_entries(vec![ycsb.entry((i * 53 % n) as u64, 9)]),
+                )
+                .unwrap();
             }
             w_cells.push(kops(writes, t0.elapsed().as_nanos() as u64));
         });
@@ -1011,12 +1015,12 @@ fn fig22(cfg: RunConfig) -> Vec<Table> {
         let factory = PosFactory(PosParams::default().with_node_bytes(4096));
         let fb = single_shard_engine(factory.clone());
         for chunk in data.chunks(8_000) {
-            fb.put("master", chunk.to_vec()).unwrap();
+            fb.commit("master", WriteBatch::from_entries(chunk.to_vec())).unwrap();
         }
         let fb_read = client_read_nanos(&fb, &factory, &keys);
         let t0 = Instant::now();
-        fb.put("master", (0..writes as u64).map(|i| ycsb.entry(i * 53 % n as u64, 9)).collect())
-            .unwrap();
+        let batch = (0..writes as u64).map(|i| ycsb.entry(i * 53 % n as u64, 9)).collect();
+        fb.commit("master", WriteBatch::from_entries(batch)).unwrap();
         let fb_write = t0.elapsed().as_nanos() as u64;
 
         // Noms: Prolly chunking (sliding-window internal hashing), per-op
@@ -1025,12 +1029,13 @@ fn fig22(cfg: RunConfig) -> Vec<Table> {
         for chunk in data.chunks(8_000) {
             // Initial load may batch — the measured difference is the
             // update path, as in the paper's experiment.
-            noms.put("master", chunk.to_vec()).unwrap();
+            noms.commit("master", WriteBatch::from_entries(chunk.to_vec())).unwrap();
         }
         let noms_read = client_read_nanos(&noms, &PosFactory::noms(), &keys);
         let t0 = Instant::now();
         for i in 0..writes as u64 {
-            noms.put("master", vec![ycsb.entry(i * 53 % n as u64, 9)]).unwrap();
+            noms.commit("master", WriteBatch::from_entries(vec![ycsb.entry(i * 53 % n as u64, 9)]))
+                .unwrap();
         }
         let noms_write = t0.elapsed().as_nanos() as u64;
 

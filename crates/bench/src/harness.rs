@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use siri::workloads::ycsb::Op;
 use siri::{
     Bytes, CachingStore, Entry, Forkbase, Hash, IndexFactory, MbtFactory, MemStore, MptFactory,
-    MvmbFactory, MvmbParams, PosFactory, PosParams, SharedStore, SiriIndex, WriteBatch,
+    MvmbFactory, MvmbParams, PosFactory, PosParams, Session, SharedStore, SiriIndex, WriteBatch,
 };
 
 /// Per-workload structure tuning, following §5's "node size ≈ 1 KB" rule.

@@ -55,7 +55,9 @@ pub use index::{search_entries, LookupTrace, LookupTracer, SiriIndex, TimedTrace
 pub use proof::{Proof, ProofVerdict, MAX_PROOF_PAGES};
 pub use reader::{PageNode, PageReader};
 pub use session::Session;
-pub use shard::{chain_cursors, ShardCommit, ShardManifest, ShardRouter, MANIFEST_MAGIC};
+pub use shard::{
+    chain_cursors, head_digest, open_head, ShardCommit, ShardManifest, ShardRouter, MANIFEST_MAGIC,
+};
 pub use structure::{StructureReport, StructureStats};
 pub use verify::{
     verify_anchored_batch, verify_anchored_membership, verify_anchored_range, AnchoredReader,

@@ -9,10 +9,19 @@
 //! boundary (toggled by `SIRI_REMOTE=1` in the integration suites).
 //!
 //! The trait is deliberately object-safe: callers hold a
-//! `Box<dyn Session>` and never learn which transport answered them. It
-//! also deliberately excludes engine-operator surface (sharding control,
-//! GC, cache statistics) — those stay on the concrete engine type, because
-//! a remote client has no business resizing a server's shards.
+//! `Box<dyn Session>` and never learn which transport answered them.
+//!
+//! It is also the engine's *only* read/write surface: the in-process
+//! engine has no inherent `commit`, `get`, `range`, `fork`, … beside it,
+//! so the CLI, the examples, the benchmarks and the tests all read and
+//! write through this trait. It deliberately excludes engine-operator
+//! surface, which stays inherent on the concrete engine because a remote
+//! client has no business resizing a server's shards: re-attaching a
+//! branch at a digest (`open_branch`), the collapsed head handle
+//! (`head`), `bulk_load`, the merges, the shard hooks (`shard_count`,
+//! `shard_stats`, `split_branch_shard`, `merge_branch_shards`) and the
+//! statistics (`engine_stats`, `sharding_policy`, `server_stats`,
+//! `server_store`).
 
 use std::ops::Bound;
 

@@ -8,13 +8,16 @@
 //! over equal sub-roots hash identically, commits can exchange or persist
 //! the digest, and tamper evidence covers the partition itself.
 //!
-//! Three pieces live here because they are engine-agnostic:
+//! Four pieces live here because they are engine-agnostic:
 //!
 //! * [`ShardRouter`] — maps keys (and whole normalized batches) to shard
 //!   indexes given the sorted boundary list;
 //! * [`ShardManifest`] — the boundary list plus per-shard sub-roots, with
 //!   its canonical codec ([`ShardManifest::encode`] /
 //!   [`ShardManifest::decode`]);
+//! * the head-digest rule — one shard's digest is its sub-root, more
+//!   shards' is their manifest's — written by [`head_digest`] and read by
+//!   [`open_head`], and nowhere else;
 //! * [`chain_cursors`] — the k-way merge across per-shard range cursors.
 //!   Because shards partition the key space into *disjoint, ordered*
 //!   ranges, the merge degenerates into ordered concatenation: cursor `i`
@@ -25,9 +28,10 @@ use std::ops::Bound;
 use bytes::Bytes;
 use siri_crypto::{sha256, Hash};
 use siri_encoding::{ByteReader, ByteWriter, CodecError};
+use siri_store::NodeStore;
 
 use crate::cursor::EntryCursor;
-use crate::{BatchOp, WriteBatch};
+use crate::{BatchOp, IndexError, WriteBatch};
 
 /// Magic prefix distinguishing a shard manifest page from every node
 /// encoding (all node codecs start with a small tag byte; `b'S'` = 0x53
@@ -228,6 +232,33 @@ impl ShardManifest {
     }
 }
 
+/// The head-digest rule, write side: a one-shard head's digest is its
+/// sub-root; a head of more shards is named by a [`ShardManifest`] page
+/// over `router`'s boundaries and `roots`, returned for the caller to
+/// store, and the digest is that page's hash.
+pub fn head_digest(router: &ShardRouter, roots: Vec<Hash>) -> (Hash, Option<Bytes>) {
+    if let [root] = roots[..] {
+        return (root, None);
+    }
+    let page = Bytes::from(ShardManifest::new(router.boundaries().to_vec(), roots).encode());
+    (sha256(&page), Some(page))
+}
+
+/// The head-digest rule, read side: the partition and sub-roots `digest`
+/// names in `store`. The zero digest is one empty shard, a digest whose
+/// page is a [`ShardManifest`] is that manifest's partition, and any other
+/// digest is one shard rooted at itself.
+pub fn open_head(store: &dyn NodeStore, digest: Hash) -> crate::Result<(ShardRouter, Vec<Hash>)> {
+    if !digest.is_zero() {
+        let page = store.try_get(&digest)?.ok_or(IndexError::MissingPage(digest))?;
+        if ShardManifest::is_manifest(&page) {
+            let manifest = ShardManifest::decode(&page)?;
+            return Ok((manifest.router(), manifest.roots));
+        }
+    }
+    Ok((ShardRouter::single(), vec![digest]))
+}
+
 /// Merge per-shard cursors into one logical stream. Shards partition the
 /// key space into disjoint ascending ranges, so the k-way merge reduces to
 /// ordered concatenation — zero comparisons, zero buffering. Cursors must
@@ -384,6 +415,33 @@ mod tests {
         assert!(ShardManifest::decode(&unsorted).is_err());
         // A node-looking page is not a manifest.
         assert!(!ShardManifest::is_manifest(&[0x01, 0x02, 0x03]));
+    }
+
+    #[test]
+    fn head_digest_rule_round_trips_through_the_store() {
+        let store = siri_store::MemStore::new();
+        // One shard: the digest is the sub-root, and there is no page.
+        let root = sha256(b"only");
+        assert_eq!(head_digest(&ShardRouter::single(), vec![root]), (root, None));
+        store.put(Bytes::from_static(b"only"));
+        assert_eq!(open_head(&store, root).unwrap(), (ShardRouter::single(), vec![root]));
+        // Several: the digest names the manifest page the caller stores.
+        let router = ShardRouter::new(vec![b("g"), b("p")]);
+        let roots = vec![sha256(b"a"), Hash::ZERO, sha256(b"c")];
+        let (digest, page) = head_digest(&router, roots.clone());
+        let page = page.expect("a sharded head has a manifest page");
+        assert_eq!(
+            digest,
+            ShardManifest::new(router.boundaries().to_vec(), roots.clone()).digest()
+        );
+        assert_eq!(store.put(page), digest);
+        assert_eq!(open_head(&store, digest).unwrap(), (router, roots));
+        // The zero digest is one empty shard and reads nothing.
+        assert_eq!(
+            open_head(&store, Hash::ZERO).unwrap(),
+            (ShardRouter::single(), vec![Hash::ZERO])
+        );
+        assert!(matches!(open_head(&store, sha256(b"gone")), Err(IndexError::MissingPage(_))));
     }
 
     #[test]

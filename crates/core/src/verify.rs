@@ -21,11 +21,12 @@
 //! how to open a structure's reader over a page source.
 //!
 //! **Anchoring** — every proof starts with the page the trusted digest
-//! names. On a sharded branch that is the [`ShardManifest`], which routes
-//! each key (or window) to the sub-roots it lists; otherwise it is the
-//! index root page itself. Provers fetch it first even when the read that
-//! follows touches nothing, so an empty proof can only ever vouch for the
-//! zero digest.
+//! names. On a sharded branch that is the
+//! [`ShardManifest`](crate::ShardManifest), which routes each key (or
+//! window) to the sub-roots it lists; otherwise it is the index root page
+//! itself ([`open_head`] tells the two apart). Provers fetch it first even
+//! when the read that follows touches nothing, so an empty proof can only
+//! ever vouch for the zero digest.
 
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -36,7 +37,7 @@ use bytes::Bytes;
 use siri_crypto::{sha256, FxHashMap, Hash};
 use siri_store::{NodeStore, SharedStore, StoreError, StoreResult, StoreStats};
 
-use crate::shard::{ShardManifest, ShardRouter};
+use crate::shard::{open_head, ShardRouter};
 use crate::{Entry, EntryCursor, IndexError, Proof, ProofVerdict, Result};
 
 /// Witness stores serve reads; a read path that tries to write is a bug.
@@ -271,14 +272,6 @@ impl BatchVerdict {
     }
 }
 
-/// What a branch digest names: nothing, one index root, or a manifest of
-/// per-range sub-roots.
-enum Head {
-    Empty,
-    Bare(Hash),
-    Sharded(ShardRouter, Vec<Hash>),
-}
-
 /// A reader at a branch digest over a page source — manifest or bare root,
 /// the caller does not need to know which (`branch_digest` is the only
 /// hash a light client holds). This is *the* read of a verified read: the
@@ -288,34 +281,22 @@ enum Head {
 pub struct AnchoredReader<'a> {
     scheme: &'a dyn ProofScheme,
     pages: SharedStore,
-    head: Head,
+    router: ShardRouter,
+    roots: Vec<Hash>,
 }
 
 impl<'a> AnchoredReader<'a> {
-    /// Resolve `digest`: fetch the page it names (none for the zero
-    /// digest) and, if that is a manifest, take its router and sub-roots.
+    /// Resolve `digest` with [`open_head`]: fetch the page it names (none
+    /// for the zero digest) and, if that is a manifest, take its router
+    /// and sub-roots.
     pub fn open(scheme: &'a dyn ProofScheme, pages: SharedStore, digest: Hash) -> Result<Self> {
-        let head = if digest.is_zero() {
-            Head::Empty
-        } else {
-            let page = pages.try_get(&digest)?.ok_or(IndexError::MissingPage(digest))?;
-            if ShardManifest::is_manifest(&page) {
-                let manifest = ShardManifest::decode(&page)?;
-                Head::Sharded(manifest.router(), manifest.roots)
-            } else {
-                Head::Bare(digest)
-            }
-        };
-        Ok(AnchoredReader { scheme, pages, head })
+        let (router, roots) = open_head(pages.as_ref(), digest)?;
+        Ok(AnchoredReader { scheme, pages, router, roots })
     }
 
     /// Point lookup in the shard that owns `key`.
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        let root = match &self.head {
-            Head::Empty => Hash::ZERO,
-            Head::Bare(root) => *root,
-            Head::Sharded(router, roots) => roots[router.shard_of(key)],
-        };
+        let root = self.roots[self.router.shard_of(key)];
         if root.is_zero() {
             return Ok(None); // an empty shard holds no key and no page
         }
@@ -325,16 +306,9 @@ impl<'a> AnchoredReader<'a> {
     /// The entries of `[start, end)`: each covering shard's cursor drained
     /// in turn, in partition order.
     pub fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<Vec<Entry>> {
-        let roots = match &self.head {
-            Head::Empty => &[][..],
-            Head::Bare(root) => std::slice::from_ref(root),
-            Head::Sharded(router, roots) => {
-                let (lo, hi) = router.covering(start, end);
-                &roots[lo..=hi]
-            }
-        };
+        let (lo, hi) = self.router.covering(start, end);
         let mut out = Vec::new();
-        for root in roots.iter().filter(|root| !root.is_zero()) {
+        for root in self.roots[lo..=hi].iter().filter(|root| !root.is_zero()) {
             for entry in self.scheme.range(self.pages.clone(), *root, start, end) {
                 out.push(entry?);
             }

@@ -27,8 +27,8 @@
 //!   behind their own CAS'd slots plus a [`ShardRouter`] describing the
 //!   partition (`N = 1` — the default — is exactly the classic single
 //!   mutable head). A multi-shard head is summarized by a
-//!   content-addressed [`ShardManifest`] page, so the branch digest stays
-//!   a single hash;
+//!   content-addressed [`ShardManifest`](siri_core::ShardManifest) page,
+//!   so the branch digest stays a single hash;
 //! * same-branch commits are **optimistic**: the batch is routed by key
 //!   range, each touched shard's next version is built against its
 //!   observed sub-root (unlocked), then all touched sub-roots are
@@ -70,9 +70,9 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::{LockClass, RwLock};
 use siri_core::{
-    chain_cursors, merge, merge_with_base, prefix_successor, AnchoredReader, CommitInfo, Entry,
-    EntryCursor, IndexError, MergeOutcome, MergeStrategy, Proof, Recorder, Result, Session,
-    ShardCommit, ShardManifest, ShardRouter, SiriIndex, WriteBatch,
+    chain_cursors, head_digest, merge, merge_with_base, open_head, AnchoredReader, CommitInfo,
+    Entry, EntryCursor, IndexError, MergeOutcome, MergeStrategy, Proof, Recorder, Result, Session,
+    ShardCommit, ShardRouter, SiriIndex, WriteBatch,
 };
 use siri_crypto::Hash;
 use siri_store::{
@@ -141,6 +141,22 @@ pub struct ShardStats {
     pub conflicts: u64,
 }
 
+/// Hard cap on shards per branch: adaptive splits stop here, and
+/// [`Forkbase::bulk_load`] builds at most this many sub-trees.
+pub const MAX_SHARDS: usize = 64;
+
+/// Conflicts one shard absorbs (since it was created) before an adaptive
+/// policy splits it at its median key.
+const SPLIT_THRESHOLD: u64 = 16;
+
+/// A shard with at most this many commits counts as cold when an adaptive
+/// policy considers merging adjacent shards.
+const MERGE_THRESHOLD: u64 = 1;
+
+/// Commits a branch must absorb before cold shards may merge — prevents
+/// collapsing a partition that simply has not seen traffic yet.
+const OBSERVE_WINDOW: u64 = 64;
+
 /// How a branch's key space is partitioned into CAS slots, and whether the
 /// partition adapts to observed contention.
 ///
@@ -155,31 +171,12 @@ pub struct ShardingPolicy {
     pub initial: usize,
     /// Adapt the partition to contention at publish points.
     pub adaptive: bool,
-    /// Conflicts observed on one shard (since it was created) before it is
-    /// split at its median key.
-    pub split_threshold: u64,
-    /// A shard with at most this many commits counts as cold when a merge
-    /// of adjacent shards is considered.
-    pub merge_threshold: u64,
-    /// Commits the branch must absorb before cold shards may merge —
-    /// prevents collapsing a partition that simply has not seen traffic
-    /// yet.
-    pub observe_window: u64,
-    /// Hard cap on shards per branch (splits stop here).
-    pub max_shards: usize,
 }
 
 impl ShardingPolicy {
     /// One shard, no adaptation — the classic single-slot branch head.
     pub fn single() -> Self {
-        ShardingPolicy {
-            initial: 1,
-            adaptive: false,
-            split_threshold: 16,
-            merge_threshold: 1,
-            observe_window: 64,
-            max_shards: 64,
-        }
+        ShardingPolicy { initial: 1, adaptive: false }
     }
 
     /// A static `n`-shard partition (uniform byte-prefix boundaries).
@@ -293,10 +290,11 @@ struct BranchSlot<I> {
     /// it shared; every publication takes it exclusive for the duration
     /// of the pointer swaps only.
     head: RwLock<ShardTable<I>>,
-    /// Set (under the head write lock) by `delete_branch`: all shard
-    /// slots are retired atomically and any in-flight commit fails its
-    /// publication with [`IndexError::BranchDeleted`] instead of
-    /// publishing into a dismantled head.
+    /// Set (under the head write lock) when the slot leaves the branch
+    /// map — deleted or replaced: all shard slots are retired atomically
+    /// and any in-flight commit fails its publication with
+    /// [`IndexError::BranchDeleted`] instead of publishing into a
+    /// dismantled head.
     retired: AtomicBool,
 }
 
@@ -306,6 +304,15 @@ impl<I: SiriIndex> BranchSlot<I> {
             head: RwLock::with_class(table, &SLOT_HEAD_CLASS),
             retired: AtomicBool::new(false),
         }
+    }
+
+    /// Turn every later publication away. The write lock drains any
+    /// publication in its swap phase first, so a racing commit either
+    /// published whole before this or fails — never a partial multi-shard
+    /// publish.
+    fn retire(&self) {
+        let _table = self.head.write();
+        self.retired.store(true, Ordering::Release);
     }
 }
 
@@ -406,38 +413,30 @@ impl<F: IndexFactory> Forkbase<F> {
         durable: Option<Arc<FileStore>>,
         policy: ShardingPolicy,
     ) -> Self {
-        let master = Self::fresh_table(&factory, &server, &policy.initial_router());
-        let mut branches = HashMap::new();
-        branches.insert("master".to_string(), Arc::new(BranchSlot::new(master)));
-        Forkbase {
+        let master = Self::fresh_table(&factory, &server, policy.initial_router());
+        let engine = Forkbase {
             factory,
             server,
             durable,
-            branches: RwLock::with_class(branches, &BRANCH_MAP_CLASS),
+            branches: RwLock::with_class(HashMap::new(), &BRANCH_MAP_CLASS),
             policy,
             commits: AtomicU64::new(0),
             conflicts: AtomicU64::new(0),
             splits: AtomicU64::new(0),
             merges: AtomicU64::new(0),
-        }
+        };
+        engine.install("master", master);
+        engine
     }
 
     /// A table of empty sub-roots over `router`'s partition.
-    fn fresh_table(
-        factory: &F,
-        server: &SharedStore,
-        router: &ShardRouter,
-    ) -> ShardTable<F::Index> {
+    fn fresh_table(factory: &F, server: &SharedStore, router: ShardRouter) -> ShardTable<F::Index> {
         let shards: Vec<Arc<ShardSlot<F::Index>>> = (0..router.shard_count())
             .map(|_| Arc::new(ShardSlot::new(factory.empty(server.clone()))))
             .collect();
-        let digest = if shards.len() == 1 {
-            shards[0].head.read().root()
-        } else {
-            let roots = shards.iter().map(|s| s.head.read().root()).collect();
-            ShardManifest::new(router.boundaries().to_vec(), roots).digest()
-        };
-        ShardTable { router: router.clone(), shards, epoch: 0, digest }
+        let roots = shards.iter().map(|s| s.head.read().root()).collect();
+        let (digest, _) = head_digest(&router, roots);
+        ShardTable { router, shards, epoch: 0, digest }
     }
 
     /// Resolve a branch name to its slot. Holding the returned `Arc` keeps
@@ -446,32 +445,48 @@ impl<F: IndexFactory> Forkbase<F> {
         self.branches.read().get(branch).cloned().ok_or(IndexError::Unsupported("unknown branch"))
     }
 
-    /// Attach a branch head at an existing root (e.g. one recovered from a
-    /// durable store's sidecar after a restart). The root may be either a
-    /// plain index root or a [`ShardManifest`] digest — manifests are
-    /// detected in the store and re-open as a sharded head with the
-    /// persisted partition. Replaces the branch if it exists.
-    pub fn open_branch(&self, branch: &str, root: Hash) {
-        let table = self.table_at(root);
-        self.branches.write().insert(branch.to_string(), Arc::new(BranchSlot::new(table)));
+    /// Make `table` the head of `branch` — the one place a branch is
+    /// created or replaced. A slot it displaces is retired like a deleted
+    /// branch's, so a commit still holding that slot fails with
+    /// [`IndexError::BranchDeleted`] instead of acknowledging a write no
+    /// branch name reaches.
+    fn install(&self, branch: &str, table: ShardTable<F::Index>) {
+        let displaced =
+            self.branches.write().insert(branch.to_string(), Arc::new(BranchSlot::new(table)));
+        if let Some(slot) = displaced {
+            slot.retire();
+        }
     }
 
+    /// Attach a branch head at an existing root (e.g. one recovered from a
+    /// durable store's sidecar after a restart). The root may be either a
+    /// plain index root or a shard-manifest digest ([`open_head`] tells
+    /// them apart); a manifest re-opens as a sharded head with the
+    /// persisted partition. Replaces the branch if it exists.
+    pub fn open_branch(&self, branch: &str, root: Hash) {
+        self.install(branch, self.table_at(root));
+    }
+
+    /// The head `root` names in the server store; a root the store cannot
+    /// resolve opens as a bare index root.
     fn table_at(&self, root: Hash) -> ShardTable<F::Index> {
-        if let Ok(Some(page)) = self.server.try_get(&root) {
-            if ShardManifest::is_manifest(&page) {
-                if let Ok(m) = ShardManifest::decode(&page) {
-                    let shards = m
-                        .roots
-                        .iter()
-                        .map(|r| {
-                            Arc::new(ShardSlot::new(self.factory.open(self.server.clone(), *r)))
-                        })
-                        .collect();
-                    return ShardTable { router: m.router(), shards, epoch: 0, digest: root };
-                }
-            }
+        let (router, roots) = open_head(self.server.as_ref(), root)
+            .unwrap_or_else(|_| (ShardRouter::single(), vec![root]));
+        let shards = roots
+            .into_iter()
+            .map(|r| Arc::new(ShardSlot::new(self.factory.open(self.server.clone(), r))))
+            .collect();
+        ShardTable { router, shards, epoch: 0, digest: root }
+    }
+
+    /// Store the manifest page a head of `roots` over `router` needs, if
+    /// any, and return the head's digest.
+    fn store_head(&self, router: &ShardRouter, roots: Vec<Hash>) -> Result<Hash> {
+        let (digest, manifest) = head_digest(router, roots);
+        if let Some(page) = manifest {
+            self.server.try_put(page)?;
         }
-        ShardTable::single(self.factory.open(self.server.clone(), root), 0)
+        Ok(digest)
     }
 
     /// Flush the durable store per its fsync policy; pages written by an
@@ -496,23 +511,11 @@ impl<F: IndexFactory> Forkbase<F> {
         for b in builds {
             roots[b.shard] = b.root;
         }
-        if roots.len() == 1 {
-            return Ok(roots[0]);
-        }
-        let manifest = ShardManifest::new(table.router.boundaries().to_vec(), roots);
-        Ok(self.server.try_put(Bytes::from(manifest.encode()))?)
+        self.store_head(&table.router, roots)
     }
 
-    /// Server-side atomic write batch (puts *and* deletes) to a branch;
-    /// returns the new root digest. The primary write path — `put` and
-    /// `delete` are sugar over it; [`Forkbase::commit_with_info`] exposes
-    /// the full commit receipt.
-    pub fn commit(&self, branch: &str, batch: WriteBatch) -> Result<Hash> {
-        self.commit_with_info(branch, batch).map(|info| info.root)
-    }
-
-    /// [`Forkbase::commit`], returning the full [`CommitInfo`] receipt —
-    /// the observed parent head, the published root, the per-shard
+    /// One commit ([`Session::commit`]) on a resolved slot: the receipt
+    /// names the observed parent head, the published root, the per-shard
     /// sub-root edges, and how many head races were lost on the way.
     ///
     /// The sharded optimistic protocol, per attempt:
@@ -536,11 +539,6 @@ impl<F: IndexFactory> Forkbase<F> {
     /// sub-root a reader can observe is durable; the manifest page itself
     /// is flushed before the commit returns, so a returned digest is
     /// always re-openable.
-    pub fn commit_with_info(&self, branch: &str, batch: WriteBatch) -> Result<CommitInfo> {
-        let slot = self.slot(branch)?;
-        self.commit_on_slot(&slot, batch)
-    }
-
     fn commit_on_slot(
         &self,
         slot: &Arc<BranchSlot<F::Index>>,
@@ -710,30 +708,12 @@ impl<F: IndexFactory> Forkbase<F> {
         Ok(index)
     }
 
-    /// Server-side batched insert to a branch; returns the new root digest.
-    pub fn put(&self, branch: &str, entries: Vec<Entry>) -> Result<Hash> {
-        self.commit(branch, WriteBatch::from_entries(entries))
-    }
-
-    /// Delete keys from a branch; returns the new root digest.
-    pub fn delete(
-        &self,
-        branch: &str,
-        keys: impl IntoIterator<Item = impl Into<Bytes>>,
-    ) -> Result<Hash> {
-        let mut batch = WriteBatch::new();
-        for key in keys {
-            batch.delete(key);
-        }
-        self.commit(branch, batch)
-    }
-
     /// Bulk-load `entries` into `branch` (replacing its contents), building
-    /// the per-shard sub-trees on up to `threads` worker threads over an
-    /// equal-count partition of the sorted data. The manifest is committed
-    /// over the finished sub-roots and flushed before the digest is
-    /// returned. Like [`Forkbase::open_branch`], the branch is (re)created
-    /// at the loaded state.
+    /// the per-shard sub-trees on up to `threads` (at most [`MAX_SHARDS`])
+    /// worker threads over an equal-count partition of the sorted data.
+    /// The manifest is committed over the finished sub-roots and flushed
+    /// before the digest is returned. Like [`Forkbase::open_branch`], the
+    /// branch is (re)created at the loaded state.
     pub fn bulk_load(&self, branch: &str, entries: Vec<Entry>, threads: usize) -> Result<Hash> {
         // Sort + last-write-wins dedup, same as batch normalization.
         let mut entries = entries;
@@ -745,7 +725,7 @@ impl<F: IndexFactory> Forkbase<F> {
                 _ => data.push(e),
             }
         }
-        let want = threads.clamp(1, self.policy.max_shards.max(1)).min(data.len().max(1));
+        let want = threads.clamp(1, MAX_SHARDS).min(data.len().max(1));
         // Equal-count cut points; duplicate cuts collapse.
         let mut boundaries: Vec<Bytes> = Vec::new();
         for i in 1..want {
@@ -787,31 +767,13 @@ impl<F: IndexFactory> Forkbase<F> {
         for b in built {
             shards.push(Arc::new(ShardSlot::new(b?)));
         }
-        let digest = if shards.len() == 1 {
-            shards[0].head.read().root()
-        } else {
-            let roots = shards.iter().map(|s| s.head.read().root()).collect();
-            let manifest = ShardManifest::new(router.boundaries().to_vec(), roots);
-            self.server.try_put(Bytes::from(manifest.encode()))?
-        };
+        let roots = shards.iter().map(|s| s.head.read().root()).collect();
+        let digest = self.store_head(&router, roots)?;
         // Manifest + sub-trees durable before the load is acknowledged.
         self.flush_durable()?;
-        let table = ShardTable { router, shards, epoch: 0, digest };
-        self.branches.write().insert(branch.to_string(), Arc::new(BranchSlot::new(table)));
+        self.install(branch, ShardTable { router, shards, epoch: 0, digest });
         self.commits.fetch_add(1, Ordering::Relaxed);
         Ok(digest)
-    }
-
-    /// Point read through the head handle of the one shard owning the key
-    /// — the handle commits build on, so both warm one decoded-node cache.
-    pub fn get(&self, branch: &str, key: &[u8]) -> Result<Option<Bytes>> {
-        let slot = self.slot(branch)?;
-        let head = {
-            let t = slot.head.read();
-            let snap = t.shards[t.router.shard_of(key)].head.read().clone();
-            snap
-        };
-        head.get(key)
     }
 
     /// The head handles of every shard `[start, end]` can touch, in
@@ -828,78 +790,6 @@ impl<F: IndexFactory> Forkbase<F> {
         let t = slot.head.read();
         let (lo, hi) = t.router.covering(start, end);
         Ok(t.shards[lo..=hi].iter().map(|s| s.head.read().clone()).collect())
-    }
-
-    /// Streaming range read: per-shard lazy cursors chained in partition
-    /// order, so the caller sees one logical tree. The cursor reads the
-    /// snapshot it was created on — concurrent writes to the branch do
-    /// not disturb it (immutability in action).
-    pub fn range(
-        &self,
-        branch: &str,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-    ) -> Result<EntryCursor> {
-        let heads = self.covering_heads(branch, start, end)?;
-        Ok(chain_cursors(heads.iter().map(|h| h.range(start, end)).collect()))
-    }
-
-    /// Prefix cursor (the prefix window of [`Forkbase::range`], restricted
-    /// to the shards the prefix can touch).
-    pub fn scan_prefix(&self, branch: &str, prefix: &[u8]) -> Result<EntryCursor> {
-        let succ = prefix_successor(prefix);
-        let end = match &succ {
-            Some(s) => Bound::Excluded(s.as_slice()),
-            None => Bound::Unbounded,
-        };
-        let heads = self.covering_heads(branch, Bound::Included(prefix), end)?;
-        Ok(chain_cursors(heads.iter().map(|h| h.scan_prefix(prefix)).collect()))
-    }
-
-    /// Fork `from` into a new branch `to` — O(#shards), pages fully
-    /// shared. The fork inherits the source partition (with fresh
-    /// per-shard counters). Replaces `to` if it exists.
-    pub fn fork(&self, from: &str, to: &str) -> Result<()> {
-        let src = self.slot(from)?;
-        let table = {
-            let t = src.head.read();
-            let shards =
-                t.shards.iter().map(|s| Arc::new(ShardSlot::new(s.head.read().clone()))).collect();
-            ShardTable { router: t.router.clone(), shards, epoch: 0, digest: t.digest }
-        };
-        self.branches.write().insert(to.to_string(), Arc::new(BranchSlot::new(table)));
-        Ok(())
-    }
-
-    /// Drop a branch head. Pages stay in the
-    /// store — they are content-addressed and may be shared with other
-    /// branches; reclaiming unreachable ones is the offline GC's job.
-    /// Other branches' page sets are untouched by construction.
-    ///
-    /// All of the branch's shard slots are retired **atomically**: the
-    /// retire flag is set under the table's write lock, which excludes any
-    /// in-flight publication. A commit racing the deletion either fully
-    /// published before the retirement or fails cleanly with
-    /// [`IndexError::BranchDeleted`] — never a partial multi-shard
-    /// publish.
-    pub fn delete_branch(&self, branch: &str) -> Result<()> {
-        let slot = self
-            .branches
-            .write()
-            .remove(branch)
-            .ok_or(IndexError::Unsupported("unknown branch"))?;
-        // The write lock drains any publication in its swap phase; the
-        // flag then turns every later publication attempt away.
-        let _table = slot.head.write();
-        slot.retired.store(true, Ordering::Release);
-        Ok(())
-    }
-
-    /// All branch names, sorted.
-    pub fn branches(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.branches.read().keys().cloned().collect();
-        names.sort_unstable();
-        names
     }
 
     /// Merge branch `other` into `into` (paper §4.1.4 semantics). The
@@ -963,22 +853,14 @@ impl<F: IndexFactory> Forkbase<F> {
         self.logical_head(&slot).ok().map(|(index, _, _)| index)
     }
 
-    /// The branch's published head digest: the sole sub-root when
-    /// unsharded, the [`ShardManifest`] digest otherwise. This is the hash
-    /// [`Forkbase::commit`] returns and [`Forkbase::open_branch`]
-    /// re-attaches from.
-    pub fn branch_digest(&self, branch: &str) -> Result<Hash> {
-        Ok(self.slot(branch)?.head.read().digest)
-    }
-
     /// The branch's current shard count.
     pub fn shard_count(&self, branch: &str) -> Result<usize> {
         Ok(self.slot(branch)?.head.read().shard_count())
     }
 
-    /// Per-shard commit/conflict counters, in partition order. Counters
-    /// reset when the partition is reshaped (fresh shards, fresh
-    /// scoreboard).
+    /// Per-shard commit/conflict counters, in partition order. A reshape
+    /// gives the shards it creates fresh counters; untouched shards keep
+    /// theirs.
     pub fn shard_stats(&self, branch: &str) -> Result<Vec<ShardStats>> {
         let slot = self.slot(branch)?;
         let t = slot.head.read();
@@ -1000,10 +882,10 @@ impl<F: IndexFactory> Forkbase<F> {
             let t = slot.head.read();
             let n = t.shard_count();
             let mut split: Option<(usize, u64)> = None;
-            if n < self.policy.max_shards {
+            if n < MAX_SHARDS {
                 for (i, s) in t.shards.iter().enumerate() {
                     let c = s.conflicts.load(Ordering::Relaxed);
-                    if c >= self.policy.split_threshold && split.is_none_or(|(_, best)| c > best) {
+                    if c >= SPLIT_THRESHOLD && split.is_none_or(|(_, best)| c > best) {
                         split = Some((i, c));
                     }
                 }
@@ -1011,10 +893,10 @@ impl<F: IndexFactory> Forkbase<F> {
             let mut merge: Option<usize> = None;
             if split.is_none() && n > 1 {
                 let total: u64 = t.shards.iter().map(|s| s.commits.load(Ordering::Relaxed)).sum();
-                if total >= self.policy.observe_window {
+                if total >= OBSERVE_WINDOW {
                     for i in 0..n - 1 {
                         let cold = |s: &ShardSlot<F::Index>| {
-                            s.commits.load(Ordering::Relaxed) <= self.policy.merge_threshold
+                            s.commits.load(Ordering::Relaxed) <= MERGE_THRESHOLD
                                 && s.conflicts.load(Ordering::Relaxed) == 0
                         };
                         if cold(&t.shards[i]) && cold(&t.shards[i + 1]) {
@@ -1053,7 +935,7 @@ impl<F: IndexFactory> Forkbase<F> {
     fn split_shard(&self, slot: &Arc<BranchSlot<F::Index>>, shard: usize) -> Result<bool> {
         let (base, epoch) = {
             let t = slot.head.read();
-            if shard >= t.shard_count() || t.shard_count() >= self.policy.max_shards {
+            if shard >= t.shard_count() || t.shard_count() >= MAX_SHARDS {
                 return Ok(false);
             }
             let snap = (t.shards[shard].head.read().clone(), t.epoch);
@@ -1096,8 +978,7 @@ impl<F: IndexFactory> Forkbase<F> {
         shards[shard] = Arc::new(ShardSlot::new(left));
         shards.insert(shard + 1, Arc::new(ShardSlot::new(right)));
         let roots = shards.iter().map(|s| s.head.read().root()).collect();
-        let manifest = ShardManifest::new(router.boundaries().to_vec(), roots);
-        let digest = self.server.try_put(Bytes::from(manifest.encode()))?;
+        let digest = self.store_head(&router, roots)?;
         let next_epoch = t.epoch + 1;
         *t = ShardTable { router, shards, epoch: next_epoch, digest };
         self.splits.fetch_add(1, Ordering::Relaxed);
@@ -1136,13 +1017,8 @@ impl<F: IndexFactory> Forkbase<F> {
         let mut shards = t.shards.clone();
         shards[left] = Arc::new(ShardSlot::new(merged));
         shards.remove(left + 1);
-        let digest = if shards.len() == 1 {
-            shards[0].head.read().root()
-        } else {
-            let roots = shards.iter().map(|s| s.head.read().root()).collect();
-            let manifest = ShardManifest::new(router.boundaries().to_vec(), roots);
-            self.server.try_put(Bytes::from(manifest.encode()))?
-        };
+        let roots = shards.iter().map(|s| s.head.read().root()).collect();
+        let digest = self.store_head(&router, roots)?;
         let multi = shards.len() > 1;
         let next_epoch = t.epoch + 1;
         *t = ShardTable { router, shards, epoch: next_epoch, digest };
@@ -1183,10 +1059,10 @@ impl<F: IndexFactory> Forkbase<F> {
         let slot = self.slot(branch)?;
         let t = slot.head.read();
         let rec = Recorder::new(self.server.clone());
-        if t.shard_count() > 1 {
-            let manifest = ShardManifest::new(t.router.boundaries().to_vec(), t.roots());
-            debug_assert_eq!(manifest.digest(), t.digest, "the table must encode to its digest");
-            rec.note(t.digest, Bytes::from(manifest.encode()));
+        let (digest, manifest) = head_digest(&t.router, t.roots());
+        debug_assert_eq!(digest, t.digest, "the table must encode to its digest");
+        if let Some(page) = manifest {
+            rec.note(t.digest, page);
         }
         Ok((t.digest, rec))
     }
@@ -1205,40 +1081,78 @@ impl<F: IndexFactory> Forkbase<F> {
 }
 
 /// The in-process side of the [`Session`] abstraction: the engine *is* a
-/// session. `siri-client`'s `RemoteSession` implements the same trait over
-/// the wire, so `Box<dyn Session>` callers (the CLI, the behavioral test
-/// suites under `SIRI_REMOTE=1`) cannot tell the two apart.
+/// session, and the trait is its only way to read or write a branch.
+/// `siri-client`'s `RemoteSession` implements the same trait over the
+/// wire, so `&dyn Session` callers (the CLI, the behavioral test suites
+/// under `SIRI_REMOTE=1`) cannot tell the two apart.
 impl<F: IndexFactory> Session for Forkbase<F> {
     fn commit(&self, branch: &str, batch: WriteBatch) -> Result<CommitInfo> {
-        self.commit_with_info(branch, batch)
+        let slot = self.slot(branch)?;
+        self.commit_on_slot(&slot, batch)
     }
 
+    /// Point read through the head handle of the one shard owning the key
+    /// — the handle commits build on, so both warm one decoded-node cache.
     fn get(&self, branch: &str, key: &[u8]) -> Result<Option<Bytes>> {
-        Forkbase::get(self, branch, key)
+        let slot = self.slot(branch)?;
+        let head = {
+            let t = slot.head.read();
+            let snap = t.shards[t.router.shard_of(key)].head.read().clone();
+            snap
+        };
+        head.get(key)
     }
 
+    /// Per-shard lazy cursors chained in partition order, so the caller
+    /// sees one logical tree. The cursor reads the snapshot it was created
+    /// on — concurrent writes to the branch do not disturb it
+    /// (immutability in action).
     fn range(&self, branch: &str, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<EntryCursor> {
-        Forkbase::range(self, branch, start, end)
+        let heads = self.covering_heads(branch, start, end)?;
+        Ok(chain_cursors(heads.iter().map(|h| h.range(start, end)).collect()))
     }
 
-    fn scan_prefix(&self, branch: &str, prefix: &[u8]) -> Result<EntryCursor> {
-        Forkbase::scan_prefix(self, branch, prefix)
-    }
-
+    /// O(#shards), pages fully shared. The fork inherits the source
+    /// partition (with fresh per-shard counters) and replaces `to` if it
+    /// exists.
     fn fork(&self, from: &str, to: &str) -> Result<()> {
-        Forkbase::fork(self, from, to)
+        let src = self.slot(from)?;
+        let table = {
+            let t = src.head.read();
+            let shards =
+                t.shards.iter().map(|s| Arc::new(ShardSlot::new(s.head.read().clone()))).collect();
+            ShardTable { router: t.router.clone(), shards, epoch: 0, digest: t.digest }
+        };
+        self.install(to, table);
+        Ok(())
     }
 
+    /// Pages stay in the store — they are content-addressed and may be
+    /// shared with other branches; reclaiming unreachable ones is the
+    /// offline GC's job. All of the branch's shard slots retire
+    /// **atomically**: a commit racing the deletion either fully published
+    /// before it or fails cleanly with [`IndexError::BranchDeleted`].
     fn delete_branch(&self, branch: &str) -> Result<()> {
-        Forkbase::delete_branch(self, branch)
+        let slot = self
+            .branches
+            .write()
+            .remove(branch)
+            .ok_or(IndexError::Unsupported("unknown branch"))?;
+        slot.retire();
+        Ok(())
     }
 
     fn branches(&self) -> Result<Vec<String>> {
-        Ok(Forkbase::branches(self))
+        let mut names: Vec<String> = self.branches.read().keys().cloned().collect();
+        names.sort_unstable();
+        Ok(names)
     }
 
+    /// The sole sub-root when unsharded, the shard-manifest digest
+    /// otherwise ([`head_digest`]) — the hash `commit` returns and
+    /// [`Forkbase::open_branch`] re-attaches from.
     fn branch_digest(&self, branch: &str) -> Result<Hash> {
-        Forkbase::branch_digest(self, branch)
+        Ok(self.slot(branch)?.head.read().digest)
     }
 
     // A proof is a recorded read (DESIGN.md §14): the three provers run the
@@ -1314,10 +1228,28 @@ mod tests {
         )
     }
 
+    /// Commit `entries` as one batch of puts; the new head digest.
+    fn put(fb: &impl Session, branch: &str, entries: Vec<Entry>) -> Result<Hash> {
+        fb.commit(branch, WriteBatch::from_entries(entries)).map(|info| info.root)
+    }
+
+    /// Commit the deletion of `keys`; the new head digest.
+    fn delete<K: Into<Bytes>>(
+        fb: &impl Session,
+        branch: &str,
+        keys: impl IntoIterator<Item = K>,
+    ) -> Result<Hash> {
+        let mut batch = WriteBatch::new();
+        for key in keys {
+            batch.delete(key);
+        }
+        fb.commit(branch, batch).map(|info| info.root)
+    }
+
     #[test]
     fn put_get_round_trip() {
         let fb = Forkbase::new(PosFactory(PosParams::default()));
-        fb.put("master", entries(0..500)).unwrap();
+        put(&fb, "master", entries(0..500)).unwrap();
         assert_eq!(fb.get("master", b"key00123").unwrap().unwrap().len(), 64);
         assert_eq!(fb.get("master", b"missing").unwrap(), None);
     }
@@ -1325,9 +1257,9 @@ mod tests {
     #[test]
     fn forks_share_pages_and_diverge() {
         let fb = Forkbase::new(PosFactory(PosParams::default()));
-        fb.put("master", entries(0..300)).unwrap();
+        put(&fb, "master", entries(0..300)).unwrap();
         fb.fork("master", "feature").unwrap();
-        fb.put("feature", entries(300..350)).unwrap();
+        put(&fb, "feature", entries(300..350)).unwrap();
         assert_eq!(fb.get("master", b"key00320").unwrap(), None);
         assert!(fb.get("feature", b"key00320").unwrap().is_some());
         // Page sharing between branches.
@@ -1339,16 +1271,16 @@ mod tests {
     #[test]
     fn merge_branches_combines_and_detects_conflicts() {
         let fb = Forkbase::new(PosFactory(PosParams::default()));
-        fb.put("master", entries(0..100)).unwrap();
+        put(&fb, "master", entries(0..100)).unwrap();
         fb.fork("master", "other").unwrap();
-        fb.put("other", entries(100..120)).unwrap();
+        put(&fb, "other", entries(100..120)).unwrap();
         let outcome = fb.merge_branches("master", "other", MergeStrategy::Strict).unwrap();
         assert_eq!(outcome.added_from_right, 20);
         assert_eq!(fb.head("master").unwrap().len().unwrap(), 120);
 
         // Now a real conflict.
-        fb.put("other", vec![Entry::new(b"key00005".to_vec(), b"theirs".to_vec())]).unwrap();
-        fb.put("master", vec![Entry::new(b"key00005".to_vec(), b"ours".to_vec())]).unwrap();
+        put(&fb, "other", vec![Entry::new(b"key00005".to_vec(), b"theirs".to_vec())]).unwrap();
+        put(&fb, "master", vec![Entry::new(b"key00005".to_vec(), b"ours".to_vec())]).unwrap();
         let err = fb.merge_branches("master", "other", MergeStrategy::Strict).unwrap_err();
         assert!(matches!(err, IndexError::MergeConflict { .. }));
         // Resolvable with a policy.
@@ -1360,7 +1292,7 @@ mod tests {
     #[test]
     fn unknown_branch_is_an_error() {
         let fb = Forkbase::new(PosFactory(PosParams::default()));
-        assert!(fb.put("ghost", entries(0..1)).is_err());
+        assert!(put(&fb, "ghost", entries(0..1)).is_err());
         assert!(fb.get("ghost", b"k").is_err());
         assert!(fb.delete_branch("ghost").is_err());
         assert!(fb.range("ghost", std::ops::Bound::Unbounded, std::ops::Bound::Unbounded).is_err());
@@ -1369,9 +1301,9 @@ mod tests {
     #[test]
     fn branch_deletes_flow_through_write_batches() {
         let fb = Forkbase::new(PosFactory(PosParams::default()));
-        fb.put("master", entries(0..100)).unwrap();
+        put(&fb, "master", entries(0..100)).unwrap();
         let before = fb.head("master").unwrap().root();
-        fb.delete("master", [&b"key00042"[..]]).unwrap();
+        delete(&fb, "master", [&b"key00042"[..]]).unwrap();
         assert_eq!(fb.get("master", b"key00042").unwrap(), None);
         assert_ne!(fb.head("master").unwrap().root(), before);
         // Mixed batch through commit.
@@ -1394,12 +1326,12 @@ mod tests {
     #[test]
     fn three_way_merge_propagates_branch_deletions() {
         let fb = Forkbase::new(PosFactory(PosParams::default()));
-        fb.put("master", entries(0..100)).unwrap();
+        put(&fb, "master", entries(0..100)).unwrap();
         let base_root = fb.head("master").unwrap().root();
         fb.fork("master", "cleaning").unwrap();
         // The branch deletes 10 records and edits one; master stays put.
-        fb.delete("cleaning", (0..10).map(|i| format!("key{i:05}").into_bytes())).unwrap();
-        fb.put("cleaning", vec![Entry::new(b"key00050".to_vec(), b"edited".to_vec())]).unwrap();
+        delete(&fb, "cleaning", (0..10).map(|i| format!("key{i:05}").into_bytes())).unwrap();
+        put(&fb, "cleaning", vec![Entry::new(b"key00050".to_vec(), b"edited".to_vec())]).unwrap();
 
         // Three-way merge from the fork point propagates the deletions
         // (the two-way union merge, by documented construction, cannot).
@@ -1415,8 +1347,8 @@ mod tests {
         // Edit-vs-delete is a conflict under Strict, resolvable by policy.
         let base2 = fb.head("master").unwrap().root();
         fb.fork("master", "hotfix").unwrap();
-        fb.delete("hotfix", [&b"key00060"[..]]).unwrap();
-        fb.put("master", vec![Entry::new(b"key00060".to_vec(), b"kept".to_vec())]).unwrap();
+        delete(&fb, "hotfix", [&b"key00060"[..]]).unwrap();
+        put(&fb, "master", vec![Entry::new(b"key00060".to_vec(), b"kept".to_vec())]).unwrap();
         let err = fb
             .merge_branches_with_base("master", "hotfix", base2, MergeStrategy::Strict)
             .unwrap_err();
@@ -1429,8 +1361,8 @@ mod tests {
         // Both sides deleting the same key converges without conflict.
         let base3 = fb.head("master").unwrap().root();
         fb.fork("master", "twin").unwrap();
-        fb.delete("twin", [&b"key00070"[..]]).unwrap();
-        fb.delete("master", [&b"key00070"[..]]).unwrap();
+        delete(&fb, "twin", [&b"key00070"[..]]).unwrap();
+        delete(&fb, "master", [&b"key00070"[..]]).unwrap();
         let outcome =
             fb.merge_branches_with_base("master", "twin", base3, MergeStrategy::Strict).unwrap();
         assert_eq!(outcome.conflicts_resolved, 0);
@@ -1440,14 +1372,14 @@ mod tests {
     #[test]
     fn delete_branch_leaves_other_branches_pages_intact() {
         let fb = Forkbase::new(PosFactory(PosParams::default()));
-        fb.put("master", entries(0..300)).unwrap();
+        put(&fb, "master", entries(0..300)).unwrap();
         fb.fork("master", "doomed").unwrap();
-        fb.put("doomed", entries(300..400)).unwrap();
-        assert_eq!(fb.branches(), vec!["doomed".to_string(), "master".to_string()]);
+        put(&fb, "doomed", entries(300..400)).unwrap();
+        assert_eq!(fb.branches().unwrap(), vec!["doomed".to_string(), "master".to_string()]);
 
         let master_pages = fb.head("master").unwrap().page_set();
         fb.delete_branch("doomed").unwrap();
-        assert_eq!(fb.branches(), vec!["master".to_string()]);
+        assert_eq!(fb.branches().unwrap(), vec!["master".to_string()]);
         // The surviving branch's page set is bit-identical and fully
         // readable.
         let after = fb.head("master").unwrap().page_set();
@@ -1459,7 +1391,7 @@ mod tests {
     #[test]
     fn client_range_cursor_streams_in_key_order() {
         let fb = Forkbase::new(PosFactory(PosParams::default()));
-        fb.put("master", entries(0..2000)).unwrap();
+        put(&fb, "master", entries(0..2000)).unwrap();
         let gets_before = fb.server_stats().gets;
         use std::ops::Bound;
         let window: Vec<Entry> = fb
@@ -1483,7 +1415,7 @@ mod tests {
         let mut cursor =
             fb.range("master", Bound::Included(b"key01000"), Bound::Excluded(b"key01005")).unwrap();
         let first = cursor.next().unwrap().unwrap();
-        fb.put("master", entries(2000..2001)).unwrap();
+        put(&fb, "master", entries(2000..2001)).unwrap();
         let rest: Vec<Entry> = cursor.collect::<Result<_>>().unwrap();
         assert_eq!(first.key.as_ref(), b"key01000");
         assert_eq!(rest.len(), 4);
@@ -1500,7 +1432,7 @@ mod tests {
 
         let root = {
             let fb = Forkbase::new_durable(PosFactory(PosParams::default()), &dir, opts).unwrap();
-            fb.put("master", entries(0..300)).unwrap()
+            put(&fb, "master", entries(0..300)).unwrap()
         }; // "process exits" — the commit was fsynced before put returned
 
         let fb = Forkbase::new_durable(PosFactory(PosParams::default()), &dir, opts).unwrap();
@@ -1508,7 +1440,7 @@ mod tests {
         assert_eq!(fb.head("master").unwrap().len().unwrap(), 300);
         assert_eq!(fb.get("master", b"key00123").unwrap().unwrap().len(), 64);
         // Writes keep flowing after the reopen.
-        fb.put("master", entries(300..310)).unwrap();
+        put(&fb, "master", entries(300..310)).unwrap();
         assert!(fb.get("master", b"key00305").unwrap().is_some());
     }
 
@@ -1528,7 +1460,7 @@ mod tests {
                             format!("t{t}-k{k:03}").into_bytes(),
                             format!("v{t}-{k}").into_bytes(),
                         );
-                        fb.put(&branch, vec![e]).unwrap();
+                        put(&fb, &branch, vec![e]).unwrap();
                     }
                 });
             }
@@ -1553,7 +1485,7 @@ mod tests {
                             format!("t{t}-k{k:03}").into_bytes(),
                             format!("v{t}-{k}").into_bytes(),
                         );
-                        let info = fb.commit_with_info("master", WriteBatch::from_entries(vec![e]));
+                        let info = fb.commit("master", WriteBatch::from_entries(vec![e]));
                         let info = info.unwrap();
                         assert_ne!(info.parent, info.root, "a put must move the head");
                         assert_eq!(info.shards.len(), 1, "single-shard receipt");
@@ -1596,7 +1528,7 @@ mod tests {
                         let mut key = vec![lead];
                         key.extend_from_slice(format!("w{t}-k{k:03}").as_bytes());
                         let info = fb
-                            .commit_with_info(
+                            .commit(
                                 "master",
                                 WriteBatch::from_entries(vec![Entry::new(
                                     key,
@@ -1631,7 +1563,7 @@ mod tests {
     #[test]
     fn sharded_head_digest_is_the_manifest_and_reopens() {
         let fb = sharded_engine(4);
-        fb.put("master", entries(0..200)).unwrap();
+        put(&fb, "master", entries(0..200)).unwrap();
         let digest = fb.branch_digest("master").unwrap();
         // The digest is a stored manifest page over 4 sub-roots.
         let page = fb.server_stats();
@@ -1650,7 +1582,7 @@ mod tests {
         // Logical contents equal the unsharded build (structural
         // invariance of the collapsed head).
         let single = single_engine();
-        single.put("master", entries(0..200)).unwrap();
+        put(&single, "master", entries(0..200)).unwrap();
         assert_eq!(
             fb.head("master").unwrap().root(),
             single.head("master").unwrap().root(),
@@ -1665,7 +1597,7 @@ mod tests {
         // critical section, and the receipt carries all four edges.
         let data: Vec<Entry> =
             (0u16..256).step_by(16).map(|b| Entry::new(vec![b as u8, 1], vec![b as u8])).collect();
-        let info = fb.commit_with_info("master", WriteBatch::from_entries(data.clone())).unwrap();
+        let info = fb.commit("master", WriteBatch::from_entries(data.clone())).unwrap();
         assert_eq!(info.shards.len(), 4, "all four shards touched");
         assert!(info.shards.windows(2).all(|w| w[0].shard < w[1].shard));
         let all: Vec<Entry> = fb
@@ -1679,7 +1611,7 @@ mod tests {
         for e in &data {
             batch.delete(e.key.clone());
         }
-        let info = fb.commit_with_info("master", batch).unwrap();
+        let info = fb.commit("master", batch).unwrap();
         assert_eq!(info.shards.len(), 4);
         assert_eq!(fb.head("master").unwrap().len().unwrap(), 0);
     }
@@ -1688,7 +1620,7 @@ mod tests {
     fn racing_commit_into_deleted_branch_fails_cleanly() {
         let fb = single_engine();
         fb.fork("master", "doomed").unwrap();
-        fb.put("doomed", entries(0..10)).unwrap();
+        put(&fb, "doomed", entries(0..10)).unwrap();
         // A commit that resolved its slot before the delete must observe
         // the atomic retirement, not publish into the dismantled head.
         let slot = fb.slot("doomed").unwrap();
@@ -1702,12 +1634,30 @@ mod tests {
         fbs.delete_branch("doomed").unwrap();
         let err = fbs.commit_on_slot(&slot, WriteBatch::from_entries(entries(0..50))).unwrap_err();
         assert!(matches!(err, IndexError::BranchDeleted), "got {err:?}");
+        // Replacing a branch retires the slot it displaces the same way: a
+        // commit still holding that slot must fail, not acknowledge a write
+        // no branch name reaches.
+        type Replace = fn(&Forkbase<PosFactory>);
+        let replacements: [(&str, Replace); 3] = [
+            ("open_branch", |fb| fb.open_branch("doomed", Hash::ZERO)),
+            ("fork", |fb| fb.fork("master", "doomed").unwrap()),
+            ("bulk_load", |fb| assert!(fb.bulk_load("doomed", entries(0..5), 1).is_ok())),
+        ];
+        for (how, replace) in replacements {
+            let fb = single_engine();
+            fb.fork("master", "doomed").unwrap();
+            let slot = fb.slot("doomed").unwrap();
+            replace(&fb);
+            let err = fb.commit_on_slot(&slot, WriteBatch::from_entries(entries(10..11)));
+            assert!(matches!(err, Err(IndexError::BranchDeleted)), "{how}: got {err:?}");
+            assert_eq!(fb.get("doomed", b"key00010").unwrap(), None, "{how}");
+        }
     }
 
     #[test]
     fn split_and_merge_hooks_preserve_contents() {
         let fb = single_engine();
-        fb.put("master", entries(0..300)).unwrap();
+        put(&fb, "master", entries(0..300)).unwrap();
         let before = fb.head("master").unwrap().root();
         assert!(fb.split_branch_shard("master", 0).unwrap());
         assert_eq!(fb.shard_count("master").unwrap(), 2);
@@ -1725,7 +1675,7 @@ mod tests {
         assert_eq!(all.len(), 300);
         assert!(all.windows(2).all(|w| w[0].key < w[1].key));
         // Writes keep landing in the new partition.
-        fb.put("master", entries(300..320)).unwrap();
+        put(&fb, "master", entries(300..320)).unwrap();
         assert_eq!(fb.head("master").unwrap().len().unwrap(), 320);
         // Merge back down to one shard.
         assert!(fb.merge_branch_shards("master", 1).unwrap());
@@ -1739,21 +1689,20 @@ mod tests {
     fn adaptive_policy_splits_hot_shard() {
         // Two writers fighting over one shard long enough trip the
         // adaptive split; the logical contents are untouched.
-        let policy =
-            ShardingPolicy { adaptive: true, split_threshold: 4, ..ShardingPolicy::single() };
         let fb = Arc::new(Forkbase::with_sharding(
             PosFactory(PosParams::default()),
             Arc::new(MemStore::new()),
-            policy,
+            ShardingPolicy::adaptive_default(),
             0,
         ));
-        fb.put("master", entries(0..200)).unwrap();
+        put(&fb, "master", entries(0..200)).unwrap();
         std::thread::scope(|s| {
             for t in 0..4usize {
                 let fb = Arc::clone(&fb);
                 s.spawn(move || {
                     for k in 0..30usize {
-                        fb.put(
+                        put(
+                            &fb,
                             "master",
                             vec![Entry::new(
                                 format!("key{:05}", 1000 + t * 100 + k).into_bytes(),
@@ -1766,7 +1715,7 @@ mod tests {
             }
         });
         let stats = fb.engine_stats();
-        if stats.conflicts >= 4 {
+        if stats.conflicts >= SPLIT_THRESHOLD {
             assert!(stats.splits > 0, "sustained contention must split the hot shard");
             assert!(fb.shard_count("master").unwrap() > 1);
         }
@@ -1784,7 +1733,7 @@ mod tests {
         // The collapsed logical tree equals the serial unsharded build
         // (structural invariance).
         let single = single_engine();
-        single.put("master", data).unwrap();
+        put(&single, "master", data).unwrap();
         assert_eq!(fb.head("loaded").unwrap().root(), single.head("master").unwrap().root());
         // The manifest digest round-trips through open_branch.
         fb.open_branch("reloaded", digest);
@@ -1805,9 +1754,9 @@ mod tests {
         let fb = Forkbase::new(PosFactory::noms());
         let data = entries(0..200);
         for e in data.clone() {
-            noms.put("master", vec![e]).unwrap();
+            put(&noms, "master", vec![e]).unwrap();
         }
-        fb.put("master", data).unwrap();
+        put(&fb, "master", data).unwrap();
         // Structural invariance ⇒ same root despite different batching…
         assert_eq!(noms.head("master").unwrap().root(), fb.head("master").unwrap().root());
         // …but the unbatched path paid many more page writes.

@@ -7,7 +7,9 @@
 //! Run with: `cargo run --release --example collaborative_analytics`
 
 use siri::workloads::YcsbConfig;
-use siri::{metrics, Forkbase, MergeStrategy, PosFactory, PosParams, SiriIndex, WriteBatch};
+use siri::{
+    metrics, Forkbase, MergeStrategy, PosFactory, PosParams, Session, SiriIndex, WriteBatch,
+};
 
 fn main() -> siri::Result<()> {
     let ycsb = YcsbConfig::default();
@@ -15,7 +17,7 @@ fn main() -> siri::Result<()> {
 
     // The shared source dataset. Remember the fork-point root: it is the
     // *base* for deletion-aware three-way merges later.
-    lab.put("master", ycsb.dataset(20_000))?;
+    lab.commit("master", WriteBatch::from_entries(ycsb.dataset(20_000)))?;
     let fork_root = lab.head("master").unwrap().root();
     println!("master: {} records, digest {fork_root}", 20_000);
 
@@ -37,10 +39,12 @@ fn main() -> siri::Result<()> {
     assert_eq!(lab.get("cleaning", &ycsb.key(7_010))?, None);
     assert!(lab.get("master", &ycsb.key(7_010))?.is_some(), "master unaffected");
     // Enrichment team adds 1000 derived records.
-    lab.put("enrichment", (0..1000).map(|i| ycsb.entry(100_000 + i, 0)).collect())?;
+    let derived = (0..1000).map(|i| ycsb.entry(100_000 + i, 0)).collect();
+    lab.commit("enrichment", WriteBatch::from_entries(derived))?;
     // QA team flags 200 records (disjoint from cleaning's edits).
-    lab.put("qa", (0..200).map(|i| ycsb.entry(50_000 + i, 2)).collect())?;
-    println!("branches: {:?}", lab.branches());
+    let flagged = (0..200).map(|i| ycsb.entry(50_000 + i, 2)).collect();
+    lab.commit("qa", WriteBatch::from_entries(flagged))?;
+    println!("branches: {:?}", lab.branches()?);
 
     // How much storage do four branches cost? Almost one copy:
     let sets: Vec<siri::PageSet> = ["master", "cleaning", "enrichment", "qa"]
@@ -80,8 +84,8 @@ fn main() -> siri::Result<()> {
 
     // …while overlapping edits are caught.
     lab.fork("master", "rogue")?;
-    lab.put("rogue", vec![ycsb.entry(0, 7)])?;
-    lab.put("master", vec![ycsb.entry(0, 8)])?;
+    lab.commit("rogue", WriteBatch::from_entries(vec![ycsb.entry(0, 7)]))?;
+    lab.commit("master", WriteBatch::from_entries(vec![ycsb.entry(0, 8)]))?;
     match lab.merge_branches("master", "rogue", MergeStrategy::Strict) {
         Err(siri::IndexError::MergeConflict { conflicts }) => {
             println!("strict merge rejected {} conflicting key(s) ✓", conflicts.len());
@@ -96,7 +100,7 @@ fn main() -> siri::Result<()> {
     // drops only its head pointer — pages are content-addressed and
     // shared, so every other branch keeps its full page set.
     lab.delete_branch("rogue")?;
-    println!("after cleanup, branches: {:?}", lab.branches());
+    println!("after cleanup, branches: {:?}", lab.branches()?);
     assert!(lab.get("master", &ycsb.key(1))?.is_some());
     Ok(())
 }

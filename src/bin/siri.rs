@@ -16,15 +16,20 @@
 //!
 //! The head pointer and history live in a sidecar file `<db>.head` (the
 //! segmented page store is content-addressed and append-only, so the
-//! sidecar is the only mutable state). Mutating commands fsync before they
-//! acknowledge — `--fsync never|commit|every=N|group=MS` tunes that
-//! (`group` batches concurrent committers into one fsync per MS-long tick).
+//! sidecar is the only mutable state). Every command runs against one
+//! engine opened at the sidecar's newest version; the reads and writes a
+//! remote server also answers go through the same [`Session`] code path
+//! as `connect`. Mutating commands fsync before they acknowledge —
+//! `--fsync never|commit|every=N|group=MS` tunes that (`group` batches
+//! concurrent committers into one fsync per MS-long tick).
 
+use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use siri::{
-    chain_cursors, gc, Hash, NodeStore, PageSet, PosParams, PosTree, ShardManifest, ShardRouter,
-    SharedStore, SiriIndex,
+    gc, Bytes, Entry, Forkbase, Hash, NodeStore, PageSet, PosFactory, PosParams, PosTree, Session,
+    SharedStore, SiriIndex, WriteBatch, MAX_SHARDS,
 };
 use siri_store::{FileStore, FileStoreOptions, FsyncPolicy};
 
@@ -36,10 +41,11 @@ fn usage() -> ! {
          \x20 del <key>              delete one record (creates a version)\n\
          \x20 get <key> [--root H]   read from head or a specific version\n\
          \x20 scan [prefix]          list records (optionally by prefix)\n\
-         \x20 load <file>            bulk-load key<TAB>value lines as one version;\n\
-         \x20                        with --shards N the tree is cut into N key ranges\n\
-         \x20                        built on N threads and the version digest is the\n\
-         \x20                        shard-manifest page (reads stay transparent)\n\
+         \x20 load <file>            bulk-load key<TAB>value lines as one version\n\
+         \x20                        (the engine's bulk load); with --shards N the tree\n\
+         \x20                        is cut into N key ranges built on N threads and\n\
+         \x20                        the version digest is the shard-manifest page\n\
+         \x20                        (reads stay transparent)\n\
          \x20 log                    list version digests, newest first\n\
          \x20 prove <key>            print an anchored Merkle proof for the key\n\
          \x20 prove --range <start> [<end>]  completeness proof for [start, end)\n\
@@ -66,10 +72,11 @@ fn usage() -> ! {
          \x20 sync <ADDR>            anti-entropy pull: fetch the remote head's missing\n\
          \x20                        pages into this database and record the version\n\
          options:\n\
-         \x20 --shards N             shard count for `load` (default 1; max 256).\n\
-         \x20                        Sharded heads answer get/scan/stats/gc/prove like\n\
-         \x20                        any other version (proofs anchor at the manifest\n\
-         \x20                        digest); only diff needs unsharded roots."
+         \x20 --shards N             shard count for `load` (default 1; max {MAX_SHARDS},\n\
+         \x20                        the engine's cap). Sharded heads answer\n\
+         \x20                        get/scan/stats/gc/prove like any other version\n\
+         \x20                        (proofs anchor at the manifest digest); only diff\n\
+         \x20                        needs unsharded roots."
     );
     std::process::exit(2);
 }
@@ -93,7 +100,7 @@ fn decode_proof_args(args: &[String]) -> siri::Proof {
     let pages = args
         .iter()
         .map(|h| {
-            bytes::Bytes::from(
+            Bytes::from(
                 siri::crypto::hex::decode(h).unwrap_or_else(|| fail("bad hex page in proof")),
             )
         })
@@ -128,22 +135,21 @@ fn write_history(path: &str, roots: &[Hash]) {
     }
 }
 
-/// Open a version digest as its logical tree(s): a shard-manifest digest
-/// (see `siri::ShardManifest`) expands into the per-range sub-trees plus
-/// the router that partitions them; any other digest is a plain tree.
-fn open_heads(store: &SharedStore, params: PosParams, root: Hash) -> (ShardRouter, Vec<PosTree>) {
-    if !root.is_zero() {
-        if let Ok(Some(page)) = store.try_get(&root) {
-            if ShardManifest::is_manifest(&page) {
-                let m = ShardManifest::decode(&page)
-                    .unwrap_or_else(|e| fail(format_args!("corrupt shard manifest {root}: {e}")));
-                let trees =
-                    m.roots.iter().map(|&r| PosTree::open(store.clone(), params, r)).collect();
-                return (m.router(), trees);
-            }
-        }
+/// Record a version the engine has written: the page log is flushed per
+/// the fsync policy, *then* the head pointer moves — durability before
+/// acknowledgement.
+fn record_version(fs: &FileStore, head_file: &str, digest: Hash) {
+    if let Err(e) = fs.note_commit() {
+        fail(format_args!("fsync failed, version not recorded: {e}"));
     }
-    (ShardRouter::single(), vec![PosTree::open(store.clone(), params, root)])
+    append_history(head_file, digest);
+}
+
+/// The tree roots version `root` names: itself, or the per-range sub-roots
+/// of the shard manifest it names. A root the store cannot resolve is
+/// taken as a plain tree root, as the engine takes it.
+fn sub_roots(store: &SharedStore, root: Hash) -> Vec<Hash> {
+    siri::open_head(store.as_ref(), root).map_or_else(|_| vec![root], |(_, roots)| roots)
 }
 
 /// Union of the page sets reachable from `roots` (the GC mark phase). A
@@ -154,18 +160,110 @@ fn mark_live(store: &SharedStore, params: PosParams, roots: &[Hash]) -> Vec<Page
         .iter()
         .map(|&r| {
             let mut set = PageSet::new();
-            if let Ok(Some(page)) = store.try_get(&r) {
-                if ShardManifest::is_manifest(&page) {
-                    set.insert(r, page.len() as u64);
+            let trees = sub_roots(store, r);
+            if trees != [r] {
+                if let Ok(Some(manifest)) = store.try_get(&r) {
+                    set.insert(r, manifest.len() as u64);
                 }
             }
-            let (_, trees) = open_heads(store, params, r);
-            for t in &trees {
-                set.union_with(&t.page_set());
+            for t in trees {
+                set.union_with(&PosTree::open(store.clone(), params, t).page_set());
             }
             set
         })
         .collect()
+}
+
+/// Run one of the commands a local database and a remote server both
+/// answer — `put`, `del`, `get`, `scan` and `prove` — on `branch` of
+/// `session`. A write returns the digest it committed, for the caller to
+/// make durable and print; a read prints its answer and returns `None`.
+fn run_session(session: &dyn Session, branch: &str, cmd: &str, args: &[String]) -> Option<Hash> {
+    let commit = |batch: WriteBatch, what: &str| match session.commit(branch, batch) {
+        Ok(info) => Some(info.root),
+        Err(e) => fail(format_args!("{what} failed: {e}")),
+    };
+    match cmd {
+        "put" => {
+            let (key, value) = match (args.first(), args.get(1)) {
+                (Some(k), Some(v)) => (k, v),
+                _ => usage(),
+            };
+            let mut batch = WriteBatch::new();
+            batch.put(key.as_bytes().to_vec(), value.as_bytes().to_vec());
+            commit(batch, "write")
+        }
+        "del" => {
+            let key = args.first().unwrap_or_else(|| usage());
+            let mut batch = WriteBatch::new();
+            batch.delete(key.as_bytes().to_vec());
+            commit(batch, "delete")
+        }
+        "get" => {
+            let key = args.first().unwrap_or_else(|| usage());
+            match session.get(branch, key.as_bytes()) {
+                Ok(Some(v)) => println!("{}", String::from_utf8_lossy(&v)),
+                Ok(None) => {
+                    eprintln!("(not found)");
+                    std::process::exit(1);
+                }
+                Err(e) => fail(format_args!("read failed: {e}")),
+            }
+            None
+        }
+        "scan" => {
+            // Stream through the cursor — constant memory, even for a
+            // full-database scan. A sharded head chains its per-range
+            // cursors in partition order.
+            let cursor = match args.first() {
+                Some(prefix) => session.scan_prefix(branch, prefix.as_bytes()),
+                None => session.range(branch, Bound::Unbounded, Bound::Unbounded),
+            };
+            let cursor = cursor.unwrap_or_else(|e| fail(format_args!("scan failed: {e}")));
+            for e in cursor {
+                let e = e.unwrap_or_else(|e| fail(format_args!("scan failed: {e}")));
+                println!(
+                    "{}\t{}",
+                    String::from_utf8_lossy(&e.key),
+                    String::from_utf8_lossy(&e.value)
+                );
+            }
+            None
+        }
+        "prove" => {
+            // Anchored proofs: on a sharded head the shard-manifest page is
+            // the first proof page, so the whole proof verifies against the
+            // version digest alone. A remote session re-verifies the
+            // server's proof against the branch digest before returning
+            // it, so a lying server fails here. The proof prints as one hex
+            // artifact (`siri::Proof::encode`) after the anchoring root.
+            let proved = match args.first().map(String::as_str) {
+                Some("--range") => {
+                    let start = args.get(1).unwrap_or_else(|| usage());
+                    let end = match args.get(2).filter(|e| e.as_str() != "-") {
+                        Some(e) => Bound::Excluded(e.as_bytes()),
+                        None => Bound::Unbounded,
+                    };
+                    session.prove_range(branch, Bound::Included(start.as_bytes()), end)
+                }
+                Some("--batch") => {
+                    let keys: Vec<Bytes> =
+                        args[1..].iter().map(|k| Bytes::copy_from_slice(k.as_bytes())).collect();
+                    if keys.is_empty() {
+                        usage();
+                    }
+                    session.prove_batch(branch, &keys)
+                }
+                Some(key) => session.prove(branch, key.as_bytes()),
+                None => usage(),
+            };
+            let (root, proof) = proved.unwrap_or_else(|e| fail(format_args!("prove failed: {e}")));
+            println!("root\t{root}");
+            println!("{}", siri::crypto::hex::encode(&proof.encode()));
+            None
+        }
+        _ => usage(),
+    }
 }
 
 fn main() {
@@ -190,7 +288,7 @@ fn main() {
                 shards = args
                     .get(i)
                     .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&n| (1..=256).contains(&n))
+                    .filter(|&n| (1..=MAX_SHARDS).contains(&n))
                     .unwrap_or_else(|| usage());
             }
             _ => rest.push(args[i].clone()),
@@ -218,218 +316,46 @@ fn main() {
     let history = load_history(&head_file);
     let head_root = history.last().copied().unwrap_or(Hash::ZERO);
     let params = PosParams::default();
-    // The head may be a plain tree root or a shard-manifest digest (from
-    // `load --shards N`); every read/write below goes through the routed
-    // view so both look the same to the user.
-    let (router, heads) = open_heads(&store, params, head_root);
-
-    // Re-publish a sharded head after one sub-tree moved: fresh manifest
-    // page first (content-addressed like any node page), digest second.
-    let publish = |heads: &[PosTree], changed: usize, next: &PosTree| -> Hash {
-        if heads.len() == 1 {
-            return next.root();
+    // One engine answers every command, its `master` at the newest version
+    // (`get --root H` reads version H instead). The head may be a plain
+    // tree root or a shard-manifest digest from `load --shards N`; the
+    // engine routes both the same way.
+    let at = match rest.iter().position(|a| a == "--root") {
+        Some(p) if rest[0] == "get" => {
+            rest.get(p + 1).and_then(|s| Hash::from_hex(s)).unwrap_or_else(|| usage())
         }
-        let mut roots: Vec<Hash> = heads.iter().map(SiriIndex::root).collect();
-        roots[changed] = next.root();
-        let manifest = ShardManifest::new(router.boundaries().to_vec(), roots);
-        match store.try_put(bytes::Bytes::from(manifest.encode())) {
-            Ok(digest) => digest,
-            Err(e) => fail(format_args!("cannot store shard manifest: {e}")),
-        }
+        _ => head_root,
     };
+    let engine = Arc::new(Forkbase::with_store(PosFactory(params), store.clone()));
+    engine.open_branch("master", at);
 
     match rest[0].as_str() {
-        "put" => {
-            let (key, value) = match (rest.get(1), rest.get(2)) {
-                (Some(k), Some(v)) => (k.clone(), v.clone()),
-                _ => usage(),
-            };
-            let shard = router.shard_of(key.as_bytes());
-            let mut next = heads[shard].clone();
-            if let Err(e) = next.insert(key.as_bytes(), bytes::Bytes::from(value.into_bytes())) {
-                fail(format_args!("write failed: {e}"));
-            }
-            let digest = publish(&heads, shard, &next);
-            // Durability before acknowledgement: the page log is flushed
-            // per the fsync policy, *then* the head pointer moves.
-            if let Err(e) = fs.note_commit() {
-                fail(format_args!("fsync failed, version not recorded: {e}"));
-            }
-            append_history(&head_file, digest);
-            println!("{digest}");
-        }
-        "del" => {
-            let key = rest.get(1).unwrap_or_else(|| usage());
-            let shard = router.shard_of(key.as_bytes());
-            let mut next = heads[shard].clone();
-            if let Err(e) = next.delete(key.as_bytes()) {
-                fail(format_args!("delete failed: {e}"));
-            }
-            let digest = publish(&heads, shard, &next);
-            if let Err(e) = fs.note_commit() {
-                fail(format_args!("fsync failed, version not recorded: {e}"));
-            }
-            append_history(&head_file, digest);
-            println!("{digest}");
-        }
-        "get" => {
-            let key = rest.get(1).unwrap_or_else(|| usage());
-            let (router, heads) = match rest.iter().position(|a| a == "--root") {
-                Some(p) => {
-                    let h =
-                        rest.get(p + 1).and_then(|s| Hash::from_hex(s)).unwrap_or_else(|| usage());
-                    open_heads(&store, params, h)
-                }
-                None => (router, heads),
-            };
-            match heads[router.shard_of(key.as_bytes())].get(key.as_bytes()) {
-                Ok(Some(v)) => println!("{}", String::from_utf8_lossy(&v)),
-                Ok(None) => {
-                    eprintln!("(not found)");
-                    std::process::exit(1);
-                }
-                Err(e) => fail(format_args!("read failed: {e}")),
-            }
-        }
-        "scan" => {
-            // Stream through the unified cursor — constant memory, even
-            // for a full-database scan. A sharded head chains the per-range
-            // cursors in partition order (each sub-tree only holds its own
-            // range, so concatenation preserves the global key order).
-            let cursor = chain_cursors(
-                heads
-                    .iter()
-                    .map(|h| match rest.get(1) {
-                        Some(prefix) => h.scan_prefix(prefix.as_bytes()),
-                        None => h.range(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded),
-                    })
-                    .collect(),
-            );
-            for e in cursor {
-                let e = e.unwrap_or_else(|e| fail(format_args!("scan failed: {e}")));
-                println!(
-                    "{}\t{}",
-                    String::from_utf8_lossy(&e.key),
-                    String::from_utf8_lossy(&e.value)
-                );
-            }
-        }
         "load" => {
             let path = rest.get(1).unwrap_or_else(|| usage());
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| fail(format_args!("cannot read {path}: {e}")));
-            let mut data: Vec<siri::Entry> = Vec::new();
-            for line in text.lines().filter(|l| !l.is_empty()) {
-                let (k, v) = line.split_once('\t').unwrap_or((line, ""));
-                data.push(siri::Entry::new(k.as_bytes().to_vec(), v.as_bytes().to_vec()));
-            }
-            // Sort + last-write-wins dedup, then cut into `--shards`
-            // equal-count ranges and build each sub-tree on its own thread
-            // (mirrors `Forkbase::bulk_load`).
-            data.sort_by(|a, b| a.key.cmp(&b.key));
-            let mut entries: Vec<siri::Entry> = Vec::with_capacity(data.len());
-            for e in data {
-                match entries.last_mut() {
-                    Some(last) if last.key == e.key => *last = e,
-                    _ => entries.push(e),
-                }
-            }
-            let count = entries.len();
-            let want = shards.min(count.max(1));
-            let mut boundaries: Vec<bytes::Bytes> = Vec::new();
-            for i in 1..want {
-                let b = entries[i * count / want].key.clone();
-                if boundaries.last().is_none_or(|p| *p < b) {
-                    boundaries.push(b);
-                }
-            }
-            let router = ShardRouter::new(boundaries);
-            let mut slices: Vec<Vec<siri::Entry>> =
-                (0..router.shard_count()).map(|_| Vec::new()).collect();
-            for e in entries {
-                slices[router.shard_of(&e.key)].push(e);
-            }
-            let built: Vec<PosTree> = std::thread::scope(|scope| {
-                let handles: Vec<_> = slices
-                    .into_iter()
-                    .map(|slice| {
-                        let store = store.clone();
-                        scope.spawn(move || {
-                            let mut t = PosTree::open(store, params, Hash::ZERO);
-                            t.batch_insert(slice).map(|()| t)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(Ok(t)) => t,
-                        Ok(Err(e)) => fail(format_args!("load failed: {e}")),
-                        Err(_) => fail("load worker panicked"),
-                    })
-                    .collect()
-            });
-            let digest = if built.len() == 1 {
-                built[0].root()
-            } else {
-                let roots = built.iter().map(SiriIndex::root).collect();
-                let manifest = ShardManifest::new(router.boundaries().to_vec(), roots);
-                match store.try_put(bytes::Bytes::from(manifest.encode())) {
-                    Ok(d) => d,
-                    Err(e) => fail(format_args!("cannot store shard manifest: {e}")),
-                }
-            };
-            if let Err(e) = fs.note_commit() {
-                fail(format_args!("fsync failed, version not recorded: {e}"));
-            }
-            append_history(&head_file, digest);
-            println!("loaded {count} record(s) into {} shard(s)\n{digest}", built.len());
+            // A key's last line wins, as in any write batch.
+            let data: BTreeMap<&str, &str> = text
+                .lines()
+                .filter(|l| !l.is_empty())
+                .map(|line| line.split_once('\t').unwrap_or((line, "")))
+                .collect();
+            let count = data.len();
+            let entries = data
+                .into_iter()
+                .map(|(k, v)| Entry::new(k.as_bytes().to_vec(), v.as_bytes().to_vec()))
+                .collect();
+            let digest = engine
+                .bulk_load("master", entries, shards)
+                .unwrap_or_else(|e| fail(format_args!("load failed: {e}")));
+            record_version(&fs, &head_file, digest);
+            let built = engine.shard_count("master").unwrap_or(1);
+            println!("loaded {count} record(s) into {built} shard(s)\n{digest}");
         }
         "log" => {
             for (n, h) in history.iter().enumerate().rev() {
                 println!("v{n}\t{h}");
             }
-        }
-        "prove" => {
-            // Anchored proofs: on a sharded head the shard-manifest page is
-            // the first proof page, so the whole proof verifies against the
-            // version digest alone — the same contract the engine and the
-            // wire protocol honor. The proof prints as one hex artifact
-            // (`siri::Proof::encode`) after the anchoring root.
-            use siri::Session;
-            let engine = siri::Forkbase::with_store(siri::PosFactory(params), store.clone());
-            engine.open_branch("master", head_root);
-            let (digest, proof) = match rest.get(1).map(String::as_str) {
-                Some("--range") => {
-                    let start = rest.get(2).unwrap_or_else(|| usage());
-                    let end = rest.get(3).filter(|e| e.as_str() != "-");
-                    let eb = match &end {
-                        Some(e) => std::ops::Bound::Excluded(e.as_bytes()),
-                        None => std::ops::Bound::Unbounded,
-                    };
-                    Session::prove_range(
-                        &engine,
-                        "master",
-                        std::ops::Bound::Included(start.as_bytes()),
-                        eb,
-                    )
-                }
-                Some("--batch") => {
-                    let keys: Vec<bytes::Bytes> = rest[2..]
-                        .iter()
-                        .map(|k| bytes::Bytes::copy_from_slice(k.as_bytes()))
-                        .collect();
-                    if keys.is_empty() {
-                        usage();
-                    }
-                    Session::prove_batch(&engine, "master", &keys)
-                }
-                Some(key) => Session::prove(&engine, "master", key.as_bytes()),
-                None => usage(),
-            }
-            .unwrap_or_else(|e| fail(format_args!("prove failed: {e}")));
-            println!("root\t{digest}");
-            println!("{}", siri::crypto::hex::encode(&proof.encode()));
         }
         "verify" => {
             let ranged = rest.get(1).map(String::as_str) == Some("--range");
@@ -443,14 +369,14 @@ fn main() {
                 let start = args.first().unwrap_or_else(|| usage());
                 let end = args.get(1).unwrap_or_else(|| usage());
                 let eb = if end.as_str() == "-" {
-                    std::ops::Bound::Unbounded
+                    Bound::Unbounded
                 } else {
-                    std::ops::Bound::Excluded(end.as_bytes())
+                    Bound::Excluded(end.as_bytes())
                 };
                 match siri::verify_anchored_range(
                     &siri::PosProofScheme,
                     root,
-                    std::ops::Bound::Included(start.as_bytes()),
+                    Bound::Included(start.as_bytes()),
                     eb,
                     &proof,
                 ) {
@@ -492,13 +418,11 @@ fn main() {
             let a = rest.get(1).and_then(|s| Hash::from_hex(s)).unwrap_or_else(|| usage());
             let b = rest.get(2).and_then(|s| Hash::from_hex(s)).unwrap_or_else(|| usage());
             for h in [a, b] {
-                if let Ok(Some(page)) = store.try_get(&h) {
-                    if ShardManifest::is_manifest(&page) {
-                        fail(format_args!(
-                            "{h} is a shard-manifest digest; diff wants plain tree roots \
-                             (use the sub-roots it lists)"
-                        ));
-                    }
+                if sub_roots(&store, h) != [h] {
+                    fail(format_args!(
+                        "{h} is a shard-manifest digest; diff wants plain tree roots \
+                         (use the sub-roots it lists)"
+                    ));
                 }
             }
             let va = PosTree::open(store.clone(), params, a);
@@ -571,22 +495,14 @@ fn main() {
                 None => String::from("127.0.0.1:4733"),
             };
             let allow_shutdown = rest.iter().any(|a| a == "--allow-shutdown");
-            // The served engine shares the CLI's store and head sidecar:
-            // fsync per the policy first, then record the head — the same
-            // durability-before-acknowledgement order `put` uses.
-            let engine =
-                Arc::new(siri::Forkbase::with_store(siri::PosFactory(params), store.clone()));
-            engine.open_branch("master", head_root);
+            // The served engine records its commits the way local writes
+            // do.
             let hook_fs = fs.clone();
             let hook_head = head_file.clone();
             let hook: siri::server::CommitHook = Box::new(move |branch, root| {
-                if branch != "master" {
-                    return;
+                if branch == "master" {
+                    record_version(&hook_fs, &hook_head, root);
                 }
-                if let Err(e) = hook_fs.note_commit() {
-                    fail(format_args!("fsync failed, version not recorded: {e}"));
-                }
-                append_history(&hook_head, root);
             });
             let opts =
                 siri::ServerOptions { allow_remote_shutdown: allow_shutdown, ..Default::default() };
@@ -650,38 +566,43 @@ fn main() {
             println!("commits        {}", s.commits);
             println!("fsyncs         {}", s.fsyncs);
             if !head_root.is_zero() {
+                let trees = sub_roots(&store, head_root);
                 let mut records = 0u64;
-                for t in &heads {
-                    match t.len() {
+                for &t in &trees {
+                    match PosTree::open(store.clone(), params, t).len() {
                         Ok(n) => records += n as u64,
                         Err(e) => fail(format_args!("cannot read head version: {e}")),
                     }
                 }
                 println!("records        {records}");
-                if heads.len() > 1 {
-                    println!("head shards    {}", heads.len());
+                if trees.len() > 1 {
+                    println!("head shards    {}", trees.len());
                 }
             }
         }
-        _ => usage(),
+        cmd => {
+            if let Some(digest) = run_session(engine.as_ref(), "master", cmd, &rest[1..]) {
+                record_version(&fs, &head_file, digest);
+                println!("{digest}");
+            }
+        }
     }
 }
 
-/// `siri connect <ADDR> <cmd>` — run one command against a remote server.
-/// Mirrors the local commands where both exist (`put`/`get`/`scan`/...),
-/// plus the server-only verbs (`branches`, `digest`, `stats`, `shutdown`).
+/// `siri connect <ADDR> <cmd>` — run one command against a remote server:
+/// the local session commands (`put`/`del`/`get`/`scan`/`prove`, through
+/// the same code as a local database), plus the server-only verbs
+/// (`branches`, `digest`, `stats`, `shutdown`).
 fn run_connect(rest: &[String]) {
-    use siri::Session;
-
     let mut branch = String::from("master");
-    let mut pos: Vec<&String> = Vec::new();
+    let mut pos: Vec<String> = Vec::new();
     let mut i = 0;
     while i < rest.len() {
         if rest[i] == "--branch" {
             i += 1;
             branch = rest.get(i).cloned().unwrap_or_else(|| usage());
         } else {
-            pos.push(&rest[i]);
+            pos.push(rest[i].clone());
         }
         i += 1;
     }
@@ -694,55 +615,6 @@ fn run_connect(rest: &[String]) {
         Err(e) => fail(format_args!("cannot connect to {addr}: {e}")),
     };
     match cmd {
-        "put" => {
-            let (key, value) = match (pos.get(2), pos.get(3)) {
-                (Some(k), Some(v)) => (k.as_bytes().to_vec(), v.as_bytes().to_vec()),
-                _ => usage(),
-            };
-            let mut batch = siri::WriteBatch::new();
-            batch.put(key, value);
-            match session.commit(&branch, batch) {
-                Ok(info) => println!("{}", info.root),
-                Err(e) => fail(format_args!("write failed: {e}")),
-            }
-        }
-        "del" => {
-            let key = pos.get(2).unwrap_or_else(|| usage());
-            let mut batch = siri::WriteBatch::new();
-            batch.delete(key.as_bytes().to_vec());
-            match session.commit(&branch, batch) {
-                Ok(info) => println!("{}", info.root),
-                Err(e) => fail(format_args!("delete failed: {e}")),
-            }
-        }
-        "get" => {
-            let key = pos.get(2).unwrap_or_else(|| usage());
-            match session.get(&branch, key.as_bytes()) {
-                Ok(Some(v)) => println!("{}", String::from_utf8_lossy(&v)),
-                Ok(None) => {
-                    eprintln!("(not found)");
-                    std::process::exit(1);
-                }
-                Err(e) => fail(format_args!("read failed: {e}")),
-            }
-        }
-        "scan" => {
-            let cursor = match pos.get(2) {
-                Some(prefix) => session.scan_prefix(&branch, prefix.as_bytes()),
-                None => {
-                    session.range(&branch, std::ops::Bound::Unbounded, std::ops::Bound::Unbounded)
-                }
-            };
-            let cursor = cursor.unwrap_or_else(|e| fail(format_args!("scan failed: {e}")));
-            for e in cursor {
-                let e = e.unwrap_or_else(|e| fail(format_args!("scan failed: {e}")));
-                println!(
-                    "{}\t{}",
-                    String::from_utf8_lossy(&e.key),
-                    String::from_utf8_lossy(&e.value)
-                );
-            }
-        }
         "branches" => match session.branches() {
             Ok(names) => {
                 for name in names {
@@ -755,41 +627,6 @@ fn run_connect(rest: &[String]) {
             Ok(h) => println!("{h}"),
             Err(e) => fail(format_args!("cannot read branch digest: {e}")),
         },
-        "prove" => {
-            // The RemoteSession verifies every proof locally against the
-            // branch digest before returning it, so a printed proof is
-            // already known-good evidence — a lying server fails here.
-            let result = match pos.get(2).map(|s| s.as_str()) {
-                Some("--range") => {
-                    let start = pos.get(3).unwrap_or_else(|| usage());
-                    let end = pos.get(4).filter(|e| e.as_str() != "-");
-                    let eb = match &end {
-                        Some(e) => std::ops::Bound::Excluded(e.as_bytes()),
-                        None => std::ops::Bound::Unbounded,
-                    };
-                    session.prove_range(&branch, std::ops::Bound::Included(start.as_bytes()), eb)
-                }
-                Some("--batch") => {
-                    let keys: Vec<bytes::Bytes> = pos[3..]
-                        .iter()
-                        .map(|k| bytes::Bytes::copy_from_slice(k.as_bytes()))
-                        .collect();
-                    if keys.is_empty() {
-                        usage();
-                    }
-                    session.prove_batch(&branch, &keys)
-                }
-                Some(key) => session.prove(&branch, key.as_bytes()),
-                None => usage(),
-            };
-            match result {
-                Ok((root, proof)) => {
-                    println!("root\t{root}");
-                    println!("{}", siri::crypto::hex::encode(&proof.encode()));
-                }
-                Err(e) => fail(format_args!("prove failed: {e}")),
-            }
-        }
         "stats" => match session.server_stats() {
             Ok(s) => {
                 println!("accepted       {}", s.accepted);
@@ -820,6 +657,10 @@ fn run_connect(rest: &[String]) {
             Ok(()) => println!("server stopping"),
             Err(e) => fail(format_args!("shutdown refused: {e}")),
         },
-        _ => usage(),
+        _ => {
+            if let Some(digest) = run_session(&session, &branch, cmd, &pos[2..]) {
+                println!("{digest}");
+            }
+        }
     }
 }

@@ -47,14 +47,14 @@
 
 pub use siri_core::{
     apply_ops, chain_cursors, cost_model, diff_by_scan, diff_sorted_entries, entry_codec, merge,
-    merge_with_base, metrics, ordered, prefix_successor, siri_properties, verify_anchored_batch,
-    verify_anchored_membership, verify_anchored_range, BatchOp, BatchVerdict, Bytes, CacheStats,
-    CommitInfo, DiffEntry, DiffSide, Entry, EntryCursor, Hash, IndexError, LookupTrace, MemStore,
-    MergeOutcome, MergeStrategy, NodeStore, Op, PageNode, PagePool, PageReader, PageSet, Proof,
-    ProofScheme, ProofVerdict, RangeVerdict, Reclaim, Recorder, Result, Session, ShardCommit,
-    ShardManifest, ShardRouter, SharedStore, SiriIndex, StoreError, StoreResult, StoreStats,
-    StructureReport, StructureStats, VersionStore, VersionTag, WriteBatch, MANIFEST_MAGIC,
-    MAX_PROOF_PAGES,
+    merge_with_base, metrics, open_head, ordered, prefix_successor, siri_properties,
+    verify_anchored_batch, verify_anchored_membership, verify_anchored_range, BatchOp,
+    BatchVerdict, Bytes, CacheStats, CommitInfo, DiffEntry, DiffSide, Entry, EntryCursor, Hash,
+    IndexError, LookupTrace, MemStore, MergeOutcome, MergeStrategy, NodeStore, Op, PageNode,
+    PagePool, PageReader, PageSet, Proof, ProofScheme, ProofVerdict, RangeVerdict, Reclaim,
+    Recorder, Result, Session, ShardCommit, ShardManifest, ShardRouter, SharedStore, SiriIndex,
+    StoreError, StoreResult, StoreStats, StructureReport, StructureStats, VersionStore, VersionTag,
+    WriteBatch, MANIFEST_MAGIC, MAX_PROOF_PAGES,
 };
 
 pub use siri_client::{ClientOptions, RemoteSession, SyncOptions, SyncReport};
@@ -63,6 +63,7 @@ pub use siri_encoding as encoding;
 pub use siri_forkbase::{
     max_commit_attempts, scheme_by_name, EngineStats, Forkbase, IndexFactory, MbtFactory,
     MptFactory, MvmbFactory, PosFactory, ShardStats, ShardingPolicy, MAX_COMMIT_ATTEMPTS,
+    MAX_SHARDS,
 };
 pub use siri_mbt::{MbtProofScheme, MerkleBucketTree, DEFAULT_BUCKETS, DEFAULT_FANOUT};
 pub use siri_mpt::{MerklePatriciaTrie, MptProofScheme};

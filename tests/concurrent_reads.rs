@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use siri::workloads::YcsbConfig;
 use siri::{
     Entry, Forkbase, IndexFactory, MbtFactory, MerklePatriciaTrie, MptFactory, MvmbFactory,
-    MvmbParams, PosFactory, PosParams, PosTree, ShardingPolicy, SiriIndex, WriteBatch,
+    MvmbParams, PosFactory, PosParams, PosTree, Session, ShardingPolicy, SiriIndex, WriteBatch,
 };
 
 const N: usize = 5_000;
@@ -157,7 +157,7 @@ fn concurrent_readers_of_moving_branch_heads_read_consistently() {
                 Entry::new(format!("b{b}-k{i:04}").into_bytes(), format!("v{b}-{i}").into_bytes())
             })
             .collect();
-        fb.put(&branch, data).unwrap();
+        fb.commit(&branch, WriteBatch::from_entries(data)).unwrap();
     }
 
     thread::scope(|s| {
@@ -172,7 +172,7 @@ fn concurrent_readers_of_moving_branch_heads_read_consistently() {
                         format!("new-{round:05}").into_bytes(),
                         format!("nv{round}").into_bytes(),
                     );
-                    fb.put(&branch, vec![e]).unwrap();
+                    fb.commit(&branch, WriteBatch::from_entries(vec![e])).unwrap();
                 }
             })
         };

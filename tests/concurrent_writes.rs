@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use siri::{
     CommitInfo, Entry, FileStoreOptions, Forkbase, FsyncPolicy, Hash, IndexError, IndexFactory,
-    MemStore, PosFactory, PosParams, ShardingPolicy, SiriIndex, WriteBatch,
+    MemStore, PosFactory, PosParams, Session, ShardingPolicy, SiriIndex, WriteBatch,
 };
 
 const BATCH: usize = 20;
@@ -213,7 +213,7 @@ fn contended_shared_branch_commits_linearize() {
                     s.spawn(move || {
                         let mut mine = Vec::with_capacity(commits);
                         for k in 0..commits {
-                            let info = fb.commit_with_info("master", batch_for(t, k)).unwrap();
+                            let info = fb.commit("master", batch_for(t, k)).unwrap();
                             mine.push((t, k, info));
                         }
                         collected.lock().unwrap().extend(mine);
@@ -285,7 +285,7 @@ fn group_commit_engine_acks_survive_reopen_with_fewer_fsyncs() {
                     for k in 0..commits {
                         // Returning ⇒ the commit is fsync-covered: the root
                         // is durable before it is observable.
-                        last = fb.commit(&branch, batch_for(t, k)).unwrap();
+                        last = fb.commit(&branch, batch_for(t, k)).unwrap().root;
                     }
                     roots.lock().unwrap()[t] = last;
                 });
@@ -329,7 +329,8 @@ fn racing_commit_and_branch_delete_never_corrupts() {
     // (branch gone before the commit resolved the slot) or it lands in the
     // orphaned slot and vanishes with it. Other branches are untouched.
     let fb = engine();
-    fb.put("master", vec![Entry::new(b"anchor".to_vec(), b"v".to_vec())]).unwrap();
+    let anchor = vec![Entry::new(b"anchor".to_vec(), b"v".to_vec())];
+    fb.commit("master", WriteBatch::from_entries(anchor)).unwrap();
     for round in 0..10 * stress_n() {
         let doomed = format!("doomed{round}");
         fb.fork("master", &doomed).unwrap();
@@ -352,7 +353,7 @@ fn racing_commit_and_branch_delete_never_corrupts() {
             });
             writer.join().unwrap();
         });
-        assert!(!fb.branches().contains(&doomed), "branch must be gone");
+        assert!(!fb.branches().unwrap().contains(&doomed), "branch must be gone");
         assert_eq!(fb.get("master", b"anchor").unwrap().as_deref(), Some(&b"v"[..]));
     }
 }
@@ -377,7 +378,8 @@ fn racing_sharded_commit_and_delete_is_all_or_nothing() {
     // multi-shard publish, and never a head that dangles after the
     // delete.
     let fb = sharded_engine(8);
-    fb.put("master", vec![Entry::new(b"anchor".to_vec(), b"v".to_vec())]).unwrap();
+    let anchor = vec![Entry::new(b"anchor".to_vec(), b"v".to_vec())];
+    fb.commit("master", WriteBatch::from_entries(anchor)).unwrap();
     for round in 0..10 * stress_n() {
         let doomed = format!("doomed{round}");
         fb.fork("master", &doomed).unwrap();
@@ -389,7 +391,7 @@ fn racing_sharded_commit_and_delete_is_all_or_nothing() {
                     let mut acked = Vec::new();
                     for k in 0..5usize {
                         match fb.commit(&doomed, spanning_batch(round, k)) {
-                            Ok(root) => acked.push((k, root)),
+                            Ok(info) => acked.push((k, info.root)),
                             // Legal outcomes: the branch vanished before
                             // the slot resolved, or mid-flight.
                             Err(IndexError::Unsupported(_)) | Err(IndexError::BranchDeleted) => {
@@ -408,7 +410,7 @@ fn racing_sharded_commit_and_delete_is_all_or_nothing() {
             });
             writer.join().unwrap()
         });
-        assert!(!fb.branches().contains(&doomed), "branch must be gone");
+        assert!(!fb.branches().unwrap().contains(&doomed), "branch must be gone");
         // Every acked digest must re-open to a head holding ALL of its
         // batch's keys — an ack with missing shard writes would be the
         // partial-publish bug this test exists to catch.
@@ -450,7 +452,7 @@ fn disjoint_shard_writers_on_one_branch_never_conflict() {
                         key.extend_from_slice(format!("t{t:02}-k{:05}", k * BATCH + i).as_bytes());
                         b.put(key, format!("v{t}-{k}-{i}").into_bytes());
                     }
-                    let info = fb.commit_with_info("master", b).unwrap();
+                    let info = fb.commit("master", b).unwrap();
                     assert_eq!(info.retries, 0, "writer {t} raced on its private shard");
                     assert_eq!(info.shards.len(), 1);
                     assert_eq!(info.shards[0].shard, t);

@@ -24,8 +24,8 @@ use std::sync::{Arc, Mutex as StdMutex, Once, Weak};
 use parking_lot::{lock_order, LockClass, Mutex, RwLock};
 use siri::{
     max_commit_attempts, Bytes, FileStoreOptions, Forkbase, FsyncPolicy, Hash, IndexError,
-    MergeStrategy, NodeStore, PosFactory, PosParams, ShardingPolicy, SharedStore, SiriIndex,
-    StoreResult, StoreStats, WriteBatch,
+    MergeStrategy, NodeStore, PosFactory, PosParams, Session, ShardingPolicy, SharedStore,
+    SiriIndex, StoreResult, StoreStats, WriteBatch,
 };
 
 /// Arm the tracker and pin the commit-attempt bound before any classed lock

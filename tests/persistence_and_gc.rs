@@ -10,7 +10,7 @@ use std::sync::Arc;
 use siri::workloads::YcsbConfig;
 use siri::{
     CachingStore, Entry, FileStoreOptions, Forkbase, FsyncPolicy, MemStore, NodeStore, PageSet,
-    PosParams, PosTree, Reclaim, ShardingPolicy, SharedStore, SiriIndex, WriteBatch,
+    PosParams, PosTree, Reclaim, Session, ShardingPolicy, SharedStore, SiriIndex, WriteBatch,
 };
 use siri_store::{gc, FileStore};
 
@@ -121,7 +121,7 @@ fn an_index_commit_is_one_append_on_the_file_store() {
         batch.put(vec![0x50, i], vec![i; 40]); // shard 1 of 4
     }
     let before = engine.server_stats().appends;
-    let info = engine.commit_with_info("master", batch).unwrap();
+    let info = engine.commit("master", batch).unwrap();
     assert_eq!(info.shards.len(), 2, "the commit spans two shards");
     assert_eq!(engine.server_stats().appends - before, 2 + 1);
 }

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use siri::{
     diff_by_scan, merge, Bytes, Entry, Hash, IndexFactory, MbtFactory, MemStore, MergeStrategy,
     MptFactory, MvmbFactory, MvmbParams, NodeStore, PosFactory, PosParams, Proof, ProofVerdict,
-    Session, ShardManifest, SharedStore, SiriIndex, StoreResult, StoreStats,
+    Session, ShardRouter, SharedStore, SiriIndex, StoreResult, StoreStats,
 };
 
 /// Random small key/value pairs; keys constrained to provoke shared
@@ -74,28 +74,21 @@ impl NodeStore for CountingStore {
 }
 
 /// What a reader holding only `digest` must do, spelled out independently
-/// of the prover and the verifier: fetch the page the digest names, route
-/// over it if it is a shard manifest, and run `read` on a fresh-cache
-/// handle for each non-empty sub-root in `pick(manifest)` order. Returns what the
-/// reads returned and the distinct pages fetched on the way.
+/// of the prover and the verifier: resolve the digest to its partition and
+/// sub-roots (`siri::open_head`, which fetches the page it names), and run
+/// `read` on a fresh-cache handle for each non-empty sub-root in
+/// `pick(router)` order. Returns what the reads returned and the distinct
+/// pages fetched on the way.
 fn reference_read<F: IndexFactory, T>(
     factory: &F,
     store: &Arc<CountingStore>,
     digest: Hash,
-    pick: impl Fn(&ShardManifest) -> Vec<usize>,
+    pick: impl Fn(&ShardRouter) -> Vec<usize>,
     read: impl Fn(F::Index) -> T,
 ) -> (Vec<T>, HashSet<Hash>) {
     store.fetched.lock().unwrap().clear();
-    let mut roots = Vec::new();
-    if !digest.is_zero() {
-        let page = store.try_get(&digest).unwrap().expect("published digest names a stored page");
-        if ShardManifest::is_manifest(&page) {
-            let manifest = ShardManifest::decode(&page).unwrap();
-            roots = pick(&manifest).into_iter().map(|i| manifest.roots[i]).collect();
-        } else {
-            roots.push(digest);
-        }
-    }
+    let (router, shards) = siri::open_head(store.as_ref(), digest).unwrap();
+    let roots: Vec<Hash> = pick(&router).into_iter().map(|i| shards[i]).collect();
     let open = |root: Hash| {
         // A digest is all this reader holds, so it learns a tree's shape
         // (MBT's bucket count and fanout) from the root page itself.
@@ -144,7 +137,7 @@ fn check_proofs_are_recorded_reads<F: IndexFactory>(
             &factory,
             &store,
             digest,
-            |m| vec![m.router().shard_of(key)],
+            |router| vec![router.shard_of(key)],
             |idx| idx.get(key).unwrap(),
         );
         let value = got.into_iter().next().flatten();
@@ -167,8 +160,8 @@ fn check_proofs_are_recorded_reads<F: IndexFactory>(
         &factory,
         &store,
         digest,
-        |m| {
-            let (lo, hi) = m.router().covering(start, end);
+        |router| {
+            let (lo, hi) = router.covering(start, end);
             (lo..=hi).collect()
         },
         |idx| idx.range(start, end).collect_entries().unwrap(),

@@ -21,7 +21,7 @@ use std::ops::Bound;
 use proptest::prelude::*;
 use siri::{
     Entry, Forkbase, IndexFactory, MbtFactory, MptFactory, MvmbFactory, MvmbParams, PosFactory,
-    PosParams, ShardingPolicy, SiriIndex, WriteBatch,
+    PosParams, Session, ShardingPolicy, SiriIndex, WriteBatch,
 };
 
 /// A deterministic mixed put/delete schedule: `rounds` batches whose keys
