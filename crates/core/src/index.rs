@@ -10,7 +10,7 @@ use std::time::Instant;
 use bytes::Bytes;
 
 use siri_crypto::Hash;
-use siri_store::{PageSet, SharedStore};
+use siri_store::{PageBatch, PageSet, SharedStore};
 
 use crate::cursor::{prefix_successor, EntryCursor};
 use crate::{DiffEntry, Entry, Proof, ProofVerdict, Recorder, Result, WriteBatch};
@@ -146,10 +146,15 @@ pub fn search_entries(entries: &[Entry], key: &[u8], t: &mut impl LookupTracer) 
 ///
 /// # Write model
 ///
-/// All mutation flows through [`SiriIndex::commit`]: a [`WriteBatch`] of
+/// All mutation flows through [`SiriIndex::stage`]: a [`WriteBatch`] of
 /// puts and deletes is resolved per key (last op wins) and applied in one
-/// copy-on-write pass, yielding exactly one new version. `insert`,
-/// `delete` and `batch_insert` are thin single-op / puts-only wrappers.
+/// copy-on-write pass, yielding exactly one new version whose pages land
+/// in a caller-owned [`PageBatch`]. An index writes nothing itself (bar
+/// early spills of a very large batch): whoever stages decides when the
+/// pages reach the store. [`SiriIndex::commit`] stages and stores in one
+/// append; an engine stages many indexes and its head manifest into one
+/// batch and stores them together. `insert`, `delete` and `batch_insert`
+/// are thin single-op / puts-only wrappers over `commit`.
 ///
 /// # Read model
 ///
@@ -213,11 +218,27 @@ pub trait SiriIndex: Clone + Send + Sync {
         Ok((found, trace.finish()))
     }
 
-    /// Apply a [`WriteBatch`] of puts and deletes atomically in one
-    /// copy-on-write pass, returning the new root digest. Operations on the
-    /// same key resolve to the last occurrence; deleting an absent key is a
-    /// no-op. Clone the handle first to keep the old version.
-    fn commit(&mut self, batch: WriteBatch) -> Result<Hash>;
+    /// Build the version that applies a [`WriteBatch`] of puts and deletes
+    /// to this one, in one copy-on-write pass, and return a handle to it.
+    /// Operations on the same key resolve to the last occurrence; deleting
+    /// an absent key is a no-op. The new pages go into `pages`, not the
+    /// store — except early spills past
+    /// [`siri_store::PAGE_BATCH_SPILL_BYTES`] — so the next version is
+    /// readable only once the caller has stored `pages`. `self` is left
+    /// as it was.
+    fn stage(&self, batch: WriteBatch, pages: &mut PageBatch) -> Result<Self>;
+
+    /// Apply a [`WriteBatch`] atomically, returning the new root digest:
+    /// [`SiriIndex::stage`], one store append of the staged pages, then
+    /// the handle moves to the new version. On any error the handle stays
+    /// at the old version. Clone the handle first to keep the old version.
+    fn commit(&mut self, batch: WriteBatch) -> Result<Hash> {
+        let mut pages = PageBatch::new();
+        let next = self.stage(batch, &mut pages)?;
+        self.store().try_put_batch(&pages)?;
+        *self = next;
+        Ok(self.root())
+    }
 
     /// Insert or overwrite one record — a one-put [`WriteBatch`].
     fn insert(&mut self, key: &[u8], value: Bytes) -> Result<()> {

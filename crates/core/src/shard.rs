@@ -204,7 +204,9 @@ impl ShardManifest {
             return Err(CodecError::BadTag(version));
         }
         let n = r.get_varint()? as usize;
-        if n == 0 || n > 1 << 20 {
+        // Each shard needs a 32-byte root and each boundary at least its
+        // 1-byte length: a count the page cannot hold allocates nothing.
+        if n == 0 || n > 1 << 20 || 33 * n - 1 > r.remaining() {
             return Err(CodecError::BadLength { what: "manifest shard count" });
         }
         let mut boundaries = Vec::with_capacity(n - 1);
@@ -415,6 +417,15 @@ mod tests {
         assert!(ShardManifest::decode(&unsorted).is_err());
         // A node-looking page is not a manifest.
         assert!(!ShardManifest::is_manifest(&[0x01, 0x02, 0x03]));
+        // An 8-byte page claiming 2^20 shards is refused before anything
+        // is reserved for them.
+        let mut huge = MANIFEST_MAGIC.to_vec();
+        huge.extend_from_slice(&[MANIFEST_VERSION, 0x80, 0x80, 0x40]);
+        assert_eq!(huge.len(), 8);
+        assert_eq!(
+            ShardManifest::decode(&huge),
+            Err(CodecError::BadLength { what: "manifest shard count" })
+        );
     }
 
     #[test]

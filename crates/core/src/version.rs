@@ -122,7 +122,7 @@ mod tests {
     use crate::{DiffEntry, Entry, EntryCursor, Proof, ProofVerdict, WriteBatch};
     use bytes::Bytes;
     use siri_crypto::{sha256, Hash};
-    use siri_store::{MemStore, PageSet, SharedStore};
+    use siri_store::{MemStore, PageBatch, PageSet, SharedStore};
     use std::collections::BTreeMap;
     use std::ops::Bound;
 
@@ -172,14 +172,15 @@ mod tests {
         ) -> crate::Result<Option<Bytes>> {
             Ok(self.map.get(key).cloned())
         }
-        fn commit(&mut self, batch: WriteBatch) -> crate::Result<Hash> {
+        fn stage(&self, batch: WriteBatch, _: &mut PageBatch) -> crate::Result<Self> {
+            let mut next = self.clone();
             for op in batch.normalize() {
                 match op.value {
-                    Some(v) => self.map.insert(op.key, v),
-                    None => self.map.remove(&op.key),
+                    Some(v) => next.map.insert(op.key, v),
+                    None => next.map.remove(&op.key),
                 };
             }
-            Ok(self.root())
+            Ok(next)
         }
         fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> EntryCursor {
             let start = crate::own_bound(start).map(Bytes::from);

@@ -23,22 +23,24 @@
 //! * the branch table is an `RwLock<HashMap<_, Arc<BranchSlot>>>` — taken
 //!   briefly to resolve a name to its slot; commits and reads on
 //!   *different* branches then proceed on disjoint per-slot locks;
-//! * a branch head is a **shard table**: `N` per-key-range sub-roots
-//!   behind their own CAS'd slots plus a [`ShardRouter`] describing the
-//!   partition (`N = 1` — the default — is exactly the classic single
+//! * a branch head is an immutable **shard table**: `N` per-key-range
+//!   sub-roots, each checked on its own at publish time, plus a
+//!   [`ShardRouter`] describing the partition (`N = 1` — the default — is exactly the classic single
 //!   mutable head). A multi-shard head is summarized by a
 //!   content-addressed [`ShardManifest`](siri_core::ShardManifest) page,
 //!   so the branch digest stays a single hash;
 //! * same-branch commits are **optimistic**: the batch is routed by key
-//!   range, each touched shard's next version is built against its
-//!   observed sub-root (unlocked), then all touched sub-roots are
-//!   compare-and-swapped together under the table's write lock — held
-//!   only for the pointer swaps, never during tree building or fsync.
-//!   Writers whose batches touch *disjoint shards* therefore never
-//!   conflict: their parents still match at swap time and neither
-//!   rebuilds. A genuinely lost race (same shard) re-applies only the
-//!   mismatched slices on the fresher sub-roots, bounded by
-//!   [`MAX_COMMIT_ATTEMPTS`]. Lost races surface in
+//!   range and each touched shard's next version is staged against its
+//!   observed sub-root (unlocked). The untouched sub-roots are read once
+//!   the builds are done, and every staged page plus the manifest page the
+//!   new head needs reach the store in one append and one flush. Only then
+//!   is the table's write lock taken, for a check and one pointer swap —
+//!   never for tree building, store I/O or fsync. Writers whose batches
+//!   touch *disjoint shards* therefore never conflict: their parents still
+//!   match, and a writer that lost only to a commit on another shard
+//!   re-stages just the manifest. A genuinely lost race (same shard)
+//!   re-applies only the mismatched slices on the fresher sub-roots,
+//!   bounded by [`max_commit_attempts`]. Lost races surface in
 //!   [`EngineStats::conflicts`] and per-shard in [`ShardStats`];
 //! * with [`ShardingPolicy::adaptive`] the partition itself adapts at
 //!   publish points: a shard absorbing conflicts splits at its median
@@ -50,11 +52,12 @@
 //!   one read lock and chains the per-shard scans in partition order, so
 //!   `range`/`scan_prefix` see one logical tree at one atomic snapshot.
 //!
-//! On a durable server store, commits fsync (per the store's
-//! [`siri_store::FsyncPolicy`] — including group commit) *before*
-//! publishing the new head: an observable head is always a durable head.
-//! A multi-shard commit additionally flushes its manifest page before
-//! acknowledging, so a returned digest is always re-openable.
+//! Every publication — commit, merge, bulk load, reshard — goes through
+//! one step: the engine, not the index, writes the staged pages and the
+//! head's manifest page in one append, flushes once (per the store's
+//! [`siri_store::FsyncPolicy`] — including group commit), and only then
+//! swaps the head. An observable head is always a durable head, manifest
+//! page included, so a returned digest is always re-openable.
 //!
 //! [`IndexFactory`] abstracts over which of the four structures backs the
 //! store ([`PosFactory::noms`] gives Noms' Prolly-tree chunking for the
@@ -63,20 +66,21 @@
 mod factory;
 
 use std::collections::HashMap;
-use std::ops::Bound;
+use std::ops::{Bound, RangeInclusive};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::{LockClass, RwLock};
 use siri_core::{
-    chain_cursors, head_digest, merge, merge_with_base, open_head, AnchoredReader, CommitInfo,
-    Entry, EntryCursor, IndexError, MergeOutcome, MergeStrategy, Proof, Recorder, Result, Session,
-    ShardCommit, ShardRouter, SiriIndex, WriteBatch,
+    chain_cursors, head_digest, merge, merge_with_base, open_head, AnchoredReader, BatchOp,
+    CommitInfo, Entry, EntryCursor, IndexError, MergeOutcome, MergeStrategy, Proof, Recorder,
+    Result, Session, ShardCommit, ShardRouter, SiriIndex, WriteBatch,
 };
 use siri_crypto::Hash;
 use siri_store::{
-    FileStore, FileStoreOptions, MemStore, NodeStore, SharedStore, StoreError, StoreStats,
+    FileStore, FileStoreOptions, MemStore, NodeStore, PageBatch, SharedStore, StoreError,
+    StoreStats,
 };
 
 pub use factory::{scheme_by_name, IndexFactory, MbtFactory, MptFactory, MvmbFactory, PosFactory};
@@ -107,11 +111,10 @@ pub fn max_commit_attempts() -> u32 {
 
 /// Lock classes for the runtime lock-order tracker (DESIGN.md §9): the
 /// engine's documented acquisition order is branch map → slot head (the
-/// shard table) → shard head → store internals. Debug
-/// builds with `SIRI_LOCK_ORDER=1` panic on any out-of-order acquisition.
+/// shard table) → store internals. Debug builds with `SIRI_LOCK_ORDER=1`
+/// panic on any out-of-order acquisition.
 static BRANCH_MAP_CLASS: LockClass = LockClass::new(10, "forkbase.branch-map");
 static SLOT_HEAD_CLASS: LockClass = LockClass::new(20, "forkbase.slot-head");
-static SHARD_HEAD_CLASS: LockClass = LockClass::new(25, "forkbase.shard-head");
 
 /// Engine-level commit counters (monotone, relaxed atomics underneath).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -120,9 +123,11 @@ pub struct EngineStats {
     /// branches.
     pub commits: u64,
     /// Optimistic-commit head races lost (each one triggered a rebuild of
-    /// the mismatched batch slices against fresher sub-roots).
-    /// `conflicts / commits` is the branch-contention ratio; it stays 0
-    /// while writers touch disjoint branches *or disjoint shards*.
+    /// the mismatched batch slices against fresher sub-roots). A round
+    /// lost only to a commit on an untouched shard re-stages the manifest
+    /// and is not a conflict. `conflicts / commits` is the
+    /// branch-contention ratio; it stays 0 while writers touch disjoint
+    /// branches *or disjoint shards*.
     pub conflicts: u64,
     /// Adaptive re-sharding: hot shards split at their median key.
     pub splits: u64,
@@ -141,8 +146,9 @@ pub struct ShardStats {
     pub conflicts: u64,
 }
 
-/// Hard cap on shards per branch: adaptive splits stop here, and
-/// [`Forkbase::bulk_load`] builds at most this many sub-trees.
+/// Hard cap on shards per branch: [`ShardingPolicy::pinned`] clamps to it,
+/// adaptive splits stop here, and [`Forkbase::bulk_load`] builds at most
+/// this many sub-trees.
 pub const MAX_SHARDS: usize = 64;
 
 /// Conflicts one shard absorbs (since it was created) before an adaptive
@@ -157,7 +163,7 @@ const MERGE_THRESHOLD: u64 = 1;
 /// collapsing a partition that simply has not seen traffic yet.
 const OBSERVE_WINDOW: u64 = 64;
 
-/// How a branch's key space is partitioned into CAS slots, and whether the
+/// How a branch's key space is partitioned into shards, and whether the
 /// partition adapts to observed contention.
 ///
 /// The default ([`ShardingPolicy::single`]) is one shard — byte-for-byte
@@ -179,9 +185,10 @@ impl ShardingPolicy {
         ShardingPolicy { initial: 1, adaptive: false }
     }
 
-    /// A static `n`-shard partition (uniform byte-prefix boundaries).
+    /// A static `n`-shard partition (uniform byte-prefix boundaries), `n`
+    /// clamped to `1..=`[`MAX_SHARDS`].
     pub fn pinned(n: usize) -> Self {
-        ShardingPolicy { initial: n.clamp(1, 256), ..Self::single() }
+        ShardingPolicy { initial: n.clamp(1, MAX_SHARDS), ..Self::single() }
     }
 
     /// Start unsharded and let conflict counters drive splits/merges.
@@ -219,62 +226,68 @@ impl Default for ShardingPolicy {
     }
 }
 
-/// One CAS slot of a sharded branch head: the authoritative sub-root for
-/// a key range, plus its commit/conflict scoreboard. The write lock is
-/// held only to swap the pointer — never while building a version or
-/// doing I/O — so readers sampling the sub-root are never blocked behind
-/// a tree rebuild.
-struct ShardSlot<I> {
-    head: RwLock<I>,
+/// One shard's commit/conflict scoreboard. A commit's table shares it with
+/// the table it replaces; a reshape gives the shards it creates fresh ones.
+#[derive(Default)]
+struct ShardScore {
     commits: AtomicU64,
     conflicts: AtomicU64,
 }
 
-impl<I: SiriIndex> ShardSlot<I> {
-    fn new(head: I) -> Self {
-        ShardSlot {
-            head: RwLock::with_class(head, &SHARD_HEAD_CLASS),
-            commits: AtomicU64::new(0),
-            conflicts: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A branch head: the partition, its per-shard slots, and the current
-/// logical digest. Every *publication* (commit swap, merge, reshard)
-/// happens under the enclosing [`BranchSlot`]'s write lock, so any reader
-/// holding the read lock sees a consistent multi-shard snapshot. `epoch`
+/// A branch head: the partition, one head handle and scoreboard per shard,
+/// and the logical digest. A published table is never edited: every
+/// publication (commit, merge, bulk load, reshard) swaps in a whole new
+/// table under the enclosing [`BranchSlot`]'s write lock, so a reader
+/// holding the read lock sees one consistent multi-shard snapshot. `epoch`
 /// bumps whenever the partition shape changes, invalidating routed-but-
 /// unpublished builds.
+#[derive(Clone)]
 struct ShardTable<I> {
     router: ShardRouter,
-    shards: Vec<Arc<ShardSlot<I>>>,
+    /// One head per shard, in partition order.
+    heads: Vec<I>,
+    scores: Vec<Arc<ShardScore>>,
     epoch: u64,
     /// The branch's logical head digest: the sole sub-root when `N = 1`,
-    /// the manifest digest otherwise. Updated in the same critical
-    /// section as the sub-root swaps.
+    /// the manifest digest otherwise ([`head_digest`]).
     digest: Hash,
 }
 
 impl<I: SiriIndex> ShardTable<I> {
-    fn single(index: I, epoch: u64) -> Self {
-        let digest = index.root();
-        ShardTable {
-            router: ShardRouter::single(),
-            shards: vec![Arc::new(ShardSlot::new(index))],
-            epoch,
-            digest,
-        }
+    /// A table of `heads` over `router`, each shard with a fresh
+    /// scoreboard. Its manifest page, if it needs one, is not stored here.
+    fn new(router: ShardRouter, heads: Vec<I>, epoch: u64) -> Self {
+        let scores = heads.iter().map(|_| Arc::default()).collect();
+        let (digest, _) = head_digest(&router, heads.iter().map(SiriIndex::root).collect());
+        ShardTable { router, heads, scores, epoch, digest }
     }
 
     fn shard_count(&self) -> usize {
         self.router.shard_count()
     }
 
-    /// Current sub-roots in partition order (consistent while the caller
-    /// holds the table lock — publications need the write lock).
+    /// Sub-roots in partition order.
     fn roots(&self) -> Vec<Hash> {
-        self.shards.iter().map(|s| s.head.read().root()).collect()
+        self.heads.iter().map(SiriIndex::root).collect()
+    }
+
+    /// Whether this is still the head `base` was: the same partition
+    /// generation over the same sub-roots.
+    fn is(&self, base: &Self) -> bool {
+        self.epoch == base.epoch
+            && self.heads.iter().map(SiriIndex::root).eq(base.heads.iter().map(SiriIndex::root))
+    }
+
+    /// This table reshaped: shards `range` become `heads` under `router`,
+    /// with fresh scoreboards, and the epoch moves on. The digest is set
+    /// when the table is landed.
+    fn reshaped(&self, router: ShardRouter, range: RangeInclusive<usize>, heads: Vec<I>) -> Self {
+        let mut next = self.clone();
+        next.scores.splice(range.clone(), heads.iter().map(|_| Arc::default()));
+        next.heads.splice(range, heads);
+        next.router = router;
+        next.epoch += 1;
+        next
     }
 }
 
@@ -282,17 +295,16 @@ impl<I: SiriIndex> ShardTable<I> {
 ///
 /// This is the whole trick from the paper's immutability argument: all
 /// versions are immutable and shared, so concurrency control reduces to
-/// a handful of tiny pointers, each behind branch-local locks. Slots are
+/// one tiny pointer per branch, behind a branch-local lock. Slots are
 /// handed out as `Arc`s — a commit holds the slot, not the branch table,
 /// so renames/deletes/creates of *other* branches never block it.
 struct BranchSlot<I> {
-    /// The authoritative head (partition + sub-root slots). Readers take
-    /// it shared; every publication takes it exclusive for the duration
-    /// of the pointer swaps only.
+    /// The authoritative head. Readers take it shared; a publication takes
+    /// it exclusive for its check and one swap only.
     head: RwLock<ShardTable<I>>,
     /// Set (under the head write lock) when the slot leaves the branch
-    /// map — deleted or replaced: all shard slots are retired atomically
-    /// and any in-flight commit fails its publication with
+    /// map — deleted or replaced: all shards are retired atomically and
+    /// any in-flight commit fails its publication with
     /// [`IndexError::BranchDeleted`] instead of publishing into a
     /// dismantled head.
     retired: AtomicBool,
@@ -316,12 +328,31 @@ impl<I: SiriIndex> BranchSlot<I> {
     }
 }
 
-/// One touched shard's unpublished next version during a commit attempt.
+/// One touched shard's slice of a commit, and its staged next version
+/// (`None` until staged, and again once its parent moved).
 struct ShardBuild<I> {
     shard: usize,
+    ops: Vec<BatchOp>,
     parent: Hash,
-    root: Hash,
-    next: I,
+    next: Option<I>,
+}
+
+impl<I> ShardBuild<I> {
+    /// `ops` routed over `table`'s partition, nothing staged yet.
+    fn route(table: &ShardTable<I>, ops: &[BatchOp]) -> Vec<Self> {
+        let routed = table.router.route_ops(ops.to_vec());
+        let unstaged = |(shard, ops)| ShardBuild { shard, ops, parent: Hash::ZERO, next: None };
+        routed.into_iter().map(unstaged).collect()
+    }
+}
+
+/// What [`Forkbase::publish`] did.
+enum Published<I> {
+    /// The new head is visible; `parent` is the digest it replaced.
+    Done { parent: Hash, digest: Hash },
+    /// The head had moved on from the base: nothing was swapped. This is
+    /// the head the check found.
+    Lost(ShardTable<I>),
 }
 
 /// A Forkbase-style versioned KV engine backed by index `F::Index`.
@@ -431,12 +462,8 @@ impl<F: IndexFactory> Forkbase<F> {
 
     /// A table of empty sub-roots over `router`'s partition.
     fn fresh_table(factory: &F, server: &SharedStore, router: ShardRouter) -> ShardTable<F::Index> {
-        let shards: Vec<Arc<ShardSlot<F::Index>>> = (0..router.shard_count())
-            .map(|_| Arc::new(ShardSlot::new(factory.empty(server.clone()))))
-            .collect();
-        let roots = shards.iter().map(|s| s.head.read().root()).collect();
-        let (digest, _) = head_digest(&router, roots);
-        ShardTable { router, shards, epoch: 0, digest }
+        let heads = (0..router.shard_count()).map(|_| factory.empty(server.clone())).collect();
+        ShardTable::new(router, heads, 0)
     }
 
     /// Resolve a branch name to its slot. Holding the returned `Arc` keeps
@@ -472,21 +499,8 @@ impl<F: IndexFactory> Forkbase<F> {
     fn table_at(&self, root: Hash) -> ShardTable<F::Index> {
         let (router, roots) = open_head(self.server.as_ref(), root)
             .unwrap_or_else(|_| (ShardRouter::single(), vec![root]));
-        let shards = roots
-            .into_iter()
-            .map(|r| Arc::new(ShardSlot::new(self.factory.open(self.server.clone(), r))))
-            .collect();
-        ShardTable { router, shards, epoch: 0, digest: root }
-    }
-
-    /// Store the manifest page a head of `roots` over `router` needs, if
-    /// any, and return the head's digest.
-    fn store_head(&self, router: &ShardRouter, roots: Vec<Hash>) -> Result<Hash> {
-        let (digest, manifest) = head_digest(router, roots);
-        if let Some(page) = manifest {
-            self.server.try_put(page)?;
-        }
-        Ok(digest)
+        let heads = roots.into_iter().map(|r| self.factory.open(self.server.clone(), r)).collect();
+        ShardTable { digest: root, ..ShardTable::new(router, heads, 0) }
     }
 
     /// Flush the durable store per its fsync policy; pages written by an
@@ -498,135 +512,134 @@ impl<F: IndexFactory> Forkbase<F> {
         Ok(())
     }
 
-    /// Persist the post-swap manifest (multi-shard heads only) and return
-    /// the new logical digest. Called under the table write lock *before*
-    /// any sub-root is swapped, so a failed store put aborts the commit
-    /// with every head untouched.
-    fn publish_manifest(
-        &self,
-        table: &ShardTable<F::Index>,
-        builds: &[ShardBuild<F::Index>],
-    ) -> Result<Hash> {
-        let mut roots = table.roots();
-        for b in builds {
-            roots[b.shard] = b.root;
+    /// The store half of a publication: `pages` plus the manifest page
+    /// `next`'s head needs, in one append, made durable by one flush; sets
+    /// `next`'s digest. On error no head has changed, and whatever did
+    /// land is orphaned for the next sweep.
+    fn land(&self, next: &mut ShardTable<F::Index>, mut pages: PageBatch) -> Result<()> {
+        let (digest, manifest) = head_digest(&next.router, next.roots());
+        if let Some(page) = manifest {
+            pages.push(page);
         }
-        self.store_head(&table.router, roots)
+        next.digest = digest;
+        self.server.try_put_batch(&pages)?;
+        self.flush_durable()
+    }
+
+    /// The one way a branch head changes: [`Forkbase::land`] `next` with
+    /// its staged `pages`, then take `slot`'s write lock and swap `next` in
+    /// if three things hold — the slot is not retired, and its epoch and
+    /// every sub-root are still `base`'s. The lock covers that check and
+    /// one pointer swap: nothing is stored or flushed under it. A retired
+    /// slot fails with [`IndexError::BranchDeleted`]; a moved head is
+    /// [`Published::Lost`], and the caller decides what to rebuild.
+    fn publish(
+        &self,
+        slot: &BranchSlot<F::Index>,
+        base: &ShardTable<F::Index>,
+        mut next: ShardTable<F::Index>,
+        pages: PageBatch,
+    ) -> Result<Published<F::Index>> {
+        self.land(&mut next, pages)?;
+        let digest = next.digest;
+        let mut t = slot.head.write();
+        if slot.retired.load(Ordering::Acquire) {
+            return Err(IndexError::BranchDeleted);
+        }
+        if !t.is(base) {
+            return Ok(Published::Lost(t.clone()));
+        }
+        let old = std::mem::replace(&mut *t, next);
+        drop(t);
+        Ok(Published::Done { parent: old.digest, digest })
     }
 
     /// One commit ([`Session::commit`]) on a resolved slot: the receipt
     /// names the observed parent head, the published root, the per-shard
     /// sub-root edges, and how many head races were lost on the way.
     ///
-    /// The sharded optimistic protocol, per attempt:
+    /// The sharded optimistic protocol, one round at a time:
     ///
-    /// 1. snapshot the partition (router, shard slots, epoch) under a
-    ///    brief read lock;
-    /// 2. route the normalized batch by key range and build every touched
-    ///    shard's next version against its observed sub-root — fully
-    ///    unlocked;
-    /// 3. cheaply re-check the touched parents (an attempt that already
-    ///    lost skips a doomed fsync), then flush durability;
-    /// 4. take the table write lock: verify the epoch and every touched
-    ///    parent, store the manifest page for the post-state, swap the
-    ///    touched sub-roots, update the branch digest. The lock is held
-    ///    for pointer swaps and one small page put — never tree builds or
-    ///    fsync.
+    /// 1. stage every touched shard's slice that has no build yet against
+    ///    the shard's head in the last table seen — fully unlocked;
+    /// 2. read the table again: the untouched sub-roots the new head will
+    ///    name are the ones current *after* the builds;
+    /// 3. if the epoch and every touched parent still match,
+    ///    [`Forkbase::publish`]: one append, one flush, one checked swap.
     ///
-    /// Writers on disjoint shards interleave without ever mismatching, so
-    /// they pay zero rebuilds; a genuine same-shard race re-applies only
-    /// that slice. The fsync strictly precedes publication, so any
-    /// sub-root a reader can observe is durable; the manifest page itself
-    /// is flushed before the commit returns, so a returned digest is
-    /// always re-openable.
-    fn commit_on_slot(
-        &self,
-        slot: &Arc<BranchSlot<F::Index>>,
-        batch: WriteBatch,
-    ) -> Result<CommitInfo> {
+    /// A round that does not publish looks at the table it found. A
+    /// reshaped partition re-routes the whole batch; a touched shard whose
+    /// parent moved is rebuilt — the only case that counts a conflict and a
+    /// retry; and if only untouched shards moved, the next round re-stages
+    /// just the manifest. Every round counts against
+    /// [`max_commit_attempts`]. The flush strictly precedes the swap, so
+    /// any head a reader can observe is durable.
+    fn commit_on_slot(&self, slot: &BranchSlot<F::Index>, batch: WriteBatch) -> Result<CommitInfo> {
         let ops = batch.normalize();
-        let mut attempts = 0u32;
+        let mut table = slot.head.read().clone();
+        let mut builds = ShardBuild::route(&table, &ops);
+        let mut pages = PageBatch::new();
+        let (mut attempts, mut retries) = (0u32, 0u32);
         loop {
-            // 1. Snapshot the partition without blocking other writers.
-            let (router, shards, epoch) = {
-                let t = slot.head.read();
-                (t.router.clone(), t.shards.clone(), t.epoch)
-            };
-            // 2. Build every touched shard's next version, unlocked.
-            let mut builds: Vec<ShardBuild<F::Index>> = Vec::new();
-            for (si, run) in router.route_ops(ops.clone()) {
-                let base = shards[si].head.read().clone();
-                let parent = base.root();
-                let mut work = base;
-                let root = work.commit(WriteBatch::from_ops(run))?;
-                builds.push(ShardBuild { shard: si, parent, root, next: work });
+            for b in builds.iter_mut().filter(|b| b.next.is_none()) {
+                let base = &table.heads[b.shard];
+                b.parent = base.root();
+                b.next = Some(base.stage(WriteBatch::from_ops(b.ops.clone()), &mut pages)?);
             }
-            // 3. Cheap re-check before paying the fsync.
-            let clean = {
-                let t = slot.head.read();
-                t.epoch == epoch
-                    && builds.iter().all(|b| t.shards[b.shard].head.read().root() == b.parent)
-            };
-            if clean {
-                self.flush_durable()?;
-                let mut t = slot.head.write();
-                let still = t.epoch == epoch
-                    && builds.iter().all(|b| t.shards[b.shard].head.read().root() == b.parent);
-                if still {
-                    if slot.retired.load(Ordering::Acquire) {
-                        return Err(IndexError::BranchDeleted);
+            let now = slot.head.read().clone();
+            let fresh = now.epoch == table.epoch
+                && builds.iter().all(|b| now.heads[b.shard].root() == b.parent);
+            let seen = if fresh {
+                let mut next = now.clone();
+                for b in &builds {
+                    if let Some(head) = &b.next {
+                        next.heads[b.shard] = head.clone();
                     }
-                    // 4. Publish: manifest first (fallible, heads still
-                    // untouched on error), then the infallible swaps.
-                    let parent_digest = t.digest;
-                    let new_digest = self.publish_manifest(&t, &builds)?;
-                    let multi = t.shard_count() > 1;
-                    let shard_infos: Vec<ShardCommit> = builds
-                        .iter()
-                        .map(|b| ShardCommit { shard: b.shard, parent: b.parent, root: b.root })
-                        .collect();
-                    for b in builds {
-                        let shard = &t.shards[b.shard];
-                        *shard.head.write() = b.next;
-                        shard.commits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    t.digest = new_digest;
-                    self.commits.fetch_add(1, Ordering::Relaxed);
-                    drop(t);
-                    if multi {
-                        // The manifest page itself must be durable before
-                        // the digest is acknowledged to the caller.
-                        self.flush_durable()?;
-                    }
-                    if self.policy.adaptive {
-                        self.maybe_reshard(slot);
-                    }
-                    return Ok(CommitInfo {
-                        parent: parent_digest,
-                        root: new_digest,
-                        retries: attempts,
-                        shards: shard_infos,
-                    });
                 }
-            }
-            // Lost the race: someone else's publication moved a touched
-            // sub-root (or resharded the partition) while we were
-            // building. Rebuild on top of theirs; the losing attempt's
-            // pages are unreferenced orphans for the next sweep. Score
-            // the genuinely contended shards first — this is the signal
-            // an adaptive policy splits on. (If the partition itself was
-            // reshaped the old shard indexes are meaningless; skip.)
-            {
-                let t = slot.head.read();
-                if t.epoch == epoch {
-                    for b in &builds {
-                        if t.shards[b.shard].head.read().root() != b.parent {
-                            t.shards[b.shard].conflicts.fetch_add(1, Ordering::Relaxed);
+                match self.publish(slot, &now, next, std::mem::take(&mut pages))? {
+                    Published::Done { parent, digest } => {
+                        for b in &builds {
+                            now.scores[b.shard].commits.fetch_add(1, Ordering::Relaxed);
                         }
+                        self.commits.fetch_add(1, Ordering::Relaxed);
+                        if self.policy.adaptive {
+                            self.maybe_reshard(slot);
+                        }
+                        let shards = builds
+                            .iter()
+                            .map(|b| ShardCommit {
+                                shard: b.shard,
+                                parent: b.parent,
+                                root: b.next.as_ref().map_or(Hash::ZERO, SiriIndex::root),
+                            })
+                            .collect();
+                        return Ok(CommitInfo { parent, root: digest, retries, shards });
                     }
+                    Published::Lost(seen) => seen,
+                }
+            } else {
+                now
+            };
+            // Lost the round. The losing builds' pages, landed or not, are
+            // orphans for the next sweep. Score the genuinely contended
+            // shards — the signal an adaptive policy splits on.
+            if seen.epoch != table.epoch {
+                builds = ShardBuild::route(&seen, &ops);
+                self.conflicts.fetch_add(1, Ordering::Relaxed);
+                retries += 1;
+            } else {
+                let mut lost = false;
+                for b in builds.iter_mut().filter(|b| seen.heads[b.shard].root() != b.parent) {
+                    seen.scores[b.shard].conflicts.fetch_add(1, Ordering::Relaxed);
+                    b.next = None;
+                    lost = true;
+                }
+                if lost {
+                    self.conflicts.fetch_add(1, Ordering::Relaxed);
+                    retries += 1;
                 }
             }
-            self.conflicts.fetch_add(1, Ordering::Relaxed);
+            table = seen;
             attempts += 1;
             if attempts >= max_commit_attempts() {
                 return Err(IndexError::CommitContention { attempts });
@@ -636,35 +649,23 @@ impl<F: IndexFactory> Forkbase<F> {
 
     /// The optimistic publish-retry loop for whole-branch operations
     /// (merges): `build` the next version against the *collapsed* logical
-    /// head, flush durability, then install it as a fresh single-shard
-    /// table if the branch digest is unchanged. Merging a sharded branch
-    /// therefore resets its partition — under an adaptive policy the
-    /// partition re-grows where contention returns.
+    /// head, then publish it as a fresh single-shard table if the head has
+    /// not moved. Merging a sharded branch therefore resets its partition —
+    /// under an adaptive policy the partition re-grows where contention
+    /// returns.
     fn publish_whole<T>(
         &self,
-        slot: &Arc<BranchSlot<F::Index>>,
+        slot: &BranchSlot<F::Index>,
         mut build: impl FnMut(&F::Index) -> Result<(F::Index, T)>,
-    ) -> Result<(T, u32)> {
+    ) -> Result<T> {
         let mut attempts = 0u32;
         loop {
-            let (base, epoch, digest) = self.logical_head(slot)?;
+            let (base, table) = self.logical_head(slot)?;
             let (next, payload) = build(&base)?;
-            let clean = {
-                let t = slot.head.read();
-                t.epoch == epoch && t.digest == digest
-            };
-            if clean {
-                self.flush_durable()?;
-                let mut t = slot.head.write();
-                if t.epoch == epoch && t.digest == digest {
-                    if slot.retired.load(Ordering::Acquire) {
-                        return Err(IndexError::BranchDeleted);
-                    }
-                    let next_epoch = t.epoch + 1;
-                    *t = ShardTable::single(next, next_epoch);
-                    self.commits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((payload, attempts));
-                }
+            let next = ShardTable::new(ShardRouter::single(), vec![next], table.epoch + 1);
+            if let Published::Done { .. } = self.publish(slot, &table, next, PageBatch::new())? {
+                self.commits.fetch_add(1, Ordering::Relaxed);
+                return Ok(payload);
             }
             self.conflicts.fetch_add(1, Ordering::Relaxed);
             attempts += 1;
@@ -674,46 +675,55 @@ impl<F: IndexFactory> Forkbase<F> {
         }
     }
 
-    /// The branch's logical head as one index handle, plus the epoch and
-    /// digest it corresponds to. Single-shard heads clone out for free;
-    /// multi-shard heads collapse (a rebuild over the merged cursor) —
-    /// whole-branch operations are the slow path by design.
-    fn logical_head(&self, slot: &BranchSlot<F::Index>) -> Result<(F::Index, u64, Hash)> {
-        let (heads, epoch, digest) = {
-            let t = slot.head.read();
-            if t.shard_count() == 1 {
-                return Ok((t.shards[0].head.read().clone(), t.epoch, t.digest));
+    /// The branch's logical head as one index handle, plus the table it
+    /// was read from. Single-shard heads clone out for free; multi-shard
+    /// heads collapse (a rebuild over the merged cursor, stored at once so
+    /// the handle can be read) — whole-branch operations are the slow path
+    /// by design.
+    fn logical_head(
+        &self,
+        slot: &BranchSlot<F::Index>,
+    ) -> Result<(F::Index, ShardTable<F::Index>)> {
+        let table = slot.head.read().clone();
+        let index = match &table.heads[..] {
+            [only] => only.clone(),
+            heads => {
+                let mut pages = PageBatch::new();
+                let index = self.collapse(heads, &mut pages)?;
+                self.server.try_put_batch(&pages)?;
+                index
             }
-            let heads: Vec<F::Index> = t.shards.iter().map(|s| s.head.read().clone()).collect();
-            (heads, t.epoch, t.digest)
         };
-        Ok((self.collapse(&heads)?, epoch, digest))
+        Ok((index, table))
+    }
+
+    /// Every entry of `heads`, in key order when the heads are in
+    /// partition order.
+    fn entries_of(heads: &[F::Index]) -> Result<Vec<Entry>> {
+        heads.iter().flat_map(|h| h.range(Bound::Unbounded, Bound::Unbounded)).collect()
+    }
+
+    /// A fresh index over the server store holding `entries`, its pages
+    /// staged into `pages`.
+    fn build(&self, entries: Vec<Entry>, pages: &mut PageBatch) -> Result<F::Index> {
+        self.factory.empty(self.server.clone()).stage(WriteBatch::from_entries(entries), pages)
     }
 
     /// Rebuild the logical contents of per-shard sub-trees into one fresh
-    /// index over the server store. For the structurally invariant
+    /// index, staged into `pages`. For the structurally invariant
     /// structures the result's digest equals the unsharded build of the
     /// same surviving KV set.
-    fn collapse(&self, heads: &[F::Index]) -> Result<F::Index> {
-        let mut entries: Vec<Entry> = Vec::new();
-        for head in heads {
-            for entry in head.range(Bound::Unbounded, Bound::Unbounded) {
-                entries.push(entry?);
-            }
-        }
-        let mut index = self.factory.empty(self.server.clone());
-        if !entries.is_empty() {
-            index.batch_insert(entries)?;
-        }
-        Ok(index)
+    fn collapse(&self, heads: &[F::Index], pages: &mut PageBatch) -> Result<F::Index> {
+        self.build(Self::entries_of(heads)?, pages)
     }
 
     /// Bulk-load `entries` into `branch` (replacing its contents), building
     /// the per-shard sub-trees on up to `threads` (at most [`MAX_SHARDS`])
     /// worker threads over an equal-count partition of the sorted data.
-    /// The manifest is committed over the finished sub-roots and flushed
-    /// before the digest is returned. Like [`Forkbase::open_branch`], the
-    /// branch is (re)created at the loaded state.
+    /// Each worker stages into its own batch; the joined batch and the
+    /// manifest land in one append and one flush before the digest is
+    /// returned. Like [`Forkbase::open_branch`], the branch is (re)created
+    /// at the loaded state, so there is no parent head to check.
     pub fn bulk_load(&self, branch: &str, entries: Vec<Entry>, threads: usize) -> Result<Hash> {
         // Sort + last-write-wins dedup, same as batch normalization.
         let mut entries = entries;
@@ -739,18 +749,15 @@ impl<F: IndexFactory> Forkbase<F> {
         for e in data {
             slices[router.shard_of(&e.key)].push(e);
         }
-        // Parallel sub-tree builds: one worker per shard slice, all over
-        // the shared (thread-safe) server store.
-        let built: Vec<Result<F::Index>> = std::thread::scope(|scope| {
+        // Parallel sub-tree builds: one worker per shard slice.
+        type Staged<I> = Result<(I, PageBatch)>;
+        let built: Vec<Staged<F::Index>> = std::thread::scope(|scope| {
             let handles: Vec<_> = slices
                 .into_iter()
                 .map(|slice| {
-                    scope.spawn(move || -> Result<F::Index> {
-                        let mut index = self.factory.empty(self.server.clone());
-                        if !slice.is_empty() {
-                            index.batch_insert(slice)?;
-                        }
-                        Ok(index)
+                    scope.spawn(move || -> Staged<F::Index> {
+                        let mut pages = PageBatch::new();
+                        Ok((self.build(slice, &mut pages)?, pages))
                     })
                 })
                 .collect();
@@ -763,15 +770,17 @@ impl<F: IndexFactory> Forkbase<F> {
                 })
                 .collect()
         });
-        let mut shards: Vec<Arc<ShardSlot<F::Index>>> = Vec::with_capacity(built.len());
+        let mut heads = Vec::with_capacity(built.len());
+        let mut pages = PageBatch::new();
         for b in built {
-            shards.push(Arc::new(ShardSlot::new(b?)));
+            let (head, staged) = b?;
+            heads.push(head);
+            pages.append(staged);
         }
-        let roots = shards.iter().map(|s| s.head.read().root()).collect();
-        let digest = self.store_head(&router, roots)?;
-        // Manifest + sub-trees durable before the load is acknowledged.
-        self.flush_durable()?;
-        self.install(branch, ShardTable { router, shards, epoch: 0, digest });
+        let mut table = ShardTable::new(router, heads, 0);
+        self.land(&mut table, pages)?;
+        let digest = table.digest;
+        self.install(branch, table);
         self.commits.fetch_add(1, Ordering::Relaxed);
         Ok(digest)
     }
@@ -789,7 +798,7 @@ impl<F: IndexFactory> Forkbase<F> {
         let slot = self.slot(branch)?;
         let t = slot.head.read();
         let (lo, hi) = t.router.covering(start, end);
-        Ok(t.shards[lo..=hi].iter().map(|s| s.head.read().clone()).collect())
+        Ok(t.heads[lo..=hi].to_vec())
     }
 
     /// Merge branch `other` into `into` (paper §4.1.4 semantics). The
@@ -809,11 +818,10 @@ impl<F: IndexFactory> Forkbase<F> {
             let right_slot = self.slot(other)?;
             self.logical_head(&right_slot)?.0
         };
-        let (outcome, _) = self.publish_whole(&into_slot, |left| {
+        self.publish_whole(&into_slot, |left| {
             let outcome = merge(left, &right, strategy)?;
             Ok((outcome.merged.clone(), outcome))
-        })?;
-        Ok(outcome)
+        })
     }
 
     /// Three-way merge of `other` into `into` from a common base version —
@@ -833,14 +841,13 @@ impl<F: IndexFactory> Forkbase<F> {
             let right_slot = self.slot(other)?;
             self.logical_head(&right_slot)?.0
         };
-        let (outcome, _) = self.publish_whole(&into_slot, |left| {
+        self.publish_whole(&into_slot, |left| {
             // The base is just another version in the shared store;
             // re-rooting the left handle reads it through the same caches.
             let base = left.at_root(base_root);
             let outcome = merge_with_base(&base, left, &right, strategy)?;
             Ok((outcome.merged.clone(), outcome))
-        })?;
-        Ok(outcome)
+        })
     }
 
     /// The branch's current head handle — an owned snapshot: immutable
@@ -850,7 +857,7 @@ impl<F: IndexFactory> Forkbase<F> {
     /// unsharded build of the same contents).
     pub fn head(&self, branch: &str) -> Option<F::Index> {
         let slot = self.slot(branch).ok()?;
-        self.logical_head(&slot).ok().map(|(index, _, _)| index)
+        self.logical_head(&slot).ok().map(|(index, _)| index)
     }
 
     /// The branch's current shard count.
@@ -864,7 +871,7 @@ impl<F: IndexFactory> Forkbase<F> {
     pub fn shard_stats(&self, branch: &str) -> Result<Vec<ShardStats>> {
         let slot = self.slot(branch)?;
         let t = slot.head.read();
-        Ok(t.shards
+        Ok(t.scores
             .iter()
             .map(|s| ShardStats {
                 commits: s.commits.load(Ordering::Relaxed),
@@ -877,13 +884,13 @@ impl<F: IndexFactory> Forkbase<F> {
     /// hottest over-threshold shard, or merge the coldest adjacent pair
     /// once the branch has seen enough traffic to judge. Best-effort —
     /// a lost race simply leaves the partition for the next publish.
-    fn maybe_reshard(&self, slot: &Arc<BranchSlot<F::Index>>) {
+    fn maybe_reshard(&self, slot: &BranchSlot<F::Index>) {
         let (split_at, merge_at) = {
             let t = slot.head.read();
             let n = t.shard_count();
             let mut split: Option<(usize, u64)> = None;
             if n < MAX_SHARDS {
-                for (i, s) in t.shards.iter().enumerate() {
+                for (i, s) in t.scores.iter().enumerate() {
                     let c = s.conflicts.load(Ordering::Relaxed);
                     if c >= SPLIT_THRESHOLD && split.is_none_or(|(_, best)| c > best) {
                         split = Some((i, c));
@@ -892,14 +899,14 @@ impl<F: IndexFactory> Forkbase<F> {
             }
             let mut merge: Option<usize> = None;
             if split.is_none() && n > 1 {
-                let total: u64 = t.shards.iter().map(|s| s.commits.load(Ordering::Relaxed)).sum();
+                let total: u64 = t.scores.iter().map(|s| s.commits.load(Ordering::Relaxed)).sum();
                 if total >= OBSERVE_WINDOW {
                     for i in 0..n - 1 {
-                        let cold = |s: &ShardSlot<F::Index>| {
+                        let cold = |s: &ShardScore| {
                             s.commits.load(Ordering::Relaxed) <= MERGE_THRESHOLD
                                 && s.conflicts.load(Ordering::Relaxed) == 0
                         };
-                        if cold(&t.shards[i]) && cold(&t.shards[i + 1]) {
+                        if cold(&t.scores[i]) && cold(&t.scores[i + 1]) {
                             merge = Some(i);
                             break;
                         }
@@ -932,101 +939,50 @@ impl<F: IndexFactory> Forkbase<F> {
         self.merge_shards(&slot, left)
     }
 
-    fn split_shard(&self, slot: &Arc<BranchSlot<F::Index>>, shard: usize) -> Result<bool> {
-        let (base, epoch) = {
-            let t = slot.head.read();
-            if shard >= t.shard_count() || t.shard_count() >= MAX_SHARDS {
-                return Ok(false);
-            }
-            let snap = (t.shards[shard].head.read().clone(), t.epoch);
-            snap
-        };
-        let parent = base.root();
-        let mut entries: Vec<Entry> = Vec::new();
-        for entry in base.range(Bound::Unbounded, Bound::Unbounded) {
-            entries.push(entry?);
-        }
-        if entries.len() < 2 {
+    fn split_shard(&self, slot: &BranchSlot<F::Index>, shard: usize) -> Result<bool> {
+        let table = slot.head.read().clone();
+        if shard >= table.shard_count() || table.shard_count() >= MAX_SHARDS {
             return Ok(false);
         }
-        let mid = entries.len() / 2;
-        let median = entries[mid].key.clone();
-        // Build both halves outside any lock.
-        let mut left = self.factory.empty(self.server.clone());
-        left.batch_insert(entries[..mid].to_vec())?;
-        let mut right = self.factory.empty(self.server.clone());
-        right.batch_insert(entries[mid..].to_vec())?;
-        self.flush_durable()?;
-        let mut t = slot.head.write();
-        if t.epoch != epoch
-            || t.shards[shard].head.read().root() != parent
-            || slot.retired.load(Ordering::Acquire)
+        let mut left = Self::entries_of(&table.heads[shard..=shard])?;
+        if left.len() < 2 {
+            return Ok(false);
+        }
+        let right = left.split_off(left.len() / 2);
+        let median = right[0].key.clone();
+        // The median must strictly refine the partition (the publication
+        // checks the epoch, so this is the router it replaces).
+        let mut boundaries = table.router.boundaries().to_vec();
+        if shard > 0 && median <= boundaries[shard - 1]
+            || boundaries.get(shard).is_some_and(|b| median >= *b)
         {
-            return Ok(false);
-        }
-        let mut boundaries = t.router.boundaries().to_vec();
-        // The median must strictly refine the partition.
-        if shard > 0 && median <= boundaries[shard - 1] {
-            return Ok(false);
-        }
-        if boundaries.get(shard).is_some_and(|b| median >= *b) {
             return Ok(false);
         }
         boundaries.insert(shard, median);
-        let router = ShardRouter::new(boundaries);
-        let mut shards = t.shards.clone();
-        shards[shard] = Arc::new(ShardSlot::new(left));
-        shards.insert(shard + 1, Arc::new(ShardSlot::new(right)));
-        let roots = shards.iter().map(|s| s.head.read().root()).collect();
-        let digest = self.store_head(&router, roots)?;
-        let next_epoch = t.epoch + 1;
-        *t = ShardTable { router, shards, epoch: next_epoch, digest };
+        let mut pages = PageBatch::new();
+        let halves = vec![self.build(left, &mut pages)?, self.build(right, &mut pages)?];
+        let next = table.reshaped(ShardRouter::new(boundaries), shard..=shard, halves);
+        if let Published::Lost(_) = self.publish(slot, &table, next, pages)? {
+            return Ok(false);
+        }
         self.splits.fetch_add(1, Ordering::Relaxed);
-        drop(t);
-        self.flush_durable()?;
         Ok(true)
     }
 
-    fn merge_shards(&self, slot: &Arc<BranchSlot<F::Index>>, left: usize) -> Result<bool> {
-        let (lhs, rhs, epoch) = {
-            let t = slot.head.read();
-            if left + 1 >= t.shard_count() {
-                return Ok(false);
-            }
-            let snap = (
-                t.shards[left].head.read().clone(),
-                t.shards[left + 1].head.read().clone(),
-                t.epoch,
-            );
-            snap
-        };
-        let (lroot, rroot) = (lhs.root(), rhs.root());
-        let merged = self.collapse(&[lhs, rhs])?;
-        self.flush_durable()?;
-        let mut t = slot.head.write();
-        if t.epoch != epoch
-            || t.shards[left].head.read().root() != lroot
-            || t.shards[left + 1].head.read().root() != rroot
-            || slot.retired.load(Ordering::Acquire)
-        {
+    fn merge_shards(&self, slot: &BranchSlot<F::Index>, left: usize) -> Result<bool> {
+        let table = slot.head.read().clone();
+        if left + 1 >= table.shard_count() {
             return Ok(false);
         }
-        let mut boundaries = t.router.boundaries().to_vec();
+        let mut pages = PageBatch::new();
+        let merged = self.collapse(&table.heads[left..=left + 1], &mut pages)?;
+        let mut boundaries = table.router.boundaries().to_vec();
         boundaries.remove(left);
-        let router = ShardRouter::new(boundaries);
-        let mut shards = t.shards.clone();
-        shards[left] = Arc::new(ShardSlot::new(merged));
-        shards.remove(left + 1);
-        let roots = shards.iter().map(|s| s.head.read().root()).collect();
-        let digest = self.store_head(&router, roots)?;
-        let multi = shards.len() > 1;
-        let next_epoch = t.epoch + 1;
-        *t = ShardTable { router, shards, epoch: next_epoch, digest };
-        self.merges.fetch_add(1, Ordering::Relaxed);
-        drop(t);
-        if multi {
-            self.flush_durable()?;
+        let next = table.reshaped(ShardRouter::new(boundaries), left..=left + 1, vec![merged]);
+        if let Published::Lost(_) = self.publish(slot, &table, next, pages)? {
+            return Ok(false);
         }
+        self.merges.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
 
@@ -1097,8 +1053,7 @@ impl<F: IndexFactory> Session for Forkbase<F> {
         let slot = self.slot(branch)?;
         let head = {
             let t = slot.head.read();
-            let snap = t.shards[t.router.shard_of(key)].head.read().clone();
-            snap
+            t.heads[t.router.shard_of(key)].clone()
         };
         head.get(key)
     }
@@ -1119,9 +1074,7 @@ impl<F: IndexFactory> Session for Forkbase<F> {
         let src = self.slot(from)?;
         let table = {
             let t = src.head.read();
-            let shards =
-                t.shards.iter().map(|s| Arc::new(ShardSlot::new(s.head.read().clone()))).collect();
-            ShardTable { router: t.router.clone(), shards, epoch: 0, digest: t.digest }
+            ShardTable { digest: t.digest, ..ShardTable::new(t.router.clone(), t.heads.clone(), 0) }
         };
         self.install(to, table);
         Ok(())
@@ -1129,7 +1082,7 @@ impl<F: IndexFactory> Session for Forkbase<F> {
 
     /// Pages stay in the store — they are content-addressed and may be
     /// shared with other branches; reclaiming unreachable ones is the
-    /// offline GC's job. All of the branch's shard slots retire
+    /// offline GC's job. All of the branch's shards retire
     /// **atomically**: a commit racing the deletion either fully published
     /// before it or fails cleanly with [`IndexError::BranchDeleted`].
     fn delete_branch(&self, branch: &str) -> Result<()> {
@@ -1244,6 +1197,12 @@ mod tests {
             batch.delete(key);
         }
         fb.commit(branch, batch).map(|info| info.root)
+    }
+
+    #[test]
+    fn pinned_policy_clamps_to_the_shard_cap() {
+        assert_eq!(ShardingPolicy::pinned(100).initial, MAX_SHARDS);
+        assert_eq!(ShardingPolicy::pinned(0).initial, 1);
     }
 
     #[test]

@@ -310,10 +310,10 @@ impl SiriIndex for MerkleBucketTree {
         }
     }
 
-    fn commit(&mut self, batch: WriteBatch) -> Result<Hash> {
+    fn stage(&self, batch: WriteBatch, pages: &mut PageBatch) -> Result<Self> {
         let ops = batch.normalize();
         if ops.is_empty() {
-            return Ok(self.root);
+            return Ok(self.clone());
         }
         let (b, m) = (self.topo.buckets() as u64, self.topo.fanout() as u64);
 
@@ -330,8 +330,8 @@ impl SiriIndex for MerkleBucketTree {
         // every empty bucket shares — delete-then-reinsert restores the
         // identical root.
         // All rewritten buckets are hashed as one sibling group with the
-        // multi-lane hasher, and every page of the commit reaches the store
-        // as one batch (spilled level by level once it is full).
+        // multi-lane hasher, and every page of the commit goes into the
+        // caller's batch (spilled level by level once it is full).
         //
         // Each touched root→bucket path is read once, and the old nodes are
         // kept by position for the parent rebuild below. The commit replaces
@@ -347,7 +347,6 @@ impl SiriIndex for MerkleBucketTree {
             old.insert(id, Arc::clone(&node));
             Ok(node)
         };
-        let mut pages = PageBatch::new();
         let mut changed: FxHashMap<topology::NodeId, Hash> = FxHashMap::default();
         let mut bucket_pages = Vec::with_capacity(per_bucket.len());
         for (bucket, bucket_ops) in &per_bucket {
@@ -399,11 +398,9 @@ impl SiriIndex for MerkleBucketTree {
             }
             pages.spill_if_full(self.store())?;
         }
-        self.store().try_put_batch(&pages)?;
 
         let root_id = (self.topo.height() - 1, 0);
-        self.root = *changed.get(&root_id).expect("root must change when buckets change");
-        Ok(self.root)
+        Ok(self.at_root(*changed.get(&root_id).expect("root must change when buckets change")))
     }
 
     fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> EntryCursor {

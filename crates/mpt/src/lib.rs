@@ -35,7 +35,9 @@ use siri_core::{
 };
 use siri_crypto::Hash;
 use siri_encoding::Nibbles;
-use siri_store::{reachable_pages, CacheStats, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY};
+use siri_store::{
+    reachable_pages, CacheStats, PageBatch, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY,
+};
 
 pub use cursor::RangeCursor;
 pub use node::Node;
@@ -184,10 +186,10 @@ impl SiriIndex for MerklePatriciaTrie {
         Ok(found)
     }
 
-    fn commit(&mut self, batch: WriteBatch) -> Result<Hash> {
+    fn stage(&self, batch: WriteBatch, pages: &mut PageBatch) -> Result<Self> {
         let ops = batch.normalize();
         if ops.is_empty() {
-            return Ok(self.root);
+            return Ok(self.clone());
         }
         let mut overlay =
             if self.root.is_zero() { None } else { Some(mem::MemNode::Stored(self.root)) };
@@ -198,19 +200,14 @@ impl SiriIndex for MerklePatriciaTrie {
                 None => mem::MemNode::remove(overlay, self, suffix)?,
             };
         }
-        self.root = match overlay {
+        let root = match overlay {
+            // One scratch buffer serves every node this commit encodes.
             Some(overlay) => {
-                // One scratch buffer serves every node this commit encodes,
-                // and one batch carries every page it writes to the store.
-                let mut pages = siri_store::PageBatch::new();
-                let mut scratch = siri_encoding::Scratch::new();
-                let root = overlay.commit(self.store(), &mut pages, &mut scratch)?;
-                self.store().try_put_batch(&pages)?;
-                root
+                overlay.commit(self.store(), pages, &mut siri_encoding::Scratch::new())?
             }
             None => Hash::ZERO, // every record deleted
         };
-        Ok(self.root)
+        Ok(self.at_root(root))
     }
 
     fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> EntryCursor {

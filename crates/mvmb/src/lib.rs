@@ -21,6 +21,7 @@ mod node;
 mod proof;
 
 use std::ops::Bound;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use siri_core::ordered::{self, ChildRef};
@@ -191,13 +192,19 @@ impl MvmbTree {
 
     /// Deletions can leave a chain of single-child internal nodes above the
     /// surviving content; drop them so the tree height reflects the data
-    /// (the B+-tree underflow rule, applied at the root).
-    fn collapse_root(&self, mut root: Hash) -> Result<Hash> {
+    /// (the B+-tree underflow rule, applied at the root). The chain's top
+    /// was just staged, so each node is looked for in `pages` before the
+    /// store (which holds it only if the batch spilled, or it is old).
+    fn collapse_root(&self, pages: &PageBatch, mut root: Hash) -> Result<Hash> {
         loop {
             if root.is_zero() {
                 return Ok(root);
             }
-            match &*self.reader.load(&root)? {
+            let node = match pages.pages().iter().rev().find(|(hash, _)| *hash == root) {
+                Some((_, page)) => Arc::new(Node::decode_zc(page)?),
+                None => self.reader.load(&root)?,
+            };
+            match &*node {
                 Node::Internal(children) if children.len() == 1 => root = children[0].hash,
                 _ => return Ok(root),
             }
@@ -244,37 +251,29 @@ impl SiriIndex for MvmbTree {
         ordered::lookup(&self.reader, self.root, key, t)
     }
 
-    fn commit(&mut self, batch: WriteBatch) -> Result<Hash> {
+    fn stage(&self, batch: WriteBatch, pages: &mut PageBatch) -> Result<Self> {
         let ops = batch.normalize();
         if ops.is_empty() {
-            return Ok(self.root);
+            return Ok(self.clone());
         }
-        let mut pages = PageBatch::new();
         let mut pieces = if self.root.is_zero() {
             let puts: Vec<Entry> = ops.into_iter().filter_map(BatchOp::into_entry).collect();
-            self.build_fresh(&mut pages, puts)?
+            self.build_fresh(pages, puts)?
         } else {
-            self.apply_rec(&mut pages, self.root, &ops)?
+            self.apply_rec(pages, self.root, &ops)?
         };
         // Grow upward while the top level overflows a single node.
         while pieces.len() > 1 {
-            pieces = self.emit_chunks(
-                &mut pages,
-                pieces,
-                self.params.max_internal_children,
-                Node::Internal,
-            )?;
+            pieces =
+                self.emit_chunks(pages, pieces, self.params.max_internal_children, Node::Internal)?;
         }
-        // The new pages must be readable before the collapse below walks
-        // the new top.
-        self.store().try_put_batch(&pages)?;
         // Deletes may have emptied the tree entirely, or left a lone-child
         // chain at the top; prune both.
-        self.root = match pieces.pop() {
-            Some(top) => self.collapse_root(top.hash)?,
+        let root = match pieces.pop() {
+            Some(top) => self.collapse_root(pages, top.hash)?,
             None => Hash::ZERO,
         };
-        Ok(self.root)
+        Ok(self.at_root(root))
     }
 
     fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> EntryCursor {

@@ -43,7 +43,9 @@ use siri_core::{
     Result, SiriIndex, StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::Hash;
-use siri_store::{reachable_pages, CacheStats, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY};
+use siri_store::{
+    reachable_pages, CacheStats, PageBatch, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY,
+};
 
 pub use builder::{Builders, DeferredSeal, LeafBuilder, LevelBuilder};
 pub use node::Node;
@@ -189,32 +191,32 @@ impl SiriIndex for PosTree {
         ordered::lookup(&self.reader, self.root, key, t)
     }
 
-    fn commit(&mut self, batch: WriteBatch) -> Result<Hash> {
+    fn stage(&self, batch: WriteBatch, pages: &mut PageBatch) -> Result<Self> {
         let ops = batch.normalize();
         if ops.is_empty() {
-            return Ok(self.root);
+            return Ok(self.clone());
         }
-        if self.copy_all {
+        let (reader, params, root) = (&self.reader, &self.params, self.root);
+        let mut next = self.clone();
+        let piece = if self.copy_all {
             // "Forcibly copying all nodes in the tree": merge, bump the
             // salt, rebuild everything — zero page sharing with the
             // previous version.
             let merged = apply_ops(&self.scan()?, &ops);
-            self.salt += 1;
-            self.root = update::build_from_entries(&self.reader, &self.params, self.salt, &merged)?
-                .map(|p| p.hash)
-                .unwrap_or(Hash::ZERO);
-            return Ok(self.root);
-        }
-        let piece = match self.params.split_policy {
-            SplitPolicy::Pattern => {
-                update::streaming_update(&self.reader, &self.params, self.salt, self.root, &ops)?
-            }
-            SplitPolicy::ForcedSplice { .. } => {
-                update::splice_update(&self.reader, &self.params, self.salt, self.root, &ops)?
+            next.salt += 1;
+            update::build_from_entries(reader, params, next.salt, &merged, pages)?
+        } else {
+            match params.split_policy {
+                SplitPolicy::Pattern => {
+                    update::streaming_update(reader, params, self.salt, root, &ops, pages)?
+                }
+                SplitPolicy::ForcedSplice { .. } => {
+                    update::splice_update(reader, params, self.salt, root, &ops, pages)?
+                }
             }
         };
-        self.root = piece.map(|p| p.hash).unwrap_or(Hash::ZERO);
-        Ok(self.root)
+        next.root = piece.map_or(Hash::ZERO, |p| p.hash);
+        Ok(next)
     }
 
     fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> EntryCursor {

@@ -55,15 +55,16 @@ use crate::params::PosParams;
 /// twice this many is never planned, and never asks how many CPUs it has.
 const MIN_EDITS_PER_RANGE: usize = 64;
 
-/// Build a tree from scratch out of sorted unique entries; its pages reach
-/// the store as one batch (plus any early spills).
+/// Build a tree from scratch out of sorted unique entries, staging its
+/// pages into `pages`.
 pub(crate) fn build_from_entries(
     reader: &PageReader<Node>,
     params: &PosParams,
     salt: u64,
     entries: &[Entry],
+    pages: &mut PageBatch,
 ) -> Result<Option<ChildRef>> {
-    build(reader, params, salt, entries, workers_for(entries.len()))
+    build(reader, params, salt, entries, workers_for(entries.len()), pages)
 }
 
 /// Streaming update: walk the old tree, replaying content through the
@@ -75,8 +76,9 @@ pub(crate) fn streaming_update(
     salt: u64,
     root: Hash,
     edits: &[BatchOp],
+    pages: &mut PageBatch,
 ) -> Result<Option<ChildRef>> {
-    update(reader, params, salt, root, edits, workers_for(edits.len()))
+    update(reader, params, salt, root, edits, workers_for(edits.len()), pages)
 }
 
 /// How many key ranges a commit of `work` edits may use: the CPUs this
@@ -95,6 +97,7 @@ fn build(
     salt: u64,
     entries: &[Entry],
     workers: usize,
+    pages: &mut PageBatch,
 ) -> Result<Option<ChildRef>> {
     let mut ranges = Vec::with_capacity(workers);
     let mut start = 0;
@@ -103,7 +106,7 @@ fn build(
         start = cut;
     }
     ranges.push(Source::Entries(&entries[start..]));
-    two_stage(reader, params, salt, &ranges)
+    two_stage(reader, params, salt, &ranges, pages)
 }
 
 /// [`streaming_update`] over at most `workers` key ranges.
@@ -114,9 +117,10 @@ fn update(
     root: Hash,
     edits: &[BatchOp],
     workers: usize,
+    pages: &mut PageBatch,
 ) -> Result<Option<ChildRef>> {
     if root.is_zero() {
-        return build(reader, params, salt, &apply_ops(&[], edits), workers);
+        return build(reader, params, salt, &apply_ops(&[], edits), workers, pages);
     }
     let root_node = reader.load(&root)?;
     if edits.is_empty() {
@@ -133,22 +137,20 @@ fn update(
         (lo, rest) = (Some(cut.as_ref()), later);
     }
     ranges.push(Source::Tree { root: &root_node, edits: rest, clip: Clip { lo, hi: None } });
-    two_stage(reader, params, salt, &ranges)
+    two_stage(reader, params, salt, &ranges, pages)
 }
 
-/// Run `ranges` through both stages, then hand the commit's pages to the
-/// store as one batch. Nothing reaches the store — bar early spills — unless
-/// every range succeeded.
+/// Run `ranges` through both stages, staging the commit's pages — every
+/// later range's batch appended in key order — into `pages`.
 fn two_stage(
     reader: &PageReader<Node>,
     params: &PosParams,
     salt: u64,
     ranges: &[Source<'_>],
+    pages: &mut PageBatch,
 ) -> Result<Option<ChildRef>> {
     let [first, later @ ..] = ranges else { return Ok(None) };
-    let store = reader.store();
-    let mut batch = PageBatch::new();
-    let mut builders = Builders::new(store, params, salt, &mut batch);
+    let mut builders = Builders::new(reader.store(), params, salt, pages);
     let root = thread::scope(|scope| {
         let last = |i: usize| i + 1 == later.len();
         let workers: Vec<_> = later
@@ -176,7 +178,6 @@ fn two_stage(
         built?;
         builders.finalize()
     })?;
-    store.try_put_batch(&batch)?;
     Ok(root)
 }
 
@@ -583,10 +584,10 @@ pub(crate) fn splice_update(
     salt: u64,
     root: Hash,
     edits: &[BatchOp],
+    pages: &mut PageBatch,
 ) -> Result<Option<ChildRef>> {
-    let store = reader.store();
     if root.is_zero() {
-        return build_from_entries(reader, params, salt, &apply_ops(&[], edits));
+        return build_from_entries(reader, params, salt, &apply_ops(&[], edits), pages);
     }
     if edits.is_empty() {
         let node = reader.load(&root)?;
@@ -594,15 +595,13 @@ pub(crate) fn splice_update(
         return Ok(Some(ChildRef { max_key, hash: root }));
     }
     let root_node = reader.load(&root)?;
-    let mut batch = PageBatch::new();
-    let mut pieces = splice_rec(reader, params, salt, &root_node, edits, &mut batch)?;
+    let mut pieces = splice_rec(reader, params, salt, &root_node, edits, pages)?;
     // If the root burst into several pieces, grow extra levels locally.
     let mut level = root_node.level();
     while pieces.len() > 1 {
         level += 1;
-        pieces = chunk_pieces(params, salt, level, pieces, &mut batch);
+        pieces = chunk_pieces(params, salt, level, pieces, pages);
     }
-    store.try_put_batch(&batch)?;
     Ok(pieces.pop())
 }
 
@@ -675,6 +674,71 @@ mod tests {
 
     fn reader(store: &SharedStore) -> PageReader<Node> {
         PageReader::new(store.clone(), 0)
+    }
+
+    /// Run `stage` on a fresh batch, then store the batch in one append if
+    /// it succeeded — what `SiriIndex::commit` does around a stage.
+    fn land<T>(
+        reader: &PageReader<Node>,
+        stage: impl FnOnce(&mut PageBatch) -> Result<T>,
+    ) -> Result<T> {
+        let mut pages = PageBatch::new();
+        let staged = stage(&mut pages)?;
+        reader.store().try_put_batch(&pages)?;
+        Ok(staged)
+    }
+
+    // The functions under test, each landing its own batch: these shadow
+    // the staging versions in this module and in `ranges` below.
+
+    fn build_from_entries(
+        r: &PageReader<Node>,
+        params: &PosParams,
+        salt: u64,
+        entries: &[Entry],
+    ) -> Result<Option<ChildRef>> {
+        land(r, |pages| super::build_from_entries(r, params, salt, entries, pages))
+    }
+
+    fn streaming_update(
+        r: &PageReader<Node>,
+        params: &PosParams,
+        salt: u64,
+        root: Hash,
+        edits: &[BatchOp],
+    ) -> Result<Option<ChildRef>> {
+        land(r, |pages| super::streaming_update(r, params, salt, root, edits, pages))
+    }
+
+    fn splice_update(
+        r: &PageReader<Node>,
+        params: &PosParams,
+        salt: u64,
+        root: Hash,
+        edits: &[BatchOp],
+    ) -> Result<Option<ChildRef>> {
+        land(r, |pages| super::splice_update(r, params, salt, root, edits, pages))
+    }
+
+    fn build(
+        r: &PageReader<Node>,
+        params: &PosParams,
+        salt: u64,
+        entries: &[Entry],
+        workers: usize,
+    ) -> Result<Option<ChildRef>> {
+        land(r, |pages| super::build(r, params, salt, entries, workers, pages))
+    }
+
+    fn update(
+        r: &PageReader<Node>,
+        params: &PosParams,
+        salt: u64,
+        root: Hash,
+        edits: &[BatchOp],
+        workers: usize,
+    ) -> Result<Option<ChildRef>> {
+        land(r, |pages| super::update(r, params, salt, root, edits, workers, pages))
     }
 
     fn build_on(store: &SharedStore, params: &PosParams, es: &[Entry]) -> Option<ChildRef> {

@@ -292,12 +292,9 @@ fn group_commit_engine_acks_survive_reopen_with_fewer_fsyncs() {
             }
         });
         let stats = fb.server_stats();
-        // A multi-shard head (SIRI_SHARDS=N in the env) flushes twice per
-        // commit: once before publication, once after for the manifest
-        // page (DESIGN.md §10) — the fsync-sharing property holds either
-        // way.
-        let flushes_per_commit = if ShardingPolicy::from_env().initial > 1 { 2 } else { 1 };
-        assert_eq!(stats.commits, (WRITERS * commits * flushes_per_commit) as u64);
+        // One flush per commit, sharded (SIRI_SHARDS=N in the env) or not:
+        // the manifest page lands in the commit's one append (DESIGN.md §10).
+        assert_eq!(stats.commits, (WRITERS * commits) as u64);
         assert!(
             stats.fsyncs < stats.commits,
             "group commit must share flushes: {} fsyncs for {} commits",

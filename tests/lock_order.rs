@@ -204,14 +204,13 @@ fn engine_commit_merge_fork_delete_interleavings_run_clean() {
 
 #[test]
 fn sharded_commit_merge_delete_interleavings_run_clean() {
-    // ISSUE 8: the sharded head adds the `forkbase.shard-head` class (25)
-    // between the slot head (20) and the store internals (40+). This
-    // interleaving drives every acquisition pattern the sharded engine
-    // has — routed commits (20r → 25r builds, then 20w → 25w swaps),
-    // spanning batches, whole-branch merges (collapse reads under 20r),
-    // split/merge resharding, branch deletion's atomic retirement, and
-    // routed reads (20r → 25r) — under the armed tracker and the
-    // pinned 3-attempt bound.
+    // The sharded head is one table behind the slot head (20), above the
+    // store internals (40+). This interleaving drives every acquisition
+    // pattern the sharded engine has — routed commits (20r snapshots,
+    // store appends with no engine lock held, then a 20w check-and-swap),
+    // spanning batches, whole-branch merges, split/merge resharding,
+    // branch deletion's atomic retirement, and routed reads (20r) — under
+    // the armed tracker and the pinned 3-attempt bound.
     init();
     const SHARDS: usize = 4;
     let fb = Arc::new(Forkbase::with_sharding(
@@ -257,8 +256,8 @@ fn sharded_commit_merge_delete_interleavings_run_clean() {
                 }
             });
         }
-        // Readers: routed gets and cross-shard range cursors (20r → 25r
-        // to clone the covering heads, then unlocked cursor reads).
+        // Readers: routed gets and cross-shard range cursors (20r to
+        // clone the covering heads, then unlocked cursor reads).
         {
             let fb = Arc::clone(&fb);
             s.spawn(move || {
@@ -401,7 +400,7 @@ fn env_bounded_commit_attempts_force_deterministic_contention() {
     // Sanity: unarmed, commits go through.
     fb.commit("master", batch("setup", 0)).unwrap();
 
-    // Armed: every page write of the victim's build publishes a rival
+    // Armed: every page the victim's publication writes publishes a rival
     // commit first, so all 3 permitted attempts lose their CAS race.
     hook.armed.store(true, Ordering::Release);
     let err = fb.commit("master", batch("victim", 0)).unwrap_err();
@@ -438,16 +437,13 @@ fn recorded_acquisition_edges_are_ascending() {
     let _ = fb.get("master", b"edges-k0000-0");
 
     for ((from_order, from_name), (to_order, to_name)) in lock_order::edges() {
-        // The engine has exactly three lock classes; a read goes through
-        // the shard heads, with no per-branch view lock (the old class 30)
-        // between them and the store.
+        // The engine has exactly two lock classes; a read clones a shard
+        // head out of the table, with no per-shard or per-branch view lock
+        // between the table and the store.
         for name in [from_name, to_name] {
             assert!(
                 !name.starts_with("forkbase.")
-                    || matches!(
-                        name,
-                        "forkbase.branch-map" | "forkbase.slot-head" | "forkbase.shard-head"
-                    ),
+                    || matches!(name, "forkbase.branch-map" | "forkbase.slot-head"),
                 "unexpected engine lock class in edge {from_name} -> {to_name}"
             );
         }

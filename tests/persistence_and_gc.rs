@@ -5,6 +5,7 @@
 //! backend a sweep is a compaction: the on-disk footprint must shrink to
 //! (almost) the live page set's byte size.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use siri::workloads::YcsbConfig;
@@ -12,7 +13,7 @@ use siri::{
     CachingStore, Entry, FileStoreOptions, Forkbase, FsyncPolicy, MemStore, NodeStore, PageSet,
     PosParams, PosTree, Reclaim, Session, ShardingPolicy, SharedStore, SiriIndex, WriteBatch,
 };
-use siri_store::{gc, FileStore};
+use siri_store::{gc, FileStore, PageBatch, StoreError, StoreResult};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("siri-integration-tests");
@@ -104,26 +105,143 @@ fn an_index_commit_is_one_append_on_the_file_store() {
     check!("append-mpt", MptFactory);
     check!("append-mbt", MbtFactory { buckets: 64, fanout: 4 });
     check!("append-mvmb", MvmbFactory(MvmbParams::default()));
+}
 
-    // A sharded commit pays one append per shard it touches, plus one for
-    // the manifest page that publishes it.
+/// One append and one fsync per engine publication: a commit spanning
+/// shards, a reshape and a bulk load each hand every page they stage, and
+/// the manifest page, to the store in one batch, then flush once.
+#[test]
+fn an_engine_publication_is_one_append_and_one_fsync() {
+    use siri::{IndexError, MptFactory};
     let engine = Forkbase::new_durable_with_sharding(
         MptFactory,
         tmp("append-sharded"),
-        FileStoreOptions { fsync: FsyncPolicy::Never, ..FileStoreOptions::default() },
+        FileStoreOptions { fsync: FsyncPolicy::OnCommit, ..FileStoreOptions::default() },
         ShardingPolicy::pinned(4),
         0,
     )
     .unwrap();
+    let io = || {
+        let s = engine.server_stats();
+        (s.appends, s.fsyncs)
+    };
     let mut batch = WriteBatch::new();
     for i in 0..100u8 {
         batch.put(vec![0x10, i], vec![i; 40]); // shard 0 of 4
         batch.put(vec![0x50, i], vec![i; 40]); // shard 1 of 4
     }
-    let before = engine.server_stats().appends;
+    let before = io();
     let info = engine.commit("master", batch).unwrap();
     assert_eq!(info.shards.len(), 2, "the commit spans two shards");
-    assert_eq!(engine.server_stats().appends - before, 2 + 1);
+    let after = io();
+    assert_eq!((after.0 - before.0, after.1 - before.1), (1, 1), "spanning commit");
+
+    type Publication<'a> = (&'a str, Box<dyn Fn() -> Result<bool, IndexError> + 'a>);
+    let publications: [Publication<'_>; 3] = [
+        ("split", Box::new(|| engine.split_branch_shard("master", 0))),
+        ("merge", Box::new(|| engine.merge_branch_shards("master", 1))),
+        (
+            "bulk load",
+            Box::new(|| {
+                engine.bulk_load("loaded", YcsbConfig::default().dataset(500), 4).map(|_| true)
+            }),
+        ),
+    ];
+    for (what, publish) in publications {
+        let before = io();
+        assert!(publish().unwrap(), "{what} applies");
+        let after = io();
+        assert_eq!((after.0 - before.0, after.1 - before.1), (1, 1), "{what}");
+    }
+    assert_eq!(engine.shard_count("loaded").unwrap(), 4, "the load built four sub-trees");
+}
+
+/// A store whose next batch append fails once armed.
+struct FailingAppend {
+    inner: MemStore,
+    armed: AtomicBool,
+}
+
+impl NodeStore for FailingAppend {
+    fn try_put(&self, page: bytes::Bytes) -> StoreResult<siri::Hash> {
+        self.inner.try_put(page)
+    }
+    fn try_get(&self, hash: &siri::Hash) -> StoreResult<Option<bytes::Bytes>> {
+        self.inner.try_get(hash)
+    }
+    fn try_put_batch(&self, batch: &PageBatch) -> StoreResult<()> {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            return Err(StoreError::io("append", std::io::Error::other("injected append fault")));
+        }
+        self.inner.try_put_batch(batch)
+    }
+    fn contains(&self, hash: &siri::Hash) -> bool {
+        self.inner.contains(hash)
+    }
+    fn stats(&self) -> siri::StoreStats {
+        self.inner.stats()
+    }
+}
+
+fn failing_append() -> Arc<FailingAppend> {
+    Arc::new(FailingAppend { inner: MemStore::new(), armed: AtomicBool::new(false) })
+}
+
+/// A commit whose append fails leaves every handle and head where it was:
+/// nothing points at pages that never landed, and the next commit works.
+#[test]
+fn a_failed_append_changes_nothing() {
+    use siri::PosFactory;
+    use siri::{IndexError, IndexFactory, MbtFactory, MptFactory, MvmbFactory, MvmbParams};
+    let ycsb = YcsbConfig::default();
+    let rewrite = || WriteBatch::from_entries((0..50u64).map(|i| ycsb.entry(i * 7, 1)).collect());
+
+    macro_rules! check {
+        ($name:expr, $factory:expr) => {{
+            let store = failing_append();
+            let mut idx = $factory.empty(store.clone() as SharedStore);
+            idx.batch_insert(ycsb.dataset(500)).unwrap();
+            let root = idx.root();
+            store.armed.store(true, Ordering::SeqCst);
+            let err = idx.commit(rewrite()).unwrap_err();
+            assert!(matches!(err, IndexError::Store(_)), "{}: {err:?}", $name);
+            assert_eq!(idx.root(), root, "{}: the handle stays at the old version", $name);
+            assert_eq!(idx.get(&ycsb.key(7)).unwrap().unwrap(), ycsb.value(7, 0), "{}", $name);
+            idx.commit(rewrite()).unwrap();
+            assert_eq!(idx.get(&ycsb.key(7)).unwrap().unwrap(), ycsb.value(7, 1), "{}", $name);
+        }};
+    }
+    check!("pos-tree", PosFactory(PosParams::default()));
+    check!("mpt", MptFactory);
+    check!("mbt", MbtFactory { buckets: 64, fanout: 4 });
+    check!("mvmb", MvmbFactory(MvmbParams::default()));
+
+    // On the engine: a commit spanning all four shards of a pinned head.
+    let store = failing_append();
+    let engine = Forkbase::with_sharding(MptFactory, store.clone(), ShardingPolicy::pinned(4), 0);
+    let spanning = |v: u8| {
+        let mut batch = WriteBatch::new();
+        for lead in [0x10u8, 0x50, 0x90, 0xd0] {
+            batch.put(vec![lead, 1], vec![v; 8]);
+        }
+        batch
+    };
+    engine.commit("master", spanning(0)).unwrap();
+    let (digest, stats, shards) = (
+        engine.branch_digest("master").unwrap(),
+        engine.engine_stats(),
+        engine.shard_stats("master").unwrap(),
+    );
+    store.armed.store(true, Ordering::SeqCst);
+    let err = engine.commit("master", spanning(1)).unwrap_err();
+    assert!(matches!(err, IndexError::Store(StoreError::Io { .. })), "{err:?}");
+    assert_eq!(engine.branch_digest("master").unwrap(), digest);
+    assert_eq!(engine.engine_stats(), stats, "no commit and no conflict counted");
+    assert_eq!(engine.shard_stats("master").unwrap(), shards, "no sub-root swapped");
+    assert_eq!(engine.get("master", &[0x90, 1]).unwrap().unwrap().as_ref(), &[0u8; 8]);
+    let info = engine.commit("master", spanning(1)).unwrap();
+    assert_eq!((info.parent, info.shards.len()), (digest, 4));
+    assert_eq!(engine.get("master", &[0x90, 1]).unwrap().unwrap().as_ref(), &[1u8; 8]);
 }
 
 /// Build versions, retire all but the head, sweep, and check the head
