@@ -22,6 +22,11 @@ fn bench_proofs(c: &mut Criterion) {
     let ycsb = YcsbConfig::default();
     let data = ycsb.dataset(n);
     let cfg = IndexCfg::ycsb(1024);
+    // Range windows are addressed by rank in key order: YCSB keys do not
+    // sort by record id, so `key(i)..key(i + 20)` can be an inverted,
+    // empty window that reads nothing.
+    let mut sorted_keys: Vec<_> = data.iter().map(|e| e.key.clone()).collect();
+    sorted_keys.sort_unstable();
 
     let mut g = c.benchmark_group(if smoke { "proofs_smoke" } else { "proofs_20k" });
     g.sample_size(if smoke { 10 } else { 20 });
@@ -51,15 +56,15 @@ fn bench_proofs(c: &mut Criterion) {
                 })
             });
 
-            // Range: a ~20-entry window (the YCSB scan shape).
-            let start = ycsb.key(n as u64 / 2);
-            let end = ycsb.key(n as u64 / 2 + 20);
-            let sb = Bound::Included(&start[..]);
-            let eb = Bound::Excluded(&end[..]);
+            // Range: a 20-entry window (the YCSB scan shape).
+            let sb = Bound::Included(&sorted_keys[n / 2][..]);
+            let eb = Bound::Excluded(&sorted_keys[n / 2 + 20][..]);
             g.bench_function(concat!($name, "/prove_range"), |b| {
                 b.iter(|| std::hint::black_box(idx.prove_range(sb, eb).unwrap().len()))
             });
             let range_proof = idx.prove_range(sb, eb).unwrap();
+            let verdict = siri::verify_anchored_range(scheme, root, sb, eb, &range_proof);
+            assert_eq!(verdict.entries().map(<[_]>::len), Some(20), "{}: range window", $name);
             g.bench_function(concat!($name, "/verify_range"), |b| {
                 b.iter(|| {
                     std::hint::black_box(

@@ -3,12 +3,15 @@
 //! The API redesign's claim, measured: a bounded `range` cursor walks only
 //! the window's leaf path while the old read pattern (`scan()` + filter)
 //! materializes and sorts the entire dataset. At 100k entries the gap is
-//! orders of magnitude for the ordered structures; MBT — whose hashing
-//! destroys order — pays O(B) bucket pins either way, which is exactly the
-//! paper's point about hash-based layouts and range queries.
+//! orders of magnitude for the ordered structures. MBT's hashing destroys
+//! order, so its cursor pays O(B) either way: it pins all B buckets, seeds
+//! each with a binary search over the bucket's key-prefix column, and
+//! merges them (DESIGN.md §4). That is the paper's point about hash-based
+//! layouts and range queries.
 //!
-//! `RANGE_SCAN_N` overrides the dataset size (CI smoke-runs use a small
-//! value so the bench executes on every push without burning minutes).
+//! `RANGE_SCAN_N` overrides the dataset size. CI smoke-runs use 20,000:
+//! small enough to run on every push, and about 20 entries per MBT bucket,
+//! so seeding inside a bucket and merging across buckets are exercised.
 //!
 //! Every window must yield exactly `WINDOW` entries. The cold-window page
 //! budget of the two ordered trees is a test (`tests/cross_index.rs`).

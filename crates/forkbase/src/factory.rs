@@ -127,6 +127,7 @@ impl IndexFactory for MbtFactory {
 
     fn open(&self, store: SharedStore, root: Hash) -> MerkleBucketTree {
         MerkleBucketTree::open(store, self.buckets, self.fanout, root)
+            .expect("valid MBT parameters")
     }
 
     fn scheme(&self) -> &'static dyn ProofScheme {

@@ -4,40 +4,34 @@
 //! walk the MBT left-to-right the way the ordered structures do. Instead
 //! the cursor performs an on-the-fly k-way merge: it pins the decoded
 //! bucket nodes (B `Arc`s out of the shared node cache — pages, not
-//! copies) and repeatedly pops the globally smallest remaining entry from
+//! copies) and repeatedly takes the globally smallest remaining entry from
 //! a min-heap of per-bucket positions. Entries stream out one at a time;
 //! the dataset is never collated into a vector and never re-sorted.
+//!
+//! Seeding and merging run on each bucket's key-prefix column
+//! ([`BucketEntries::prefixes`]): a bucket is seeded by a binary search
+//! over its contiguous `u64`s, a heap position is 16 bytes, and a key is
+//! read only to break a tie between equal prefixes. No key is cloned
+//! until its entry is emitted.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use siri_core::{before_start, past_end, Entry, Result};
 
-use crate::node::Node;
+use crate::node::{key_prefix, BucketEntries, Node, NO_ENTRIES};
 use crate::MerkleBucketTree;
 
-/// One per-bucket merge position, ordered by its current key (heap ties
-/// broken by bucket index for determinism).
-#[derive(PartialEq, Eq)]
+/// One per-bucket merge position: the prefix of the key it stands on, and
+/// where that entry is. Positions order by prefix, then by full key, then
+/// by bucket index (for determinism; one version never holds a key in two
+/// buckets).
+#[derive(Clone, Copy)]
 struct Pos {
-    key: Bytes,
-    bucket: usize,
-    idx: usize,
-}
-
-impl Ord for Pos {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (&self.key, self.bucket, self.idx).cmp(&(&other.key, other.bucket, other.idx))
-    }
-}
-
-impl PartialOrd for Pos {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+    prefix: u64,
+    bucket: u32,
+    idx: u32,
 }
 
 enum State {
@@ -54,28 +48,36 @@ pub struct RangeCursor {
     tree: MerkleBucketTree,
     start: Bound<Vec<u8>>,
     end: Bound<Vec<u8>>,
+    /// `key_prefix` of the end bound's key (0 when unbounded).
+    end_prefix: u64,
     /// Decoded bucket nodes, pinned for the cursor's lifetime.
     buckets: Vec<Arc<Node>>,
-    heap: BinaryHeap<Reverse<Pos>>,
+    /// Binary min-heap of the live positions, smallest at index 0.
+    heap: Vec<Pos>,
     state: State,
 }
 
 impl RangeCursor {
     pub fn new(tree: MerkleBucketTree, start: Bound<Vec<u8>>, end: Bound<Vec<u8>>) -> Self {
+        let end_prefix = match &end {
+            Bound::Included(e) | Bound::Excluded(e) => key_prefix(e),
+            Bound::Unbounded => 0,
+        };
         RangeCursor {
             tree,
             start,
             end,
+            end_prefix,
             buckets: Vec::new(),
-            heap: BinaryHeap::new(),
+            heap: Vec::new(),
             state: State::Pending,
         }
     }
 
-    fn entries_of(&self, bucket: usize) -> &[Entry] {
-        match &*self.buckets[bucket] {
+    fn bucket(&self, bucket: u32) -> &BucketEntries {
+        match &*self.buckets[bucket as usize] {
             Node::Bucket { entries, .. } => entries,
-            Node::Internal { .. } => &[],
+            Node::Internal { .. } => &NO_ENTRIES,
         }
     }
 
@@ -94,19 +96,79 @@ impl RangeCursor {
         }
     }
 
-    /// Pin every bucket node and seed the heap at the first in-bounds
-    /// position of each.
+    /// The position of entry `idx` of `bucket`, if there is one and it is
+    /// not past the end bound. The prefix decides unless it equals the
+    /// end bound's.
+    fn pos(&self, bucket: u32, idx: usize) -> Option<Pos> {
+        let entries = self.bucket(bucket);
+        let prefix = *entries.prefixes().get(idx)?;
+        let in_window = match (&self.end, prefix.cmp(&self.end_prefix)) {
+            (Bound::Unbounded, _) | (_, Ordering::Less) => true,
+            (_, Ordering::Greater) => false,
+            (_, Ordering::Equal) => !past_end(&self.end, &entries[idx].key),
+        };
+        in_window.then_some(Pos { prefix, bucket, idx: idx as u32 })
+    }
+
+    /// The first index of `bucket` not before the start bound: a binary
+    /// search over the prefix column, then over the run of entries whose
+    /// prefix equals the bound's.
+    fn seed(&self, bucket: u32) -> usize {
+        let (Bound::Included(s) | Bound::Excluded(s)) = &self.start else {
+            return 0;
+        };
+        let entries = self.bucket(bucket);
+        let p = key_prefix(s);
+        let prefixes = entries.prefixes();
+        let lo = prefixes.partition_point(|&q| q < p);
+        let hi = lo + prefixes[lo..].partition_point(|&q| q == p);
+        lo + entries[lo..hi].partition_point(|e| before_start(&self.start, &e.key))
+    }
+
+    /// `a` sorts before `b`.
+    fn less(&self, a: Pos, b: Pos) -> bool {
+        match a.prefix.cmp(&b.prefix) {
+            Ordering::Equal => {
+                let key = |p: Pos| &self.bucket(p.bucket)[p.idx as usize].key;
+                (key(a), a.bucket) < (key(b), b.bucket)
+            }
+            ord => ord == Ordering::Less,
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let n = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                return;
+            }
+            let right = left + 1;
+            let child = if right < n && self.less(self.heap[right], self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            if !self.less(self.heap[child], self.heap[i]) {
+                return;
+            }
+            self.heap.swap(i, child);
+            i = child;
+        }
+    }
+
+    /// Pin every bucket node, seed one position per bucket that has an
+    /// entry in the window, and heapify them at once.
     fn init(&mut self) -> Result<()> {
         if self.window_is_empty() {
             return Ok(());
         }
         self.buckets = self.tree.bucket_nodes()?;
-        for bucket in 0..self.buckets.len() {
-            let entries = self.entries_of(bucket);
-            let idx = entries.partition_point(|e| before_start(&self.start, &e.key));
-            if idx < entries.len() && !past_end(&self.end, &entries[idx].key) {
-                self.heap.push(Reverse(Pos { key: entries[idx].key.clone(), bucket, idx }));
-            }
+        self.heap = (0..self.buckets.len() as u32)
+            .filter_map(|bucket| self.pos(bucket, self.seed(bucket)))
+            .collect();
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i);
         }
         Ok(())
     }
@@ -127,19 +189,17 @@ impl Iterator for RangeCursor {
             }
             State::Running => {}
         }
-        let Reverse(pos) = self.heap.pop()?;
-        let entries = self.entries_of(pos.bucket);
-        let entry = entries[pos.idx].clone();
-        // Advance this bucket's position; drop it once it leaves the window
+        let top = *self.heap.first()?;
+        let entry = self.bucket(top.bucket)[top.idx as usize].clone();
+        // Advance this bucket in place; drop it once it leaves the window
         // (its entries are sorted, so nothing further can qualify).
-        let next_idx = pos.idx + 1;
-        if next_idx < entries.len() && !past_end(&self.end, &entries[next_idx].key) {
-            self.heap.push(Reverse(Pos {
-                key: entries[next_idx].key.clone(),
-                bucket: pos.bucket,
-                idx: next_idx,
-            }));
+        match self.pos(top.bucket, top.idx as usize + 1) {
+            Some(next) => self.heap[0] = next,
+            None => {
+                self.heap.swap_remove(0);
+            }
         }
+        self.sift_down(0);
         Some(Ok(entry))
     }
 }

@@ -39,7 +39,7 @@ use siri_store::{
 };
 
 pub use cursor::RangeCursor;
-pub use node::Node;
+pub use node::{key_prefix, BucketEntries, Node};
 pub use proof::MbtProofScheme;
 pub use topology::Topology;
 
@@ -64,11 +64,11 @@ impl MerkleBucketTree {
     /// The full skeleton exists from birth; content addressing collapses
     /// the B identical empty buckets to a single stored page.
     pub fn new(store: SharedStore, buckets: usize, fanout: usize) -> Result<Self> {
-        let topo = Topology::new(buckets, fanout);
+        let topo = Topology::new(buckets, fanout)?;
         let (b, m) = (buckets as u64, fanout as u64);
 
         let mut batch = PageBatch::new();
-        let empty_bucket = Node::Bucket { buckets: b, fanout: m, entries: Vec::new() }.encode();
+        let empty_bucket = Node::encode_bucket(b, m, &[]);
         let mut level: Vec<Hash> = vec![batch.push(empty_bucket); buckets];
 
         while level.len() > 1 {
@@ -100,22 +100,22 @@ impl MerkleBucketTree {
     /// Re-open an existing version by root hash. The parameters must match
     /// those the tree was built with; they are validated against the root
     /// page on first access.
-    pub fn open(store: SharedStore, buckets: usize, fanout: usize, root: Hash) -> Self {
+    pub fn open(store: SharedStore, buckets: usize, fanout: usize, root: Hash) -> Result<Self> {
         let reader = PageReader::new(store, DEFAULT_NODE_CACHE_CAPACITY);
-        MerkleBucketTree { reader, topo: Topology::new(buckets, fanout), root }
+        Ok(MerkleBucketTree { reader, topo: Topology::new(buckets, fanout)?, root })
     }
 
     /// A cache-less reader at `root` over a bare page source — what proofs
     /// are verified with (DESIGN.md §14). Every page embeds (B, fanout), so
     /// the shape comes from the root page itself, which the caller's digest
-    /// vouches for; [`Self::check_at`] holds every page below to it.
+    /// names. The digest proves only who wrote the page, so the shape must
+    /// pass the same check as a tree built here ([`Topology::new`]);
+    /// [`Self::check_at`] then holds every page below to it.
     pub(crate) fn reader(store: SharedStore, root: Hash) -> Result<Self> {
         let reader = PageReader::<Node>::new(store, 0);
         let (buckets, fanout) = reader.load(&root)?.params();
-        if buckets == 0 || fanout < 2 {
-            return Err(IndexError::CorruptStructure("implausible parameters"));
-        }
-        let topo = Topology::new(buckets as usize, fanout as usize);
+        let width = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
+        let topo = Topology::new(width(buckets), width(fanout))?;
         Ok(MerkleBucketTree { reader, topo, root })
     }
 
@@ -356,7 +356,7 @@ impl SiriIndex for MerkleBucketTree {
                     return Err(IndexError::CorruptStructure("path did not end in a bucket"))
                 }
             };
-            bucket_pages.push(Node::Bucket { buckets: b, fanout: m, entries: merged }.encode());
+            bucket_pages.push(Node::encode_bucket(b, m, &merged));
         }
         let hashes = pages.push_many(bucket_pages);
         for (bucket, h) in per_bucket.keys().zip(hashes) {

@@ -9,20 +9,81 @@
 //! Every page embeds the structure parameters (B, fanout) so that proof
 //! verification needs nothing beyond the trusted digest, and so that pages
 //! from differently-parameterised MBTs can never be confused.
+//!
+//! A decoded bucket also carries a key-prefix column ([`BucketEntries`]),
+//! which range cursors search and merge on. It lives only in memory: the
+//! page bytes, and so every digest, are the same with or without it.
+
+use std::ops::Deref;
 
 use bytes::Bytes;
 use siri_core::{entry_codec, Entry, IndexError, PageNode, Result};
 use siri_crypto::Hash;
-use siri_encoding::{ByteReader, ByteWriter, CodecError};
+use siri_encoding::{varint, ByteReader, ByteWriter, CodecError};
 
 const TAG_INTERNAL: u8 = 0x01;
 const TAG_BUCKET: u8 = 0x02;
+
+/// The first 8 bytes of `key`, big-endian, zero-padded. Prefixes order
+/// like keys up to ties — `a < b ⇒ key_prefix(a) ≤ key_prefix(b)` — so two
+/// keys with different prefixes are ordered by them, and two with equal
+/// prefixes (`ab` and `ab\0`, or a shared 8-byte stem) need a full compare.
+pub fn key_prefix(key: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    let n = key.len().min(8);
+    word[..n].copy_from_slice(&key[..n]);
+    u64::from_be_bytes(word)
+}
+
+/// A bucket's sorted entries and, beside them, one contiguous
+/// [`key_prefix`] per entry. A search compares the column's integers and
+/// reads a key only inside a run of equal prefixes, instead of following
+/// every probe's `Bytes` into the page buffer. The constructor is the only
+/// place the column is built, so it cannot disagree with the entries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BucketEntries {
+    entries: Vec<Entry>,
+    prefixes: Vec<u64>,
+}
+
+/// What an internal page holds in place of a bucket.
+pub(crate) static NO_ENTRIES: BucketEntries =
+    BucketEntries { entries: Vec::new(), prefixes: Vec::new() };
+
+impl BucketEntries {
+    pub fn new(entries: Vec<Entry>) -> Self {
+        let prefixes = entries.iter().map(|e| key_prefix(&e.key)).collect();
+        BucketEntries { entries, prefixes }
+    }
+
+    /// `prefixes()[i] == key_prefix(&self[i].key)`.
+    pub fn prefixes(&self) -> &[u64] {
+        &self.prefixes
+    }
+
+    /// Every key is below the next — checked on the column, reading the
+    /// two keys only where their prefixes tie.
+    fn strictly_ascending(&self) -> bool {
+        self.prefixes
+            .windows(2)
+            .zip(self.entries.windows(2))
+            .all(|(p, e)| p[0] < p[1] || (p[0] == p[1] && e[0].key < e[1].key))
+    }
+}
+
+impl Deref for BucketEntries {
+    type Target = [Entry];
+
+    fn deref(&self) -> &[Entry] {
+        &self.entries
+    }
+}
 
 /// Decoded MBT page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
     Internal { buckets: u64, fanout: u64, children: Vec<Hash> },
-    Bucket { buckets: u64, fanout: u64, entries: Vec<Entry> },
+    Bucket { buckets: u64, fanout: u64, entries: BucketEntries },
 }
 
 impl Node {
@@ -35,36 +96,14 @@ impl Node {
     }
 
     pub fn encode(&self) -> Bytes {
-        let mut w = ByteWriter::with_capacity(self.encoded_len());
-        self.encode_into(&mut w);
-        debug_assert_eq!(w.len(), self.encoded_len());
-        Bytes::from(w.into_vec())
-    }
-
-    /// Exact byte length of [`Node::encode`]'s output — pages are sized to
-    /// their final length in one allocation.
-    pub fn encoded_len(&self) -> usize {
-        use siri_encoding::varint;
         match self {
             Node::Internal { buckets, fanout, children } => {
-                1 + varint::len(*buckets)
+                let len = 1
+                    + varint::len(*buckets)
                     + varint::len(*fanout)
                     + varint::len(children.len() as u64)
-                    + children.len() * Hash::LEN
-            }
-            Node::Bucket { buckets, fanout, entries } => {
-                1 + varint::len(*buckets)
-                    + varint::len(*fanout)
-                    + entry_codec::entries_encoded_len(entries)
-            }
-        }
-    }
-
-    /// Serialize into an existing writer — entries stream straight into the
-    /// page buffer instead of transiting a temporary `Vec`.
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        match self {
-            Node::Internal { buckets, fanout, children } => {
+                    + children.len() * Hash::LEN;
+                let mut w = ByteWriter::with_capacity(len);
                 w.put_u8(TAG_INTERNAL);
                 w.put_varint(*buckets);
                 w.put_varint(*fanout);
@@ -72,14 +111,31 @@ impl Node {
                 for c in children {
                     w.put_raw(c.as_bytes());
                 }
+                debug_assert_eq!(w.len(), len);
+                Bytes::from(w.into_vec())
             }
             Node::Bucket { buckets, fanout, entries } => {
-                w.put_u8(TAG_BUCKET);
-                w.put_varint(*buckets);
-                w.put_varint(*fanout);
-                entry_codec::encode_entries_into(w, entries);
+                Self::encode_bucket(*buckets, *fanout, entries)
             }
         }
+    }
+
+    /// Encode a bucket page straight from its entries — the write path's
+    /// encoder, which never builds a prefix column. The page is sized to
+    /// its final length in one allocation, and the entries stream straight
+    /// into it.
+    pub fn encode_bucket(buckets: u64, fanout: u64, entries: &[Entry]) -> Bytes {
+        let len = 1
+            + varint::len(buckets)
+            + varint::len(fanout)
+            + entry_codec::entries_encoded_len(entries);
+        let mut w = ByteWriter::with_capacity(len);
+        w.put_u8(TAG_BUCKET);
+        w.put_varint(buckets);
+        w.put_varint(fanout);
+        entry_codec::encode_entries_into(&mut w, entries);
+        debug_assert_eq!(w.len(), len);
+        Bytes::from(w.into_vec())
     }
 
     /// Copying decode (tests, diagnostics, store walks).
@@ -110,10 +166,10 @@ impl Node {
                 Ok(Node::Internal { buckets, fanout, children })
             }
             TAG_BUCKET => {
-                let entries = entry_codec::decode_entries_zc(page, r.offset())?;
+                let entries = BucketEntries::new(entry_codec::decode_entries_zc(page, r.offset())?);
                 // Buckets must be sorted for binary search; enforce on
                 // decode so corrupted pages cannot produce wrong lookups.
-                if entries.windows(2).any(|w| w[0].key >= w[1].key) {
+                if !entries.strictly_ascending() {
                     return Err(IndexError::CorruptStructure("unsorted bucket"));
                 }
                 Ok(Node::Bucket { buckets, fanout, entries })
@@ -163,8 +219,10 @@ mod tests {
 
     #[test]
     fn bucket_round_trip() {
-        let node = Node::Bucket { buckets: 8, fanout: 2, entries: vec![e("a", "1"), e("b", "2")] };
-        let enc = node.encode();
+        let entries = vec![e("a", "1"), e("b", "2")];
+        let enc = Node::encode_bucket(8, 2, &entries);
+        let node = Node::Bucket { buckets: 8, fanout: 2, entries: BucketEntries::new(entries) };
+        assert_eq!(enc, node.encode());
         assert_eq!(Node::decode(&enc).unwrap(), node);
     }
 
@@ -172,16 +230,22 @@ mod tests {
     fn empty_bucket_pages_are_identical() {
         // All-empty buckets must share one page — this is what makes the
         // fixed MBT skeleton cheap under content addressing.
-        let a = Node::Bucket { buckets: 8, fanout: 2, entries: Vec::new() }.encode();
-        let b = Node::Bucket { buckets: 8, fanout: 2, entries: Vec::new() }.encode();
+        let a = Node::encode_bucket(8, 2, &[]);
+        let b = Node::encode_bucket(8, 2, &[]);
         assert_eq!(a, b);
     }
 
     #[test]
     fn decode_rejects_unsorted_bucket() {
-        let node = Node::Bucket { buckets: 8, fanout: 2, entries: vec![e("b", "2"), e("a", "1")] };
-        // encode() doesn't sort; decode must reject.
-        assert!(matches!(Node::decode(&node.encode()), Err(IndexError::CorruptStructure(_))));
+        // encode_bucket() doesn't sort; decode must reject a descent, a
+        // descent hidden behind equal prefixes, and a repeated key.
+        for pair in [["b", "a"], ["ab\0", "ab"], ["abcdefgh2", "abcdefgh1"], ["k", "k"]] {
+            let page = Node::encode_bucket(8, 2, &[e(pair[0], "1"), e(pair[1], "2")]);
+            assert!(
+                matches!(Node::decode(&page), Err(IndexError::CorruptStructure(_))),
+                "{pair:?}"
+            );
+        }
     }
 
     #[test]
@@ -196,7 +260,6 @@ mod tests {
     fn children_decoder_for_walks() {
         let inner = Node::Internal { buckets: 4, fanout: 2, children: vec![sha256(b"x")] };
         assert_eq!(Node::children_of_page(&inner.encode()), vec![sha256(b"x")]);
-        let bucket = Node::Bucket { buckets: 4, fanout: 2, entries: Vec::new() };
-        assert!(Node::children_of_page(&bucket.encode()).is_empty());
+        assert!(Node::children_of_page(&Node::encode_bucket(4, 2, &[])).is_empty());
     }
 }

@@ -39,8 +39,12 @@ impl ProofScheme for MbtProofScheme {
 
 #[cfg(test)]
 mod tests {
-    use crate::MerkleBucketTree;
-    use siri_core::{Entry, Hash, MemStore, Proof, ProofVerdict, SiriIndex};
+    use std::ops::Bound;
+
+    use crate::{MbtProofScheme, MerkleBucketTree, Node};
+    use siri_core::{
+        verify_anchored_range, Entry, Hash, MemStore, Proof, ProofVerdict, RangeVerdict, SiriIndex,
+    };
 
     fn tree_with_data() -> MerkleBucketTree {
         let mut t = MerkleBucketTree::new(MemStore::new_shared(), 32, 4).unwrap();
@@ -131,5 +135,44 @@ mod tests {
         let proof = t.prove(b"key001").unwrap();
         let truncated = Proof::new(proof.pages()[..proof.len() - 1].to_vec());
         assert!(!MerkleBucketTree::verify_proof(t.root(), b"key001", &truncated).is_valid());
+    }
+
+    #[test]
+    fn a_proof_cannot_state_an_oversized_shape() {
+        // Every level of this fanout-2 tree repeats one page, so 21 pages
+        // name 2^20 buckets. Taken on trust, that shape made a range read
+        // decode 2^21 pages and answer `Complete`; the shape check refuses
+        // it before the first bucket is read.
+        let (buckets, fanout) = (1u64 << 20, 2u64);
+        let mut pages = vec![Node::encode_bucket(buckets, fanout, &[])];
+        for _ in 0..20 {
+            let child = siri_crypto::sha256(&pages[pages.len() - 1]);
+            pages.push(Node::Internal { buckets, fanout, children: vec![child, child] }.encode());
+        }
+        pages.reverse(); // root first
+        let root = siri_crypto::sha256(&pages[0]);
+        let verdict = verify_anchored_range(
+            &MbtProofScheme,
+            root,
+            Bound::Unbounded,
+            Bound::Unbounded,
+            &Proof::new(pages),
+        );
+        assert!(matches!(verdict, RangeVerdict::Invalid(_)), "{verdict:?}");
+    }
+
+    #[test]
+    fn the_largest_paper_shape_proves_a_range() {
+        // Table 3's sweep tops out at 10,000 buckets × fanout 32.
+        let mut t = MerkleBucketTree::new(MemStore::new_shared(), 10_000, 32).unwrap();
+        let entries: Vec<Entry> =
+            (0..300).map(|i| Entry::new(format!("key{i:03}").into_bytes(), vec![1])).collect();
+        t.batch_insert(entries.clone()).unwrap();
+        let (start, end) = (Bound::Included(&b"key100"[..]), Bound::Excluded(&b"key120"[..]));
+        let proof = t.prove_range(start, end).unwrap();
+        assert_eq!(
+            verify_anchored_range(&MbtProofScheme, t.root(), start, end, &proof),
+            RangeVerdict::Complete(entries[100..120].to_vec())
+        );
     }
 }

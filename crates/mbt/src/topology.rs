@@ -6,6 +6,7 @@
 //! "a trivial reverse simulation of the complete multi-way search tree
 //! search algorithm".
 
+use siri_core::{IndexError, Result, MAX_PROOF_PAGES};
 use siri_crypto::fx_hash_bytes;
 
 /// Node coordinates: level 0 is the bucket level; the highest level holds
@@ -22,16 +23,36 @@ pub struct Topology {
 }
 
 impl Topology {
-    pub fn new(buckets: usize, fanout: usize) -> Self {
-        assert!(buckets >= 1, "MBT needs at least one bucket");
-        assert!(fanout >= 2, "MBT fanout must be at least 2");
+    /// The one shape check, which building, opening and proof
+    /// verification all go through: at least one bucket, fanout at least
+    /// 2, and at most [`MAX_PROOF_PAGES`] nodes in all. A range read pins
+    /// every node, so a verifier that took a root page's (B, fanout) on
+    /// trust would do work exponential in the pages of a proof whose
+    /// levels each repeat one page; the bound caps that work at what a
+    /// proof may carry anyway. The paper's largest sweep (10,000 buckets
+    /// × 32, 10,324 nodes) is well inside it.
+    pub fn new(buckets: usize, fanout: usize) -> Result<Self> {
+        if buckets == 0 {
+            return Err(IndexError::CorruptStructure("MBT needs at least one bucket"));
+        }
+        if fanout < 2 {
+            return Err(IndexError::CorruptStructure("MBT fanout must be at least 2"));
+        }
+        let too_big = IndexError::CorruptStructure("MBT has more nodes than a proof may carry");
+        if buckets > MAX_PROOF_PAGES {
+            return Err(too_big); // checked first, so the sum below cannot overflow
+        }
         let mut levels = vec![buckets];
         let mut width = buckets;
         while width > 1 {
             width = width.div_ceil(fanout);
             levels.push(width);
         }
-        Topology { buckets, fanout, levels }
+        let topo = Topology { buckets, fanout, levels };
+        if topo.total_nodes() > MAX_PROOF_PAGES {
+            return Err(too_big);
+        }
+        Ok(topo)
     }
 
     pub fn buckets(&self) -> usize {
@@ -107,7 +128,7 @@ mod tests {
     #[test]
     fn level_sizes_for_eight_buckets_fanout_two() {
         // The Figure 4 configuration: 8 buckets, fanout 2 → 8,4,2,1.
-        let t = Topology::new(8, 2);
+        let t = Topology::new(8, 2).unwrap();
         assert_eq!(t.height(), 4);
         assert_eq!(
             (0..t.height()).map(|l| t.nodes_on_level(l)).collect::<Vec<_>>(),
@@ -118,7 +139,7 @@ mod tests {
 
     #[test]
     fn ragged_last_parent() {
-        let t = Topology::new(10, 4); // levels 10, 3, 1
+        let t = Topology::new(10, 4).unwrap(); // levels 10, 3, 1
         assert_eq!(t.nodes_on_level(1), 3);
         assert_eq!(t.children_span((1, 2)), (8, 2), "last parent has 2 children");
         assert_eq!(t.children_span((1, 0)), (0, 4));
@@ -126,14 +147,14 @@ mod tests {
 
     #[test]
     fn single_bucket_tree() {
-        let t = Topology::new(1, 4);
+        let t = Topology::new(1, 4).unwrap();
         assert_eq!(t.height(), 1);
         assert_eq!(t.path_to_bucket(0), vec![(0, 0)]);
     }
 
     #[test]
     fn path_is_root_first_and_consistent_with_parent() {
-        let t = Topology::new(64, 4);
+        let t = Topology::new(64, 4).unwrap();
         for bucket in [0usize, 17, 63] {
             let path = t.path_to_bucket(bucket);
             assert_eq!(path.first().unwrap(), &(t.height() - 1, 0), "starts at root");
@@ -149,8 +170,19 @@ mod tests {
     }
 
     #[test]
+    fn shape_check_rejects_degenerate_and_oversized_shapes() {
+        assert!(Topology::new(0, 4).is_err());
+        assert!(Topology::new(8, 1).is_err());
+        assert!(Topology::new(usize::MAX, 2).is_err());
+        // 2^15 buckets × fanout 2 is 2^16 − 1 nodes; one more bucket is over.
+        assert_eq!(Topology::new(1 << 15, 2).unwrap().total_nodes(), MAX_PROOF_PAGES - 1);
+        assert!(Topology::new((1 << 15) + 1, 2).is_err());
+        assert_eq!(Topology::new(10_000, 32).unwrap().total_nodes(), 10_324);
+    }
+
+    #[test]
     fn bucket_of_is_stable_and_in_range() {
-        let t = Topology::new(1000, 8);
+        let t = Topology::new(1000, 8).unwrap();
         for i in 0..100 {
             let key = format!("key{i}");
             let b = t.bucket_of(key.as_bytes());

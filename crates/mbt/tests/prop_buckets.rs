@@ -1,18 +1,63 @@
 //! MBT-specific property tests: arbitrary shapes (B, fanout), model
-//! equivalence, order invariance, and topology laws.
+//! equivalence, order invariance, topology laws, and range reads across
+//! the edges of the cursor's 8-byte key-prefix column.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use proptest::prelude::*;
-use siri_core::{Entry, MemStore, SiriIndex};
-use siri_mbt::{MerkleBucketTree, Topology};
+use siri_core::{verify_anchored_range, Entry, MemStore, RangeVerdict, SiriIndex};
+use siri_mbt::{MbtProofScheme, MerkleBucketTree, Topology};
+
+/// Key pieces whose concatenations hit every edge of an 8-byte prefix:
+/// the empty key, keys shorter than 8 bytes, `ab` / `ab\0` / `ab\0\0`
+/// (equal prefixes, different keys), shared stems of 8 bytes and more, and
+/// `0xFF` runs.
+const PIECES: [&[u8]; 9] = [
+    b"ab",
+    b"\0",
+    b"\0\0",
+    b"abcdefgh",
+    b"abcdefg",
+    b"\xff",
+    b"\xff\xff\xff\xff\xff\xff\xff\xff",
+    b"x",
+    b"\x01",
+];
+
+fn prefix_edge_key() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(0usize..PIECES.len(), 0..4)
+        .prop_map(|pieces| pieces.into_iter().flat_map(|i| PIECES[i].iter().copied()).collect())
+}
+
+fn bound(kind: u8, key: &[u8]) -> Bound<&[u8]> {
+    match kind {
+        0 => Bound::Included(key),
+        1 => Bound::Excluded(key),
+        _ => Bound::Unbounded,
+    }
+}
+
+fn within(key: &[u8], start: Bound<&[u8]>, end: Bound<&[u8]>) -> bool {
+    let after_start = match start {
+        Bound::Included(s) => key >= s,
+        Bound::Excluded(s) => key > s,
+        Bound::Unbounded => true,
+    };
+    let before_end = match end {
+        Bound::Included(e) => key <= e,
+        Bound::Excluded(e) => key < e,
+        Bound::Unbounded => true,
+    };
+    after_start && before_end
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     #[test]
     fn topology_laws(buckets in 1usize..500, fanout in 2usize..12) {
-        let t = Topology::new(buckets, fanout);
+        let t = Topology::new(buckets, fanout).unwrap();
         // Level sizes shrink by ~fanout and end at 1.
         prop_assert_eq!(t.nodes_on_level(0), buckets);
         prop_assert_eq!(t.nodes_on_level(t.height() - 1), 1);
@@ -82,5 +127,42 @@ proptest! {
             b.batch_insert(chunk.to_vec()).unwrap();
         }
         prop_assert_eq!(a.root(), b.root());
+    }
+
+    #[test]
+    fn range_matches_model_across_prefix_edges(
+        keys in proptest::collection::vec(prefix_edge_key(), 1..120),
+        buckets in prop_oneof![Just(1usize), Just(4usize), Just(16usize)],
+        windows in proptest::collection::vec(
+            (0u8..3, prefix_edge_key(), 0u8..3, prefix_edge_key()),
+            1..8,
+        ),
+    ) {
+        let model: BTreeMap<Vec<u8>, Vec<u8>> =
+            keys.iter().enumerate().map(|(i, k)| (k.clone(), i.to_le_bytes().to_vec())).collect();
+        let mut t = MerkleBucketTree::new(MemStore::new_shared(), buckets, 4).unwrap();
+        t.batch_insert(model.iter().map(|(k, v)| Entry::new(k.clone(), v.clone())).collect())
+            .unwrap();
+        for (start_kind, start_key, end_kind, end_key) in &windows {
+            let (start, end) = (bound(*start_kind, start_key), bound(*end_kind, end_key));
+            let expected: Vec<Entry> = model
+                .iter()
+                .filter(|(k, _)| within(k, start, end))
+                .map(|(k, v)| Entry::new(k.clone(), v.clone()))
+                .collect();
+            prop_assert_eq!(t.range(start, end).collect_entries().unwrap(), expected.clone());
+            let proof = t.prove_range(start, end).unwrap();
+            prop_assert_eq!(
+                verify_anchored_range(&MbtProofScheme, t.root(), start, end, &proof),
+                RangeVerdict::Complete(expected)
+            );
+        }
+        // A warm scan pins every node out of the cache and reads no page.
+        t.scan().unwrap();
+        let before = t.node_cache_stats();
+        prop_assert_eq!(t.scan().unwrap().len(), model.len());
+        let after = t.node_cache_stats();
+        prop_assert_eq!(after.hits - before.hits, t.topology().total_nodes() as u64);
+        prop_assert_eq!(after.misses, before.misses);
     }
 }
