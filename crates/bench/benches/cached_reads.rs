@@ -1,6 +1,6 @@
 //! Cache-on vs cache-off point lookups across the four indexes, the
-//! Figure 21-style client-cache capacity sweep, and what a commit costs
-//! over a full node cache.
+//! Figure 21-style client-cache capacity sweep over loopback, and what a
+//! commit costs over a full node cache.
 //!
 //! The acceptance bar for the read-path overhaul: on a ≥100k-entry index,
 //! cached point lookups must be ≥2× faster than the uncached path for MPT
@@ -16,14 +16,16 @@
 //! `CACHED_READS_N` overrides the dataset size (CI smoke-runs use a small
 //! value so the bench executes on every push without burning minutes).
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use siri::crypto::sha256;
 use siri::workloads::YcsbConfig;
 use siri::{
-    Bytes, Entry, MemStore, MerkleBucketTree, MerklePatriciaTrie, MvmbParams, MvmbTree, PosParams,
-    PosTree, SiriIndex, WriteBatch,
+    Bytes, Entry, Forkbase, MemStore, MerkleBucketTree, MerklePatriciaTrie, MvmbParams, MvmbTree,
+    PosFactory, PosParams, PosTree, Session, ShardingPolicy, SiriIndex, WriteBatch,
 };
-use siri_bench::harness::client_cache_sweep;
+use siri_bench::harness::{client_cache_sweep, engine_lookups, serve_loopback};
 
 /// Cache sized to hold the whole decoded working set of a 100k-entry
 /// index — the "cache covers the hot set" end of the sweep, where the
@@ -154,54 +156,38 @@ fn bench_cached_reads(c: &mut Criterion) {
     );
     drop(ledger);
 
-    // Figure 21-style capacity sweep: lookups through a bounded client
-    // page cache with a 100 µs modelled remote fetch. Printed once per
-    // capacity (hit ratio + modelled client latency), then the pure
-    // wall-clock cost is measured per capacity.
+    // Figure 21-style capacity sweep: a light client reads a served
+    // engine over loopback through `session.pages()`, and the handle's
+    // node cache is the client cache. Each capacity is one timed pass
+    // that checks every value against the engine's.
     let records = (n / 5).max(2) as u64;
-    let server = MemStore::new_shared();
-    let mut base = PosTree::new(server.clone(), PosParams::default());
-    base.batch_insert(ycsb.dataset(records as usize)).unwrap();
-    let root = base.root();
-    let keys: Vec<_> = (0..records / 2).map(|i| ycsb.key(i)).collect();
     let params = PosParams::default();
+    let engine = Arc::new(Forkbase::with_sharding(
+        PosFactory(params),
+        MemStore::new_shared(),
+        ShardingPolicy::single(),
+        0,
+    ));
+    engine.commit("master", WriteBatch::from_entries(ycsb.dataset(records as usize))).unwrap();
+    let keys: Vec<_> = (0..records / 2).map(|i| ycsb.key(i)).collect();
+    let lookups = engine_lookups(&engine, "master", &keys);
+    let (_server, session) = serve_loopback(engine);
+    let root = session.branch_digest("master").unwrap();
     let points = client_cache_sweep(
-        &server,
-        |store| PosTree::open(store, params, root).with_node_cache_capacity(0),
-        &keys,
+        |capacity| PosTree::open(session.pages(), params, root).with_node_cache_capacity(capacity),
+        &lookups,
         &[64, 512, 4096, 32_768],
-        100_000,
     );
     for p in &points {
         println!(
             "client_cache_sweep/pos-tree capacity {:>6}: hit ratio {:.3}, \
-             modelled client latency {:>10.0} ns/lookup, {} evictions",
+             {:>10.0} ns/lookup over loopback, {} evictions",
             p.capacity,
             p.hit_ratio,
-            p.client_nanos_per_lookup(keys.len()),
+            p.nanos_per_lookup(lookups.len()),
             p.evictions
         );
     }
-    let mut group = c.benchmark_group("client_cache_wall_clock");
-    group.sample_size(10);
-    for capacity in [512usize, 32_768] {
-        let point_keys = keys.clone();
-        let server = server.clone();
-        group.bench_function(BenchmarkId::from_parameter(capacity), move |b| {
-            let client = std::sync::Arc::new(siri::CachingStore::with_capacity(
-                server.clone(),
-                0, // wall clock only; the modelled cost is reported above
-                capacity,
-            ));
-            let idx = PosTree::open(client, params, root).with_node_cache_capacity(0);
-            let mut i = 0usize;
-            b.iter(|| {
-                i = (i + 1) % point_keys.len();
-                std::hint::black_box(idx.get(&point_keys[i]).unwrap())
-            })
-        });
-    }
-    group.finish();
 }
 
 criterion_group!(benches, bench_cached_reads);

@@ -14,6 +14,7 @@
 //! not expected to match the paper's hardware. Performance is gated by
 //! `bench/e2e`, not by these tables.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use siri::workloads::eth::EthConfig;
@@ -23,7 +24,6 @@ use siri::workloads::ycsb::YcsbConfig;
 use siri::{
     cost_model, metrics, Bytes, Entry, FileStoreOptions, Forkbase, FsyncPolicy, IndexFactory,
     MemStore, PosFactory, PosParams, PosTree, Session, ShardingPolicy, SiriIndex, WriteBatch,
-    DEFAULT_CLIENT_CACHE_PAGES,
 };
 use siri_bench::harness::*;
 use siri_bench::table::{kops, mib, micros, ratio, Table};
@@ -919,28 +919,29 @@ fn fig19_20(cfg: RunConfig, kind: AblationKind) -> Vec<Table> {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 21 — Forkbase-integrated throughput (client cache + remote cost)
+// Figure 21 — Forkbase-integrated throughput (a light client over loopback)
 // ---------------------------------------------------------------------------
 
 /// The engine of Figures 21/22, pinned to one shard so the branch digest
 /// is a bare index root whatever `SIRI_SHARDS` says.
-fn single_shard_engine<F: IndexFactory>(factory: F) -> Forkbase<F> {
-    Forkbase::with_sharding(factory, MemStore::new_shared(), ShardingPolicy::single(), 0)
+fn single_shard_engine<F: IndexFactory>(factory: F) -> Arc<Forkbase<F>> {
+    Arc::new(Forkbase::with_sharding(factory, MemStore::new_shared(), ShardingPolicy::single(), 0))
 }
 
-/// The §5.6.1 client: look `keys` up at `fb`'s master head through a
-/// default-capacity client page cache over the engine's store. Returns
-/// wall time plus the modelled remote-fetch latency, in nanoseconds.
-fn client_read_nanos<F: IndexFactory>(fb: &Forkbase<F>, factory: &F, keys: &[Bytes]) -> u64 {
-    let digest = fb.branch_digest("master").unwrap();
-    let point = client_cache_sweep(
-        &fb.server_store(),
-        |store| factory.open(store, digest),
-        keys,
-        &[DEFAULT_CLIENT_CACHE_PAGES],
-        DEFAULT_FETCH_COST_NANOS,
-    )[0];
-    point.wall_nanos + point.synthetic_nanos
+/// The §5.6.1 client: serve `fb` on loopback and look `keys` up at its
+/// master head through `factory.open(session.pages(), digest)`, so the
+/// handle's default-capacity node cache is the client cache and every
+/// miss is one `Fetch` round trip. Each value read is checked against the
+/// engine's. Returns the measured wall time, in nanoseconds.
+fn client_read_nanos<F>(fb: &Arc<Forkbase<F>>, factory: &F, keys: &[Bytes]) -> u64
+where
+    F: IndexFactory + 'static,
+    F::Index: Send + Sync,
+{
+    let lookups = engine_lookups(fb, "master", keys);
+    let (_server, session) = serve_loopback(fb.clone());
+    let digest = session.branch_digest("master").unwrap();
+    checked_lookups(&factory.open(session.pages(), digest), &lookups)
 }
 
 fn fig21(cfg: RunConfig) -> Vec<Table> {
@@ -952,10 +953,7 @@ fn fig21(cfg: RunConfig) -> Vec<Table> {
         .collect();
     sizes.dedup();
     let mut read_t = Table::new(
-        format!(
-            "Figure 21(a) — Forkbase-integrated read throughput (kops/s), fetch cost {}µs",
-            DEFAULT_FETCH_COST_NANOS / 1000
-        ),
+        "Figure 21(a) — Forkbase-integrated read throughput (kops/s), client over loopback",
         &["records", "pos-tree", "mbt", "mpt", "mvmb+"],
     );
     let mut write_t = Table::new(
@@ -971,7 +969,7 @@ fn fig21(cfg: RunConfig) -> Vec<Table> {
             for chunk in data.chunks(8_000) {
                 fb.commit("master", WriteBatch::from_entries(chunk.to_vec())).unwrap();
             }
-            // Client reads: wall time + modelled remote latency.
+            // Client reads over loopback, measured wall time.
             let reads = cfg.ops.min(3_000);
             let keys: Vec<Bytes> = (0..reads).map(|i| ycsb.key((i * 29 % n) as u64)).collect();
             r_cells.push(kops(reads, client_read_nanos(&fb, &factory, &keys)));
@@ -1054,7 +1052,6 @@ fn fig22(cfg: RunConfig) -> Vec<Table> {
 // Concurrency — multi-writer Forkbase (CAS branch heads + group commit)
 // ---------------------------------------------------------------------------
 fn concurrency(cfg: RunConfig) -> Vec<Table> {
-    use std::sync::Arc;
     let ycsb = YcsbConfig::default();
     let batch = 50usize;
     let commits_per_writer = (cfg.ops / batch).clamp(10, 200);

@@ -5,8 +5,9 @@ use std::time::{Duration, Instant};
 
 use siri::workloads::ycsb::Op;
 use siri::{
-    Bytes, CachingStore, Entry, Forkbase, Hash, IndexFactory, MbtFactory, MemStore, MptFactory,
-    MvmbFactory, MvmbParams, PosFactory, PosParams, Session, SharedStore, SiriIndex, WriteBatch,
+    serve_addr, Bytes, Entry, Forkbase, Hash, IndexFactory, MbtFactory, MemStore, MptFactory,
+    MvmbFactory, MvmbParams, PosFactory, PosParams, RemoteSession, ServerHandle, ServerOptions,
+    Session, SiriIndex, StructureStats, WriteBatch,
 };
 
 /// Per-workload structure tuning, following §5's "node size ≈ 1 KB" rule.
@@ -261,66 +262,88 @@ pub fn run_ops<I: SiriIndex>(index: &mut I, ops: &[Op]) -> WorkloadStats {
     stats
 }
 
-/// Default modelled cost of one client→server page fetch, in nanoseconds.
-/// Roughly a small object read over 1 GbE with kernel overheads — the
-/// absolute value only scales Figure 21's y-axis; the crossovers come from
-/// hit ratios.
-pub const DEFAULT_FETCH_COST_NANOS: u64 = 20_000;
+/// A key to look up and the value a correct read of it returns.
+pub type Lookup = (Bytes, Option<Bytes>);
 
-/// One point of a Figure 21-style client-cache sweep: lookup traffic
-/// through a [`CachingStore`] of the given capacity.
+/// The engine's answer for each of `keys` on `branch`: what a client
+/// reading that branch must see.
+pub fn engine_lookups<F: IndexFactory>(
+    fb: &Forkbase<F>,
+    branch: &str,
+    keys: &[Bytes],
+) -> Vec<Lookup> {
+    keys.iter()
+        .map(|k| (k.clone(), Session::get(fb, branch, k).expect("engine read failed")))
+        .collect()
+}
+
+/// Serve `fb` on an ephemeral loopback port and connect one client: the
+/// §5.6.1 client/server deployment on one machine. Dropping the handle
+/// stops the server.
+pub fn serve_loopback<F>(fb: Arc<Forkbase<F>>) -> (ServerHandle<F>, RemoteSession)
+where
+    F: IndexFactory + 'static,
+    F::Index: Send + Sync,
+{
+    let server = serve_addr(fb, "127.0.0.1:0", ServerOptions::default(), None)
+        .expect("bind a loopback port");
+    let session = RemoteSession::connect(server.addr()).expect("connect over loopback");
+    (server, session)
+}
+
+/// Look every key up through `index`, asserting that each read returns
+/// the expected value; returns the wall time of the lookups in ns.
+pub fn checked_lookups<I: SiriIndex>(index: &I, lookups: &[Lookup]) -> u64 {
+    let started = Instant::now();
+    for (key, want) in lookups {
+        let got = index.get(key).expect("client lookup failed");
+        assert_eq!(&got, want, "client read of {key:?} differs from the engine");
+    }
+    started.elapsed().as_nanos() as u64
+}
+
+/// One point of a Figure 21-style client-cache sweep: lookups through an
+/// index handle whose decoded-node cache holds at most `capacity` nodes.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheSweepPoint {
-    /// Client cache capacity in pages (the sweep's x-axis).
+    /// Node-cache capacity in nodes (the sweep's x-axis).
     pub capacity: usize,
-    /// Page-cache hit ratio over the whole run (Figure 21's left axis).
+    /// Node-cache hit ratio over the run (Figure 21's left axis).
     pub hit_ratio: f64,
-    /// Modelled remote-fetch latency accumulated (ns) — added to wall time
-    /// for client-side latency, the right axis.
-    pub synthetic_nanos: u64,
-    /// Wall-clock time of the lookups (ns), excluding the synthetic cost.
+    /// Wall-clock time of the lookups (ns).
     pub wall_nanos: u64,
-    /// Pages evicted to stay under the capacity bound.
+    /// Nodes evicted to stay under the capacity bound.
     pub evictions: u64,
 }
 
 impl CacheSweepPoint {
-    /// Modelled client-side latency per lookup in nanoseconds.
-    pub fn client_nanos_per_lookup(&self, lookups: usize) -> f64 {
-        (self.wall_nanos + self.synthetic_nanos) as f64 / lookups.max(1) as f64
+    /// Measured client-side latency per lookup in nanoseconds.
+    pub fn nanos_per_lookup(&self, lookups: usize) -> f64 {
+        self.wall_nanos as f64 / lookups.max(1) as f64
     }
 }
 
-/// Replay `keys` as point lookups through a bounded client cache at each
-/// capacity in `capacities`, reproducing the §5.6.1 hit-ratio/latency
-/// tradeoff. `open` builds the index handle over the (cache-wrapped) store
-/// — pass a closure that also disables the in-process node cache when the
-/// *page*-cache effect is what you want to isolate.
-pub fn client_cache_sweep<I: SiriIndex>(
-    server: &SharedStore,
-    open: impl Fn(SharedStore) -> I,
-    keys: &[Bytes],
+/// Replay `lookups` through a fresh handle at each node-cache capacity in
+/// `capacities`, reproducing the §5.6.1 hit-ratio/latency tradeoff.
+/// `open(capacity)` opens the index over the client's page source — for
+/// the real client, a `RemoteSession::pages()` — with that node-cache
+/// capacity. Every read is checked against its expected value.
+pub fn client_cache_sweep<I: SiriIndex + StructureStats>(
+    open: impl Fn(usize) -> I,
+    lookups: &[Lookup],
     capacities: &[usize],
-    fetch_cost_nanos: u64,
 ) -> Vec<CacheSweepPoint> {
     capacities
         .iter()
         .map(|&capacity| {
-            let client =
-                Arc::new(CachingStore::with_capacity(server.clone(), fetch_cost_nanos, capacity));
-            let shared: SharedStore = client.clone();
-            let index = open(shared);
-            let started = Instant::now();
-            for key in keys {
-                let _ = index.get(key).expect("sweep lookup failed");
-            }
-            let wall_nanos = started.elapsed().as_nanos() as u64;
+            let index = open(capacity);
+            let wall_nanos = checked_lookups(&index, lookups);
+            let cache = index.node_cache_stats();
             CacheSweepPoint {
                 capacity,
-                hit_ratio: client.hit_ratio(),
-                synthetic_nanos: client.synthetic_nanos(),
+                hit_ratio: cache.hit_ratio(),
                 wall_nanos,
-                evictions: client.evictions(),
+                evictions: cache.evictions,
             }
         })
         .collect()
@@ -382,29 +405,25 @@ mod tests {
     fn cache_sweep_hit_ratio_grows_with_capacity() {
         let cfg = IndexCfg::ycsb(1024);
         let ycsb = YcsbConfig::default();
-        let server = MemStore::new_shared();
         let factory = pos_factory(cfg);
-        let mut base = factory.empty(server.clone());
+        let mut base = factory.empty(MemStore::new_shared());
         base.batch_insert(ycsb.dataset(3_000)).unwrap();
-        let root = base.root();
-        let keys: Vec<_> = (0..2_000u64).map(|i| ycsb.key(i % 3_000)).collect();
+        let lookups: Vec<Lookup> = (0..2_000u64)
+            .map(|i| ycsb.key(i % 3_000))
+            .map(|k| (k.clone(), base.get(&k).unwrap()))
+            .collect();
 
         let points = client_cache_sweep(
-            &server,
-            // Node cache off: isolate the page cache under test.
-            |store| factory.open(store, root).with_node_cache_capacity(0),
-            &keys,
+            |capacity| base.clone().with_node_cache_capacity(capacity),
+            &lookups,
             &[0, 64, 100_000],
-            1_000,
         );
         assert_eq!(points.len(), 3);
         assert_eq!(points[0].hit_ratio, 0.0, "capacity 0 cannot hit");
         assert!(points[2].hit_ratio > points[1].hit_ratio, "{points:?}");
         assert!(points[2].hit_ratio > 0.5, "unbounded-ish cache must mostly hit");
-        assert!(points[1].evictions > 0, "64-page cache must evict");
-        // Synthetic cost shrinks as the hit ratio grows.
-        assert!(points[2].synthetic_nanos < points[0].synthetic_nanos);
-        assert!(points[0].client_nanos_per_lookup(keys.len()) > 0.0);
+        assert!(points[1].evictions > 0, "64-node cache must evict");
+        assert!(points[0].nanos_per_lookup(lookups.len()) > 0.0);
     }
 
     #[test]

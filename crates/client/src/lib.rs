@@ -3,7 +3,7 @@
 //! [`RemoteSession`] connects to a `siri-server` and implements the same
 //! [`Session`] trait the in-process engine does, so everything written
 //! against `Box<dyn Session>` (the CLI, the behavioral suites) works
-//! unchanged across the network boundary. Three things are worth knowing:
+//! unchanged across the network boundary. Five things are worth knowing:
 //!
 //! * **One socket, serialized round trips.** All methods take `&self`; a
 //!   mutex serializes frames on the shared connection (the protocol is
@@ -27,6 +27,13 @@
 //!   root — surfaces as [`IndexError::ProofRejected`], and with
 //!   [`RemoteSession::verified_get`]/[`verified_scan`](RemoteSession::verified_scan)
 //!   no unverified value ever reaches the caller.
+//! * **A light client reads verified pages.** [`RemoteSession::pages`] is a
+//!   read-only [`NodeStore`] on the session's connection: each `try_get`
+//!   is one `Fetch` round trip, and a page that does not hash to the
+//!   address asked for fails the read as [`StoreError::Corrupt`]. Open any
+//!   index over it at a branch digest, and that handle's decoded-node
+//!   cache is the client cache of the paper's §5.6.1 deployment — every
+//!   node in it was hash-checked on the way in.
 
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter};
@@ -47,7 +54,9 @@ use siri_server::proto::{
     read_frame, write_frame, Request, Response, WireBound, WireServerStats, MAX_FETCH_HASHES,
     MAX_FRAME_BYTES, WIRE_VERSION,
 };
-use siri_store::{ship, NodeStore, StoreError, StoreResult};
+use siri_store::{
+    ship, AtomicStoreStats, NodeStore, SharedStore, StoreError, StoreResult, StoreStats,
+};
 
 pub use siri_store::ship::{SyncOptions, SyncReport};
 
@@ -143,6 +152,65 @@ fn unexpected(what: &'static str) -> IndexError {
     IndexError::Remote(format!("unexpected response to {what}"))
 }
 
+/// One `Fetch` round trip: the pages at `hashes`, `None` where the server
+/// has none. Nothing here checks a page against its address.
+fn fetch(conn: &Mutex<Conn>, hashes: &[Hash]) -> Result<Vec<Option<Bytes>>> {
+    match conn.lock().round_trip(&Request::Fetch { hashes: hashes.to_vec() })? {
+        Response::Pages(pages) => Ok(pages),
+        _ => Err(unexpected("Fetch")),
+    }
+}
+
+/// A wire fault as the store error a page reader reports.
+fn store_error(e: IndexError) -> StoreError {
+    match e {
+        IndexError::Store(se) => se,
+        other => StoreError::Io {
+            op: "fetch",
+            kind: std::io::ErrorKind::Other,
+            detail: other.to_string(),
+        },
+    }
+}
+
+/// The page source behind [`RemoteSession::pages`].
+struct RemotePages {
+    conn: Arc<Mutex<Conn>>,
+    stats: AtomicStoreStats,
+}
+
+impl NodeStore for RemotePages {
+    fn try_put(&self, _page: Bytes) -> StoreResult<Hash> {
+        Err(StoreError::Io {
+            op: "put",
+            kind: std::io::ErrorKind::Unsupported,
+            detail: "a remote page source is read-only".into(),
+        })
+    }
+
+    fn try_get(&self, hash: &Hash) -> StoreResult<Option<Bytes>> {
+        AtomicStoreStats::add(&self.stats.gets, 1);
+        let pages = fetch(&self.conn, std::slice::from_ref(hash)).map_err(store_error)?;
+        let Ok([page]) = <[Option<Bytes>; 1]>::try_from(pages) else {
+            return Err(store_error(unexpected("Fetch")));
+        };
+        let Some(page) = page else { return Ok(None) };
+        if siri_crypto::sha256(&page) != *hash {
+            return Err(StoreError::Corrupt("fetched page does not hash to its address"));
+        }
+        AtomicStoreStats::add(&self.stats.hits, 1);
+        Ok(Some(page))
+    }
+
+    fn contains(&self, hash: &Hash) -> bool {
+        matches!(self.try_get(hash), Ok(Some(_)))
+    }
+
+    fn stats(&self) -> StoreStats {
+        self.stats.snapshot()
+    }
+}
+
 /// A connection to a `siri-server`, speaking [`Session`].
 pub struct RemoteSession {
     conn: Arc<Mutex<Conn>>,
@@ -208,10 +276,19 @@ impl RemoteSession {
     /// Fetch a batch of pages by hash (the anti-entropy primitive). At
     /// most [`MAX_FETCH_HASHES`] per call.
     pub fn fetch_pages(&self, hashes: &[Hash]) -> Result<Vec<Option<Bytes>>> {
-        match self.request(&Request::Fetch { hashes: hashes.to_vec() })? {
-            Response::Pages(pages) => Ok(pages),
-            _ => Err(unexpected("Fetch")),
-        }
+        fetch(&self.conn, hashes)
+    }
+
+    /// A read-only page source over this session's connection, for a light
+    /// client: `factory.open(session.pages(), digest)` reads a version
+    /// through its own node cache, fetching each missed page with one
+    /// `Fetch` round trip. A page is handed on only if it hashes to the
+    /// address asked for ([`StoreError::Corrupt`] otherwise); a page the
+    /// server lacks is `Ok(None)`, which a reader reports as
+    /// [`IndexError::MissingPage`]. Puts fail. Its `stats()` count one
+    /// `gets` per `Fetch` and one `hits` per verified page.
+    pub fn pages(&self) -> SharedStore {
+        Arc::new(RemotePages { conn: self.conn.clone(), stats: AtomicStoreStats::default() })
     }
 
     /// Merkle anti-entropy: make `local` hold every page of `branch`'s
@@ -236,14 +313,7 @@ impl RemoteSession {
         let root = Session::branch_digest(self, branch)?;
         let batched = SyncOptions { batch: opts.batch.clamp(1, MAX_FETCH_HASHES), ..*opts };
         let mut fetch = |hashes: &[Hash]| -> StoreResult<Vec<Option<Bytes>>> {
-            self.fetch_pages(hashes).map_err(|e| match e {
-                IndexError::Store(se) => se,
-                other => StoreError::Io {
-                    op: "sync fetch",
-                    kind: std::io::ErrorKind::Other,
-                    detail: other.to_string(),
-                },
-            })
+            self.fetch_pages(hashes).map_err(store_error)
         };
         let manifest_aware = |page: &[u8]| -> Vec<Hash> {
             if ShardManifest::is_manifest(page) {

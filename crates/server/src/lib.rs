@@ -456,7 +456,18 @@ where
                 After::Keep,
             ),
         };
-        if write_frame(&mut writer, &response.encode()).is_err() {
+        let mut frame = response.encode();
+        if frame.len() > max_frame {
+            // The peer would drop a frame past the cap and lose the
+            // request/response rhythm; refuse the answer, keep the socket.
+            let refused = WireError {
+                code: ERR_PROTOCOL,
+                aux: max_frame as u64,
+                message: format!("response of {} bytes exceeds the frame cap", frame.len()),
+            };
+            frame = Response::Err(refused).encode();
+        }
+        if write_frame(&mut writer, &frame).is_err() {
             break;
         }
         match after {

@@ -161,8 +161,9 @@ pub const ERR_BRANCH_DELETED: u64 = 2;
 pub const ERR_CONTENTION: u64 = 3;
 /// [`WireError::code`] for "server at its connection cap" backpressure.
 pub const ERR_BUSY: u64 = 4;
-/// [`WireError::code`] for a protocol violation (bad handshake, bad frame
-/// payload); the server closes the connection after sending it.
+/// [`WireError::code`] for a protocol violation. After a bad handshake the
+/// server closes the connection; after a bad frame payload, or a response
+/// longer than the frame cap (`aux` = the cap), it keeps it.
 pub const ERR_PROTOCOL: u64 = 5;
 
 impl WireError {

@@ -1,13 +1,11 @@
-//! Sharded, capacity-bounded LRU caching keyed by content address.
+//! The decoded-node cache: a sharded, capacity-bounded LRU keyed by
+//! content address (DESIGN.md §3).
 //!
-//! Two users share the machinery (see DESIGN.md §3):
-//!
-//! * [`ShardedLru`] — a generic `Hash → V` LRU. [`CachingStore`] uses it
-//!   with `V = Bytes` to bound its client-side *page* cache.
-//! * [`NodeCache`] — a thin typed wrapper with `V = Arc<N>` holding
-//!   *decoded* nodes. The index crates thread one through their read
-//!   paths so a hot lookup costs a shard probe and a refcount bump
-//!   instead of a store lock + page clone + full decode.
+//! [`NodeCache`] holds *decoded* nodes as `Arc<N>`. The index crates thread
+//! one through their read paths so a hot lookup costs a shard probe and a
+//! refcount bump instead of a store lock + page clone + full decode. It is
+//! the only cache in the stack: a light client's node cache over a remote
+//! page source is this same type.
 //!
 //! Content addressing makes the cache trivially coherent: a `Hash` names
 //! one immutable byte string forever, so entries can never go stale —
@@ -15,8 +13,6 @@
 //! `Mutex<LruShard>` (an intrusive doubly-linked list over a slot vector +
 //! an FxHashMap index), selected by the low bits of the content address;
 //! SHA-256 output is uniform, so shards balance without extra hashing.
-//!
-//! [`CachingStore`]: crate::CachingStore
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,8 +24,7 @@ use parking_lot::{LockClass, Mutex};
 static CACHE_SHARD_CLASS: LockClass = LockClass::new(40, "store.cache-shard");
 use siri_crypto::{FxHashMap, Hash};
 
-/// Counter snapshot for a cache (also folded into
-/// [`crate::StoreStats`] by stores that embed one).
+/// Counter snapshot of a [`NodeCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Probes that found the entry.
@@ -167,28 +162,50 @@ impl<V> LruShard<V> {
 }
 
 /// One shard plus its share of the capacity bound.
-struct Shard<V> {
-    lru: Mutex<LruShard<V>>,
+struct Shard<N> {
+    lru: Mutex<LruShard<Arc<N>>>,
     /// This shard's entry bound; shard capacities sum to exactly the
     /// requested total (the remainder of `capacity / SHARDS` is spread
     /// over the first shards).
     capacity: usize,
 }
 
-/// A sharded, bounded, thread-safe LRU map keyed by content address.
-pub struct ShardedLru<V> {
-    shards: Box<[Shard<V>]>,
+/// Shards per cache. 16 keeps contention negligible for the thread counts
+/// the benches drive while costing only 16 small mutexes.
+const SHARDS: usize = 16;
+
+/// Typed cache of decoded nodes, shared by every clone (= version handle)
+/// of an index: a sharded, bounded, thread-safe LRU map from content
+/// address to `Arc<N>`. See the module docs for the design; index `fetch`
+/// paths are one call:
+///
+/// ```ignore
+/// let (node, was_hit) = cache.get_or_load(hash, || {
+///     let page = store.get(hash).ok_or(IndexError::MissingPage(*hash))?;
+///     Node::decode_zc(&page)
+/// })?;
+/// ```
+pub struct NodeCache<N> {
+    shards: Box<[Shard<N>]>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
-/// Shards per cache. 16 keeps contention negligible for the thread counts
-/// the benches drive while costing only 16 small mutexes.
-const SHARDS: usize = 16;
+/// Default per-lineage decoded-node budget, sized to hold a **live tree
+/// plus a few cycles of version churn**: the collaboration and mixed
+/// workloads keep 8–12k nodes reachable from their heads, and every
+/// fork/commit/merge cycle decodes a few thousand more that are dead a cycle
+/// later. A budget just below the live tree (the former 8,192) only looked
+/// sufficient while diff and merge re-walked — and so re-warmed — every leaf
+/// before the reads that follow; with δ-cost walks the reads found half
+/// their leaves evicted (DESIGN.md §3). The bound is in nodes, so the bytes
+/// kept alive depend on the structure: at most ≈45 MB of 1.25 KB POS-Tree
+/// pages, ≈12 MB of 354 B MPT nodes.
+pub const DEFAULT_NODE_CACHE_CAPACITY: usize = 32_768;
 
-impl<V: Clone> ShardedLru<V> {
+impl<N> NodeCache<N> {
     /// `capacity` is the **exact** total entry bound across shards; 0
     /// disables caching entirely (every probe misses, inserts are
     /// dropped). Individual shards get `capacity / SHARDS` (±1), so a
@@ -205,7 +222,7 @@ impl<V: Clone> ShardedLru<V> {
                 capacity: capacity / SHARDS + usize::from(i < capacity % SHARDS),
             })
             .collect::<Vec<_>>();
-        ShardedLru {
+        NodeCache {
             shards: shards.into_boxed_slice(),
             capacity,
             hits: AtomicU64::new(0),
@@ -214,14 +231,19 @@ impl<V: Clone> ShardedLru<V> {
         }
     }
 
+    /// A cache wrapped in the `Arc` the index handles share.
+    pub fn new_shared(capacity: usize) -> Arc<Self> {
+        Arc::new(Self::new(capacity))
+    }
+
     #[inline]
-    fn shard(&self, hash: &Hash) -> &Shard<V> {
+    fn shard(&self, hash: &Hash) -> &Shard<N> {
         // Low byte of a SHA-256 digest is uniform.
         &self.shards[(hash.as_bytes()[0] as usize) & (SHARDS - 1)]
     }
 
     /// Probe the cache, refreshing recency on hit.
-    pub fn get(&self, hash: &Hash) -> Option<V> {
+    pub fn get(&self, hash: &Hash) -> Option<Arc<N>> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -244,11 +266,11 @@ impl<V: Clone> ShardedLru<V> {
         }
     }
 
-    /// Side-effect-free probe: no counter bumps, no recency refresh. For
-    /// existence checks (`NodeStore::contains`) and write paths
-    /// ([`NodeCache::peek`]) that must not distort the hit-ratio metrics or
+    /// The cached node, if resident, leaving recency and counters alone:
+    /// how a commit borrows a node it is about to replace (DESIGN.md §3).
+    /// A side-effect-free probe must not distort the hit-ratio metrics or
     /// the eviction order.
-    pub fn peek(&self, hash: &Hash) -> Option<V> {
+    pub fn peek(&self, hash: &Hash) -> Option<Arc<N>> {
         if self.capacity == 0 {
             return None;
         }
@@ -256,10 +278,10 @@ impl<V: Clone> ShardedLru<V> {
         lru.map.get(hash).map(|&idx| lru.slots[idx as usize].value.clone())
     }
 
-    /// Install a value (no-op when capacity is 0). Inserting an existing
-    /// address only refreshes its recency — the value cannot differ, the
+    /// Install a node (no-op when capacity is 0). Inserting an existing
+    /// address only refreshes its recency — the node cannot differ, the
     /// key *is* the content hash.
-    pub fn insert(&self, hash: Hash, value: V) {
+    pub fn insert(&self, hash: Hash, node: Arc<N>) {
         if self.capacity == 0 {
             return;
         }
@@ -269,92 +291,10 @@ impl<V: Clone> ShardedLru<V> {
             // insert rather than exceed the bound.
             return;
         }
-        let evicted = shard.lru.lock().insert(hash, value, shard.capacity);
+        let evicted = shard.lru.lock().insert(hash, node, shard.capacity);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
-    }
-
-    /// Drop every cached entry (counters are kept).
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            let mut s = shard.lru.lock();
-            *s = LruShard::new();
-        }
-    }
-
-    /// Entries currently resident across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lru.lock().map.len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            len: self.len(),
-            capacity: self.capacity,
-        }
-    }
-}
-
-/// Typed cache of decoded nodes, shared by every clone (= version handle)
-/// of an index. See the module docs for the design; index `fetch` paths
-/// are one call:
-///
-/// ```ignore
-/// let (node, was_hit) = cache.get_or_load(hash, || {
-///     let page = store.get(hash).ok_or(IndexError::MissingPage(*hash))?;
-///     Node::decode_zc(&page)
-/// })?;
-/// ```
-pub struct NodeCache<N> {
-    lru: ShardedLru<Arc<N>>,
-}
-
-/// Default per-lineage decoded-node budget, sized to hold a **live tree
-/// plus a few cycles of version churn**: the collaboration and mixed
-/// workloads keep 8–12k nodes reachable from their heads, and every
-/// fork/commit/merge cycle decodes a few thousand more that are dead a cycle
-/// later. A budget just below the live tree (the former 8,192) only looked
-/// sufficient while diff and merge re-walked — and so re-warmed — every leaf
-/// before the reads that follow; with δ-cost walks the reads found half
-/// their leaves evicted (DESIGN.md §3). The bound is in nodes, so the bytes
-/// kept alive depend on the structure: at most ≈45 MB of 1.25 KB POS-Tree
-/// pages, ≈12 MB of 354 B MPT nodes.
-pub const DEFAULT_NODE_CACHE_CAPACITY: usize = 32_768;
-
-impl<N> NodeCache<N> {
-    pub fn new(capacity: usize) -> Self {
-        NodeCache { lru: ShardedLru::new(capacity) }
-    }
-
-    /// A cache wrapped in the `Arc` the index handles share.
-    pub fn new_shared(capacity: usize) -> Arc<Self> {
-        Arc::new(Self::new(capacity))
-    }
-
-    pub fn get(&self, hash: &Hash) -> Option<Arc<N>> {
-        self.lru.get(hash)
-    }
-
-    /// The cached node, if resident, leaving recency and counters alone:
-    /// how a commit borrows a node it is about to replace (DESIGN.md §3).
-    pub fn peek(&self, hash: &Hash) -> Option<Arc<N>> {
-        self.lru.peek(hash)
-    }
-
-    pub fn insert(&self, hash: Hash, node: Arc<N>) {
-        self.lru.insert(hash, node);
     }
 
     /// The one fetch path every index shares: probe the cache, and on a
@@ -376,24 +316,31 @@ impl<N> NodeCache<N> {
         Ok((node, false))
     }
 
+    /// Drop every cached node (counters are kept).
     pub fn clear(&self) {
-        self.lru.clear();
+        for shard in self.shards.iter() {
+            let mut s = shard.lru.lock();
+            *s = LruShard::new();
+        }
     }
 
+    /// Nodes currently resident across all shards.
     pub fn len(&self) -> usize {
-        self.lru.len()
+        self.shards.iter().map(|s| s.lru.lock().map.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.lru.capacity()
+        self.len() == 0
     }
 
     pub fn stats(&self) -> CacheStats {
-        self.lru.stats()
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            len: self.len(),
+            capacity: self.capacity,
+        }
     }
 }
 
@@ -406,12 +353,29 @@ mod tests {
         sha256(&i.to_le_bytes())
     }
 
+    /// The value cached under `hash`, through the counting probe.
+    fn get(c: &NodeCache<u64>, hash: &Hash) -> Option<u64> {
+        c.get(hash).map(|v| *v)
+    }
+
+    fn put(c: &NodeCache<u64>, hash: Hash, v: u64) {
+        c.insert(hash, Arc::new(v));
+    }
+
+    /// Three addresses that land in shard `shard`, so eviction order
+    /// within one shard is deterministic.
+    fn same_shard(shard: u8) -> [Hash; 3] {
+        let hashes: Vec<Hash> =
+            (0..1000u64).map(h).filter(|x| x.as_bytes()[0] & (SHARDS as u8 - 1) == shard).collect();
+        [hashes[0], hashes[1], hashes[2]]
+    }
+
     #[test]
     fn hit_miss_and_counters() {
-        let c: ShardedLru<u64> = ShardedLru::new(64);
-        assert_eq!(c.get(&h(1)), None);
-        c.insert(h(1), 11);
-        assert_eq!(c.get(&h(1)), Some(11));
+        let c = NodeCache::new(64);
+        assert_eq!(get(&c, &h(1)), None);
+        put(&c, h(1), 11);
+        assert_eq!(get(&c, &h(1)), Some(11));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.evictions, s.len), (1, 1, 0, 1));
         assert!((s.hit_ratio() - 0.5).abs() < 1e-12);
@@ -419,39 +383,32 @@ mod tests {
 
     #[test]
     fn capacity_zero_disables() {
-        let c: ShardedLru<u64> = ShardedLru::new(0);
-        c.insert(h(1), 1);
-        assert_eq!(c.get(&h(1)), None);
+        let c = NodeCache::new(0);
+        put(&c, h(1), 1);
+        assert_eq!(get(&c, &h(1)), None);
         assert_eq!(c.len(), 0);
         assert_eq!(c.stats().misses, 1);
     }
 
     #[test]
     fn evicts_least_recently_used() {
-        // Single-shard-sized capacity so eviction order is deterministic
-        // within a shard: find 3 hashes landing in the same shard.
-        let c: ShardedLru<u64> = ShardedLru::new(2 * SHARDS); // 2 per shard
-        let same_shard: Vec<Hash> = (0..1000u64)
-            .map(h)
-            .filter(|x| x.as_bytes()[0] & (SHARDS as u8 - 1) == 3)
-            .take(3)
-            .collect();
-        let &[a, b, x] = &same_shard[..] else { panic!() };
-        c.insert(a, 1);
-        c.insert(b, 2);
-        assert_eq!(c.get(&a), Some(1)); // refresh a: b is now LRU
-        c.insert(x, 3); // evicts b
-        assert_eq!(c.get(&b), None, "LRU entry must be evicted");
-        assert_eq!(c.get(&a), Some(1));
-        assert_eq!(c.get(&x), Some(3));
+        let c = NodeCache::new(2 * SHARDS); // 2 per shard
+        let [a, b, x] = same_shard(3);
+        put(&c, a, 1);
+        put(&c, b, 2);
+        assert_eq!(get(&c, &a), Some(1)); // refresh a: b is now LRU
+        put(&c, x, 3); // evicts b
+        assert_eq!(get(&c, &b), None, "LRU entry must be evicted");
+        assert_eq!(get(&c, &a), Some(1));
+        assert_eq!(get(&c, &x), Some(3));
         assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
     fn bounded_under_churn() {
-        let c: ShardedLru<u64> = ShardedLru::new(128);
+        let c = NodeCache::new(128);
         for i in 0..10_000u64 {
-            c.insert(h(i), i);
+            put(&c, h(i), i);
         }
         assert!(c.len() <= 128, "len {} exceeds capacity", c.len());
         let s = c.stats();
@@ -460,21 +417,21 @@ mod tests {
 
     #[test]
     fn reinsert_same_hash_refreshes_not_duplicates() {
-        let c: ShardedLru<u64> = ShardedLru::new(SHARDS);
-        c.insert(h(1), 1);
-        c.insert(h(1), 1);
+        let c = NodeCache::new(SHARDS);
+        put(&c, h(1), 1);
+        put(&c, h(1), 1);
         assert_eq!(c.len(), 1);
         assert_eq!(c.stats().evictions, 0);
     }
 
     #[test]
     fn clear_empties_but_keeps_counters() {
-        let c: ShardedLru<u64> = ShardedLru::new(SHARDS);
-        c.insert(h(1), 1);
-        c.get(&h(1));
+        let c = NodeCache::new(SHARDS);
+        put(&c, h(1), 1);
+        get(&c, &h(1));
         c.clear();
         assert!(c.is_empty());
-        assert_eq!(c.get(&h(1)), None);
+        assert_eq!(get(&c, &h(1)), None);
         assert_eq!(c.stats().hits, 1);
     }
 
@@ -482,16 +439,16 @@ mod tests {
     fn capacity_is_an_exact_bound() {
         // 20 over 16 shards: shards 0..4 get 2 slots, the rest get 1 —
         // the shard budgets sum to exactly the requested capacity.
-        let c: ShardedLru<u64> = ShardedLru::new(20);
+        let c = NodeCache::new(20);
         for i in 0..10_000u64 {
-            c.insert(h(i), i);
+            put(&c, h(i), i);
         }
         assert!(c.len() <= 20, "resident {} exceeds the requested bound", c.len());
         // Sub-shard-count capacities drop inserts on budget-less shards
         // rather than exceed the bound.
-        let tiny: ShardedLru<u64> = ShardedLru::new(3);
+        let tiny = NodeCache::new(3);
         for i in 0..1_000u64 {
-            tiny.insert(h(i), i);
+            put(&tiny, h(i), i);
         }
         assert!(tiny.len() <= 3);
 
@@ -506,23 +463,18 @@ mod tests {
 
     #[test]
     fn peek_returns_the_value_without_refreshing_recency() {
-        let c: ShardedLru<u64> = ShardedLru::new(2 * SHARDS); // 2 per shard
-        let same_shard: Vec<Hash> = (0..1000u64)
-            .map(h)
-            .filter(|x| x.as_bytes()[0] & (SHARDS as u8 - 1) == 5)
-            .take(3)
-            .collect();
-        let &[a, b, x] = &same_shard[..] else { panic!() };
-        c.insert(a, 1);
-        c.insert(b, 2);
-        assert_eq!(c.peek(&a), Some(1));
+        let c = NodeCache::new(2 * SHARDS); // 2 per shard
+        let [a, b, x] = same_shard(5);
+        put(&c, a, 1);
+        put(&c, b, 2);
+        assert_eq!(c.peek(&a).as_deref(), Some(&1));
         assert_eq!(c.peek(&x), None);
-        c.insert(x, 3); // a stays least recent: the peek did not touch it
+        put(&c, x, 3); // a stays least recent: the peek did not touch it
         assert_eq!(c.peek(&a), None, "peek must not refresh recency");
-        assert_eq!(c.peek(&b), Some(2));
+        assert_eq!(c.peek(&b).as_deref(), Some(&2));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.evictions), (0, 0, 1));
-        assert_eq!(ShardedLru::<u64>::new(0).peek(&a), None);
+        assert_eq!(NodeCache::<u64>::new(0).peek(&a), None);
     }
 
     #[test]
@@ -536,17 +488,17 @@ mod tests {
 
     #[test]
     fn concurrent_probes_stay_coherent() {
-        let c: Arc<ShardedLru<u64>> = Arc::new(ShardedLru::new(256));
+        let c: Arc<NodeCache<u64>> = NodeCache::new_shared(256);
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let c = Arc::clone(&c);
             handles.push(std::thread::spawn(move || {
                 for i in 0..2_000u64 {
                     let k = (t * 31 + i) % 500;
-                    if let Some(v) = c.get(&h(k)) {
+                    if let Some(v) = get(&c, &h(k)) {
                         assert_eq!(v, k, "value must match its key");
                     } else {
-                        c.insert(h(k), k);
+                        put(&c, h(k), k);
                     }
                 }
             }));

@@ -10,12 +10,13 @@
 //! * [`NodeStore`] — the storage abstraction all four indexes run on.
 //! * [`MemStore`] — in-memory store (sharded, lock-free-read) with
 //!   logical-vs-physical accounting.
-//! * [`CachingStore`] — bounded client-side page cache over a remote store
-//!   with a synthetic per-fetch cost; models the Forkbase client/server
-//!   deployment of §5.6.1.
+//! * [`FileStore`] — append-only segment files plus a manifest; the durable
+//!   backend.
 //! * [`NodeCache`] — sharded LRU of *decoded* nodes keyed by content
 //!   address; the index crates thread one through their read paths so hot
 //!   lookups skip the store lock, the page clone and the decode entirely.
+//!   It is the only cache: a light client's node cache over a remote page
+//!   source (`siri-client`'s `RemoteSession::pages`) is the same type.
 //! * [`PageSet`] — the reachable page set P(I) of one index instance, the
 //!   input to the deduplication metrics.
 //! * [`PageBatch`] — the pages of one commit, hashed as they are added and
@@ -25,7 +26,6 @@
 
 mod batch;
 mod cache;
-mod caching;
 mod error;
 mod file;
 pub mod gc;
@@ -38,8 +38,7 @@ use bytes::Bytes;
 use siri_crypto::Hash;
 
 pub use batch::{PageBatch, PAGE_BATCH_SPILL_BYTES};
-pub use cache::{CacheStats, NodeCache, ShardedLru, DEFAULT_NODE_CACHE_CAPACITY};
-pub use caching::{CachingStore, DEFAULT_CLIENT_CACHE_PAGES};
+pub use cache::{CacheStats, NodeCache, DEFAULT_NODE_CACHE_CAPACITY};
 pub use error::{StoreError, StoreResult};
 pub use file::{CrashPoint, FileStore, FileStoreOptions, FsyncPolicy, DEFAULT_SEGMENT_BYTES};
 pub use mem::MemStore;

@@ -1,4 +1,6 @@
 //! Storage counters distinguishing logical writes from physical storage.
+//! Cache counters are not among them: the decoded-node cache keeps its own
+//! ([`crate::CacheStats`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -8,10 +10,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// plots as "Raw" vs "Deduplicated" storage: logical counts every page ever
 /// written (as if each version kept private copies), unique counts the
 /// content-addressed union actually stored.
-///
-/// The `cache_*` fields are zero for plain stores; caching layers
-/// ([`crate::CachingStore`]) fold their page-cache counters in so harnesses
-/// read one struct (Figure 21's hit-ratio axis).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Number of `put` calls.
@@ -41,12 +39,6 @@ pub struct StoreStats {
     pub gets: u64,
     /// `get` calls that found the page.
     pub hits: u64,
-    /// Page-cache hits (caching stores only).
-    pub cache_hits: u64,
-    /// Page-cache misses (caching stores only).
-    pub cache_misses: u64,
-    /// Page-cache evictions (caching stores only).
-    pub cache_evictions: u64,
     /// Logical commits acknowledged at the *store* level (`note_commit`
     /// calls that returned success on a durable store). Zero for
     /// in-memory stores. An engine doing optimistic commits flushes
@@ -78,17 +70,6 @@ impl StoreStats {
             1.0
         } else {
             self.hits as f64 / self.gets as f64
-        }
-    }
-
-    /// Page-cache hit rate; 1.0 when the store has no cache or it was
-    /// never probed.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.cache_hits as f64 / total as f64
         }
     }
 }
@@ -143,7 +124,6 @@ impl AtomicStoreStats {
             hits: self.hits.load(Ordering::Relaxed),
             commits: self.commits.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            ..StoreStats::default()
         }
     }
 }
@@ -157,7 +137,6 @@ mod tests {
         let empty = StoreStats::default();
         assert_eq!(empty.dedup_savings(), 0.0);
         assert_eq!(empty.hit_rate(), 1.0);
-        assert_eq!(empty.cache_hit_rate(), 1.0);
 
         let s = StoreStats {
             puts: 4,
@@ -170,15 +149,11 @@ mod tests {
             unique_bytes: 100,
             gets: 10,
             hits: 9,
-            cache_hits: 3,
-            cache_misses: 1,
-            cache_evictions: 0,
             commits: 5,
             fsyncs: 2,
         };
         assert!((s.dedup_savings() - 0.75).abs() < 1e-12);
         assert!((s.hit_rate() - 0.9).abs() < 1e-12);
-        assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -190,6 +165,5 @@ mod tests {
         let s = a.snapshot();
         assert_eq!(s.puts, 3);
         assert_eq!(s.unique_pages, 1);
-        assert_eq!(s.cache_hits, 0);
     }
 }

@@ -73,10 +73,7 @@ pub use siri_pos_tree::{
     SplitPolicy,
 };
 pub use siri_server::{self as server, proto, serve, serve_addr, ServerHandle, ServerOptions};
-pub use siri_store::{
-    gc, ship, CachingStore, FileStore, FileStoreOptions, FsyncPolicy, DEFAULT_CLIENT_CACHE_PAGES,
-    DEFAULT_SEGMENT_BYTES,
-};
+pub use siri_store::{gc, ship, FileStore, FileStoreOptions, FsyncPolicy, DEFAULT_SEGMENT_BYTES};
 pub use siri_workloads as workloads;
 
 /// The store the `SIRI_STORE` environment variable selects: `"file"` opens

@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use siri::workloads::YcsbConfig;
 use siri::{
-    CachingStore, Entry, FileStoreOptions, Forkbase, FsyncPolicy, MemStore, NodeStore, PageSet,
-    PosParams, PosTree, Reclaim, Session, ShardingPolicy, SharedStore, SiriIndex, WriteBatch,
+    Entry, FileStoreOptions, Forkbase, FsyncPolicy, MemStore, NodeStore, PageSet, PosParams,
+    PosTree, Reclaim, Session, ShardingPolicy, SharedStore, SiriIndex, WriteBatch,
 };
 use siri_store::{gc, FileStore, PageBatch, StoreError, StoreResult};
 
@@ -365,19 +365,4 @@ fn concurrent_readers_survive_a_file_store_compaction() {
     assert!(reclaimed > 0);
     reader.join().unwrap();
     assert_eq!(head.len().unwrap(), 2_000);
-}
-
-#[test]
-fn caching_store_serves_a_live_index() {
-    // Client-side cached reads return exactly the server's content.
-    let server = MemStore::new_shared();
-    let ycsb = YcsbConfig::default();
-    let mut server_idx = PosTree::new(server.clone(), PosParams::default());
-    server_idx.batch_insert(ycsb.dataset(1_000)).unwrap();
-
-    let client_store: SharedStore = Arc::new(CachingStore::new(server, 1_000));
-    let client_idx = PosTree::open(client_store, PosParams::default(), server_idx.root());
-    for i in (0..1_000u64).step_by(50) {
-        assert_eq!(client_idx.get(&ycsb.key(i)).unwrap().unwrap(), ycsb.value(i, 0));
-    }
 }

@@ -1,19 +1,23 @@
 //! Loopback integration tests for the wire stack: a real `siri-server`
 //! on 127.0.0.1, real `RemoteSession` clients, real TCP in between.
 //!
-//! Covers the PR's acceptance gates: concurrent clients on disjoint
-//! branches replay to the exact digests the in-process engine produces;
-//! paged cursors stream faithfully at tiny page sizes; remote proofs
-//! verify offline; Merkle anti-entropy ships a small delta cheaply and
-//! resumes after a mid-sync disconnect; backpressure and shutdown behave.
+//! Covers: concurrent clients on disjoint branches replay to the exact
+//! digests the in-process engine produces; paged cursors stream faithfully
+//! at tiny page sizes; remote proofs verify offline; a light client reads
+//! exactly the engine's values through verified pages, and a lying server
+//! cannot feed it; Merkle anti-entropy ships a small delta cheaply and
+//! resumes after a mid-sync disconnect; an oversized response leaves the
+//! session usable; backpressure and shutdown behave.
 
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
 use siri::{
-    serve, ClientOptions, Forkbase, Hash, IndexError, MemStore, NodeStore, PosFactory, PosParams,
-    RemoteSession, ServerHandle, ServerOptions, Session, SyncOptions, WriteBatch,
+    serve, ClientOptions, Forkbase, Hash, IndexError, IndexFactory, MbtFactory, MemStore,
+    MptFactory, MvmbFactory, MvmbParams, NodeStore, PosFactory, PosParams, RemoteSession,
+    ServerHandle, ServerOptions, Session, ShardingPolicy, SiriIndex, StoreError, StructureStats,
+    SyncOptions, WriteBatch,
 };
 
 fn engine() -> Arc<Forkbase<PosFactory>> {
@@ -341,6 +345,168 @@ fn malicious_server_proofs_are_rejected_client_side() {
 
     drop(session);
     server.join().unwrap();
+}
+
+/// One light-client pass over `keys`: every read through `client` must
+/// equal the engine's own answer.
+fn read_like_the_engine<F: IndexFactory>(
+    client: &F::Index,
+    engine: &Forkbase<F>,
+    keys: &[Vec<u8>],
+) {
+    for key in keys {
+        let want = Session::get(engine, "master", key).unwrap();
+        assert_eq!(client.get(key).unwrap(), want, "{} key {key:?}", client.kind());
+    }
+}
+
+/// A light client on `factory`'s structure: a single-shard engine served
+/// over loopback, read through `factory.open(session.pages(), digest)`.
+fn light_client_reads_what_the_engine_holds_on<F>(factory: F)
+where
+    F: IndexFactory + 'static,
+    F::Index: Send + Sync,
+{
+    let engine = Arc::new(Forkbase::with_sharding(
+        factory.clone(),
+        siri::env_store(),
+        ShardingPolicy::single(),
+        0,
+    ));
+    let mut b = WriteBatch::new();
+    for i in 0..600u32 {
+        b.put(format!("key{i:04}").into_bytes(), format!("value-{i}").into_bytes());
+    }
+    Session::commit(engine.as_ref(), "master", b).unwrap();
+    let handle = serve(
+        engine.clone(),
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+        ServerOptions::default(),
+        None,
+    )
+    .unwrap();
+    let fetched = || handle.stats().conns.iter().map(|c| c.sync_pages).sum::<u64>();
+
+    let session = RemoteSession::connect(handle.addr()).unwrap();
+    let digest = session.branch_digest("master").unwrap();
+    let pages = session.pages();
+    let client = factory.open(pages.clone(), digest);
+    let name = factory.name();
+    let keys: Vec<Vec<u8>> = (0..600u32)
+        .step_by(7)
+        .map(|i| format!("key{i:04}"))
+        .chain((0..20u32).map(|i| format!("absent{i:02}")))
+        .map(String::into_bytes)
+        .collect();
+
+    // Cold: every miss is one verified `Fetch`.
+    read_like_the_engine(&client, &engine, &keys);
+    let cold = client.node_cache_stats();
+    let cold_fetches = fetched();
+    assert!(cold_fetches > 0 && cold.misses > 0, "{}: {cold:?}", name);
+    assert_eq!(pages.stats().gets, cold_fetches, "one Fetch per page read");
+    assert_eq!(pages.stats().hits, cold_fetches, "every fetched page verified");
+
+    // Warm: the node cache serves the same keys with no round trip.
+    read_like_the_engine(&client, &engine, &keys);
+    let warm = client.node_cache_stats();
+    assert_eq!((warm.misses, warm.evictions, warm.len), (cold.misses, cold.evictions, cold.len));
+    assert!(warm.hits > cold.hits, "{}: {warm:?}", name);
+    assert_eq!(fetched(), cold_fetches, "{}: a warm pass fetched pages", name);
+
+    // The page source is read-only.
+    assert!(pages.try_put(siri::Bytes::from_static(b"page")).is_err());
+}
+
+#[test]
+fn light_client_reads_what_the_engine_holds() {
+    light_client_reads_what_the_engine_holds_on(PosFactory(PosParams::default()));
+    light_client_reads_what_the_engine_holds_on(MptFactory);
+    light_client_reads_what_the_engine_holds_on(MbtFactory {
+        buckets: siri::DEFAULT_BUCKETS,
+        fanout: siri::DEFAULT_FANOUT,
+    });
+    light_client_reads_what_the_engine_holds_on(MvmbFactory(MvmbParams::default()));
+}
+
+/// The light client trusts only content addresses: a page that does not
+/// hash to the address it asked for fails the read before it is decoded
+/// or cached, and a page the server withholds is a missing page.
+#[test]
+fn a_lying_server_cannot_feed_the_light_client() {
+    use bytes::Bytes;
+    use siri::proto::{read_frame, write_frame, Request, Response, MAX_FRAME_BYTES, WIRE_VERSION};
+
+    let forged = siri::crypto::sha256(b"a root the server answers with other bytes");
+    let withheld = siri::crypto::sha256(b"a root the server claims not to hold");
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        while let Ok(frame) = read_frame(&mut stream, MAX_FRAME_BYTES) {
+            let resp = match Request::decode(&frame).unwrap() {
+                Request::Hello { .. } => Response::Hello { version: WIRE_VERSION },
+                Request::Fetch { hashes } => Response::Pages(
+                    hashes
+                        .iter()
+                        .map(|h| (*h == forged).then(|| Bytes::from_static(b"hashes elsewhere")))
+                        .collect(),
+                ),
+                _ => Response::Ok,
+            };
+            if write_frame(&mut stream, &resp.encode()).is_err() {
+                return;
+            }
+        }
+    });
+
+    let session = RemoteSession::connect(addr).unwrap();
+    let factory = PosFactory(PosParams::default());
+    let lied_to = factory.open(session.pages(), forged);
+    assert!(
+        matches!(lied_to.get(b"k"), Err(IndexError::Store(StoreError::Corrupt(_)))),
+        "bytes that do not hash to the requested address must be rejected"
+    );
+    assert_eq!(lied_to.node_cache_stats().len, 0, "a rejected page must not be cached");
+
+    let starved = factory.open(session.pages(), withheld);
+    assert_eq!(starved.get(b"k").err(), Some(IndexError::MissingPage(withheld)));
+    assert_eq!(starved.node_cache_stats().len, 0);
+
+    // Page sources share the session's connection: hang up on all of it.
+    drop((session, lied_to, starved));
+    server.join().unwrap();
+}
+
+/// A response longer than the frame cap is refused with a clean error,
+/// and the connection stays in step: the client would otherwise drop the
+/// frame unread and poison the session.
+#[test]
+fn an_oversized_response_is_refused_and_the_session_survives() {
+    use std::ops::Bound::Unbounded;
+
+    const CAP: usize = 64 * 1024;
+    let (served, handle) =
+        loopback(ServerOptions { max_frame_bytes: CAP, ..ServerOptions::default() });
+    let mut b = WriteBatch::new();
+    for i in 0..2_000u32 {
+        b.put(format!("key{i:05}").into_bytes(), vec![b'v'; 100]);
+    }
+    Session::commit(served.as_ref(), "master", b).unwrap();
+
+    let opts = ClientOptions { max_frame_bytes: CAP, ..ClientOptions::default() };
+    let session = RemoteSession::connect_with(handle.addr(), opts).unwrap();
+    match session.prove_range("master", Unbounded, Unbounded) {
+        Err(IndexError::Remote(why)) => assert!(why.contains("frame cap"), "{why}"),
+        other => panic!("a proof over the frame cap must be refused, got {other:?}"),
+    }
+    // The same session still answers.
+    assert_eq!(
+        session.branch_digest("master").unwrap(),
+        Session::branch_digest(served.as_ref(), "master").unwrap()
+    );
+    let wide: Vec<Hash> = (0..1_000u32).map(|i| siri::crypto::sha256(&i.to_le_bytes())).collect();
+    assert!(session.fetch_pages(&wide).unwrap().iter().all(Option::is_none));
 }
 
 #[test]
