@@ -54,9 +54,9 @@ use siri_server::proto::{
     read_frame, write_frame, Request, Response, WireBound, WireServerStats, MAX_FETCH_HASHES,
     MAX_FRAME_BYTES, WIRE_VERSION,
 };
-use siri_store::{
-    ship, AtomicStoreStats, NodeStore, SharedStore, StoreError, StoreResult, StoreStats,
-};
+use siri_store::{ship, NodeStore, SharedStore, StoreError, StoreResult};
+
+mod caching;
 
 pub use siri_store::ship::{SyncOptions, SyncReport};
 
@@ -173,44 +173,6 @@ fn store_error(e: IndexError) -> StoreError {
     }
 }
 
-/// The page source behind [`RemoteSession::pages`].
-struct RemotePages {
-    conn: Arc<Mutex<Conn>>,
-    stats: AtomicStoreStats,
-}
-
-impl NodeStore for RemotePages {
-    fn try_put(&self, _page: Bytes) -> StoreResult<Hash> {
-        Err(StoreError::Io {
-            op: "put",
-            kind: std::io::ErrorKind::Unsupported,
-            detail: "a remote page source is read-only".into(),
-        })
-    }
-
-    fn try_get(&self, hash: &Hash) -> StoreResult<Option<Bytes>> {
-        AtomicStoreStats::add(&self.stats.gets, 1);
-        let pages = fetch(&self.conn, std::slice::from_ref(hash)).map_err(store_error)?;
-        let Ok([page]) = <[Option<Bytes>; 1]>::try_from(pages) else {
-            return Err(store_error(unexpected("Fetch")));
-        };
-        let Some(page) = page else { return Ok(None) };
-        if siri_crypto::sha256(&page) != *hash {
-            return Err(StoreError::Corrupt("fetched page does not hash to its address"));
-        }
-        AtomicStoreStats::add(&self.stats.hits, 1);
-        Ok(Some(page))
-    }
-
-    fn contains(&self, hash: &Hash) -> bool {
-        matches!(self.try_get(hash), Ok(Some(_)))
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.stats.snapshot()
-    }
-}
-
 /// A connection to a `siri-server`, speaking [`Session`].
 pub struct RemoteSession {
     conn: Arc<Mutex<Conn>>,
@@ -288,7 +250,7 @@ impl RemoteSession {
     /// [`IndexError::MissingPage`]. Puts fail. Its `stats()` count one
     /// `gets` per `Fetch` and one `hits` per verified page.
     pub fn pages(&self) -> SharedStore {
-        Arc::new(RemotePages { conn: self.conn.clone(), stats: AtomicStoreStats::default() })
+        Arc::new(caching::RemotePages::new(self.conn.clone()))
     }
 
     /// Merkle anti-entropy: make `local` hold every page of `branch`'s

@@ -366,3 +366,44 @@ fn concurrent_readers_survive_a_file_store_compaction() {
     reader.join().unwrap();
     assert_eq!(head.len().unwrap(), 2_000);
 }
+
+#[test]
+fn caching_store_serves_a_live_index() {
+    // A light client — an index handle over the server's verified pages,
+    // its node cache the client cache — reads exactly the server's content,
+    // and stays pinned to its version while the server commits past it.
+    use siri::{serve, PosFactory, RemoteSession, ServerOptions};
+
+    let ycsb = YcsbConfig::default();
+    let engine = Arc::new(Forkbase::with_sharding(
+        PosFactory(PosParams::default()),
+        MemStore::new_shared(),
+        ShardingPolicy::single(),
+        0,
+    ));
+    let commit = |entries: Vec<Entry>| {
+        let mut b = WriteBatch::new();
+        for e in entries {
+            b.put(e.key, e.value);
+        }
+        Session::commit(engine.as_ref(), "master", b).unwrap();
+        Session::branch_digest(engine.as_ref(), "master").unwrap()
+    };
+    let v0 = commit(ycsb.dataset(1_000));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let server = serve(engine.clone(), listener, ServerOptions::default(), None).unwrap();
+    let session = RemoteSession::connect(server.addr()).unwrap();
+
+    let client = PosTree::open(session.pages(), PosParams::default(), v0);
+    for i in (0..1_000u64).step_by(50) {
+        assert_eq!(client.get(&ycsb.key(i)).unwrap().unwrap(), ycsb.value(i, 0));
+    }
+
+    let v1 = commit((0..1_000u64).step_by(50).map(|i| ycsb.entry(i, 1)).collect());
+    let fresh = PosTree::open(session.pages(), PosParams::default(), v1);
+    for i in (0..1_000u64).step_by(50) {
+        assert_eq!(client.get(&ycsb.key(i)).unwrap().unwrap(), ycsb.value(i, 0));
+        assert_eq!(fresh.get(&ycsb.key(i)).unwrap().unwrap(), ycsb.value(i, 1));
+    }
+    assert!(client.node_cache_stats().hits > 0, "the pinned client reread its cache");
+}
