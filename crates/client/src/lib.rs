@@ -15,7 +15,10 @@
 //!   request after the last key received — the server keeps no cursor
 //!   state, so a scan survives the server dropping and re-admitting the
 //!   connection's siblings, and an abandoned cursor costs the server
-//!   nothing.
+//!   nothing. A cursor capped with [`EntryCursor::take`] asks each page
+//!   for no more than the entries left to take, so the server walks what
+//!   the caller reads plus one look-ahead entry; an uncapped cursor starts
+//!   with a small page and grows it up to [`ClientOptions::page_size`].
 //! * **Anti-entropy sync.** [`RemoteSession::sync_branch`] pulls a
 //!   branch's missing pages into a local store via the structural diff
 //!   walk in `siri_store::ship` — only pages absent locally cross the
@@ -46,8 +49,8 @@ use bytes::Bytes;
 use parking_lot::{LockClass, Mutex};
 use siri_core::{
     verify_anchored_batch, verify_anchored_membership, verify_anchored_range, BatchVerdict,
-    CommitInfo, Entry, EntryCursor, IndexError, Proof, ProofScheme, ProofVerdict, RangeVerdict,
-    Result, Session, ShardManifest, WriteBatch,
+    CommitInfo, Entry, EntryCursor, EntrySource, IndexError, Proof, ProofScheme, ProofVerdict,
+    RangeVerdict, Result, Session, ShardManifest, WriteBatch,
 };
 use siri_crypto::Hash;
 use siri_server::proto::{
@@ -73,9 +76,11 @@ pub struct ClientOptions {
     pub read_timeout: Option<Duration>,
     /// Socket write timeout.
     pub write_timeout: Option<Duration>,
-    /// Cap on the entries requested per scan page. A scan's first page asks
-    /// for at most 64 and each later page for 4× the one before, up to this
-    /// cap — it prices long scans; short ones do not pay for it.
+    /// Cap on the entries requested per scan page. A cursor capped with
+    /// [`EntryCursor::take`] asks each page for the entries it has left to
+    /// take, up to this cap. An uncapped one asks its first page for at
+    /// most 64 and each later page for 4× the one before, up to this cap —
+    /// it prices long scans; short ones do not pay for it.
     pub page_size: u32,
     /// Frame payload cap (mirror of the server's).
     pub max_frame_bytes: usize,
@@ -415,7 +420,7 @@ impl Session for RemoteSession {
 
     fn range(&self, branch: &str, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<EntryCursor> {
         let page_size = self.opts.page_size.max(1);
-        Ok(EntryCursor::new(RemoteCursor {
+        Ok(EntryCursor::from_source(RemoteCursor {
             conn: self.conn.clone(),
             branch: branch.to_string(),
             start: WireBound::from_bound(start),
@@ -423,6 +428,7 @@ impl Session for RemoteSession {
             after: None,
             page_size,
             next_limit: FIRST_PAGE.min(page_size),
+            cap: None,
             buf: VecDeque::new(),
             state: CursorState::Fresh,
         }))
@@ -484,12 +490,14 @@ enum CursorState {
     Done,
 }
 
-/// Entries the first `Range` of a scan asks for (when `page_size` allows).
-/// The server walks `limit + 1` cursor steps per page whether or not the
-/// caller consumes them, and most scans are short — `.take(50)` against a
-/// 256-entry page made the server do 5× the work. Later pages grow by
-/// [`PAGE_GROWTH`] up to [`ClientOptions::page_size`], so a long scan pays
-/// one extra round trip in total.
+/// Entries the first `Range` of an uncapped scan asks for (when `page_size`
+/// allows). The server walks `limit + 1` cursor steps per page whether or
+/// not the caller consumes them, and a caller that abandons a cursor early
+/// — `find`, one `next`, a `break` out of a loop — gives no cap the cursor
+/// could see, so a small first page bounds the walk it wastes. Later pages
+/// grow by [`PAGE_GROWTH`] up to [`ClientOptions::page_size`], so a long
+/// scan pays one extra round trip in total. A cursor capped by
+/// [`EntryCursor::take`] skips the ramp and asks for what it will deliver.
 const FIRST_PAGE: u32 = 64;
 const PAGE_GROWTH: u32 = 4;
 
@@ -503,22 +511,33 @@ struct RemoteCursor {
     end: WireBound,
     after: Option<Bytes>,
     page_size: u32,
-    /// `limit` of the next `Range`: slow start, capped at `page_size`.
+    /// `limit` of the next uncapped `Range`: slow start, capped at
+    /// `page_size`.
     next_limit: u32,
+    /// Entries the caller will still take, buffered ones included (set by
+    /// [`EntryCursor::take`]).
+    cap: Option<usize>,
     buf: VecDeque<Entry>,
     state: CursorState,
 }
 
 impl RemoteCursor {
     fn refill(&mut self) -> Result<()> {
+        let limit = match self.cap {
+            Some(left) => u32::try_from(left).unwrap_or(u32::MAX).min(self.page_size),
+            None => {
+                let limit = self.next_limit;
+                self.next_limit = limit.saturating_mul(PAGE_GROWTH).min(self.page_size);
+                limit
+            }
+        };
         let req = Request::Range {
             branch: self.branch.clone(),
             start: self.start.clone(),
             end: self.end.clone(),
             after: self.after.clone(),
-            limit: self.next_limit,
+            limit,
         };
-        self.next_limit = self.next_limit.saturating_mul(PAGE_GROWTH).min(self.page_size);
         match self.conn.lock().round_trip(&req)? {
             Response::Page { entries, done } => {
                 if done {
@@ -537,12 +556,21 @@ impl RemoteCursor {
     }
 }
 
+impl EntrySource for RemoteCursor {
+    fn cap(&mut self, n: usize) {
+        self.cap = Some(n);
+    }
+}
+
 impl Iterator for RemoteCursor {
     type Item = Result<Entry>;
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             if let Some(e) = self.buf.pop_front() {
+                if let Some(left) = &mut self.cap {
+                    *left = left.saturating_sub(1);
+                }
                 return Some(Ok(e));
             }
             match self.state {

@@ -12,32 +12,83 @@ use std::ops::Bound;
 
 use crate::{Entry, IndexError, Result};
 
+/// What an [`EntryCursor`] pulls its entries from: any entry iterator,
+/// plus a hint about how many of them its caller will take.
+///
+/// Every in-process cursor walks its tree lazily, so knowing the count buys
+/// it nothing and it keeps the no-op default. A source that fetches ahead
+/// in batches — the remote client's paged cursor — uses the hint to stop
+/// asking for entries nobody will read.
+pub trait EntrySource: Iterator<Item = Result<Entry>> + Send {
+    /// The cursor's caller will pull at most `n` more items from this
+    /// source, counting entries it has already fetched but not yet yielded.
+    /// A nested `take` calls this again with a smaller `n`.
+    fn cap(&mut self, _n: usize) {}
+}
+
+/// A plain iterator as a source that ignores caps.
+struct Uncapped<I>(I);
+
+impl<I: Iterator<Item = Result<Entry>>> Iterator for Uncapped<I> {
+    type Item = Result<Entry>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next()
+    }
+}
+
+impl<I: Iterator<Item = Result<Entry>> + Send> EntrySource for Uncapped<I> {}
+
 /// A lazy, sorted stream of entries — the return type of
 /// [`crate::SiriIndex::range`].
 ///
 /// `EntryCursor` is an ordinary iterator over `Result<Entry>`; use iterator
-/// adapters (`take`, `map`, …) freely, or [`EntryCursor::collect_entries`]
+/// adapters (`map`, `filter`, …) freely, or [`EntryCursor::collect_entries`]
 /// to drain it into a `Vec` with the first error propagated.
+///
+/// [`EntryCursor::take`] shadows [`Iterator::take`]: it yields the same
+/// items and also hands the cap to the cursor's [`EntrySource`], so a
+/// remote scan asks the server for no more entries than its caller takes.
+/// The pushdown happens only when `take` is called on the cursor itself;
+/// after `filter`, `map` or `by_ref` it is the plain iterator adapter, and
+/// the source never learns the count.
 pub struct EntryCursor {
-    inner: Box<dyn Iterator<Item = Result<Entry>> + Send>,
+    inner: Box<dyn EntrySource>,
+    /// Items the caller may still pull (`None` until [`EntryCursor::take`]).
+    left: Option<usize>,
 }
 
 impl EntryCursor {
     /// Wrap any entry iterator. Implementations hand in their tree-walking
     /// state machine; the box erases the per-structure type.
     pub fn new(inner: impl Iterator<Item = Result<Entry>> + Send + 'static) -> Self {
-        EntryCursor { inner: Box::new(inner) }
+        Self::from_source(Uncapped(inner))
+    }
+
+    /// Wrap a source that wants to hear about [`EntryCursor::take`] caps.
+    pub fn from_source(source: impl EntrySource + 'static) -> Self {
+        EntryCursor { inner: Box::new(source), left: None }
     }
 
     /// A cursor over nothing (empty index or empty window).
     pub fn empty() -> Self {
-        EntryCursor { inner: Box::new(std::iter::empty()) }
+        Self::new(std::iter::empty())
     }
 
     /// A cursor that yields one error and stops — how constructors report
     /// failures discovered during the initial descent.
     pub fn fail(err: IndexError) -> Self {
-        EntryCursor { inner: Box::new(std::iter::once(Err(err))) }
+        Self::new(std::iter::once(Err(err)))
+    }
+
+    /// At most the next `n` items — exactly what [`Iterator::take`] yields —
+    /// with the cap passed down to the source (see [`EntrySource::cap`]).
+    #[must_use = "a cursor is lazy and does nothing unless iterated"]
+    pub fn take(mut self, n: usize) -> EntryCursor {
+        let left = self.left.map_or(n, |l| l.min(n));
+        self.left = Some(left);
+        self.inner.cap(left);
+        self
     }
 
     /// Drain into a vector, propagating the first error.
@@ -50,7 +101,14 @@ impl Iterator for EntryCursor {
     type Item = Result<Entry>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
+        match &mut self.left {
+            None => self.inner.next(),
+            Some(0) => None,
+            Some(left) => {
+                *left -= 1;
+                self.inner.next()
+            }
+        }
     }
 }
 
@@ -125,6 +183,45 @@ mod tests {
         let bad = EntryCursor::fail(IndexError::CorruptStructure("boom"));
         assert!(bad.collect_entries().is_err());
         assert_eq!(EntryCursor::empty().count(), 0);
+    }
+
+    /// A source that records the caps it is handed.
+    struct Capped {
+        left: std::ops::Range<u8>,
+        caps: std::sync::Arc<std::sync::Mutex<Vec<usize>>>,
+    }
+
+    impl Iterator for Capped {
+        type Item = Result<Entry>;
+
+        fn next(&mut self) -> Option<Self::Item> {
+            self.left.next().map(|i| Ok(Entry::new(vec![i], vec![i])))
+        }
+    }
+
+    impl EntrySource for Capped {
+        fn cap(&mut self, n: usize) {
+            self.caps.lock().unwrap().push(n);
+        }
+    }
+
+    #[test]
+    fn take_yields_like_iterator_take_and_hands_down_the_tightest_cap() {
+        let caps: std::sync::Arc<std::sync::Mutex<Vec<usize>>> = Default::default();
+        let cursor = || EntryCursor::from_source(Capped { left: 0..100, caps: caps.clone() });
+        let keys = |c: EntryCursor| c.map(|e| e.unwrap().key[0]).collect::<Vec<_>>();
+
+        assert_eq!(keys(cursor().take(5)), (0..5).collect::<Vec<_>>());
+        assert_eq!(keys(cursor().take(50).take(10)), (0..10).collect::<Vec<_>>());
+        assert_eq!(keys(cursor().take(10).take(50)), (0..10).collect::<Vec<_>>());
+        assert_eq!(keys(cursor().take(500)).len(), 100);
+        assert!(keys(cursor().take(0)).is_empty());
+        assert_eq!(*caps.lock().unwrap(), [5, 50, 10, 10, 10, 500, 0]);
+
+        // Items already pulled count against a later cap.
+        let mut c = cursor();
+        c.next();
+        assert_eq!(keys(c.take(2)), [1, 2]);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod siri_properties;
 
 pub use batch::{apply_ops, BatchOp, CommitInfo, Op, WriteBatch};
 pub use cursor::{
-    before_start, own_bound, past_end, prefix_successor, start_seek_key, EntryCursor,
+    before_start, own_bound, past_end, prefix_successor, start_seek_key, EntryCursor, EntrySource,
 };
 pub use diff::{
     diff_by_scan, diff_sorted_entries, merge, merge_with_base, DiffEntry, DiffSide, MergeOutcome,

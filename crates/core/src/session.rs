@@ -62,7 +62,9 @@ pub trait Session: Send + Sync {
     /// Point lookup on the branch head.
     fn get(&self, branch: &str, key: &[u8]) -> Result<Option<bytes::Bytes>>;
 
-    /// Streaming ordered range scan over `[start, end]` on the branch head.
+    /// Streaming ordered range scan on the branch head, from `start` to
+    /// `end` — each bound inclusive, exclusive or open as the caller passes
+    /// it.
     fn range(&self, branch: &str, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<EntryCursor>;
 
     /// Streaming scan of every key starting with `prefix`.

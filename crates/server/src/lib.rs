@@ -528,7 +528,7 @@ where
                 None => start.as_bound(),
             };
             match Session::range(engine, &branch, start_bound, end.as_bound()) {
-                Ok(cursor) => page_of(cursor, limit),
+                Ok(cursor) => page_of(cursor, limit, shared.opts.max_frame_bytes),
                 Err(e) => Response::Err(WireError::from_index_error(&e)),
             }
         }
@@ -620,17 +620,22 @@ where
 }
 
 /// Drain up to `limit` entries into one scan page; fetch one extra to
-/// learn whether the range is exhausted without a second round trip.
-fn page_of(cursor: siri_core::EntryCursor, limit: usize) -> Response {
+/// learn whether the range is exhausted without a second round trip. The
+/// page also stops before the entry that would push its encoding past
+/// `max_frame` (then `done` is false and the client re-anchors after the
+/// last key, as for any page). It always carries at least one entry, so
+/// an entry too large for any frame still meets the frame-cap refusal.
+fn page_of(cursor: siri_core::EntryCursor, limit: usize, max_frame: usize) -> Response {
     let mut entries = Vec::with_capacity(limit.min(1024));
+    let mut bytes = proto::page_header_bytes(limit);
     for item in cursor {
         match item {
             Ok(e) => {
-                entries.push(e);
-                if entries.len() > limit {
-                    entries.pop();
+                bytes += proto::page_entry_bytes(&e);
+                if entries.len() == limit || (bytes > max_frame && !entries.is_empty()) {
                     return Response::Page { entries, done: false };
                 }
+                entries.push(e);
             }
             Err(e) => return Response::Err(WireError::from_index_error(&e)),
         }

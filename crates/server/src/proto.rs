@@ -28,7 +28,7 @@ use std::io::{self, Read, Write};
 use bytes::Bytes;
 use siri_core::{BatchOp, CommitInfo, Entry, IndexError, ShardCommit};
 use siri_crypto::Hash;
-use siri_encoding::{ByteReader, ByteWriter, CodecError};
+use siri_encoding::{varint, ByteReader, ByteWriter, CodecError};
 
 /// Protocol version spoken by this build (bumped on any wire change).
 /// History: 1 — initial verb set; 2 — `ProveRange`/`ProveBatch`.
@@ -519,6 +519,20 @@ impl Request {
 
 // ---- response codec -------------------------------------------------------
 
+/// Upper bound on the encoded bytes of a [`Response::Page`] header (tag,
+/// `done` flag, entry count) for a page of at most `limit` entries.
+pub(crate) fn page_header_bytes(limit: usize) -> usize {
+    2 + varint::len(limit as u64)
+}
+
+/// Encoded bytes `e` adds to a [`Response::Page`].
+pub(crate) fn page_entry_bytes(e: &Entry) -> usize {
+    varint::len(e.key.len() as u64)
+        + e.key.len()
+        + varint::len(e.value.len() as u64)
+        + e.value.len()
+}
+
 const RESP_HELLO: u8 = 129;
 const RESP_COMMITTED: u8 = 130;
 const RESP_VALUE: u8 = 131;
@@ -770,6 +784,19 @@ mod tests {
         ];
         for resp in resps {
             assert_eq!(Response::decode(&resp.encode()), Ok(resp));
+        }
+    }
+
+    /// The server sizes scan pages against the frame cap with these two
+    /// functions; they must match the encoder byte for byte.
+    #[test]
+    fn page_size_arithmetic_matches_the_encoding() {
+        for (count, len) in [(0usize, 0usize), (1, 127), (3, 128), (200, 16_383), (130, 16_384)] {
+            let entries: Vec<Entry> =
+                (0..count).map(|i| Entry::new(vec![i as u8; len % 300], vec![7u8; len])).collect();
+            let sized =
+                page_header_bytes(count) + entries.iter().map(page_entry_bytes).sum::<usize>();
+            assert_eq!(sized, Response::Page { entries, done: false }.encode().len());
         }
     }
 

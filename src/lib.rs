@@ -49,12 +49,12 @@ pub use siri_core::{
     apply_ops, chain_cursors, cost_model, diff_by_scan, diff_sorted_entries, entry_codec, merge,
     merge_with_base, metrics, open_head, ordered, prefix_successor, siri_properties,
     verify_anchored_batch, verify_anchored_membership, verify_anchored_range, BatchOp,
-    BatchVerdict, Bytes, CacheStats, CommitInfo, DiffEntry, DiffSide, Entry, EntryCursor, Hash,
-    IndexError, LookupTrace, MemStore, MergeOutcome, MergeStrategy, NodeStore, Op, PageNode,
-    PagePool, PageReader, PageSet, Proof, ProofScheme, ProofVerdict, RangeVerdict, Reclaim,
-    Recorder, Result, Session, ShardCommit, ShardManifest, ShardRouter, SharedStore, SiriIndex,
-    StoreError, StoreResult, StoreStats, StructureReport, StructureStats, VersionStore, VersionTag,
-    WriteBatch, MANIFEST_MAGIC, MAX_PROOF_PAGES,
+    BatchVerdict, Bytes, CacheStats, CommitInfo, DiffEntry, DiffSide, Entry, EntryCursor,
+    EntrySource, Hash, IndexError, LookupTrace, MemStore, MergeOutcome, MergeStrategy, NodeStore,
+    Op, PageNode, PagePool, PageReader, PageSet, Proof, ProofScheme, ProofVerdict, RangeVerdict,
+    Reclaim, Recorder, Result, Session, ShardCommit, ShardManifest, ShardRouter, SharedStore,
+    SiriIndex, StoreError, StoreResult, StoreStats, StructureReport, StructureStats, VersionStore,
+    VersionTag, WriteBatch, MANIFEST_MAGIC, MAX_PROOF_PAGES,
 };
 
 pub use siri_client::{ClientOptions, RemoteSession, SyncOptions, SyncReport};

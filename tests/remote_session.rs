@@ -173,9 +173,10 @@ fn recording_range_server(
     (addr, log, server)
 }
 
-/// Scans start with a small page and ramp up to `page_size`: a short scan
-/// must not make the server walk a full page it will never deliver, and a
-/// long one must still be seamless across every page boundary.
+/// A scan capped by `take(n)` asks each page for what is left of `n` (up to
+/// `page_size`), so the server walks `n + 1` entries, not a whole page. An
+/// uncapped scan starts with a small page and ramps up to `page_size`, and
+/// stays seamless across every page boundary.
 #[test]
 fn scan_paging_starts_small_and_ramps_to_the_cap() {
     use std::ops::Bound::{Excluded, Included, Unbounded};
@@ -197,15 +198,23 @@ fn scan_paging_starts_small_and_ramps_to_the_cap() {
     let session = RemoteSession::connect(addr).unwrap();
     let take_log = || std::mem::take(&mut *log.lock().unwrap());
 
-    // The common short scan: one round trip, one small page.
-    let first50: Vec<_> = session
-        .range("master", Unbounded, Unbounded)
-        .unwrap()
-        .take(50)
-        .collect::<siri::Result<_>>()
-        .unwrap();
-    assert_eq!(first50, local(Unbounded, Unbounded)[..50]);
-    assert_eq!(take_log(), [(64, 65)], "take(50) must cost one 64-entry page");
+    // The common short scan: one round trip, exactly the entries taken.
+    let take = |n: usize| -> Vec<siri::Entry> {
+        session
+            .range("master", Unbounded, Unbounded)
+            .unwrap()
+            .take(n)
+            .collect::<siri::Result<_>>()
+            .unwrap()
+    };
+    assert_eq!(take(50), local(Unbounded, Unbounded)[..50]);
+    assert_eq!(take_log(), [(50, 51)], "take(50) must cost one 50-entry page");
+    // A cap past the first-page size skips the ramp.
+    assert_eq!(take(200), local(Unbounded, Unbounded)[..200]);
+    assert_eq!(take_log(), [(200, 201)]);
+    // Taking nothing asks for nothing.
+    assert!(take(0).is_empty());
+    assert_eq!(take_log(), []);
 
     // A full scan ramps 64 → 256 and stays there; the result is the
     // in-process scan, seams (63|64, 319|320, 575|576) included.
@@ -231,8 +240,8 @@ fn scan_paging_starts_small_and_ramps_to_the_cap() {
     drop(session);
     server.join().unwrap();
 
-    // `page_size` is the cap: below the first-page size it is the size of
-    // every page, the first included.
+    // `page_size` bounds every page, the first included; the last page of
+    // a capped scan asks only for the remainder.
     let (addr, log, server) = recording_range_server(served.clone());
     let opts = ClientOptions { page_size: 7, ..ClientOptions::default() };
     let session = RemoteSession::connect_with(addr, opts).unwrap();
@@ -243,7 +252,7 @@ fn scan_paging_starts_small_and_ramps_to_the_cap() {
         .collect::<siri::Result<_>>()
         .unwrap();
     assert_eq!(some, local(Unbounded, Unbounded)[..30]);
-    assert_eq!(*log.lock().unwrap(), [(7, 8); 5]);
+    assert_eq!(*log.lock().unwrap(), [(7, 8), (7, 8), (7, 8), (7, 8), (2, 3)]);
     drop(session);
     server.join().unwrap();
 }
@@ -507,6 +516,52 @@ fn an_oversized_response_is_refused_and_the_session_survives() {
     );
     let wide: Vec<Hash> = (0..1_000u32).map(|i| siri::crypto::sha256(&i.to_le_bytes())).collect();
     assert!(session.fetch_pages(&wide).unwrap().iter().all(Option::is_none));
+}
+
+/// A scan page is bounded by bytes as well as entries: a window of large
+/// values streams across several frame-sized pages and equals the
+/// in-process scan. A single entry too large for any frame is refused
+/// cleanly, and the session keeps answering.
+#[test]
+fn scan_pages_of_large_values_stay_under_the_frame_cap() {
+    use std::ops::Bound::{Included, Unbounded};
+
+    let (served, handle) = loopback(ServerOptions::default());
+    let mut b = WriteBatch::new();
+    for i in 0..400u32 {
+        b.put(format!("big{i:03}").into_bytes(), vec![(i % 251) as u8; 40_000]);
+    }
+    Session::commit(served.as_ref(), "master", b).unwrap();
+
+    let session = RemoteSession::connect(handle.addr()).unwrap();
+    let remote: Vec<_> = session
+        .range("master", Unbounded, Unbounded)
+        .unwrap()
+        .collect::<siri::Result<_>>()
+        .unwrap();
+    let local: Vec<_> = Session::range(served.as_ref(), "master", Unbounded, Unbounded)
+        .unwrap()
+        .collect::<siri::Result<_>>()
+        .unwrap();
+    assert_eq!(remote.len(), 400);
+    assert_eq!(remote, local);
+
+    let mut b = WriteBatch::new();
+    b.put(&b"huge"[..], vec![b'h'; 9 << 20]);
+    Session::commit(served.as_ref(), "master", b).unwrap();
+    let scan = session
+        .range("master", Included(&b"huge"[..]), Unbounded)
+        .unwrap()
+        .collect::<siri::Result<Vec<_>>>();
+    match scan {
+        Err(IndexError::Remote(why)) => assert!(why.contains("frame cap"), "{why}"),
+        Err(e) => panic!("an entry over the frame cap must be refused cleanly, got {e:?}"),
+        Ok(got) => panic!("an entry over the frame cap must be refused, got {} entries", got.len()),
+    }
+    assert_eq!(
+        session.branch_digest("master").unwrap(),
+        Session::branch_digest(served.as_ref(), "master").unwrap()
+    );
 }
 
 #[test]

@@ -214,3 +214,75 @@ fn empty_scan_and_empty_branch_behave() {
         s.scan_prefix("master", b"zzz").unwrap().collect::<siri::Result<_>>().unwrap();
     assert!(none.is_empty());
 }
+
+/// `cursor.take(n)` — the take a remote cursor pushes down to the server —
+/// yields exactly what `Iterator::take` yields over the same cursor, which
+/// is the first `n` entries of the full scan: for every take count, over a
+/// full scan, a mid-range start and an end bound that cuts before `n`,
+/// for nested takes, and after part of the cursor was already read.
+fn check_takes(label: &str, range: impl Fn(Bound<&[u8]>, Bound<&[u8]>) -> siri::EntryCursor) {
+    use Bound::{Excluded, Included, Unbounded};
+
+    let drain = |c: siri::EntryCursor| c.collect::<siri::Result<Vec<_>>>().unwrap();
+    let windows = [
+        (Unbounded, Unbounded),
+        (Included(&b"key0250"[..]), Unbounded),
+        (Excluded(&b"key0100"[..]), Included(&b"key0130"[..])),
+    ];
+    for (start, end) in windows {
+        let full = drain(range(start, end));
+        let len = full.len();
+        let first = |n: usize| &full[..n.min(len)];
+        for n in [0, 1, 20, 64, 65, 300, len, len + 5] {
+            let pushed = drain(range(start, end).take(n));
+            let plain: Vec<_> =
+                Iterator::take(range(start, end), n).collect::<siri::Result<_>>().unwrap();
+            assert_eq!(pushed, plain, "{label}: take({n}) over {start:?}..{end:?}");
+            assert_eq!(pushed, first(n), "{label}: take({n}) over {start:?}..{end:?}");
+        }
+        assert_eq!(drain(range(start, end).take(50).take(10)), first(10), "{label}");
+        assert_eq!(drain(range(start, end).take(10).take(50)), first(10), "{label}");
+
+        let mut cursor = range(start, end);
+        let read = cursor.by_ref().take(3).count();
+        let rest = &full[read..];
+        assert_eq!(drain(cursor.take(100)), rest[..100.min(rest.len())], "{label}");
+    }
+}
+
+fn numbered(n: u32) -> Vec<siri::Entry> {
+    (0..n)
+        .map(|i| {
+            siri::Entry::new(format!("key{i:04}").into_bytes(), format!("val{i}").into_bytes())
+        })
+        .collect()
+}
+
+#[test]
+fn cursor_take_is_iterator_take() {
+    let s = env_session();
+    let mut b = WriteBatch::new();
+    for e in numbered(600) {
+        b.put(e.key, e.value);
+    }
+    s.commit("master", b).unwrap();
+    check_takes("session", |start, end| s.range("master", start, end).unwrap());
+}
+
+#[test]
+fn cursor_take_is_iterator_take_on_every_structure() {
+    use siri::{
+        IndexFactory, MbtFactory, MemStore, MptFactory, MvmbFactory, MvmbParams, PosFactory,
+        PosParams, SiriIndex,
+    };
+
+    fn on<F: IndexFactory>(factory: F) {
+        let mut idx = factory.empty(MemStore::new_shared());
+        idx.batch_insert(numbered(600)).unwrap();
+        check_takes(idx.kind(), |start, end| idx.range(start, end));
+    }
+    on(PosFactory(PosParams::default()));
+    on(MptFactory);
+    on(MbtFactory { buckets: 64, fanout: 8 });
+    on(MvmbFactory(MvmbParams::default()));
+}
