@@ -1,14 +1,14 @@
 //! Criterion micro-benchmarks for the chunking strategies — quantifies the
 //! Figure 22 mechanism: POS-Tree's hash-pattern internal boundaries vs
 //! Prolly's sliding-window re-hashing, and bulk build cost per structure —
-//! and pins the rolling slice kernels to the per-byte definition they
+//! and pins the rolling slice kernel to the per-byte definition it
 //! replaced, for speed and for output.
 //!
 //! `CHUNKING_N` overrides the dataset size (CI smoke-runs use a small value
 //! so this executes on every push).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use siri::crypto::{GearHash, RollingHash, DEFAULT_WINDOW};
+use siri::crypto::{RollingHash, DEFAULT_WINDOW};
 use siri::workloads::YcsbConfig;
 use siri::{MemStore, PosParams, PosTree, SiriIndex};
 
@@ -16,16 +16,16 @@ fn dataset_size() -> usize {
     std::env::var("CHUNKING_N").ok().and_then(|v| v.parse().ok()).unwrap_or(20_000)
 }
 
-/// The per-byte definitions of both fingerprints as they stood before the
-/// slice kernels (`% window` ring, rotate per expelled byte, warm check per
-/// byte), restated here because `siri-crypto` keeps its own copy test-only.
-/// Each returns the final fingerprint and how many `SPAN`-byte spans of the
-/// stream contained a warm boundary match.
+/// The per-byte definition of the fingerprint as it stood before the slice
+/// kernel (`% window` ring, rotate per expelled byte, warm check per byte),
+/// restated here because `siri-crypto` keeps its own copy test-only. Returns
+/// the final fingerprint and how many `SPAN`-byte spans of the stream
+/// contained a warm boundary match.
 mod reference {
     use super::SPAN;
 
-    fn table(seed: u64) -> [u64; 256] {
-        let mut state = seed;
+    fn table() -> [u64; 256] {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
         std::array::from_fn(|_| {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = state;
@@ -36,7 +36,7 @@ mod reference {
     }
 
     pub fn buzhash(stream: &[u8], window: usize, mask: u64) -> (u64, usize) {
-        let table = table(0x9E37_79B9_7F4A_7C15);
+        let table = table();
         let (mut ring, mut head, mut filled) = (vec![0u8; window], 0, 0);
         let (mut value, mut fired_spans) = (0u64, 0);
         for span in stream.chunks(SPAN) {
@@ -59,44 +59,22 @@ mod reference {
         }
         (value, fired_spans)
     }
-
-    pub fn gear(stream: &[u8], mask: u64) -> (u64, usize) {
-        let table = table(0xD1B5_4A32_D192_ED03);
-        let (mut value, mut fed, mut fired_spans) = (0u64, 0u32, 0);
-        for span in stream.chunks(SPAN) {
-            let mut fired = false;
-            for &byte in span {
-                value = (value << 1).wrapping_add(table[byte as usize]);
-                fed = (fed + 1).min(siri::crypto::GEAR_WINDOW);
-                fired |= fed >= siri::crypto::GEAR_WINDOW && value & mask == mask;
-            }
-            fired_spans += fired as usize;
-        }
-        (value, fired_spans)
-    }
 }
 
 /// Call granularity of the kernel runs: about one leaf entry.
 const SPAN: usize = 1024;
 
-/// Reference vs kernel over the same buffer, both chunkers: the outputs
+/// Reference vs kernel over the same buffer: the outputs
 /// must be equal (so the kernel cannot become fast-but-different) and both
 /// speeds are printed (so it cannot silently become compiles-but-slow).
 fn bench_rolling_kernel(c: &mut Criterion, stream: &[u8]) {
     let buz_mask = (1u64 << 10) - 1;
-    let gear_mask = GearHash::mask_high(10);
     let buz_kernel = |stream: &[u8]| {
         let mut r = RollingHash::with_default_window();
         let fired = stream.chunks(SPAN).filter(|s| r.push_slice_fires(s, buz_mask)).count();
         (r.fingerprint(), fired)
     };
-    let gear_kernel = |stream: &[u8]| {
-        let mut g = GearHash::new();
-        let fired = stream.chunks(SPAN).filter(|s| g.push_slice_fires(s, gear_mask)).count();
-        (g.fingerprint(), fired)
-    };
     assert_eq!(buz_kernel(stream), reference::buzhash(stream, DEFAULT_WINDOW, buz_mask));
-    assert_eq!(gear_kernel(stream), reference::gear(stream, gear_mask));
 
     let mut group = c.benchmark_group("rolling_kernel");
     group.sample_size(10);
@@ -106,10 +84,6 @@ fn bench_rolling_kernel(c: &mut Criterion, stream: &[u8]) {
         b.iter(|| reference::buzhash(std::hint::black_box(stream), window, buz_mask))
     });
     group.bench_function("buzhash-kernel", |b| b.iter(|| buz_kernel(std::hint::black_box(stream))));
-    group.bench_function("gear-reference", |b| {
-        b.iter(|| reference::gear(std::hint::black_box(stream), gear_mask))
-    });
-    group.bench_function("gear-kernel", |b| b.iter(|| gear_kernel(std::hint::black_box(stream))));
     group.finish();
 }
 

@@ -67,17 +67,7 @@ pub fn run_concurrent_writers<F: IndexFactory>(
 }
 
 pub fn pos_factory(cfg: IndexCfg) -> PosFactory {
-    PosFactory(PosParams::default().with_node_bytes(cfg.node_bytes).with_chunker(chunker_kind()))
-}
-
-/// POS-Tree chunker selected for this run: `SIRI_CHUNKER=gear` opts into
-/// the gear fast path, anything else (including unset) keeps the
-/// digest-stable buzhash default.
-pub fn chunker_kind() -> siri::ChunkerKind {
-    match std::env::var("SIRI_CHUNKER").as_deref() {
-        Ok("gear") => siri::ChunkerKind::Gear,
-        _ => siri::ChunkerKind::Buzhash,
-    }
+    PosFactory(PosParams::default().with_node_bytes(cfg.node_bytes))
 }
 
 pub fn mbt_factory(cfg: IndexCfg) -> MbtFactory {

@@ -42,11 +42,6 @@ fn measure(data: &[Entry], ops: &[Op], cfg: IndexCfg) -> Vec<Space> {
 }
 
 fn check(workload: &str, got: Vec<Space>, golden: [Space; 4]) {
-    assert_eq!(
-        siri_bench::harness::chunker_kind(),
-        siri::ChunkerKind::Buzhash,
-        "the golden numbers are for the default chunker: unset SIRI_CHUNKER"
-    );
     assert_eq!(got, golden, "{workload}: a structure's stored space moved");
 }
 

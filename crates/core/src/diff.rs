@@ -147,19 +147,21 @@ pub fn merge<I: SiriIndex>(
     let mut conflicts_resolved = 0usize;
     let mut added_from_right = 0usize;
 
-    for d in diffs {
-        match d.side() {
-            DiffSide::RightOnly => {
+    for DiffEntry { key, left, right } in diffs {
+        match (left, right) {
+            (None, Some(value)) => {
                 added_from_right += 1;
-                to_apply.push(Entry { key: d.key, value: d.right.expect("right-only has value") });
+                to_apply.push(Entry { key, value });
             }
-            DiffSide::LeftOnly => {} // already in the base snapshot
-            DiffSide::Changed => match strategy {
-                MergeStrategy::Strict => conflicts.push(d),
+            (_, None) => {} // left-only: already in the base snapshot
+            (Some(left), Some(right)) => match strategy {
+                MergeStrategy::Strict => {
+                    conflicts.push(DiffEntry { key, left: Some(left), right: Some(right) })
+                }
                 MergeStrategy::PreferLeft => conflicts_resolved += 1,
                 MergeStrategy::PreferRight => {
                     conflicts_resolved += 1;
-                    to_apply.push(Entry { key: d.key, value: d.right.expect("changed has right") });
+                    to_apply.push(Entry { key, value: right });
                 }
             },
         }

@@ -15,7 +15,6 @@
 //!   sharing ratio of §5.4.2;
 //! * [`merge`] — two-way, conflict-aware merge built on structural diff
 //!   (§4.1.4);
-//! * [`VersionStore`] — a branching version manager over any index;
 //! * [`cost_model`] — the closed-form operation bounds of §4.1, used to
 //!   cross-check measured asymptotics;
 //! * [`siri_properties`] — executable checks of the three SIRI properties
@@ -33,7 +32,6 @@ mod session;
 mod shard;
 mod structure;
 mod verify;
-mod version;
 
 pub mod cost_model;
 pub mod entry_codec;
@@ -63,7 +61,6 @@ pub use verify::{
     verify_anchored_batch, verify_anchored_membership, verify_anchored_range, AnchoredReader,
     BatchVerdict, PagePool, ProofScheme, RangeVerdict, Recorder,
 };
-pub use version::{VersionStore, VersionTag};
 
 // Re-exports so downstream crates (and examples) need only `siri_core`.
 pub use bytes::Bytes;

@@ -40,10 +40,6 @@ const fn splitmix_table(seed: u64) -> [u64; 256] {
 /// Buzhash byte table.
 static BUZ_TABLE: [u64; 256] = splitmix_table(0x9E37_79B9_7F4A_7C15);
 
-/// Gear byte table: independent of the buzhash table (different seed) so
-/// the two chunkers cannot accidentally correlate.
-static GEAR_TABLE: [u64; 256] = splitmix_table(0xD1B5_4A32_D192_ED03);
-
 /// A rolling fingerprint over the last `window` bytes fed in.
 ///
 /// ```
@@ -226,121 +222,10 @@ fn buz_slide<const TEST: bool>(
     (v, fired)
 }
 
-/// Gear rolling hash — the fast content-defined-chunking fingerprint
-/// (Xia et al., FastCDC): one table lookup, one shift, one add per byte,
-/// and no ring buffer at all. The window is implicit: after `k` pushes,
-/// bit `b` of the value depends only on the last `b + 1` bytes, so the
-/// *high* bits carry a ~64-byte effective window while the low bits
-/// remember almost nothing. Boundary tests against a gear fingerprint must
-/// therefore mask the **top** bits ([`GearHash::mask_high`]), unlike the
-/// buzhash whose cyclic rotation keeps all 64 bits uniform.
-///
-/// Chunk boundaries produced by gear differ from buzhash boundaries, so
-/// the POS-Tree exposes the chunker choice as an explicit parameter
-/// (`ChunkerKind`): existing trees keep buzhash and their digests; gear is
-/// opt-in for new trees.
-#[derive(Clone, Default)]
-pub struct GearHash {
-    value: u64,
-    /// Bytes pushed since the last reset, saturating at the warm-up point.
-    fed: u32,
-}
-
-/// Effective window of the gear fingerprint's top bit, and hence the
-/// warm-up length before boundary tests are meaningful. Public so chunkers
-/// can compute skip-ahead distances (bytes further than this before the
-/// first tested position cannot influence any tested fingerprint).
-pub const GEAR_WINDOW: u32 = 64;
-
-impl GearHash {
-    pub fn new() -> Self {
-        GearHash { value: 0, fed: 0 }
-    }
-
-    /// Mask selecting the top `bits` bits — the boundary test for an
-    /// expected chunk size of 2^bits bytes is
-    /// `fingerprint & mask == mask`.
-    pub fn mask_high(bits: u32) -> u64 {
-        debug_assert!(bits > 0 && bits < 64);
-        ((1u64 << bits) - 1) << (64 - bits)
-    }
-
-    /// Slide forward by one byte.
-    #[inline]
-    pub fn push(&mut self, byte: u8) {
-        self.push_slice(&[byte]);
-    }
-
-    #[inline]
-    pub fn push_slice(&mut self, bytes: &[u8]) {
-        self.value = gear_roll::<false>(self.value, bytes, 0).0;
-        self.feed(bytes.len());
-    }
-
-    /// Feed a whole slice and report whether `fingerprint() & mask == mask`
-    /// held after any byte of it at which the hash was warm.
-    #[inline]
-    pub fn push_slice_fires(&mut self, bytes: &[u8], mask: u64) -> bool {
-        // The byte that brings `fed` to the window is the first one tested.
-        let cold = ((GEAR_WINDOW - 1).saturating_sub(self.fed) as usize).min(bytes.len());
-        let (fill, warm) = bytes.split_at(cold);
-        let (v, _) = gear_roll::<false>(self.value, fill, 0);
-        let (v, fired) = gear_roll::<true>(v, warm, mask);
-        self.value = v;
-        self.feed(bytes.len());
-        fired
-    }
-
-    /// Account for `n` pushed bytes: one saturation per slice.
-    #[inline]
-    fn feed(&mut self, n: usize) {
-        self.fed = (self.fed as usize + n).min(GEAR_WINDOW as usize) as u32;
-    }
-
-    #[inline]
-    pub fn fingerprint(&self) -> u64 {
-        self.value
-    }
-
-    /// Whether enough bytes have been pushed for the high bits to carry a
-    /// full window of history.
-    #[inline]
-    pub fn is_warm(&self) -> bool {
-        self.fed >= GEAR_WINDOW
-    }
-
-    pub fn reset(&mut self) {
-        self.value = 0;
-        self.fed = 0;
-    }
-}
-
-/// The gear slice kernel: slide `v` over `bytes`, optionally OR-ing the
-/// boundary test of every position into the returned flag.
-#[inline]
-fn gear_roll<const TEST: bool>(mut v: u64, bytes: &[u8], mask: u64) -> (u64, bool) {
-    let mut fired = false;
-    for &b in bytes {
-        v = (v << 1).wrapping_add(GEAR_TABLE[b as usize]);
-        if TEST {
-            fired |= v & mask == mask;
-        }
-    }
-    (v, fired)
-}
-
-/// Convenience: fingerprint of the last `window` bytes of `data` (or of all
-/// of `data` when shorter).
-pub fn fingerprint(data: &[u8], window: usize) -> u64 {
-    let mut r = RollingHash::new(window);
-    r.push_slice(data);
-    r.fingerprint()
-}
-
-/// The per-byte definition both fingerprints had before the slice kernels:
-/// `% window` ring indexing, a rotate per expelled byte, lazily built tables
-/// and a warm check per byte. Kept as the oracle the kernels are tested
-/// against — it shares no code with them, the table generator included.
+/// The per-byte definition the fingerprint had before the slice kernel:
+/// `% window` ring indexing, a rotate per expelled byte, a lazily built table
+/// and a warm check per byte. Kept as the oracle the kernel is tested
+/// against — it shares no code with it, the table generator included.
 #[cfg(test)]
 mod reference {
     fn table(seed: u64) -> [u64; 256] {
@@ -404,36 +289,6 @@ mod reference {
             self.head = 0;
             self.filled = 0;
             self.value = 0;
-        }
-    }
-
-    pub struct GearHash {
-        table: [u64; 256],
-        value: u64,
-        fed: u32,
-    }
-
-    impl GearHash {
-        pub fn new() -> Self {
-            GearHash { table: table(0xD1B5_4A32_D192_ED03), value: 0, fed: 0 }
-        }
-
-        pub fn push(&mut self, byte: u8) {
-            self.value = (self.value << 1).wrapping_add(self.table[byte as usize]);
-            self.fed = (self.fed + 1).min(super::GEAR_WINDOW);
-        }
-
-        pub fn fingerprint(&self) -> u64 {
-            self.value
-        }
-
-        pub fn is_warm(&self) -> bool {
-            self.fed >= super::GEAR_WINDOW
-        }
-
-        pub fn reset(&mut self) {
-            self.value = 0;
-            self.fed = 0;
         }
     }
 }
@@ -504,22 +359,6 @@ mod tests {
             }
         }
 
-        #[test]
-        fn gear_kernel_equals_per_byte_reference(
-            stream in proptest::collection::vec(proptest::num::u8::ANY, 0..700),
-            cuts in proptest::collection::vec(0usize..300, 0..12),
-            reset_call in 0usize..14,
-            bits in 1u32..6,
-        ) {
-            assert_kernel_matches_reference!(
-                GearHash::new(),
-                reference::GearHash::new(),
-                &stream,
-                cuts,
-                reset_call,
-                GearHash::mask_high(bits)
-            );
-        }
     }
 
     #[test]
@@ -535,7 +374,12 @@ mod tests {
 
     #[test]
     fn different_windows_differ() {
-        assert_ne!(fingerprint(b"the quick brown fox", 4), fingerprint(b"the quick brown fix", 4));
+        let fingerprint = |data: &[u8]| {
+            let mut r = RollingHash::new(4);
+            r.push_slice(data);
+            r.fingerprint()
+        };
+        assert_ne!(fingerprint(b"the quick brown fox"), fingerprint(b"the quick brown fix"));
     }
 
     #[test]
@@ -575,50 +419,6 @@ mod tests {
         }
         let rate = hits as f64 / N as f64;
         assert!((rate - 1.0 / 64.0).abs() < 0.006, "boundary rate {rate} too far from 1/64");
-    }
-
-    #[test]
-    fn gear_high_bits_are_roughly_uniform() {
-        // The gear boundary test uses the top bits; their hit rate over a
-        // pseudo-random stream must sit near the design probability.
-        let mut g = GearHash::new();
-        let mask = GearHash::mask_high(6);
-        let mut hits = 0u32;
-        let mut x: u64 = 42;
-        const N: u32 = 200_000;
-        for _ in 0..N {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            g.push((x >> 33) as u8);
-            if g.is_warm() && g.fingerprint() & mask == mask {
-                hits += 1;
-            }
-        }
-        let rate = hits as f64 / N as f64;
-        assert!((rate - 1.0 / 64.0).abs() < 0.006, "gear boundary rate {rate} too far from 1/64");
-    }
-
-    #[test]
-    fn gear_depends_only_on_recent_bytes() {
-        // Two streams sharing their last 64 bytes must agree on the
-        // fingerprint's top bits (the only bits boundary tests consult).
-        let tail: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37)).collect();
-        let mut a = GearHash::new();
-        a.push_slice(b"a completely different long prefix stream 123456");
-        a.push_slice(&tail);
-        let mut b = GearHash::new();
-        b.push_slice(&tail);
-        let mask = GearHash::mask_high(12);
-        assert_eq!(a.fingerprint() & mask, b.fingerprint() & mask);
-    }
-
-    #[test]
-    fn gear_reset_restores_initial_state() {
-        let mut g = GearHash::new();
-        g.push_slice(b"warm me up with plenty of bytes to cross the window mark....1234");
-        assert!(g.is_warm());
-        g.reset();
-        assert_eq!(g.fingerprint(), 0);
-        assert!(!g.is_warm());
     }
 
     #[test]

@@ -23,76 +23,40 @@
 use bytes::Bytes;
 use siri_core::ordered::ChildRef;
 use siri_core::{entry_codec, Entry, Result};
-use siri_crypto::{GearHash, Hash, RollingHash, GEAR_WINDOW};
+use siri_crypto::{Hash, RollingHash};
 use siri_encoding::{ByteWriter, Scratch};
 use siri_store::{PageBatch, SharedStore};
 
 use crate::node::{self, Node};
-use crate::params::{ChunkerKind, InternalChunking, PosParams, SplitPolicy};
+use crate::params::{InternalChunking, PosParams, SplitPolicy};
 
 /// Leaves queued for one multi-lane hashing round. Small enough that a
 /// resync flush mid-update wastes little batching, large enough to fill the
 /// SHA-256 lanes on a fresh build.
 const LEAF_BATCH: usize = 8;
 
-/// Sliding-window boundary detector: fires with probability 2^-bits per
-/// byte of the node-local stream.
-enum Chunker {
-    /// Roll a window over the bytes; fire when the low `bits` of the
-    /// fingerprint are all ones (the paper's example pattern).
-    Buzhash { roller: RollingHash, mask: u64 },
-    /// Gear fast path: implicit 64-byte window, one table lookup + shift +
-    /// add per byte, boundary tested on the fingerprint's *high* bits, and
-    /// min-chunk cut-point skipping (FastCDC): no byte before `min_test`
-    /// can end a node, so bytes more than a gear window before it are not
-    /// even hashed. `fed` counts bytes since the node start (saturating at
-    /// `min_test`), which keeps the decision a pure function of the
-    /// node-local stream — the structural-invariance requirement.
-    Gear { gear: GearHash, mask: u64, min_test: usize, fed: usize },
+/// Sliding-window boundary detector: rolls a buzhash window over the
+/// node-local stream and fires when the low `bits` of the fingerprint are
+/// all ones (the paper's example pattern), with probability 2^-bits per
+/// byte.
+struct Chunker {
+    roller: RollingHash,
+    mask: u64,
 }
 
 impl Chunker {
     fn new(params: &PosParams, bits: u32) -> Chunker {
-        match params.chunker {
-            ChunkerKind::Buzhash => Chunker::Buzhash {
-                roller: RollingHash::new(params.window),
-                mask: (1u64 << bits) - 1,
-            },
-            ChunkerKind::Gear => Chunker::Gear {
-                gear: GearHash::new(),
-                mask: GearHash::mask_high(bits),
-                // Expected node 2^bits bytes; skip the first quarter (but
-                // never less than the warm-up window).
-                min_test: ((1usize << bits) / 4).max(GEAR_WINDOW as usize),
-                fed: 0,
-            },
-        }
+        Chunker { roller: RollingHash::new(params.window), mask: (1u64 << bits) - 1 }
     }
 
     /// Roll `bytes`; true if a boundary fires at any byte of them. Only a
     /// warm window counts (see [`RollingHash::push_slice_fires`]).
     fn fires(&mut self, bytes: &[u8]) -> bool {
-        match self {
-            Chunker::Buzhash { roller, mask } => roller.push_slice_fires(bytes, *mask),
-            Chunker::Gear { gear, mask, min_test, fed } => {
-                // Hashing starts a gear window before the first testable
-                // position, so the hash turns warm exactly there and its
-                // own warm-up gate is the `min_test` gate.
-                let skip = (*min_test - GEAR_WINDOW as usize).saturating_sub(*fed).min(bytes.len());
-                *fed = (*fed + bytes.len()).min(*min_test);
-                gear.push_slice_fires(&bytes[skip..], *mask)
-            }
-        }
+        self.roller.push_slice_fires(bytes, self.mask)
     }
 
     fn reset(&mut self) {
-        match self {
-            Chunker::Buzhash { roller, .. } => roller.reset(),
-            Chunker::Gear { gear, fed, .. } => {
-                gear.reset();
-                *fed = 0;
-            }
-        }
+        self.roller.reset();
     }
 }
 
@@ -541,8 +505,7 @@ mod tests {
             let value: Vec<u8> = (0..len).map(|_| next() as u8).collect();
             Entry::new(format!("k{i:08}").into_bytes(), value)
         };
-        let gear = PosParams::default().with_chunker(crate::params::ChunkerKind::Gear);
-        for params in [PosParams::default(), PosParams::noms(), gear, PosParams::forced_split()] {
+        for params in [PosParams::default(), PosParams::noms(), PosParams::forced_split()] {
             let mut free = 0;
             for i in 0..300 {
                 let e = entry(i);
@@ -613,36 +576,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn gear_chunker_produces_sane_node_sizes() {
-        use crate::params::ChunkerKind;
-        let store = MemStore::new_shared();
-        let es = entries(4000);
-        let params = PosParams::default().with_chunker(ChunkerKind::Gear);
-        let root = build(&store, &params, &es).unwrap();
-        let root_node = Node::decode(&store.get(&root.hash).unwrap()).unwrap();
-        assert!(matches!(root_node, Node::Internal { .. }));
-        // Same 2^10 expected leaf size as buzhash (the skip-ahead removes
-        // sub-minimum chunks but the boundary probability is unchanged).
-        let stats = store.stats();
-        let avg_page = stats.unique_bytes as f64 / stats.unique_pages as f64;
-        assert!(
-            avg_page > 300.0 && avg_page < 4000.0,
-            "gear average page size {avg_page} outside sanity band"
-        );
-    }
-
-    #[test]
-    fn gear_with_rolling_window_internals_builds() {
-        use crate::params::ChunkerKind;
-        let store = MemStore::new_shared();
-        let es = entries(3000);
-        let params = PosParams::noms().with_chunker(ChunkerKind::Gear);
-        let root = build(&store, &params, &es).unwrap();
-        let node = Node::decode(&store.get(&root.hash).unwrap()).unwrap();
-        assert!(matches!(node, Node::Internal { .. }));
     }
 
     #[test]

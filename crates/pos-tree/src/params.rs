@@ -13,26 +13,16 @@ pub enum InternalChunking {
     RollingWindow,
 }
 
-/// Which rolling fingerprint drives sliding-window boundary detection.
+/// The rolling fingerprint that drives sliding-window boundary detection.
 ///
-/// The chunker is part of a tree's identity: gear and buzhash place
-/// boundaries differently, so the same entries produce different pages and
-/// different root digests. Existing trees therefore stay on [`Buzhash`]
-/// (the seed algorithm — every root ever produced used it) and [`Gear`]
-/// is opt-in for new trees that want the cheaper per-byte step (one table
-/// lookup + shift + add, no ring buffer, plus min-chunk skip-ahead).
-///
-/// [`Buzhash`]: ChunkerKind::Buzhash
-/// [`Gear`]: ChunkerKind::Gear
+/// POS-Tree has one chunker, the paper's buzhash over an explicit window
+/// (§3.4.3). The type and [`PosParams::chunker`] remain so benchmark reports
+/// can name the chunker they measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChunkerKind {
-    /// Cyclic-polynomial buzhash over an explicit window — digest-stable
-    /// default.
+    /// Cyclic-polynomial buzhash over a `window`-byte sliding window.
     #[default]
     Buzhash,
-    /// Gear hash (FastCDC-style), implicit 64-byte window, boundary tested
-    /// on the fingerprint's *high* bits.
-    Gear,
 }
 
 impl ChunkerKind {
@@ -40,7 +30,6 @@ impl ChunkerKind {
     pub fn name(self) -> &'static str {
         match self {
             ChunkerKind::Buzhash => "buzhash",
-            ChunkerKind::Gear => "gear",
         }
     }
 }
@@ -67,7 +56,6 @@ pub struct PosParams {
     /// the rolling fingerprint (RollingWindow). Expected fanout ≈ 2^bits.
     pub internal_pattern_bits: u32,
     /// Sliding-window size in bytes (the Noms default of 67 per §5.6.2).
-    /// Only consulted by the buzhash chunker; gear's window is implicit.
     pub window: usize,
     pub internal_chunking: InternalChunking,
     pub split_policy: SplitPolicy,
@@ -93,13 +81,6 @@ impl PosParams {
     /// Target a different expected node size (Table 3 sweeps 512–4096 B).
     pub fn with_node_bytes(mut self, bytes: usize) -> Self {
         self.leaf_pattern_bits = (bytes.max(2) as f64).log2().round() as u32;
-        self
-    }
-
-    /// Switch the sliding-window chunker. Changes every boundary and hence
-    /// every digest — a tree must keep one chunker for its whole life.
-    pub fn with_chunker(mut self, chunker: ChunkerKind) -> Self {
-        self.chunker = chunker;
         self
     }
 
@@ -155,13 +136,11 @@ mod tests {
 
     #[test]
     fn chunker_defaults_to_buzhash_everywhere() {
-        // Digest stability: every pre-existing constructor must keep the
-        // seed chunker.
-        assert_eq!(PosParams::default().chunker, ChunkerKind::Buzhash);
-        assert_eq!(PosParams::noms().chunker, ChunkerKind::Buzhash);
-        assert_eq!(PosParams::forced_split().chunker, ChunkerKind::Buzhash);
-        let gear = PosParams::default().with_chunker(ChunkerKind::Gear);
-        assert_eq!(gear.chunker, ChunkerKind::Gear);
-        assert_eq!(gear.chunker.name(), "gear");
+        // Every constructor uses the one chunker, under the name benchmark
+        // reports stamp.
+        for params in [PosParams::default(), PosParams::noms(), PosParams::forced_split()] {
+            assert_eq!(params.chunker, ChunkerKind::Buzhash);
+            assert_eq!(params.chunker.name(), "buzhash");
+        }
     }
 }

@@ -873,56 +873,6 @@ mod tests {
     }
 
     #[test]
-    fn gear_chunker_is_structurally_invariant_and_distinct() {
-        use crate::params::ChunkerKind;
-        let store = MemStore::new_shared();
-        let gear = PosParams::default().with_chunker(ChunkerKind::Gear);
-        let base = entries(0..3000);
-
-        // Gear trees must be SI exactly like buzhash trees: streaming
-        // updates land on the fresh-build digest.
-        let root = build_on(&store, &gear, &base).unwrap();
-        for edit_range in [100..101, 1500..1540, 3000..3100] {
-            let delta = puts(&edits(edit_range.clone()));
-            let updated =
-                streaming_update(&reader(&store), &gear, 0, root.hash, &delta).unwrap().unwrap();
-            let merged = apply_ops(&base, &delta);
-            let fresh = build_on(&store, &gear, &merged).unwrap();
-            assert_eq!(updated.hash, fresh.hash, "gear SI broken for edits {edit_range:?}");
-        }
-
-        // Different chunker ⇒ different boundaries ⇒ different digests —
-        // which is why gear is opt-in, not a drop-in swap.
-        let buz = build_on(&store, &PosParams::default(), &base).unwrap();
-        assert_ne!(root.hash, buz.hash, "gear and buzhash trees must not collide");
-
-        // And gear builds are deterministic across stores.
-        let other = MemStore::new_shared();
-        let again = build_on(&other, &gear, &base).unwrap();
-        assert_eq!(root.hash, again.hash);
-    }
-
-    #[test]
-    fn gear_delete_re_chunks_to_the_fresh_build() {
-        use crate::params::ChunkerKind;
-        let store = MemStore::new_shared();
-        let gear = PosParams::default().with_chunker(ChunkerKind::Gear);
-        let base = entries(0..2000);
-        let root = build_on(&store, &gear, &base).unwrap();
-        for del_range in [50..51, 900..960, 1900..2000] {
-            let delta = dels(del_range.clone());
-            let updated = streaming_update(&reader(&store), &gear, 0, root.hash, &delta).unwrap();
-            let remaining = apply_ops(&base, &delta);
-            let fresh = build_on(&store, &gear, &remaining);
-            assert_eq!(
-                updated.map(|p| p.hash),
-                fresh.map(|p| p.hash),
-                "gear delete re-chunking broken for {del_range:?}"
-            );
-        }
-    }
-
-    #[test]
     fn splice_update_is_correct_but_order_dependent() {
         let store = MemStore::new_shared();
         let params = PosParams::forced_split();
@@ -950,7 +900,6 @@ mod tests {
         use siri_store::{FileStore, NodeStore, StoreResult, StoreStats};
 
         use super::*;
-        use crate::params::ChunkerKind;
 
         /// A pseudo-random value: a constant byte run has one window
         /// fingerprint, so it would almost never end a leaf by itself.
@@ -1143,14 +1092,12 @@ mod tests {
                     _ => base.iter().map(|e| BatchOp { key: e.key.clone(), value: None }).collect(),
                 };
                 let expected = apply_ops(&base, &edits);
-                let gear = PosParams::default().with_chunker(ChunkerKind::Gear);
                 // The handle splices `forced_split()` commits; its streaming
                 // update is structurally invariant all the same. `copy_all`
                 // rebuilds every commit from the entries under a new salt.
                 for (params, copy_all) in [
                     (PosParams::default(), false),
                     (PosParams::noms(), false),
-                    (gear, false),
                     (PosParams::forced_split(), false),
                     (PosParams::default(), true),
                 ] {

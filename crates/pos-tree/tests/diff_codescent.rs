@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use siri_core::{diff_by_scan, DiffEntry, Entry, MemStore, SharedStore, SiriIndex, WriteBatch};
-use siri_pos_tree::{ChunkerKind, PosParams, PosTree};
+use siri_pos_tree::{PosParams, PosTree};
 
 /// SplitMix64 — edit scripts are derived from one proptest-drawn seed.
 struct Rng(u64);
@@ -72,15 +72,12 @@ fn edit_batch(rng: &mut Rng, space: u64, stamp: u64) -> WriteBatch {
 
 type Variant = (&'static str, fn(SharedStore) -> PosTree);
 
-/// The five shapes the diff must be right on. Small nodes keep the trees
+/// The four shapes the diff must be right on. Small nodes keep the trees
 /// three levels tall at proptest sizes.
-const VARIANTS: [Variant; 5] = [
+const VARIANTS: [Variant; 4] = [
     ("pos-tree", |s| PosTree::new(s, PosParams::default().with_node_bytes(256))),
     ("prolly", |s| PosTree::new(s, PosParams::noms().with_node_bytes(256))),
     ("forced-splice", PosTree::new_forced_split),
-    ("gear", |s| {
-        PosTree::new(s, PosParams::default().with_node_bytes(256).with_chunker(ChunkerKind::Gear))
-    }),
     ("copy-all", |s| PosTree::new_copy_all(s, PosParams::default().with_node_bytes(256), 1)),
 ];
 

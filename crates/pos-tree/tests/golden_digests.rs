@@ -10,7 +10,7 @@
 //! much longer than the 67-byte window all occur.
 
 use siri_core::{Entry, MemStore, SiriIndex, WriteBatch};
-use siri_pos_tree::{ChunkerKind, PosParams, PosTree};
+use siri_pos_tree::{PosParams, PosTree};
 
 /// SplitMix64 — the test owns its generator so no workload crate change
 /// can move the inputs.
@@ -100,32 +100,6 @@ fn forced_splice_policy() {
             "6dfb1910ea710fd23b7b7f3cb69a72e3a7f4342844559e1bc0bfee777614fd24",
             "459ce07eb0db6853cf5b445903de855f599b5c3797adc9e62b68df604e47c5a7",
             "fd21d813c470444cc77564d0a8fb616651560fb4c076da242aeda79ebbea7baf",
-        ],
-    );
-}
-
-#[test]
-fn gear_chunker() {
-    check(
-        "gear",
-        PosParams::default().with_chunker(ChunkerKind::Gear),
-        [
-            "7e527cf1acb3dc31bf33593a3a03c4266f5f0f75c82018bcf16d51ea9ddd4ed3",
-            "d3e193a3dca3312b07719de039e129e52a52a7fc0a1b76fab477cb74b521f307",
-            "36329a734fbce0e48f66cffaa29f5bd08eea05e1a7f00b71823a47353e1cee33",
-        ],
-    );
-}
-
-#[test]
-fn gear_with_rolling_window_internals() {
-    check(
-        "gear-noms",
-        PosParams::noms().with_chunker(ChunkerKind::Gear),
-        [
-            "e606527c916db613e1f54f6b6ecec8df5e64aa06ab9c414d3ba43f199ff92e9a",
-            "49295a5ddf73a7e4b13a4fafd689f7cc39ede75841990b84f3e5637d7d051fd2",
-            "e20cf50daeda2adbbd9569a9f2c14fa03a2da2ae4fb9868b96ae1273dd88aee3",
         ],
     );
 }

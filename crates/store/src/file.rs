@@ -36,13 +36,13 @@
 //!   point leaves either the old or the new generation fully intact;
 //!   segment files not named by an intact manifest are leftovers of an
 //!   interrupted compaction or rotation and are deleted on open.
-//! * **Writes can fail without lying.** Every put call — one page, a
-//!   `try_put_many` slice or a whole commit's [`PageBatch`] — is *one*
-//!   append: its new frames are assembled in memory and written with one
-//!   `write(2)`. Each call is all-or-nothing: on a short or failed write
-//!   the segment is rewound to the frame boundary where the call began and
-//!   neither the in-memory index nor the counters move — the store behaves
-//!   as if the call never happened.
+//! * **Writes can fail without lying.** Every put call — one page or a
+//!   whole commit's [`PageBatch`] — is *one* append: its new frames are
+//!   assembled in memory and written with one `write(2)`. Each call is
+//!   all-or-nothing: on a short or failed write the segment is rewound to
+//!   the frame boundary where the call began and neither the in-memory
+//!   index nor the counters move — the store behaves as if the call never
+//!   happened.
 //!
 //! ## Rotation
 //!
@@ -858,22 +858,9 @@ impl FileStore {
 
 impl NodeStore for FileStore {
     fn try_put(&self, page: Bytes) -> StoreResult<Hash> {
-        self.try_put_raw(&page)
-    }
-
-    fn try_put_raw(&self, page: &[u8]) -> StoreResult<Hash> {
-        let digest = sha256(page);
-        self.append([(digest, page)])?;
+        let digest = sha256(&page);
+        self.append([(digest, page.as_ref())])?;
         Ok(digest)
-    }
-
-    /// Batch put: one multi-lane digest pass over the whole sibling batch,
-    /// then one append.
-    fn try_put_many(&self, pages: &[Bytes]) -> StoreResult<Vec<Hash>> {
-        let views: Vec<&[u8]> = pages.iter().map(|p| p.as_ref()).collect();
-        let hashes = siri_crypto::hash_many(&views);
-        self.append(hashes.iter().copied().zip(views))?;
-        Ok(hashes)
     }
 
     /// One append for the whole batch; its digests are trusted.

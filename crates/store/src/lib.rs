@@ -67,19 +67,15 @@ pub trait NodeStore: Send + Sync {
     /// `Err` means the lookup could not be completed (the page may exist).
     fn try_get(&self, hash: &Hash) -> StoreResult<Option<Bytes>>;
 
-    /// Store a page given as a borrowed slice — e.g. a commit's reusable
-    /// scratch buffer. Semantically identical to [`NodeStore::try_put`];
-    /// backends override it to copy the page only when it is actually new
-    /// (a deduplicated put then allocates nothing at all).
+    /// Store a page given as a borrowed slice: a copy handed to
+    /// [`NodeStore::try_put`].
     fn try_put_raw(&self, page: &[u8]) -> StoreResult<Hash> {
         self.try_put(Bytes::copy_from_slice(page))
     }
 
     /// Store a batch of sibling pages, returning one content address per
-    /// page in order. Semantically a loop of [`NodeStore::try_put`];
-    /// backends override it to digest the whole batch with the multi-lane
-    /// [`siri_crypto::hash_many`] before inserting. Atomic on
-    /// [`FileStore`] (one append: every page or none).
+    /// page in order: a loop of [`NodeStore::try_put`], not atomic. Commits
+    /// write through [`NodeStore::try_put_batch`].
     fn try_put_many(&self, pages: &[Bytes]) -> StoreResult<Vec<Hash>> {
         pages.iter().map(|p| self.try_put(p.clone())).collect()
     }

@@ -6,7 +6,7 @@ use parking_lot::{LockClass, RwLock};
 /// Lock class for the runtime lock-order tracker (DESIGN.md §9): memory
 /// shards are leaf locks, below every engine and cache lock.
 static MEM_SHARD_CLASS: LockClass = LockClass::new(55, "store.mem-shard");
-use siri_crypto::{hash_many, sha256, FxHashMap, FxHashSet, Hash};
+use siri_crypto::{sha256, FxHashMap, FxHashSet, Hash};
 
 use crate::stats::AtomicStoreStats;
 use crate::{NodeStore, PageBatch, PageSet, Reclaim, StoreResult, StoreStats};
@@ -98,10 +98,10 @@ impl MemStore {
 }
 
 impl MemStore {
-    /// Insert a page whose content address is already known, copying (or
-    /// cloning the refcounted handle) only when the page is new. The one
-    /// place the put accounting lives.
-    fn insert_hashed(&self, hash: Hash, page: &[u8], owned: Option<&Bytes>) {
+    /// Insert a page whose content address is already known, keeping it
+    /// by a refcount bump only when the page is new. The one place the put
+    /// accounting lives.
+    fn insert_hashed(&self, hash: Hash, page: &Bytes) {
         AtomicStoreStats::add(&self.stats.puts, 1);
         AtomicStoreStats::add(&self.stats.logical_bytes, page.len() as u64);
         let mut pages = self.shard(&hash).write();
@@ -110,10 +110,7 @@ impl MemStore {
                 AtomicStoreStats::add(&self.stats.unique_pages, 1);
                 AtomicStoreStats::add(&self.stats.unique_bytes, page.len() as u64);
                 AtomicStoreStats::add(&self.stats.bytes_written, page.len() as u64);
-                slot.insert(match owned {
-                    Some(bytes) => bytes.clone(),
-                    None => Bytes::copy_from_slice(page),
-                });
+                slot.insert(page.clone());
             }
             std::collections::hash_map::Entry::Occupied(_) => {
                 AtomicStoreStats::add(&self.stats.shared_puts, 1);
@@ -132,29 +129,11 @@ impl NodeStore for MemStore {
         Ok(self.get(hash))
     }
 
-    /// Slice-based put: a deduplicated page is hashed but never copied.
-    fn try_put_raw(&self, page: &[u8]) -> StoreResult<Hash> {
-        let hash = sha256(page);
-        self.insert_hashed(hash, page, None);
-        Ok(hash)
-    }
-
-    /// Batch put: the whole sibling batch is digested with the multi-lane
-    /// hasher before any shard lock is taken.
-    fn try_put_many(&self, pages: &[Bytes]) -> StoreResult<Vec<Hash>> {
-        let views: Vec<&[u8]> = pages.iter().map(|p| p.as_ref()).collect();
-        let hashes = hash_many(&views);
-        for (hash, page) in hashes.iter().zip(pages) {
-            self.insert_hashed(*hash, page, Some(page));
-        }
-        Ok(hashes)
-    }
-
     /// The batch's digests are trusted: no page is hashed again, and a new
     /// page is kept by a refcount bump, not a copy.
     fn try_put_batch(&self, batch: &PageBatch) -> StoreResult<()> {
         for (hash, page) in batch.pages() {
-            self.insert_hashed(*hash, page, Some(page));
+            self.insert_hashed(*hash, page);
         }
         Ok(())
     }
@@ -163,7 +142,7 @@ impl NodeStore for MemStore {
     // implementation and `try_*` wrap them, the reverse of `FileStore`.
     fn put(&self, page: Bytes) -> Hash {
         let hash = sha256(&page);
-        self.insert_hashed(hash, &page, Some(&page));
+        self.insert_hashed(hash, &page);
         hash
     }
 

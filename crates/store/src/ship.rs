@@ -16,24 +16,13 @@
 //! the next batch is requested, the protocol is restartable for free: a
 //! sync cut short by a disconnect resumes by re-running it — the frontier
 //! prunes at everything already landed, and only the unfinished tail
-//! crosses the wire again. [`ship_version`] is the in-process
-//! store-to-store special case kept for local replication and tests.
+//! crosses the wire again. Between two in-process stores the fetch is a
+//! closure over the source store.
 
 use bytes::Bytes;
 use siri_crypto::Hash;
 
 use crate::{NodeStore, StoreError, StoreResult};
-
-/// Statistics from one [`ship_version`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShipReport {
-    /// Pages actually transferred.
-    pub pages_sent: u64,
-    /// Bytes actually transferred.
-    pub bytes_sent: u64,
-    /// Subtrees skipped because the receiver already held their root page.
-    pub subtrees_skipped: u64,
-}
 
 /// Statistics from one [`sync_pull`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -237,38 +226,6 @@ where
     }
 }
 
-/// Copy the pages reachable from `root` out of `from` into `to`, skipping
-/// any subtree whose root page `to` already holds. `children` is the
-/// index's page decoder (e.g. `Node::children_of_page`).
-///
-/// This is [`sync_pull`] with the source wired to another in-process
-/// store. Dangling pages in `from` are a structural bug surfaced as a
-/// panic in debug builds and skipped in release (the receiving side will
-/// detect the hole through digest verification, not silent corruption).
-/// I/O faults on either side — a durable receiver's disk filling
-/// mid-transfer — propagate as `Err`; the receiver is left with a harmless
-/// partial page set that a retried ship completes incrementally.
-pub fn ship_version<F>(
-    from: &dyn NodeStore,
-    to: &dyn NodeStore,
-    root: Hash,
-    children: F,
-) -> StoreResult<ShipReport>
-where
-    F: Fn(&[u8]) -> Vec<Hash>,
-{
-    let mut fetch = |hashes: &[Hash]| {
-        hashes.iter().map(|h| from.try_get(h)).collect::<StoreResult<Vec<Option<Bytes>>>>()
-    };
-    let report = sync_pull(&mut fetch, to, root, children, &SyncOptions::default())?;
-    debug_assert!(report.missing == 0, "dangling page(s) while shipping {root:?}");
-    Ok(ShipReport {
-        pages_sent: report.pages_fetched,
-        bytes_sent: report.bytes_fetched,
-        subtrees_skipped: report.subtrees_skipped,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,13 +246,20 @@ mod tests {
         store.put(Bytes::from(root))
     }
 
+    /// Pull `root` out of another in-process store in default batches.
+    fn pull(src: &MemStore, dst: &MemStore, root: Hash) -> SyncReport {
+        let mut fetch =
+            |hs: &[Hash]| hs.iter().map(|h| src.try_get(h)).collect::<StoreResult<Vec<_>>>();
+        sync_pull(&mut fetch, dst, root, children, &SyncOptions::default()).unwrap()
+    }
+
     #[test]
     fn cold_receiver_gets_everything() {
         let src = MemStore::new();
         let dst = MemStore::new();
         let root = build(&src, b"leaf one", b"leaf two");
-        let report = ship_version(&src, &dst, root, children).unwrap();
-        assert_eq!(report.pages_sent, 3);
+        let report = pull(&src, &dst, root);
+        assert_eq!(report.pages_fetched, 3);
         assert_eq!(report.subtrees_skipped, 0);
         assert!(dst.contains(&root));
     }
@@ -305,12 +269,12 @@ mod tests {
         let src = MemStore::new();
         let dst = MemStore::new();
         let v1 = build(&src, b"shared leaf", b"old leaf");
-        ship_version(&src, &dst, v1, children).unwrap();
+        pull(&src, &dst, v1);
 
         // New version shares one leaf with v1.
         let v2 = build(&src, b"shared leaf", b"new leaf");
-        let report = ship_version(&src, &dst, v2, children).unwrap();
-        assert_eq!(report.pages_sent, 2, "new root + new leaf only");
+        let report = pull(&src, &dst, v2);
+        assert_eq!(report.pages_fetched, 2, "new root + new leaf only");
         assert_eq!(report.subtrees_skipped, 1, "shared leaf pruned");
         assert!(dst.contains(&v2));
     }
@@ -320,10 +284,10 @@ mod tests {
         let src = MemStore::new();
         let dst = MemStore::new();
         let root = build(&src, b"a", b"b");
-        ship_version(&src, &dst, root, children).unwrap();
-        let report = ship_version(&src, &dst, root, children).unwrap();
-        assert_eq!(report.pages_sent, 0);
-        assert_eq!(report.bytes_sent, 0);
+        pull(&src, &dst, root);
+        let report = pull(&src, &dst, root);
+        assert_eq!(report.pages_fetched, 0);
+        assert_eq!(report.bytes_fetched, 0);
         assert_eq!(report.subtrees_skipped, 1, "pruned at the root");
     }
 
@@ -331,8 +295,8 @@ mod tests {
     fn empty_root_is_a_noop() {
         let src = MemStore::new();
         let dst = MemStore::new();
-        let report = ship_version(&src, &dst, Hash::ZERO, children).unwrap();
-        assert_eq!(report, ShipReport::default());
+        let report = pull(&src, &dst, Hash::ZERO);
+        assert_eq!(report, SyncReport { complete: true, ..SyncReport::default() });
     }
 
     #[test]
@@ -394,9 +358,7 @@ mod tests {
         // Root references a child the source never stored.
         let ghost = siri_crypto::sha256(b"never stored");
         let root = src.put(Bytes::copy_from_slice(ghost.as_bytes()));
-        let mut fetch =
-            |hs: &[Hash]| hs.iter().map(|h| src.try_get(h)).collect::<StoreResult<Vec<_>>>();
-        let report = sync_pull(&mut fetch, &dst, root, children, &SyncOptions::default()).unwrap();
+        let report = pull(&src, &dst, root);
         assert_eq!(report.pages_fetched, 1);
         assert_eq!(report.missing, 1);
     }

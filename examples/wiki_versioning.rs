@@ -3,26 +3,29 @@
 //! tracking, rollback, page *takedowns* (write-batch deletes), and storage
 //! that grows with the *delta*, not the corpus.
 //!
+//! Versions are the engine's: each commit's receipt names the new head
+//! root, the list of those roots is the history, and rolling back opens a
+//! branch at an older root.
+//!
 //! Run with: `cargo run --release --example wiki_versioning`
 
 use siri::workloads::wiki::WikiConfig;
-use siri::{MemStore, PosParams, PosTree, SiriIndex, VersionStore, WriteBatch};
+use siri::{Forkbase, MemStore, PosFactory, PosParams, PosTree, Session, SiriIndex, WriteBatch};
 
 fn main() -> siri::Result<()> {
     let wiki = WikiConfig { pages: 20_000, update_pct: 1, new_pages_per_version: 25, seed: 3 };
     let store = MemStore::new_shared();
+    let engine = Forkbase::with_store(PosFactory(PosParams::default()), store.clone());
 
-    let mut index = PosTree::new(store.clone(), PosParams::default());
-    let mut history: VersionStore<PosTree> = VersionStore::new();
-
-    index.batch_insert(wiki.initial_dump())?;
-    history.commit("main", &index, "initial dump");
+    // Oldest first: the head root every commit on "master" published.
+    let mut history = Vec::new();
+    history.push(engine.commit("master", WriteBatch::from_entries(wiki.initial_dump()))?.root);
     let baseline_bytes = store.stats().unique_bytes;
 
     // Sixty days of edits.
     for day in 1..=60u32 {
-        index.batch_insert(wiki.version_delta(day))?;
-        history.commit("main", &index, format!("day {day} edits"));
+        let edits = WriteBatch::from_entries(wiki.version_delta(day));
+        history.push(engine.commit("master", edits)?.root);
     }
     let stats = store.stats();
     println!(
@@ -32,11 +35,13 @@ fn main() -> siri::Result<()> {
         baseline_bytes as f64 / 1048576.0,
         stats.unique_bytes as f64 / baseline_bytes as f64,
     );
-    println!("full history: {} commits on 'main'", history.history("main").len());
+    println!("full history: {} commits on 'master'", history.len());
 
     // Compare today's corpus against two weeks ago.
-    let two_weeks_ago = history.history("main")[14].index.clone();
-    let drift = index.diff(&two_weeks_ago)?;
+    engine.open_branch("two-weeks-ago", history[history.len() - 15]);
+    let drift = engine.head("master").unwrap().diff(&engine.head("two-weeks-ago").unwrap())?;
+    engine.delete_branch("two-weeks-ago")?;
+    assert!(!drift.is_empty(), "two weeks of edits must show");
     println!("pages changed vs 14 versions ago: {}", drift.len());
 
     // A takedown request removes three pages — one atomic write batch,
@@ -45,35 +50,38 @@ fn main() -> siri::Result<()> {
     for page in [100u64, 101, 102] {
         takedown.delete(wiki.url(page));
     }
-    index.commit(takedown)?;
-    history.commit("main", &index, "takedown: pages 100-102");
-    assert_eq!(index.get(&wiki.url(101))?, None);
-    println!("after takedown: {} pages (previous versions still serve them)", index.len()?);
+    history.push(engine.commit("master", takedown)?.root);
+    assert_eq!(engine.get("master", &wiki.url(101))?, None);
+    println!(
+        "after takedown: {} pages (previous versions still serve them)",
+        engine.head("master").unwrap().len()?
+    );
 
     // Browse one URL neighborhood through the streaming prefix cursor —
     // no corpus-sized allocation.
     let prefix = wiki.url(200);
     let prefix = &prefix[..prefix.len().saturating_sub(2)];
-    let nearby = index.scan_prefix(prefix).count();
+    let nearby = engine.scan_prefix("master", prefix)?.count();
     println!("pages sharing the URL prefix {:?}: {nearby}", String::from_utf8_lossy(prefix));
 
     // An editor branches an old version to restore vandalized content.
-    history.branch("restore", "main");
-    let tag = history.rollback("restore", 10).expect("history deep enough");
-    let restored = history.get(tag).unwrap().index.clone();
+    engine.open_branch("restore", history[history.len() - 11]);
+    let restored = engine.head("restore").unwrap();
+    assert!(engine.get("restore", &wiki.url(101))?.is_some(), "rollback predates the takedown");
     println!(
         "branch 'restore' rolled back 10 versions → digest {} ({} pages)",
-        restored.root(),
+        engine.branch_digest("restore")?,
         restored.len()?
     );
 
     // Immutability means the rollback is non-destructive.
-    assert_eq!(history.head("main").unwrap().index.root(), index.root());
+    assert_eq!(engine.branch_digest("master")?, *history.last().unwrap());
 
     // Proof that a specific revision of a page is in a specific version.
     let url = wiki.url(123);
     let proof = restored.prove(&url)?;
     let verdict = PosTree::verify_proof(restored.root(), &url, &proof);
+    assert!(verdict.is_valid());
     println!(
         "membership proof for page 123 in the restored version: {} pages, ok={}",
         proof.len(),

@@ -53,8 +53,8 @@ pub use siri_core::{
     EntrySource, Hash, IndexError, LookupTrace, MemStore, MergeOutcome, MergeStrategy, NodeStore,
     Op, PageNode, PagePool, PageReader, PageSet, Proof, ProofScheme, ProofVerdict, RangeVerdict,
     Reclaim, Recorder, Result, Session, ShardCommit, ShardManifest, ShardRouter, SharedStore,
-    SiriIndex, StoreError, StoreResult, StoreStats, StructureReport, StructureStats, VersionStore,
-    VersionTag, WriteBatch, MANIFEST_MAGIC, MAX_PROOF_PAGES,
+    SiriIndex, StoreError, StoreResult, StoreStats, StructureReport, StructureStats, WriteBatch,
+    MANIFEST_MAGIC, MAX_PROOF_PAGES,
 };
 
 pub use siri_client::{ClientOptions, RemoteSession, SyncOptions, SyncReport};

@@ -3,8 +3,8 @@
 
 use siri::workloads::YcsbConfig;
 use siri::{
-    cost_model, metrics, Entry, IndexFactory, MbtFactory, MptFactory, MvmbFactory, MvmbParams,
-    PageSet, PosFactory, PosParams, SiriIndex, VersionStore,
+    cost_model, metrics, Entry, Forkbase, IndexFactory, MbtFactory, MptFactory, MvmbFactory,
+    MvmbParams, PageSet, PosFactory, PosParams, Session, SiriIndex, WriteBatch,
 };
 
 /// Build two sequential versions differing in an α fraction of records
@@ -108,30 +108,27 @@ fn table3_parameter_trends() {
     assert!(eta_mbt(1024) > eta_mbt(64), "η(MBT) must rise with bucket count");
 }
 
+/// Version management is the engine's: history is the list of published
+/// roots and a rollback opens a branch at an older one.
 #[test]
-fn version_store_branches_and_rolls_back() {
+fn engine_branches_and_rolls_back() {
     let ycsb = YcsbConfig::default();
-    let mut idx = PosTree::from_factory();
-    let mut vs: VersionStore<siri::PosTree> = VersionStore::new();
-    idx.batch_insert(ycsb.dataset(500)).unwrap();
-    vs.commit("main", &idx, "v0");
+    let fb = Forkbase::with_store(PosFactory(PosParams::default()), siri::env_store());
+    let mut history =
+        vec![fb.commit("master", WriteBatch::from_entries(ycsb.dataset(500))).unwrap().root];
     for v in 1..=5u32 {
-        idx.batch_insert((0..50u64).map(|i| ycsb.entry(i, v)).collect()).unwrap();
-        vs.commit("main", &idx, format!("v{v}"));
+        let edits = WriteBatch::from_entries((0..50u64).map(|i| ycsb.entry(i, v)).collect());
+        history.push(fb.commit("master", edits).unwrap().root);
     }
-    assert_eq!(vs.history("main").len(), 6);
+    assert_eq!(history.len(), 6);
 
-    vs.branch("fix", "main");
-    let tag = vs.rollback("fix", 3).unwrap();
-    let old = vs.get(tag).unwrap().index.clone();
-    assert_eq!(old.get(&ycsb.key(7)).unwrap().unwrap(), ycsb.value(7, 2));
-    // main unaffected.
-    assert_eq!(
-        vs.head("main").unwrap().index.get(&ycsb.key(7)).unwrap().unwrap(),
-        ycsb.value(7, 5)
-    );
-    // Diff across branches works at the version level.
-    let d = vs.diff_branches("main", "fix").unwrap();
+    fb.open_branch("fix", history[history.len() - 4]);
+    assert_eq!(fb.get("fix", &ycsb.key(7)).unwrap().unwrap(), ycsb.value(7, 2));
+    // master unaffected.
+    assert_eq!(fb.branch_digest("master").unwrap(), history[5]);
+    assert_eq!(fb.get("master", &ycsb.key(7)).unwrap().unwrap(), ycsb.value(7, 5));
+    // The two heads differ in exactly the 50 rewritten keys.
+    let d = fb.head("master").unwrap().diff(&fb.head("fix").unwrap()).unwrap();
     assert_eq!(d.len(), 50);
 }
 

@@ -367,14 +367,6 @@ impl NodeStore for ContentionStore {
     fn try_get(&self, hash: &Hash) -> StoreResult<Option<Bytes>> {
         self.inner.try_get(hash)
     }
-    fn try_put_raw(&self, page: &[u8]) -> StoreResult<Hash> {
-        self.maybe_fire();
-        self.inner.try_put_raw(page)
-    }
-    fn try_put_many(&self, pages: &[Bytes]) -> StoreResult<Vec<Hash>> {
-        self.maybe_fire();
-        self.inner.try_put_many(pages)
-    }
     fn contains(&self, hash: &Hash) -> bool {
         self.inner.contains(hash)
     }

@@ -7,6 +7,15 @@ use std::sync::Arc;
 use siri::workloads::YcsbConfig;
 use siri::{ship, Entry, MemStore, NodeStore, PosParams, PosTree, SharedStore, SiriIndex};
 
+/// Pull the POS-Tree version `root` from `from` into `to`, the fetch being
+/// a closure over the source store.
+fn pull(from: &MemStore, to: &MemStore, root: siri::Hash) -> ship::SyncReport {
+    let mut fetch =
+        |hashes: &[siri::Hash]| hashes.iter().map(|h| from.try_get(h)).collect::<Result<_, _>>();
+    let children = siri::pos_tree::Node::children_of_page;
+    ship::sync_pull(&mut fetch, to, root, children, &ship::SyncOptions::default()).unwrap()
+}
+
 #[test]
 fn ship_pos_tree_version_and_delta() {
     let site_a = Arc::new(MemStore::new());
@@ -19,9 +28,8 @@ fn ship_pos_tree_version_and_delta() {
     let v1 = index.root();
 
     // Cold replication: everything crosses the wire.
-    let children = siri::pos_tree::Node::children_of_page;
-    let first = ship::ship_version(site_a.as_ref(), site_b.as_ref(), v1, children).unwrap();
-    assert_eq!(first.pages_sent as usize, index.page_set().len());
+    let first = pull(&site_a, &site_b, v1);
+    assert_eq!(first.pages_fetched as usize, index.page_set().len());
 
     // The replica is fully usable at site B.
     let store_b: SharedStore = site_b.clone();
@@ -33,13 +41,13 @@ fn ship_pos_tree_version_and_delta() {
     let updates: Vec<Entry> = (0..50u64).map(|i| ycsb.entry(i * 31 % 3_000, 1)).collect();
     index.batch_insert(updates).unwrap();
     let v2 = index.root();
-    let delta = ship::ship_version(site_a.as_ref(), site_b.as_ref(), v2, children).unwrap();
+    let delta = pull(&site_a, &site_b, v2);
 
     assert!(
-        delta.pages_sent < first.pages_sent / 3,
+        delta.pages_fetched < first.pages_fetched / 3,
         "delta ship ({} pages) must be far smaller than cold ship ({} pages)",
-        delta.pages_sent,
-        first.pages_sent
+        delta.pages_fetched,
+        first.pages_fetched
     );
     assert!(delta.subtrees_skipped > 0, "shared subtrees must be pruned");
 
@@ -49,8 +57,8 @@ fn ship_pos_tree_version_and_delta() {
     assert_eq!(replica.get(&ycsb.key(31)).unwrap().unwrap(), ycsb.value(31, 0));
 
     // Re-shipping v2 is free.
-    let again = ship::ship_version(site_a.as_ref(), site_b.as_ref(), v2, children).unwrap();
-    assert_eq!(again.pages_sent, 0);
+    let again = pull(&site_a, &site_b, v2);
+    assert_eq!(again.pages_fetched, 0);
 }
 
 /// The generalized transport: receiver-driven `sync_pull` between two
@@ -137,13 +145,7 @@ fn shipped_proofs_verify_at_the_receiver() {
     let mut index = PosTree::new(site_a.clone() as SharedStore, PosParams::default());
     index.batch_insert(ycsb.dataset(500)).unwrap();
     let root = index.root();
-    ship::ship_version(
-        site_a.as_ref(),
-        site_b.as_ref(),
-        root,
-        siri::pos_tree::Node::children_of_page,
-    )
-    .unwrap();
+    pull(&site_a, &site_b, root);
     let replica = PosTree::open(site_b.clone() as SharedStore, PosParams::default(), root);
     let proof = replica.prove(&ycsb.key(123)).unwrap();
     assert!(PosTree::verify_proof(root, &ycsb.key(123), &proof).is_valid());
