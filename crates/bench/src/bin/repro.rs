@@ -2,17 +2,20 @@
 //!
 //! Usage:
 //! ```text
-//! repro [experiment] [--scale F] [--ops N] [--threads N] [--csv]
+//! repro [experiment] [--scale F] [--ops N] [--csv]
 //! ```
 //! Experiments: fig1 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
-//! fig15 fig16 fig17 fig18 tab3 fig19 fig20 fig21 fig22 bounds
-//! concurrency, or `all` (the default).
+//! fig15 fig16 fig17 fig18 tab3 fig19 fig20 fig21 fig22 bounds, or `all`
+//! (the default).
 //!
 //! `--scale` multiplies the paper's dataset sizes (default 0.05: laptop
 //! scale, a couple of minutes for `all`; 1.0 = full paper sizes). Shapes —
 //! who wins, slopes, crossovers — are scale-stable; absolute numbers are
 //! not expected to match the paper's hardware. Performance is gated by
-//! `bench/e2e`, not by these tables.
+//! `bench/e2e`, not by these tables. The multi-writer cells (disjoint and
+//! contended commits, group commit, sharded heads, parallel bulk load) are
+//! the `multi_writer` and `sharded_writes` benches, which assert what they
+//! measure.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,8 +25,8 @@ use siri::workloads::params;
 use siri::workloads::wiki::WikiConfig;
 use siri::workloads::ycsb::YcsbConfig;
 use siri::{
-    cost_model, metrics, Bytes, Entry, FileStoreOptions, Forkbase, FsyncPolicy, IndexFactory,
-    MemStore, PosFactory, PosParams, PosTree, Session, ShardingPolicy, SiriIndex, WriteBatch,
+    cost_model, metrics, Bytes, Entry, Forkbase, IndexFactory, MemStore, PosFactory, PosParams,
+    PosTree, Session, ShardingPolicy, SiriIndex, WriteBatch,
 };
 use siri_bench::harness::*;
 use siri_bench::table::{kops, mib, micros, ratio, Table};
@@ -39,15 +42,10 @@ EXPERIMENTS:
     all            every figure/table experiment (default)
     fig1..fig22, tab3, bounds
                    one §5 figure or table
-    concurrency    multi-writer Forkbase cells: disjoint-branch commit
-                   scaling, same-branch CAS contention (retry counter +
-                   model agreement), and group-commit fsync sharing
 
 FLAGS:
     --scale F      multiply the paper's dataset sizes (default 0.05)
     --ops N        operations per measured workload (default 5000)
-    --threads N    writer-thread ceiling for the concurrency cells
-                   (default 4; swept in powers of two)
     --csv          print tables as CSV instead of aligned text
     -h, --help     this text
 ";
@@ -62,16 +60,11 @@ fn main() {
         match args[i].as_str() {
             "--scale" => {
                 i += 1;
-                cfg.scale = args[i].parse().expect("--scale takes a float");
+                cfg.scale = flag_value(&args, i, "--scale takes a positive number");
             }
             "--ops" => {
                 i += 1;
-                cfg.ops = args[i].parse().expect("--ops takes an integer");
-            }
-            "--threads" => {
-                i += 1;
-                cfg.threads = args[i].parse().expect("--threads takes an integer");
-                assert!(cfg.threads > 0, "--threads must be positive");
+                cfg.ops = flag_value(&args, i, "--ops takes a positive integer");
             }
             "--csv" => csv = true,
             "-h" | "--help" => {
@@ -79,36 +72,14 @@ fn main() {
                 return;
             }
             name if !name.starts_with("--") => experiment = name.to_string(),
-            other => {
-                eprintln!("unknown flag {other} (try --help)");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown flag {other}")),
         }
         i += 1;
     }
 
     let all = [
-        "fig1",
-        "fig6",
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "fig13",
-        "fig14",
-        "fig15",
-        "fig16",
-        "fig17",
-        "fig18",
-        "tab3",
-        "fig19",
-        "fig20",
-        "fig21",
-        "fig22",
-        "bounds",
-        "concurrency",
+        "fig1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
+        "fig15", "fig16", "fig17", "fig18", "tab3", "fig19", "fig20", "fig21", "fig22", "bounds",
     ];
     let todo: Vec<&str> = if experiment == "all" {
         all.to_vec()
@@ -146,7 +117,6 @@ fn main() {
             "fig21" => fig21(cfg),
             "fig22" => fig22(cfg),
             "bounds" => bounds(cfg),
-            "concurrency" => concurrency(cfg),
             _ => unreachable!(),
         };
         for t in tables {
@@ -157,6 +127,25 @@ fn main() {
             }
         }
         eprintln!("[{exp}] done in {:.1}s", started.elapsed().as_secs_f64());
+    }
+}
+
+/// Print `what` as a usage error and exit 2.
+fn usage_error(what: &str) -> ! {
+    eprintln!("{what} (try --help)");
+    std::process::exit(2);
+}
+
+/// The positive number `args[i]` holds, or a usage error naming `what`
+/// when it is missing or does not parse.
+fn flag_value<T: std::str::FromStr + PartialOrd + Default>(
+    args: &[String],
+    i: usize,
+    what: &str,
+) -> T {
+    match args.get(i).and_then(|a| a.parse::<T>().ok()) {
+        Some(v) if v > T::default() => v,
+        _ => usage_error(what),
     }
 }
 
@@ -1046,236 +1035,6 @@ fn fig22(cfg: RunConfig) -> Vec<Table> {
         ]);
     }
     vec![t]
-}
-
-// ---------------------------------------------------------------------------
-// Concurrency — multi-writer Forkbase (CAS branch heads + group commit)
-// ---------------------------------------------------------------------------
-fn concurrency(cfg: RunConfig) -> Vec<Table> {
-    let ycsb = YcsbConfig::default();
-    let batch = 50usize;
-    let commits_per_writer = (cfg.ops / batch).clamp(10, 200);
-    let ycsb_batch = |t: usize, c: usize, version: u32| {
-        WriteBatch::from_entries(
-            (0..batch)
-                .map(|i| ycsb.entry((t * 1_000_003 + c * batch + i) as u64, version))
-                .collect(),
-        )
-    };
-
-    // (a) Commits to disjoint branches: per-branch head slots mean zero
-    // contention, so throughput should scale with writers until the
-    // hardware (or the store's append path) saturates. The core count is
-    // stamped into the title — on a 1-core box the correct shape is
-    // *flat*, i.e. no slowdown from adding writers.
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut scaling = Table::new(
-        format!(
-            "Concurrency (a) — disjoint-branch commit throughput \
-             (POS-Tree, MemStore, {cores} core(s))"
-        ),
-        &["writers", "kops/s", "conflicts"],
-    );
-    let mut writers = 1usize;
-    while writers <= cfg.threads.max(1) {
-        let fb = Arc::new(Forkbase::new(PosFactory(PosParams::default())));
-        for t in 0..writers {
-            fb.fork("master", &format!("w{t}")).unwrap();
-        }
-        let dt = run_concurrent_writers(
-            &fb,
-            writers,
-            commits_per_writer,
-            |t| format!("w{t}"),
-            |t, c| ycsb_batch(t, c, 1),
-        );
-        let ops = writers * commits_per_writer * batch;
-        scaling.row(vec![
-            writers.to_string(),
-            kops(ops, dt.as_nanos() as u64),
-            fb.engine_stats().conflicts.to_string(),
-        ]);
-        writers *= 2;
-    }
-
-    // (b) Contended commits to ONE branch: optimistic CAS with re-apply.
-    // Disjoint keys per writer make the expected final state
-    // order-independent, so model agreement is exact: every batch applied
-    // exactly once ⇔ the final record count matches.
-    let mut contended = Table::new(
-        "Concurrency (b) — same-branch CAS commits (POS-Tree, MemStore)",
-        &["writers", "commits", "conflicts", "kops/s", "model_agrees"],
-    );
-    let mut writers = 2usize;
-    while writers <= cfg.threads.max(2) {
-        let fb = Arc::new(Forkbase::new(PosFactory(PosParams::default())));
-        let dt = run_concurrent_writers(
-            &fb,
-            writers,
-            commits_per_writer,
-            |_| "master".into(),
-            |t, c| {
-                let mut b = WriteBatch::new();
-                for i in 0..batch {
-                    b.put(format!("w{t:02}-c{c:04}-{i:03}").into_bytes(), vec![t as u8; 16]);
-                }
-                b
-            },
-        );
-        let stats = fb.engine_stats();
-        let expected = writers * commits_per_writer * batch;
-        let agrees = fb.head("master").unwrap().len().unwrap() == expected;
-        contended.row(vec![
-            writers.to_string(),
-            stats.commits.to_string(),
-            stats.conflicts.to_string(),
-            kops(expected, dt.as_nanos() as u64),
-            agrees.to_string(),
-        ]);
-        writers *= 2;
-    }
-
-    // (d) Sharded branch head (ISSUE 8): the same contended single-branch
-    // workload as (b), but with writers confined to disjoint key-range
-    // shards of a pinned-N partition. Against the single-slot baseline of
-    // PR 5 the per-shard CAS should show zero conflicts and zero retries
-    // — the speedup column is sharded vs single-slot wall-clock at the
-    // same writer count.
-    let mut sharded = Table::new(
-        "Concurrency (d) — sharded vs single-slot head, one branch, \
-         disjoint key ranges (POS-Tree, MemStore)",
-        &["writers", "single_kops/s", "sharded_kops/s", "speedup", "conflicts", "shard_conflicts"],
-    );
-    let mut writers = 2usize;
-    while writers <= cfg.threads.max(2) {
-        // First key byte pins writer t to shard t of the uniform
-        // `writers`-way partition.
-        let lead = move |t: usize, writers: usize| (t * 256 / writers + 1) as u8;
-        let make = move |t: usize, c: usize, writers: usize| {
-            let mut b = WriteBatch::new();
-            for i in 0..batch {
-                let mut key = vec![lead(t, writers)];
-                key.extend_from_slice(format!("w{t:02}-c{c:04}-{i:03}").as_bytes());
-                b.put(key, vec![t as u8; 16]);
-            }
-            b
-        };
-        // Single-slot baseline.
-        let single = Arc::new(Forkbase::with_sharding(
-            PosFactory(PosParams::default()),
-            MemStore::new_shared(),
-            ShardingPolicy::single(),
-            0,
-        ));
-        let dt_single = run_concurrent_writers(
-            &single,
-            writers,
-            commits_per_writer,
-            |_| "master".into(),
-            move |t, c| make(t, c, writers),
-        );
-        // Pinned N-shard head.
-        let fb = Arc::new(Forkbase::with_sharding(
-            PosFactory(PosParams::default()),
-            MemStore::new_shared(),
-            ShardingPolicy::pinned(writers),
-            0,
-        ));
-        let dt_sharded = run_concurrent_writers(
-            &fb,
-            writers,
-            commits_per_writer,
-            |_| "master".into(),
-            move |t, c| make(t, c, writers),
-        );
-        let expected = writers * commits_per_writer * batch;
-        debug_assert_eq!(fb.head("master").unwrap().len().unwrap(), expected);
-        let shard_conflicts: u64 =
-            fb.shard_stats("master").unwrap().iter().map(|s| s.conflicts).sum();
-        sharded.row(vec![
-            writers.to_string(),
-            kops(expected, dt_single.as_nanos() as u64),
-            kops(expected, dt_sharded.as_nanos() as u64),
-            format!("{:.2}x", dt_single.as_secs_f64() / dt_sharded.as_secs_f64().max(1e-9)),
-            fb.engine_stats().conflicts.to_string(),
-            shard_conflicts.to_string(),
-        ]);
-        writers *= 2;
-    }
-
-    // (e) Parallel bulk load: shard sub-trees built on N threads, one
-    // manifest committed over the finished sub-roots.
-    let mut bulk = Table::new(
-        "Concurrency (e) — parallel bulk load via sharded build (POS-Tree, MemStore)",
-        &["threads", "records", "kops/s", "speedup"],
-    );
-    let load_n = (cfg.ops * 20).clamp(5_000, 200_000);
-    let data: Vec<Entry> = ycsb.dataset(load_n);
-    let mut serial_nanos = 0u64;
-    let mut threads = 1usize;
-    while threads <= cfg.threads.max(1) {
-        let fb = Forkbase::with_sharding(
-            PosFactory(PosParams::default()),
-            MemStore::new_shared(),
-            ShardingPolicy::single(),
-            0,
-        );
-        let t0 = Instant::now();
-        fb.bulk_load("loaded", data.clone(), threads).unwrap();
-        let dt = t0.elapsed().as_nanos() as u64;
-        if threads == 1 {
-            serial_nanos = dt;
-        }
-        bulk.row(vec![
-            threads.to_string(),
-            load_n.to_string(),
-            kops(load_n, dt),
-            format!("{:.2}x", serial_nanos as f64 / dt.max(1) as f64),
-        ]);
-        threads *= 2;
-    }
-
-    // (c) Group commit on the durable store: one shared fsync per flush
-    // tick instead of one per commit.
-    let mut group = Table::new(
-        "Concurrency (c) — durable commit fsync sharing (POS-Tree, FileStore)",
-        &["policy", "writers", "commits", "fsyncs", "kops/s"],
-    );
-    let writers = cfg.threads.max(2);
-    for (label, policy) in [
-        ("commit", FsyncPolicy::OnCommit),
-        ("group=2ms", FsyncPolicy::Group(std::time::Duration::from_millis(2))),
-    ] {
-        let dir = std::env::temp_dir()
-            .join("siri-repro-concurrency")
-            .join(format!("{label}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = FileStoreOptions { fsync: policy, ..FileStoreOptions::default() };
-        let fb =
-            Arc::new(Forkbase::new_durable(PosFactory(PosParams::default()), &dir, opts).unwrap());
-        for t in 0..writers {
-            fb.fork("master", &format!("w{t}")).unwrap();
-        }
-        let durable_commits = commits_per_writer.min(25);
-        let dt = run_concurrent_writers(
-            &fb,
-            writers,
-            durable_commits,
-            |t| format!("w{t}"),
-            |t, c| ycsb_batch(t, c, 2),
-        );
-        let stats = fb.server_stats();
-        group.row(vec![
-            label.to_string(),
-            writers.to_string(),
-            stats.commits.to_string(),
-            stats.fsyncs.to_string(),
-            kops(writers * durable_commits * batch, dt.as_nanos() as u64),
-        ]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    vec![scaling, contended, sharded, bulk, group]
 }
 
 // ---------------------------------------------------------------------------

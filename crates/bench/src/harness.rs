@@ -37,12 +37,12 @@ impl IndexCfg {
 }
 
 /// Drive `writers` threads through one shared engine — the multi-writer
-/// cell used by both the `repro concurrency` experiment and the
-/// `multi_writer` bench. Writer `t` commits `commits` batches (built by
-/// `make_batch(t, k)`) to the branch `branch_of(t)` names: the same
-/// string for every writer exercises the contended CAS path, distinct
-/// strings the parallel per-slot path. Returns the wall time of the whole
-/// burst; every commit is unwrapped, so an engine error fails the run.
+/// burst of the `multi_writer` and `sharded_writes` benches. Writer `t`
+/// commits `commits` batches (built by `make_batch(t, k)`) to the branch
+/// `branch_of(t)` names: the same string for every writer exercises the
+/// contended CAS path, distinct strings the parallel per-slot path.
+/// Returns the wall time of the whole burst; every commit is unwrapped,
+/// so an engine error fails the run.
 pub fn run_concurrent_writers<F: IndexFactory>(
     fb: &Arc<Forkbase<F>>,
     writers: usize,
@@ -384,7 +384,7 @@ mod tests {
         for_each_index!(cfg, |name, factory| {
             let store = MemStore::new_shared();
             let mut idx = factory.empty(store);
-            idx.insert(b"k", bytes::Bytes::from_static(b"v")).unwrap();
+            idx.insert(b"k", Bytes::from_static(b"v")).unwrap();
             assert!(idx.get(b"k").unwrap().is_some());
             names.push(name);
         });

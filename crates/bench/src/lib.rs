@@ -1,6 +1,10 @@
 //! Shared machinery for the `repro` figure reproducer and the Criterion
 //! benchmarks: index-agnostic experiment drivers, timing helpers and the
 //! plain-text table printer.
+//!
+//! Each number is measured in one place. `repro` prints the paper's §5
+//! figures; a Criterion bench stays only for a number that neither a
+//! `repro` table nor a `bench/e2e` metric produces (DESIGN.md §6).
 
 pub mod harness;
 pub mod table;
@@ -15,15 +19,11 @@ pub struct RunConfig {
     pub ops: usize,
     /// Target node size (the paper tunes ≈1 KB).
     pub node_bytes: usize,
-    pub seed: u64,
-    /// Writer-thread ceiling for the multi-writer concurrency cells
-    /// (`repro concurrency` sweeps 1..=threads in powers of two).
-    pub threads: usize,
 }
 
 impl Default for RunConfig {
     fn default() -> Self {
-        RunConfig { scale: 0.05, ops: 5_000, node_bytes: 1024, seed: 42, threads: 4 }
+        RunConfig { scale: 0.05, ops: 5_000, node_bytes: 1024 }
     }
 }
 

@@ -401,7 +401,8 @@ impl<F: IndexFactory> Forkbase<F> {
     /// [`Forkbase::with_store`] with an explicit [`ShardingPolicy`]
     /// (ignoring `SIRI_SHARDS`) — for tests and benchmarks that pin the
     /// partition regardless of the environment. `_reserved` is ignored;
-    /// `bench/e2e` still passes a `0` there (ROADMAP item 6(c)).
+    /// `bench/e2e` still passes a `0` there (see the *Owed by this PR*
+    /// list under ROADMAP item 2).
     pub fn with_sharding(
         factory: F,
         server: SharedStore,

@@ -60,9 +60,13 @@ fn usage() -> ! {
          \x20                        and compact the store on disk\n\
          \x20 compact                rewrite segments keeping every version's pages\n\
          \x20 stats                  storage statistics\n\
-         \x20 serve [--listen ADDR]  serve this database over the SIRI wire protocol\n\
-         \x20                        (default 127.0.0.1:4733; commits land in <db>.head;\n\
-         \x20                        --allow-shutdown lets clients stop the server)\n\
+         \x20 serve [--listen ADDR] [--max-conns N] [--timeout-ms MS] [--allow-shutdown]\n\
+         \x20                        serve this database over the SIRI wire protocol\n\
+         \x20                        (default 127.0.0.1:4733; commits land in <db>.head);\n\
+         \x20                        past N connections (default 64) a client gets\n\
+         \x20                        ERR_BUSY, MS bounds each socket read and write\n\
+         \x20                        (default 30000), --allow-shutdown lets clients\n\
+         \x20                        stop the server\n\
          \x20 connect <ADDR> <cmd>   run a command against a remote server; cmd is one of\n\
          \x20                        put/del/get/scan/branches/digest/prove/stats/shutdown\n\
          \x20                        (--branch B targets a branch; default master; stats\n\
@@ -490,11 +494,28 @@ fn main() {
             }
         }
         "serve" => {
-            let listen = match rest.iter().position(|a| a == "--listen") {
-                Some(p) => rest.get(p + 1).cloned().unwrap_or_else(|| usage()),
-                None => String::from("127.0.0.1:4733"),
+            // The value after `name`, if the flag is given at all.
+            let flag = |name: &str| {
+                rest.iter()
+                    .position(|a| a == name)
+                    .map(|p| rest.get(p + 1).unwrap_or_else(|| usage()))
             };
-            let allow_shutdown = rest.iter().any(|a| a == "--allow-shutdown");
+            let listen =
+                flag("--listen").cloned().unwrap_or_else(|| String::from("127.0.0.1:4733"));
+            let mut opts = siri::ServerOptions {
+                allow_remote_shutdown: rest.iter().any(|a| a == "--allow-shutdown"),
+                ..Default::default()
+            };
+            if let Some(n) = flag("--max-conns") {
+                opts.max_connections =
+                    n.parse().ok().filter(|&n: &usize| n > 0).unwrap_or_else(|| usage());
+            }
+            if let Some(ms) = flag("--timeout-ms") {
+                let ms: u64 = ms.parse().unwrap_or_else(|_| usage());
+                let timeout = Some(std::time::Duration::from_millis(ms));
+                opts.read_timeout = timeout;
+                opts.write_timeout = timeout;
+            }
             // The served engine records its commits the way local writes
             // do.
             let hook_fs = fs.clone();
@@ -504,8 +525,6 @@ fn main() {
                     record_version(&hook_fs, &hook_head, root);
                 }
             });
-            let opts =
-                siri::ServerOptions { allow_remote_shutdown: allow_shutdown, ..Default::default() };
             match siri::serve_addr(engine, &listen, opts, Some(hook)) {
                 Ok(handle) => {
                     println!("listening on {}", handle.addr());

@@ -184,6 +184,7 @@ fn shard_count_above_the_engine_cap_is_a_usage_error() {
     let path = t.file("data.tsv", "a\t1\nb\t2\n");
     assert_eq!(run(&db, &["--shards", "65", "load", &path]).status.code(), Some(2));
     assert_eq!(run(&db, &["--shards", "0", "load", &path]).status.code(), Some(2));
+    assert_eq!(run(&db, &["serve", "--max-conns", "0"]).status.code(), Some(2));
     assert!(ok(&db, &["--shards", "64", "load", &path]).starts_with("loaded 2 record(s)"));
 }
 
@@ -208,6 +209,7 @@ fn remote_commands_sync_and_shutdown() {
     let mut server = Server(
         siri(&a)
             .args(["serve", "--listen", "127.0.0.1:0", "--allow-shutdown"])
+            .args(["--max-conns", "4", "--timeout-ms", "30000"])
             .stdout(Stdio::piped())
             .spawn()
             .expect("cannot start siri serve"),
