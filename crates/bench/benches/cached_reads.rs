@@ -23,7 +23,7 @@ use siri::crypto::sha256;
 use siri::workloads::YcsbConfig;
 use siri::{
     Bytes, Entry, Forkbase, MemStore, MerkleBucketTree, MerklePatriciaTrie, MvmbParams, MvmbTree,
-    PosFactory, PosParams, PosTree, Session, ShardingPolicy, SiriIndex, WriteBatch,
+    PosFactory, PosParams, PosTree, Session, SiriIndex, WriteBatch,
 };
 use siri_bench::harness::{client_cache_sweep, engine_lookups, serve_loopback};
 
@@ -162,12 +162,7 @@ fn bench_cached_reads(c: &mut Criterion) {
     // that checks every value against the engine's.
     let records = (n / 5).max(2) as u64;
     let params = PosParams::default();
-    let engine = Arc::new(Forkbase::with_sharding(
-        PosFactory(params),
-        MemStore::new_shared(),
-        ShardingPolicy::single(),
-        0,
-    ));
+    let engine = Arc::new(Forkbase::new(PosFactory(params)));
     engine.commit("master", WriteBatch::from_entries(ycsb.dataset(records as usize))).unwrap();
     let keys: Vec<_> = (0..records / 2).map(|i| ycsb.key(i)).collect();
     let lookups = engine_lookups(&engine, "master", &keys);

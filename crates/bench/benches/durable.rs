@@ -6,7 +6,8 @@
 //!   digest-verified scan) take for an N-record index?
 //! * **get** — disk-resident point reads (positioned `read_at` through the
 //!   OS page cache) vs memory-resident ones.
-//! * **commit** — write-batch throughput at the three fsync policies.
+//! * **commit** — write-batch throughput in memory and on disk with and
+//!   without an fsync per commit.
 //! * **compaction** — reclaim rate when retired versions are swept and the
 //!   live pages are rewritten into a fresh generation.
 //!
@@ -19,8 +20,8 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use siri::workloads::YcsbConfig;
 use siri::{
-    FileStore, FileStoreOptions, FsyncPolicy, MemStore, PosParams, PosTree, Reclaim, SharedStore,
-    SiriIndex,
+    FileStore, FileStoreOptions, FsyncPolicy, MemStore, NodeStore, PosParams, PosTree, Reclaim,
+    SharedStore, SiriIndex,
 };
 
 fn dataset_size() -> usize {
@@ -101,23 +102,20 @@ fn bench_durable(c: &mut Criterion) {
     {
         let mut group = c.benchmark_group("durable_commit_100");
         group.sample_size(10);
-        let policies: [(&str, Option<FsyncPolicy>); 4] = [
+        let policies: [(&str, Option<FsyncPolicy>); 3] = [
             ("mem", None),
             ("file-never", Some(FsyncPolicy::Never)),
-            ("file-every8", Some(FsyncPolicy::EveryN(8))),
             ("file-commit", Some(FsyncPolicy::OnCommit)),
         ];
         for (label, policy) in policies {
-            let (store, durable): (SharedStore, Option<Arc<FileStore>>) = match policy {
-                None => (MemStore::new_shared(), None),
+            let store: SharedStore = match policy {
+                None => MemStore::new_shared(),
                 Some(p) => {
                     let path = bench_dir(&format!("commit-{label}"));
-                    let (fs, _) = FileStore::open_with(&path, opts(p)).unwrap();
-                    let fs = Arc::new(fs);
-                    (fs.clone() as SharedStore, Some(fs))
+                    Arc::new(FileStore::open_with(&path, opts(p)).unwrap().0)
                 }
             };
-            let mut idx = PosTree::new(store, PosParams::default());
+            let mut idx = PosTree::new(store.clone(), PosParams::default());
             idx.batch_insert(ycsb.dataset(n.min(5_000))).unwrap();
             let mut v = 1u32;
             group.bench_function(BenchmarkId::from_parameter(label), |b| {
@@ -126,9 +124,7 @@ fn bench_durable(c: &mut Criterion) {
                     let batch: Vec<_> =
                         (0..100u64).map(|i| ycsb.entry((i * 37 + v as u64) % 5_000, v)).collect();
                     idx.batch_insert(batch).unwrap();
-                    if let Some(fs) = &durable {
-                        fs.note_commit().unwrap();
-                    }
+                    store.note_commit().unwrap();
                 })
             });
         }

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use siri::workloads::YcsbConfig;
-use siri::{Entry, Forkbase, IndexFactory, MemStore, Session, ShardingPolicy, SiriIndex};
+use siri::{Entry, Forkbase, IndexFactory, Session, SiriIndex};
 use siri_bench::harness::{
     load_batched, mbt_factory, mpt_factory, mvmb_factory, pos_factory, serve_loopback, IndexCfg,
 };
@@ -116,12 +116,7 @@ fn bench_remote_take<F>(
     F: IndexFactory + 'static,
     F::Index: Send + Sync,
 {
-    let engine = Arc::new(Forkbase::with_sharding(
-        factory,
-        MemStore::new_shared(),
-        ShardingPolicy::single(),
-        0,
-    ));
+    let engine = Arc::new(Forkbase::new(factory));
     engine.commit("master", siri::WriteBatch::from_entries(data.to_vec())).expect("load");
     let stride = (sorted_keys.len() - REMOTE_TAKE) / REMOTE_STARTS;
     let windows: Vec<(&[u8], Vec<Entry>)> = (0..REMOTE_STARTS)

@@ -26,7 +26,7 @@ use siri::workloads::wiki::WikiConfig;
 use siri::workloads::ycsb::YcsbConfig;
 use siri::{
     cost_model, metrics, Bytes, Entry, Forkbase, IndexFactory, MemStore, PosFactory, PosParams,
-    PosTree, Session, ShardingPolicy, SiriIndex, WriteBatch,
+    PosTree, Session, SiriIndex, WriteBatch,
 };
 use siri_bench::harness::*;
 use siri_bench::table::{kops, mib, micros, ratio, Table};
@@ -911,12 +911,6 @@ fn fig19_20(cfg: RunConfig, kind: AblationKind) -> Vec<Table> {
 // Figure 21 — Forkbase-integrated throughput (a light client over loopback)
 // ---------------------------------------------------------------------------
 
-/// The engine of Figures 21/22, pinned to one shard so the branch digest
-/// is a bare index root whatever `SIRI_SHARDS` says.
-fn single_shard_engine<F: IndexFactory>(factory: F) -> Arc<Forkbase<F>> {
-    Arc::new(Forkbase::with_sharding(factory, MemStore::new_shared(), ShardingPolicy::single(), 0))
-}
-
 /// The §5.6.1 client: serve `fb` on loopback and look `keys` up at its
 /// master head through `factory.open(session.pages(), digest)`, so the
 /// handle's default-capacity node cache is the client cache and every
@@ -954,7 +948,7 @@ fn fig21(cfg: RunConfig) -> Vec<Table> {
         let mut r_cells = vec![n.to_string()];
         let mut w_cells = vec![n.to_string()];
         for_each_index!(icfg, |_name, factory| {
-            let fb = single_shard_engine(factory.clone());
+            let fb = Arc::new(Forkbase::new(factory.clone()));
             for chunk in data.chunks(8_000) {
                 fb.commit("master", WriteBatch::from_entries(chunk.to_vec())).unwrap();
             }
@@ -1000,7 +994,7 @@ fn fig22(cfg: RunConfig) -> Vec<Table> {
 
         // Forkbase: POS-Tree with Noms' 4 KB node size, batched writes.
         let factory = PosFactory(PosParams::default().with_node_bytes(4096));
-        let fb = single_shard_engine(factory.clone());
+        let fb = Arc::new(Forkbase::new(factory.clone()));
         for chunk in data.chunks(8_000) {
             fb.commit("master", WriteBatch::from_entries(chunk.to_vec())).unwrap();
         }
@@ -1012,7 +1006,7 @@ fn fig22(cfg: RunConfig) -> Vec<Table> {
 
         // Noms: Prolly chunking (sliding-window internal hashing), per-op
         // writes.
-        let noms = single_shard_engine(PosFactory::noms());
+        let noms = Arc::new(Forkbase::new(PosFactory::noms()));
         for chunk in data.chunks(8_000) {
             // Initial load may batch — the measured difference is the
             // update path, as in the paper's experiment.

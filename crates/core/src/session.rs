@@ -6,7 +6,8 @@
 //! it directly; `siri-client`'s `RemoteSession` implements it over the
 //! length-prefixed wire protocol — so the CLI, the examples and the
 //! behavioral test suites run unchanged against either side of a network
-//! boundary (toggled by `SIRI_REMOTE=1` in the integration suites).
+//! boundary (the integration suites run both sides of each
+//! configuration).
 //!
 //! The trait is deliberately object-safe: callers hold a
 //! `Box<dyn Session>` and never learn which transport answered them.

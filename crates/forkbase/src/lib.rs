@@ -40,7 +40,7 @@
 //!   match, and a writer that lost only to a commit on another shard
 //!   re-stages just the manifest. A genuinely lost race (same shard)
 //!   re-applies only the mismatched slices on the fresher sub-roots,
-//!   bounded by [`max_commit_attempts`]. Lost races surface in
+//!   bounded by [`MAX_COMMIT_ATTEMPTS`]. Lost races surface in
 //!   [`EngineStats::conflicts`] and per-shard in [`ShardStats`];
 //! * with [`ShardingPolicy::adaptive`] the partition itself adapts at
 //!   publish points: a shard absorbing conflicts splits at its median
@@ -54,10 +54,12 @@
 //!
 //! Every publication — commit, merge, bulk load, reshard — goes through
 //! one step: the engine, not the index, writes the staged pages and the
-//! head's manifest page in one append, flushes once (per the store's
-//! [`siri_store::FsyncPolicy`] — including group commit), and only then
-//! swaps the head. An observable head is always a durable head, manifest
-//! page included, so a returned digest is always re-openable.
+//! head's manifest page in one append, flushes once through
+//! [`NodeStore::note_commit`] (a [`FileStore`] applies its
+//! [`siri_store::FsyncPolicy`] there — including group commit; an
+//! in-memory store does nothing), and only then swaps the head. An
+//! observable head is always a durable head, manifest page included, so a
+//! returned digest is always re-openable.
 //!
 //! [`IndexFactory`] abstracts over which of the four structures backs the
 //! store ([`PosFactory::noms`] gives Noms' Prolly-tree chunking for the
@@ -79,8 +81,7 @@ use siri_core::{
 };
 use siri_crypto::Hash;
 use siri_store::{
-    FileStore, FileStoreOptions, MemStore, NodeStore, PageBatch, SharedStore, StoreError,
-    StoreStats,
+    FileStore, FileStoreOptions, MemStore, NodeStore, PageBatch, SharedStore, StoreStats,
 };
 
 pub use factory::{scheme_by_name, IndexFactory, MbtFactory, MptFactory, MvmbFactory, PosFactory};
@@ -91,23 +92,6 @@ pub use factory::{scheme_by_name, IndexFactory, MbtFactory, MptFactory, MvmbFact
 /// absorbed at least this many competing commits while one batch was
 /// being rebuilt — pathological contention, not deadlock.
 pub const MAX_COMMIT_ATTEMPTS: u32 = 1_000;
-
-/// The effective commit-attempt bound: [`MAX_COMMIT_ATTEMPTS`] unless the
-/// `SIRI_MAX_COMMIT_ATTEMPTS` env var overrides it (read once). The
-/// override exists for tests that need to force
-/// [`IndexError::CommitContention`] deterministically (e.g. with a bound
-/// of 1) instead of spinning through a thousand raced rebuilds; values of
-/// 0 or garbage fall back to the default.
-pub fn max_commit_attempts() -> u32 {
-    static BOUND: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-    *BOUND.get_or_init(|| {
-        std::env::var("SIRI_MAX_COMMIT_ATTEMPTS")
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(MAX_COMMIT_ATTEMPTS)
-    })
-}
 
 /// Lock classes for the runtime lock-order tracker (DESIGN.md §9): the
 /// engine's documented acquisition order is branch map → slot head (the
@@ -167,9 +151,12 @@ const OBSERVE_WINDOW: u64 = 64;
 /// partition adapts to observed contention.
 ///
 /// The default ([`ShardingPolicy::single`]) is one shard — byte-for-byte
-/// the classic single-head engine. `SIRI_SHARDS=N` pins a static count
-/// (reproducible benchmarks); `SIRI_SHARDS=adaptive` lets conflict
-/// counters drive splits and merges at publish points.
+/// the classic single-head engine. [`ShardingPolicy::pinned`] fixes a
+/// static count (reproducible benchmarks);
+/// [`ShardingPolicy::adaptive_default`] lets conflict counters drive
+/// splits and merges at publish points. An engine gets anything but the
+/// default only through [`Forkbase::with_sharding`] or
+/// [`Forkbase::new_durable_with_sharding`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardingPolicy {
     /// Shard count for newly created branches (uniform byte-prefix
@@ -194,21 +181,6 @@ impl ShardingPolicy {
     /// Start unsharded and let conflict counters drive splits/merges.
     pub fn adaptive_default() -> Self {
         ShardingPolicy { adaptive: true, ..Self::single() }
-    }
-
-    /// Policy from the `SIRI_SHARDS` env var: unset → single (the
-    /// default engine), `N` → pinned static count, `adaptive` → adaptive.
-    pub fn from_env() -> Self {
-        match std::env::var("SIRI_SHARDS") {
-            Ok(v) if v.eq_ignore_ascii_case("adaptive") => Self::adaptive_default(),
-            Ok(v) => v
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .map(Self::pinned)
-                .unwrap_or_else(Self::single),
-            Err(_) => Self::single(),
-        }
     }
 
     fn initial_router(&self) -> ShardRouter {
@@ -359,18 +331,16 @@ enum Published<I> {
 ///
 /// The page store is pluggable: the default is an in-memory
 /// [`MemStore`] (the paper's experiments), while
-/// [`Forkbase::new_durable`] runs the same engine over a [`FileStore`],
-/// fsyncing acknowledged commits per that store's
-/// [`siri_store::FsyncPolicy`].
+/// [`Forkbase::new_durable`] runs the same engine over a [`FileStore`].
+/// Every publication ends in the store's [`NodeStore::note_commit`], so an
+/// engine over a `FileStore` fsyncs acknowledged commits per that store's
+/// [`siri_store::FsyncPolicy`] whichever constructor built it.
 ///
 /// All operations take `&self`; share the engine across writer and reader
 /// threads freely (see the module docs for the locking discipline).
 pub struct Forkbase<F: IndexFactory> {
     factory: F,
     server: SharedStore,
-    /// Set when the server store is file-backed: the handle the engine
-    /// drives durability (fsync-per-commit policy) through.
-    durable: Option<Arc<FileStore>>,
     /// Branch name → slot. The map lock is only for name resolution and
     /// branch creation/deletion; all per-branch state hides behind the
     /// slot's own locks.
@@ -383,46 +353,57 @@ pub struct Forkbase<F: IndexFactory> {
 }
 
 impl<F: IndexFactory> Forkbase<F> {
-    /// Create an engine with one empty branch `"master"`. Sharding comes
-    /// from the environment ([`ShardingPolicy::from_env`]): unsharded
-    /// unless `SIRI_SHARDS` says otherwise.
+    /// A single-shard engine over a fresh [`MemStore`], with one empty
+    /// branch `"master"`.
     pub fn new(factory: F) -> Self {
-        Self::with_server(factory, Arc::new(MemStore::new()), None, ShardingPolicy::from_env())
+        Self::with_store(factory, MemStore::new_shared())
     }
 
-    /// An engine over a caller-supplied server store (e.g. the store
-    /// `siri::env_store()` selected), with one empty branch `"master"`.
-    /// No durability handle is attached — if the store is file-backed the
-    /// caller owns the fsync cadence.
+    /// A single-shard engine over a caller-supplied server store, with one
+    /// empty branch `"master"`. Commits flush through the store's
+    /// [`NodeStore::note_commit`], so a [`FileStore`] here is as durable
+    /// as one [`Forkbase::new_durable`] opens.
     pub fn with_store(factory: F, server: SharedStore) -> Self {
-        Self::with_server(factory, server, None, ShardingPolicy::from_env())
+        Self::with_sharding(factory, server, ShardingPolicy::single(), 0)
     }
 
-    /// [`Forkbase::with_store`] with an explicit [`ShardingPolicy`]
-    /// (ignoring `SIRI_SHARDS`) — for tests and benchmarks that pin the
-    /// partition regardless of the environment. `_reserved` is ignored;
-    /// `bench/e2e` still passes a `0` there (see the *Owed by this PR*
-    /// list under ROADMAP item 2).
+    /// [`Forkbase::with_store`] with an explicit [`ShardingPolicy`] — the
+    /// one way, with [`Forkbase::new_durable_with_sharding`], to ask for
+    /// more than one shard. `_reserved` is ignored; `bench/e2e` still
+    /// passes a `0` there (see the *Owed by this PR* list under ROADMAP
+    /// item 2).
     pub fn with_sharding(
         factory: F,
         server: SharedStore,
         policy: ShardingPolicy,
         _reserved: u64,
     ) -> Self {
-        Self::with_server(factory, server, None, policy)
+        let master = Self::fresh_table(&factory, &server, policy.initial_router());
+        let engine = Forkbase {
+            factory,
+            server,
+            branches: RwLock::with_class(HashMap::new(), &BRANCH_MAP_CLASS),
+            policy,
+            commits: AtomicU64::new(0),
+            conflicts: AtomicU64::new(0),
+            splits: AtomicU64::new(0),
+            merges: AtomicU64::new(0),
+        };
+        engine.install("master", master);
+        engine
     }
 
-    /// An engine whose server store persists to `path` (a [`FileStore`]
-    /// directory). Commits are flushed per the options' fsync policy.
-    /// Branch heads themselves are in-memory — callers that need them to
-    /// survive a restart persist the roots (e.g. a sidecar file, as the
-    /// `siri` CLI does) and re-attach with [`Forkbase::open_branch`].
+    /// A single-shard engine whose server store persists to `path` (a
+    /// [`FileStore`] directory). Commits are flushed per the options' fsync
+    /// policy. Branch heads themselves are in-memory — callers that need
+    /// them to survive a restart persist the roots (e.g. a sidecar file,
+    /// as the `siri` CLI does) and re-attach with [`Forkbase::open_branch`].
     pub fn new_durable(
         factory: F,
         path: impl AsRef<std::path::Path>,
         opts: FileStoreOptions,
     ) -> std::io::Result<Self> {
-        Self::new_durable_with_sharding(factory, path, opts, ShardingPolicy::from_env(), 0)
+        Self::new_durable_with_sharding(factory, path, opts, ShardingPolicy::single(), 0)
     }
 
     /// [`Forkbase::new_durable`] with an explicit [`ShardingPolicy`].
@@ -435,30 +416,7 @@ impl<F: IndexFactory> Forkbase<F> {
         _reserved: u64,
     ) -> std::io::Result<Self> {
         let (fs, _) = FileStore::open_with(path, opts)?;
-        let fs = Arc::new(fs);
-        Ok(Self::with_server(factory, fs.clone(), Some(fs), policy))
-    }
-
-    fn with_server(
-        factory: F,
-        server: SharedStore,
-        durable: Option<Arc<FileStore>>,
-        policy: ShardingPolicy,
-    ) -> Self {
-        let master = Self::fresh_table(&factory, &server, policy.initial_router());
-        let engine = Forkbase {
-            factory,
-            server,
-            durable,
-            branches: RwLock::with_class(HashMap::new(), &BRANCH_MAP_CLASS),
-            policy,
-            commits: AtomicU64::new(0),
-            conflicts: AtomicU64::new(0),
-            splits: AtomicU64::new(0),
-            merges: AtomicU64::new(0),
-        };
-        engine.install("master", master);
-        engine
+        Ok(Self::with_sharding(factory, Arc::new(fs), policy, 0))
     }
 
     /// A table of empty sub-roots over `router`'s partition.
@@ -504,19 +462,11 @@ impl<F: IndexFactory> Forkbase<F> {
         ShardTable { digest: root, ..ShardTable::new(router, heads, 0) }
     }
 
-    /// Flush the durable store per its fsync policy; pages written by an
-    /// un-flushed version are orphans for the next sweep.
-    fn flush_durable(&self) -> Result<()> {
-        if let Some(fs) = &self.durable {
-            fs.note_commit().map_err(|e| IndexError::Store(StoreError::io("fsync", e)))?;
-        }
-        Ok(())
-    }
-
     /// The store half of a publication: `pages` plus the manifest page
-    /// `next`'s head needs, in one append, made durable by one flush; sets
-    /// `next`'s digest. On error no head has changed, and whatever did
-    /// land is orphaned for the next sweep.
+    /// `next`'s head needs, in one append, made durable by the store's one
+    /// commit point ([`NodeStore::note_commit`]); sets `next`'s digest. On
+    /// error no head has changed, and whatever did land is orphaned for
+    /// the next sweep.
     fn land(&self, next: &mut ShardTable<F::Index>, mut pages: PageBatch) -> Result<()> {
         let (digest, manifest) = head_digest(&next.router, next.roots());
         if let Some(page) = manifest {
@@ -524,7 +474,7 @@ impl<F: IndexFactory> Forkbase<F> {
         }
         next.digest = digest;
         self.server.try_put_batch(&pages)?;
-        self.flush_durable()
+        Ok(self.server.note_commit()?)
     }
 
     /// The one way a branch head changes: [`Forkbase::land`] `next` with
@@ -573,7 +523,7 @@ impl<F: IndexFactory> Forkbase<F> {
     /// parent moved is rebuilt — the only case that counts a conflict and a
     /// retry; and if only untouched shards moved, the next round re-stages
     /// just the manifest. Every round counts against
-    /// [`max_commit_attempts`]. The flush strictly precedes the swap, so
+    /// [`MAX_COMMIT_ATTEMPTS`]. The flush strictly precedes the swap, so
     /// any head a reader can observe is durable.
     fn commit_on_slot(&self, slot: &BranchSlot<F::Index>, batch: WriteBatch) -> Result<CommitInfo> {
         let ops = batch.normalize();
@@ -642,7 +592,7 @@ impl<F: IndexFactory> Forkbase<F> {
             }
             table = seen;
             attempts += 1;
-            if attempts >= max_commit_attempts() {
+            if attempts >= MAX_COMMIT_ATTEMPTS {
                 return Err(IndexError::CommitContention { attempts });
             }
         }
@@ -670,7 +620,7 @@ impl<F: IndexFactory> Forkbase<F> {
             }
             self.conflicts.fetch_add(1, Ordering::Relaxed);
             attempts += 1;
-            if attempts >= max_commit_attempts() {
+            if attempts >= MAX_COMMIT_ATTEMPTS {
                 return Err(IndexError::CommitContention { attempts });
             }
         }
@@ -1040,8 +990,8 @@ impl<F: IndexFactory> Forkbase<F> {
 /// The in-process side of the [`Session`] abstraction: the engine *is* a
 /// session, and the trait is its only way to read or write a branch.
 /// `siri-client`'s `RemoteSession` implements the same trait over the
-/// wire, so `&dyn Session` callers (the CLI, the behavioral test suites
-/// under `SIRI_REMOTE=1`) cannot tell the two apart.
+/// wire, so `&dyn Session` callers (the CLI, the behavioral test suites'
+/// loopback configurations) cannot tell the two apart.
 impl<F: IndexFactory> Session for Forkbase<F> {
     fn commit(&self, branch: &str, batch: WriteBatch) -> Result<CommitInfo> {
         let slot = self.slot(branch)?;
@@ -1161,16 +1111,8 @@ mod tests {
             .collect()
     }
 
-    /// Engines under test pin their policy so `SIRI_SHARDS` in the
-    /// environment (e.g. the sharded CI leg) cannot change what a test
-    /// asserts about partition shape.
     fn single_engine() -> Forkbase<PosFactory> {
-        Forkbase::with_sharding(
-            PosFactory(PosParams::default()),
-            Arc::new(MemStore::new()),
-            ShardingPolicy::single(),
-            0,
-        )
+        Forkbase::new(PosFactory(PosParams::default()))
     }
 
     fn sharded_engine(n: usize) -> Forkbase<PosFactory> {

@@ -69,7 +69,6 @@ use std::io::{self, BufReader, Read, Write};
 #[cfg(not(unix))]
 use std::io::{Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Duration;
 
@@ -104,7 +103,7 @@ const MANIFEST_TRAILER: &str = "end";
 /// When acknowledged writes are flushed to stable storage.
 ///
 /// `put` itself never fsyncs — pages are appended through the OS page
-/// cache. The policy decides what [`FileStore::note_commit`] does, which
+/// cache. The policy decides what [`NodeStore::note_commit`] does, which
 /// engines call once per *logical* commit (a whole [`crate::PageSet`]'s
 /// worth of pages), amortizing the flush the way a WAL group-commit does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -116,8 +115,6 @@ pub enum FsyncPolicy {
     /// Fsync on every commit: an acknowledged commit survives power loss.
     #[default]
     OnCommit,
-    /// Fsync every `n`-th commit — bounded data loss, amortized cost.
-    EveryN(u64),
     /// Group commit: every acknowledged commit survives power loss (same
     /// guarantee as [`FsyncPolicy::OnCommit`]), but concurrent committers
     /// share one fsync. The first committer of a tick becomes the *flush
@@ -130,21 +127,17 @@ pub enum FsyncPolicy {
 }
 
 impl FsyncPolicy {
-    /// Parse `"never"`, `"commit"`, `"every=N"`, or `"group=MS"` (a group
-    /// window in milliseconds; `group=0` batches only commits already
-    /// waiting), as the `siri` CLI accepts.
+    /// Parse `"never"`, `"commit"` or `"group=MS"` (a group window in
+    /// milliseconds; `group=0` batches only commits already waiting), as
+    /// the `siri` CLI accepts.
     pub fn parse(s: &str) -> Option<FsyncPolicy> {
         match s {
             "never" => Some(FsyncPolicy::Never),
             "commit" => Some(FsyncPolicy::OnCommit),
-            _ => {
-                if let Some(n) = s.strip_prefix("every=") {
-                    return n.parse().ok().filter(|&n| n > 0).map(FsyncPolicy::EveryN);
-                }
-                s.strip_prefix("group=")
-                    .and_then(|ms| ms.parse().ok())
-                    .map(|ms: u64| FsyncPolicy::Group(Duration::from_millis(ms)))
-            }
+            _ => s
+                .strip_prefix("group=")
+                .and_then(|ms| ms.parse().ok())
+                .map(|ms: u64| FsyncPolicy::Group(Duration::from_millis(ms))),
         }
     }
 }
@@ -242,9 +235,6 @@ pub struct FileStore {
     appender: Mutex<Appender>,
     stats: AtomicStoreStats,
     opts: FileStoreOptions,
-    /// Commits seen by [`FsyncPolicy::EveryN`]'s cadence (counted on
-    /// arrival, unlike [`StoreStats::commits`], which counts acks).
-    cadence: AtomicU64,
     /// Group-commit state ([`FsyncPolicy::Group`]). `std::sync` primitives
     /// on purpose: the vendored `parking_lot` shim has no `Condvar`.
     group: std::sync::Mutex<GroupState>,
@@ -395,8 +385,7 @@ impl FileStore {
     /// segments to rebuild the in-memory index. Returns the store and the
     /// number of pages recovered.
     ///
-    /// `path` is a directory; a pre-segmented single-log file at `path` is
-    /// migrated in place (it becomes segment 1 of a fresh directory).
+    /// `path` is a directory, created if missing.
     pub fn open(path: impl AsRef<Path>) -> io::Result<(Self, usize)> {
         Self::open_with(path, FileStoreOptions::default())
     }
@@ -404,22 +393,6 @@ impl FileStore {
     /// [`FileStore::open`] with explicit [`FileStoreOptions`].
     pub fn open_with(path: impl AsRef<Path>, opts: FileStoreOptions) -> io::Result<(Self, usize)> {
         let dir = path.as_ref().to_path_buf();
-
-        // Legacy layout: a single append-only log file. Its frame format is
-        // identical to a segment's, so migration is two renames — staged so
-        // a crash at any point resumes here: the data is always reachable
-        // either at `dir` (untouched log), at the `.legacy-migrate` name
-        // (checked below even when the first rename happened in a previous
-        // process), or as segment 1.
-        let legacy = dir.with_extension("legacy-migrate");
-        if dir.is_file() {
-            fs::rename(&dir, &legacy)?;
-        }
-        if legacy.is_file() {
-            fs::create_dir_all(&dir)?;
-            fs::rename(&legacy, seg_path(&dir, 1))?;
-            write_manifest(&dir, &[1])?;
-        }
         fs::create_dir_all(&dir)?;
         let _ = fs::remove_file(dir.join(MANIFEST_TMP));
 
@@ -493,7 +466,6 @@ impl FileStore {
                 ),
                 stats,
                 opts,
-                cadence: AtomicU64::new(0),
                 group: std::sync::Mutex::new(GroupState::default()),
                 flushed: Condvar::new(),
             },
@@ -514,34 +486,6 @@ impl FileStore {
         active.sync_data()?;
         AtomicStoreStats::add(&self.stats.fsyncs, 1);
         Ok(())
-    }
-
-    /// Apply the [`FsyncPolicy`] after one logical commit. Engines call
-    /// this once per acknowledged commit attempt, not per page. Successful
-    /// returns are counted in [`StoreStats::commits`] (a commit whose
-    /// flush fails was *not* acknowledged and is not counted; an engine
-    /// retrying a lost optimistic race may ack more than once per
-    /// published commit). The flushes land in [`StoreStats::fsyncs`] —
-    /// under [`FsyncPolicy::Group`] the second counter stays below the
-    /// first when writers overlap.
-    pub fn note_commit(&self) -> io::Result<()> {
-        let res = match self.opts.fsync {
-            FsyncPolicy::Never => Ok(()),
-            FsyncPolicy::OnCommit => self.sync(),
-            FsyncPolicy::EveryN(n) => {
-                let c = self.cadence.fetch_add(1, Ordering::Relaxed) + 1;
-                if c.is_multiple_of(n) {
-                    self.sync()
-                } else {
-                    Ok(())
-                }
-            }
-            FsyncPolicy::Group(window) => self.group_commit(window),
-        };
-        if res.is_ok() {
-            AtomicStoreStats::add(&self.stats.commits, 1);
-        }
-        res
     }
 
     /// One group-commit arrival: take a ticket, then either lead the flush
@@ -868,6 +812,25 @@ impl NodeStore for FileStore {
         self.append(batch.pages().iter().map(|(digest, page)| (*digest, page.as_ref())))
     }
 
+    /// Apply the [`FsyncPolicy`] after one logical commit. Engines call
+    /// this once per acknowledged commit attempt, not per page. Successful
+    /// returns are counted in [`StoreStats::commits`] (a commit whose
+    /// flush fails was *not* acknowledged and is not counted; an engine
+    /// retrying a lost optimistic race may ack more than once per
+    /// published commit). The flushes land in [`StoreStats::fsyncs`] —
+    /// under [`FsyncPolicy::Group`] the second counter stays below the
+    /// first when writers overlap.
+    fn note_commit(&self) -> StoreResult<()> {
+        match self.opts.fsync {
+            FsyncPolicy::Never => Ok(()),
+            FsyncPolicy::OnCommit => self.sync(),
+            FsyncPolicy::Group(window) => self.group_commit(window),
+        }
+        .map_err(|e| StoreError::io("fsync", e))?;
+        AtomicStoreStats::add(&self.stats.commits, 1);
+        Ok(())
+    }
+
     fn try_get(&self, hash: &Hash) -> StoreResult<Option<Bytes>> {
         AtomicStoreStats::add(&self.stats.gets, 1);
         // Two attempts: a concurrent compaction can swap the generation
@@ -1123,24 +1086,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_log_file_is_migrated() {
-        let path = tmp("legacy");
-        // Hand-write an old-format single log: frames straight in `path`.
-        let payload = b"legacy page".to_vec();
-        let digest = sha256(&payload);
-        let mut frame = vec![FRAME_MAGIC];
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(digest.as_bytes());
-        frame.extend_from_slice(&payload);
-        std::fs::write(&path, &frame).unwrap();
-
-        let (store, recovered) = FileStore::open(&path).unwrap();
-        assert_eq!(recovered, 1);
-        assert_eq!(store.get(&digest).unwrap().as_ref(), b"legacy page");
-        assert!(path.is_dir(), "log file became a store directory");
-    }
-
-    #[test]
     fn an_index_runs_on_a_file_store() {
         // End-to-end: a real index persisted and reopened.
         let path = tmp("index");
@@ -1166,8 +1111,6 @@ mod tests {
     fn fsync_policy_parses() {
         assert_eq!(FsyncPolicy::parse("never"), Some(FsyncPolicy::Never));
         assert_eq!(FsyncPolicy::parse("commit"), Some(FsyncPolicy::OnCommit));
-        assert_eq!(FsyncPolicy::parse("every=8"), Some(FsyncPolicy::EveryN(8)));
-        assert_eq!(FsyncPolicy::parse("every=0"), None);
         assert_eq!(
             FsyncPolicy::parse("group=5"),
             Some(FsyncPolicy::Group(Duration::from_millis(5)))
@@ -1232,22 +1175,5 @@ mod tests {
         let (store, recovered) = FileStore::open(&path).unwrap();
         assert_eq!(recovered, WRITERS as usize * COMMITS as usize);
         let _ = store;
-    }
-
-    #[test]
-    fn note_commit_respects_every_n() {
-        let path = tmp("everyn");
-        let opts = FileStoreOptions {
-            max_segment_bytes: DEFAULT_SEGMENT_BYTES,
-            fsync: FsyncPolicy::EveryN(3),
-        };
-        let (store, _) = FileStore::open_with(&path, opts).unwrap();
-        store.put(Bytes::from_static(b"page"));
-        for _ in 0..9 {
-            store.note_commit().unwrap();
-        }
-        // No assertion on fsync side effects (not observable portably);
-        // this exercises the counter path end to end without panicking.
-        assert_eq!(store.len(), 1);
     }
 }

@@ -93,6 +93,16 @@ pub trait NodeStore: Send + Sync {
         Ok(())
     }
 
+    /// The commit point: make what this store has accepted durable as its
+    /// policy says, once per logical commit. The engine calls it after a
+    /// publication's append and before the head swap. Returning `Ok` is
+    /// the acknowledgement; an error means the commit was not acked. The
+    /// default does nothing (an in-memory store has nothing to flush);
+    /// [`FileStore`] applies its [`FsyncPolicy`] here.
+    fn note_commit(&self) -> StoreResult<()> {
+        Ok(())
+    }
+
     /// Whether the page exists without fetching it.
     fn contains(&self, hash: &Hash) -> bool;
 
@@ -146,6 +156,9 @@ impl<S: NodeStore + ?Sized> NodeStore for std::sync::Arc<S> {
     }
     fn try_put_batch(&self, batch: &PageBatch) -> StoreResult<()> {
         (**self).try_put_batch(batch)
+    }
+    fn note_commit(&self) -> StoreResult<()> {
+        (**self).note_commit()
     }
     fn put(&self, page: Bytes) -> Hash {
         (**self).put(page)

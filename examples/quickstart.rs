@@ -5,7 +5,7 @@
 
 use std::ops::Bound;
 
-use siri::{Bytes, MemStore, MergeStrategy, PosParams, PosTree, SiriIndex, WriteBatch};
+use siri::{Bytes, MemStore, MergeStrategy, NodeStore, PosParams, PosTree, SiriIndex, WriteBatch};
 
 fn main() -> siri::Result<()> {
     // One shared content-addressed store; every index version lives in it.

@@ -19,9 +19,11 @@
 //! sidecar is the only mutable state). Every command runs against one
 //! engine opened at the sidecar's newest version; the reads and writes a
 //! remote server also answers go through the same [`Session`] code path
-//! as `connect`. Mutating commands fsync before they acknowledge —
-//! `--fsync never|commit|every=N|group=MS` tunes that (`group` batches
-//! concurrent committers into one fsync per MS-long tick).
+//! as `connect`. Mutating commands fsync before they acknowledge: the
+//! engine flushes the pages before it moves its head, then the new digest
+//! is appended to the sidecar and synced. `--fsync never|commit|group=MS`
+//! tunes the page flush (`group` batches concurrent committers into one
+//! fsync per MS-long tick).
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -35,7 +37,7 @@ use siri_store::{FileStore, FileStoreOptions, FsyncPolicy};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: siri --db <path> [--fsync never|commit|every=N|group=MS] [--shards N] <command>\n\
+        "usage: siri --db <path> [--fsync never|commit|group=MS] [--shards N] <command>\n\
          commands:\n\
          \x20 put <key> <value>      write one record (creates a version)\n\
          \x20 del <key>              delete one record (creates a version)\n\
@@ -139,16 +141,6 @@ fn write_history(path: &str, roots: &[Hash]) {
     }
 }
 
-/// Record a version the engine has written: the page log is flushed per
-/// the fsync policy, *then* the head pointer moves — durability before
-/// acknowledgement.
-fn record_version(fs: &FileStore, head_file: &str, digest: Hash) {
-    if let Err(e) = fs.note_commit() {
-        fail(format_args!("fsync failed, version not recorded: {e}"));
-    }
-    append_history(head_file, digest);
-}
-
 /// The tree roots version `root` names: itself, or the per-range sub-roots
 /// of the shard manifest it names. A root the store cannot resolve is
 /// taken as a plain tree root, as the engine takes it.
@@ -180,8 +172,9 @@ fn mark_live(store: &SharedStore, params: PosParams, roots: &[Hash]) -> Vec<Page
 
 /// Run one of the commands a local database and a remote server both
 /// answer — `put`, `del`, `get`, `scan` and `prove` — on `branch` of
-/// `session`. A write returns the digest it committed, for the caller to
-/// make durable and print; a read prints its answer and returns `None`.
+/// `session`. A write returns the digest it committed (the engine has
+/// already flushed its pages), for the caller to record and print; a read
+/// prints its answer and returns `None`.
 fn run_session(session: &dyn Session, branch: &str, cmd: &str, args: &[String]) -> Option<Hash> {
     let commit = |batch: WriteBatch, what: &str| match session.commit(branch, batch) {
         Ok(info) => Some(info.root),
@@ -352,7 +345,7 @@ fn main() {
             let digest = engine
                 .bulk_load("master", entries, shards)
                 .unwrap_or_else(|e| fail(format_args!("load failed: {e}")));
-            record_version(&fs, &head_file, digest);
+            append_history(&head_file, digest);
             let built = engine.shard_count("master").unwrap_or(1);
             println!("loaded {count} record(s) into {built} shard(s)\n{digest}");
         }
@@ -516,13 +509,12 @@ fn main() {
                 opts.read_timeout = timeout;
                 opts.write_timeout = timeout;
             }
-            // The served engine records its commits the way local writes
-            // do.
-            let hook_fs = fs.clone();
+            // The served engine flushes its commits' pages itself; the hook
+            // records `master`'s new heads the way local writes do.
             let hook_head = head_file.clone();
             let hook: siri::server::CommitHook = Box::new(move |branch, root| {
                 if branch == "master" {
-                    record_version(&hook_fs, &hook_head, root);
+                    append_history(&hook_head, root);
                 }
             });
             match siri::serve_addr(engine, &listen, opts, Some(hook)) {
@@ -551,6 +543,7 @@ fn main() {
             );
             match sync {
                 Ok((digest, report)) => {
+                    // The pulled pages bypassed the engine: flush them here.
                     if let Err(e) = fs.note_commit() {
                         fail(format_args!("fsync failed, version not recorded: {e}"));
                     }
@@ -601,7 +594,7 @@ fn main() {
         }
         cmd => {
             if let Some(digest) = run_session(engine.as_ref(), "master", cmd, &rest[1..]) {
-                record_version(&fs, &head_file, digest);
+                append_history(&head_file, digest);
                 println!("{digest}");
             }
         }

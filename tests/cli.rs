@@ -7,7 +7,7 @@ use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
 
-use siri::{Entry, Forkbase, MemStore, PosFactory, PosParams, ShardingPolicy};
+use siri::{Entry, Forkbase, PosFactory, PosParams};
 
 /// A scratch directory holding one database, removed on drop.
 struct TempDb {
@@ -139,12 +139,7 @@ fn sharded_load_is_the_engine_bulk_load_and_proves() {
         .map(|l| l.split_once('\t').unwrap())
         .map(|(k, v)| Entry::new(k.as_bytes().to_vec(), v.as_bytes().to_vec()))
         .collect();
-    let engine = Forkbase::with_sharding(
-        PosFactory(PosParams::default()),
-        MemStore::new_shared(),
-        ShardingPolicy::single(),
-        0,
-    );
+    let engine = Forkbase::new(PosFactory(PosParams::default()));
     let expected = engine.bulk_load("master", entries, 4).unwrap();
     assert_eq!(digest, expected.to_string(), "the CLI load is the engine's bulk load");
 

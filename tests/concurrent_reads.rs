@@ -2,13 +2,18 @@
 //! decoded-node cache (ISSUE 1 satellite): many readers over one store +
 //! cache must agree with the single-threaded truth, and the store/cache
 //! counters must stay coherent. Plus a property test pinning cached and
-//! uncached lookups to each other for every index structure.
+//! uncached lookups to each other for every index structure. Each test
+//! runs on the store or engine configurations of the shared `matrix`
+//! module.
+
+mod matrix;
 
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
+use matrix::{Config, ENGINES, STORES};
 use proptest::prelude::*;
 use siri::workloads::YcsbConfig;
 use siri::{
@@ -65,27 +70,31 @@ fn stress<I: SiriIndex + 'static>(index: I, label: &str) {
 
 #[test]
 fn concurrent_reads_pos_tree() {
-    let ycsb = YcsbConfig::default();
-    let mut t = PosTree::new(siri::env_store(), PosParams::default());
-    t.batch_insert(ycsb.dataset(N)).unwrap();
-    let before = t.node_cache_stats();
-    stress(t.clone(), "pos-tree");
-    let after = t.node_cache_stats();
-    let probes = (after.hits - before.hits) + (after.misses - before.misses);
-    assert!(probes > 0, "readers must go through the node cache");
-    assert!(after.hits > before.hits, "a hot working set must produce cache hits");
-    assert!(after.len <= after.capacity.max(1), "cache respects its bound");
+    matrix::each(STORES, |cfg| {
+        let ycsb = YcsbConfig::default();
+        let mut t = PosTree::new(cfg.store(), PosParams::default());
+        t.batch_insert(ycsb.dataset(N)).unwrap();
+        let before = t.node_cache_stats();
+        stress(t.clone(), "pos-tree");
+        let after = t.node_cache_stats();
+        let probes = (after.hits - before.hits) + (after.misses - before.misses);
+        assert!(probes > 0, "readers must go through the node cache");
+        assert!(after.hits > before.hits, "a hot working set must produce cache hits");
+        assert!(after.len <= after.capacity.max(1), "cache respects its bound");
+    });
 }
 
 #[test]
 fn concurrent_reads_mpt() {
-    let ycsb = YcsbConfig::default();
-    let mut t = MerklePatriciaTrie::new(siri::env_store());
-    t.batch_insert(ycsb.dataset(N)).unwrap();
-    stress(t.clone(), "mpt");
-    let cache = t.node_cache_stats();
-    assert!(cache.hits > 0);
-    assert!(cache.len <= cache.capacity);
+    matrix::each(STORES, |cfg| {
+        let ycsb = YcsbConfig::default();
+        let mut t = MerklePatriciaTrie::new(cfg.store());
+        t.batch_insert(ycsb.dataset(N)).unwrap();
+        stress(t.clone(), "mpt");
+        let cache = t.node_cache_stats();
+        assert!(cache.hits > 0);
+        assert!(cache.len <= cache.capacity);
+    });
 }
 
 #[test]
@@ -93,42 +102,44 @@ fn concurrent_readers_with_concurrent_version_writer() {
     // Readers pinned to a snapshot must be wait-free with respect to a
     // writer producing new versions into the same store + cache: the
     // snapshot's answers never change.
-    let ycsb = YcsbConfig::default();
-    let mut base = PosTree::new(siri::env_store(), PosParams::default());
-    base.batch_insert(ycsb.dataset(N)).unwrap();
-    let snapshot = base.clone();
+    matrix::each(STORES, |cfg| {
+        let ycsb = YcsbConfig::default();
+        let mut base = PosTree::new(cfg.store(), PosParams::default());
+        base.batch_insert(ycsb.dataset(N)).unwrap();
+        let snapshot = base.clone();
 
-    let writer = {
-        let mut head = base.clone();
-        thread::spawn(move || {
-            for round in 1..=20u32 {
-                let batch: Vec<Entry> =
-                    (0..200u64).map(|i| ycsb.entry(i * 17 % N as u64, round)).collect();
-                head.batch_insert(batch).unwrap();
-            }
-            head.root()
-        })
-    };
+        let writer = {
+            let mut head = base.clone();
+            thread::spawn(move || {
+                for round in 1..=20u32 {
+                    let batch: Vec<Entry> =
+                        (0..200u64).map(|i| ycsb.entry(i * 17 % N as u64, round)).collect();
+                    head.batch_insert(batch).unwrap();
+                }
+                head.root()
+            })
+        };
 
-    let mut readers = Vec::new();
-    for t in 0..4 {
-        let snap = snapshot.clone();
-        readers.push(thread::spawn(move || {
-            let ycsb = YcsbConfig::default();
-            for i in 0..1_000usize {
-                let id = ((t * 131 + i) % N) as u64;
-                let got = snap.get(&ycsb.key(id)).unwrap();
-                assert_eq!(got.as_deref(), Some(ycsb.value(id, 0).as_ref()));
-            }
-        }));
-    }
-    for r in readers {
-        r.join().unwrap();
-    }
-    let new_root = writer.join().unwrap();
-    assert_ne!(new_root, snapshot.root(), "writer advanced the head");
-    // Snapshot still answers from its version after the writer finished.
-    assert_eq!(snapshot.get(&ycsb.key(0)).unwrap().as_deref(), Some(ycsb.value(0, 0).as_ref()));
+        let mut readers = Vec::new();
+        for t in 0..4 {
+            let snap = snapshot.clone();
+            readers.push(thread::spawn(move || {
+                let ycsb = YcsbConfig::default();
+                for i in 0..1_000usize {
+                    let id = ((t * 131 + i) % N) as u64;
+                    let got = snap.get(&ycsb.key(id)).unwrap();
+                    assert_eq!(got.as_deref(), Some(ycsb.value(id, 0).as_ref()));
+                }
+            }));
+        }
+        for r in readers {
+            r.join().unwrap();
+        }
+        let new_root = writer.join().unwrap();
+        assert_ne!(new_root, snapshot.root(), "writer advanced the head");
+        // Snapshot still answers from its version after the writer finished.
+        assert_eq!(snapshot.get(&ycsb.key(0)).unwrap().as_deref(), Some(ycsb.value(0, 0).as_ref()));
+    });
 }
 
 /// The `STRESS_N` iteration multiplier of the CI stress legs (1 by default).
@@ -144,74 +155,79 @@ fn concurrent_readers_of_moving_branch_heads_read_consistently() {
     // under them. Correctness here; that no exclusive lock or mutex sits
     // on the read path is by construction (tests/lock_order.rs pins the
     // engine's lock classes).
-    const BRANCHES: usize = 6;
-    const READERS_PER_BRANCH: usize = 3;
-    const RECORDS: usize = 400;
-    let stress = stress_n();
-    let fb = Arc::new(Forkbase::with_store(PosFactory(PosParams::default()), siri::env_store()));
-    for b in 0..BRANCHES {
-        let branch = format!("b{b}");
-        fb.fork("master", &branch).unwrap();
-        let data: Vec<Entry> = (0..RECORDS)
-            .map(|i| {
-                Entry::new(format!("b{b}-k{i:04}").into_bytes(), format!("v{b}-{i}").into_bytes())
-            })
-            .collect();
-        fb.commit(&branch, WriteBatch::from_entries(data)).unwrap();
-    }
-
-    thread::scope(|s| {
-        // One writer commits fresh keys round-robin across every branch:
-        // heads keep moving under the readers.
-        let writer = {
-            let fb = Arc::clone(&fb);
-            s.spawn(move || {
-                for round in 0..40 * stress {
-                    let branch = format!("b{}", round % BRANCHES);
-                    let e = Entry::new(
-                        format!("new-{round:05}").into_bytes(),
-                        format!("nv{round}").into_bytes(),
-                    );
-                    fb.commit(&branch, WriteBatch::from_entries(vec![e])).unwrap();
-                }
-            })
-        };
-        for r in 0..BRANCHES * READERS_PER_BRANCH {
-            let fb = Arc::clone(&fb);
-            s.spawn(move || {
-                let b = r % BRANCHES;
-                let branch = format!("b{b}");
-                for i in 0..800 * stress {
-                    let id = (i * 37 + r) % RECORDS;
-                    let key = format!("b{b}-k{id:04}");
-                    // The initial records are immutable under the writer's
-                    // append-only churn: every read must see them.
-                    let got = fb.get(&branch, key.as_bytes()).unwrap();
-                    assert_eq!(
-                        got.as_deref(),
-                        Some(format!("v{b}-{id}").as_bytes()),
-                        "branch {branch} read {i} went wrong"
-                    );
-                    if i % 200 == 0 {
-                        let pre: Vec<Entry> = fb
-                            .scan_prefix(&branch, format!("b{b}-k000").as_bytes())
-                            .unwrap()
-                            .collect::<siri::Result<_>>()
-                            .unwrap();
-                        assert_eq!(pre.len(), 10, "prefix scan on a moving head");
-                    }
-                }
-            });
+    matrix::each(ENGINES, |cfg| {
+        const BRANCHES: usize = 6;
+        const READERS_PER_BRANCH: usize = 3;
+        const RECORDS: usize = 400;
+        let stress = stress_n();
+        let fb = Arc::new(cfg.engine(PosFactory(PosParams::default())));
+        for b in 0..BRANCHES {
+            let branch = format!("b{b}");
+            fb.fork("master", &branch).unwrap();
+            let data: Vec<Entry> = (0..RECORDS)
+                .map(|i| {
+                    Entry::new(
+                        format!("b{b}-k{i:04}").into_bytes(),
+                        format!("v{b}-{i}").into_bytes(),
+                    )
+                })
+                .collect();
+            fb.commit(&branch, WriteBatch::from_entries(data)).unwrap();
         }
-        writer.join().unwrap();
-    });
 
-    // Every branch converged: original records plus its share of new ones.
-    for b in 0..BRANCHES {
-        let head = fb.head(&format!("b{b}")).unwrap();
-        assert!(head.len().unwrap() > RECORDS, "writer's commits must be visible at the end");
-    }
-    assert_eq!(fb.engine_stats().conflicts, 0, "distinct branches: no CAS conflicts");
+        thread::scope(|s| {
+            // One writer commits fresh keys round-robin across every branch:
+            // heads keep moving under the readers.
+            let writer = {
+                let fb = Arc::clone(&fb);
+                s.spawn(move || {
+                    for round in 0..40 * stress {
+                        let branch = format!("b{}", round % BRANCHES);
+                        let e = Entry::new(
+                            format!("new-{round:05}").into_bytes(),
+                            format!("nv{round}").into_bytes(),
+                        );
+                        fb.commit(&branch, WriteBatch::from_entries(vec![e])).unwrap();
+                    }
+                })
+            };
+            for r in 0..BRANCHES * READERS_PER_BRANCH {
+                let fb = Arc::clone(&fb);
+                s.spawn(move || {
+                    let b = r % BRANCHES;
+                    let branch = format!("b{b}");
+                    for i in 0..800 * stress {
+                        let id = (i * 37 + r) % RECORDS;
+                        let key = format!("b{b}-k{id:04}");
+                        // The initial records are immutable under the writer's
+                        // append-only churn: every read must see them.
+                        let got = fb.get(&branch, key.as_bytes()).unwrap();
+                        assert_eq!(
+                            got.as_deref(),
+                            Some(format!("v{b}-{id}").as_bytes()),
+                            "branch {branch} read {i} went wrong"
+                        );
+                        if i % 200 == 0 {
+                            let pre: Vec<Entry> = fb
+                                .scan_prefix(&branch, format!("b{b}-k000").as_bytes())
+                                .unwrap()
+                                .collect::<siri::Result<_>>()
+                                .unwrap();
+                            assert_eq!(pre.len(), 10, "prefix scan on a moving head");
+                        }
+                    }
+                });
+            }
+            writer.join().unwrap();
+        });
+
+        // Every branch converged: original records plus its share of new ones.
+        for b in 0..BRANCHES {
+            let head = fb.head(&format!("b{b}")).unwrap();
+            assert!(head.len().unwrap() > RECORDS, "writer's commits must be visible at the end");
+        }
+        assert_eq!(fb.engine_stats().conflicts, 0, "distinct branches: no CAS conflicts");
+    });
 }
 
 /// Sets its flag when dropped — also when its thread unwinds, so a failed
@@ -230,7 +246,11 @@ impl Drop for SetOnDrop<'_> {
 /// it, and readers assert that every scan — full `range` and `scan_prefix`
 /// alike — sees a single version, that versions never go backwards, and
 /// that a `get` issued after `commit` returned sees that commit.
-fn cross_shard_reads_are_one_snapshot<F: IndexFactory>(factory: F, policy: ShardingPolicy) {
+fn cross_shard_reads_are_one_snapshot<F: IndexFactory>(
+    cfg: Config,
+    factory: F,
+    policy: ShardingPolicy,
+) {
     const STAMPED: usize = 16;
     let commits = 60 * stress_n() as u64;
     // Lead bytes 8, 24, … 248: four keys in each quarter of the key space,
@@ -256,7 +276,7 @@ fn cross_shard_reads_are_one_snapshot<F: IndexFactory>(factory: F, policy: Shard
         v
     };
 
-    let fb = Forkbase::with_sharding(factory, siri::env_store(), policy, 0);
+    let fb = Forkbase::with_sharding(factory, cfg.store(), policy, 0);
     fb.commit("master", stamp(0)).unwrap();
     let done = AtomicBool::new(false);
     let reshapes = AtomicUsize::new(0);
@@ -320,10 +340,12 @@ fn cross_shard_reads_are_one_snapshot<F: IndexFactory>(factory: F, policy: Shard
 
 #[test]
 fn cross_shard_reads_are_one_snapshot_under_reshaping() {
-    for policy in [ShardingPolicy::pinned(4), ShardingPolicy::adaptive_default()] {
-        cross_shard_reads_are_one_snapshot(PosFactory(PosParams::default()), policy);
-        cross_shard_reads_are_one_snapshot(MptFactory, policy);
-    }
+    matrix::each(STORES, |cfg| {
+        for policy in [ShardingPolicy::pinned(4), ShardingPolicy::adaptive_default()] {
+            cross_shard_reads_are_one_snapshot(cfg, PosFactory(PosParams::default()), policy);
+            cross_shard_reads_are_one_snapshot(cfg, MptFactory, policy);
+        }
+    });
 }
 
 fn to_entries(raw: &[(Vec<u8>, Vec<u8>)]) -> Vec<Entry> {
@@ -350,9 +372,8 @@ proptest! {
         let entries = to_entries(&raw);
 
         macro_rules! check {
-            ($factory:expr, $disable:expr) => {{
-                let store = siri::env_store();
-                let mut cached = $factory.empty(store);
+            ($cfg:expr, $factory:expr, $disable:expr) => {{
+                let mut cached = $factory.empty($cfg.store());
                 cached.batch_insert(entries.clone()).unwrap();
                 let uncached = $disable(cached.clone());
                 for (k, _) in &raw {
@@ -367,11 +388,14 @@ proptest! {
                 prop_assert_eq!(cached.scan().unwrap(), uncached.scan().unwrap());
             }};
         }
-        check!(PosFactory(PosParams::default()), |t: PosTree| t.with_node_cache_capacity(0));
-        check!(MptFactory, |t: MerklePatriciaTrie| t.with_node_cache_capacity(0));
-        check!(MbtFactory { buckets: 32, fanout: 4 }, |t: siri::MerkleBucketTree| t
-            .with_node_cache_capacity(0));
-        check!(MvmbFactory(MvmbParams::default()), |t: siri::MvmbTree| t
-            .with_node_cache_capacity(0));
+        matrix::each(STORES, |cfg| {
+            check!(cfg, PosFactory(PosParams::default()), |t: PosTree| t
+                .with_node_cache_capacity(0));
+            check!(cfg, MptFactory, |t: MerklePatriciaTrie| t.with_node_cache_capacity(0));
+            check!(cfg, MbtFactory { buckets: 32, fanout: 4 }, |t: siri::MerkleBucketTree| t
+                .with_node_cache_capacity(0));
+            check!(cfg, MvmbFactory(MvmbParams::default()), |t: siri::MvmbTree| t
+                .with_node_cache_capacity(0));
+        });
     }
 }

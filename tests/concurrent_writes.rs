@@ -3,8 +3,8 @@
 //!
 //! Three families:
 //!
-//! * **disjoint branches** — N writer threads, one branch each, on the
-//!   `SIRI_STORE`-selected backend. Every final head must equal a
+//! * **disjoint branches** — N writer threads, one branch each, on every
+//!   engine configuration of [`matrix::ENGINES`]. Every final head must equal a
 //!   single-threaded replay of the same batches (structural invariance
 //!   makes the comparison exact: same surviving set ⇒ same root digest),
 //!   and per-branch head slots mean zero CAS conflicts.
@@ -20,9 +20,12 @@
 //!
 //! `STRESS_N` multiplies the iteration counts (CI's stress job sets it).
 
+mod matrix;
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use matrix::{Config, ENGINES, STORES};
 use siri::{
     CommitInfo, Entry, FileStoreOptions, Forkbase, FsyncPolicy, Hash, IndexError, IndexFactory,
     MemStore, PosFactory, PosParams, Session, ShardingPolicy, SiriIndex, WriteBatch,
@@ -38,20 +41,13 @@ fn factory() -> PosFactory {
     PosFactory(PosParams::default())
 }
 
-fn engine() -> Arc<Forkbase<PosFactory>> {
-    Arc::new(Forkbase::with_store(factory(), siri::env_store()))
+fn engine(cfg: Config) -> Arc<Forkbase<PosFactory>> {
+    Arc::new(cfg.engine(factory()))
 }
 
-/// An engine pinned to the classic single-slot head, regardless of
-/// `SIRI_SHARDS` in the environment — for the chain-audit test, whose
-/// `parent → root` receipts are compared against plain tree digests.
-fn single_slot_engine() -> Arc<Forkbase<PosFactory>> {
-    Arc::new(Forkbase::with_sharding(factory(), siri::env_store(), ShardingPolicy::single(), 0))
-}
-
-/// An engine pinned to a static `n`-shard partition.
-fn sharded_engine(n: usize) -> Arc<Forkbase<PosFactory>> {
-    Arc::new(Forkbase::with_sharding(factory(), siri::env_store(), ShardingPolicy::pinned(n), 0))
+/// An engine over `cfg`'s store, pinned to a static `n`-shard partition.
+fn sharded_engine(cfg: Config, n: usize) -> Arc<Forkbase<PosFactory>> {
+    Arc::new(Forkbase::with_sharding(factory(), cfg.store(), ShardingPolicy::pinned(n), 0))
 }
 
 /// The deterministic batch writer `t` commits at step `k`: 20 fresh puts
@@ -85,35 +81,37 @@ fn sequential_replay(batches: &[(usize, usize)]) -> Vec<Hash> {
 fn disjoint_branch_writers_match_single_threaded_replay() {
     const WRITERS: usize = 6;
     let commits = 8 * stress_n();
-    let fb = engine();
-    for t in 0..WRITERS {
-        fb.fork("master", &format!("b{t}")).unwrap();
-    }
-    std::thread::scope(|s| {
+    matrix::each(ENGINES, |cfg| {
+        let fb = engine(cfg);
         for t in 0..WRITERS {
-            let fb = Arc::clone(&fb);
-            s.spawn(move || {
-                let branch = format!("b{t}");
-                for k in 0..commits {
-                    fb.commit(&branch, batch_for(t, k)).unwrap();
-                }
-            });
+            fb.fork("master", &format!("b{t}")).unwrap();
+        }
+        std::thread::scope(|s| {
+            for t in 0..WRITERS {
+                let fb = Arc::clone(&fb);
+                s.spawn(move || {
+                    let branch = format!("b{t}");
+                    for k in 0..commits {
+                        fb.commit(&branch, batch_for(t, k)).unwrap();
+                    }
+                });
+            }
+        });
+
+        // Per-branch slots: writers on different branches never race a head.
+        let stats = fb.engine_stats();
+        assert_eq!(stats.commits, (WRITERS * commits) as u64);
+        assert_eq!(stats.conflicts, 0, "disjoint branches must not contend");
+
+        // Every head equals the single-threaded replay of its own batches.
+        for t in 0..WRITERS {
+            let replay: Vec<(usize, usize)> = (0..commits).map(|k| (t, k)).collect();
+            let expected = *sequential_replay(&replay).last().unwrap();
+            let head = fb.head(&format!("b{t}")).unwrap();
+            assert_eq!(head.root(), expected, "branch b{t} diverged from its sequential replay");
+            assert_eq!(head.len().unwrap(), commits * BATCH - (commits - 1));
         }
     });
-
-    // Per-branch slots: writers on different branches never race a head.
-    let stats = fb.engine_stats();
-    assert_eq!(stats.commits, (WRITERS * commits) as u64);
-    assert_eq!(stats.conflicts, 0, "disjoint branches must not contend");
-
-    // Every head equals the single-threaded replay of its own batches.
-    for t in 0..WRITERS {
-        let replay: Vec<(usize, usize)> = (0..commits).map(|k| (t, k)).collect();
-        let expected = *sequential_replay(&replay).last().unwrap();
-        let head = fb.head(&format!("b{t}")).unwrap();
-        assert_eq!(head.root(), expected, "branch b{t} diverged from its sequential replay");
-        assert_eq!(head.len().unwrap(), commits * BATCH - (commits - 1));
-    }
 }
 
 /// A batch wide enough that a POS-Tree commit splits its leaf work into
@@ -142,30 +140,36 @@ fn wide_batch(t: usize, k: usize) -> WriteBatch {
 fn disjoint_branch_writers_whose_commits_split_match_single_threaded_replay() {
     // Each writer's commits run their own leaf-stage workers, which take
     // store locks from threads of their own — under `SIRI_LOCK_ORDER=1`
-    // the tracker checks those too.
-    let (writers, commits) = (4, 3 * stress_n());
-    let fb = engine();
-    for t in 0..writers {
-        fb.fork("master", &format!("w{t}")).unwrap();
-    }
-    std::thread::scope(|s| {
+    // the tracker checks those too, on both stores and partitions.
+    matrix::each(ENGINES, |cfg| {
+        let (writers, commits) = (4, 3 * stress_n());
+        let fb = engine(cfg);
         for t in 0..writers {
-            let fb = Arc::clone(&fb);
-            s.spawn(move || {
-                for k in 0..commits {
-                    fb.commit(&format!("w{t}"), wide_batch(t, k)).unwrap();
-                }
-            });
+            fb.fork("master", &format!("w{t}")).unwrap();
+        }
+        std::thread::scope(|s| {
+            for t in 0..writers {
+                let fb = Arc::clone(&fb);
+                s.spawn(move || {
+                    for k in 0..commits {
+                        fb.commit(&format!("w{t}"), wide_batch(t, k)).unwrap();
+                    }
+                });
+            }
+        });
+        for t in 0..writers {
+            let mut model = factory().empty(MemStore::new_shared());
+            for k in 0..commits {
+                model.commit(wide_batch(t, k)).unwrap();
+            }
+            let head = fb.head(&format!("w{t}")).unwrap();
+            assert_eq!(
+                head.root(),
+                model.root(),
+                "branch w{t} diverged from its sequential replay"
+            );
         }
     });
-    for t in 0..writers {
-        let mut model = factory().empty(MemStore::new_shared());
-        for k in 0..commits {
-            model.commit(wide_batch(t, k)).unwrap();
-        }
-        let head = fb.head(&format!("w{t}")).unwrap();
-        assert_eq!(head.root(), model.root(), "branch w{t} diverged from its sequential replay");
-    }
 }
 
 /// Reconstruct the head-commit order from the commit receipts: the
@@ -190,69 +194,72 @@ fn chain_order(start: Hash, infos: &[(usize, usize, CommitInfo)]) -> Vec<(usize,
 
 #[test]
 fn contended_shared_branch_commits_linearize() {
-    const WRITERS: usize = 8;
-    let commits = 12 * stress_n();
-    // Conflicts are scheduling-dependent; accumulate across rounds and
-    // require at least one CAS retry overall so the retry path is known to
-    // have run. Correctness is asserted in *every* round regardless; when
-    // the scheduler happens to serialize the first rounds perfectly (most
-    // plausible on a loaded single-core box), extra rounds run until a
-    // race is observed, up to a generous cap.
-    let mut total_conflicts = 0u64;
-    let mut round = 0;
-    while round < 3 || (total_conflicts == 0 && round < 12) {
-        // Single-slot head on purpose: the chain audit equates receipt
-        // digests with plain tree roots, which only holds unsharded.
-        let fb = single_slot_engine();
-        let infos: Vec<(usize, usize, CommitInfo)> = {
-            let collected = std::sync::Mutex::new(Vec::new());
-            std::thread::scope(|s| {
-                for t in 0..WRITERS {
-                    let fb = Arc::clone(&fb);
-                    let collected = &collected;
-                    s.spawn(move || {
-                        let mut mine = Vec::with_capacity(commits);
-                        for k in 0..commits {
-                            let info = fb.commit("master", batch_for(t, k)).unwrap();
-                            mine.push((t, k, info));
-                        }
-                        collected.lock().unwrap().extend(mine);
-                    });
-                }
-            });
-            collected.into_inner().unwrap()
-        };
+    matrix::each(STORES, |cfg| {
+        const WRITERS: usize = 8;
+        let commits = 12 * stress_n();
+        // Conflicts are scheduling-dependent; accumulate across rounds and
+        // require at least one CAS retry overall so the retry path is known to
+        // have run. Correctness is asserted in *every* round regardless; when
+        // the scheduler happens to serialize the first rounds perfectly (most
+        // plausible on a loaded single-core box), extra rounds run until a
+        // race is observed, up to a generous cap.
+        let mut total_conflicts = 0u64;
+        let mut round = 0;
+        while round < 3 || (total_conflicts == 0 && round < 12) {
+            // Single-slot head on purpose (`STORES` are unsharded): the
+            // chain audit equates receipt digests with plain tree roots,
+            // which only holds unsharded.
+            let fb = engine(cfg);
+            let infos: Vec<(usize, usize, CommitInfo)> = {
+                let collected = std::sync::Mutex::new(Vec::new());
+                std::thread::scope(|s| {
+                    for t in 0..WRITERS {
+                        let fb = Arc::clone(&fb);
+                        let collected = &collected;
+                        s.spawn(move || {
+                            let mut mine = Vec::with_capacity(commits);
+                            for k in 0..commits {
+                                let info = fb.commit("master", batch_for(t, k)).unwrap();
+                                mine.push((t, k, info));
+                            }
+                            collected.lock().unwrap().extend(mine);
+                        });
+                    }
+                });
+                collected.into_inner().unwrap()
+            };
 
-        // Exactly once: every commit produced exactly one receipt, and the
-        // receipts chain from the empty root to the final head.
-        assert_eq!(infos.len(), WRITERS * commits);
-        let head_root = fb.head("master").unwrap().root();
-        let order = chain_order(Hash::ZERO, &infos);
-        assert_eq!(order.len(), WRITERS * commits, "every commit must appear in the chain");
+            // Exactly once: every commit produced exactly one receipt, and the
+            // receipts chain from the empty root to the final head.
+            assert_eq!(infos.len(), WRITERS * commits);
+            let head_root = fb.head("master").unwrap().root();
+            let order = chain_order(Hash::ZERO, &infos);
+            assert_eq!(order.len(), WRITERS * commits, "every commit must appear in the chain");
 
-        // The sequential model, fed the batches in head-commit order, must
-        // reproduce every intermediate root digest the engine published.
-        let model_roots = sequential_replay(&order);
-        let mut by_step: HashMap<(usize, usize), Hash> =
-            infos.iter().map(|(t, k, info)| ((*t, *k), info.root)).collect();
-        for (step, &(t, k)) in order.iter().enumerate() {
-            assert_eq!(
-                model_roots[step],
-                by_step.remove(&(t, k)).unwrap(),
-                "round {round}: root mismatch at chain step {step} (writer {t}, commit {k})"
-            );
+            // The sequential model, fed the batches in head-commit order, must
+            // reproduce every intermediate root digest the engine published.
+            let model_roots = sequential_replay(&order);
+            let mut by_step: HashMap<(usize, usize), Hash> =
+                infos.iter().map(|(t, k, info)| ((*t, *k), info.root)).collect();
+            for (step, &(t, k)) in order.iter().enumerate() {
+                assert_eq!(
+                    model_roots[step],
+                    by_step.remove(&(t, k)).unwrap(),
+                    "round {round}: root mismatch at chain step {step} (writer {t}, commit {k})"
+                );
+            }
+            assert_eq!(*model_roots.last().unwrap(), head_root, "final head must match the model");
+
+            let stats = fb.engine_stats();
+            assert_eq!(stats.commits, (WRITERS * commits) as u64);
+            total_conflicts += stats.conflicts;
+            round += 1;
         }
-        assert_eq!(*model_roots.last().unwrap(), head_root, "final head must match the model");
-
-        let stats = fb.engine_stats();
-        assert_eq!(stats.commits, (WRITERS * commits) as u64);
-        total_conflicts += stats.conflicts;
-        round += 1;
-    }
-    assert!(
-        total_conflicts > 0,
-        "8 writers x {commits} commits x {round} rounds on one branch produced no CAS retry",
-    );
+        assert!(
+            total_conflicts > 0,
+            "8 writers x {commits} commits x {round} rounds on one branch produced no CAS retry",
+        );
+    });
 }
 
 #[test]
@@ -292,8 +299,8 @@ fn group_commit_engine_acks_survive_reopen_with_fewer_fsyncs() {
             }
         });
         let stats = fb.server_stats();
-        // One flush per commit, sharded (SIRI_SHARDS=N in the env) or not:
-        // the manifest page lands in the commit's one append (DESIGN.md §10).
+        // One store commit per engine commit: the publication's pages land
+        // in one append and one `note_commit` (DESIGN.md §10).
         assert_eq!(stats.commits, (WRITERS * commits) as u64);
         assert!(
             stats.fsyncs < stats.commits,
@@ -325,34 +332,36 @@ fn racing_commit_and_branch_delete_never_corrupts() {
     // A commit may race the deletion of its branch: either it errors
     // (branch gone before the commit resolved the slot) or it lands in the
     // orphaned slot and vanishes with it. Other branches are untouched.
-    let fb = engine();
-    let anchor = vec![Entry::new(b"anchor".to_vec(), b"v".to_vec())];
-    fb.commit("master", WriteBatch::from_entries(anchor)).unwrap();
-    for round in 0..10 * stress_n() {
-        let doomed = format!("doomed{round}");
-        fb.fork("master", &doomed).unwrap();
-        std::thread::scope(|s| {
-            let writer = {
-                let fb = Arc::clone(&fb);
-                let doomed = doomed.clone();
-                s.spawn(move || {
-                    for k in 0..5 {
-                        if fb.commit(&doomed, batch_for(99, k)).is_err() {
-                            break; // branch deleted under us — legal
+    matrix::each(ENGINES, |cfg| {
+        let fb = engine(cfg);
+        let anchor = vec![Entry::new(b"anchor".to_vec(), b"v".to_vec())];
+        fb.commit("master", WriteBatch::from_entries(anchor)).unwrap();
+        for round in 0..10 * stress_n() {
+            let doomed = format!("doomed{round}");
+            fb.fork("master", &doomed).unwrap();
+            std::thread::scope(|s| {
+                let writer = {
+                    let fb = Arc::clone(&fb);
+                    let doomed = doomed.clone();
+                    s.spawn(move || {
+                        for k in 0..5 {
+                            if fb.commit(&doomed, batch_for(99, k)).is_err() {
+                                break; // branch deleted under us — legal
+                            }
                         }
-                    }
-                })
-            };
-            let fb2 = Arc::clone(&fb);
-            let doomed2 = doomed.clone();
-            s.spawn(move || {
-                let _ = fb2.delete_branch(&doomed2);
+                    })
+                };
+                let fb2 = Arc::clone(&fb);
+                let doomed2 = doomed.clone();
+                s.spawn(move || {
+                    let _ = fb2.delete_branch(&doomed2);
+                });
+                writer.join().unwrap();
             });
-            writer.join().unwrap();
-        });
-        assert!(!fb.branches().unwrap().contains(&doomed), "branch must be gone");
-        assert_eq!(fb.get("master", b"anchor").unwrap().as_deref(), Some(&b"v"[..]));
-    }
+            assert!(!fb.branches().unwrap().contains(&doomed), "branch must be gone");
+            assert_eq!(fb.get("master", b"anchor").unwrap().as_deref(), Some(&b"v"[..]));
+        }
+    });
 }
 
 /// A batch spanning all of an 8-shard partition (one key per top byte
@@ -374,58 +383,59 @@ fn racing_sharded_commit_and_delete_is_all_or_nothing() {
     // fails with the clean `BranchDeleted` error — never a partial
     // multi-shard publish, and never a head that dangles after the
     // delete.
-    let fb = sharded_engine(8);
-    let anchor = vec![Entry::new(b"anchor".to_vec(), b"v".to_vec())];
-    fb.commit("master", WriteBatch::from_entries(anchor)).unwrap();
-    for round in 0..10 * stress_n() {
-        let doomed = format!("doomed{round}");
-        fb.fork("master", &doomed).unwrap();
-        let published = std::thread::scope(|s| {
-            let writer = {
-                let fb = Arc::clone(&fb);
-                let doomed = doomed.clone();
-                s.spawn(move || {
-                    let mut acked = Vec::new();
-                    for k in 0..5usize {
-                        match fb.commit(&doomed, spanning_batch(round, k)) {
-                            Ok(info) => acked.push((k, info.root)),
-                            // Legal outcomes: the branch vanished before
-                            // the slot resolved, or mid-flight.
-                            Err(IndexError::Unsupported(_)) | Err(IndexError::BranchDeleted) => {
-                                break
+    matrix::each(STORES, |cfg| {
+        let fb = sharded_engine(cfg, 8);
+        let anchor = vec![Entry::new(b"anchor".to_vec(), b"v".to_vec())];
+        fb.commit("master", WriteBatch::from_entries(anchor)).unwrap();
+        for round in 0..10 * stress_n() {
+            let doomed = format!("doomed{round}");
+            fb.fork("master", &doomed).unwrap();
+            let published = std::thread::scope(|s| {
+                let writer = {
+                    let fb = Arc::clone(&fb);
+                    let doomed = doomed.clone();
+                    s.spawn(move || {
+                        let mut acked = Vec::new();
+                        for k in 0..5usize {
+                            match fb.commit(&doomed, spanning_batch(round, k)) {
+                                Ok(info) => acked.push((k, info.root)),
+                                // Legal outcomes: the branch vanished before
+                                // the slot resolved, or mid-flight.
+                                Err(IndexError::Unsupported(_))
+                                | Err(IndexError::BranchDeleted) => break,
+                                Err(other) => panic!("unexpected commit error: {other:?}"),
                             }
-                            Err(other) => panic!("unexpected commit error: {other:?}"),
                         }
-                    }
-                    acked
-                })
-            };
-            let fb2 = Arc::clone(&fb);
-            let doomed2 = doomed.clone();
-            s.spawn(move || {
-                let _ = fb2.delete_branch(&doomed2);
+                        acked
+                    })
+                };
+                let fb2 = Arc::clone(&fb);
+                let doomed2 = doomed.clone();
+                s.spawn(move || {
+                    let _ = fb2.delete_branch(&doomed2);
+                });
+                writer.join().unwrap()
             });
-            writer.join().unwrap()
-        });
-        assert!(!fb.branches().unwrap().contains(&doomed), "branch must be gone");
-        // Every acked digest must re-open to a head holding ALL of its
-        // batch's keys — an ack with missing shard writes would be the
-        // partial-publish bug this test exists to catch.
-        for (k, root) in published {
-            let probe = format!("probe{round}-{k}");
-            fb.open_branch(&probe, root);
-            for shard in 0..8usize {
-                let key = vec![(shard * 32) as u8, round as u8, k as u8];
-                assert_eq!(
-                    fb.get(&probe, &key).unwrap().as_deref(),
-                    Some(format!("r{round}-{k}").as_bytes()),
-                    "round {round} commit {k}: acked root missing shard {shard}'s write"
-                );
+            assert!(!fb.branches().unwrap().contains(&doomed), "branch must be gone");
+            // Every acked digest must re-open to a head holding ALL of its
+            // batch's keys — an ack with missing shard writes would be the
+            // partial-publish bug this test exists to catch.
+            for (k, root) in published {
+                let probe = format!("probe{round}-{k}");
+                fb.open_branch(&probe, root);
+                for shard in 0..8usize {
+                    let key = vec![(shard * 32) as u8, round as u8, k as u8];
+                    assert_eq!(
+                        fb.get(&probe, &key).unwrap().as_deref(),
+                        Some(format!("r{round}-{k}").as_bytes()),
+                        "round {round} commit {k}: acked root missing shard {shard}'s write"
+                    );
+                }
+                fb.delete_branch(&probe).unwrap();
             }
-            fb.delete_branch(&probe).unwrap();
+            assert_eq!(fb.get("master", b"anchor").unwrap().as_deref(), Some(&b"v"[..]));
         }
-        assert_eq!(fb.get("master", b"anchor").unwrap().as_deref(), Some(&b"v"[..]));
-    }
+    });
 }
 
 #[test]
@@ -434,53 +444,57 @@ fn disjoint_shard_writers_on_one_branch_never_conflict() {
     // its own key-range shard, commit concurrently with zero CAS
     // conflicts and zero retries — the sharded head makes a contended
     // branch behave like disjoint branches.
-    const WRITERS: usize = 8;
-    let commits = 10 * stress_n();
-    let fb = sharded_engine(WRITERS);
-    std::thread::scope(|s| {
-        for t in 0..WRITERS {
-            let fb = Arc::clone(&fb);
-            s.spawn(move || {
-                let lead = (t * 32 + 1) as u8; // pins the writer to shard t
-                for k in 0..commits {
-                    let mut b = WriteBatch::new();
-                    for i in 0..BATCH {
-                        let mut key = vec![lead];
-                        key.extend_from_slice(format!("t{t:02}-k{:05}", k * BATCH + i).as_bytes());
-                        b.put(key, format!("v{t}-{k}-{i}").into_bytes());
+    matrix::each(STORES, |cfg| {
+        const WRITERS: usize = 8;
+        let commits = 10 * stress_n();
+        let fb = sharded_engine(cfg, WRITERS);
+        std::thread::scope(|s| {
+            for t in 0..WRITERS {
+                let fb = Arc::clone(&fb);
+                s.spawn(move || {
+                    let lead = (t * 32 + 1) as u8; // pins the writer to shard t
+                    for k in 0..commits {
+                        let mut b = WriteBatch::new();
+                        for i in 0..BATCH {
+                            let mut key = vec![lead];
+                            key.extend_from_slice(
+                                format!("t{t:02}-k{:05}", k * BATCH + i).as_bytes(),
+                            );
+                            b.put(key, format!("v{t}-{k}-{i}").into_bytes());
+                        }
+                        let info = fb.commit("master", b).unwrap();
+                        assert_eq!(info.retries, 0, "writer {t} raced on its private shard");
+                        assert_eq!(info.shards.len(), 1);
+                        assert_eq!(info.shards[0].shard, t);
                     }
-                    let info = fb.commit("master", b).unwrap();
-                    assert_eq!(info.retries, 0, "writer {t} raced on its private shard");
-                    assert_eq!(info.shards.len(), 1);
-                    assert_eq!(info.shards[0].shard, t);
-                }
-            });
-        }
-    });
-    let stats = fb.engine_stats();
-    assert_eq!(stats.commits, (WRITERS * commits) as u64);
-    assert_eq!(stats.conflicts, 0, "disjoint shards must not contend");
-    for (i, s) in fb.shard_stats("master").unwrap().iter().enumerate() {
-        assert_eq!(s.commits, commits as u64, "shard {i} commit count");
-        assert_eq!(s.conflicts, 0, "shard {i} must be conflict-free");
-    }
-    // The logical tree holds every record, in key order, across shards.
-    let head = fb.head("master").unwrap();
-    assert_eq!(head.len().unwrap(), WRITERS * commits * BATCH);
-    // And it is bit-identical to the unsharded single-slot build of the
-    // same surviving KV set (structural invariance across the partition).
-    let single = single_slot_engine();
-    for t in 0..WRITERS {
-        let lead = (t * 32 + 1) as u8;
-        let mut b = WriteBatch::new();
-        for k in 0..commits {
-            for i in 0..BATCH {
-                let mut key = vec![lead];
-                key.extend_from_slice(format!("t{t:02}-k{:05}", k * BATCH + i).as_bytes());
-                b.put(key, format!("v{t}-{k}-{i}").into_bytes());
+                });
             }
+        });
+        let stats = fb.engine_stats();
+        assert_eq!(stats.commits, (WRITERS * commits) as u64);
+        assert_eq!(stats.conflicts, 0, "disjoint shards must not contend");
+        for (i, s) in fb.shard_stats("master").unwrap().iter().enumerate() {
+            assert_eq!(s.commits, commits as u64, "shard {i} commit count");
+            assert_eq!(s.conflicts, 0, "shard {i} must be conflict-free");
         }
-        single.commit("master", b).unwrap();
-    }
-    assert_eq!(head.root(), single.head("master").unwrap().root());
+        // The logical tree holds every record, in key order, across shards.
+        let head = fb.head("master").unwrap();
+        assert_eq!(head.len().unwrap(), WRITERS * commits * BATCH);
+        // And it is bit-identical to the unsharded single-slot build of the
+        // same surviving KV set (structural invariance across the partition).
+        let single = engine(cfg);
+        for t in 0..WRITERS {
+            let lead = (t * 32 + 1) as u8;
+            let mut b = WriteBatch::new();
+            for k in 0..commits {
+                for i in 0..BATCH {
+                    let mut key = vec![lead];
+                    key.extend_from_slice(format!("t{t:02}-k{:05}", k * BATCH + i).as_bytes());
+                    b.put(key, format!("v{t}-{k}-{i}").into_bytes());
+                }
+            }
+            single.commit("master", b).unwrap();
+        }
+        assert_eq!(head.root(), single.head("master").unwrap().root());
+    });
 }

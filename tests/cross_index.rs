@@ -1,10 +1,14 @@
 //! Cross-index behavioural equivalence: all four structures must agree on
 //! the *content* of any workload, whatever their internal shape — plus the
-//! executable SIRI property checks of Definition 3.1.
+//! executable SIRI property checks of Definition 3.1. Every test that
+//! builds a tree runs on both stores of `matrix::STORES`.
+
+mod matrix;
 
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Included, Unbounded};
 
+use matrix::{Config, STORES};
 use siri::crypto::sha256;
 use siri::ordered::OrderedNode;
 use siri::workloads::YcsbConfig;
@@ -18,8 +22,8 @@ fn dataset(n: usize) -> Vec<Entry> {
     YcsbConfig::default().dataset(n)
 }
 
-fn build<F: IndexFactory>(factory: &F, entries: &[Entry]) -> F::Index {
-    let mut idx = factory.empty(siri::env_store());
+fn build<F: IndexFactory>(cfg: Config, factory: &F, entries: &[Entry]) -> F::Index {
+    let mut idx = factory.empty(cfg.store());
     idx.batch_insert(entries.to_vec()).unwrap();
     idx
 }
@@ -37,148 +41,160 @@ fn check_content<I: SiriIndex>(idx: &I, entries: &[Entry]) {
 
 #[test]
 fn all_indexes_agree_on_content() {
-    let entries = dataset(3_000);
-    check_content(&build(&PosFactory(PosParams::default()), &entries), &entries);
-    check_content(&build(&MptFactory, &entries), &entries);
-    check_content(&build(&MbtFactory { buckets: 256, fanout: 8 }, &entries), &entries);
-    check_content(&build(&MvmbFactory(MvmbParams::default()), &entries), &entries);
+    matrix::each(STORES, |cfg| {
+        let entries = dataset(3_000);
+        check_content(&build(cfg, &PosFactory(PosParams::default()), &entries), &entries);
+        check_content(&build(cfg, &MptFactory, &entries), &entries);
+        check_content(&build(cfg, &MbtFactory { buckets: 256, fanout: 8 }, &entries), &entries);
+        check_content(&build(cfg, &MvmbFactory(MvmbParams::default()), &entries), &entries);
+    });
 }
 
 #[test]
 #[allow(unused_assignments)] // macro writes `reference` on the first expansion only
 fn all_indexes_agree_on_diffs() {
-    let base = dataset(2_000);
-    let ycsb = YcsbConfig::default();
-    let changes: Vec<Entry> = (0..40u64).map(|i| ycsb.entry(i * 31 % 2_000, 1)).collect();
+    matrix::each(STORES, |cfg| {
+        let base = dataset(2_000);
+        let ycsb = YcsbConfig::default();
+        let changes: Vec<Entry> = (0..40u64).map(|i| ycsb.entry(i * 31 % 2_000, 1)).collect();
 
-    // The diff of (base, base+changes) must be identical across structures.
-    let mut reference: Option<Vec<(bytes::Bytes, bool)>> = None;
-    macro_rules! check {
-        ($factory:expr) => {{
-            let a = build(&$factory, &base);
-            let mut b = a.clone();
-            b.batch_insert(changes.clone()).unwrap();
-            let mut d: Vec<(bytes::Bytes, bool)> =
-                a.diff(&b).unwrap().into_iter().map(|x| (x.key, x.left.is_some())).collect();
-            d.sort();
-            match &reference {
-                None => reference = Some(d),
-                Some(r) => assert_eq!(&d, r, "{} diff mismatch", $factory.name()),
-            }
-        }};
-    }
-    check!(PosFactory(PosParams::default()));
-    check!(MptFactory);
-    check!(MbtFactory { buckets: 256, fanout: 8 });
-    check!(MvmbFactory(MvmbParams::default()));
+        // The diff of (base, base+changes) must be identical across structures.
+        let mut reference: Option<Vec<(bytes::Bytes, bool)>> = None;
+        macro_rules! check {
+            ($factory:expr) => {{
+                let a = build(cfg, &$factory, &base);
+                let mut b = a.clone();
+                b.batch_insert(changes.clone()).unwrap();
+                let mut d: Vec<(bytes::Bytes, bool)> =
+                    a.diff(&b).unwrap().into_iter().map(|x| (x.key, x.left.is_some())).collect();
+                d.sort();
+                match &reference {
+                    None => reference = Some(d),
+                    Some(r) => assert_eq!(&d, r, "{} diff mismatch", $factory.name()),
+                }
+            }};
+        }
+        check!(PosFactory(PosParams::default()));
+        check!(MptFactory);
+        check!(MbtFactory { buckets: 256, fanout: 8 });
+        check!(MvmbFactory(MvmbParams::default()));
+    });
 }
 
 #[test]
 fn siri_structures_are_structurally_invariant_baseline_is_not() {
-    let entries = dataset(400);
+    matrix::each(STORES, |cfg| {
+        let entries = dataset(400);
 
-    let store = siri::env_store();
-    assert!(siri_properties::check_structurally_invariant(
-        || PosFactory(PosParams::default()).empty(store.clone()),
-        &entries,
-        4
-    )
-    .unwrap());
+        let store = cfg.store();
+        assert!(siri_properties::check_structurally_invariant(
+            || PosFactory(PosParams::default()).empty(store.clone()),
+            &entries,
+            4
+        )
+        .unwrap());
 
-    let store = siri::env_store();
-    assert!(siri_properties::check_structurally_invariant(
-        || MptFactory.empty(store.clone()),
-        &entries,
-        4
-    )
-    .unwrap());
+        let store = cfg.store();
+        assert!(siri_properties::check_structurally_invariant(
+            || MptFactory.empty(store.clone()),
+            &entries,
+            4
+        )
+        .unwrap());
 
-    let store = siri::env_store();
-    assert!(siri_properties::check_structurally_invariant(
-        || MbtFactory { buckets: 64, fanout: 4 }.empty(store.clone()),
-        &entries,
-        4
-    )
-    .unwrap());
+        let store = cfg.store();
+        assert!(siri_properties::check_structurally_invariant(
+            || MbtFactory { buckets: 64, fanout: 4 }.empty(store.clone()),
+            &entries,
+            4
+        )
+        .unwrap());
 
-    // The baseline is *expected* to fail: order-dependent splits.
-    let store = siri::env_store();
-    assert!(!siri_properties::check_structurally_invariant(
-        || MvmbFactory(MvmbParams::default()).empty(store.clone()),
-        &entries,
-        4
-    )
-    .unwrap());
+        // The baseline is *expected* to fail: order-dependent splits.
+        let store = cfg.store();
+        assert!(!siri_properties::check_structurally_invariant(
+            || MvmbFactory(MvmbParams::default()).empty(store.clone()),
+            &entries,
+            4
+        )
+        .unwrap());
+    });
 }
 
 #[test]
 fn recursively_identical_scores_high_for_all_tree_indexes() {
-    let entries = dataset(300);
-    macro_rules! score {
-        ($factory:expr) => {{
-            let store = siri::env_store();
-            let f = $factory;
-            siri_properties::recursively_identical_score(|| f.empty(store.clone()), &entries)
-                .unwrap()
-        }};
-    }
-    // Copy-on-write trees overwhelmingly reuse pages on single inserts.
-    assert!(score!(PosFactory(PosParams::default())) > 0.9);
-    assert!(score!(MptFactory) > 0.9);
-    assert!(score!(MbtFactory { buckets: 64, fanout: 4 }) > 0.9);
-    assert!(score!(MvmbFactory(MvmbParams::default())) > 0.9);
+    matrix::each(STORES, |cfg| {
+        let entries = dataset(300);
+        macro_rules! score {
+            ($factory:expr) => {{
+                let store = cfg.store();
+                let f = $factory;
+                siri_properties::recursively_identical_score(|| f.empty(store.clone()), &entries)
+                    .unwrap()
+            }};
+        }
+        // Copy-on-write trees overwhelmingly reuse pages on single inserts.
+        assert!(score!(PosFactory(PosParams::default())) > 0.9);
+        assert!(score!(MptFactory) > 0.9);
+        assert!(score!(MbtFactory { buckets: 64, fanout: 4 }) > 0.9);
+        assert!(score!(MvmbFactory(MvmbParams::default())) > 0.9);
+    });
 }
 
 #[test]
 fn universally_reusable_holds() {
-    let entries = dataset(500);
-    let extra = YcsbConfig::default().dataset(600)[500..].to_vec();
-    macro_rules! check {
-        ($factory:expr) => {{
-            let idx = build(&$factory, &entries);
-            assert!(
-                siri_properties::check_universally_reusable(&idx, &extra).unwrap(),
-                "{}",
-                idx.kind()
-            );
-        }};
-    }
-    check!(PosFactory(PosParams::default()));
-    check!(MptFactory);
-    check!(MbtFactory { buckets: 64, fanout: 4 });
-    check!(MvmbFactory(MvmbParams::default()));
+    matrix::each(STORES, |cfg| {
+        let entries = dataset(500);
+        let extra = YcsbConfig::default().dataset(600)[500..].to_vec();
+        macro_rules! check {
+            ($factory:expr) => {{
+                let idx = build(cfg, &$factory, &entries);
+                assert!(
+                    siri_properties::check_universally_reusable(&idx, &extra).unwrap(),
+                    "{}",
+                    idx.kind()
+                );
+            }};
+        }
+        check!(PosFactory(PosParams::default()));
+        check!(MptFactory);
+        check!(MbtFactory { buckets: 64, fanout: 4 });
+        check!(MvmbFactory(MvmbParams::default()));
+    });
 }
 
 #[test]
 fn copy_on_write_preserves_arbitrary_version_history() {
     // Ten versions of each structure; every historical version must stay
     // exactly readable.
-    let ycsb = YcsbConfig::default();
-    macro_rules! check {
-        ($factory:expr) => {{
-            let factory = $factory;
-            let mut idx = factory.empty(siri::env_store());
-            let mut snapshots = Vec::new();
-            for v in 0..10u32 {
-                let batch: Vec<Entry> = (0..200u64).map(|i| ycsb.entry(i, v)).collect();
-                idx.batch_insert(batch).unwrap();
-                snapshots.push((v, idx.clone()));
-            }
-            for (v, snap) in &snapshots {
-                let expect = ycsb.value(7, *v);
-                assert_eq!(
-                    snap.get(&ycsb.key(7)).unwrap().unwrap(),
-                    expect,
-                    "{} version {v}",
-                    snap.kind()
-                );
-            }
-        }};
-    }
-    check!(PosFactory(PosParams::default()));
-    check!(MptFactory);
-    check!(MbtFactory { buckets: 64, fanout: 4 });
-    check!(MvmbFactory(MvmbParams::default()));
+    matrix::each(STORES, |cfg| {
+        let ycsb = YcsbConfig::default();
+        macro_rules! check {
+            ($factory:expr) => {{
+                let factory = $factory;
+                let mut idx = factory.empty(cfg.store());
+                let mut snapshots = Vec::new();
+                for v in 0..10u32 {
+                    let batch: Vec<Entry> = (0..200u64).map(|i| ycsb.entry(i, v)).collect();
+                    idx.batch_insert(batch).unwrap();
+                    snapshots.push((v, idx.clone()));
+                }
+                for (v, snap) in &snapshots {
+                    let expect = ycsb.value(7, *v);
+                    assert_eq!(
+                        snap.get(&ycsb.key(7)).unwrap().unwrap(),
+                        expect,
+                        "{} version {v}",
+                        snap.kind()
+                    );
+                }
+            }};
+        }
+        check!(PosFactory(PosParams::default()));
+        check!(MptFactory);
+        check!(MbtFactory { buckets: 64, fanout: 4 });
+        check!(MvmbFactory(MvmbParams::default()));
+    });
 }
 
 /// An exclusive start bound on every stored key in turn — so on the first
@@ -187,23 +203,28 @@ fn copy_on_write_preserves_arbitrary_version_history() {
 #[test]
 fn exclusive_start_at_every_key_including_leaf_edges() {
     use std::ops::Bound;
-    let mut sorted = dataset(600);
-    sorted.sort();
-    fn check<I: SiriIndex>(idx: &I, sorted: &[Entry]) {
-        for (i, e) in sorted.iter().enumerate() {
-            let got: Vec<Entry> = idx
-                .range(Bound::Excluded(&e.key), Bound::Unbounded)
-                .take(3)
-                .collect::<siri::Result<_>>()
-                .unwrap();
-            let want = &sorted[i + 1..sorted.len().min(i + 4)];
-            assert_eq!(got, want, "{} after key #{i}", idx.kind());
+    matrix::each(STORES, |cfg| {
+        let mut sorted = dataset(600);
+        sorted.sort();
+        fn check<I: SiriIndex>(idx: &I, sorted: &[Entry]) {
+            for (i, e) in sorted.iter().enumerate() {
+                let got: Vec<Entry> = idx
+                    .range(Bound::Excluded(&e.key), Bound::Unbounded)
+                    .take(3)
+                    .collect::<siri::Result<_>>()
+                    .unwrap();
+                let want = &sorted[i + 1..sorted.len().min(i + 4)];
+                assert_eq!(got, want, "{} after key #{i}", idx.kind());
+            }
         }
-    }
-    check(&build(&PosFactory(PosParams::default().with_node_bytes(256)), &sorted), &sorted);
-    check(&build(&MptFactory, &sorted), &sorted);
-    check(&build(&MbtFactory { buckets: 16, fanout: 4 }, &sorted), &sorted);
-    check(&build(&MvmbFactory(MvmbParams::default()), &sorted), &sorted);
+        check(
+            &build(cfg, &PosFactory(PosParams::default().with_node_bytes(256)), &sorted),
+            &sorted,
+        );
+        check(&build(cfg, &MptFactory, &sorted), &sorted);
+        check(&build(cfg, &MbtFactory { buckets: 16, fanout: 4 }, &sorted), &sorted);
+        check(&build(cfg, &MvmbFactory(MvmbParams::default()), &sorted), &sorted);
+    });
 }
 
 /// Readers install, writers borrow (DESIGN.md §3). Over a node cache
@@ -212,9 +233,9 @@ fn exclusive_start_at_every_key_including_leaf_edges() {
 /// the same commit with no cache at all; a read afterwards still installs.
 #[test]
 fn commits_borrow_the_node_cache_and_reads_install() {
-    fn check<F: IndexFactory>(factory: &F, structurally_invariant: bool) {
+    fn check<F: IndexFactory>(cfg: Config, factory: &F, structurally_invariant: bool) {
         let base = dataset(1_000);
-        let built = build(factory, &base);
+        let built = build(cfg, factory, &base);
         // A fresh handle: its node cache holds exactly what the reads install.
         let idx = factory.open(built.store().clone(), built.root());
         for e in &base {
@@ -270,13 +291,15 @@ fn commits_borrow_the_node_cache_and_reads_install() {
         let want: Vec<Entry> = want.into_iter().map(|(k, v)| Entry::new(k, v)).collect();
         assert_eq!(head.scan().unwrap(), want, "{}", head.kind());
         if structurally_invariant {
-            assert_eq!(head.root(), build(factory, &want).root(), "{}", head.kind());
+            assert_eq!(head.root(), build(cfg, factory, &want).root(), "{}", head.kind());
         }
     }
-    check(&pos(), true);
-    check(&MptFactory, true);
-    check(&MbtFactory { buckets: 64, fanout: 4 }, true);
-    check(&mvmb(), false);
+    matrix::each(STORES, |cfg| {
+        check(cfg, &pos(), true);
+        check(cfg, &MptFactory, true);
+        check(cfg, &MbtFactory { buckets: 64, fanout: 4 }, true);
+        check(cfg, &mvmb(), false);
+    });
 }
 
 // ---- POS-Tree and MVMB+ are read by one descent (`siri::ordered`) ----------
@@ -320,9 +343,9 @@ fn leaves<N: PageNode + OrderedNode>(store: &SharedStore, root: Hash) -> Vec<(Ha
 /// arrives, then the error, once, then the end of the stream.
 #[test]
 fn cursor_delivers_a_missing_leaf_as_one_error_after_the_entries_before_it() {
-    fn check<F: IndexFactory, N: PageNode + OrderedNode>(factory: &F) {
+    fn check<F: IndexFactory, N: PageNode + OrderedNode>(cfg: Config, factory: &F) {
         let sorted = sorted_dataset();
-        let idx = build(factory, &sorted);
+        let idx = build(cfg, factory, &sorted);
         let leaves = leaves::<N>(idx.store(), idx.root());
         let (missing, _) = leaves[leaves.len() / 2];
         let holey = MemStore::new_shared();
@@ -339,17 +362,19 @@ fn cursor_delivers_a_missing_leaf_as_one_error_after_the_entries_before_it() {
         assert_eq!(cursor.next(), Some(Err(IndexError::MissingPage(missing))));
         assert_eq!(cursor.next(), None);
     }
-    check::<_, PosNode>(&pos());
-    check::<_, MvmbNode>(&mvmb());
+    matrix::each(STORES, |cfg| {
+        check::<_, PosNode>(cfg, &pos());
+        check::<_, MvmbNode>(cfg, &mvmb());
+    });
 }
 
 /// The cursor loads a leaf when it needs its first entry: a reader that
 /// stops on the last entry of a leaf never fetches the next one.
 #[test]
 fn take_ending_on_a_leaf_edge_does_not_load_the_next_leaf() {
-    fn check<F: IndexFactory, N: PageNode + OrderedNode>(factory: &F) {
+    fn check<F: IndexFactory, N: PageNode + OrderedNode>(cfg: Config, factory: &F) {
         let sorted = sorted_dataset();
-        let idx = build(factory, &sorted);
+        let idx = build(cfg, factory, &sorted);
         let leaves = leaves::<N>(idx.store(), idx.root());
         let k: usize = leaves[..3].iter().map(|(_, es)| es.len()).sum();
 
@@ -366,8 +391,10 @@ fn take_ending_on_a_leaf_edge_does_not_load_the_next_leaf() {
         assert!(fetched.contains(&leaves[2].0));
         assert!(!fetched.contains(&leaves[3].0), "{}: loaded a leaf nobody read", idx.kind());
     }
-    check::<_, PosNode>(&pos());
-    check::<_, MvmbNode>(&mvmb());
+    matrix::each(STORES, |cfg| {
+        check::<_, PosNode>(cfg, &pos());
+        check::<_, MvmbNode>(cfg, &mvmb());
+    });
 }
 
 /// A stored leaf without entries decodes, but the descent relies on leaves
@@ -404,10 +431,10 @@ fn childless_internal_and_empty_leaf_roots_are_errors() {
 #[test]
 fn cold_window_reads_a_descent_plus_its_leaves() {
     const WINDOW: usize = 100;
-    fn check<F: IndexFactory>(factory: &F) {
+    fn check<F: IndexFactory>(cfg: Config, factory: &F) {
         let mut sorted = dataset(2_000);
         sorted.sort();
-        let idx = build(factory, &sorted);
+        let idx = build(cfg, factory, &sorted);
         let height = idx.structure_stats().unwrap().height as usize;
         let window = (&sorted[1_000].key[..], &sorted[1_000 + WINDOW].key[..]);
         let before = idx.store().stats().gets;
@@ -420,29 +447,33 @@ fn cold_window_reads_a_descent_plus_its_leaves() {
         assert_eq!(streamed, WINDOW, "{}", idx.kind());
         assert!(gets <= 2 * height + WINDOW, "{}: the window read {gets} pages", idx.kind());
     }
-    check(&pos());
-    check(&mvmb());
+    matrix::each(STORES, |cfg| {
+        check(cfg, &pos());
+        check(cfg, &mvmb());
+    });
 }
 
 #[test]
 fn ordered_cursor_iterates_all_entries_in_order() {
-    fn check<F: IndexFactory>(factory: &F) {
+    fn check<F: IndexFactory>(cfg: Config, factory: &F) {
         let sorted = sorted_dataset();
-        let idx = build(factory, &sorted);
+        let idx = build(cfg, factory, &sorted);
         let mut cursor = idx.range(Unbounded, Unbounded);
         let seen: Vec<Entry> = cursor.by_ref().map(Result::unwrap).collect();
         assert_eq!(seen, sorted, "{}", idx.kind());
         assert_eq!(cursor.next(), None, "a finished cursor stays finished");
     }
-    check(&pos());
-    check(&mvmb());
+    matrix::each(STORES, |cfg| {
+        check(cfg, &pos());
+        check(cfg, &mvmb());
+    });
 }
 
 #[test]
 fn ordered_cursor_warm_second_scan_is_all_cache_hits() {
-    fn check<F: IndexFactory>(factory: &F) {
+    fn check<F: IndexFactory>(cfg: Config, factory: &F) {
         let sorted = sorted_dataset();
-        let built = build(factory, &sorted);
+        let built = build(cfg, factory, &sorted);
         // A fresh handle: its node cache has seen nothing yet.
         let idx = factory.open(built.store().clone(), built.root());
         assert_eq!(idx.scan().unwrap(), sorted, "{} cold scan", idx.kind());
@@ -453,17 +484,21 @@ fn ordered_cursor_warm_second_scan_is_all_cache_hits() {
         assert_eq!(warm.misses, cold.misses, "second scan must be all cache hits");
         assert_eq!(warm.hits, cold.misses);
     }
-    check(&pos());
-    check(&mvmb());
+    matrix::each(STORES, |cfg| {
+        check(cfg, &pos());
+        check(cfg, &mvmb());
+    });
 }
 
 #[test]
 fn ordered_cursor_over_an_empty_tree() {
-    fn check<F: IndexFactory>(factory: &F) {
-        let idx = factory.empty(siri::env_store());
+    fn check<F: IndexFactory>(cfg: Config, factory: &F) {
+        let idx = factory.empty(cfg.store());
         assert_eq!(idx.range(Unbounded, Unbounded).next(), None);
         assert_eq!(idx.len().unwrap(), 0);
     }
-    check(&pos());
-    check(&mvmb());
+    matrix::each(STORES, |cfg| {
+        check(cfg, &pos());
+        check(cfg, &mvmb());
+    });
 }

@@ -12,32 +12,33 @@
 //!   both classes (the detector detects);
 //! * the real engine — commit, merge, fork, delete_branch and group-commit
 //!   interleavings — runs clean with the tracker armed (the engine honors
-//!   its own order, and the tracker is silent on legal schedules);
-//! * `SIRI_MAX_COMMIT_ATTEMPTS` (the satellite env override) bounds the
-//!   optimistic publish loop, proven by forcing `CommitContention`
-//!   deterministically with a store hook that commits a competing batch
-//!   every time the victim's build writes a page.
+//!   its own order, and the tracker is silent on legal schedules), on the
+//!   store and engine configurations of the shared `matrix` module;
+//! * [`MAX_COMMIT_ATTEMPTS`] bounds the optimistic publish loop, proven by
+//!   forcing `CommitContention` deterministically with a store hook that
+//!   commits a competing batch every time the victim's publication
+//!   appends.
+
+mod matrix;
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, Once, Weak};
 
+use matrix::{ENGINES, STORES};
 use parking_lot::{lock_order, LockClass, Mutex, RwLock};
 use siri::{
-    max_commit_attempts, Bytes, FileStoreOptions, Forkbase, FsyncPolicy, Hash, IndexError,
-    MergeStrategy, NodeStore, PosFactory, PosParams, Session, ShardingPolicy, SharedStore,
-    SiriIndex, StoreResult, StoreStats, WriteBatch,
+    Bytes, FileStoreOptions, Forkbase, FsyncPolicy, Hash, IndexError, MergeStrategy, NodeStore,
+    PosFactory, PosParams, Session, ShardingPolicy, SharedStore, SiriIndex, StoreResult,
+    StoreStats, WriteBatch, MAX_COMMIT_ATTEMPTS,
 };
+use siri_store::PageBatch;
 
-/// Arm the tracker and pin the commit-attempt bound before any classed lock
-/// or publish loop runs in this process. Both knobs are read once through
-/// `OnceLock`s, so they must be set before first use; every test calls this
-/// first.
+/// Arm the tracker before any classed lock runs in this process. The knob
+/// is read once through a `OnceLock`, so it must be set before first use;
+/// every test calls this first.
 fn init() {
     static INIT: Once = Once::new();
-    INIT.call_once(|| {
-        std::env::set_var("SIRI_LOCK_ORDER", "1");
-        std::env::set_var("SIRI_MAX_COMMIT_ATTEMPTS", "3");
-    });
+    INIT.call_once(|| std::env::set_var("SIRI_LOCK_ORDER", "1"));
 }
 
 fn factory() -> PosFactory {
@@ -121,85 +122,91 @@ fn ascending_order_and_try_lock_stay_silent() {
 #[test]
 fn engine_commit_merge_fork_delete_interleavings_run_clean() {
     init();
-    let fb = Arc::new(Forkbase::with_store(factory(), siri::env_store()));
-    const WRITERS: usize = 4;
-    const COMMITS: usize = 6;
+    matrix::each(ENGINES, |cfg| {
+        let fb = Arc::new(cfg.engine(factory()));
+        const WRITERS: usize = 4;
+        const COMMITS: usize = 6;
 
-    for t in 0..WRITERS {
-        fb.fork("master", &format!("b{t}")).unwrap();
-    }
-
-    std::thread::scope(|s| {
-        // Writers: each commits to its own branch (disjoint heads, so the
-        // pinned 3-attempt bound can never trip).
         for t in 0..WRITERS {
-            let fb = Arc::clone(&fb);
-            s.spawn(move || {
-                let branch = format!("b{t}");
-                for k in 0..COMMITS {
-                    fb.commit(&branch, batch(&format!("w{t}"), k)).unwrap();
-                }
-            });
+            fb.fork("master", &format!("b{t}")).unwrap();
         }
-        // Merger: repeatedly merges writer branches into master while the
-        // writers are still committing — exercising slot resolution,
-        // cross-slot head reads and the CAS publish together.
-        {
-            let fb = Arc::clone(&fb);
-            s.spawn(move || {
-                for round in 0..3 {
-                    for t in 0..WRITERS {
-                        fb.merge_branches("master", &format!("b{t}"), MergeStrategy::PreferRight)
-                            .unwrap();
+
+        std::thread::scope(|s| {
+            // Writers: each commits to its own branch (disjoint heads, so
+            // none ever loses a publish race).
+            for t in 0..WRITERS {
+                let fb = Arc::clone(&fb);
+                s.spawn(move || {
+                    let branch = format!("b{t}");
+                    for k in 0..COMMITS {
+                        fb.commit(&branch, batch(&format!("w{t}"), k)).unwrap();
                     }
-                    let _ = round;
-                }
-            });
+                });
+            }
+            // Merger: repeatedly merges writer branches into master while the
+            // writers are still committing — exercising slot resolution,
+            // cross-slot head reads and the CAS publish together.
+            {
+                let fb = Arc::clone(&fb);
+                s.spawn(move || {
+                    for round in 0..3 {
+                        for t in 0..WRITERS {
+                            fb.merge_branches(
+                                "master",
+                                &format!("b{t}"),
+                                MergeStrategy::PreferRight,
+                            )
+                            .unwrap();
+                        }
+                        let _ = round;
+                    }
+                });
+            }
+            // Churner: forks and deletes short-lived branches, racing the
+            // branch-map lock against everyone else's slot locks.
+            {
+                let fb = Arc::clone(&fb);
+                s.spawn(move || {
+                    for i in 0..20 {
+                        let name = format!("tmp{i}");
+                        fb.fork("master", &name).unwrap();
+                        let _ = fb.commit(&name, batch("tmp", i));
+                        fb.delete_branch(&name).unwrap();
+                    }
+                });
+            }
+            // Readers: gets through the moving branches' heads (shared locks
+            // only: branch map, then slot head → shard head).
+            {
+                let fb = Arc::clone(&fb);
+                s.spawn(move || {
+                    for i in 0..200 {
+                        let branch = format!("b{}", i % WRITERS);
+                        let _ = fb.get(&branch, format!("w0-k0000-{}", i % 10).as_bytes());
+                    }
+                });
+            }
+        });
+
+        // Every writer branch must hold exactly its own commits' records.
+        for t in 0..WRITERS {
+            let head = fb.head(&format!("b{t}")).unwrap();
+            assert_eq!(head.len().unwrap(), COMMITS * 10);
         }
-        // Churner: forks and deletes short-lived branches, racing the
-        // branch-map lock against everyone else's slot locks.
-        {
-            let fb = Arc::clone(&fb);
-            s.spawn(move || {
-                for i in 0..20 {
-                    let name = format!("tmp{i}");
-                    fb.fork("master", &name).unwrap();
-                    let _ = fb.commit(&name, batch("tmp", i));
-                    fb.delete_branch(&name).unwrap();
-                }
-            });
-        }
-        // Readers: gets through the moving branches' heads (shared locks
-        // only: branch map, then slot head → shard head).
-        {
-            let fb = Arc::clone(&fb);
-            s.spawn(move || {
-                for i in 0..200 {
-                    let branch = format!("b{}", i % WRITERS);
-                    let _ = fb.get(&branch, format!("w0-k0000-{}", i % 10).as_bytes());
-                }
-            });
+        // The in-flight merge rounds saw arbitrary prefixes of each writer's
+        // commits (on a loaded box possibly none — the merger can drain its
+        // rounds before a writer is scheduled). One final quiescent merge per
+        // branch makes the content check deterministic: master must now hold
+        // every writer's records.
+        for t in 0..WRITERS {
+            fb.merge_branches("master", &format!("b{t}"), MergeStrategy::PreferRight).unwrap();
+            let probe = format!("w{t}-k0000-0");
+            assert!(
+                fb.get("master", probe.as_bytes()).unwrap().is_some(),
+                "master lost writer {t}'s merged records"
+            );
         }
     });
-
-    // Every writer branch must hold exactly its own commits' records.
-    for t in 0..WRITERS {
-        let head = fb.head(&format!("b{t}")).unwrap();
-        assert_eq!(head.len().unwrap(), COMMITS * 10);
-    }
-    // The in-flight merge rounds saw arbitrary prefixes of each writer's
-    // commits (on a loaded box possibly none — the merger can drain its
-    // rounds before a writer is scheduled). One final quiescent merge per
-    // branch makes the content check deterministic: master must now hold
-    // every writer's records.
-    for t in 0..WRITERS {
-        fb.merge_branches("master", &format!("b{t}"), MergeStrategy::PreferRight).unwrap();
-        let probe = format!("w{t}-k0000-0");
-        assert!(
-            fb.get("master", probe.as_bytes()).unwrap().is_some(),
-            "master lost writer {t}'s merged records"
-        );
-    }
 }
 
 #[test]
@@ -210,74 +217,80 @@ fn sharded_commit_merge_delete_interleavings_run_clean() {
     // store appends with no engine lock held, then a 20w check-and-swap),
     // spanning batches, whole-branch merges, split/merge resharding,
     // branch deletion's atomic retirement, and routed reads (20r) — under
-    // the armed tracker and the pinned 3-attempt bound.
+    // the armed tracker.
     init();
-    const SHARDS: usize = 4;
-    let fb = Arc::new(Forkbase::with_sharding(
-        factory(),
-        siri::env_store(),
-        ShardingPolicy::pinned(SHARDS),
-        0,
-    ));
-    // Writers confined to their own shard: the 3-attempt bound can never
-    // trip, because disjoint shards never lose a CAS race.
-    std::thread::scope(|s| {
-        for t in 0..SHARDS {
-            let fb = Arc::clone(&fb);
-            s.spawn(move || {
-                let lead = (t * 64 + 1) as u8;
-                for k in 0..6usize {
-                    let mut b = WriteBatch::new();
-                    for i in 0..10 {
+    matrix::each(STORES, |cfg| {
+        const SHARDS: usize = 4;
+        let fb = Arc::new(Forkbase::with_sharding(
+            factory(),
+            cfg.store(),
+            ShardingPolicy::pinned(SHARDS),
+            0,
+        ));
+        // Writers confined to their own shard: disjoint shards never lose a
+        // CAS race.
+        std::thread::scope(|s| {
+            for t in 0..SHARDS {
+                let fb = Arc::clone(&fb);
+                s.spawn(move || {
+                    let lead = (t * 64 + 1) as u8;
+                    for k in 0..6usize {
+                        let mut b = WriteBatch::new();
+                        for i in 0..10 {
+                            let mut key = vec![lead];
+                            key.extend_from_slice(format!("s{t}-k{k:04}-{i}").as_bytes());
+                            b.put(key, format!("v-{t}-{k}-{i}").into_bytes());
+                        }
+                        fb.commit("master", b).unwrap();
+                    }
+                });
+            }
+            // Churner: forks inherit the 4-shard partition; their commits,
+            // reshard hooks and deletions interleave with master's writers.
+            {
+                let fb = Arc::clone(&fb);
+                s.spawn(move || {
+                    for i in 0..10usize {
+                        let name = format!("tmp{i}");
+                        fb.fork("master", &name).unwrap();
+                        let mut b = WriteBatch::new();
+                        for shard in 0..SHARDS {
+                            b.put(vec![(shard * 64 + 2) as u8, i as u8], vec![i as u8]);
+                        }
+                        let _ = fb.commit(&name, b); // spans every shard
+                        let _ = fb.merge_branch_shards(&name, 0);
+                        let _ = fb.split_branch_shard(&name, 0);
+                        fb.delete_branch(&name).unwrap();
+                    }
+                });
+            }
+            // Readers: routed gets and cross-shard range cursors (20r to
+            // clone the covering heads, then unlocked cursor reads).
+            {
+                let fb = Arc::clone(&fb);
+                s.spawn(move || {
+                    for i in 0..100usize {
+                        let lead = ((i % SHARDS) * 64 + 1) as u8;
                         let mut key = vec![lead];
-                        key.extend_from_slice(format!("s{t}-k{k:04}-{i}").as_bytes());
-                        b.put(key, format!("v-{t}-{k}-{i}").into_bytes());
+                        key.extend_from_slice(format!("s{}-k0000-0", i % SHARDS).as_bytes());
+                        let _ = fb.get("master", &key);
+                        if i % 10 == 0 {
+                            let _ = fb
+                                .range(
+                                    "master",
+                                    std::ops::Bound::Unbounded,
+                                    std::ops::Bound::Unbounded,
+                                )
+                                .and_then(|c| c.collect::<siri::Result<Vec<_>>>());
+                        }
                     }
-                    fb.commit("master", b).unwrap();
-                }
-            });
-        }
-        // Churner: forks inherit the 4-shard partition; their commits,
-        // reshard hooks and deletions interleave with master's writers.
-        {
-            let fb = Arc::clone(&fb);
-            s.spawn(move || {
-                for i in 0..10usize {
-                    let name = format!("tmp{i}");
-                    fb.fork("master", &name).unwrap();
-                    let mut b = WriteBatch::new();
-                    for shard in 0..SHARDS {
-                        b.put(vec![(shard * 64 + 2) as u8, i as u8], vec![i as u8]);
-                    }
-                    let _ = fb.commit(&name, b); // spans every shard
-                    let _ = fb.merge_branch_shards(&name, 0);
-                    let _ = fb.split_branch_shard(&name, 0);
-                    fb.delete_branch(&name).unwrap();
-                }
-            });
-        }
-        // Readers: routed gets and cross-shard range cursors (20r to
-        // clone the covering heads, then unlocked cursor reads).
-        {
-            let fb = Arc::clone(&fb);
-            s.spawn(move || {
-                for i in 0..100usize {
-                    let lead = ((i % SHARDS) * 64 + 1) as u8;
-                    let mut key = vec![lead];
-                    key.extend_from_slice(format!("s{}-k0000-0", i % SHARDS).as_bytes());
-                    let _ = fb.get("master", &key);
-                    if i % 10 == 0 {
-                        let _ = fb
-                            .range("master", std::ops::Bound::Unbounded, std::ops::Bound::Unbounded)
-                            .and_then(|c| c.collect::<siri::Result<Vec<_>>>());
-                    }
-                }
-            });
-        }
+                });
+            }
+        });
+        let stats = fb.engine_stats();
+        assert_eq!(stats.conflicts, 0, "disjoint shards and branches must not contend");
+        assert_eq!(fb.head("master").unwrap().len().unwrap(), SHARDS * 6 * 10);
     });
-    let stats = fb.engine_stats();
-    assert_eq!(stats.conflicts, 0, "disjoint shards and branches must not contend");
-    assert_eq!(fb.head("master").unwrap().len().unwrap(), SHARDS * 6 * 10);
 }
 
 #[test]
@@ -316,12 +329,13 @@ fn group_commit_interleavings_run_clean_under_tracker() {
 }
 
 // ---------------------------------------------------------------------------
-// SIRI_MAX_COMMIT_ATTEMPTS: deterministic CommitContention.
+// MAX_COMMIT_ATTEMPTS: deterministic CommitContention.
 // ---------------------------------------------------------------------------
 
 /// A store wrapper that, when armed, publishes a competing commit to the
-/// victim branch every time a page is written through it — so an optimistic
-/// publish loop loses its CAS race on every attempt, deterministically.
+/// victim branch every time a page or a publication's batch is appended
+/// through it — so an optimistic publish loop loses its CAS race on every
+/// attempt, deterministically, at one rival per attempt.
 /// The reentrancy flag keeps the competing commit's own writes from
 /// re-triggering the hook (which would recurse forever).
 struct ContentionStore {
@@ -364,6 +378,10 @@ impl NodeStore for ContentionStore {
         self.maybe_fire();
         self.inner.try_put(page)
     }
+    fn try_put_batch(&self, batch: &PageBatch) -> StoreResult<()> {
+        self.maybe_fire();
+        self.inner.try_put_batch(batch)
+    }
     fn try_get(&self, hash: &Hash) -> StoreResult<Option<Bytes>> {
         self.inner.try_get(hash)
     }
@@ -376,14 +394,8 @@ impl NodeStore for ContentionStore {
 }
 
 #[test]
-fn env_bounded_commit_attempts_force_deterministic_contention() {
+fn bounded_commit_attempts_force_deterministic_contention() {
     init();
-    assert_eq!(
-        max_commit_attempts(),
-        3,
-        "SIRI_MAX_COMMIT_ATTEMPTS=3 must override the default bound"
-    );
-
     let hook = Arc::new(ContentionStore::new(siri::MemStore::new_shared()));
     let store: SharedStore = hook.clone();
     let fb = Arc::new(Forkbase::with_store(factory(), store));
@@ -392,20 +404,21 @@ fn env_bounded_commit_attempts_force_deterministic_contention() {
     // Sanity: unarmed, commits go through.
     fb.commit("master", batch("setup", 0)).unwrap();
 
-    // Armed: every page the victim's publication writes publishes a rival
-    // commit first, so all 3 permitted attempts lose their CAS race.
+    // Armed: every append of the victim's publication publishes a rival
+    // commit first, so all permitted attempts lose their CAS race.
     hook.armed.store(true, Ordering::Release);
     let err = fb.commit("master", batch("victim", 0)).unwrap_err();
     hook.armed.store(false, Ordering::Release);
 
     match err {
         IndexError::CommitContention { attempts } => {
-            assert_eq!(attempts, 3, "the env-pinned bound is the reported attempt count");
+            assert_eq!(attempts, MAX_COMMIT_ATTEMPTS, "the bound is the reported attempt count");
         }
         other => panic!("expected CommitContention, got {other:?}"),
     }
-    assert!(hook.fired.load(Ordering::Relaxed) >= 3, "a rival commit per attempt");
-    assert!(fb.engine_stats().conflicts >= 3, "every lost race is counted");
+    let rivals = hook.fired.load(Ordering::Relaxed) as u64;
+    assert_eq!(rivals, MAX_COMMIT_ATTEMPTS as u64, "a rival commit per attempt");
+    assert!(fb.engine_stats().conflicts >= rivals, "every lost race is counted");
 
     // The branch stays healthy: with the hook disarmed the next commit
     // lands on top of whichever rival head won.
@@ -424,29 +437,31 @@ fn recorded_acquisition_edges_are_ascending() {
         return;
     }
     // Drive a little real engine traffic so engine/store edges exist.
-    let fb = Forkbase::with_store(factory(), siri::env_store());
-    fb.commit("master", batch("edges", 0)).unwrap();
-    let _ = fb.get("master", b"edges-k0000-0");
+    matrix::each(ENGINES, |cfg| {
+        let fb = cfg.engine(factory());
+        fb.commit("master", batch("edges", 0)).unwrap();
+        let _ = fb.get("master", b"edges-k0000-0");
 
-    for ((from_order, from_name), (to_order, to_name)) in lock_order::edges() {
-        // The engine has exactly two lock classes; a read clones a shard
-        // head out of the table, with no per-shard or per-branch view lock
-        // between the table and the store.
-        for name in [from_name, to_name] {
-            assert!(
-                !name.starts_with("forkbase.")
-                    || matches!(name, "forkbase.branch-map" | "forkbase.slot-head"),
-                "unexpected engine lock class in edge {from_name} -> {to_name}"
-            );
+        for ((from_order, from_name), (to_order, to_name)) in lock_order::edges() {
+            // The engine has exactly two lock classes; a read clones a shard
+            // head out of the table, with no per-shard or per-branch view lock
+            // between the table and the store.
+            for name in [from_name, to_name] {
+                assert!(
+                    !name.starts_with("forkbase.")
+                        || matches!(name, "forkbase.branch-map" | "forkbase.slot-head"),
+                    "unexpected engine lock class in edge {from_name} -> {to_name}"
+                );
+            }
+            // Test-local classes above deliberately invert; engine/store
+            // classes (the `forkbase.`/`store.` namespaces) never may.
+            let project = |n: &str| n.starts_with("forkbase.") || n.starts_with("store.");
+            if project(from_name) && project(to_name) {
+                assert!(
+                    from_order <= to_order,
+                    "observed inverted edge {from_name}({from_order}) -> {to_name}({to_order})"
+                );
+            }
         }
-        // Test-local classes above deliberately invert; engine/store
-        // classes (the `forkbase.`/`store.` namespaces) never may.
-        let project = |n: &str| n.starts_with("forkbase.") || n.starts_with("store.");
-        if project(from_name) && project(to_name) {
-            assert!(
-                from_order <= to_order,
-                "observed inverted edge {from_name}({from_order}) -> {to_name}({to_order})"
-            );
-        }
-    }
+    });
 }

@@ -109,51 +109,58 @@ fn an_index_commit_is_one_append_on_the_file_store() {
 
 /// One append and one fsync per engine publication: a commit spanning
 /// shards, a reshape and a bulk load each hand every page they stage, and
-/// the manifest page, to the store in one batch, then flush once.
+/// the manifest page, to the store in one batch, then flush once — however
+/// the engine over the `FileStore` was built.
 #[test]
 fn an_engine_publication_is_one_append_and_one_fsync() {
     use siri::{IndexError, MptFactory};
-    let engine = Forkbase::new_durable_with_sharding(
+    let opts = FileStoreOptions { fsync: FsyncPolicy::OnCommit, ..FileStoreOptions::default() };
+    let durable = Forkbase::new_durable_with_sharding(
         MptFactory,
-        tmp("append-sharded"),
-        FileStoreOptions { fsync: FsyncPolicy::OnCommit, ..FileStoreOptions::default() },
+        tmp("append-durable"),
+        opts,
         ShardingPolicy::pinned(4),
         0,
     )
     .unwrap();
-    let io = || {
-        let s = engine.server_stats();
-        (s.appends, s.fsyncs)
-    };
-    let mut batch = WriteBatch::new();
-    for i in 0..100u8 {
-        batch.put(vec![0x10, i], vec![i; 40]); // shard 0 of 4
-        batch.put(vec![0x50, i], vec![i; 40]); // shard 1 of 4
-    }
-    let before = io();
-    let info = engine.commit("master", batch).unwrap();
-    assert_eq!(info.shards.len(), 2, "the commit spans two shards");
-    let after = io();
-    assert_eq!((after.0 - before.0, after.1 - before.1), (1, 1), "spanning commit");
-
-    type Publication<'a> = (&'a str, Box<dyn Fn() -> Result<bool, IndexError> + 'a>);
-    let publications: [Publication<'_>; 3] = [
-        ("split", Box::new(|| engine.split_branch_shard("master", 0))),
-        ("merge", Box::new(|| engine.merge_branch_shards("master", 1))),
-        (
-            "bulk load",
-            Box::new(|| {
-                engine.bulk_load("loaded", YcsbConfig::default().dataset(500), 4).map(|_| true)
-            }),
-        ),
-    ];
-    for (what, publish) in publications {
+    let (fs, _) = FileStore::open_with(tmp("append-with-sharding"), opts).unwrap();
+    let over_store =
+        Forkbase::with_sharding(MptFactory, Arc::new(fs), ShardingPolicy::pinned(4), 0);
+    for (built, engine) in [("new_durable_with_sharding", durable), ("with_sharding", over_store)] {
+        let io = || {
+            let s = engine.server_stats();
+            (s.appends, s.fsyncs)
+        };
+        let mut batch = WriteBatch::new();
+        for i in 0..100u8 {
+            batch.put(vec![0x10, i], vec![i; 40]); // shard 0 of 4
+            batch.put(vec![0x50, i], vec![i; 40]); // shard 1 of 4
+        }
         let before = io();
-        assert!(publish().unwrap(), "{what} applies");
+        let info = engine.commit("master", batch).unwrap();
+        assert_eq!(info.shards.len(), 2, "{built}: the commit spans two shards");
         let after = io();
-        assert_eq!((after.0 - before.0, after.1 - before.1), (1, 1), "{what}");
+        assert_eq!((after.0 - before.0, after.1 - before.1), (1, 1), "{built}: spanning commit");
+
+        type Publication<'a> = (&'a str, Box<dyn Fn() -> Result<bool, IndexError> + 'a>);
+        let publications: [Publication<'_>; 3] = [
+            ("split", Box::new(|| engine.split_branch_shard("master", 0))),
+            ("merge", Box::new(|| engine.merge_branch_shards("master", 1))),
+            (
+                "bulk load",
+                Box::new(|| {
+                    engine.bulk_load("loaded", YcsbConfig::default().dataset(500), 4).map(|_| true)
+                }),
+            ),
+        ];
+        for (what, publish) in publications {
+            let before = io();
+            assert!(publish().unwrap(), "{built}: {what} applies");
+            let after = io();
+            assert_eq!((after.0 - before.0, after.1 - before.1), (1, 1), "{built}: {what}");
+        }
+        assert_eq!(engine.shard_count("loaded").unwrap(), 4, "{built}: four sub-trees");
     }
-    assert_eq!(engine.shard_count("loaded").unwrap(), 4, "the load built four sub-trees");
 }
 
 /// A store whose next batch append fails once armed.
@@ -375,12 +382,7 @@ fn caching_store_serves_a_live_index() {
     use siri::{serve, PosFactory, RemoteSession, ServerOptions};
 
     let ycsb = YcsbConfig::default();
-    let engine = Arc::new(Forkbase::with_sharding(
-        PosFactory(PosParams::default()),
-        MemStore::new_shared(),
-        ShardingPolicy::single(),
-        0,
-    ));
+    let engine = Arc::new(Forkbase::new(PosFactory(PosParams::default())));
     let commit = |entries: Vec<Entry>| {
         let mut b = WriteBatch::new();
         for e in entries {

@@ -1,8 +1,11 @@
 //! Tamper evidence across all structures: proofs verify, forgeries fail,
 //! and corrupted stores are caught by verification (failure injection).
 
+mod matrix;
+
 use std::sync::Arc;
 
+use matrix::{Config, STORES};
 use siri::workloads::YcsbConfig;
 use siri::{
     Entry, MemStore, MerkleBucketTree, MerklePatriciaTrie, MvmbParams, MvmbTree, PosParams,
@@ -172,8 +175,8 @@ fn sharded_branch_proofs_anchor_at_branch_digest() {
 
 /// Tamper matrix: {membership, non-membership, range, batched} × all four
 /// structures, proven over a sharded branch and verified through the
-/// anchored path. Runs over [`siri::env_store`], so the CI file-store leg
-/// exercises the same matrix against the durable backend. A proof verifies
+/// anchored path. Runs on both stores of `matrix::STORES`, so the same
+/// matrix is exercised against the durable backend. A proof verifies
 /// only if it is exactly the page sequence the read fetches (DESIGN.md
 /// §14), so every mutation below — not just a flipped bit — must be
 /// `Invalid`, and none may panic: a dropped, truncated or reordered page is
@@ -184,8 +187,8 @@ fn anchored_tamper_matrix_rejects_every_bit_flip() {
     use std::ops::Bound;
 
     use siri::{
-        env_store, Bytes, Forkbase, MbtFactory, MptFactory, MvmbFactory, PosFactory, Proof,
-        Session, ShardingPolicy, WriteBatch,
+        Bytes, Forkbase, MbtFactory, MptFactory, MvmbFactory, PosFactory, Proof, Session,
+        ShardingPolicy, WriteBatch,
     };
 
     /// Every single-step corruption of `good`'s page list.
@@ -234,9 +237,9 @@ fn anchored_tamper_matrix_rejects_every_bit_flip() {
         out
     }
 
-    fn check<F: siri::IndexFactory>(factory: F) {
+    fn check<F: siri::IndexFactory>(cfg: Config, factory: F) {
         let scheme = factory.scheme();
-        let engine = Forkbase::with_sharding(factory, env_store(), ShardingPolicy::pinned(4), 0);
+        let engine = Forkbase::with_sharding(factory, cfg.store(), ShardingPolicy::pinned(4), 0);
         // Enough under every first byte that each of the four shards is a
         // multi-page tree.
         let mut batch = WriteBatch::new();
@@ -335,10 +338,12 @@ fn anchored_tamper_matrix_rejects_every_bit_flip() {
         }
     }
 
-    check(PosFactory(PosParams::default()));
-    check(MptFactory);
-    check(MbtFactory { buckets: 16, fanout: 4 });
-    check(MvmbFactory(MvmbParams::default()));
+    matrix::each(STORES, |cfg| {
+        check(cfg, PosFactory(PosParams::default()));
+        check(cfg, MptFactory);
+        check(cfg, MbtFactory { buckets: 16, fanout: 4 });
+        check(cfg, MvmbFactory(MvmbParams::default()));
+    });
 }
 
 #[test]

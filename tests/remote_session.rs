@@ -7,25 +7,34 @@
 //! exactly the engine's values through verified pages, and a lying server
 //! cannot feed it; Merkle anti-entropy ships a small delta cheaply and
 //! resumes after a mid-sync disconnect; an oversized response leaves the
-//! session usable; backpressure and shutdown behave.
+//! session usable; backpressure and shutdown behave. The tests whose
+//! answer could depend on the store or the partition run on every engine
+//! configuration of the shared `matrix` module; the transport-only ones
+//! run on its default.
+
+mod matrix;
 
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
+use matrix::{Config, DEFAULT, ENGINES, STORES};
 use siri::{
     serve, ClientOptions, Forkbase, Hash, IndexError, IndexFactory, MbtFactory, MemStore,
     MptFactory, MvmbFactory, MvmbParams, NodeStore, PosFactory, PosParams, RemoteSession,
-    ServerHandle, ServerOptions, Session, ShardingPolicy, SiriIndex, StoreError, StructureStats,
-    SyncOptions, WriteBatch,
+    ServerHandle, ServerOptions, Session, SiriIndex, StoreError, StructureStats, SyncOptions,
+    WriteBatch,
 };
 
-fn engine() -> Arc<Forkbase<PosFactory>> {
-    Arc::new(Forkbase::with_store(PosFactory(PosParams::default()), MemStore::new_shared()))
+fn engine(cfg: Config) -> Arc<Forkbase<PosFactory>> {
+    Arc::new(cfg.engine(PosFactory(PosParams::default())))
 }
 
-fn loopback(opts: ServerOptions) -> (Arc<Forkbase<PosFactory>>, ServerHandle<PosFactory>) {
-    let engine = engine();
+fn loopback(
+    cfg: Config,
+    opts: ServerOptions,
+) -> (Arc<Forkbase<PosFactory>>, ServerHandle<PosFactory>) {
+    let engine = engine(cfg);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let handle = serve(engine.clone(), listener, opts, None).unwrap();
     (engine, handle)
@@ -46,83 +55,87 @@ fn batch_for(worker: usize, round: usize) -> WriteBatch {
 fn concurrent_clients_on_disjoint_branches_match_in_process_replay() {
     const CLIENTS: usize = 8;
     const ROUNDS: usize = 4;
-    let (served, handle) = loopback(ServerOptions::default());
-    let addr = handle.addr();
+    matrix::each(ENGINES, |cfg| {
+        let (served, handle) = loopback(cfg, ServerOptions::default());
+        let addr = handle.addr();
 
-    // Eight clients, each on its own connection and its own branch.
-    std::thread::scope(|scope| {
+        // Eight clients, each on its own connection and its own branch.
+        std::thread::scope(|scope| {
+            for w in 0..CLIENTS {
+                scope.spawn(move || {
+                    let session = RemoteSession::connect(addr).unwrap();
+                    let branch = format!("writer-{w}");
+                    session.fork("master", &branch).unwrap();
+                    for r in 0..ROUNDS {
+                        session.commit(&branch, batch_for(w, r)).unwrap();
+                    }
+                });
+            }
+        });
+
+        // Replay the same work single-threaded on a fresh in-process engine:
+        // every branch digest must agree bit-for-bit (structural invariance
+        // across transports and schedules).
+        let replay = engine(cfg);
         for w in 0..CLIENTS {
-            scope.spawn(move || {
-                let session = RemoteSession::connect(addr).unwrap();
-                let branch = format!("writer-{w}");
-                session.fork("master", &branch).unwrap();
-                for r in 0..ROUNDS {
-                    session.commit(&branch, batch_for(w, r)).unwrap();
-                }
-            });
+            let branch = format!("writer-{w}");
+            Session::fork(replay.as_ref(), "master", &branch).unwrap();
+            for r in 0..ROUNDS {
+                Session::commit(replay.as_ref(), &branch, batch_for(w, r)).unwrap();
+            }
         }
+        for w in 0..CLIENTS {
+            let branch = format!("writer-{w}");
+            assert_eq!(
+                served.branch_digest(&branch).unwrap(),
+                Session::branch_digest(replay.as_ref(), &branch).unwrap(),
+                "{branch} diverged from the in-process replay"
+            );
+        }
+
+        // The server saw all the traffic and every connection retired cleanly.
+        let stats = handle.stats();
+        assert_eq!(stats.accepted, CLIENTS as u64);
+        assert_eq!(stats.rejected, 0);
+        assert!(stats.total_requests >= (CLIENTS * (ROUNDS + 2)) as u64);
     });
-
-    // Replay the same work single-threaded on a fresh in-process engine:
-    // every branch digest must agree bit-for-bit (structural invariance
-    // across transports and schedules).
-    let replay = engine();
-    for w in 0..CLIENTS {
-        let branch = format!("writer-{w}");
-        Session::fork(replay.as_ref(), "master", &branch).unwrap();
-        for r in 0..ROUNDS {
-            Session::commit(replay.as_ref(), &branch, batch_for(w, r)).unwrap();
-        }
-    }
-    for w in 0..CLIENTS {
-        let branch = format!("writer-{w}");
-        assert_eq!(
-            served.branch_digest(&branch).unwrap(),
-            Session::branch_digest(replay.as_ref(), &branch).unwrap(),
-            "{branch} diverged from the in-process replay"
-        );
-    }
-
-    // The server saw all the traffic and every connection retired cleanly.
-    let stats = handle.stats();
-    assert_eq!(stats.accepted, CLIENTS as u64);
-    assert_eq!(stats.rejected, 0);
-    assert!(stats.total_requests >= (CLIENTS * (ROUNDS + 2)) as u64);
 }
 
 #[test]
 fn tiny_pages_stream_the_full_range() {
-    let (served, handle) = loopback(ServerOptions::default());
-    let mut b = WriteBatch::new();
-    for i in 0..100u32 {
-        b.put(format!("k{i:03}").into_bytes(), format!("v{i}").into_bytes());
-    }
-    Session::commit(served.as_ref(), "master", b).unwrap();
+    matrix::each(ENGINES, |cfg| {
+        let (served, handle) = loopback(cfg, ServerOptions::default());
+        let mut b = WriteBatch::new();
+        for i in 0..100u32 {
+            b.put(format!("k{i:03}").into_bytes(), format!("v{i}").into_bytes());
+        }
+        Session::commit(served.as_ref(), "master", b).unwrap();
 
-    // A 7-entry page forces ~15 round trips for one scan.
-    let opts = ClientOptions { page_size: 7, ..ClientOptions::default() };
-    let session = RemoteSession::connect_with(handle.addr(), opts).unwrap();
-    let all: Vec<_> = session
-        .range("master", std::ops::Bound::Unbounded, std::ops::Bound::Unbounded)
-        .unwrap()
-        .collect::<siri::Result<_>>()
-        .unwrap();
-    assert_eq!(all.len(), 100);
-    assert!(all.windows(2).all(|w| w[0].key < w[1].key));
-    assert_eq!(all[42].key.as_ref(), b"k042");
-    assert_eq!(all[42].value.as_ref(), b"v42");
+        // A 7-entry page forces ~15 round trips for one scan.
+        let opts = ClientOptions { page_size: 7, ..ClientOptions::default() };
+        let session = RemoteSession::connect_with(handle.addr(), opts).unwrap();
+        let all: Vec<_> = session
+            .range("master", std::ops::Bound::Unbounded, std::ops::Bound::Unbounded)
+            .unwrap()
+            .collect::<siri::Result<_>>()
+            .unwrap();
+        assert_eq!(all.len(), 100);
+        assert!(all.windows(2).all(|w| w[0].key < w[1].key));
+        assert_eq!(all[42].key.as_ref(), b"k042");
+        assert_eq!(all[42].value.as_ref(), b"v42");
 
-    // Prefix scan pages the same way.
-    let tens: Vec<_> =
-        session.scan_prefix("master", b"k04").unwrap().collect::<siri::Result<_>>().unwrap();
-    assert_eq!(tens.len(), 10);
+        // Prefix scan pages the same way.
+        let tens: Vec<_> =
+            session.scan_prefix("master", b"k04").unwrap().collect::<siri::Result<_>>().unwrap();
+        assert_eq!(tens.len(), 10);
 
-    // The server really served multiple scan pages for those cursors.
-    let stats = session.server_stats().unwrap();
-    assert!(
-        stats.conns.iter().any(|c| c.scan_pages >= 15),
-        "expected paged scans in the counters: {stats:?}"
-    );
+        // The server really served multiple scan pages for those cursors.
+        let stats = session.server_stats().unwrap();
+        assert!(
+            stats.conns.iter().any(|c| c.scan_pages >= 15),
+            "expected paged scans in the counters: {stats:?}"
+        );
+    });
 }
 
 /// Per `Range` request: the `limit` asked for and how many cursor steps
@@ -181,7 +194,7 @@ fn recording_range_server(
 fn scan_paging_starts_small_and_ramps_to_the_cap() {
     use std::ops::Bound::{Excluded, Included, Unbounded};
 
-    let served = engine();
+    let served = engine(DEFAULT);
     let mut b = WriteBatch::new();
     for i in 0..700u32 {
         b.put(format!("k{i:04}").into_bytes(), format!("v{i}").into_bytes());
@@ -259,23 +272,25 @@ fn scan_paging_starts_small_and_ramps_to_the_cap() {
 
 #[test]
 fn remote_proofs_verify_offline() {
-    let (served, handle) = loopback(ServerOptions::default());
-    let mut b = WriteBatch::new();
-    for i in 0..200u32 {
-        b.put(format!("acct{i:04}").into_bytes(), format!("balance{i}").into_bytes());
-    }
-    Session::commit(served.as_ref(), "master", b).unwrap();
+    matrix::each(ENGINES, |cfg| {
+        let (served, handle) = loopback(cfg, ServerOptions::default());
+        let mut b = WriteBatch::new();
+        for i in 0..200u32 {
+            b.put(format!("acct{i:04}").into_bytes(), format!("balance{i}").into_bytes());
+        }
+        Session::commit(served.as_ref(), "master", b).unwrap();
 
-    let session = RemoteSession::connect(handle.addr()).unwrap();
-    let (root, proof) = session.prove("master", b"acct0123").unwrap();
-    assert_eq!(root, session.branch_digest("master").unwrap());
-    // Verification is pure local computation: no server, no store. The
-    // anchored verifier handles both bare and manifest-rooted proofs, so
-    // this holds under any SIRI_SHARDS setting.
-    let scheme = &siri::PosProofScheme;
-    let verdict = siri::verify_anchored_membership(scheme, root, b"acct0123", &proof);
-    assert_eq!(verdict.value().unwrap().as_ref(), b"balance123");
-    assert!(!siri::verify_anchored_membership(scheme, root, b"acct9999", &proof).is_valid());
+        let session = RemoteSession::connect(handle.addr()).unwrap();
+        let (root, proof) = session.prove("master", b"acct0123").unwrap();
+        assert_eq!(root, session.branch_digest("master").unwrap());
+        // Verification is pure local computation: no server, no store. The
+        // anchored verifier handles both bare and manifest-rooted proofs, so
+        // this holds on every partition.
+        let scheme = &siri::PosProofScheme;
+        let verdict = siri::verify_anchored_membership(scheme, root, b"acct0123", &proof);
+        assert_eq!(verdict.value().unwrap().as_ref(), b"balance123");
+        assert!(!siri::verify_anchored_membership(scheme, root, b"acct9999", &proof).is_valid());
+    });
 }
 
 /// A server that lies about proofs must not get past the client. The
@@ -371,17 +386,12 @@ fn read_like_the_engine<F: IndexFactory>(
 
 /// A light client on `factory`'s structure: a single-shard engine served
 /// over loopback, read through `factory.open(session.pages(), digest)`.
-fn light_client_reads_what_the_engine_holds_on<F>(factory: F)
+fn light_client_reads_what_the_engine_holds_on<F>(cfg: Config, factory: F)
 where
     F: IndexFactory + 'static,
     F::Index: Send + Sync,
 {
-    let engine = Arc::new(Forkbase::with_sharding(
-        factory.clone(),
-        siri::env_store(),
-        ShardingPolicy::single(),
-        0,
-    ));
+    let engine = Arc::new(cfg.engine(factory.clone()));
     let mut b = WriteBatch::new();
     for i in 0..600u32 {
         b.put(format!("key{i:04}").into_bytes(), format!("value-{i}").into_bytes());
@@ -429,13 +439,15 @@ where
 
 #[test]
 fn light_client_reads_what_the_engine_holds() {
-    light_client_reads_what_the_engine_holds_on(PosFactory(PosParams::default()));
-    light_client_reads_what_the_engine_holds_on(MptFactory);
-    light_client_reads_what_the_engine_holds_on(MbtFactory {
-        buckets: siri::DEFAULT_BUCKETS,
-        fanout: siri::DEFAULT_FANOUT,
+    matrix::each(STORES, |cfg| {
+        light_client_reads_what_the_engine_holds_on(cfg, PosFactory(PosParams::default()));
+        light_client_reads_what_the_engine_holds_on(cfg, MptFactory);
+        light_client_reads_what_the_engine_holds_on(
+            cfg,
+            MbtFactory { buckets: siri::DEFAULT_BUCKETS, fanout: siri::DEFAULT_FANOUT },
+        );
+        light_client_reads_what_the_engine_holds_on(cfg, MvmbFactory(MvmbParams::default()));
     });
-    light_client_reads_what_the_engine_holds_on(MvmbFactory(MvmbParams::default()));
 }
 
 /// The light client trusts only content addresses: a page that does not
@@ -496,7 +508,7 @@ fn an_oversized_response_is_refused_and_the_session_survives() {
 
     const CAP: usize = 64 * 1024;
     let (served, handle) =
-        loopback(ServerOptions { max_frame_bytes: CAP, ..ServerOptions::default() });
+        loopback(DEFAULT, ServerOptions { max_frame_bytes: CAP, ..ServerOptions::default() });
     let mut b = WriteBatch::new();
     for i in 0..2_000u32 {
         b.put(format!("key{i:05}").into_bytes(), vec![b'v'; 100]);
@@ -526,7 +538,7 @@ fn an_oversized_response_is_refused_and_the_session_survives() {
 fn scan_pages_of_large_values_stay_under_the_frame_cap() {
     use std::ops::Bound::{Included, Unbounded};
 
-    let (served, handle) = loopback(ServerOptions::default());
+    let (served, handle) = loopback(DEFAULT, ServerOptions::default());
     let mut b = WriteBatch::new();
     for i in 0..400u32 {
         b.put(format!("big{i:03}").into_bytes(), vec![(i % 251) as u8; 40_000]);
@@ -566,90 +578,94 @@ fn scan_pages_of_large_values_stay_under_the_frame_cap() {
 
 #[test]
 fn anti_entropy_over_the_wire_ships_deltas_and_resumes() {
-    let (served, handle) = loopback(ServerOptions::default());
-    let children = siri::pos_tree::Node::children_of_page;
+    matrix::each(ENGINES, |cfg| {
+        let (served, handle) = loopback(cfg, ServerOptions::default());
+        let children = siri::pos_tree::Node::children_of_page;
 
-    // Seed the server with 3000 records.
-    let mut b = WriteBatch::new();
-    for i in 0..3000u32 {
-        b.put(format!("key{i:05}").into_bytes(), format!("value-{i}-r0").into_bytes());
-    }
-    Session::commit(served.as_ref(), "master", b).unwrap();
+        // Seed the server with 3000 records.
+        let mut b = WriteBatch::new();
+        for i in 0..3000u32 {
+            b.put(format!("key{i:05}").into_bytes(), format!("value-{i}-r0").into_bytes());
+        }
+        Session::commit(served.as_ref(), "master", b).unwrap();
 
-    // Cold replica: the first sync fetches the whole version.
-    let local = MemStore::new_shared();
-    let session = RemoteSession::connect(handle.addr()).unwrap();
-    let (v1, cold) =
-        session.sync_branch("master", local.as_ref(), children, &SyncOptions::default()).unwrap();
-    assert!(cold.complete);
-    assert!(cold.pages_fetched > 10);
-    assert!(local.contains(&v1));
-    assert!(cold.round_trips < cold.pages_fetched, "fetches must batch");
+        // Cold replica: the first sync fetches the whole version.
+        let local = MemStore::new_shared();
+        let session = RemoteSession::connect(handle.addr()).unwrap();
+        let (v1, cold) = session
+            .sync_branch("master", local.as_ref(), children, &SyncOptions::default())
+            .unwrap();
+        assert!(cold.complete);
+        assert!(cold.pages_fetched > 10);
+        assert!(local.contains(&v1));
+        assert!(cold.round_trips < cold.pages_fetched, "fetches must batch");
 
-    // The replica answers reads with no server involved. Open through an
-    // engine, which resolves a shard-manifest digest (SIRI_SHARDS runs)
-    // exactly like a bare tree root.
-    let replica = Forkbase::with_store(PosFactory(PosParams::default()), local.clone());
-    replica.open_branch("v1", v1);
-    assert_eq!(
-        Session::get(&replica, "v1", b"key00042").unwrap().unwrap().as_ref(),
-        b"value-42-r0".as_ref()
-    );
+        // The replica answers reads with no server involved. Open through an
+        // engine, which resolves a shard-manifest digest (the 8-shard
+        // configurations) exactly like a bare tree root.
+        let replica = Forkbase::with_store(PosFactory(PosParams::default()), local.clone());
+        replica.open_branch("v1", v1);
+        assert_eq!(
+            Session::get(&replica, "v1", b"key00042").unwrap().unwrap().as_ref(),
+            b"value-42-r0".as_ref()
+        );
 
-    // Mutate 1% of the records server-side — a contiguous run, the shape
-    // anti-entropy is built for: the rewrite is confined to a few leaf
-    // pages plus the spine above them.
-    let mut delta = WriteBatch::new();
-    for k in 60..90u32 {
-        delta.put(format!("key{k:05}").into_bytes(), format!("value-{k}-r1").into_bytes());
-    }
-    Session::commit(served.as_ref(), "master", delta).unwrap();
+        // Mutate 1% of the records server-side — a contiguous run, the shape
+        // anti-entropy is built for: the rewrite is confined to a few leaf
+        // pages plus the spine above them.
+        let mut delta = WriteBatch::new();
+        for k in 60..90u32 {
+            delta.put(format!("key{k:05}").into_bytes(), format!("value-{k}-r1").into_bytes());
+        }
+        Session::commit(served.as_ref(), "master", delta).unwrap();
 
-    // Mid-sync disconnect: a one-page budget cuts the pull short — the new
-    // root alone can never be a complete delta once any leaf changed.
-    let cut = SyncOptions { max_pages: Some(1), ..SyncOptions::default() };
-    let (v2, first) = session.sync_branch("master", local.as_ref(), children, &cut).unwrap();
-    assert!(!first.complete, "one page cannot cover a 30-record delta");
-    assert!(!local.contains(&v2), "an unfinished sync must not publish the new root");
+        // Mid-sync disconnect: a one-page budget cuts the pull short — the new
+        // root alone can never be a complete delta once any leaf changed.
+        let cut = SyncOptions { max_pages: Some(1), ..SyncOptions::default() };
+        let (v2, first) = session.sync_branch("master", local.as_ref(), children, &cut).unwrap();
+        assert!(!first.complete, "one page cannot cover a 30-record delta");
+        assert!(!local.contains(&v2), "an unfinished sync must not publish the new root");
 
-    // ...and the retry finishes only the unfinished tail.
-    let (v2b, rest) =
-        session.sync_branch("master", local.as_ref(), children, &SyncOptions::default()).unwrap();
-    assert_eq!(v2, v2b);
-    assert!(rest.complete);
-    assert!(local.contains(&v2));
-    assert_eq!(first.missing + rest.missing, 0);
+        // ...and the retry finishes only the unfinished tail.
+        let (v2b, rest) = session
+            .sync_branch("master", local.as_ref(), children, &SyncOptions::default())
+            .unwrap();
+        assert_eq!(v2, v2b);
+        assert!(rest.complete);
+        assert!(local.contains(&v2));
+        assert_eq!(first.missing + rest.missing, 0);
 
-    // The acceptance gate: a 1% mutation syncs for <10% of the cold bytes,
-    // disconnect included.
-    let delta_bytes = first.bytes_fetched + rest.bytes_fetched;
-    assert!(
-        delta_bytes < cold.bytes_fetched / 10,
-        "1% delta must ship <10% of a cold sync ({delta_bytes} B vs {} B)",
-        cold.bytes_fetched
-    );
+        // The acceptance gate: a 1% mutation syncs for <10% of the cold bytes,
+        // disconnect included.
+        let delta_bytes = first.bytes_fetched + rest.bytes_fetched;
+        assert!(
+            delta_bytes < cold.bytes_fetched / 10,
+            "1% delta must ship <10% of a cold sync ({delta_bytes} B vs {} B)",
+            cold.bytes_fetched
+        );
 
-    // Both versions are now fully readable locally.
-    replica.open_branch("v2", v2);
-    assert_eq!(
-        Session::get(&replica, "v2", b"key00071").unwrap().unwrap().as_ref(),
-        b"value-71-r1".as_ref()
-    );
-    assert_eq!(
-        Session::get(&replica, "v1", b"key00071").unwrap().unwrap().as_ref(),
-        b"value-71-r0".as_ref()
-    );
+        // Both versions are now fully readable locally.
+        replica.open_branch("v2", v2);
+        assert_eq!(
+            Session::get(&replica, "v2", b"key00071").unwrap().unwrap().as_ref(),
+            b"value-71-r1".as_ref()
+        );
+        assert_eq!(
+            Session::get(&replica, "v1", b"key00071").unwrap().unwrap().as_ref(),
+            b"value-71-r0".as_ref()
+        );
 
-    // Re-syncing an up-to-date replica costs nothing but the digest probe.
-    let (_, again) =
-        session.sync_branch("master", &local, children, &SyncOptions::default()).unwrap();
-    assert_eq!(again.pages_fetched, 0);
-    assert_eq!(again.subtrees_skipped, 1, "pruned at the root");
+        // Re-syncing an up-to-date replica costs nothing but the digest probe.
+        let (_, again) =
+            session.sync_branch("master", &local, children, &SyncOptions::default()).unwrap();
+        assert_eq!(again.pages_fetched, 0);
+        assert_eq!(again.subtrees_skipped, 1, "pruned at the root");
+    });
 }
 
 #[test]
 fn unknown_branch_surfaces_the_engine_error_variant() {
-    let (_served, handle) = loopback(ServerOptions::default());
+    let (_served, handle) = loopback(DEFAULT, ServerOptions::default());
     let session = RemoteSession::connect(handle.addr()).unwrap();
     assert!(matches!(session.get("ghost", b"k"), Err(IndexError::Unsupported("unknown branch"))));
     assert!(matches!(
@@ -661,7 +677,7 @@ fn unknown_branch_surfaces_the_engine_error_variant() {
 #[test]
 fn connection_cap_sheds_load_and_recovers() {
     let opts = ServerOptions { max_connections: 1, ..ServerOptions::default() };
-    let (_served, handle) = loopback(opts);
+    let (_served, handle) = loopback(DEFAULT, opts);
 
     let holder = RemoteSession::connect(handle.addr()).unwrap();
     assert!(holder.get("master", b"k").unwrap().is_none());
@@ -688,7 +704,7 @@ fn connection_cap_sheds_load_and_recovers() {
 #[test]
 fn remote_shutdown_is_opt_in() {
     // Default: the verb is refused and the server keeps serving.
-    let (_served, handle) = loopback(ServerOptions::default());
+    let (_served, handle) = loopback(DEFAULT, ServerOptions::default());
     let session = RemoteSession::connect(handle.addr()).unwrap();
     assert!(matches!(session.shutdown_server(), Err(IndexError::Remote(_))));
     assert!(session.get("master", b"k").unwrap().is_none());
@@ -696,7 +712,7 @@ fn remote_shutdown_is_opt_in() {
 
     // Opted in: the verb acks, the server stops, new connections fail.
     let opts = ServerOptions { allow_remote_shutdown: true, ..ServerOptions::default() };
-    let (_served, handle) = loopback(opts);
+    let (_served, handle) = loopback(DEFAULT, opts);
     let addr = handle.addr();
     let session = RemoteSession::connect(addr).unwrap();
     session.shutdown_server().unwrap();
@@ -707,7 +723,7 @@ fn remote_shutdown_is_opt_in() {
 
 #[test]
 fn per_connection_counters_add_up() {
-    let (_served, handle) = loopback(ServerOptions::default());
+    let (_served, handle) = loopback(DEFAULT, ServerOptions::default());
     let session = RemoteSession::connect(handle.addr()).unwrap();
     let mut b = WriteBatch::new();
     b.put(&b"k"[..], &b"v"[..]);
@@ -740,17 +756,19 @@ fn per_connection_counters_add_up() {
 
 #[test]
 fn commit_info_receipts_cross_the_wire_intact() {
-    let (served, handle) = loopback(ServerOptions::default());
-    let session = RemoteSession::connect(handle.addr()).unwrap();
+    matrix::each(ENGINES, |cfg| {
+        let (served, handle) = loopback(cfg, ServerOptions::default());
+        let session = RemoteSession::connect(handle.addr()).unwrap();
 
-    let mut b = WriteBatch::new();
-    b.put(&b"a"[..], &b"1"[..]);
-    let first = session.commit("master", b).unwrap();
-    assert_eq!(first.root, Session::branch_digest(served.as_ref(), "master").unwrap());
+        let mut b = WriteBatch::new();
+        b.put(&b"a"[..], &b"1"[..]);
+        let first = session.commit("master", b).unwrap();
+        assert_eq!(first.root, Session::branch_digest(served.as_ref(), "master").unwrap());
 
-    let mut b = WriteBatch::new();
-    b.put(&b"b"[..], &b"2"[..]);
-    let second = session.commit("master", b).unwrap();
-    assert_eq!(second.parent, first.root, "receipt chain must thread across the wire");
-    assert_ne!(second.root, Hash::ZERO);
+        let mut b = WriteBatch::new();
+        b.put(&b"b"[..], &b"2"[..]);
+        let second = session.commit("master", b).unwrap();
+        assert_eq!(second.parent, first.root, "receipt chain must thread across the wire");
+        assert_ne!(second.root, Hash::ZERO);
+    });
 }

@@ -2,7 +2,7 @@
 //! partitioned into per-key-range shard slots must be *logically
 //! indistinguishable* from the classic single-slot branch.
 //!
-//! For every structure and both store backends (`SIRI_STORE`):
+//! For every structure and both stores of `matrix::STORES`:
 //!
 //! * applying the same batch schedule to a pinned-4-shard engine and an
 //!   unsharded engine yields bit-identical logical contents — the full
@@ -16,8 +16,11 @@
 //!   deterministic split/merge hooks between batches must never change
 //!   what the branch contains.
 
+mod matrix;
+
 use std::ops::Bound;
 
+use matrix::{Config, STORES};
 use proptest::prelude::*;
 use siri::{
     Entry, Forkbase, IndexFactory, MbtFactory, MptFactory, MvmbFactory, MvmbParams, PosFactory,
@@ -65,14 +68,15 @@ fn sorted_contents<F: IndexFactory>(fb: &Forkbase<F>) -> Vec<Entry> {
 /// between batches. `digest_equal` is asserted only for the structurally
 /// invariant structures.
 fn check_equivalence<F: IndexFactory + Clone>(
+    cfg: Config,
     factory: F,
     batches: &[WriteBatch],
     digest_equal: bool,
     reshard: bool,
 ) {
     let sharded =
-        Forkbase::with_sharding(factory.clone(), siri::env_store(), ShardingPolicy::pinned(4), 0);
-    let single = Forkbase::with_sharding(factory, siri::env_store(), ShardingPolicy::single(), 0);
+        Forkbase::with_sharding(factory.clone(), cfg.store(), ShardingPolicy::pinned(4), 0);
+    let single = Forkbase::with_store(factory, cfg.store());
     for (i, b) in batches.iter().enumerate() {
         sharded.commit("master", b.clone()).unwrap();
         single.commit("master", b.clone()).unwrap();
@@ -113,19 +117,23 @@ fn check_equivalence<F: IndexFactory + Clone>(
 #[test]
 fn all_structures_sharded_equals_unsharded() {
     let batches = schedule(6, 40, 42);
-    check_equivalence(PosFactory(PosParams::default()), &batches, true, false);
-    check_equivalence(MptFactory, &batches, true, false);
-    check_equivalence(MbtFactory { buckets: 64, fanout: 8 }, &batches, true, false);
-    check_equivalence(MvmbFactory(MvmbParams::default()), &batches, false, false);
+    matrix::each(STORES, |cfg| {
+        check_equivalence(cfg, PosFactory(PosParams::default()), &batches, true, false);
+        check_equivalence(cfg, MptFactory, &batches, true, false);
+        check_equivalence(cfg, MbtFactory { buckets: 64, fanout: 8 }, &batches, true, false);
+        check_equivalence(cfg, MvmbFactory(MvmbParams::default()), &batches, false, false);
+    });
 }
 
 #[test]
 fn equivalence_survives_adaptive_split_and_merge() {
     let batches = schedule(9, 30, 7);
-    check_equivalence(PosFactory(PosParams::default()), &batches, true, true);
-    check_equivalence(MptFactory, &batches, true, true);
-    check_equivalence(MbtFactory { buckets: 64, fanout: 8 }, &batches, true, true);
-    check_equivalence(MvmbFactory(MvmbParams::default()), &batches, false, true);
+    matrix::each(STORES, |cfg| {
+        check_equivalence(cfg, PosFactory(PosParams::default()), &batches, true, true);
+        check_equivalence(cfg, MptFactory, &batches, true, true);
+        check_equivalence(cfg, MbtFactory { buckets: 64, fanout: 8 }, &batches, true, true);
+        check_equivalence(cfg, MvmbFactory(MvmbParams::default()), &batches, false, true);
+    });
 }
 
 proptest! {
@@ -142,6 +150,8 @@ proptest! {
         reshard in proptest::bool::ANY,
     ) {
         let batches = schedule(rounds, per_round, seed);
-        check_equivalence(PosFactory(PosParams::default()), &batches, true, reshard);
+        matrix::each(STORES, |cfg| {
+            check_equivalence(cfg, PosFactory(PosParams::default()), &batches, true, reshard);
+        });
     }
 }
