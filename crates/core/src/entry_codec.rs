@@ -10,19 +10,13 @@
 use bytes::Bytes;
 use siri_encoding::{ByteReader, ByteWriter, CodecError};
 
-use crate::Entry;
+use crate::ordered::reservation;
+use crate::{Entry, IndexError, Result};
 
 /// Append one entry to `w`.
 pub fn write_entry(w: &mut ByteWriter, entry: &Entry) {
     w.put_bytes(&entry.key);
     w.put_bytes(&entry.value);
-}
-
-/// Read one entry.
-pub fn read_entry(r: &mut ByteReader<'_>) -> Result<Entry, CodecError> {
-    let key = Bytes::copy_from_slice(r.get_bytes()?);
-    let value = Bytes::copy_from_slice(r.get_bytes()?);
-    Ok(Entry { key, value })
 }
 
 /// Exact encoded size of an entry, used to pre-size buffers and by the
@@ -59,48 +53,37 @@ pub fn encode_entries(entries: &[Entry]) -> Vec<u8> {
 }
 
 /// Zero-copy decode of a run serialized by [`encode_entries`] that lives
-/// inside `page` starting at byte `body_start`.
+/// inside `page` starting at byte `body_start` and ends the page.
 ///
 /// Keys and values are `Bytes::slice`s of the page — no payload copies.
 /// Pages are immutable and refcounted, so decoded entries stay valid for
 /// as long as anyone holds them; this is the hot read path for every
-/// leaf/bucket decode.
-pub fn decode_entries_zc(page: &Bytes, body_start: usize) -> Result<Vec<Entry>, CodecError> {
+/// leaf/bucket decode. Every user keeps its entries sorted, so keys must
+/// strictly ascend; a key out of order fails the decode as soon as it is
+/// read. The count field sizes no allocation beyond what the bytes after
+/// it can hold (each entry takes at least two length bytes).
+pub fn decode_entries_zc(page: &Bytes, body_start: usize) -> Result<Vec<Entry>> {
     let body = page.get(body_start..).ok_or(CodecError::Truncated)?;
     let mut r = ByteReader::new(body);
     let count = r.get_varint()?;
-    if count > body.len() as u64 {
-        return Err(CodecError::BadLength { what: "entry count" });
-    }
-    let mut out = Vec::with_capacity(count as usize);
+    let reserve = reservation(count, r.remaining(), 2)
+        .ok_or(CodecError::BadLength { what: "entry count" })?;
+    let mut out = Vec::with_capacity(reserve);
+    let mut prev: Option<&[u8]> = None;
     for _ in 0..count {
-        let klen = r.get_varint()? as usize;
-        let koff = body_start + r.offset();
-        r.get_raw(klen)?;
+        let key = r.get_bytes()?;
+        if prev.is_some_and(|p| p >= key) {
+            return Err(IndexError::CorruptStructure("unsorted entries"));
+        }
+        prev = Some(key);
+        let koff = body_start + r.offset() - key.len();
         let vlen = r.get_varint()? as usize;
         let voff = body_start + r.offset();
         r.get_raw(vlen)?;
         out.push(Entry {
-            key: page.slice(koff..koff + klen),
+            key: page.slice(koff..koff + key.len()),
             value: page.slice(voff..voff + vlen),
         });
-    }
-    r.finish()?;
-    Ok(out)
-}
-
-/// Decode a run serialized by [`encode_entries`].
-pub fn decode_entries(input: &[u8]) -> Result<Vec<Entry>, CodecError> {
-    let mut r = ByteReader::new(input);
-    let count = r.get_varint()?;
-    if count > input.len() as u64 {
-        // Each entry costs at least 2 bytes; a count beyond the input size
-        // is certainly corrupt. Guards against huge pre-allocations.
-        return Err(CodecError::BadLength { what: "entry count" });
-    }
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        out.push(read_entry(&mut r)?);
     }
     r.finish()?;
     Ok(out)
@@ -116,9 +99,9 @@ mod tests {
 
     #[test]
     fn round_trip() {
-        let entries = vec![e(b"alpha", b"1"), e(b"beta", &[0u8; 300]), e(b"", b"")];
-        let enc = encode_entries(&entries);
-        assert_eq!(decode_entries(&enc).unwrap(), entries);
+        let entries = vec![e(b"", b""), e(b"alpha", b"1"), e(b"beta", &[0u8; 300])];
+        let enc = Bytes::from(encode_entries(&entries));
+        assert_eq!(decode_entries_zc(&enc, 0).unwrap(), entries);
     }
 
     #[test]
@@ -138,7 +121,7 @@ mod tests {
 
     #[test]
     fn zero_copy_decode_matches_copying_decode() {
-        let entries = vec![e(b"alpha", b"1"), e(b"beta", &[9u8; 300]), e(b"", b"")];
+        let entries = vec![e(b"", b""), e(b"alpha", b"1"), e(b"beta", &[9u8; 300])];
         let mut page = vec![0xFFu8; 7]; // simulated node header
         page.extend_from_slice(&encode_entries(&entries));
         let page = Bytes::from(page);
@@ -157,16 +140,32 @@ mod tests {
         let entries = vec![e(b"k", b"v")];
         let mut enc = encode_entries(&entries);
         enc[0] = 0xff; // count now huge/truncated varint
-        assert!(decode_entries(&enc).is_err());
+        assert!(decode_entries_zc(&Bytes::from(enc), 0).is_err());
 
-        let enc = encode_entries(&entries);
-        assert!(decode_entries(&enc[..enc.len() - 1]).is_err());
+        let enc = Bytes::from(encode_entries(&entries));
+        for cut in 0..enc.len() {
+            assert!(decode_entries_zc(&enc.slice(..cut), 0).is_err(), "truncated at {cut}");
+        }
+        // A count the bytes cannot hold fails before anything is parsed.
+        let mut long = vec![0x80, 0x08]; // 1024 entries in 1024 bytes
+        long.resize(2 + 1024, 0);
+        let err = decode_entries_zc(&Bytes::from(long), 0).unwrap_err();
+        assert_eq!(err, CodecError::BadLength { what: "entry count" }.into());
     }
 
     #[test]
     fn rejects_trailing_bytes() {
         let mut enc = encode_entries(&[e(b"k", b"v")]);
         enc.push(0);
-        assert!(matches!(decode_entries(&enc), Err(CodecError::TrailingBytes)));
+        let err = decode_entries_zc(&Bytes::from(enc), 0).unwrap_err();
+        assert_eq!(err, CodecError::TrailingBytes.into());
+    }
+
+    #[test]
+    fn rejects_keys_out_of_order_or_repeated() {
+        for run in [vec![e(b"b", b"1"), e(b"a", b"2")], vec![e(b"a", b"1"), e(b"a", b"2")]] {
+            let err = decode_entries_zc(&Bytes::from(encode_entries(&run)), 0).unwrap_err();
+            assert_eq!(err, IndexError::CorruptStructure("unsorted entries"));
+        }
     }
 }

@@ -3,10 +3,10 @@
 //! The two ordered structures differ in how node boundaries are *chosen*
 //! (content-defined chunking vs. capacity splits), not in what a stored
 //! node looks like to a reader: a leaf is a sorted run of entries, an
-//! internal node a sorted run of `(max key, child digest)` pairs. Each
-//! crate's `Node` exposes that through [`OrderedNode`], and the point
-//! lookup, the height and record counts and the range cursor are written
-//! once here over a [`PageReader`].
+//! internal node a sorted run of `(max key, child digest)` pairs — one
+//! [`ChildRun`] codec for both. Each crate's `Node` exposes that through
+//! [`OrderedNode`], and the point lookup, the height and record counts and
+//! the range cursor are written once here over a [`PageReader`].
 //!
 //! Nothing below trusts a page beyond what its codec checked: an internal
 //! node without children or a stored leaf without entries is
@@ -21,8 +21,14 @@ use siri_crypto::Hash;
 use crate::cursor::{before_start, past_end, start_seek_key};
 use crate::{search_entries, Entry, IndexError, LookupTracer, PageNode, PageReader, Result};
 
-/// Routing entry of an internal node: the maximum key in the child's
-/// subtree, and the child's digest.
+mod child_run;
+
+pub(crate) use child_run::reservation;
+pub use child_run::{Child, ChildRun, Children};
+
+/// Routing entry of an internal node, owned: the maximum key in the
+/// child's subtree, and the child's digest. What builders collect; a
+/// decoded node holds a [`ChildRun`] instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChildRef {
     pub max_key: Bytes,
@@ -34,19 +40,16 @@ pub trait OrderedNode {
     /// The sorted entries of a leaf; `None` for an internal node.
     fn entries(&self) -> Option<&[Entry]>;
     /// The routing entries of an internal node; empty for a leaf.
-    fn children(&self) -> &[ChildRef];
+    fn children(&self) -> &ChildRun;
+}
+
+/// What a leaf answers for [`OrderedNode::children`].
+pub fn no_children() -> &'static ChildRun {
+    &child_run::NO_CHILDREN
 }
 
 const EMPTY_INTERNAL: IndexError = IndexError::CorruptStructure("empty internal node");
 const EMPTY_LEAF: IndexError = IndexError::CorruptStructure("empty stored leaf");
-
-/// Route a key to a child slot: the first child whose `max_key >= key`,
-/// clamping keys beyond the maximum to the rightmost child.
-#[inline]
-pub fn route(children: &[ChildRef], key: &[u8]) -> Result<usize> {
-    let last = children.len().checked_sub(1).ok_or(EMPTY_INTERNAL)?;
-    Ok(children.partition_point(|c| c.max_key.as_ref() < key).min(last))
-}
 
 /// The point-lookup descent behind `SiriIndex::lookup`.
 pub fn lookup<N: PageNode + OrderedNode>(
@@ -64,13 +67,14 @@ pub fn lookup<N: PageNode + OrderedNode>(
         t.node(cached);
         match node.entries() {
             None => {
-                let child = &node.children()[route(node.children(), key)?];
-                if key > child.max_key.as_ref() {
+                let children = node.children();
+                let slot = children.route(key)?;
+                if key > children.key(slot) {
                     // Clamped: the key lies beyond every key of the tree.
                     t.loaded();
                     return Ok(None);
                 }
-                hash = child.hash;
+                hash = children.hash(slot);
             }
             Some([]) => return Err(EMPTY_LEAF),
             Some(entries) => {
@@ -93,7 +97,7 @@ pub fn height<N: PageNode + OrderedNode>(reader: &PageReader<N>, root: Hash) -> 
         if node.entries().is_some() {
             return Ok(levels);
         }
-        hash = node.children().first().ok_or(EMPTY_INTERNAL)?.hash;
+        hash = node.children().get(0).ok_or(EMPTY_INTERNAL)?.hash();
         levels += 1;
     }
 }
@@ -109,7 +113,7 @@ pub fn count<N: PageNode + OrderedNode>(reader: &PageReader<N>, root: Hash) -> R
             Some([]) => return Err(EMPTY_LEAF),
             Some(entries) => n += entries.len(),
             None if node.children().is_empty() => return Err(EMPTY_INTERNAL),
-            None => stack.extend(node.children().iter().map(|c| c.hash)),
+            None => stack.extend(node.children().iter().map(|c| c.hash())),
         }
     }
     Ok(n)
@@ -172,8 +176,8 @@ impl<N: PageNode + OrderedNode> RangeCursor<N> {
             let key = start_seek_key(&self.start);
             match node.entries() {
                 None => {
-                    let slot = route(node.children(), key)?;
-                    hash = node.children()[slot].hash;
+                    let slot = node.children().route(key)?;
+                    hash = node.children().hash(slot);
                     self.stack.push((node, slot));
                 }
                 Some([]) => return Err(EMPTY_LEAF),
@@ -197,7 +201,7 @@ impl<N: PageNode + OrderedNode> RangeCursor<N> {
         while let Some((node, slot)) = self.stack.last_mut() {
             *slot += 1;
             if let Some(child) = node.children().get(*slot) {
-                let hash = child.hash;
+                let hash = child.hash();
                 self.descend(hash)?;
                 return Ok(true);
             }
@@ -259,16 +263,15 @@ impl<N: PageNode + OrderedNode> Iterator for RangeCursor<N> {
 mod tests {
     use super::*;
 
-    fn child(key: &str) -> ChildRef {
-        ChildRef { max_key: Bytes::copy_from_slice(key.as_bytes()), hash: Hash::ZERO }
-    }
-
-    // Routing among real children is tested where the nodes are
-    // (`pos-tree` and `mvmb` `node.rs`); these are the edges the shared
-    // descent adds.
+    // Routing among real children is tested where the run is
+    // (`child_run.rs`); these are the edges the shared descent adds.
     #[test]
     fn route_takes_the_empty_key_left_and_rejects_a_childless_node() {
-        assert_eq!(route(&[child("f"), child("m")], b""), Ok(0));
-        assert_eq!(route(&[], b"a"), Err(EMPTY_INTERNAL));
+        let child = |key: &'static str| ChildRef {
+            max_key: Bytes::from_static(key.as_bytes()),
+            hash: Hash::ZERO,
+        };
+        assert_eq!(ChildRun::new(&[child("f"), child("m")]).route(b""), Ok(0));
+        assert_eq!(no_children().route(b"a"), Err(EMPTY_INTERNAL));
     }
 }

@@ -60,15 +60,6 @@ impl BucketEntries {
     pub fn prefixes(&self) -> &[u64] {
         &self.prefixes
     }
-
-    /// Every key is below the next — checked on the column, reading the
-    /// two keys only where their prefixes tie.
-    fn strictly_ascending(&self) -> bool {
-        self.prefixes
-            .windows(2)
-            .zip(self.entries.windows(2))
-            .all(|(p, e)| p[0] < p[1] || (p[0] == p[1] && e[0].key < e[1].key))
-    }
 }
 
 impl Deref for BucketEntries {
@@ -152,7 +143,8 @@ impl Node {
         match tag {
             TAG_INTERNAL => {
                 let count = r.get_varint()?;
-                if count > page.len() as u64 / Hash::LEN as u64 + 1 {
+                // One digest per child: the bytes left bound the reservation.
+                if count > (r.remaining() / Hash::LEN) as u64 {
                     return Err(CodecError::BadLength { what: "child count" }.into());
                 }
                 let mut children = Vec::with_capacity(count as usize);
@@ -166,12 +158,10 @@ impl Node {
                 Ok(Node::Internal { buckets, fanout, children })
             }
             TAG_BUCKET => {
+                // Buckets must be sorted for binary search: the entry codec
+                // rejects a key out of order, so corrupted pages cannot
+                // produce wrong lookups.
                 let entries = BucketEntries::new(entry_codec::decode_entries_zc(page, r.offset())?);
-                // Buckets must be sorted for binary search; enforce on
-                // decode so corrupted pages cannot produce wrong lookups.
-                if !entries.strictly_ascending() {
-                    return Err(IndexError::CorruptStructure("unsorted bucket"));
-                }
                 Ok(Node::Bucket { buckets, fanout, entries })
             }
             other => Err(CodecError::BadTag(other).into()),

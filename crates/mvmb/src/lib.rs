@@ -113,16 +113,19 @@ impl MvmbTree {
     }
 
     /// Split `items` into balanced chunks of at most `max` and emit one
-    /// node per chunk via `build` into the commit's `batch`. The chunk
-    /// nodes are siblings, so they are hashed as one
-    /// [`PageBatch::push_many`] group (the multi-lane hasher); a batch
-    /// grown past the spill threshold is then handed to the store early.
-    fn emit_chunks<T: Clone>(
+    /// page per chunk, encoded straight from the chunk by `encode`, into
+    /// the commit's `batch`; `key` is an item's key, and a chunk's last
+    /// one is its page's max key. The chunk pages are siblings, so they
+    /// are hashed as one [`PageBatch::push_many`] group (the multi-lane
+    /// hasher); a batch grown past the spill threshold is then handed to
+    /// the store early.
+    fn emit_chunks<T>(
         &self,
         batch: &mut PageBatch,
         items: Vec<T>,
         max: usize,
-        build: impl Fn(Vec<T>) -> Node,
+        encode: fn(&[T]) -> Bytes,
+        key: fn(&T) -> &Bytes,
     ) -> Result<Vec<ChildRef>> {
         if items.is_empty() {
             return Ok(Vec::new());
@@ -132,9 +135,8 @@ impl MvmbTree {
         let mut max_keys = Vec::with_capacity(parts);
         let mut pages = Vec::with_capacity(parts);
         for chunk in items.chunks(per) {
-            let node = build(chunk.to_vec());
-            max_keys.push(node.max_key().expect("never store empty nodes"));
-            pages.push(node.encode());
+            max_keys.push(key(chunk.last().expect("never store empty nodes")).clone());
+            pages.push(encode(chunk));
         }
         let hashes = batch.push_many(pages);
         batch.spill_if_full(self.store())?;
@@ -158,10 +160,7 @@ impl MvmbTree {
         ops: &[BatchOp],
     ) -> Result<Vec<ChildRef>> {
         match &*self.reader.load(&node_hash)? {
-            Node::Leaf(old) => {
-                let merged = apply_ops(old, ops);
-                self.emit_chunks(batch, merged, self.params.max_leaf_entries, Node::Leaf)
-            }
+            Node::Leaf(old) => self.emit_leaves(batch, apply_ops(old, ops)),
             Node::Internal(children) => {
                 // Partition the batch across children by routing range.
                 let mut pieces: Vec<ChildRef> = Vec::with_capacity(children.len() + 2);
@@ -171,7 +170,7 @@ impl MvmbTree {
                     let split = if is_last {
                         rest.len() // everything beyond the last max clamps right
                     } else {
-                        rest.partition_point(|op| op.key <= child.max_key)
+                        rest.partition_point(|op| op.key.as_ref() <= child.key())
                     };
                     let (mine, remaining) = rest.split_at(split);
                     rest = remaining;
@@ -179,13 +178,13 @@ impl MvmbTree {
                         // Untouched subtree: reuse wholesale (Recursively
                         // Identical in action) without reading it — its
                         // routing entry already holds the max key.
-                        pieces.push(child.clone());
+                        pieces.push(child.to_ref());
                     } else {
-                        pieces.extend(self.apply_rec(batch, child.hash, mine)?);
+                        pieces.extend(self.apply_rec(batch, child.hash(), mine)?);
                     }
                 }
                 debug_assert!(rest.is_empty());
-                self.emit_chunks(batch, pieces, self.params.max_internal_children, Node::Internal)
+                self.emit_internals(batch, pieces)
             }
         }
     }
@@ -205,7 +204,7 @@ impl MvmbTree {
                 None => self.reader.load(&root)?,
             };
             match &*node {
-                Node::Internal(children) if children.len() == 1 => root = children[0].hash,
+                Node::Internal(children) if children.len() == 1 => root = children.hash(0),
                 _ => return Ok(root),
             }
         }
@@ -213,13 +212,25 @@ impl MvmbTree {
 
     /// Build a tree bottom-up from scratch for the first batch.
     fn build_fresh(&self, batch: &mut PageBatch, entries: Vec<Entry>) -> Result<Vec<ChildRef>> {
-        let mut pieces =
-            self.emit_chunks(batch, entries, self.params.max_leaf_entries, Node::Leaf)?;
+        let mut pieces = self.emit_leaves(batch, entries)?;
         while pieces.len() > 1 {
-            pieces =
-                self.emit_chunks(batch, pieces, self.params.max_internal_children, Node::Internal)?;
+            pieces = self.emit_internals(batch, pieces)?;
         }
         Ok(pieces)
+    }
+
+    fn emit_leaves(&self, batch: &mut PageBatch, entries: Vec<Entry>) -> Result<Vec<ChildRef>> {
+        let max = self.params.max_leaf_entries;
+        self.emit_chunks(batch, entries, max, Node::encode_leaf, |e| &e.key)
+    }
+
+    fn emit_internals(
+        &self,
+        batch: &mut PageBatch,
+        pieces: Vec<ChildRef>,
+    ) -> Result<Vec<ChildRef>> {
+        let max = self.params.max_internal_children;
+        self.emit_chunks(batch, pieces, max, Node::encode_internal, |c| &c.max_key)
     }
 
     /// Number of levels (0 for an empty tree).
@@ -264,8 +275,7 @@ impl SiriIndex for MvmbTree {
         };
         // Grow upward while the top level overflows a single node.
         while pieces.len() > 1 {
-            pieces =
-                self.emit_chunks(pages, pieces, self.params.max_internal_children, Node::Internal)?;
+            pieces = self.emit_internals(pages, pieces)?;
         }
         // Deletes may have emptied the tree entirely, or left a lone-child
         // chain at the top; prune both.
@@ -330,7 +340,7 @@ impl StructureStats for MvmbTree {
                     leaves += 1;
                     entries += items.len() as u64;
                 }
-                Node::Internal(children) => stack.extend(children.iter().map(|c| c.hash)),
+                Node::Internal(children) => stack.extend(children.iter().map(|c| c.hash())),
             }
         }
         Ok(StructureReport {

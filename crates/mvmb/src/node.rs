@@ -8,8 +8,8 @@
 //! with the hash of their immediate children" (§5.2).
 
 use bytes::Bytes;
-use siri_core::ordered::{ChildRef, OrderedNode};
-use siri_core::{entry_codec, Entry, IndexError, PageNode, Result};
+use siri_core::ordered::{self, ChildRef, ChildRun, OrderedNode};
+use siri_core::{entry_codec, Entry, PageNode, Result};
 use siri_crypto::Hash;
 use siri_encoding::{ByteReader, ByteWriter, CodecError};
 
@@ -19,50 +19,35 @@ const TAG_LEAF: u8 = 0x12;
 /// Decoded MVMB+-Tree page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
-    Internal(Vec<ChildRef>),
+    Internal(ChildRun),
     Leaf(Vec<Entry>),
 }
 
 impl Node {
-    pub fn encode(&self) -> Bytes {
-        let mut w = ByteWriter::with_capacity(self.encoded_len());
-        self.encode_into(&mut w);
-        debug_assert_eq!(w.len(), self.encoded_len());
+    /// The internal page of `children`, encoded straight from the
+    /// builder's list — no decoded node is built on the write path.
+    pub fn encode_internal(children: &[ChildRef]) -> Bytes {
+        let mut w = ByteWriter::with_capacity(1 + ChildRun::encoded_len(children));
+        w.put_u8(TAG_INTERNAL);
+        ChildRun::write(&mut w, children);
         Bytes::from(w.into_vec())
     }
 
-    /// Exact byte length of [`Node::encode`]'s output — pages are sized to
-    /// their final length in one allocation.
-    pub fn encoded_len(&self) -> usize {
-        use siri_encoding::varint;
-        match self {
-            Node::Internal(children) => {
-                1 + varint::len(children.len() as u64)
-                    + children
-                        .iter()
-                        .map(|c| varint::len(c.max_key.len() as u64) + c.max_key.len() + Hash::LEN)
-                        .sum::<usize>()
-            }
-            Node::Leaf(entries) => 1 + entry_codec::entries_encoded_len(entries),
-        }
+    /// The leaf page of `entries`, encoded straight from the slice.
+    pub fn encode_leaf(entries: &[Entry]) -> Bytes {
+        let mut w = ByteWriter::with_capacity(1 + entry_codec::entries_encoded_len(entries));
+        w.put_u8(TAG_LEAF);
+        entry_codec::encode_entries_into(&mut w, entries);
+        Bytes::from(w.into_vec())
     }
 
-    /// Serialize into an existing writer — entries stream straight into the
-    /// page buffer instead of transiting a temporary `Vec`.
-    pub fn encode_into(&self, w: &mut ByteWriter) {
+    /// The page: the tag, then the child run or the entry run.
+    pub fn encode(&self) -> Bytes {
         match self {
             Node::Internal(children) => {
-                w.put_u8(TAG_INTERNAL);
-                w.put_varint(children.len() as u64);
-                for c in children {
-                    w.put_bytes(&c.max_key);
-                    w.put_raw(c.hash.as_bytes());
-                }
+                Bytes::from([&[TAG_INTERNAL], children.as_bytes()].concat())
             }
-            Node::Leaf(entries) => {
-                w.put_u8(TAG_LEAF);
-                entry_codec::encode_entries_into(w, entries);
-            }
+            Node::Leaf(entries) => Self::encode_leaf(entries),
         }
     }
 
@@ -71,51 +56,23 @@ impl Node {
         Self::decode_zc(&Bytes::copy_from_slice(page))
     }
 
-    /// Zero-copy decode: keys and values are refcounted slices of the page
-    /// — the hot read path.
+    /// Zero-copy decode: keys, values and the child run are refcounted
+    /// slices of the page — the hot read path.
     pub fn decode_zc(page: &Bytes) -> Result<Node> {
         let mut r = ByteReader::new(page);
         match r.get_u8()? {
-            TAG_INTERNAL => {
-                let count = r.get_varint()?;
-                if count == 0 || count > page.len() as u64 {
-                    return Err(CodecError::BadLength { what: "child count" }.into());
-                }
-                let mut children = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let klen = r.get_varint()? as usize;
-                    let koff = r.offset();
-                    r.get_raw(klen)?;
-                    let max_key = page.slice(koff..koff + klen);
-                    let hash = Hash::from_slice(r.get_raw(Hash::LEN)?)
-                        .ok_or(IndexError::CorruptStructure("bad child digest length"))?;
-                    children.push(ChildRef { max_key, hash });
-                }
-                r.finish()?;
-                if children.windows(2).any(|w| w[0].max_key >= w[1].max_key) {
-                    return Err(IndexError::CorruptStructure("unsorted internal node"));
-                }
-                Ok(Node::Internal(children))
-            }
-            TAG_LEAF => {
-                let entries = entry_codec::decode_entries_zc(page, r.offset())?;
-                if entries.windows(2).any(|w| w[0].key >= w[1].key) {
-                    return Err(IndexError::CorruptStructure("unsorted leaf"));
-                }
-                Ok(Node::Leaf(entries))
-            }
+            TAG_INTERNAL => Ok(Node::Internal(ChildRun::decode(page, r.offset())?)),
+            TAG_LEAF => Ok(Node::Leaf(entry_codec::decode_entries_zc(page, r.offset())?)),
             other => Err(CodecError::BadTag(other).into()),
         }
     }
 
     /// Child hashes referenced by a page — the store-walk decoder. A leaf
-    /// says so in its tag byte and is not decoded.
+    /// says so in its tag byte and is not decoded; an internal page's run
+    /// is read in place.
     pub fn children_of_page(page: &[u8]) -> Vec<Hash> {
-        if page.first() == Some(&TAG_LEAF) {
-            return Vec::new();
-        }
-        match Node::decode(page) {
-            Ok(Node::Internal(children)) => children.into_iter().map(|c| c.hash).collect(),
+        match page.split_first() {
+            Some((&TAG_INTERNAL, run)) => ChildRun::digests(run).unwrap_or_default(),
             _ => Vec::new(),
         }
     }
@@ -123,7 +80,7 @@ impl Node {
     /// Max key of this node's content (used when building parents).
     pub fn max_key(&self) -> Option<Bytes> {
         match self {
-            Node::Internal(children) => children.last().map(|c| c.max_key.clone()),
+            Node::Internal(children) => children.max_key(),
             Node::Leaf(entries) => entries.last().map(|e| e.key.clone()),
         }
     }
@@ -143,9 +100,9 @@ impl OrderedNode for Node {
         }
     }
 
-    fn children(&self) -> &[ChildRef] {
+    fn children(&self) -> &ChildRun {
         match self {
-            Node::Leaf(_) => &[],
+            Node::Leaf(_) => ordered::no_children(),
             Node::Internal(children) => children,
         }
     }
@@ -168,7 +125,7 @@ mod tests {
     fn round_trips() {
         let leaf = Node::Leaf(vec![e("a", "1"), e("b", "2")]);
         assert_eq!(Node::decode(&leaf.encode()).unwrap(), leaf);
-        let internal = Node::Internal(vec![cr("m", "c1"), cr("z", "c2")]);
+        let internal = Node::Internal(ChildRun::new(&[cr("m", "c1"), cr("z", "c2")]));
         assert_eq!(Node::decode(&internal.encode()).unwrap(), internal);
     }
 
@@ -176,7 +133,10 @@ mod tests {
     fn max_key() {
         assert_eq!(Node::Leaf(vec![e("a", "1"), e("q", "2")]).max_key().unwrap().as_ref(), b"q");
         assert_eq!(
-            Node::Internal(vec![cr("m", "x"), cr("z", "y")]).max_key().unwrap().as_ref(),
+            Node::Internal(ChildRun::new(&[cr("m", "x"), cr("z", "y")]))
+                .max_key()
+                .unwrap()
+                .as_ref(),
             b"z"
         );
         assert!(Node::Leaf(Vec::new()).max_key().is_none());
@@ -184,21 +144,20 @@ mod tests {
 
     #[test]
     fn routing() {
-        use siri_core::ordered::route;
-        let node = Node::Internal(vec![cr("f", "1"), cr("m", "2"), cr("t", "3")]);
-        assert_eq!(route(node.children(), b"a"), Ok(0));
-        assert_eq!(route(node.children(), b"f"), Ok(0), "boundary key belongs left");
-        assert_eq!(route(node.children(), b"g"), Ok(1));
-        assert_eq!(route(node.children(), b"m"), Ok(1));
-        assert_eq!(route(node.children(), b"t"), Ok(2));
-        assert_eq!(route(node.children(), b"zz"), Ok(2), "beyond max clamps right");
+        let node = Node::Internal(ChildRun::new(&[cr("f", "1"), cr("m", "2"), cr("t", "3")]));
+        assert_eq!(node.children().route(b"a"), Ok(0));
+        assert_eq!(node.children().route(b"f"), Ok(0), "boundary key belongs left");
+        assert_eq!(node.children().route(b"g"), Ok(1));
+        assert_eq!(node.children().route(b"m"), Ok(1));
+        assert_eq!(node.children().route(b"t"), Ok(2));
+        assert_eq!(node.children().route(b"zz"), Ok(2), "beyond max clamps right");
     }
 
     #[test]
     fn decode_rejects_disorder_and_bad_tags() {
         let bad_leaf = Node::Leaf(vec![e("b", "1"), e("a", "1")]);
         assert!(Node::decode(&bad_leaf.encode()).is_err());
-        let bad_internal = Node::Internal(vec![cr("z", "1"), cr("a", "2")]);
+        let bad_internal = Node::Internal(ChildRun::new(&[cr("z", "1"), cr("a", "2")]));
         assert!(Node::decode(&bad_internal.encode()).is_err());
         assert!(Node::decode(&[0x55]).is_err());
         assert!(Node::decode(&[TAG_INTERNAL, 0]).is_err(), "zero children");

@@ -27,7 +27,7 @@ use siri_crypto::{Hash, RollingHash};
 use siri_encoding::{ByteWriter, Scratch};
 use siri_store::{PageBatch, SharedStore};
 
-use crate::node::{self, Node};
+use crate::node;
 use crate::params::{InternalChunking, PosParams, SplitPolicy};
 
 /// Leaves queued for one multi-lane hashing round. Small enough that a
@@ -227,16 +227,14 @@ impl LevelBuilder {
     }
 
     fn seal(&mut self, batch: &mut PageBatch) -> ChildRef {
-        let children = std::mem::take(&mut self.children);
         self.bytes_in_node = 0;
         if let Judge::Window(chunker) = &mut self.judge {
             chunker.reset();
         }
-        let node = Node::Internal { salt: self.salt, level: self.level, children };
-        let max_key = node.max_key().expect("sealed nodes are non-empty");
-        let w = self.page_buf.start();
-        w.reserve_total(node.encoded_len());
-        node.encode_into(w);
+        let last = self.children.last().expect("sealed nodes are non-empty");
+        let max_key = last.max_key.clone();
+        node::encode_internal(self.page_buf.start(), self.salt, self.level, &self.children);
+        self.children.clear();
         let hash = batch.push_slice(self.page_buf.bytes());
         ChildRef { max_key, hash }
     }
@@ -432,6 +430,7 @@ impl<'a> Builders<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Node;
     use siri_core::MemStore;
 
     fn entries(n: usize) -> Vec<Entry> {
@@ -568,7 +567,7 @@ mod tests {
         while let Some(h) = stack.pop() {
             let page = store.get(&h).unwrap();
             match Node::decode(&page).unwrap() {
-                Node::Internal { children, .. } => stack.extend(children.iter().map(|c| c.hash)),
+                Node::Internal { children, .. } => stack.extend(children.iter().map(|c| c.hash())),
                 Node::Leaf { entries, .. } => {
                     let bytes: usize =
                         entries.iter().map(siri_core::entry_codec::entry_encoded_len).sum();

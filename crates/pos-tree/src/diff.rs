@@ -71,7 +71,7 @@ fn children(tree: &PosTree, run: &[Hash], level: u32) -> Result<Vec<Hash>> {
     for hash in run {
         match &*tree.reader.fetch(hash)?.0 {
             Node::Internal { level: l, children, .. } if *l == level => {
-                out.extend(children.iter().map(|c| c.hash));
+                out.extend(children.iter().map(|c| c.hash()));
             }
             _ => return Err(IndexError::CorruptStructure("level mismatch")),
         }

@@ -139,7 +139,7 @@ impl PosTree {
                 continue;
             }
             let node = self.reader.load(&h)?;
-            stack.extend(node.children().iter().map(|c| c.hash));
+            stack.extend(node.children().iter().map(|c| c.hash()));
             let level = node.level() as usize;
             if levels.len() <= level {
                 levels.resize(level + 1, (0, 0));

@@ -13,10 +13,10 @@
 //! the tree" under content addressing.
 
 use bytes::Bytes;
-use siri_core::ordered::{ChildRef, OrderedNode};
-use siri_core::{entry_codec, Entry, IndexError, PageNode, Result};
+use siri_core::ordered::{self, ChildRef, ChildRun, OrderedNode};
+use siri_core::{entry_codec, Entry, PageNode, Result};
 use siri_crypto::Hash;
-use siri_encoding::{ByteReader, ByteWriter, CodecError};
+use siri_encoding::{varint, ByteReader, ByteWriter, CodecError};
 
 const TAG_LEAF: u8 = 0x21;
 const TAG_INTERNAL: u8 = 0x22;
@@ -35,11 +35,31 @@ pub(crate) fn write_leaf_header(w: &mut ByteWriter, salt: u64, count: u64) {
     w.put_varint(count);
 }
 
+/// Everything of an internal page that precedes its child run:
+/// `tag ‖ varint(salt) ‖ varint(level)`.
+fn write_internal_header(w: &mut ByteWriter, salt: u64, level: u32) {
+    w.put_u8(TAG_INTERNAL);
+    w.put_varint(salt);
+    w.put_varint(level as u64);
+}
+
+fn internal_header_len(salt: u64, level: u32) -> usize {
+    1 + varint::len(salt) + varint::len(level as u64)
+}
+
+/// Encode the internal page of `children` straight from the builder's
+/// list — the write path's encoder, which never builds a decoded node.
+pub(crate) fn encode_internal(w: &mut ByteWriter, salt: u64, level: u32, children: &[ChildRef]) {
+    w.reserve_total(internal_header_len(salt, level) + ChildRun::encoded_len(children));
+    write_internal_header(w, salt, level);
+    ChildRun::write(w, children);
+}
+
 /// Decoded POS-Tree page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
     Leaf { salt: u64, entries: Vec<Entry> },
-    Internal { salt: u64, level: u32, children: Vec<ChildRef> },
+    Internal { salt: u64, level: u32, children: ChildRun },
 }
 
 impl Node {
@@ -53,19 +73,12 @@ impl Node {
     /// Exact byte length of [`Node::encode`]'s output — pages are sized to
     /// their final length in one allocation.
     pub fn encoded_len(&self) -> usize {
-        use siri_encoding::varint;
         match self {
             Node::Leaf { salt, entries } => {
                 1 + varint::len(*salt) + entry_codec::entries_encoded_len(entries)
             }
             Node::Internal { salt, level, children } => {
-                1 + varint::len(*salt)
-                    + varint::len(*level as u64)
-                    + varint::len(children.len() as u64)
-                    + children
-                        .iter()
-                        .map(|c| varint::len(c.max_key.len() as u64) + c.max_key.len() + Hash::LEN)
-                        .sum::<usize>()
+                internal_header_len(*salt, *level) + children.as_bytes().len()
             }
         }
     }
@@ -81,14 +94,8 @@ impl Node {
                 }
             }
             Node::Internal { salt, level, children } => {
-                w.put_u8(TAG_INTERNAL);
-                w.put_varint(*salt);
-                w.put_varint(*level as u64);
-                w.put_varint(children.len() as u64);
-                for c in children {
-                    w.put_bytes(&c.max_key);
-                    w.put_raw(c.hash.as_bytes());
-                }
+                write_internal_header(w, *salt, *level);
+                w.put_raw(children.as_bytes());
             }
         }
     }
@@ -98,40 +105,20 @@ impl Node {
         Self::decode_zc(&Bytes::copy_from_slice(page))
     }
 
-    /// Zero-copy decode: keys and values are refcounted slices of the page
-    /// — the hot read path.
+    /// Zero-copy decode: keys, values and the child run are refcounted
+    /// slices of the page — the hot read path.
     pub fn decode_zc(page: &Bytes) -> Result<Node> {
         let mut r = ByteReader::new(page);
         match r.get_u8()? {
             TAG_LEAF => {
                 let salt = r.get_varint()?;
                 let entries = entry_codec::decode_entries_zc(page, r.offset())?;
-                if entries.windows(2).any(|w| w[0].key >= w[1].key) {
-                    return Err(IndexError::CorruptStructure("unsorted leaf"));
-                }
                 Ok(Node::Leaf { salt, entries })
             }
             TAG_INTERNAL => {
                 let salt = r.get_varint()?;
                 let level = r.get_varint()? as u32;
-                let count = r.get_varint()?;
-                if count == 0 || count > page.len() as u64 {
-                    return Err(CodecError::BadLength { what: "child count" }.into());
-                }
-                let mut children = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let klen = r.get_varint()? as usize;
-                    let koff = r.offset();
-                    r.get_raw(klen)?;
-                    let max_key = page.slice(koff..koff + klen);
-                    let hash = Hash::from_slice(r.get_raw(Hash::LEN)?)
-                        .ok_or(IndexError::CorruptStructure("bad child digest length"))?;
-                    children.push(ChildRef { max_key, hash });
-                }
-                r.finish()?;
-                if children.windows(2).any(|w| w[0].max_key >= w[1].max_key) {
-                    return Err(IndexError::CorruptStructure("unsorted internal node"));
-                }
+                let children = ChildRun::decode(page, r.offset())?;
                 Ok(Node::Internal { salt, level, children })
             }
             other => Err(CodecError::BadTag(other).into()),
@@ -139,13 +126,15 @@ impl Node {
     }
 
     /// Child digests referenced by a page — the store-walk decoder. A leaf
-    /// says so in its tag byte and is not decoded.
+    /// says so in its tag byte and is not decoded; an internal page's run
+    /// is read in place.
     pub fn children_of_page(page: &[u8]) -> Vec<Hash> {
-        if page.first() == Some(&TAG_LEAF) {
-            return Vec::new();
-        }
-        match Node::decode(page) {
-            Ok(Node::Internal { children, .. }) => children.into_iter().map(|c| c.hash).collect(),
+        let mut r = ByteReader::new(page);
+        let header = (r.get_u8(), r.get_varint(), r.get_varint());
+        match header {
+            (Ok(TAG_INTERNAL), Ok(_), Ok(_)) => {
+                ChildRun::digests(&page[r.offset()..]).unwrap_or_default()
+            }
             _ => Vec::new(),
         }
     }
@@ -161,7 +150,7 @@ impl Node {
     pub fn max_key(&self) -> Option<Bytes> {
         match self {
             Node::Leaf { entries, .. } => entries.last().map(|e| e.key.clone()),
-            Node::Internal { children, .. } => children.last().map(|c| c.max_key.clone()),
+            Node::Internal { children, .. } => children.max_key(),
         }
     }
 }
@@ -180,9 +169,9 @@ impl OrderedNode for Node {
         }
     }
 
-    fn children(&self) -> &[ChildRef] {
+    fn children(&self) -> &ChildRun {
         match self {
-            Node::Leaf { .. } => &[],
+            Node::Leaf { .. } => ordered::no_children(),
             Node::Internal { children, .. } => children,
         }
     }
@@ -205,8 +194,11 @@ mod tests {
     fn round_trips() {
         let leaf = Node::Leaf { salt: 0, entries: vec![e("a", "1"), e("b", "2")] };
         assert_eq!(Node::decode(&leaf.encode()).unwrap(), leaf);
-        let internal =
-            Node::Internal { salt: 3, level: 2, children: vec![p("m", "x"), p("z", "y")] };
+        let internal = Node::Internal {
+            salt: 3,
+            level: 2,
+            children: ChildRun::new(&[p("m", "x"), p("z", "y")]),
+        };
         assert_eq!(Node::decode(&internal.encode()).unwrap(), internal);
     }
 
@@ -219,8 +211,10 @@ mod tests {
 
     #[test]
     fn level_distinguishes_pages() {
-        let a = Node::Internal { salt: 0, level: 1, children: vec![p("k", "c")] }.encode();
-        let b = Node::Internal { salt: 0, level: 2, children: vec![p("k", "c")] }.encode();
+        let a =
+            Node::Internal { salt: 0, level: 1, children: ChildRun::new(&[p("k", "c")]) }.encode();
+        let b =
+            Node::Internal { salt: 0, level: 2, children: ChildRun::new(&[p("k", "c")]) }.encode();
         assert_ne!(a, b);
     }
 
@@ -229,17 +223,21 @@ mod tests {
         assert!(Node::decode(&[0x99]).is_err());
         let unsorted = Node::Leaf { salt: 0, entries: vec![e("b", "1"), e("a", "2")] };
         assert!(Node::decode(&unsorted.encode()).is_err());
-        let internal = Node::Internal { salt: 0, level: 1, children: vec![p("a", "x")] };
+        let internal =
+            Node::Internal { salt: 0, level: 1, children: ChildRun::new(&[p("a", "x")]) };
         let enc = internal.encode();
         assert!(Node::decode(&enc[..enc.len() - 2]).is_err());
     }
 
     #[test]
     fn routing_clamps() {
-        use siri_core::ordered::route;
-        let node = Node::Internal { salt: 0, level: 1, children: vec![p("f", "1"), p("m", "2")] };
-        assert_eq!(route(node.children(), b"a"), Ok(0));
-        assert_eq!(route(node.children(), b"f"), Ok(0));
-        assert_eq!(route(node.children(), b"zzz"), Ok(1));
+        let node = Node::Internal {
+            salt: 0,
+            level: 1,
+            children: ChildRun::new(&[p("f", "1"), p("m", "2")]),
+        };
+        assert_eq!(node.children().route(b"a"), Ok(0));
+        assert_eq!(node.children().route(b"f"), Ok(0));
+        assert_eq!(node.children().route(b"zzz"), Ok(1));
     }
 }

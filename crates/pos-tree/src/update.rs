@@ -40,7 +40,7 @@ use std::num::NonZeroUsize;
 use std::thread;
 
 use bytes::Bytes;
-use siri_core::ordered::{ChildRef, OrderedNode};
+use siri_core::ordered::{Child, ChildRef, OrderedNode};
 use siri_core::{apply_ops, BatchOp, Entry, IndexError, PageReader, Result};
 use siri_crypto::Hash;
 use siri_store::{PageBatch, SharedStore};
@@ -235,7 +235,7 @@ trait Sink {
     /// Take an untouched, pattern-closed old node of `level` whole if the
     /// pipeline sits on a boundary that allows it; `false` means the walk
     /// must descend into the node.
-    fn take_whole(&mut self, level: u32, piece: &ChildRef) -> Result<bool>;
+    fn take_whole(&mut self, level: u32, piece: Child<'_>) -> Result<bool>;
 }
 
 /// Range 0 and the level stage: straight into the level builders. A node
@@ -246,11 +246,11 @@ impl Sink for Builders<'_> {
         Builders::push_entry(self, entry)
     }
 
-    fn take_whole(&mut self, level: u32, piece: &ChildRef) -> Result<bool> {
+    fn take_whole(&mut self, level: u32, piece: Child<'_>) -> Result<bool> {
         if !self.clean_below(level)? {
             return Ok(false);
         }
-        self.pass_through(level, piece.clone())?;
+        self.pass_through(level, piece.to_ref())?;
         Ok(true)
     }
 }
@@ -275,12 +275,12 @@ impl Sink for RangeSink<'_> {
         Ok(())
     }
 
-    fn take_whole(&mut self, level: u32, piece: &ChildRef) -> Result<bool> {
+    fn take_whole(&mut self, level: u32, piece: Child<'_>) -> Result<bool> {
         if !self.leaves.at_boundary() {
             return Ok(false);
         }
         self.flush()?;
-        self.tokens.push((level, piece.clone()));
+        self.tokens.push((level, piece.to_ref()));
         Ok(true)
     }
 }
@@ -336,8 +336,8 @@ fn replay(
     }
     builders.absorb(staged.pages)?;
     for (level, piece) in &staged.tokens {
-        if !builders.take_whole(*level, piece)? {
-            descend(reader, builders, *level, piece, &[], false, Clip::default())?;
+        if !builders.take_whole(*level, piece.as_child())? {
+            descend(reader, builders, *level, &piece.hash, &[], false, Clip::default())?;
         }
     }
     Ok(())
@@ -349,12 +349,12 @@ fn descend<S: Sink>(
     reader: &PageReader<Node>,
     sink: &mut S,
     level: u32,
-    piece: &ChildRef,
+    hash: &Hash,
     edits: &[BatchOp],
     rightmost: bool,
     clip: Clip<'_>,
 ) -> Result<()> {
-    let node = reader.load(&piece.hash)?;
+    let node = reader.load(hash)?;
     if node.level() != level {
         return Err(IndexError::CorruptStructure("level mismatch"));
     }
@@ -391,7 +391,7 @@ fn walk<S: Sink>(
                 let inner = if clip.is_whole() {
                     clip
                 } else {
-                    let max = piece.max_key.as_ref();
+                    let max = piece.key();
                     match clip.child(before.replace(max), max) {
                         Some(inner) => inner,
                         None => continue,
@@ -401,7 +401,7 @@ fn walk<S: Sink>(
                 let split = if last {
                     rest.len() // clamp beyond-max edits into the last child
                 } else {
-                    rest.partition_point(|e| e.key <= piece.max_key)
+                    rest.partition_point(|e| e.key.as_ref() <= piece.key())
                 };
                 let (mine, remaining) = rest.split_at(split);
                 rest = remaining;
@@ -418,7 +418,7 @@ fn walk<S: Sink>(
                 {
                     continue;
                 }
-                descend(reader, sink, child_level, piece, mine, child_rightmost, inner)?;
+                descend(reader, sink, child_level, &piece.hash(), mine, child_rightmost, inner)?;
             }
             debug_assert!(rest.is_empty());
             Ok(())
@@ -482,7 +482,7 @@ fn tree_cuts(
     // Every level from the root's children down to the run, each node with
     // the index of its parent one level up.
     let mut levels: Vec<Vec<(ChildRef, usize)>> =
-        vec![root.children().iter().map(|c| (c.clone(), 0)).collect()];
+        vec![root.children().iter().map(|c| (c.to_ref(), 0)).collect()];
     while levels[levels.len() - 1].len() < 4 * workers {
         let level = top - levels.len() as u32;
         if level == 0 {
@@ -494,7 +494,7 @@ fn tree_cuts(
             if node.level() != level {
                 return Err(IndexError::CorruptStructure("level mismatch"));
             }
-            below.extend(node.children().iter().map(|c| (c.clone(), parent)));
+            below.extend(node.children().iter().map(|c| (c.to_ref(), parent)));
         }
         levels.push(below);
     }
@@ -522,8 +522,8 @@ fn tree_cuts(
         }
         let mut node = reader.load(&piece.hash)?;
         for _ in 0..run_level {
-            let Some(child) = node.children().last() else { return Ok(false) };
-            node = reader.load(&child.hash)?;
+            let Some(child) = node.children().iter().next_back() else { return Ok(false) };
+            node = reader.load(&child.hash())?;
         }
         Ok(match node.entries().and_then(|es| es.last()) {
             Some(e) => e.key == piece.max_key && history_free(params, salt, e),
@@ -636,14 +636,14 @@ fn splice_rec(
                 let split = if last {
                     rest.len()
                 } else {
-                    rest.partition_point(|e| e.key <= piece.max_key)
+                    rest.partition_point(|e| e.key.as_ref() <= piece.key())
                 };
                 let (mine, remaining) = rest.split_at(split);
                 rest = remaining;
                 if mine.is_empty() {
-                    new_children.push(piece.clone());
+                    new_children.push(piece.to_ref());
                 } else {
-                    let child = reader.load(&piece.hash)?;
+                    let child = reader.load(&piece.hash())?;
                     new_children.extend(splice_rec(reader, params, salt, &child, mine, batch)?);
                 }
             }
@@ -1143,16 +1143,17 @@ mod tests {
             let root_node = r.load(&root).unwrap();
             assert_eq!(root_node.level(), 2, "a three-level tree");
             let level1: Vec<Bytes> =
-                root_node.children().iter().map(|c| c.max_key.clone()).collect();
+                root_node.children().iter().map(|c| c.to_ref().max_key).collect();
             // Fewer than 4 · workers level-1 nodes: the cuts fall between
             // leaves, one level below the nodes they must not split.
             let workers = level1.len() / 4 + 1;
             let id = |k: &Bytes| std::str::from_utf8(&k[3..]).unwrap().parse::<u64>().unwrap();
             let mut split = 0;
-            for node in &root_node.children()[..level1.len() - 2] {
+            for node in root_node.children().iter().take(level1.len() - 2) {
                 // The cluster ends one leaf before the node does, so the
                 // re-chunking can settle inside it.
-                let leaves = r.load(&node.hash).unwrap().children().to_vec();
+                let leaves: Vec<ChildRef> =
+                    r.load(&node.hash()).unwrap().children().iter().map(|c| c.to_ref()).collect();
                 let end = id(&leaves[leaves.len().saturating_sub(2)].max_key);
                 if end < 150 {
                     continue;
@@ -1210,7 +1211,7 @@ mod tests {
             // the planner never reads it: its pages fault in the worker.
             let mut spine = vec![root];
             while let Node::Internal { children, .. } = &*reader(&store).load(&spine[0]).unwrap() {
-                spine.insert(0, children[children.len() - 1].hash);
+                spine.insert(0, children.hash(children.len() - 1));
             }
             let (leaf, parent) = (spine[0], spine[1]);
             let pages = faulty.inner.len();

@@ -10,7 +10,7 @@ use std::ops::Bound::{Excluded, Included, Unbounded};
 
 use matrix::{Config, STORES};
 use siri::crypto::sha256;
-use siri::ordered::OrderedNode;
+use siri::ordered::{ChildRun, OrderedNode};
 use siri::workloads::YcsbConfig;
 use siri::{
     siri_properties, Bytes, Entry, Hash, IndexError, IndexFactory, MbtFactory, MemStore,
@@ -333,7 +333,7 @@ fn leaves<N: PageNode + OrderedNode>(store: &SharedStore, root: Hash) -> Vec<(Ha
         let node = reader.load(&hash).unwrap();
         match node.entries() {
             Some(entries) => out.push((hash, entries.to_vec())),
-            None => stack.extend(node.children().iter().rev().map(|c| c.hash)),
+            None => stack.extend(node.children().iter().rev().map(|c| c.hash())),
         }
     }
     out
@@ -418,10 +418,11 @@ fn childless_internal_and_empty_leaf_roots_are_errors() {
             assert_eq!(idx.range(Unbounded, Unbounded).count(), 1, "the error ends the stream");
         }
     }
-    let childless = PosNode::Internal { salt: 0, level: 1, children: Vec::new() };
+    let childless = PosNode::Internal { salt: 0, level: 1, children: ChildRun::new(&[]) };
     let empty_leaf = PosNode::Leaf { salt: 0, entries: Vec::new() };
     check(&pos(), childless.encode(), empty_leaf.encode());
-    check(&mvmb(), MvmbNode::Internal(Vec::new()).encode(), MvmbNode::Leaf(Vec::new()).encode());
+    let childless = MvmbNode::Internal(ChildRun::new(&[]));
+    check(&mvmb(), childless.encode(), MvmbNode::Leaf(Vec::new()).encode());
 }
 
 /// A window read with no node cache costs a descent plus the leaves under
