@@ -54,6 +54,11 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_is_two_windows() {
+        assert_eq!(std::mem::size_of::<Entry>(), 64);
+    }
+
+    #[test]
     fn payload_size() {
         assert_eq!(e("key", "value").payload_size(), 8);
     }

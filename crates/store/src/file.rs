@@ -26,10 +26,10 @@
 //! ## Why segments
 //!
 //! * **Reads never touch the append path.** `get` resolves a page to
-//!   `(segment, offset, length)` and issues one positioned read
-//!   (`read_at`); there is no shared cursor to seek and no mutex shared
-//!   with writers. The single-log predecessor funnelled every read through
-//!   the append mutex and a seek/read/seek-back dance.
+//!   `(segment, offset, length)` and serves it from that segment's mapping
+//!   (see *Mapped reads*): no system call, no copy, no shared cursor and no
+//!   mutex shared with writers. The single-log predecessor funnelled every
+//!   read through the append mutex and a seek/read/seek-back dance.
 //! * **Space can be reclaimed.** [`Reclaim::sweep`] compacts by rewriting
 //!   the live pages into a fresh segment generation and atomically swapping
 //!   the manifest (write-temp → fsync → rename → fsync-dir). A crash at any
@@ -51,6 +51,39 @@
 //! it writes — so a segment may overshoot the cap by at most one append's
 //! frames (one commit batch, or one spill of [`crate::PAGE_BATCH_SPILL_BYTES`]).
 //!
+//! ## Mapped reads
+//!
+//! On unix each segment is mapped read-only and shared (`MAP_SHARED`) the
+//! first time a page of it is read, and the mapping is kept in a table. A
+//! page served by `get` is a [`Bytes`] window onto the mapping whose owner
+//! holds the mapping alive, so pages outlive the store, a compaction and
+//! the deletion of their segment file. The open-time scan and compaction
+//! read through mappings too. Elsewhere a segment is read with one
+//! positioned read per page.
+//!
+//! **Reservation.** A mapping may reach past the end of its file: appends
+//! through the file become readable through it, so the growing active
+//! segment is not remapped on every commit. A segment is mapped for the
+//! larger of [`FileStoreOptions::max_segment_bytes`], capped at
+//! [`DEFAULT_SEGMENT_BYTES`], and the offset the read needs, rounded up to
+//! a power of two. A read past the mapping replaces it with a larger one
+//! (the old one lives on in the pages served from it), so a segment that
+//! keeps growing — an uncapped one, or one overshooting its cap by an
+//! append — is remapped a logarithmic number of times.
+//!
+//! **Disk space.** A compacted-away segment returns its disk space only
+//! when the last page served from it drops.
+//!
+//! **No served page loses its bytes.** A page is served only once the
+//! index names it, after the append that wrote it completed, and frames
+//! are never rewritten. The only in-process shortening of a segment is the
+//! failed-append rewind, which cuts bytes that no index entry names. One
+//! behaviour differs from positioned reads: a segment shortened by
+//! *another process* while it is mapped ends the reader with `SIGBUS`
+//! instead of returning an I/O error. Exclusive use of the directory is
+//! what rules that out; running `siri gc` against a database that `siri
+//! serve` has open was already unsafe.
+//!
 //! ## Crash matrix
 //!
 //! | crash during            | on-disk state found at reopen                   | outcome |
@@ -65,9 +98,7 @@
 //! the manifest swap itself is always fsynced.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufReader, Read, Write};
-#[cfg(not(unix))]
-use std::io::{Seek, SeekFrom};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Duration;
@@ -76,13 +107,14 @@ use bytes::Bytes;
 use parking_lot::{LockClass, Mutex, RwLock};
 
 /// Lock classes for the runtime lock-order tracker (DESIGN.md §9). The
-/// durable store's internal order: appender → index → readers, all after
-/// any engine-level lock.
+/// durable store's internal order: appender → index → segment views
+/// (`store.file-readers`), all after any engine-level lock.
 static FILE_APPENDER_CLASS: LockClass = LockClass::new(50, "store.file-appender");
 static FILE_INDEX_CLASS: LockClass = LockClass::new(60, "store.file-index");
 static FILE_READERS_CLASS: LockClass = LockClass::new(65, "store.file-readers");
 use siri_crypto::{sha256, FxHashMap, Hash};
 
+use crate::mapped::{self, SegmentView};
 use crate::stats::AtomicStoreStats;
 use crate::{NodeStore, PageBatch, PageSet, Reclaim, StoreError, StoreResult, StoreStats};
 
@@ -223,15 +255,16 @@ struct GroupState {
 /// Segmented, compacting, file-backed [`NodeStore`].
 ///
 /// Reads resolve through a lock-free-ish path: a shared read lock on the
-/// page index, a shared read lock on the reader-handle cache, then one
-/// positioned `read_at` — no seeking, no interaction with appends.
-/// Counters live in [`AtomicStoreStats`], as in [`crate::MemStore`].
+/// page index, a shared read lock on the segment-view table, then a window
+/// onto the segment's mapping (module docs, *Mapped reads*) — no system
+/// call, no copy, no interaction with appends. Counters live in
+/// [`AtomicStoreStats`], as in [`crate::MemStore`].
 pub struct FileStore {
     dir: PathBuf,
     /// Page digest → on-disk location.
     index: RwLock<FxHashMap<Hash, PageLoc>>,
-    /// Lazily opened read handles, one per segment.
-    readers: RwLock<FxHashMap<u32, Arc<File>>>,
+    /// Lazily mapped segments, one view per segment.
+    views: RwLock<FxHashMap<u32, Arc<SegmentView>>>,
     appender: Mutex<Appender>,
     stats: AtomicStoreStats,
     opts: FileStoreOptions,
@@ -262,21 +295,11 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     }
 }
 
-/// One positioned read, independent of any file cursor.
-fn read_exact_at(file: &File, buf: &mut [u8], off: u64) -> io::Result<()> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        file.read_exact_at(buf, off)
-    }
-    #[cfg(not(unix))]
-    {
-        // Portable fallback: clone the handle and seek the clone. Slower,
-        // but keeps the shared handle's cursor untouched.
-        let mut f = file.try_clone()?;
-        f.seek(SeekFrom::Start(off))?;
-        f.read_exact(buf)
-    }
+/// Bytes to map for a segment whose reads reach `end` (module docs,
+/// *Reservation*).
+fn reservation(end: u64, max_segment_bytes: u64) -> u64 {
+    let at_least = end.max(max_segment_bytes.min(DEFAULT_SEGMENT_BYTES));
+    at_least.checked_next_power_of_two().unwrap_or(at_least)
 }
 
 /// One digest-verified frame found by a recovery scan: `(digest, payload
@@ -285,38 +308,33 @@ type ScannedFrame = (Hash, u64, u32);
 
 /// Forward-scan one segment, returning every digest-verified frame and the
 /// clean end offset (everything past it is torn or corrupt).
+///
+/// The walk reads a mapping of the whole file (on unix), hashing each
+/// payload where it lies. The mapping is gone when this returns, before
+/// `open` may truncate a torn tail.
 fn scan_segment(path: &Path) -> io::Result<(Vec<ScannedFrame>, u64)> {
-    let file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut reader = BufReader::new(file);
+    let data = mapped::read_whole(path)?;
     let mut frames = Vec::new();
-    let mut pos: u64 = 0;
-    let mut valid_end: u64 = 0;
-    loop {
-        let mut header = [0u8; FRAME_HEADER as usize];
-        if reader.read_exact(&mut header).is_err() {
-            break; // clean EOF or torn header
-        }
+    let mut pos = 0usize;
+    // A missing header is a clean EOF or a torn header.
+    while let Some(header) = data.get(pos..pos + FRAME_HEADER as usize) {
         if header[0] != FRAME_MAGIC {
             break; // corrupt frame boundary: stop, keep prefix
         }
         let len = u32::from_le_bytes(header[1..5].try_into().unwrap());
-        if len > MAX_PAGE || pos + FRAME_HEADER + len as u64 > file_len {
-            break; // torn payload
-        }
+        let start = pos + FRAME_HEADER as usize;
+        let payload = match data.get(start..start + len as usize) {
+            Some(payload) if len <= MAX_PAGE => payload,
+            _ => break, // torn payload
+        };
         let digest = Hash::from_slice(&header[5..37]).expect("32 bytes");
-        let mut payload = vec![0u8; len as usize];
-        if reader.read_exact(&mut payload).is_err() {
-            break;
-        }
-        if sha256(&payload) != digest {
+        if sha256(payload) != digest {
             break; // bit rot in the tail: stop at the last good frame
         }
-        frames.push((digest, pos + FRAME_HEADER, len));
-        pos += FRAME_HEADER + len as u64;
-        valid_end = pos;
+        frames.push((digest, start as u64, len));
+        pos = start + len as usize;
     }
-    Ok((frames, valid_end))
+    Ok((frames, pos as u64))
 }
 
 /// Atomically install a manifest naming `segments` (in order).
@@ -452,7 +470,7 @@ impl FileStore {
             FileStore {
                 dir,
                 index: RwLock::with_class(index, &FILE_INDEX_CLASS),
-                readers: RwLock::with_class(FxHashMap::default(), &FILE_READERS_CLASS),
+                views: RwLock::with_class(FxHashMap::default(), &FILE_READERS_CLASS),
                 appender: Mutex::with_class(
                     Appender {
                         segments,
@@ -569,13 +587,34 @@ impl FileStore {
             .sum()
     }
 
-    /// A cached positioned-read handle for one segment.
-    fn reader(&self, seg: u32) -> io::Result<Arc<File>> {
-        if let Some(f) = self.readers.read().get(&seg) {
-            return Ok(Arc::clone(f));
+    /// The view of segment `seg` that reaches offset `end`: the one in the
+    /// table, or a new, larger mapping that replaces it there (pages served
+    /// from the old one keep it alive).
+    fn view(&self, seg: u32, end: u64) -> io::Result<Arc<SegmentView>> {
+        if let Some(view) = self.views.read().get(&seg).filter(|v| v.covers(end)) {
+            return Ok(Arc::clone(view));
         }
-        let file = Arc::new(File::open(seg_path(&self.dir, seg))?);
-        Ok(Arc::clone(self.readers.write().entry(seg).or_insert(file)))
+        let mut views = self.views.write();
+        if let Some(view) = views.get(&seg).filter(|v| v.covers(end)) {
+            return Ok(Arc::clone(view));
+        }
+        let reserve = reservation(end, self.opts.max_segment_bytes);
+        let view = Arc::new(SegmentView::open(&seg_path(&self.dir, seg), reserve)?);
+        views.insert(seg, Arc::clone(&view));
+        Ok(view)
+    }
+
+    /// One indexed page's bytes, from its segment's view: the read path of
+    /// `try_get` and of compaction.
+    fn read_page(&self, loc: PageLoc) -> io::Result<Bytes> {
+        let end = loc.off + loc.len as u64;
+        let view = self.view(loc.seg, end)?;
+        // SAFETY: `view` covers `end`, and `loc` names an indexed frame:
+        // the index names a frame only after the append that wrote it has
+        // completed, frames are never rewritten, and the only in-process
+        // cut (the failed-append rewind) removes bytes past every indexed
+        // frame (module docs, *Mapped reads*).
+        unsafe { view.page(loc.off, loc.len as u64) }
     }
 
     /// Create a brand-new segment file for `id`. A file already at that
@@ -651,10 +690,7 @@ impl FileStore {
         let mut cur_end = 0u64;
         let mut new_index: FxHashMap<Hash, PageLoc> = FxHashMap::default();
         for (digest, loc) in &survivors {
-            let reader = self.reader(loc.seg).map_err(|e| ioerr("compact: open segment", e))?;
-            let mut payload = vec![0u8; loc.len as usize];
-            read_exact_at(&reader, &mut payload, loc.off)
-                .map_err(|e| ioerr("compact: read page", e))?;
+            let payload = self.read_page(*loc).map_err(|e| ioerr("compact: read page", e))?;
             if sha256(&payload) != *digest {
                 return Err(StoreError::Corrupt("live page failed digest check during compaction"));
             }
@@ -706,7 +742,7 @@ impl FileStore {
             .open(seg_path(&self.dir, active_id))
             .map_err(|e| ioerr("compact: reopen active", e))?;
         *self.index.write() = new_index;
-        self.readers.write().clear();
+        self.views.write().clear();
         ap.segments = gen_ids;
         ap.active_id = active_id;
         ap.active = active;
@@ -770,6 +806,8 @@ impl FileStore {
             if let Err(e) = ap.active.write_all(&ap.frame_buf) {
                 // A short write may have left torn frames: rewind to the
                 // last clean boundary so the failed call leaves no trace.
+                // Every indexed frame ends at or before `ap.end`, so no
+                // page served from a mapping loses a byte.
                 let _ = ap.active.set_len(ap.end);
                 return Err(StoreError::io("append", e));
             }
@@ -833,30 +871,22 @@ impl NodeStore for FileStore {
 
     fn try_get(&self, hash: &Hash) -> StoreResult<Option<Bytes>> {
         AtomicStoreStats::add(&self.stats.gets, 1);
-        // Two attempts: a concurrent compaction can swap the generation
-        // between the index lookup and the read. The second attempt re-reads
-        // the (then post-swap) index; in-flight reads on already-open
-        // handles are unaffected by unlink.
+        // Two attempts: a concurrent compaction can swap the generation,
+        // and delete the old segment files, between the index lookup and
+        // mapping the segment. The second attempt re-reads the (then
+        // post-swap) index; pages served and segments mapped before the
+        // swap are unaffected by unlink.
         for attempt in 0..2 {
             let Some(loc) = self.index.read().get(hash).copied() else {
                 return Ok(None);
             };
-            let file = match self.reader(loc.seg) {
-                Ok(f) => f,
-                Err(_) if attempt == 0 => continue,
-                Err(e) => return Err(StoreError::io("open segment", e)),
-            };
-            let mut buf = vec![0u8; loc.len as usize];
-            match read_exact_at(&file, &mut buf, loc.off) {
-                Ok(()) => {
+            match self.read_page(loc) {
+                Ok(page) => {
                     AtomicStoreStats::add(&self.stats.hits, 1);
-                    return Ok(Some(Bytes::from(buf)));
+                    return Ok(Some(page));
                 }
-                Err(_) if attempt == 0 => {
-                    self.readers.write().remove(&loc.seg);
-                    continue;
-                }
-                Err(e) => return Err(StoreError::io("read_at", e)),
+                Err(_) if attempt == 0 => continue,
+                Err(e) => return Err(StoreError::io("read page", e)),
             }
         }
         unreachable!("second attempt returns or errors")
@@ -995,6 +1025,47 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_append_keeps_every_served_page() {
+        let path = tmp("failed-append-served");
+        let (store, _) =
+            FileStore::open_with(&path, small_segments(DEFAULT_SEGMENT_BYTES)).unwrap();
+        let pages: Vec<Bytes> = (0..20u8).map(|i| Bytes::from(vec![i; 300 + i as usize])).collect();
+        let hashes: Vec<Hash> = pages.iter().map(|p| store.put(p.clone())).collect();
+        // Served from the active segment's mapping, and held across the failure.
+        let served: Vec<Bytes> = hashes.iter().map(|h| store.get(h).unwrap()).collect();
+        assert_eq!(served, pages);
+
+        let seg = seg_path(&path, 1);
+        let mut batch = PageBatch::new();
+        for i in 0..5u8 {
+            batch.push(Bytes::from(vec![0xF0 | i; 4000]));
+        }
+        let writable =
+            std::mem::replace(&mut store.appender.lock().active, File::open(&seg).unwrap());
+        assert!(store.try_put_batch(&batch).is_err());
+        assert_eq!(served, pages, "a failed append cuts no served byte");
+        assert!(hashes.iter().zip(&pages).all(|(h, p)| store.get(h).unwrap() == *p));
+
+        // The next appends land past the served pages and are read through
+        // the same, still-growing segment.
+        store.appender.lock().active = writable;
+        store.try_put_batch(&batch).unwrap();
+        for (h, page) in batch.pages() {
+            assert_eq!(store.get(h).unwrap(), *page);
+        }
+        assert_eq!(served, pages);
+    }
+
+    #[test]
+    fn reservation_is_bounded_and_doubles_past_the_cap() {
+        assert_eq!(reservation(100, u64::MAX), DEFAULT_SEGMENT_BYTES, "uncapped ⇒ default cap");
+        assert_eq!(reservation(100, DEFAULT_SEGMENT_BYTES), DEFAULT_SEGMENT_BYTES);
+        assert_eq!(reservation(100, 256), 256);
+        assert_eq!(reservation(300, 256), 512);
+        assert_eq!(reservation(DEFAULT_SEGMENT_BYTES + 1, u64::MAX), 2 * DEFAULT_SEGMENT_BYTES);
+    }
+
+    #[test]
     fn bit_rot_in_tail_stops_the_scan() {
         let path = tmp("bitrot");
         let h_good;
@@ -1026,7 +1097,7 @@ mod tests {
             let (store, _) = FileStore::open_with(&path, small_segments(256)).unwrap();
             hashes = pages.iter().map(|p| store.put(p.clone())).collect();
             assert!(store.segment_count() > 1, "small cap must force rotation");
-            // Every page readable across segments, via positioned reads.
+            // Every page readable across segments, via their mappings.
             for (h, p) in hashes.iter().zip(&pages) {
                 assert_eq!(store.get(h).unwrap(), *p);
             }

@@ -29,6 +29,7 @@ mod cache;
 mod error;
 mod file;
 pub mod gc;
+mod mapped;
 mod mem;
 mod pageset;
 pub mod ship;
