@@ -5,6 +5,7 @@
 //! deduplication metrics.
 
 use std::ops::Bound;
+use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -307,43 +308,39 @@ pub trait SiriIndex: Clone + Send + Sync {
     /// exploit structural invariance by skipping identical subtree hashes.
     fn diff(&self, other: &Self) -> Result<Vec<DiffEntry>>;
 
-    /// A handle to the same version — same root, same parameters — reading
-    /// through `store` with **no decoded-node cache**. This is the witness
-    /// handle proofs are recorded with: a cache hit would skip the store
-    /// fetch and the page would be missing from the proof.
-    fn with_store(&self, store: SharedStore) -> Self;
+    /// This version over the same store and node cache, its reader in
+    /// recording mode (DESIGN.md §14): every read borrows resident nodes,
+    /// decodes missing ones without installing them, and keeps each node's
+    /// page in `rec`, the root page first. The handle proofs are recorded
+    /// with; see [`record_read`].
+    fn recording(&self, rec: &Arc<Recorder>) -> Result<Self>;
 
     /// Produce a Merkle proof for `key` (present or absent): the pages a
-    /// `get` fetches, root page first (see [`Recorder`]).
+    /// `get` reads, root page first (see [`Recorder`]).
     fn prove(&self, key: &[u8]) -> Result<Proof> {
-        let (rec, witness) = witness(self)?;
-        witness.get(key)?;
+        let rec = Recorder::new();
+        record_read(&rec, self, |w| w.get(key).map(drop))?;
         Ok(rec.proof())
     }
 
-    /// Produce a range proof: the pages a `range` cursor fetches, root
-    /// page first — at most one look-ahead leaf beyond the window, which
-    /// the cursor reads to learn it is done. Verification replays the
-    /// cursor and yields *exactly* the entries in the window (see
+    /// Produce a range proof: the pages a `range` cursor reads, root page
+    /// first — at most one look-ahead leaf beyond the window, which the
+    /// cursor reads to learn it is done. Verification replays the cursor
+    /// and yields *exactly* the entries in the window (see
     /// [`crate::verify_anchored_range`]).
     fn prove_range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<Proof> {
-        let (rec, witness) = witness(self)?;
-        for entry in witness.range(start, end) {
-            entry?;
-        }
+        let rec = Recorder::new();
+        record_read(&rec, self, |w| w.range(start, end).try_for_each(|entry| entry.map(drop)))?;
         Ok(rec.proof())
     }
 
     /// Produce one proof for many keys: the distinct pages a loop of
-    /// `get`s fetches, so the interior pages their paths share appear once
+    /// `get`s reads, so the interior pages their paths share appear once
     /// (see [`crate::verify_anchored_batch`]). No keys, no pages.
     fn prove_batch(&self, keys: &[Bytes]) -> Result<Proof> {
-        if keys.is_empty() {
-            return Ok(Proof::new(Vec::new()));
-        }
-        let (rec, witness) = witness(self)?;
-        for key in keys {
-            witness.get(key)?;
+        let rec = Recorder::new();
+        if !keys.is_empty() {
+            record_read(&rec, self, |w| keys.iter().try_for_each(|key| w.get(key).map(drop)))?;
         }
         Ok(rec.proof())
     }
@@ -355,12 +352,18 @@ pub trait SiriIndex: Clone + Send + Sync {
         Self: Sized;
 }
 
-/// What the provided provers record with: a [`Recorder`] over the index's
-/// store that has already served the root page — so even a read that
-/// touches nothing is anchored — and the witness handle reading through it.
-fn witness<I: SiriIndex>(index: &I) -> Result<(std::sync::Arc<Recorder>, I)> {
-    let rec = Recorder::new(index.store().clone());
-    rec.anchor(index.root())?;
-    let handle = index.with_store(rec.clone());
-    Ok((rec, handle))
+/// How every proof is taken — the provided provers and the engine's alike:
+/// run `read` on `index`'s [`SiriIndex::recording`] handle, so `rec` gains
+/// the index's root page and then every page the read touches, each once,
+/// in first-touch order. An empty version holds no key and no page: it is
+/// not read, and records nothing.
+pub fn record_read<I: SiriIndex>(
+    rec: &Arc<Recorder>,
+    index: &I,
+    read: impl FnOnce(&I) -> Result<()>,
+) -> Result<()> {
+    if index.root().is_zero() {
+        return Ok(());
+    }
+    read(&index.recording(rec)?)
 }

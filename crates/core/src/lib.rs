@@ -49,7 +49,7 @@ pub use diff::{
 };
 pub use entry::Entry;
 pub use error::{IndexError, Result};
-pub use index::{search_entries, LookupTrace, LookupTracer, SiriIndex, TimedTrace};
+pub use index::{record_read, search_entries, LookupTrace, LookupTracer, SiriIndex, TimedTrace};
 pub use proof::{Proof, ProofVerdict, MAX_PROOF_PAGES};
 pub use reader::{PageNode, PageReader};
 pub use session::Session;

@@ -107,6 +107,13 @@ impl ChildRun {
         parse(body, |_, _, digest| digest_at(digest, 0))
     }
 
+    /// The page the run was decoded from, whole — the internal node's
+    /// [`PageNode::page`](crate::PageNode::page). A run built by
+    /// [`ChildRun::new`] is a page of its own.
+    pub fn page(&self) -> &Bytes {
+        &self.page
+    }
+
     /// The run's encoding: what [`ChildRun::write`] wrote.
     pub fn as_bytes(&self) -> &[u8] {
         &self.page[self.start..]

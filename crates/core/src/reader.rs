@@ -2,8 +2,9 @@
 //!
 //! Every index handle reaches its store through a [`PageReader`]: the
 //! shared page store plus the decoded-node cache the handle's clones share
-//! (DESIGN.md §3). There are two ways to read and one rule between them,
-//! **readers install, writers borrow**:
+//! (DESIGN.md §3). There are two ways to read, a recording mode for
+//! provers, and one rule among them, **readers install; writers and
+//! provers borrow**:
 //!
 //! * [`PageReader::fetch`] — the read path: probe the cache, and on a miss
 //!   get the page, decode it and install it.
@@ -12,6 +13,10 @@
 //!   moves no recency or counter. Every commit reads through it, since the
 //!   nodes a commit loads are the ones it replaces; so do the one-off walks
 //!   (`level_stats`, MBT's root-parameter peek).
+//! * A recording reader ([`PageReader::recording`]) — the prove path: both
+//!   verbs borrow as `load` does and keep each node's page in a
+//!   [`Recorder`] (DESIGN.md §14). It looks in the record before the store,
+//!   so a page a proof holds already is not fetched again.
 
 use std::sync::Arc;
 
@@ -19,32 +24,57 @@ use bytes::Bytes;
 use siri_crypto::Hash;
 use siri_store::{CacheStats, NodeCache, SharedStore};
 
-use crate::{IndexError, Result};
+use crate::{IndexError, Recorder, Result};
 
 /// A node type that decodes from its stored page.
 pub trait PageNode: Sized {
     /// Zero-copy decode: keys and values may be refcounted slices of `page`.
     fn decode_page(page: &Bytes) -> Result<Self>;
+
+    /// The page this node was decoded from, whole — what a prover records
+    /// for a node it borrows from the cache.
+    fn page(&self) -> &Bytes;
 }
 
-/// A page store and the decoded-node cache in front of it.
+/// A page store, the decoded-node cache in front of it, and — on a
+/// prover's handle — the [`Recorder`] its reads are kept in.
 pub struct PageReader<N> {
     store: SharedStore,
     cache: Arc<NodeCache<N>>,
+    tap: Option<Arc<Recorder>>,
 }
 
 impl<N> Clone for PageReader<N> {
     fn clone(&self) -> Self {
-        PageReader { store: self.store.clone(), cache: self.cache.clone() }
+        PageReader { store: self.store.clone(), cache: self.cache.clone(), tap: self.tap.clone() }
     }
 }
 
 impl<N: PageNode> PageReader<N> {
     /// A reader over `store` caching up to `capacity` decoded nodes (0
-    /// disables caching — every read decodes, which is what proof
-    /// witnesses need: a cache hit would keep a page out of the record).
+    /// disables caching: every read decodes, as a proof verifier's reader
+    /// over a proof's pages does).
     pub fn new(store: SharedStore, capacity: usize) -> Self {
-        PageReader { store, cache: NodeCache::new_shared(capacity) }
+        PageReader { store, cache: NodeCache::new_shared(capacity), tap: None }
+    }
+
+    /// This reader over the same store and cache, in recording mode: every
+    /// node it reads is borrowed or decoded without being installed, and
+    /// its page kept in `rec`. The page `root` names is kept first (none
+    /// for the zero digest), so even a read that touches nothing is
+    /// anchored at the digest it was made against.
+    pub fn recording(&self, rec: &Arc<Recorder>, root: Hash) -> Result<Self> {
+        if !root.is_zero() {
+            // The page alone: the read that follows decodes the root from
+            // the record if it is not resident, so decoding it here too
+            // would decode it twice.
+            match self.cache.peek(&root) {
+                Some(node) => rec.note(root, node.page()),
+                None if rec.page(&root).is_none() => rec.note(root, &self.page(&root)?),
+                None => {}
+            }
+        }
+        Ok(PageReader { tap: Some(rec.clone()), ..self.clone() })
     }
 
     pub fn store(&self) -> &SharedStore {
@@ -59,21 +89,46 @@ impl<N: PageNode> PageReader<N> {
     /// The node at `hash` through the cache; the flag reports a cache hit
     /// (no store access, no decode).
     pub fn fetch(&self, hash: &Hash) -> Result<(Arc<N>, bool)> {
-        self.cache.get_or_load(hash, || self.decode(hash))
+        match &self.tap {
+            None => self.cache.get_or_load(hash, || self.decode(hash)),
+            Some(rec) => self.record(rec, hash),
+        }
     }
 
     /// The node at `hash` for a writer: the cached node if resident,
     /// otherwise one decoded from the store; the cache is left as it was.
     pub fn load(&self, hash: &Hash) -> Result<Arc<N>> {
+        if let Some(rec) = &self.tap {
+            return self.record(rec, hash).map(|(node, _)| node);
+        }
         match self.cache.peek(hash) {
             Some(node) => Ok(node),
             None => self.decode(hash).map(Arc::new),
         }
     }
 
+    /// A prover's read: borrow the resident node, or decode the page the
+    /// record or else the store holds; keep the page on first touch.
+    fn record(&self, rec: &Recorder, hash: &Hash) -> Result<(Arc<N>, bool)> {
+        if let Some(node) = self.cache.peek(hash) {
+            rec.note(*hash, node.page());
+            return Ok((node, true));
+        }
+        let page = match rec.page(hash) {
+            Some(page) => page,
+            None => self.page(hash)?,
+        };
+        let node = N::decode_page(&page)?;
+        rec.note(*hash, &page);
+        Ok((Arc::new(node), false))
+    }
+
+    fn page(&self, hash: &Hash) -> Result<Bytes> {
+        self.store.try_get(hash)?.ok_or(IndexError::MissingPage(*hash))
+    }
+
     fn decode(&self, hash: &Hash) -> Result<N> {
-        let page = self.store.try_get(hash)?.ok_or(IndexError::MissingPage(*hash))?;
-        N::decode_page(&page)
+        N::decode_page(&self.page(hash)?)
     }
 }
 
@@ -87,6 +142,10 @@ mod tests {
     impl PageNode for Raw {
         fn decode_page(page: &Bytes) -> Result<Self> {
             Ok(Raw(page.clone()))
+        }
+
+        fn page(&self) -> &Bytes {
+            &self.0
         }
     }
 
@@ -137,5 +196,34 @@ mod tests {
         assert!(reader.load(&hash).is_ok());
         assert_eq!(reader.cache_stats().len, 0);
         assert_eq!(reader.store().stats().gets, 3, "capacity 0 reads the store every time");
+    }
+
+    #[test]
+    fn a_recording_reader_borrows_records_and_installs_nothing() {
+        let store = MemStore::new_shared();
+        let [a, b] = [&b"page a"[..], b"page b"].map(|p| store.try_put(Bytes::from(p)).unwrap());
+        let reader = PageReader::<Raw>::new(store, 64);
+        reader.fetch(&a).unwrap(); // `a` is resident, `b` is not
+        let (before, gets) = (reader.cache_stats(), reader.store().stats().gets);
+
+        let rec = Recorder::new();
+        let witness = reader.recording(&rec, b).unwrap();
+        assert_eq!(reader.store().stats().gets, gets + 1, "the anchor is fetched, not decoded");
+        let (node, hit) = witness.fetch(&a).unwrap();
+        assert!(hit && node.0.as_ref() == b"page a", "a resident node is borrowed");
+        assert!(!witness.fetch(&b).unwrap().1);
+        assert_eq!(witness.load(&b).unwrap().0.as_ref(), b"page b");
+        assert_eq!(reader.store().stats().gets, gets + 1, "repeats are served from the record");
+        assert_eq!(reader.cache_stats(), before, "no install, no counter moved");
+        let absent = Hash::from_slice(&[7; Hash::LEN]).unwrap();
+        assert_eq!(witness.fetch(&absent).err(), Some(IndexError::MissingPage(absent)));
+        assert_eq!(
+            rec.proof().pages(),
+            &[Bytes::from_static(b"page b"), Bytes::from_static(b"page a")]
+        );
+
+        // The zero digest anchors nothing; a missing root fails to anchor.
+        assert!(reader.recording(&rec, Hash::ZERO).is_ok() && rec.proof().is_empty());
+        assert!(reader.recording(&rec, absent).is_err());
     }
 }

@@ -28,7 +28,7 @@ use std::ops::Bound;
 use bytes::Bytes;
 use siri_crypto::{sha256, Hash};
 use siri_encoding::{ByteReader, ByteWriter, CodecError};
-use siri_store::NodeStore;
+use siri_store::{NodeStore, PageBatch};
 
 use crate::cursor::EntryCursor;
 use crate::{BatchOp, IndexError, WriteBatch};
@@ -236,14 +236,14 @@ impl ShardManifest {
 
 /// The head-digest rule, write side: a one-shard head's digest is its
 /// sub-root; a head of more shards is named by a [`ShardManifest`] page
-/// over `router`'s boundaries and `roots`, returned for the caller to
-/// store, and the digest is that page's hash.
-pub fn head_digest(router: &ShardRouter, roots: Vec<Hash>) -> (Hash, Option<Bytes>) {
+/// over `router`'s boundaries and `roots`, which goes into `pages` (hashed
+/// on the way in, as every batched page is), and the digest is that page's
+/// hash.
+pub fn head_digest(router: &ShardRouter, roots: Vec<Hash>, pages: &mut PageBatch) -> Hash {
     if let [root] = roots[..] {
-        return (root, None);
+        return root;
     }
-    let page = Bytes::from(ShardManifest::new(router.boundaries().to_vec(), roots).encode());
-    (sha256(&page), Some(page))
+    pages.push(Bytes::from(ShardManifest::new(router.boundaries().to_vec(), roots).encode()))
 }
 
 /// The head-digest rule, read side: the partition and sub-roots `digest`
@@ -433,19 +433,21 @@ mod tests {
         let store = siri_store::MemStore::new();
         // One shard: the digest is the sub-root, and there is no page.
         let root = sha256(b"only");
-        assert_eq!(head_digest(&ShardRouter::single(), vec![root]), (root, None));
+        let mut pages = PageBatch::new();
+        assert_eq!(head_digest(&ShardRouter::single(), vec![root], &mut pages), root);
+        assert!(pages.pages().is_empty());
         store.put(Bytes::from_static(b"only"));
         assert_eq!(open_head(&store, root).unwrap(), (ShardRouter::single(), vec![root]));
         // Several: the digest names the manifest page the caller stores.
         let router = ShardRouter::new(vec![b("g"), b("p")]);
         let roots = vec![sha256(b"a"), Hash::ZERO, sha256(b"c")];
-        let (digest, page) = head_digest(&router, roots.clone());
-        let page = page.expect("a sharded head has a manifest page");
+        let digest = head_digest(&router, roots.clone(), &mut pages);
         assert_eq!(
             digest,
             ShardManifest::new(router.boundaries().to_vec(), roots.clone()).digest()
         );
-        assert_eq!(store.put(page), digest);
+        let [(hash, page)] = pages.pages() else { panic!("a sharded head has one manifest page") };
+        assert_eq!((store.put(page.clone()), *hash), (digest, digest));
         assert_eq!(open_head(&store, digest).unwrap(), (router, roots));
         // The zero digest is one empty shard and reads nothing.
         assert_eq!(

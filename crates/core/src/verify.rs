@@ -5,11 +5,14 @@
 //! so a read is a pure function of the root digest: re-running it over a
 //! hash-checked subset of the pages either returns the same answer or stops
 //! at a missing page. Both halves of the verified-read contract are
-//! therefore the ordinary read path run over a special [`NodeStore`]:
+//! therefore the ordinary read path, run twice:
 //!
-//! * **Prove** — run `get` / `range` / a loop of `get`s over a [`Recorder`],
-//!   which keeps each distinct page it serves in first-fetch order. That
-//!   list *is* the proof.
+//! * **Prove** — run `get` / `range` / a loop of `get`s on the head's own
+//!   handle, its reader in recording mode
+//!   ([`SiriIndex::recording`](crate::SiriIndex::recording)): it borrows
+//!   resident nodes from the node cache, decodes missing ones without
+//!   installing them, and keeps each distinct node's page in a
+//!   [`Recorder`], in first-touch order. That list *is* the proof.
 //! * **Verify** — run the same read at the trusted digest over a
 //!   [`PagePool`] built from the proof. The pool serves a page only by its
 //!   content hash and only when its turn in the list has come, so the read
@@ -40,12 +43,12 @@ use siri_store::{NodeStore, SharedStore, StoreError, StoreResult, StoreStats};
 use crate::shard::{open_head, ShardRouter};
 use crate::{Entry, EntryCursor, IndexError, Proof, ProofVerdict, Result};
 
-/// Witness stores serve reads; a read path that tries to write is a bug.
+/// A proof's pages serve reads; a read path that tries to write is a bug.
 fn read_only() -> StoreError {
     StoreError::Io {
         op: "put",
         kind: std::io::ErrorKind::Unsupported,
-        detail: "witness stores are read-only".into(),
+        detail: "proof pages are read-only".into(),
     }
 }
 
@@ -55,89 +58,53 @@ struct Served {
     pages: Vec<Bytes>,
 }
 
-impl Served {
-    /// Page first, index second: an index entry always points at a page,
-    /// so the record is valid at every step (and a poisoned lock can be
-    /// recovered).
-    fn keep(&mut self, hash: Hash, page: Bytes) {
-        self.pages.push(page);
-        self.index.insert(hash, self.pages.len() - 1);
-    }
-}
-
-/// The prover's store: a read-through wrapper that keeps each distinct
-/// page it serves, in first-fetch order. Repeated fetches are answered
-/// from the record, so a batch of lookups reads its shared spine from the
-/// backing store once.
+/// The prover's record: each distinct page a read touched, in first-touch
+/// order. A recording [`PageReader`](crate::PageReader) keeps every node's
+/// page here and looks here before the store, so a batch of lookups fetches
+/// its shared spine at most once.
+#[derive(Default)]
 pub struct Recorder {
-    inner: SharedStore,
     served: Mutex<Served>,
 }
 
 impl Recorder {
-    pub fn new(inner: SharedStore) -> Arc<Recorder> {
-        Arc::new(Recorder { inner, served: Mutex::default() })
+    pub fn new() -> Arc<Recorder> {
+        Arc::default()
     }
 
     fn served(&self) -> std::sync::MutexGuard<'_, Served> {
         self.served.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Record a page the caller holds decoded instead of in the store —
-    /// the engine's shard table *is* the manifest — under the digest a
-    /// verifier will ask for it by.
-    pub fn note(&self, hash: Hash, page: Bytes) {
+    /// Keep `page` under the digest a verifier will ask for it by, unless
+    /// the record holds that digest already. Page first, index second: an
+    /// index entry always points at a page, so the record is valid at
+    /// every step (and a poisoned lock can be recovered).
+    pub fn note(&self, hash: Hash, page: &Bytes) {
         let mut served = self.served();
         if !served.index.contains_key(&hash) {
-            served.keep(hash, page);
+            served.pages.push(page.clone());
+            let at = served.pages.len() - 1;
+            served.index.insert(hash, at);
         }
     }
 
-    /// Fetch the page `digest` names before the read runs, so that even a
-    /// read that touches no page is anchored. The zero digest names none.
-    pub fn anchor(&self, digest: Hash) -> Result<()> {
-        if !digest.is_zero() {
-            self.try_get(&digest)?.ok_or(IndexError::MissingPage(digest))?;
-        }
-        Ok(())
+    /// The page kept under `hash`, if the record has it.
+    pub(crate) fn page(&self, hash: &Hash) -> Option<Bytes> {
+        let served = self.served();
+        served.index.get(hash).map(|&at| served.pages[at].clone())
     }
 
-    /// The pages served so far, as a proof; the record starts over.
+    /// The pages kept so far, as a proof; the record starts over.
     pub fn proof(&self) -> Proof {
         Proof::new(std::mem::take(&mut *self.served()).pages)
-    }
-}
-
-impl NodeStore for Recorder {
-    fn try_put(&self, _page: Bytes) -> StoreResult<Hash> {
-        Err(read_only())
-    }
-
-    fn try_get(&self, hash: &Hash) -> StoreResult<Option<Bytes>> {
-        let mut served = self.served();
-        if let Some(&at) = served.index.get(hash) {
-            return Ok(Some(served.pages[at].clone()));
-        }
-        let page = self.inner.try_get(hash)?;
-        if let Some(page) = &page {
-            served.keep(*hash, page.clone());
-        }
-        Ok(page)
-    }
-
-    fn contains(&self, hash: &Hash) -> bool {
-        self.inner.contains(hash)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
     }
 }
 
 /// The verifier's store: a proof's pages indexed by content hash. A page
 /// is served only once every page before it in the proof has been served,
 /// so a read over the pool succeeds only on the exact page sequence an
-/// honest [`Recorder`] produced; fetching the same page again is free.
+/// honest prover recorded; fetching the same page again is free.
 pub struct PagePool {
     pages: HashMap<Hash, (usize, Bytes)>,
     used: AtomicUsize,
@@ -274,10 +241,10 @@ impl BatchVerdict {
 
 /// A reader at a branch digest over a page source — manifest or bare root,
 /// the caller does not need to know which (`branch_digest` is the only
-/// hash a light client holds). This is *the* read of a verified read: the
-/// engine proves by running it over a [`Recorder`], the client verifies by
-/// running it over a [`PagePool`], so the two cannot disagree about
-/// routing, empty shards or page order.
+/// hash a light client holds). This is the verifier's read: it replays
+/// over a [`PagePool`] what the prover read on the head's own handles
+/// (the same routing, the same skipped empty shards), so a proof verifies
+/// only in the page order it was recorded in.
 pub struct AnchoredReader<'a> {
     scheme: &'a dyn ProofScheme,
     pages: SharedStore,
@@ -402,7 +369,6 @@ pub fn verify_anchored_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siri_store::MemStore;
 
     #[test]
     fn pool_serves_pages_in_proof_order_and_rejects_duplicates() {
@@ -426,30 +392,15 @@ mod tests {
 
     #[test]
     fn recorder_keeps_distinct_pages_in_first_fetch_order() {
-        let store = MemStore::new_shared();
-        let a = store.put(Bytes::from_static(b"page a"));
-        let b = store.put(Bytes::from_static(b"page b"));
-        let rec = Recorder::new(store.clone());
-        let gets_before = store.stats().gets;
-        for hash in [b, a, b, sha256(b"absent"), a] {
-            let _ = rec.try_get(&hash).unwrap();
+        let (a, b) = (Bytes::from_static(b"page a"), Bytes::from_static(b"page b"));
+        let rec = Recorder::new();
+        for page in [&b, &a, &b, &a] {
+            rec.note(sha256(page), page);
         }
-        assert_eq!(store.stats().gets - gets_before, 3, "repeats are served from the record");
-        let noted = Bytes::from_static(b"held decoded");
-        rec.note(sha256(&noted), noted.clone());
-        assert_eq!(rec.try_get(&sha256(&noted)).unwrap(), Some(noted.clone()));
-        assert!(rec.try_put(noted.clone()).is_err(), "a witness never writes");
-        let proof = rec.proof();
-        assert_eq!(
-            proof.pages(),
-            &[Bytes::from_static(b"page b"), Bytes::from_static(b"page a"), noted]
-        );
+        assert_eq!(rec.page(&sha256(&a)), Some(a.clone()));
+        assert_eq!(rec.page(&sha256(b"absent")), None);
+        assert_eq!(rec.proof().pages(), &[b, a]);
         assert!(rec.proof().is_empty(), "taking the proof starts the record over");
-        // Anchoring a missing page is an error; the zero digest needs none.
-        assert!(rec.anchor(sha256(b"absent")).is_err());
-        rec.anchor(Hash::ZERO).unwrap();
-        rec.anchor(a).unwrap();
-        assert_eq!(rec.proof().len(), 1);
     }
 
     #[test]

@@ -75,13 +75,14 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::{LockClass, RwLock};
 use siri_core::{
-    chain_cursors, head_digest, merge, merge_with_base, open_head, AnchoredReader, BatchOp,
+    chain_cursors, head_digest, merge, merge_with_base, open_head, record_read, BatchOp,
     CommitInfo, Entry, EntryCursor, IndexError, MergeOutcome, MergeStrategy, Proof, Recorder,
-    Result, Session, ShardCommit, ShardRouter, SiriIndex, WriteBatch,
+    Result, Session, ShardCommit, ShardRouter, SiriIndex, StructureStats, WriteBatch,
 };
 use siri_crypto::Hash;
 use siri_store::{
-    FileStore, FileStoreOptions, MemStore, NodeStore, PageBatch, SharedStore, StoreStats,
+    CacheStats, FileStore, FileStoreOptions, MemStore, NodeStore, PageBatch, SharedStore,
+    StoreStats,
 };
 
 pub use factory::{scheme_by_name, IndexFactory, MbtFactory, MptFactory, MvmbFactory, PosFactory};
@@ -128,6 +129,9 @@ pub struct ShardStats {
     pub commits: u64,
     /// Sub-root CAS races lost on this shard.
     pub conflicts: u64,
+    /// The shard head's decoded-node cache: reads install into it, while
+    /// commits and proofs only borrow from it (DESIGN.md §3).
+    pub cache: CacheStats,
 }
 
 /// Hard cap on shards per branch: [`ShardingPolicy::pinned`] clamps to it,
@@ -223,15 +227,30 @@ struct ShardTable<I> {
     /// The branch's logical head digest: the sole sub-root when `N = 1`,
     /// the manifest digest otherwise ([`head_digest`]).
     digest: Hash,
+    /// The manifest page `digest` names, in a batch of its own — empty when
+    /// `N = 1`. Encoded and hashed once, when the table is sealed; the
+    /// publication that lands the table stores it, and every proof of the
+    /// table records it first.
+    manifest: PageBatch,
 }
 
 impl<I: SiriIndex> ShardTable<I> {
-    /// A table of `heads` over `router`, each shard with a fresh
-    /// scoreboard. Its manifest page, if it needs one, is not stored here.
+    /// A sealed table of `heads` over `router`, each shard with a fresh
+    /// scoreboard.
     fn new(router: ShardRouter, heads: Vec<I>, epoch: u64) -> Self {
         let scores = heads.iter().map(|_| Arc::default()).collect();
-        let (digest, _) = head_digest(&router, heads.iter().map(SiriIndex::root).collect());
-        ShardTable { router, heads, scores, epoch, digest }
+        let (digest, manifest) = (Hash::ZERO, PageBatch::new());
+        ShardTable { router, heads, scores, epoch, digest, manifest }.sealed()
+    }
+
+    /// This table with the digest and manifest page its partition and
+    /// sub-roots name — the one place a head's manifest is encoded and
+    /// hashed. Every table that changes its heads or partition is sealed
+    /// before it is landed.
+    fn sealed(mut self) -> Self {
+        self.manifest = PageBatch::new();
+        self.digest = head_digest(&self.router, self.roots(), &mut self.manifest);
+        self
     }
 
     fn shard_count(&self) -> usize {
@@ -250,16 +269,15 @@ impl<I: SiriIndex> ShardTable<I> {
             && self.heads.iter().map(SiriIndex::root).eq(base.heads.iter().map(SiriIndex::root))
     }
 
-    /// This table reshaped: shards `range` become `heads` under `router`,
-    /// with fresh scoreboards, and the epoch moves on. The digest is set
-    /// when the table is landed.
+    /// This table reshaped and sealed: shards `range` become `heads` under
+    /// `router`, with fresh scoreboards, and the epoch moves on.
     fn reshaped(&self, router: ShardRouter, range: RangeInclusive<usize>, heads: Vec<I>) -> Self {
         let mut next = self.clone();
         next.scores.splice(range.clone(), heads.iter().map(|_| Arc::default()));
         next.heads.splice(range, heads);
         next.router = router;
         next.epoch += 1;
-        next
+        next.sealed()
     }
 }
 
@@ -459,39 +477,34 @@ impl<F: IndexFactory> Forkbase<F> {
         let (router, roots) = open_head(self.server.as_ref(), root)
             .unwrap_or_else(|_| (ShardRouter::single(), vec![root]));
         let heads = roots.into_iter().map(|r| self.factory.open(self.server.clone(), r)).collect();
-        ShardTable { digest: root, ..ShardTable::new(router, heads, 0) }
+        ShardTable::new(router, heads, 0)
     }
 
-    /// The store half of a publication: `pages` plus the manifest page
-    /// `next`'s head needs, in one append, made durable by the store's one
-    /// commit point ([`NodeStore::note_commit`]); sets `next`'s digest. On
-    /// error no head has changed, and whatever did land is orphaned for
-    /// the next sweep.
-    fn land(&self, next: &mut ShardTable<F::Index>, mut pages: PageBatch) -> Result<()> {
-        let (digest, manifest) = head_digest(&next.router, next.roots());
-        if let Some(page) = manifest {
-            pages.push(page);
-        }
-        next.digest = digest;
+    /// The store half of a publication: `pages` plus the manifest page of
+    /// the sealed table `next`, in one append, made durable by the store's
+    /// one commit point ([`NodeStore::note_commit`]). On error no head has
+    /// changed, and whatever did land is orphaned for the next sweep.
+    fn land(&self, next: &ShardTable<F::Index>, mut pages: PageBatch) -> Result<()> {
+        pages.append(next.manifest.clone());
         self.server.try_put_batch(&pages)?;
         Ok(self.server.note_commit()?)
     }
 
-    /// The one way a branch head changes: [`Forkbase::land`] `next` with
-    /// its staged `pages`, then take `slot`'s write lock and swap `next` in
-    /// if three things hold — the slot is not retired, and its epoch and
-    /// every sub-root are still `base`'s. The lock covers that check and
-    /// one pointer swap: nothing is stored or flushed under it. A retired
-    /// slot fails with [`IndexError::BranchDeleted`]; a moved head is
-    /// [`Published::Lost`], and the caller decides what to rebuild.
+    /// The one way a branch head changes: [`Forkbase::land`] the sealed
+    /// table `next` with its staged `pages`, then take `slot`'s write lock
+    /// and swap `next` in if three things hold — the slot is not retired,
+    /// and its epoch and every sub-root are still `base`'s. The lock covers
+    /// that check and one pointer swap: nothing is stored or flushed under
+    /// it. A retired slot fails with [`IndexError::BranchDeleted`]; a moved
+    /// head is [`Published::Lost`], and the caller decides what to rebuild.
     fn publish(
         &self,
         slot: &BranchSlot<F::Index>,
         base: &ShardTable<F::Index>,
-        mut next: ShardTable<F::Index>,
+        next: ShardTable<F::Index>,
         pages: PageBatch,
     ) -> Result<Published<F::Index>> {
-        self.land(&mut next, pages)?;
+        self.land(&next, pages)?;
         let digest = next.digest;
         let mut t = slot.head.write();
         if slot.retired.load(Ordering::Acquire) {
@@ -547,7 +560,7 @@ impl<F: IndexFactory> Forkbase<F> {
                         next.heads[b.shard] = head.clone();
                     }
                 }
-                match self.publish(slot, &now, next, std::mem::take(&mut pages))? {
+                match self.publish(slot, &now, next.sealed(), std::mem::take(&mut pages))? {
                     Published::Done { parent, digest } => {
                         for b in &builds {
                             now.scores[b.shard].commits.fetch_add(1, Ordering::Relaxed);
@@ -728,8 +741,8 @@ impl<F: IndexFactory> Forkbase<F> {
             heads.push(head);
             pages.append(staged);
         }
-        let mut table = ShardTable::new(router, heads, 0);
-        self.land(&mut table, pages)?;
+        let table = ShardTable::new(router, heads, 0);
+        self.land(&table, pages)?;
         let digest = table.digest;
         self.install(branch, table);
         self.commits.fetch_add(1, Ordering::Relaxed);
@@ -824,9 +837,11 @@ impl<F: IndexFactory> Forkbase<F> {
         let t = slot.head.read();
         Ok(t.scores
             .iter()
-            .map(|s| ShardStats {
+            .zip(&t.heads)
+            .map(|(s, head)| ShardStats {
                 commits: s.commits.load(Ordering::Relaxed),
                 conflicts: s.conflicts.load(Ordering::Relaxed),
+                cache: head.node_cache_stats(),
             })
             .collect())
     }
@@ -953,25 +968,22 @@ impl<F: IndexFactory> Forkbase<F> {
         self.policy
     }
 
-    /// What a proof of `branch` is recorded against: the published digest
-    /// and a [`Recorder`] over the server store. On a sharded head the
-    /// recorder already holds the manifest page, re-encoded from the table
-    /// under its read lock (publications swap sub-roots and the digest
-    /// while holding it exclusively, so the two can never be observed
-    /// torn) rather than fetched: the table *is* the decoded manifest, and
-    /// a proof must not depend on that page having reached — or survived GC
-    /// in — the store. Everything below the digest is immutable, so the
-    /// read itself needs no lock.
-    fn witness(&self, branch: &str) -> Result<(Hash, Arc<Recorder>)> {
+    /// What a proof of `branch` is recorded against: its published
+    /// digest, partition and shard heads, cloned under the slot's read lock
+    /// (publications swap them while holding it exclusively, so they are
+    /// one snapshot), and a [`Recorder`] that holds the table's manifest
+    /// page on a sharded head — kept by the table, so a proof never depends
+    /// on that page having reached, or survived GC in, the store.
+    /// Everything below the digest is immutable: the reads run after the
+    /// lock is dropped.
+    fn witness(&self, branch: &str) -> Result<Witness<F::Index>> {
         let slot = self.slot(branch)?;
         let t = slot.head.read();
-        let rec = Recorder::new(self.server.clone());
-        let (digest, manifest) = head_digest(&t.router, t.roots());
-        debug_assert_eq!(digest, t.digest, "the table must encode to its digest");
-        if let Some(page) = manifest {
-            rec.note(t.digest, page);
+        let rec = Recorder::new();
+        if let [(digest, page)] = t.manifest.pages() {
+            rec.note(*digest, page);
         }
-        Ok((t.digest, rec))
+        Ok(Witness { digest: t.digest, router: t.router.clone(), heads: t.heads.clone(), rec })
     }
 
     /// Server storage counters.
@@ -1025,7 +1037,8 @@ impl<F: IndexFactory> Session for Forkbase<F> {
         let src = self.slot(from)?;
         let table = {
             let t = src.head.read();
-            ShardTable { digest: t.digest, ..ShardTable::new(t.router.clone(), t.heads.clone(), 0) }
+            let scores = t.heads.iter().map(|_| Arc::default()).collect();
+            ShardTable { scores, epoch: 0, ..t.clone() }
         };
         self.install(to, table);
         Ok(())
@@ -1059,20 +1072,21 @@ impl<F: IndexFactory> Session for Forkbase<F> {
         Ok(self.slot(branch)?.head.read().digest)
     }
 
-    // A proof is a recorded read (DESIGN.md §14): the three provers run the
-    // reader a verifier will replay — same routing, same page order — over
-    // a recording store, anchored at the *published* branch digest, i.e.
-    // the hash `commit` returned and `branch_digest` reports, the only one
-    // a light client holds. (An earlier revision proved against the
-    // collapsed logical head instead; on a sharded branch that root
-    // differs from the published manifest digest — and for the MVMB+
-    // baseline it is not even derivable from the shard sub-roots — so
-    // those proofs never verified against anything a client could trust.)
+    // A proof is a recorded read (DESIGN.md §14): the three provers run
+    // the read a verifier will replay (same routing, same page order) on
+    // the branch's own shard heads, their readers recording, anchored at
+    // the *published* branch digest, i.e. the hash `commit` returned and
+    // `branch_digest` reports, the only one a light client holds. (An
+    // earlier revision proved against the collapsed logical head instead;
+    // on a sharded branch that root differs from the published manifest
+    // digest — and for the MVMB+ baseline it is not even derivable from
+    // the shard sub-roots — so those proofs never verified against anything
+    // a client could trust.)
 
     fn prove(&self, branch: &str, key: &[u8]) -> Result<(Hash, Proof)> {
-        let (digest, rec) = self.witness(branch)?;
-        AnchoredReader::open(self.factory.scheme(), rec.clone(), digest)?.get(key)?;
-        Ok((digest, rec.proof()))
+        let witness = self.witness(branch)?;
+        witness.get(key)?;
+        Ok(witness.proof())
     }
 
     fn prove_range(
@@ -1081,9 +1095,9 @@ impl<F: IndexFactory> Session for Forkbase<F> {
         start: Bound<&[u8]>,
         end: Bound<&[u8]>,
     ) -> Result<(Hash, Proof)> {
-        let (digest, rec) = self.witness(branch)?;
-        AnchoredReader::open(self.factory.scheme(), rec.clone(), digest)?.range(start, end)?;
-        Ok((digest, rec.proof()))
+        let witness = self.witness(branch)?;
+        witness.range(start, end)?;
+        Ok(witness.proof())
     }
 
     fn prove_batch(&self, branch: &str, keys: &[Bytes]) -> Result<(Hash, Proof)> {
@@ -1091,12 +1105,40 @@ impl<F: IndexFactory> Session for Forkbase<F> {
             // Convention shared with the verifier: no keys, no pages.
             return Ok((self.branch_digest(branch)?, Proof::new(Vec::new())));
         }
-        let (digest, rec) = self.witness(branch)?;
-        let reader = AnchoredReader::open(self.factory.scheme(), rec.clone(), digest)?;
+        let witness = self.witness(branch)?;
         for key in keys {
-            reader.get(key)?;
+            witness.get(key)?;
         }
-        Ok((digest, rec.proof()))
+        Ok(witness.proof())
+    }
+}
+
+/// A branch head as a prover reads it ([`Forkbase::witness`]). Its reads
+/// route like the verifier's `AnchoredReader`: a key to the shard that
+/// owns it, a window to the shards that cover it in partition order, and
+/// an empty shard reads nothing ([`record_read`]).
+struct Witness<I> {
+    digest: Hash,
+    router: ShardRouter,
+    heads: Vec<I>,
+    rec: Arc<Recorder>,
+}
+
+impl<I: SiriIndex> Witness<I> {
+    fn get(&self, key: &[u8]) -> Result<()> {
+        let head = &self.heads[self.router.shard_of(key)];
+        record_read(&self.rec, head, |h| h.get(key).map(drop))
+    }
+
+    fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<()> {
+        let (lo, hi) = self.router.covering(start, end);
+        self.heads[lo..=hi].iter().try_for_each(|head| {
+            record_read(&self.rec, head, |h| h.range(start, end).try_for_each(|e| e.map(drop)))
+        })
+    }
+
+    fn proof(&self) -> (Hash, Proof) {
+        (self.digest, self.rec.proof())
     }
 }
 
@@ -1490,6 +1532,45 @@ mod tests {
             single.head("master").unwrap().root(),
             "collapsed sharded head must match the unsharded digest"
         );
+    }
+
+    /// A table keeps the manifest page its digest names — sealed once, and
+    /// after a commit, split, merge, fork or `open_branch` the very page the
+    /// store holds under the digest — or none on a single-shard head.
+    #[test]
+    fn a_head_keeps_the_manifest_page_its_digest_names() {
+        fn kept(fb: &Forkbase<PosFactory>, branch: &str) -> usize {
+            let slot = fb.slot(branch).unwrap();
+            let t = slot.head.read();
+            match t.manifest.pages() {
+                [] => assert_eq!((t.shard_count(), t.digest), (1, t.heads[0].root())),
+                [(hash, page)] => {
+                    assert_eq!((*hash, siri_crypto::sha256(page)), (t.digest, t.digest));
+                    let manifest = siri_core::ShardManifest::decode(page).unwrap();
+                    assert_eq!((manifest.router(), manifest.roots), (t.router.clone(), t.roots()));
+                    assert_eq!(fb.server.get(&t.digest).as_ref(), Some(page));
+                }
+                more => panic!("{} manifest pages", more.len()),
+            }
+            t.shard_count()
+        }
+        let fb = sharded_engine(4);
+        put(&fb, "master", entries(0..200)).unwrap();
+        assert_eq!(kept(&fb, "master"), 4);
+        // Every key starts with `k`: shard 1 of the uniform partition.
+        assert!(fb.split_branch_shard("master", 1).unwrap());
+        assert_eq!(kept(&fb, "master"), 5);
+        let digest = fb.branch_digest("master").unwrap();
+        fb.fork("master", "fork").unwrap();
+        assert_eq!(kept(&fb, "fork"), 5);
+        fb.open_branch("restored", digest);
+        assert_eq!(kept(&fb, "restored"), 5);
+        while fb.shard_count("master").unwrap() > 1 {
+            assert!(fb.merge_branch_shards("master", 0).unwrap());
+            kept(&fb, "master");
+        }
+        put(&fb, "master", entries(200..210)).unwrap();
+        assert_eq!(kept(&fb, "master"), 1);
     }
 
     #[test]

@@ -30,8 +30,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use siri_core::{
     apply_ops, diff_sorted_entries, entry_codec, own_bound, search_entries, BatchOp, DiffEntry,
-    EntryCursor, IndexError, LookupTracer, PageReader, Proof, ProofVerdict, Result, SiriIndex,
-    StructureReport, StructureStats, WriteBatch,
+    EntryCursor, IndexError, LookupTracer, PageReader, Proof, ProofVerdict, Recorder, Result,
+    SiriIndex, StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::{FxHashMap, Hash};
 use siri_store::{
@@ -83,8 +83,7 @@ impl MerkleBucketTree {
             let mut slots = Vec::with_capacity(level.len().div_ceil(fanout));
             for chunk in level.chunks(fanout) {
                 let slot = *memo.entry(chunk).or_insert_with(|| {
-                    let node = Node::Internal { buckets: b, fanout: m, children: chunk.to_vec() };
-                    pages.push(node.encode());
+                    pages.push(Node::encode_internal(b, m, chunk));
                     pages.len() - 1
                 });
                 slots.push(slot);
@@ -389,7 +388,7 @@ impl SiriIndex for MerkleBucketTree {
                         *child = *h;
                     }
                 }
-                parent_pages.push(Node::Internal { buckets: b, fanout: m, children }.encode());
+                parent_pages.push(Node::encode_internal(b, m, &children));
                 parent_ids.push(id);
             }
             let hashes = pages.push_many(parent_pages);
@@ -438,8 +437,8 @@ impl SiriIndex for MerkleBucketTree {
         Ok(out)
     }
 
-    fn with_store(&self, store: SharedStore) -> Self {
-        MerkleBucketTree { reader: PageReader::new(store, 0), ..self.clone() }
+    fn recording(&self, rec: &Arc<Recorder>) -> Result<Self> {
+        Ok(MerkleBucketTree { reader: self.reader.recording(rec, self.root)?, ..self.clone() })
     }
 
     fn verify_proof(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {

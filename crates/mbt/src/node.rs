@@ -70,11 +70,13 @@ impl Deref for BucketEntries {
     }
 }
 
-/// Decoded MBT page.
+/// Decoded MBT page. It keeps the page it was decoded from
+/// ([`PageNode::page`]); the write path encodes straight from parts
+/// ([`Node::encode_internal`], [`Node::encode_bucket`]) and never builds one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
-    Internal { buckets: u64, fanout: u64, children: Vec<Hash> },
-    Bucket { buckets: u64, fanout: u64, entries: BucketEntries },
+    Internal { buckets: u64, fanout: u64, children: Vec<Hash>, page: Bytes },
+    Bucket { buckets: u64, fanout: u64, entries: BucketEntries, page: Bytes },
 }
 
 impl Node {
@@ -86,29 +88,24 @@ impl Node {
         }
     }
 
-    pub fn encode(&self) -> Bytes {
-        match self {
-            Node::Internal { buckets, fanout, children } => {
-                let len = 1
-                    + varint::len(*buckets)
-                    + varint::len(*fanout)
-                    + varint::len(children.len() as u64)
-                    + children.len() * Hash::LEN;
-                let mut w = ByteWriter::with_capacity(len);
-                w.put_u8(TAG_INTERNAL);
-                w.put_varint(*buckets);
-                w.put_varint(*fanout);
-                w.put_varint(children.len() as u64);
-                for c in children {
-                    w.put_raw(c.as_bytes());
-                }
-                debug_assert_eq!(w.len(), len);
-                Bytes::from(w.into_vec())
-            }
-            Node::Bucket { buckets, fanout, entries } => {
-                Self::encode_bucket(*buckets, *fanout, entries)
-            }
+    /// Encode an internal page straight from its child digests, sized to
+    /// its final length in one allocation.
+    pub fn encode_internal(buckets: u64, fanout: u64, children: &[Hash]) -> Bytes {
+        let len = 1
+            + varint::len(buckets)
+            + varint::len(fanout)
+            + varint::len(children.len() as u64)
+            + children.len() * Hash::LEN;
+        let mut w = ByteWriter::with_capacity(len);
+        w.put_u8(TAG_INTERNAL);
+        w.put_varint(buckets);
+        w.put_varint(fanout);
+        w.put_varint(children.len() as u64);
+        for c in children {
+            w.put_raw(c.as_bytes());
         }
+        debug_assert_eq!(w.len(), len);
+        Bytes::from(w.into_vec())
     }
 
     /// Encode a bucket page straight from its entries — the write path's
@@ -129,12 +126,7 @@ impl Node {
         Bytes::from(w.into_vec())
     }
 
-    /// Copying decode (tests, diagnostics, store walks).
-    pub fn decode(page: &[u8]) -> Result<Node> {
-        Self::decode_zc(&Bytes::copy_from_slice(page))
-    }
-
-    /// Zero-copy decode — the hot read path.
+    /// Zero-copy decode — the one decoder.
     pub fn decode_zc(page: &Bytes) -> Result<Node> {
         let mut r = ByteReader::new(page);
         let tag = r.get_u8()?;
@@ -142,48 +134,60 @@ impl Node {
         let fanout = r.get_varint()?;
         match tag {
             TAG_INTERNAL => {
-                let count = r.get_varint()?;
-                // One digest per child: the bytes left bound the reservation.
-                if count > (r.remaining() / Hash::LEN) as u64 {
-                    return Err(CodecError::BadLength { what: "child count" }.into());
-                }
-                let mut children = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let raw = r.get_raw(Hash::LEN)?;
-                    let child = Hash::from_slice(raw)
-                        .ok_or(IndexError::CorruptStructure("bad child digest length"))?;
-                    children.push(child);
-                }
-                r.finish()?;
-                Ok(Node::Internal { buckets, fanout, children })
+                let children = internal_children(&mut r)?;
+                Ok(Node::Internal { buckets, fanout, children, page: page.clone() })
             }
             TAG_BUCKET => {
                 // Buckets must be sorted for binary search: the entry codec
                 // rejects a key out of order, so corrupted pages cannot
                 // produce wrong lookups.
                 let entries = BucketEntries::new(entry_codec::decode_entries_zc(page, r.offset())?);
-                Ok(Node::Bucket { buckets, fanout, entries })
+                Ok(Node::Bucket { buckets, fanout, entries, page: page.clone() })
             }
             other => Err(CodecError::BadTag(other).into()),
         }
     }
 
     /// Child hashes referenced by a page — the store-walk decoder. A bucket
-    /// says so in its tag byte and is not decoded.
+    /// says so in its tag byte and is not decoded; an internal page's
+    /// digests are read in place.
     pub fn children_of_page(page: &[u8]) -> Vec<Hash> {
-        if page.first() == Some(&TAG_BUCKET) {
-            return Vec::new();
-        }
-        match Node::decode(page) {
-            Ok(Node::Internal { children, .. }) => children,
+        let mut r = ByteReader::new(page);
+        match (r.get_u8(), r.get_varint(), r.get_varint()) {
+            (Ok(TAG_INTERNAL), Ok(_), Ok(_)) => internal_children(&mut r).unwrap_or_default(),
             _ => Vec::new(),
         }
     }
 }
 
+/// The rest of an internal page after its parameters: the child count,
+/// then one digest per child, then nothing.
+fn internal_children(r: &mut ByteReader) -> Result<Vec<Hash>> {
+    let count = r.get_varint()?;
+    // One digest per child: the bytes left bound the reservation.
+    if count > (r.remaining() / Hash::LEN) as u64 {
+        return Err(CodecError::BadLength { what: "child count" }.into());
+    }
+    let mut children = Vec::with_capacity(count as usize);
+    for _ in 0..count {
+        let raw = r.get_raw(Hash::LEN)?;
+        let child =
+            Hash::from_slice(raw).ok_or(IndexError::CorruptStructure("bad child digest length"))?;
+        children.push(child);
+    }
+    r.finish()?;
+    Ok(children)
+}
+
 impl PageNode for Node {
     fn decode_page(page: &Bytes) -> Result<Self> {
         Node::decode_zc(page)
+    }
+
+    fn page(&self) -> &Bytes {
+        match self {
+            Node::Internal { page, .. } | Node::Bucket { page, .. } => page,
+        }
     }
 }
 
@@ -198,22 +202,21 @@ mod tests {
 
     #[test]
     fn internal_round_trip() {
-        let node = Node::Internal {
-            buckets: 1000,
-            fanout: 4,
-            children: vec![sha256(b"a"), sha256(b"b"), sha256(b"c")],
-        };
-        let enc = node.encode();
-        assert_eq!(Node::decode(&enc).unwrap(), node);
+        let children = vec![sha256(b"a"), sha256(b"b"), sha256(b"c")];
+        let enc = Node::encode_internal(1000, 4, &children);
+        let node = Node::decode_zc(&enc).unwrap();
+        assert_eq!(node, Node::Internal { buckets: 1000, fanout: 4, children, page: enc.clone() });
+        assert_eq!(node.page().as_ptr(), enc.as_ptr(), "the node keeps the page, uncopied");
     }
 
     #[test]
     fn bucket_round_trip() {
         let entries = vec![e("a", "1"), e("b", "2")];
         let enc = Node::encode_bucket(8, 2, &entries);
-        let node = Node::Bucket { buckets: 8, fanout: 2, entries: BucketEntries::new(entries) };
-        assert_eq!(enc, node.encode());
-        assert_eq!(Node::decode(&enc).unwrap(), node);
+        let node = Node::decode_zc(&enc).unwrap();
+        let entries = BucketEntries::new(entries);
+        assert_eq!(node, Node::Bucket { buckets: 8, fanout: 2, entries, page: enc.clone() });
+        assert_eq!(node.page().as_ptr(), enc.as_ptr(), "the node keeps the page, uncopied");
     }
 
     #[test]
@@ -232,7 +235,7 @@ mod tests {
         for pair in [["b", "a"], ["ab\0", "ab"], ["abcdefgh2", "abcdefgh1"], ["k", "k"]] {
             let page = Node::encode_bucket(8, 2, &[e(pair[0], "1"), e(pair[1], "2")]);
             assert!(
-                matches!(Node::decode(&page), Err(IndexError::CorruptStructure(_))),
+                matches!(Node::decode_zc(&page), Err(IndexError::CorruptStructure(_))),
                 "{pair:?}"
             );
         }
@@ -240,16 +243,16 @@ mod tests {
 
     #[test]
     fn decode_rejects_bad_tag_and_truncation() {
-        assert!(Node::decode(&[0x77, 0, 0]).is_err());
-        let node = Node::Internal { buckets: 4, fanout: 2, children: vec![sha256(b"x")] };
-        let enc = node.encode();
-        assert!(Node::decode(&enc[..enc.len() - 1]).is_err());
+        assert!(Node::decode_zc(&Bytes::from_static(&[0x77, 0, 0])).is_err());
+        let enc = Node::encode_internal(4, 2, &[sha256(b"x")]);
+        assert!(Node::decode_zc(&enc.slice(..enc.len() - 1)).is_err());
+        assert!(Node::children_of_page(&enc[..enc.len() - 1]).is_empty());
     }
 
     #[test]
     fn children_decoder_for_walks() {
-        let inner = Node::Internal { buckets: 4, fanout: 2, children: vec![sha256(b"x")] };
-        assert_eq!(Node::children_of_page(&inner.encode()), vec![sha256(b"x")]);
+        let inner = Node::encode_internal(4, 2, &[sha256(b"x")]);
+        assert_eq!(Node::children_of_page(&inner), vec![sha256(b"x")]);
         assert!(Node::children_of_page(&Node::encode_bucket(4, 2, &[])).is_empty());
     }
 }

@@ -147,7 +147,7 @@ mod tests {
         let mut pages = vec![Node::encode_bucket(buckets, fanout, &[])];
         for _ in 0..20 {
             let child = siri_crypto::sha256(&pages[pages.len() - 1]);
-            pages.push(Node::Internal { buckets, fanout, children: vec![child, child] }.encode());
+            pages.push(Node::encode_internal(buckets, fanout, &[child, child]));
         }
         pages.reverse(); // root first
         let root = siri_crypto::sha256(&pages[0]);

@@ -118,7 +118,7 @@ impl Iterator for RangeCursor {
                 }
             };
             match &*node {
-                Node::Leaf { path, value } => {
+                Node::Leaf { path, value, .. } => {
                     let mut full = prefix;
                     full.extend_from_slice(path.as_slice());
                     match nibbles_to_key(&full) {
@@ -129,14 +129,14 @@ impl Iterator for RangeCursor {
                         }
                     }
                 }
-                Node::Extension { path, child } => {
+                Node::Extension { path, child, .. } => {
                     let mut full = prefix;
                     full.extend_from_slice(path.as_slice());
                     if self.may_intersect(&full) {
                         self.stack.push(Work::Node(*child, full));
                     }
                 }
-                Node::Branch { children, value } => {
+                Node::Branch { children, value, .. } => {
                     // Children pushed high-nibble-first so nibble 0 pops
                     // first; the branch value (shortest key) pops before
                     // any of them.

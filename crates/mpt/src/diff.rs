@@ -54,7 +54,7 @@ fn expand(trie: &MerklePatriciaTrie, cursor: Cursor) -> Result<(Option<Bytes>, S
             // Through the trie's node cache: diffing adjacent versions
             // re-visits the shared spine, which the cache serves for free.
             match &*trie.reader.fetch(&hash)?.0 {
-                Node::Leaf { path, value } => {
+                Node::Leaf { path, value, .. } => {
                     if path.is_empty() {
                         return Ok((Some(value.clone()), slots));
                     }
@@ -63,12 +63,12 @@ fn expand(trie: &MerklePatriciaTrie, cursor: Cursor) -> Result<(Option<Bytes>, S
                         Some(Cursor::Value { path: path.suffix(1), value: value.clone() });
                     Ok((None, slots))
                 }
-                Node::Extension { path, child } => {
+                Node::Extension { path, child, .. } => {
                     let head = path.at(0) as usize;
                     slots[head] = Some(Cursor::Node { path: path.suffix(1), hash: *child });
                     Ok((None, slots))
                 }
-                Node::Branch { children, value } => {
+                Node::Branch { children, value, .. } => {
                     for (i, c) in children.iter().enumerate() {
                         slots[i] = c.map(|h| Cursor::Node { path: Nibbles::empty(), hash: h });
                     }

@@ -27,11 +27,12 @@ mod node;
 mod proof;
 
 use std::ops::Bound;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use siri_core::{
     own_bound, DiffEntry, EntryCursor, IndexError, LookupTracer, PageReader, Proof, ProofVerdict,
-    Result, SiriIndex, StructureReport, StructureStats, WriteBatch,
+    Recorder, Result, SiriIndex, StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::Hash;
 use siri_encoding::Nibbles;
@@ -65,7 +66,7 @@ impl MerklePatriciaTrie {
     }
 
     /// A cache-less reader at `root` over a bare page source — what proofs
-    /// are recorded and verified with (DESIGN.md §14).
+    /// are verified with (DESIGN.md §14).
     pub(crate) fn reader(store: SharedStore, root: Hash) -> Self {
         MerklePatriciaTrie { reader: PageReader::new(store, 0), root }
     }
@@ -102,7 +103,7 @@ impl MerklePatriciaTrie {
                     max = max.max(depth);
                 }
                 Node::Extension { child, .. } => stack.push((*child, depth + 1)),
-                Node::Branch { children, value } => {
+                Node::Branch { children, value, .. } => {
                     if value.is_some() {
                         total += depth as u64;
                         count += 1;
@@ -157,18 +158,18 @@ impl SiriIndex for MerklePatriciaTrie {
             let (node, cached) = self.reader.fetch(&hash)?;
             t.node(cached);
             match &*node {
-                Node::Leaf { path, value } => {
+                Node::Leaf { path, value, .. } => {
                     t.probe();
                     break (nibbles.suffix(offset) == *path).then(|| value.clone());
                 }
-                Node::Extension { path, child } => {
+                Node::Extension { path, child, .. } => {
                     if !nibbles.suffix(offset).starts_with(path) {
                         break None;
                     }
                     offset += path.len();
                     hash = *child;
                 }
-                Node::Branch { children, value } => {
+                Node::Branch { children, value, .. } => {
                     if offset == nibbles.len() {
                         break value.clone();
                     }
@@ -222,8 +223,8 @@ impl SiriIndex for MerklePatriciaTrie {
         diff::diff(self, other)
     }
 
-    fn with_store(&self, store: SharedStore) -> Self {
-        Self::reader(store, self.root)
+    fn recording(&self, rec: &Arc<Recorder>) -> Result<Self> {
+        Ok(MerklePatriciaTrie { reader: self.reader.recording(rec, self.root)?, root: self.root })
     }
 
     fn verify_proof(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {

@@ -49,17 +49,17 @@ impl MemNode {
     /// it borrows a cached node but installs none (DESIGN.md §3).
     fn load(trie: &MerklePatriciaTrie, hash: Hash) -> Result<MemNode> {
         Ok(match &*trie.reader.load(&hash)? {
-            Node::Branch { children, value } => {
+            Node::Branch { children, value, .. } => {
                 let mut slots = empty_children();
                 for (i, c) in children.iter().enumerate() {
                     slots[i] = c.map(MemNode::Stored);
                 }
                 MemNode::Branch { children: slots, value: value.clone() }
             }
-            Node::Extension { path, child } => {
+            Node::Extension { path, child, .. } => {
                 MemNode::Extension { path: path.clone(), child: Box::new(MemNode::Stored(*child)) }
             }
-            Node::Leaf { path, value } => {
+            Node::Leaf { path, value, .. } => {
                 MemNode::Leaf { path: path.clone(), value: value.clone() }
             }
         })
@@ -230,10 +230,10 @@ impl MemNode {
     ) -> Result<Node> {
         Ok(match self {
             MemNode::Stored(_) => unreachable!("commit resolves stored stubs"),
-            MemNode::Leaf { path, value } => Node::Leaf { path, value },
+            MemNode::Leaf { path, value } => Node::Leaf { path, value, page: Bytes::new() },
             MemNode::Extension { path, child } => {
                 let child = child.commit(store, batch, scratch)?;
-                Node::Extension { path, child }
+                Node::Extension { path, child, page: Bytes::new() }
             }
             MemNode::Branch { children, value } => {
                 let mut slots: [Option<Hash>; 16] = Default::default();
@@ -259,7 +259,7 @@ impl MemNode {
                     }
                     batch.spill_if_full(store)?;
                 }
-                Node::Branch { children: slots, value }
+                Node::Branch { children: slots, value, page: Bytes::new() }
             }
         })
     }

@@ -16,9 +16,11 @@
 use bytes::Bytes;
 use siri_core::{IndexError, PageNode, Result};
 use siri_crypto::Hash;
-use siri_encoding::{rlp, Nibbles, RlpItem};
+use siri_encoding::{rlp, Nibbles};
 
-/// A decoded MPT node.
+/// A decoded MPT node. Each kind keeps the page it was decoded from
+/// ([`PageNode::page`]); a node the commit path builds to be encoded has
+/// none yet (`Bytes::new()`).
 ///
 /// The Branch variant is much larger than the others (16 optional child
 /// digests); nodes are short-lived decode products on the read path, so
@@ -29,11 +31,11 @@ use siri_encoding::{rlp, Nibbles, RlpItem};
 pub enum Node {
     /// 16 children (by nibble) and an optional value terminating exactly
     /// at this position.
-    Branch { children: [Option<Hash>; 16], value: Option<Bytes> },
+    Branch { children: [Option<Hash>; 16], value: Option<Bytes>, page: Bytes },
     /// A run of nibbles shared by every key below, then one child.
-    Extension { path: Nibbles, child: Hash },
+    Extension { path: Nibbles, child: Hash, page: Bytes },
     /// A terminal run of nibbles and the value.
-    Leaf { path: Nibbles, value: Bytes },
+    Leaf { path: Nibbles, value: Bytes, page: Bytes },
 }
 
 /// Branch value slots need "absent" ≠ "empty value": absent encodes as the
@@ -82,12 +84,27 @@ fn write_hp_str(out: &mut Vec<u8>, path: &Nibbles, is_leaf: bool) {
     path.hex_prefix_encode_into(is_leaf, out);
 }
 
-fn decode_value_slot(raw: &[u8]) -> Result<Option<Bytes>> {
-    match raw.split_first() {
-        None => Ok(None),
-        Some((0x01, rest)) => Ok(Some(Bytes::copy_from_slice(rest))),
-        Some(_) => Err(IndexError::CorruptStructure("bad branch value marker")),
+/// A branch's child slot: empty, or a 32-byte digest.
+fn child_slot(raw: &[u8]) -> Result<Option<Hash>> {
+    if raw.is_empty() {
+        return Ok(None);
     }
+    Hash::from_slice(raw).map(Some).ok_or(IndexError::CorruptStructure("bad child digest length"))
+}
+
+/// An extension's path and child, or a leaf's path alone (`None`).
+fn pair_path(hp: &[u8], payload: &[u8]) -> Result<(Nibbles, Option<Hash>)> {
+    let (path, is_leaf) = Nibbles::hex_prefix_decode(hp)
+        .ok_or(IndexError::CorruptStructure("bad hex-prefix path"))?;
+    if is_leaf {
+        return Ok((path, None));
+    }
+    if path.is_empty() {
+        return Err(IndexError::CorruptStructure("empty extension path"));
+    }
+    let child = Hash::from_slice(payload)
+        .ok_or(IndexError::CorruptStructure("bad extension child digest"))?;
+    Ok((path, Some(child)))
 }
 
 impl Node {
@@ -101,13 +118,13 @@ impl Node {
     /// RLP payload length (list items only, excluding the list header).
     fn payload_len(&self) -> usize {
         match self {
-            Node::Branch { children, value } => {
+            Node::Branch { children, value, .. } => {
                 // Occupied child: 0xa0 header + 32-byte digest. Empty: 0x80.
                 let kids: usize = children.iter().map(|c| if c.is_some() { 33 } else { 1 }).sum();
                 kids + value_slot_len(value)
             }
             Node::Extension { path, .. } => hp_str_len(path) + 33,
-            Node::Leaf { path, value } => hp_str_len(path) + rlp::str_encoded_len(value),
+            Node::Leaf { path, value, .. } => hp_str_len(path) + rlp::str_encoded_len(value),
         }
     }
 
@@ -121,12 +138,12 @@ impl Node {
     /// Stream the canonical encoding into `out` — byte-identical to
     /// [`Node::encode`] but with zero intermediate allocations, so a commit
     /// can serialize every node into one reusable scratch buffer. (The old
-    /// encoder built an [`RlpItem`] tree: ~18 short-lived `Vec`s per
-    /// branch page.)
+    /// encoder built an [`RlpItem`](siri_encoding::RlpItem) tree: ~18
+    /// short-lived `Vec`s per branch page.)
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         rlp::write_list_header(out, self.payload_len());
         match self {
-            Node::Branch { children, value } => {
+            Node::Branch { children, value, .. } => {
                 for child in children {
                     match child {
                         Some(h) => rlp::write_str(out, h.as_bytes()),
@@ -135,11 +152,11 @@ impl Node {
                 }
                 write_value_slot(out, value);
             }
-            Node::Extension { path, child } => {
+            Node::Extension { path, child, .. } => {
                 write_hp_str(out, path, false);
                 rlp::write_str(out, child.as_bytes());
             }
-            Node::Leaf { path, value } => {
+            Node::Leaf { path, value, .. } => {
                 write_hp_str(out, path, true);
                 rlp::write_str(out, value);
             }
@@ -147,25 +164,15 @@ impl Node {
     }
 
     /// Zero-copy decode: branch/leaf values are refcounted slices of the
-    /// page — the hot read path, mirroring POS-Tree's `decode_zc`. A cache
-    /// hit downstream therefore shares the page allocation instead of
-    /// re-copying values out of it. Validation is byte-for-byte identical
-    /// to [`Node::decode`] (both reject the same corrupt inputs).
+    /// page — the one decoder. A cache hit downstream therefore shares the
+    /// page allocation instead of re-copying values out of it.
     pub fn decode_zc(page: &Bytes) -> Result<Node> {
         let ranges = rlp::flat_list_ranges(page)?;
         match ranges.len() {
             17 => {
                 let mut children: [Option<Hash>; 16] = Default::default();
-                for (i, range) in ranges[..16].iter().enumerate() {
-                    let raw = &page[range.clone()];
-                    children[i] = if raw.is_empty() {
-                        None
-                    } else {
-                        Some(
-                            Hash::from_slice(raw)
-                                .ok_or(IndexError::CorruptStructure("bad child digest length"))?,
-                        )
-                    };
+                for (slot, range) in children.iter_mut().zip(&ranges[..16]) {
+                    *slot = child_slot(&page[range.clone()])?;
                 }
                 let vr = &ranges[16];
                 let value = match page[vr.clone()].split_first() {
@@ -176,73 +183,38 @@ impl Node {
                 if value.is_none() && children.iter().all(Option::is_none) {
                     return Err(IndexError::CorruptStructure("empty branch node"));
                 }
-                Ok(Node::Branch { children, value })
+                Ok(Node::Branch { children, value, page: page.clone() })
             }
-            2 => {
-                let (path, is_leaf) = Nibbles::hex_prefix_decode(&page[ranges[0].clone()])
-                    .ok_or(IndexError::CorruptStructure("bad hex-prefix path"))?;
-                if is_leaf {
-                    Ok(Node::Leaf { path, value: page.slice(ranges[1].clone()) })
-                } else {
-                    if path.is_empty() {
-                        return Err(IndexError::CorruptStructure("empty extension path"));
-                    }
-                    let child = Hash::from_slice(&page[ranges[1].clone()])
-                        .ok_or(IndexError::CorruptStructure("bad extension child digest"))?;
-                    Ok(Node::Extension { path, child })
-                }
-            }
+            2 => match pair_path(&page[ranges[0].clone()], &page[ranges[1].clone()])? {
+                (path, None) => Ok(Node::Leaf {
+                    path,
+                    value: page.slice(ranges[1].clone()),
+                    page: page.clone(),
+                }),
+                (path, Some(child)) => Ok(Node::Extension { path, child, page: page.clone() }),
+            },
             _ => Err(IndexError::CorruptStructure("MPT node is neither branch nor pair")),
         }
     }
 
-    pub fn decode(page: &[u8]) -> Result<Node> {
-        let item = RlpItem::decode_all(page)?;
-        let list = item.as_list()?;
-        match list.len() {
-            17 => {
-                let mut children: [Option<Hash>; 16] = Default::default();
-                for (i, slot) in list[..16].iter().enumerate() {
-                    let raw = slot.as_bytes()?;
-                    children[i] = if raw.is_empty() {
-                        None
-                    } else {
-                        Some(
-                            Hash::from_slice(raw)
-                                .ok_or(IndexError::CorruptStructure("bad child digest length"))?,
-                        )
-                    };
-                }
-                let value = decode_value_slot(list[16].as_bytes()?)?;
-                if value.is_none() && children.iter().all(Option::is_none) {
-                    return Err(IndexError::CorruptStructure("empty branch node"));
-                }
-                Ok(Node::Branch { children, value })
-            }
-            2 => {
-                let (path, is_leaf) = Nibbles::hex_prefix_decode(list[0].as_bytes()?)
-                    .ok_or(IndexError::CorruptStructure("bad hex-prefix path"))?;
-                let payload = list[1].as_bytes()?;
-                if is_leaf {
-                    Ok(Node::Leaf { path, value: Bytes::copy_from_slice(payload) })
-                } else {
-                    if path.is_empty() {
-                        return Err(IndexError::CorruptStructure("empty extension path"));
-                    }
-                    let child = Hash::from_slice(payload)
-                        .ok_or(IndexError::CorruptStructure("bad extension child digest"))?;
-                    Ok(Node::Extension { path, child })
-                }
-            }
-            _ => Err(IndexError::CorruptStructure("MPT node is neither branch nor pair")),
-        }
-    }
-
-    /// Child digests referenced by a page — the store-walk decoder.
+    /// Child digests referenced by a page — the store-walk decoder, which
+    /// reads the slots in place and builds no node. A page that does not
+    /// parse has none.
     pub fn children_of_page(page: &[u8]) -> Vec<Hash> {
-        match Node::decode(page) {
-            Ok(Node::Branch { children, .. }) => children.into_iter().flatten().collect(),
-            Ok(Node::Extension { child, .. }) => vec![child],
+        let Ok(ranges) = rlp::flat_list_ranges(page) else {
+            return Vec::new();
+        };
+        let slot = |i: usize| &page[ranges[i].clone()];
+        match ranges.len() {
+            17 => (0..16)
+                .map(|i| child_slot(slot(i)))
+                .collect::<Result<Vec<_>>>()
+                .map(|slots| slots.into_iter().flatten().collect())
+                .unwrap_or_default(),
+            2 => match pair_path(slot(0), slot(1)) {
+                Ok((_, Some(child))) => vec![child],
+                _ => Vec::new(),
+            },
             _ => Vec::new(),
         }
     }
@@ -252,30 +224,62 @@ impl PageNode for Node {
     fn decode_page(page: &Bytes) -> Result<Self> {
         Node::decode_zc(page)
     }
+
+    fn page(&self) -> &Bytes {
+        match self {
+            Node::Branch { page, .. } | Node::Extension { page, .. } | Node::Leaf { page, .. } => {
+                page
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use siri_crypto::sha256;
+    use siri_encoding::RlpItem;
 
     fn nib(raw: &[u8]) -> Nibbles {
         Nibbles::from_raw(raw.to_vec())
     }
 
+    fn leaf(path: Nibbles, value: Bytes) -> Node {
+        Node::Leaf { path, value, page: Bytes::new() }
+    }
+
+    fn ext(path: Nibbles, child: Hash) -> Node {
+        Node::Extension { path, child, page: Bytes::new() }
+    }
+
+    fn branch(children: [Option<Hash>; 16], value: Option<Bytes>) -> Node {
+        Node::Branch { children, value, page: Bytes::new() }
+    }
+
+    /// `node` encodes to a page that decodes back to its content, holding
+    /// that page.
+    fn round_trip(node: Node) {
+        let page = node.encode();
+        let back = Node::decode_zc(&page).unwrap();
+        let want = match node {
+            Node::Branch { children, value, .. } => Node::Branch { children, value, page },
+            Node::Extension { path, child, .. } => Node::Extension { path, child, page },
+            Node::Leaf { path, value, .. } => Node::Leaf { path, value, page },
+        };
+        assert_eq!(back, want);
+        assert_eq!(back.page(), want.page());
+    }
+
     #[test]
     fn leaf_round_trip() {
-        let node = Node::Leaf { path: nib(&[1, 2, 3]), value: Bytes::from_static(b"val") };
-        assert_eq!(Node::decode(&node.encode()).unwrap(), node);
+        round_trip(leaf(nib(&[1, 2, 3]), Bytes::from_static(b"val")));
         // Empty path and empty value are legal leaves.
-        let node = Node::Leaf { path: Nibbles::empty(), value: Bytes::new() };
-        assert_eq!(Node::decode(&node.encode()).unwrap(), node);
+        round_trip(leaf(Nibbles::empty(), Bytes::new()));
     }
 
     #[test]
     fn extension_round_trip() {
-        let node = Node::Extension { path: nib(&[0xa]), child: sha256(b"child") };
-        assert_eq!(Node::decode(&node.encode()).unwrap(), node);
+        round_trip(ext(nib(&[0xa]), sha256(b"child")));
     }
 
     #[test]
@@ -284,8 +288,7 @@ mod tests {
         children[3] = Some(sha256(b"c3"));
         children[15] = Some(sha256(b"c15"));
         for value in [None, Some(Bytes::from_static(b"v")), Some(Bytes::new())] {
-            let node = Node::Branch { children, value: value.clone() };
-            assert_eq!(Node::decode(&node.encode()).unwrap(), node, "value {value:?}");
+            round_trip(branch(children, value));
         }
     }
 
@@ -297,7 +300,7 @@ mod tests {
     fn streamed_encode_matches_rlp_item_reference() {
         fn reference(node: &Node) -> Vec<u8> {
             let item = match node {
-                Node::Branch { children, value } => {
+                Node::Branch { children, value, .. } => {
                     let mut items: Vec<RlpItem> = children
                         .iter()
                         .map(|c| match c {
@@ -315,11 +318,11 @@ mod tests {
                     });
                     RlpItem::list(items)
                 }
-                Node::Extension { path, child } => RlpItem::list(vec![
+                Node::Extension { path, child, .. } => RlpItem::list(vec![
                     RlpItem::bytes(path.hex_prefix_encode(false)),
                     RlpItem::bytes(child.as_bytes().to_vec()),
                 ]),
-                Node::Leaf { path, value } => RlpItem::list(vec![
+                Node::Leaf { path, value, .. } => RlpItem::list(vec![
                     RlpItem::bytes(path.hex_prefix_encode(true)),
                     RlpItem::bytes(value.to_vec()),
                 ]),
@@ -331,16 +334,16 @@ mod tests {
         children[7] = Some(sha256(b"b"));
         let full: [Option<Hash>; 16] = std::array::from_fn(|i| Some(sha256(&[i as u8])));
         let nodes = vec![
-            Node::Leaf { path: Nibbles::empty(), value: Bytes::new() },
-            Node::Leaf { path: nib(&[5]), value: Bytes::from_static(b"v") }, // 1-byte hex-prefix
-            Node::Leaf { path: nib(&[1, 2]), value: Bytes::from(vec![0x7fu8]) }, // 1-byte literal value
-            Node::Leaf { path: nib(&[1, 2, 3]), value: Bytes::from(vec![9u8; 300]) }, // long string
-            Node::Extension { path: nib(&[0xf]), child: sha256(b"c") },
-            Node::Extension { path: nib(&[1, 2, 3, 4]), child: sha256(b"c") },
-            Node::Branch { children, value: None },
-            Node::Branch { children, value: Some(Bytes::new()) },
-            Node::Branch { children, value: Some(Bytes::from_static(b"value")) },
-            Node::Branch { children: full, value: Some(Bytes::from(vec![3u8; 100])) },
+            leaf(Nibbles::empty(), Bytes::new()),
+            leaf(nib(&[5]), Bytes::from_static(b"v")), // 1-byte hex-prefix
+            leaf(nib(&[1, 2]), Bytes::from(vec![0x7fu8])), // 1-byte literal value
+            leaf(nib(&[1, 2, 3]), Bytes::from(vec![9u8; 300])), // long string
+            ext(nib(&[0xf]), sha256(b"c")),
+            ext(nib(&[1, 2, 3, 4]), sha256(b"c")),
+            branch(children, None),
+            branch(children, Some(Bytes::new())),
+            branch(children, Some(Bytes::from_static(b"value"))),
+            branch(full, Some(Bytes::from(vec![3u8; 100]))),
         ];
         for node in nodes {
             let streamed = node.encode();
@@ -353,59 +356,35 @@ mod tests {
     fn empty_value_distinct_from_absent() {
         let mut children: [Option<Hash>; 16] = Default::default();
         children[0] = Some(sha256(b"c"));
-        let absent = Node::Branch { children, value: None }.encode();
-        let empty = Node::Branch { children, value: Some(Bytes::new()) }.encode();
+        let absent = branch(children, None).encode();
+        let empty = branch(children, Some(Bytes::new())).encode();
         assert_ne!(absent, empty);
     }
 
     #[test]
     fn rejects_malformed() {
-        assert!(Node::decode(b"not rlp").is_err());
-        // A 3-element list is no MPT node.
-        let bad =
-            RlpItem::list(vec![RlpItem::uint(1), RlpItem::uint(2), RlpItem::uint(3)]).encode();
-        assert!(Node::decode(&bad).is_err());
-        // Extension with empty path.
-        let bad = RlpItem::list(vec![
-            RlpItem::bytes(Nibbles::empty().hex_prefix_encode(false)),
-            RlpItem::bytes(sha256(b"c").as_bytes().to_vec()),
-        ])
-        .encode();
-        assert!(Node::decode(&bad).is_err());
-        // Branch with all slots empty.
-        let mut items = vec![RlpItem::bytes(Vec::new()); 16];
-        items.push(RlpItem::bytes(Vec::new()));
-        assert!(Node::decode(&RlpItem::list(items).encode()).is_err());
-    }
-
-    #[test]
-    fn zero_copy_decode_matches_copying_decode() {
-        let mut children: [Option<Hash>; 16] = Default::default();
-        children[2] = Some(sha256(b"c2"));
-        children[9] = Some(sha256(b"c9"));
-        let nodes = vec![
-            Node::Leaf { path: nib(&[1, 2, 3]), value: Bytes::from_static(b"value bytes") },
-            Node::Leaf { path: Nibbles::empty(), value: Bytes::new() },
-            Node::Extension { path: nib(&[0xa, 0xb]), child: sha256(b"child") },
-            Node::Branch { children, value: Some(Bytes::from_static(b"bv")) },
-            Node::Branch { children, value: None },
+        let bad_inputs: Vec<Vec<u8>> = vec![
+            b"not rlp".to_vec(),
+            // A 3-element list is no MPT node.
+            RlpItem::list(vec![RlpItem::uint(1), RlpItem::uint(2), RlpItem::uint(3)]).encode(),
+            // Extension with empty path.
+            RlpItem::list(vec![
+                RlpItem::bytes(Nibbles::empty().hex_prefix_encode(false)),
+                RlpItem::bytes(sha256(b"c").as_bytes().to_vec()),
+            ])
+            .encode(),
+            // Branch with all slots empty.
+            RlpItem::list(vec![RlpItem::bytes(Vec::new()); 17]).encode(),
         ];
-        for node in nodes {
-            let page = node.encode();
-            assert_eq!(Node::decode_zc(&page).unwrap(), node);
-            assert_eq!(Node::decode(&page).unwrap(), node);
+        for raw in bad_inputs {
+            assert!(Node::decode_zc(&Bytes::from(raw.clone())).is_err(), "input {raw:?}");
         }
-        // Values are slices of the page (no copy).
-        let leaf = Node::Leaf { path: nib(&[1]), value: Bytes::from_static(b"shared-payload") };
-        let page = leaf.encode();
-        let Node::Leaf { value, .. } = Node::decode_zc(&page).unwrap() else { panic!() };
-        let base = page.as_ptr() as usize;
-        let v = value.as_ptr() as usize;
-        assert!(v > base && v < base + page.len(), "value must point into the page");
     }
 
     #[test]
     fn zero_copy_decode_rejects_what_decode_rejects() {
+        // The store reads pages through `PageNode::decode_page`; it must
+        // refuse exactly what `decode_zc` refuses.
         let bad_inputs: Vec<Vec<u8>> = vec![
             b"not rlp".to_vec(),
             RlpItem::list(vec![RlpItem::uint(1), RlpItem::uint(2), RlpItem::uint(3)]).encode(),
@@ -420,15 +399,35 @@ mod tests {
         for raw in bad_inputs {
             let page = Bytes::from(raw.clone());
             assert!(Node::decode_zc(&page).is_err(), "input {raw:?}");
-            assert!(Node::decode(&raw).is_err());
+            assert!(<Node as PageNode>::decode_page(&page).is_err(), "input {raw:?}");
         }
     }
 
     #[test]
+    fn decode_shares_the_page() {
+        // Values are slices of the page (no copy), and the node keeps it.
+        let page = leaf(nib(&[1]), Bytes::from_static(b"shared-payload")).encode();
+        let node = Node::decode_zc(&page).unwrap();
+        let Node::Leaf { value, .. } = &node else { panic!() };
+        let base = page.as_ptr() as usize;
+        let v = value.as_ptr() as usize;
+        assert!(v > base && v < base + page.len(), "value must point into the page");
+        assert_eq!(node.page().as_ptr(), page.as_ptr(), "the node keeps the page, uncopied");
+    }
+
+    #[test]
     fn children_decoder() {
-        let ext = Node::Extension { path: nib(&[1]), child: sha256(b"c") };
-        assert_eq!(Node::children_of_page(&ext.encode()), vec![sha256(b"c")]);
-        let leaf = Node::Leaf { path: nib(&[1]), value: Bytes::from_static(b"v") };
-        assert!(Node::children_of_page(&leaf.encode()).is_empty());
+        let ext_page = ext(nib(&[1]), sha256(b"c")).encode();
+        assert_eq!(Node::children_of_page(&ext_page), vec![sha256(b"c")]);
+        assert!(
+            Node::children_of_page(&leaf(nib(&[1]), Bytes::from_static(b"v")).encode()).is_empty()
+        );
+        let mut children: [Option<Hash>; 16] = Default::default();
+        children[2] = Some(sha256(b"c2"));
+        children[9] = Some(sha256(b"c9"));
+        let page = branch(children, Some(Bytes::from_static(b"bv"))).encode();
+        assert_eq!(Node::children_of_page(&page), vec![sha256(b"c2"), sha256(b"c9")]);
+        assert!(Node::children_of_page(&page[..page.len() - 1]).is_empty(), "truncated");
+        assert!(Node::children_of_page(b"not rlp").is_empty());
     }
 }

@@ -27,7 +27,7 @@ use bytes::Bytes;
 use siri_core::ordered::{self, ChildRef};
 use siri_core::{
     apply_ops, own_bound, BatchOp, DiffEntry, Entry, EntryCursor, LookupTracer, PageReader, Proof,
-    ProofVerdict, Result, SiriIndex, StructureReport, StructureStats, WriteBatch,
+    ProofVerdict, Recorder, Result, SiriIndex, StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::{FxHashSet, Hash};
 use siri_store::{
@@ -160,7 +160,7 @@ impl MvmbTree {
         ops: &[BatchOp],
     ) -> Result<Vec<ChildRef>> {
         match &*self.reader.load(&node_hash)? {
-            Node::Leaf(old) => self.emit_leaves(batch, apply_ops(old, ops)),
+            Node::Leaf { entries: old, .. } => self.emit_leaves(batch, apply_ops(old, ops)),
             Node::Internal(children) => {
                 // Partition the batch across children by routing range.
                 let mut pieces: Vec<ChildRef> = Vec::with_capacity(children.len() + 2);
@@ -313,8 +313,8 @@ impl SiriIndex for MvmbTree {
         siri_core::diff_by_scan(self, other)
     }
 
-    fn with_store(&self, store: SharedStore) -> Self {
-        MvmbTree { reader: PageReader::new(store, 0), ..self.clone() }
+    fn recording(&self, rec: &Arc<Recorder>) -> Result<Self> {
+        Ok(MvmbTree { reader: self.reader.recording(rec, self.root)?, ..self.clone() })
     }
 
     fn verify_proof(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
@@ -336,7 +336,7 @@ impl StructureStats for MvmbTree {
                 continue;
             }
             match &*self.reader.fetch(&h)?.0 {
-                Node::Leaf(items) => {
+                Node::Leaf { entries: items, .. } => {
                     leaves += 1;
                     entries += items.len() as u64;
                 }

@@ -16,11 +16,12 @@ use siri_encoding::{ByteReader, ByteWriter, CodecError};
 const TAG_INTERNAL: u8 = 0x11;
 const TAG_LEAF: u8 = 0x12;
 
-/// Decoded MVMB+-Tree page.
+/// Decoded MVMB+-Tree page. It keeps its page: an internal node in its
+/// [`ChildRun`], a leaf beside its entries ([`PageNode::page`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
     Internal(ChildRun),
-    Leaf(Vec<Entry>),
+    Leaf { entries: Vec<Entry>, page: Bytes },
 }
 
 impl Node {
@@ -47,22 +48,20 @@ impl Node {
             Node::Internal(children) => {
                 Bytes::from([&[TAG_INTERNAL], children.as_bytes()].concat())
             }
-            Node::Leaf(entries) => Self::encode_leaf(entries),
+            Node::Leaf { entries, .. } => Self::encode_leaf(entries),
         }
     }
 
-    /// Copying decode (tests, diagnostics, store walks).
-    pub fn decode(page: &[u8]) -> Result<Node> {
-        Self::decode_zc(&Bytes::copy_from_slice(page))
-    }
-
     /// Zero-copy decode: keys, values and the child run are refcounted
-    /// slices of the page — the hot read path.
+    /// slices of the page — the one decoder.
     pub fn decode_zc(page: &Bytes) -> Result<Node> {
         let mut r = ByteReader::new(page);
         match r.get_u8()? {
             TAG_INTERNAL => Ok(Node::Internal(ChildRun::decode(page, r.offset())?)),
-            TAG_LEAF => Ok(Node::Leaf(entry_codec::decode_entries_zc(page, r.offset())?)),
+            TAG_LEAF => {
+                let entries = entry_codec::decode_entries_zc(page, r.offset())?;
+                Ok(Node::Leaf { entries, page: page.clone() })
+            }
             other => Err(CodecError::BadTag(other).into()),
         }
     }
@@ -81,7 +80,7 @@ impl Node {
     pub fn max_key(&self) -> Option<Bytes> {
         match self {
             Node::Internal(children) => children.max_key(),
-            Node::Leaf(entries) => entries.last().map(|e| e.key.clone()),
+            Node::Leaf { entries, .. } => entries.last().map(|e| e.key.clone()),
         }
     }
 }
@@ -90,19 +89,26 @@ impl PageNode for Node {
     fn decode_page(page: &Bytes) -> Result<Self> {
         Node::decode_zc(page)
     }
+
+    fn page(&self) -> &Bytes {
+        match self {
+            Node::Internal(children) => children.page(),
+            Node::Leaf { page, .. } => page,
+        }
+    }
 }
 
 impl OrderedNode for Node {
     fn entries(&self) -> Option<&[Entry]> {
         match self {
-            Node::Leaf(entries) => Some(entries),
+            Node::Leaf { entries, .. } => Some(entries),
             Node::Internal(_) => None,
         }
     }
 
     fn children(&self) -> &ChildRun {
         match self {
-            Node::Leaf(_) => ordered::no_children(),
+            Node::Leaf { .. } => ordered::no_children(),
             Node::Internal(children) => children,
         }
     }
@@ -121,17 +127,25 @@ mod tests {
         ChildRef { max_key: Bytes::copy_from_slice(k.as_bytes()), hash: sha256(seed.as_bytes()) }
     }
 
+    /// The leaf of `entries`, decoded from its page.
+    fn leaf(entries: Vec<Entry>) -> Node {
+        Node::decode_zc(&Node::encode_leaf(&entries)).unwrap()
+    }
+
     #[test]
     fn round_trips() {
-        let leaf = Node::Leaf(vec![e("a", "1"), e("b", "2")]);
-        assert_eq!(Node::decode(&leaf.encode()).unwrap(), leaf);
+        let leaf = leaf(vec![e("a", "1"), e("b", "2")]);
+        assert_eq!(leaf.page(), &leaf.encode());
+        assert_eq!(Node::decode_zc(&leaf.encode()).unwrap(), leaf);
         let internal = Node::Internal(ChildRun::new(&[cr("m", "c1"), cr("z", "c2")]));
-        assert_eq!(Node::decode(&internal.encode()).unwrap(), internal);
+        let page = internal.encode();
+        assert_eq!(Node::decode_zc(&page).unwrap(), internal);
+        assert_eq!(Node::decode_zc(&page).unwrap().page(), &page);
     }
 
     #[test]
     fn max_key() {
-        assert_eq!(Node::Leaf(vec![e("a", "1"), e("q", "2")]).max_key().unwrap().as_ref(), b"q");
+        assert_eq!(leaf(vec![e("a", "1"), e("q", "2")]).max_key().unwrap().as_ref(), b"q");
         assert_eq!(
             Node::Internal(ChildRun::new(&[cr("m", "x"), cr("z", "y")]))
                 .max_key()
@@ -139,7 +153,7 @@ mod tests {
                 .as_ref(),
             b"z"
         );
-        assert!(Node::Leaf(Vec::new()).max_key().is_none());
+        assert!(leaf(Vec::new()).max_key().is_none());
     }
 
     #[test]
@@ -155,11 +169,11 @@ mod tests {
 
     #[test]
     fn decode_rejects_disorder_and_bad_tags() {
-        let bad_leaf = Node::Leaf(vec![e("b", "1"), e("a", "1")]);
-        assert!(Node::decode(&bad_leaf.encode()).is_err());
+        let bad_leaf = Node::encode_leaf(&[e("b", "1"), e("a", "1")]);
+        assert!(Node::decode_zc(&bad_leaf).is_err());
         let bad_internal = Node::Internal(ChildRun::new(&[cr("z", "1"), cr("a", "2")]));
-        assert!(Node::decode(&bad_internal.encode()).is_err());
-        assert!(Node::decode(&[0x55]).is_err());
-        assert!(Node::decode(&[TAG_INTERNAL, 0]).is_err(), "zero children");
+        assert!(Node::decode_zc(&bad_internal.encode()).is_err());
+        assert!(Node::decode_zc(&Bytes::from_static(&[0x55])).is_err());
+        assert!(Node::decode_zc(&Bytes::from_static(&[TAG_INTERNAL, 0])).is_err(), "zero children");
     }
 }

@@ -459,7 +459,7 @@ mod tests {
         let store = MemStore::new_shared();
         let es = entries(1);
         let piece = build(&store, &PosParams::default(), &es).unwrap();
-        let node = Node::decode(&store.get(&piece.hash).unwrap()).unwrap();
+        let node = Node::decode_zc(&store.get(&piece.hash).unwrap()).unwrap();
         assert!(matches!(node, Node::Leaf { .. }));
     }
 
@@ -481,7 +481,7 @@ mod tests {
             assert_eq!(sealed.max_key, es[n - 1].key);
             assert_eq!(
                 sealed.page,
-                Node::Leaf { salt, entries: es }.encode(),
+                Node::Leaf { salt, entries: es, page: Bytes::new() }.encode(),
                 "salt {salt}, {n} entries"
             );
         }
@@ -529,7 +529,7 @@ mod tests {
         let store = MemStore::new_shared();
         let es = entries(4000); // ~430 KB of payload, ~1 KB target nodes
         let root = build(&store, &PosParams::default(), &es).unwrap();
-        let root_node = Node::decode(&store.get(&root.hash).unwrap()).unwrap();
+        let root_node = Node::decode_zc(&store.get(&root.hash).unwrap()).unwrap();
         assert!(matches!(root_node, Node::Internal { .. }));
 
         // Expected leaf size 2^10 = 1024 bytes; check the average is within
@@ -566,7 +566,7 @@ mod tests {
         let mut stack = vec![root.hash];
         while let Some(h) = stack.pop() {
             let page = store.get(&h).unwrap();
-            match Node::decode(&page).unwrap() {
+            match Node::decode_zc(&page).unwrap() {
                 Node::Internal { children, .. } => stack.extend(children.iter().map(|c| c.hash())),
                 Node::Leaf { entries, .. } => {
                     let bytes: usize =
@@ -582,7 +582,7 @@ mod tests {
         let store = MemStore::new_shared();
         let es = entries(3000);
         let root = build(&store, &PosParams::noms(), &es).unwrap();
-        let node = Node::decode(&store.get(&root.hash).unwrap()).unwrap();
+        let node = Node::decode_zc(&store.get(&root.hash).unwrap()).unwrap();
         assert!(matches!(node, Node::Internal { .. }));
     }
 }

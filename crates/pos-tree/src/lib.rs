@@ -35,12 +35,13 @@ mod proof;
 mod update;
 
 use std::ops::Bound;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use siri_core::ordered::{self, OrderedNode};
 use siri_core::{
     apply_ops, own_bound, DiffEntry, EntryCursor, LookupTracer, PageReader, Proof, ProofVerdict,
-    Result, SiriIndex, StructureReport, StructureStats, WriteBatch,
+    Recorder, Result, SiriIndex, StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::Hash;
 use siri_store::{
@@ -240,8 +241,8 @@ impl SiriIndex for PosTree {
         diff::diff(self, other)
     }
 
-    fn with_store(&self, store: SharedStore) -> Self {
-        PosTree { reader: PageReader::new(store, 0), ..self.clone() }
+    fn recording(&self, rec: &Arc<Recorder>) -> Result<Self> {
+        Ok(PosTree { reader: self.reader.recording(rec, self.root)?, ..self.clone() })
     }
 
     fn verify_proof(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {

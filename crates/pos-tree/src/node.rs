@@ -55,10 +55,12 @@ pub(crate) fn encode_internal(w: &mut ByteWriter, salt: u64, level: u32, childre
     ChildRun::write(w, children);
 }
 
-/// Decoded POS-Tree page.
+/// Decoded POS-Tree page. A decoded node keeps its page: a leaf beside
+/// its entries, an internal node in its [`ChildRun`] ([`PageNode::page`]).
+/// A leaf built to be encoded has no page yet (`Bytes::new()`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
-    Leaf { salt: u64, entries: Vec<Entry> },
+    Leaf { salt: u64, entries: Vec<Entry>, page: Bytes },
     Internal { salt: u64, level: u32, children: ChildRun },
 }
 
@@ -74,7 +76,7 @@ impl Node {
     /// their final length in one allocation.
     pub fn encoded_len(&self) -> usize {
         match self {
-            Node::Leaf { salt, entries } => {
+            Node::Leaf { salt, entries, .. } => {
                 1 + varint::len(*salt) + entry_codec::entries_encoded_len(entries)
             }
             Node::Internal { salt, level, children } => {
@@ -87,7 +89,7 @@ impl Node {
     /// page buffer instead of transiting a temporary `Vec`.
     pub fn encode_into(&self, w: &mut ByteWriter) {
         match self {
-            Node::Leaf { salt, entries } => {
+            Node::Leaf { salt, entries, .. } => {
                 write_leaf_header(w, *salt, entries.len() as u64);
                 for e in entries {
                     entry_codec::write_entry(w, e);
@@ -100,20 +102,15 @@ impl Node {
         }
     }
 
-    /// Copying decode (tests, diagnostics, store walks).
-    pub fn decode(page: &[u8]) -> Result<Node> {
-        Self::decode_zc(&Bytes::copy_from_slice(page))
-    }
-
     /// Zero-copy decode: keys, values and the child run are refcounted
-    /// slices of the page — the hot read path.
+    /// slices of the page — the one decoder.
     pub fn decode_zc(page: &Bytes) -> Result<Node> {
         let mut r = ByteReader::new(page);
         match r.get_u8()? {
             TAG_LEAF => {
                 let salt = r.get_varint()?;
                 let entries = entry_codec::decode_entries_zc(page, r.offset())?;
-                Ok(Node::Leaf { salt, entries })
+                Ok(Node::Leaf { salt, entries, page: page.clone() })
             }
             TAG_INTERNAL => {
                 let salt = r.get_varint()?;
@@ -159,6 +156,13 @@ impl PageNode for Node {
     fn decode_page(page: &Bytes) -> Result<Self> {
         Node::decode_zc(page)
     }
+
+    fn page(&self) -> &Bytes {
+        match self {
+            Node::Leaf { page, .. } => page,
+            Node::Internal { children, .. } => children.page(),
+        }
+    }
 }
 
 impl OrderedNode for Node {
@@ -190,22 +194,36 @@ mod tests {
         ChildRef { max_key: Bytes::copy_from_slice(k.as_bytes()), hash: sha256(s.as_bytes()) }
     }
 
+    fn leaf(salt: u64, entries: Vec<Entry>) -> Node {
+        Node::Leaf { salt, entries, page: Bytes::new() }
+    }
+
+    /// Decoding `node`'s page gives back its content, holding that page.
+    fn round_trip(node: &Node) {
+        let page = node.encode();
+        let back = Node::decode_zc(&page).unwrap();
+        assert_eq!(back.encode(), page);
+        assert_eq!(back.page(), &page);
+        assert_eq!(
+            (back.level(), back.entries(), back.children()),
+            (node.level(), node.entries(), node.children())
+        );
+    }
+
     #[test]
     fn round_trips() {
-        let leaf = Node::Leaf { salt: 0, entries: vec![e("a", "1"), e("b", "2")] };
-        assert_eq!(Node::decode(&leaf.encode()).unwrap(), leaf);
-        let internal = Node::Internal {
+        round_trip(&leaf(0, vec![e("a", "1"), e("b", "2")]));
+        round_trip(&Node::Internal {
             salt: 3,
             level: 2,
             children: ChildRun::new(&[p("m", "x"), p("z", "y")]),
-        };
-        assert_eq!(Node::decode(&internal.encode()).unwrap(), internal);
+        });
     }
 
     #[test]
     fn salt_changes_bytes() {
-        let a = Node::Leaf { salt: 0, entries: vec![e("a", "1")] }.encode();
-        let b = Node::Leaf { salt: 1, entries: vec![e("a", "1")] }.encode();
+        let a = leaf(0, vec![e("a", "1")]).encode();
+        let b = leaf(1, vec![e("a", "1")]).encode();
         assert_ne!(a, b, "salted pages must not deduplicate");
     }
 
@@ -220,13 +238,13 @@ mod tests {
 
     #[test]
     fn rejects_corruption() {
-        assert!(Node::decode(&[0x99]).is_err());
-        let unsorted = Node::Leaf { salt: 0, entries: vec![e("b", "1"), e("a", "2")] };
-        assert!(Node::decode(&unsorted.encode()).is_err());
+        assert!(Node::decode_zc(&Bytes::from_static(&[0x99])).is_err());
+        let unsorted = leaf(0, vec![e("b", "1"), e("a", "2")]);
+        assert!(Node::decode_zc(&unsorted.encode()).is_err());
         let internal =
             Node::Internal { salt: 0, level: 1, children: ChildRun::new(&[p("a", "x")]) };
         let enc = internal.encode();
-        assert!(Node::decode(&enc[..enc.len() - 2]).is_err());
+        assert!(Node::decode_zc(&enc.slice(..enc.len() - 2)).is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub const PAGE_BATCH_SPILL_BYTES: usize = 4 * 1024 * 1024;
 /// [`PageBatch::push_many`], and each computes the SHA-256 itself — so a
 /// digest in a batch *is* its page's digest, and
 /// [`NodeStore::try_put_batch`] can trust it without hashing again.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct PageBatch {
     pages: Vec<(Hash, Bytes)>,
     bytes: usize,

@@ -213,8 +213,8 @@ impl<N> NodeCache<N> {
     /// resident entries never exceed `capacity`. Capacities below the
     /// shard count leave some shards with no budget (their inserts are
     /// dropped) — use ≥ 16 for a cache that can hold every key. A disabled
-    /// cache allocates no shards at all, so the per-proof witness handles
-    /// (DESIGN.md §14) cost one `Arc`.
+    /// cache allocates no shards at all, so the reader a verifier opens per
+    /// proof (DESIGN.md §14) costs one `Arc`.
     pub fn new(capacity: usize) -> Self {
         let shards = (0..if capacity == 0 { 0 } else { SHARDS })
             .map(|i| Shard {

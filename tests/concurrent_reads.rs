@@ -348,6 +348,84 @@ fn cross_shard_reads_are_one_snapshot_under_reshaping() {
     });
 }
 
+/// Proofs race commits and gets on one branch: while a writer commits and
+/// readers get, provers take membership, range and batch proofs, and
+/// every proof verifies against the digest it was returned with. The
+/// prover borrows from the shard heads' node caches the readers fill, so
+/// it takes cache shard locks under whatever the other threads hold; the
+/// `SIRI_LOCK_ORDER=1` CI leg runs this with the lock-order tracker armed.
+#[test]
+fn proofs_race_commits_and_gets_on_one_branch() {
+    matrix::each(ENGINES, |cfg| {
+        const RECORDS: u32 = 600;
+        let commits = 40 * stress_n() as u32;
+        // Lead bytes spread over the whole range: every shard of a uniform
+        // `pinned(8)` partition holds keys.
+        let key = |i: u32| [&[(i * 37 % 251) as u8][..], format!("k{i:05}").as_bytes()].concat();
+        let fb = cfg.engine(PosFactory(PosParams::default()));
+        let scheme = PosFactory(PosParams::default()).scheme();
+        let data = (0..RECORDS).map(|i| Entry::new(key(i), format!("v{i}-0").into_bytes()));
+        fb.commit("master", WriteBatch::from_entries(data.collect())).unwrap();
+        let done = AtomicBool::new(false);
+        // All four threads start together, so proofs overlap commits.
+        let start = Barrier::new(4);
+        thread::scope(|s| {
+            s.spawn(|| {
+                let _stop = SetOnDrop(&done);
+                start.wait();
+                for round in 1..=commits {
+                    let mut batch = WriteBatch::new();
+                    for j in 0..8 {
+                        let i = (round * 53 + j * 71) % RECORDS;
+                        batch.put(key(i), format!("v{i}-{round}").into_bytes());
+                    }
+                    batch.put(key(RECORDS + round), b"fresh".to_vec());
+                    fb.commit("master", batch).unwrap();
+                }
+            });
+            s.spawn(|| {
+                start.wait();
+                let mut i = 0;
+                while !done.load(Ordering::Acquire) {
+                    let got = fb.get("master", &key(i % RECORDS)).unwrap().unwrap();
+                    assert!(got.starts_with(format!("v{}-", i % RECORDS).as_bytes()));
+                    i += 7;
+                }
+            });
+            for p in 0..2u32 {
+                let (fb, done, key, start) = (&fb, &done, &key, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut n = 0u32;
+                    while !done.load(Ordering::Acquire) || n < 20 {
+                        let k = key((n * 13 + p * 301) % RECORDS);
+                        let (digest, proof) = fb.prove("master", &k).unwrap();
+                        let verdict = siri::verify_anchored_membership(scheme, digest, &k, &proof);
+                        assert!(verdict.value().is_some(), "proof {n}: {verdict:?}");
+
+                        let (lo, hi) = (key(n % RECORDS), key((n + 5) % RECORDS));
+                        let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
+                        let window = (Bound::Included(&lo[..]), Bound::Excluded(&hi[..]));
+                        let (digest, proof) = fb.prove_range("master", window.0, window.1).unwrap();
+                        let verdict =
+                            siri::verify_anchored_range(scheme, digest, window.0, window.1, &proof);
+                        assert!(verdict.is_valid(), "range proof {n}: {verdict:?}");
+
+                        let keys: Vec<siri::Bytes> =
+                            (0..4).map(|j| key((n * 17 + j * 149) % RECORDS).into()).collect();
+                        let (digest, proof) = fb.prove_batch("master", &keys).unwrap();
+                        let verdict = siri::verify_anchored_batch(scheme, digest, &keys, &proof);
+                        let present =
+                            verdict.verdicts().map(|v| v.iter().all(|v| v.value().is_some()));
+                        assert_eq!(present, Some(true), "batch proof {n}: {verdict:?}");
+                        n += 1;
+                    }
+                });
+            }
+        });
+    });
+}
+
 fn to_entries(raw: &[(Vec<u8>, Vec<u8>)]) -> Vec<Entry> {
     raw.iter().map(|(k, v)| Entry::new(k.clone(), v.clone())).collect()
 }

@@ -271,8 +271,9 @@ fn commits_borrow_the_node_cache_and_reads_install() {
             head.kind()
         );
 
-        // The same commit with no cache reads every node it replaces.
-        let mut cold = idx.with_store(idx.store().clone());
+        // The same commit on a cold handle (a fresh, empty node cache) reads
+        // every node it replaces.
+        let mut cold = factory.open(idx.store().clone(), idx.root());
         let before = gets(&cold);
         cold.commit(batch).unwrap();
         let cold_gets = gets(&cold) - before;
@@ -355,7 +356,7 @@ fn cursor_delivers_a_missing_leaf_as_one_error_after_the_entries_before_it() {
         let before: usize = leaves[..leaves.len() / 2].iter().map(|(_, es)| es.len()).sum();
         assert!(before > 0 && before < sorted.len());
 
-        let mut cursor = idx.with_store(holey).range(Unbounded, Unbounded);
+        let mut cursor = factory.open(holey, idx.root()).range(Unbounded, Unbounded);
         for want in &sorted[..before] {
             assert_eq!(cursor.next(), Some(Ok(want.clone())), "{}", idx.kind());
         }
@@ -378,10 +379,11 @@ fn take_ending_on_a_leaf_edge_does_not_load_the_next_leaf() {
         let leaves = leaves::<N>(idx.store(), idx.root());
         let k: usize = leaves[..3].iter().map(|(_, es)| es.len()).sum();
 
-        // A witness handle has no node cache, and records what it fetches.
-        let rec = Recorder::new(idx.store().clone());
+        // A recording handle keeps every page it reads, cached or not.
+        let rec = Recorder::new();
         let got: Vec<Entry> = idx
-            .with_store(rec.clone())
+            .recording(&rec)
+            .unwrap()
             .range(Unbounded, Unbounded)
             .take(k)
             .collect::<siri::Result<_>>()
@@ -419,13 +421,13 @@ fn childless_internal_and_empty_leaf_roots_are_errors() {
         }
     }
     let childless = PosNode::Internal { salt: 0, level: 1, children: ChildRun::new(&[]) };
-    let empty_leaf = PosNode::Leaf { salt: 0, entries: Vec::new() };
+    let empty_leaf = PosNode::Leaf { salt: 0, entries: Vec::new(), page: Bytes::new() };
     check(&pos(), childless.encode(), empty_leaf.encode());
     let childless = MvmbNode::Internal(ChildRun::new(&[]));
-    check(&mvmb(), childless.encode(), MvmbNode::Leaf(Vec::new()).encode());
+    check(&mvmb(), childless.encode(), MvmbNode::encode_leaf(&[]));
 }
 
-/// A window read with no node cache costs a descent plus the leaves under
+/// A window read through a cold node cache costs a descent plus the leaves under
 /// the window — at most `2 × height + 100` store gets for 100 entries,
 /// however few entries a leaf holds — not a walk of the tree (≈ 4× that
 /// here).
@@ -439,8 +441,8 @@ fn cold_window_reads_a_descent_plus_its_leaves() {
         let height = idx.structure_stats().unwrap().height as usize;
         let window = (&sorted[1_000].key[..], &sorted[1_000 + WINDOW].key[..]);
         let before = idx.store().stats().gets;
-        let streamed = idx
-            .with_store(idx.store().clone())
+        let streamed = factory
+            .open(idx.store().clone(), idx.root())
             .range(Included(window.0), Excluded(window.1))
             .map(Result::unwrap)
             .count();

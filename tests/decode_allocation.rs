@@ -78,7 +78,7 @@ type Kind = (&'static str, Vec<u8>, fn(&Bytes) -> bool, &'static dyn ProofScheme
 
 fn kinds() -> Vec<Kind> {
     let entry = [Entry::new(b"k".to_vec(), b"v".to_vec())];
-    let pos_leaf = PosNode::Leaf { salt: 0, entries: entry.to_vec() }.encode();
+    let pos_leaf = PosNode::Leaf { salt: 0, entries: entry.to_vec(), page: Bytes::new() }.encode();
     let mvmb_leaf = MvmbNode::encode_leaf(&entry);
     let mbt_bucket = MbtNode::encode_bucket(4, 2, &entry);
     let ends_with_run = |page: &[u8]| page[..page.len() - 5].to_vec(); // count 1, "k", "v"
@@ -90,9 +90,9 @@ fn kinds() -> Vec<Kind> {
     }
     .encode();
     let mvmb_internal = MvmbNode::encode_internal(&[child]);
-    let mbt_internal = MbtNode::Internal { buckets: 4, fanout: 2, children: vec![sha256(b"c")] };
-    let mbt_header = mbt_internal.encode()[..3].to_vec(); // tag, buckets, fanout
-                                                          // count 1, key length 1, "k", digest
+    let mbt_internal = MbtNode::encode_internal(4, 2, &[sha256(b"c")]);
+    let mbt_header = mbt_internal[..3].to_vec(); // tag, buckets, fanout
+                                                 // count 1, key length 1, "k", digest
     let before_children = |page: &[u8]| page[..page.len() - 35].to_vec();
     vec![
         ("POS leaf", ends_with_run(&pos_leaf), fails::<PosNode>, &PosProofScheme),

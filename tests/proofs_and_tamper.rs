@@ -8,8 +8,9 @@ use std::sync::Arc;
 use matrix::{Config, STORES};
 use siri::workloads::YcsbConfig;
 use siri::{
-    Entry, MemStore, MerkleBucketTree, MerklePatriciaTrie, MvmbParams, MvmbTree, PosParams,
-    PosTree, ProofVerdict, SharedStore, SiriIndex,
+    Entry, IndexFactory, MbtFactory, MemStore, MerkleBucketTree, MerklePatriciaTrie, MptFactory,
+    MvmbFactory, MvmbParams, MvmbTree, PosFactory, PosParams, PosTree, ProofVerdict, SharedStore,
+    SiriIndex,
 };
 
 fn dataset(n: usize) -> Vec<Entry> {
@@ -17,13 +18,13 @@ fn dataset(n: usize) -> Vec<Entry> {
 }
 
 macro_rules! proof_suite {
-    ($name:ident, $ty:ty, $make:expr) => {
+    ($name:ident, $ty:ty, $factory:expr) => {
         #[test]
         fn $name() {
             let mem = Arc::new(MemStore::new());
             let store: SharedStore = mem.clone();
-            let make: fn(SharedStore) -> $ty = $make;
-            let mut idx = make(store);
+            let factory = $factory;
+            let mut idx: $ty = factory.empty(store.clone());
             let entries = dataset(1_500);
             idx.batch_insert(entries.clone()).unwrap();
             let root = idx.root();
@@ -68,11 +69,14 @@ macro_rules! proof_suite {
             v2.insert(&key, bytes::Bytes::from_static(b"rewritten")).unwrap();
             assert!(<$ty>::verify_proof(v2.root(), &key, &good).value().is_none());
 
-            // Failure injection: corrupt the root page in the store; a
-            // freshly generated proof no longer verifies against the
-            // trusted digest.
+            // Failure injection: corrupt the root page in the store. A
+            // warm head proves from its cached root node, whose page is the
+            // one the digest names, so its proof stays honest. A cold
+            // handle (a fresh, empty node cache) reads the corrupted bytes,
+            // and its proof no longer verifies against the trusted digest.
             assert!(mem.corrupt_page(&root, 42));
-            match idx.prove(&key) {
+            assert!(<$ty>::verify_proof(root, &key, &idx.prove(&key).unwrap()).is_valid());
+            match factory.open(store, root).prove(&key) {
                 Ok(proof) => {
                     assert!(!<$ty>::verify_proof(root, &key, &proof).is_valid());
                 }
@@ -82,10 +86,10 @@ macro_rules! proof_suite {
     };
 }
 
-proof_suite!(pos_tree_proofs, PosTree, |s| PosTree::new(s, PosParams::default()));
-proof_suite!(mpt_proofs, MerklePatriciaTrie, |s| MerklePatriciaTrie::new(s));
-proof_suite!(mbt_proofs, MerkleBucketTree, |s| MerkleBucketTree::new(s, 128, 8).unwrap());
-proof_suite!(mvmb_proofs, MvmbTree, |s| MvmbTree::new(s, MvmbParams::default()));
+proof_suite!(pos_tree_proofs, PosTree, PosFactory(PosParams::default()));
+proof_suite!(mpt_proofs, MerklePatriciaTrie, MptFactory);
+proof_suite!(mbt_proofs, MerkleBucketTree, MbtFactory { buckets: 128, fanout: 8 });
+proof_suite!(mvmb_proofs, MvmbTree, MvmbFactory(MvmbParams::default()));
 
 /// Regression (ISSUE 10 headline): on a sharded branch, `Session::prove`
 /// used to anchor at the *collapsed* logical root, which differs from
@@ -94,10 +98,7 @@ proof_suite!(mvmb_proofs, MvmbTree, |s| MvmbTree::new(s, MvmbParams::default()))
 /// the shard sub-roots). Proofs must anchor at the published digest.
 #[test]
 fn sharded_branch_proofs_anchor_at_branch_digest() {
-    use siri::{
-        Forkbase, MbtFactory, MptFactory, MvmbFactory, PosFactory, Session, ShardingPolicy,
-        WriteBatch,
-    };
+    use siri::{Forkbase, Session, ShardingPolicy, WriteBatch};
 
     fn check<F: siri::IndexFactory>(factory: F) {
         let scheme = factory.scheme();
@@ -186,10 +187,7 @@ fn sharded_branch_proofs_anchor_at_branch_digest() {
 fn anchored_tamper_matrix_rejects_every_bit_flip() {
     use std::ops::Bound;
 
-    use siri::{
-        Bytes, Forkbase, MbtFactory, MptFactory, MvmbFactory, PosFactory, Proof, Session,
-        ShardingPolicy, WriteBatch,
-    };
+    use siri::{Bytes, Forkbase, Proof, Session, ShardingPolicy, WriteBatch};
 
     /// Every single-step corruption of `good`'s page list.
     fn mutations(good: &Proof, foreign: &Bytes) -> Vec<(String, Proof)> {
@@ -359,4 +357,109 @@ fn digests_bind_the_entire_content() {
     let mut b = PosTree::new(MemStore::new_shared(), PosParams::default());
     b.batch_insert(tweaked).unwrap();
     assert_ne!(a.root(), b.root());
+}
+
+/// A proof is the same recorded read whether the prover borrows nodes from
+/// a warm head's node cache or decodes them cold (DESIGN.md §14): on every
+/// store, single-shard and `pinned(4)`, and for all four structures, the
+/// proofs of a present key, an absent key, a 20-entry window across a shard
+/// boundary and a 16-key batch over every shard, taken on a head whose
+/// caches gets have filled, are byte-identical to those of a fresh engine
+/// opened on the same store at the same digest, and verify. Proving moves
+/// no head's cache: not its contents, not a counter.
+#[test]
+fn warm_proofs_equal_cold_proofs_and_leave_the_cache_alone() {
+    use std::ops::Bound::{self, Excluded, Included};
+
+    use siri::{Bytes, Forkbase, Hash, Proof, Session, ShardingPolicy, WriteBatch};
+
+    fn check<F: IndexFactory>(cfg: Config, factory: F, policy: ShardingPolicy) {
+        let who = format!("{} × {policy:?}", factory.name());
+        let scheme = factory.scheme();
+        let store = cfg.store();
+        let warm = Forkbase::with_sharding(factory.clone(), store.clone(), policy, 0);
+        // Lead bytes spread over the whole range, so every shard of a
+        // uniform partition holds a multi-page tree.
+        let entries: Vec<Entry> = (0..1_500u32)
+            .map(|i| {
+                let key = [&[(i * 37 % 251) as u8][..], format!("k{i:05}").as_bytes()].concat();
+                Entry::new(key, vec![(i % 251) as u8; 100])
+            })
+            .collect();
+        let digest = warm.commit("master", WriteBatch::from_entries(entries.clone())).unwrap().root;
+        for e in entries.iter().step_by(2) {
+            assert!(warm.get("master", &e.key).unwrap().is_some());
+        }
+        let filled = warm.shard_stats("master").unwrap();
+        assert!(filled.iter().all(|s| s.cache.len > 0), "{who}: the gets filled every cache");
+        let cold = || {
+            let engine = Forkbase::with_sharding(factory.clone(), store.clone(), policy, 0);
+            engine.open_branch("master", digest);
+            engine
+        };
+
+        let present = entries[777].key.clone();
+        let absent: &[u8] = b"absolutely-not-a-key";
+        let mut keys: Vec<Bytes> = entries.iter().map(|e| e.key.clone()).collect();
+        keys.sort();
+        let edge = keys.partition_point(|k| k[0] < 128);
+        let window: (Bound<&[u8]>, Bound<&[u8]>) =
+            (Included(&keys[edge - 10]), Excluded(&keys[edge + 10]));
+        let batch: Vec<Bytes> = (0..16).map(|i| entries[i * 93].key.clone()).collect();
+
+        type Prove<'a, F> = Box<dyn Fn(&Forkbase<F>) -> siri::Result<(Hash, Proof)> + 'a>;
+        type Verify<'a> = Box<dyn Fn(&Proof) -> bool + 'a>;
+        let cases: Vec<(&str, Prove<F>, Verify)> = vec![
+            (
+                "present key",
+                Box::new(|fb| fb.prove("master", &present)),
+                Box::new(|p| {
+                    siri::verify_anchored_membership(scheme, digest, &present, p).value().is_some()
+                }),
+            ),
+            (
+                "absent key",
+                Box::new(|fb| fb.prove("master", absent)),
+                Box::new(|p| {
+                    siri::verify_anchored_membership(scheme, digest, absent, p)
+                        == ProofVerdict::Absent
+                }),
+            ),
+            (
+                "20-entry window",
+                Box::new(|fb| fb.prove_range("master", window.0, window.1)),
+                Box::new(|p| {
+                    let verdict =
+                        siri::verify_anchored_range(scheme, digest, window.0, window.1, p);
+                    verdict.entries().map(<[_]>::len) == Some(20)
+                }),
+            ),
+            (
+                "16-key batch",
+                Box::new(|fb| fb.prove_batch("master", &batch)),
+                Box::new(|p| siri::verify_anchored_batch(scheme, digest, &batch, p).is_valid()),
+            ),
+        ];
+        for (what, prove, verify) in cases {
+            let before = warm.shard_stats("master").unwrap();
+            let (root, proof) = prove(&warm).unwrap();
+            assert_eq!(
+                warm.shard_stats("master").unwrap(),
+                before,
+                "{who}, {what}: proving moved a node cache"
+            );
+            assert_eq!(root, digest, "{who}, {what}");
+            assert_eq!(proof, prove(&cold()).unwrap().1, "{who}, {what}: warm and cold differ");
+            assert!(verify(&proof), "{who}, {what}: the proof must verify");
+        }
+    }
+
+    matrix::each(STORES, |cfg| {
+        for policy in [ShardingPolicy::single(), ShardingPolicy::pinned(4)] {
+            check(cfg, PosFactory(PosParams::default()), policy);
+            check(cfg, MptFactory, policy);
+            check(cfg, MbtFactory { buckets: 64, fanout: 4 }, policy);
+            check(cfg, MvmbFactory(MvmbParams::default()), policy);
+        }
+    });
 }
