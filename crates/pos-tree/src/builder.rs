@@ -16,13 +16,19 @@
 //! what makes incremental updates O(polylog) instead of O(N) while keeping
 //! the tree Structurally Invariant.
 //!
+//! The same invariant carries down to entries: an unchanged entry of an old
+//! leaf whose rolling windows are unchanged gets the old build's boundary
+//! decision without being rolled ([`Kept`], DESIGN.md §8 *One chunker*).
+//!
 //! The leaf level is its own [`LeafStage`], so a key range of a commit can
 //! seal and hash its leaves apart from the level builders and hand them
 //! over later (`update.rs`, DESIGN.md §8 *Two-stage commit*).
 
+use std::borrow::Cow;
+
 use bytes::Bytes;
 use siri_core::ordered::ChildRef;
-use siri_core::{entry_codec, Entry, Result};
+use siri_core::{entry_codec, BatchOp, Entry, Result};
 use siri_crypto::{Hash, RollingHash};
 use siri_encoding::{ByteWriter, Scratch};
 use siri_store::{PageBatch, SharedStore};
@@ -55,8 +61,96 @@ impl Chunker {
         self.roller.push_slice_fires(bytes, self.mask)
     }
 
+    fn window(&self) -> usize {
+        self.roller.window()
+    }
+
+    /// Roll `bytes` without testing them: they were decided already.
+    fn prime(&mut self, bytes: &[u8]) {
+        self.roller.push_slice(bytes);
+    }
+
     fn reset(&mut self) {
         self.roller.reset();
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Bytes the leaf chunkers of this thread rolled, priming included.
+    pub(crate) static LEAF_BYTES_ROLLED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// An entry of an old leaf fed unchanged, and what the leaf builder needs
+/// to know whether the old build's boundary decision on it still holds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Kept {
+    /// Encoded bytes of the same old leaf fed unchanged right before this
+    /// entry, with nothing fed between them.
+    run: usize,
+    /// That run starts at the old leaf's first entry.
+    from_first: bool,
+    /// The old build's decision after this entry: `Some(false)` inside a
+    /// leaf, `Some(true)` after the last entry of a leaf the builder
+    /// closed. The old tree's last leaf was closed by end of stream: after
+    /// its last entry, `Some(true)` if nothing follows it, since end of
+    /// stream seals there again, and `None` otherwise.
+    sealed: Option<bool>,
+}
+
+/// One old leaf merged with its edits in key order: the stream a leaf
+/// update feeds, built as it is consumed. An edit comes out as a new
+/// entry, an untouched old entry borrowed and with its [`Kept`].
+pub(crate) struct LeafMerge<'a> {
+    entries: &'a [Entry],
+    /// Normalized: sorted and key-unique. Keys past the leaf's last entry
+    /// come out after it.
+    edits: &'a [BatchOp],
+    /// Index of the next old entry.
+    next: usize,
+    run: usize,
+    from_first: bool,
+    /// The leaf is the old tree's last.
+    rightmost: bool,
+}
+
+impl<'a> LeafMerge<'a> {
+    pub fn new(entries: &'a [Entry], edits: &'a [BatchOp], rightmost: bool) -> Self {
+        LeafMerge { entries, edits, next: 0, run: 0, from_first: true, rightmost }
+    }
+}
+
+impl<'a> Iterator for LeafMerge<'a> {
+    type Item = (Cow<'a, Entry>, Option<Kept>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let old = self.entries.get(self.next);
+            let Some((op, rest)) =
+                self.edits.split_first().filter(|(op, _)| old.is_none_or(|e| op.key <= e.key))
+            else {
+                let entry = old?;
+                self.next += 1;
+                let sealed = match self.next == self.entries.len() {
+                    false => Some(false),
+                    true => (!self.rightmost || self.edits.is_empty()).then_some(true),
+                };
+                let kept = Kept { run: self.run, from_first: self.from_first, sealed };
+                self.run += entry_codec::entry_encoded_len(entry);
+                return Some((Cow::Borrowed(entry), Some(kept)));
+            };
+            self.edits = rest;
+            if old.is_some_and(|e| e.key == op.key) {
+                self.next += 1;
+            }
+            // The run restarts at the next old entry.
+            self.run = 0;
+            self.from_first = self.next == 0;
+            if let Some(value) = &op.value {
+                let entry = Entry { key: op.key.clone(), value: value.clone() };
+                return Some((Cow::Owned(entry), None));
+            }
+        }
     }
 }
 
@@ -88,6 +182,9 @@ pub struct LeafBuilder {
     forced_max: Option<usize>,
     /// `LEAF_HEADER_MAX` bytes of gap, then the entries so far.
     page: ByteWriter,
+    /// Page offset the chunker has rolled up to; the bytes after it took
+    /// the old build's decision.
+    rolled: usize,
     count: u64,
     /// Key of the last entry appended (entries arrive in key order).
     max_key: Bytes,
@@ -104,6 +201,7 @@ impl LeafBuilder {
             chunker: Chunker::new(params, params.leaf_pattern_bits),
             forced_max: forced_max(params),
             page,
+            rolled: node::LEAF_HEADER_MAX,
             count: 0,
             max_key: Bytes::new(),
             header: ByteWriter::new(),
@@ -117,13 +215,75 @@ impl LeafBuilder {
 
     /// Append one entry; returns the sealed leaf if a boundary fired.
     pub fn push(&mut self, entry: &Entry) -> Option<DeferredSeal> {
+        self.feed(entry, None)
+    }
+
+    /// Append one entry, unchanged from an old leaf if `kept` says where it
+    /// sat. Such an entry is rolled only as far as the old build's decision
+    /// on it may not repeat (DESIGN.md §8 *One chunker*):
+    ///
+    /// * *no seal*: a window the chunker tests inside the entry that lies
+    ///   in the entry and its unchanged predecessors in the old leaf was
+    ///   tested by the old build too, and did not fire. Only the windows
+    ///   that reach further back are rolled: none if the node holds
+    ///   nothing else ahead of the entry, else those ending in its first
+    ///   `window − 1 − run` bytes;
+    /// * *a seal*: the chunker must also test every window the old build
+    ///   tested, so the one that fired fires again. The node is the old leaf
+    ///   from its first entry, or at least `window − 1` unchanged bytes of
+    ///   that leaf precede the entry inside the node; otherwise the whole
+    ///   entry rolls. A forced split may have sealed by size, so its seals
+    ///   always roll.
+    ///
+    /// The size check of a forced split runs on every entry.
+    pub(crate) fn feed(&mut self, entry: &Entry, kept: Option<Kept>) -> Option<DeferredSeal> {
         let start = self.page.len();
         entry_codec::write_entry(&mut self.page, entry);
         self.count += 1;
         self.max_key = entry.key.clone();
-        let fired = self.chunker.fires(&self.page.as_slice()[start..]);
-        let body = self.page.len() - node::LEAF_HEADER_MAX;
+        let end = self.page.len();
+        let ahead = start - node::LEAF_HEADER_MAX;
+        let window = self.chunker.window();
+        let fired = match kept {
+            Some(Kept { run, sealed: Some(false), .. }) => {
+                // A window ending past entry offset `window − 1 − run` stays
+                // inside the run; every window does if the node holds
+                // nothing ahead of the run.
+                let reach = if ahead > run { (window - 1).saturating_sub(run) } else { 0 };
+                reach > 0 && self.roll(start, end.min(start + reach))
+            }
+            Some(Kept { run, from_first, sealed: Some(true) })
+                if self.forced_max.is_none()
+                    && ((from_first && run == ahead) || run.min(ahead) + 1 >= window) =>
+            {
+                true
+            }
+            _ => self.roll(start, end),
+        };
+        let body = end - node::LEAF_HEADER_MAX;
         (fired || self.forced_max.is_some_and(|max| body >= max)).then(|| self.seal())
+    }
+
+    /// Roll the page bytes `start..end`, which lie in the entry appended
+    /// last. If bytes before them were skipped, the chunker first catches
+    /// up on the node's bytes it missed, at most its last `window − 1`:
+    /// every window tested from `start` on ends there or later, so it
+    /// reaches back no further.
+    fn roll(&mut self, start: usize, end: usize) -> bool {
+        let page = self.page.as_slice();
+        if self.rolled < start {
+            let tail = (start + 1).saturating_sub(self.chunker.window());
+            let tail = tail.max(node::LEAF_HEADER_MAX);
+            if tail > self.rolled {
+                self.chunker.reset();
+                self.rolled = tail;
+            }
+            self.chunker.prime(&page[self.rolled..start]);
+        }
+        #[cfg(test)]
+        LEAF_BYTES_ROLLED.with(|n| n.set(n.get() + (end - self.rolled) as u64));
+        self.rolled = end;
+        self.chunker.fires(&page[start..end])
     }
 
     /// Seal the trailing leaf at end of stream, if any.
@@ -140,6 +300,7 @@ impl LeafBuilder {
         let page = Bytes::copy_from_slice(&buf[start..]);
         buf.truncate(node::LEAF_HEADER_MAX);
         self.count = 0;
+        self.rolled = node::LEAF_HEADER_MAX;
         self.chunker.reset();
         DeferredSeal { max_key: std::mem::take(&mut self.max_key), page }
     }
@@ -260,9 +421,10 @@ impl LeafStage {
         self.leaf.at_boundary()
     }
 
-    /// Feed one entry; true once a full hashing round is queued.
-    pub fn push(&mut self, entry: &Entry) -> bool {
-        if let Some(sealed) = self.leaf.push(entry) {
+    /// Feed one entry, unchanged from an old leaf if `kept` says where it
+    /// sat; true once a full hashing round is queued.
+    pub fn push(&mut self, entry: &Entry, kept: Option<Kept>) -> bool {
+        if let Some(sealed) = self.leaf.feed(entry, kept) {
             self.pending.push(sealed);
         }
         self.pending.len() >= LEAF_BATCH
@@ -326,7 +488,13 @@ impl<'a> Builders<'a> {
     /// Feed one entry into the leaf level. Sealed leaves queue for batched
     /// hashing.
     pub fn push_entry(&mut self, entry: &Entry) -> Result<()> {
-        if self.leaves.push(entry) {
+        self.push(entry, None)
+    }
+
+    /// [`Builders::push_entry`] for an entry that may be an old leaf's,
+    /// unchanged ([`LeafBuilder::feed`]).
+    pub(crate) fn push(&mut self, entry: &Entry, kept: Option<Kept>) -> Result<()> {
+        if self.leaves.push(entry, kept) {
             self.flush_leaves()?;
         }
         Ok(())
@@ -522,6 +690,133 @@ mod tests {
             }
             assert!(free > 0, "{params:?}: no entry fired alone");
         }
+    }
+
+    /// The entry pass-through against its oracle, which rolls every entry:
+    /// old leaves built by the leaf builder, random edits merged in leaf by
+    /// leaf as an update walk feeds them. Both must seal byte-identical
+    /// pages after the same entries.
+    #[test]
+    fn kept_entries_seal_what_rolling_every_entry_seals() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        // Old keys are multiples of 10 from 10, so 5 and `10·i + 5` insert
+        // before the first entry and after entry `i`.
+        let key = |id: u64| Bytes::from(format!("k{id:08}").into_bytes());
+        let value = |next: &mut dyn FnMut() -> u64| -> Bytes {
+            let len = match next() % 4 {
+                0 => next() % 20,
+                1 | 2 => 20 + next() % 180,
+                _ => 200 + next() % 300,
+            };
+            (0..len).map(|_| next() as u8).collect::<Vec<u8>>().into()
+        };
+        let (mut rolled_by_feed, mut rolled_by_oracle) = (0, 0);
+        // 128-byte leaves put many tested windows near a seam: one
+        // misjudged window shows within a few trials.
+        let small = PosParams { leaf_pattern_bits: 7, ..PosParams::default() };
+        for base in [PosParams::default(), PosParams::noms(), PosParams::forced_split(), small] {
+            for window in [1, 2, 64, 67, 128] {
+                let params = PosParams { window, ..base };
+                for trial in 0..24 {
+                    let n = 1 + next() % 160;
+                    let old: Vec<Entry> = (1..=n)
+                        .map(|i| Entry { key: key(10 * i), value: value(&mut next) })
+                        .collect();
+                    // The old leaves, and whether end of stream closed the last.
+                    let mut leaves: Vec<&[Entry]> = Vec::new();
+                    let mut b = LeafBuilder::new(0, &params);
+                    let mut start = 0;
+                    for (i, e) in old.iter().enumerate() {
+                        if b.push(e).is_some() {
+                            leaves.push(&old[start..=i]);
+                            start = i + 1;
+                        }
+                    }
+                    let open_end = b.finish().is_some();
+                    if open_end {
+                        leaves.push(&old[start..]);
+                    }
+                    // Edits hit leaf ends and starts more often than the middle.
+                    let ends: Vec<u64> = leaves
+                        .iter()
+                        .flat_map(|l| [&l[0].key, &l[l.len() - 1].key])
+                        .map(|k| std::str::from_utf8(&k[1..]).unwrap().parse().unwrap())
+                        .collect();
+                    let mut ops: Vec<BatchOp> = Vec::new();
+                    if next() % 4 == 0 {
+                        ops.push(BatchOp { key: key(5), value: Some(value(&mut next)) });
+                    }
+                    let mut deleting = 0;
+                    for i in 1..=n {
+                        let odds = if ends.contains(&(10 * i)) { 3 } else { 12 };
+                        if deleting > 0 {
+                            deleting -= 1;
+                            ops.push(BatchOp { key: key(10 * i), value: None });
+                        } else if next() % odds == 0 {
+                            match next() % 4 {
+                                0 => {
+                                    ops.push(BatchOp { key: key(10 * i), value: None });
+                                    deleting = next() % 4;
+                                }
+                                1 => {
+                                    let v = Some(value(&mut next));
+                                    ops.push(BatchOp { key: key(10 * i), value: v });
+                                }
+                                _ => {
+                                    let v = Some(value(&mut next));
+                                    ops.push(BatchOp { key: key(10 * i + 5), value: v });
+                                }
+                            }
+                        }
+                    }
+                    // Off the rightmost spine, a leaf the pattern closed
+                    // stays closed by it.
+                    let rightmost = open_end || next() % 2 == 0;
+
+                    LEAF_BYTES_ROLLED.with(|c| c.set(0));
+                    let mut oracle = LeafBuilder::new(0, &params);
+                    let mut want = Vec::new();
+                    for e in siri_core::apply_ops(&old, &ops) {
+                        want.extend(oracle.push(&e).map(|s| (s.max_key, s.page)));
+                    }
+                    want.extend(oracle.finish().map(|s| (s.max_key, s.page)));
+                    rolled_by_oracle += LEAF_BYTES_ROLLED.with(|c| c.replace(0));
+
+                    // Each leaf takes the edits up to its last key; the last
+                    // leaf takes the rest, as the update walk splits them.
+                    let mut feed = LeafBuilder::new(0, &params);
+                    let mut got = Vec::new();
+                    let mut rest = &ops[..];
+                    for (j, leaf) in leaves.iter().enumerate() {
+                        let last = j + 1 == leaves.len();
+                        let max = &leaf[leaf.len() - 1].key;
+                        let split = if last {
+                            rest.len()
+                        } else {
+                            rest.partition_point(|op| op.key <= *max)
+                        };
+                        let (mine, later) = rest.split_at(split);
+                        rest = later;
+                        for (entry, kept) in LeafMerge::new(leaf, mine, rightmost && last) {
+                            got.extend(feed.feed(&entry, kept).map(|s| (s.max_key, s.page)));
+                        }
+                    }
+                    got.extend(feed.finish().map(|s| (s.max_key, s.page)));
+                    rolled_by_feed += LEAF_BYTES_ROLLED.with(|c| c.replace(0));
+                    assert_eq!(got, want, "{params:?}, trial {trial}");
+                }
+            }
+        }
+        assert!(
+            rolled_by_feed * 2 < rolled_by_oracle,
+            "the feed rolled {rolled_by_feed} of the oracle's {rolled_by_oracle} bytes"
+        );
     }
 
     #[test]

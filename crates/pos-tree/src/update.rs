@@ -12,11 +12,15 @@
 //!   content — Structurally Invariant, at O(edit-clusters × fanout ×
 //!   height) cost instead of O(N). This mirrors §3.4.3's insert: "starts
 //!   the boundary detection from the first byte of the leaf node, and stops
-//!   when detecting an existing boundary". Deletion needs no extra
-//!   machinery: the removed entry's bytes simply never feed the chunker, so
-//!   the boundary pattern re-synchronizes across the removed entry's old
-//!   node boundary exactly as it does for an overwrite — and
-//!   delete-then-reinsert reproduces the original chunks bit-for-bit.
+//!   when detecting an existing boundary". Inside a leaf, the walk feeds
+//!   the old entries and the edits as one merge, and an unchanged entry
+//!   whose rolling windows are unchanged keeps the old build's decision
+//!   without being rolled (`LeafMerge`, `LeafBuilder::feed`). Deletion
+//!   needs no extra machinery: the removed entry's bytes simply never feed
+//!   the chunker, so the boundary pattern re-synchronizes across the
+//!   removed entry's old node boundary exactly as it does for an overwrite
+//!   — and delete-then-reinsert reproduces the original chunks
+//!   bit-for-bit.
 //!
 //! * [`splice_update`] — the §5.5.1 ablation. Edits are applied leaf-
 //!   locally and nodes are re-chunked only within their old extent, so
@@ -45,14 +49,15 @@ use siri_core::{apply_ops, BatchOp, Entry, IndexError, PageReader, Result};
 use siri_crypto::Hash;
 use siri_store::{PageBatch, SharedStore};
 
-use crate::builder::{Builders, LeafBuilder, LeafStage, LevelBuilder};
+use crate::builder::{Builders, Kept, LeafBuilder, LeafMerge, LeafStage, LevelBuilder};
 use crate::node::Node;
 use crate::params::PosParams;
 
 /// The fewest edits — or, for a first build, entries — worth a key range
 /// of their own. On a 2-vCPU x86-64 VM a worker's spawn and join cost about
-/// 27 µs and the leaf stage about 10 µs per edit. A commit with fewer than
-/// twice this many is never planned, and never asks how many CPUs it has.
+/// 27 µs, and a one-range wiki commit about 9 µs per edit, half of it leaf
+/// work. A commit with fewer than twice this many is never planned, and
+/// never asks how many CPUs it has.
 const MIN_EDITS_PER_RANGE: usize = 64;
 
 /// Build a tree from scratch out of sorted unique entries, staging its
@@ -194,7 +199,7 @@ impl Source<'_> {
     /// Feed the range into `sink` in key order.
     fn feed<S: Sink>(&self, reader: &PageReader<Node>, sink: &mut S) -> Result<()> {
         match self {
-            Source::Entries(entries) => entries.iter().try_for_each(|e| sink.push_entry(e)),
+            Source::Entries(entries) => entries.iter().try_for_each(|e| sink.push(e, None)),
             Source::Tree { root, edits, clip } => walk(reader, sink, root, edits, true, *clip),
         }
     }
@@ -230,7 +235,9 @@ impl<'a> Clip<'a> {
 
 /// Where a leaf-stage walk sends what it produces.
 trait Sink {
-    fn push_entry(&mut self, entry: &Entry) -> Result<()>;
+    /// Feed one entry, unchanged from an old leaf if `kept` says where it
+    /// sat.
+    fn push(&mut self, entry: &Entry, kept: Option<Kept>) -> Result<()>;
 
     /// Take an untouched, pattern-closed old node of `level` whole if the
     /// pipeline sits on a boundary that allows it; `false` means the walk
@@ -242,8 +249,8 @@ trait Sink {
 /// passes through when every builder at its level and below is on a
 /// boundary.
 impl Sink for Builders<'_> {
-    fn push_entry(&mut self, entry: &Entry) -> Result<()> {
-        Builders::push_entry(self, entry)
+    fn push(&mut self, entry: &Entry, kept: Option<Kept>) -> Result<()> {
+        Builders::push(self, entry, kept)
     }
 
     fn take_whole(&mut self, level: u32, piece: Child<'_>) -> Result<bool> {
@@ -268,8 +275,8 @@ struct RangeSink<'a> {
 }
 
 impl Sink for RangeSink<'_> {
-    fn push_entry(&mut self, entry: &Entry) -> Result<()> {
-        if self.leaves.push(entry) {
+    fn push(&mut self, entry: &Entry, kept: Option<Kept>) -> Result<()> {
+        if self.leaves.push(entry, kept) {
             self.flush()?;
         }
         Ok(())
@@ -323,9 +330,7 @@ fn leaf_stage<'a>(
 /// The level stage's share of a later range: take over its pages, then
 /// replay its tokens in key order, each like an untouched child of the
 /// walk: a sealed leaf enters level 1, and an old node passes through or is
-/// expanded to its children. Expansion does no entry work: the range
-/// emitted the node on a leaf boundary, and nothing here moves the leaf
-/// builder off it.
+/// expanded to its children.
 fn replay(
     reader: &PageReader<Node>,
     builders: &mut Builders<'_>,
@@ -337,7 +342,33 @@ fn replay(
     builders.absorb(staged.pages)?;
     for (level, piece) in &staged.tokens {
         if !builders.take_whole(*level, piece.as_child())? {
-            descend(reader, builders, *level, &piece.hash, &[], false, Clip::default())?;
+            expand(reader, builders, *level, &piece.hash)?;
+        }
+    }
+    Ok(())
+}
+
+/// Offer the children of a replayed old node of `level` to the builders,
+/// expanding those that cannot pass whole. Expansion never feeds an entry:
+/// the range emitted the node on a leaf boundary, and nothing in the replay
+/// moves the leaf builder off it, so every leaf passes whole. Walking one
+/// would be wrong, not only slow: a range's trailing leaf was closed by
+/// end of stream, and its old decisions do not hold.
+fn expand(
+    reader: &PageReader<Node>,
+    builders: &mut Builders<'_>,
+    level: u32,
+    hash: &Hash,
+) -> Result<()> {
+    let child_level =
+        level.checked_sub(1).ok_or(IndexError::CorruptStructure("replay reached a leaf"))?;
+    let node = reader.load(hash)?;
+    if node.level() != level {
+        return Err(IndexError::CorruptStructure("level mismatch"));
+    }
+    for piece in node.children().iter() {
+        if !builders.take_whole(child_level, piece)? {
+            expand(reader, builders, child_level, &piece.hash())?;
         }
     }
     Ok(())
@@ -377,8 +408,8 @@ fn walk<S: Sink>(
             if !clip.is_whole() {
                 return Err(IndexError::CorruptStructure("range cut inside a leaf"));
             }
-            for e in apply_ops(entries, edits) {
-                sink.push_entry(&e)?;
+            for (entry, kept) in LeafMerge::new(entries, edits, rightmost) {
+                sink.push(&entry, kept)?;
             }
             Ok(())
         }
@@ -615,10 +646,12 @@ fn splice_rec(
 ) -> Result<Vec<ChildRef>> {
     match node {
         Node::Leaf { entries, .. } => {
+            // A splice may have closed any old leaf by end of stream at the
+            // end of its extent, so each counts as the old tree's last.
             let mut b = LeafBuilder::new(salt, params);
             let mut out = Vec::new();
-            for e in apply_ops(entries, edits) {
-                if let Some(sealed) = b.push(&e) {
+            for (entry, kept) in LeafMerge::new(entries, edits, true) {
+                if let Some(sealed) = b.feed(&entry, kept) {
                     out.push(sealed.push_into(batch));
                 }
             }
@@ -771,6 +804,98 @@ mod tests {
             .collect()
     }
 
+    /// A pseudo-random value: a constant byte run has one window
+    /// fingerprint, so it would almost never end a leaf by itself.
+    fn value(id: u64, version: u64, len: usize) -> Vec<u8> {
+        let mut x = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ version.rotate_left(32) ^ 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    fn key(id: u64) -> Bytes {
+        Bytes::from(format!("key{id:06}").into_bytes())
+    }
+
+    /// Sorted entries for `ids`, values `len / 2 .. len + len / 2`
+    /// bytes long.
+    fn model(ids: impl IntoIterator<Item = u64>, version: u64, len: usize) -> Vec<Entry> {
+        let mut ids: Vec<u64> = ids.into_iter().collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let len_of = |id: u64| len / 2 + (id.wrapping_mul(0x2545_F491) as usize) % len.max(1);
+        ids.into_iter().map(|id| Entry::new(key(id), value(id, version, len_of(id)))).collect()
+    }
+
+    /// One overwrite in the middle of a tree rolls the edited entry, the
+    /// entry after it and at most `window − 1` priming bytes, whatever the
+    /// leaf size: every other entry keeps the old build's decision. An
+    /// append still rolls the old last leaf's last entry, which end of
+    /// stream closed.
+    #[test]
+    fn an_edit_rolls_only_the_windows_it_touches() {
+        use crate::builder::LEAF_BYTES_ROLLED;
+        use siri_core::entry_codec::entry_encoded_len;
+        let base = model(0..4000, 0, 160);
+        for node_bytes in [512, 1024, 4096] {
+            let params = PosParams::default().with_node_bytes(node_bytes);
+            let store = MemStore::new_shared();
+            let r = reader(&store);
+            let root = build(&r, &params, 0, &base, 1).unwrap().unwrap().hash;
+            let rolled_by = |edits: &[BatchOp]| {
+                LEAF_BYTES_ROLLED.with(|n| n.set(0));
+                let got = update(&r, &params, 0, root, edits, 1).unwrap();
+                let rolled = LEAF_BYTES_ROLLED.with(|n| n.get()) as usize;
+                let fresh = build(&r, &params, 0, &apply_ops(&base, edits), 1).unwrap();
+                assert_eq!(got, fresh, "{node_bytes} B leaves");
+                rolled
+            };
+            for id in [1000, 1999, 2000, 2001, 3333] {
+                let edit = model([id], 1, 160);
+                let after = &base[id as usize + 1];
+                let most =
+                    entry_encoded_len(&edit[0]) + entry_encoded_len(after) + params.window - 1;
+                let rolled = rolled_by(&puts(&edit));
+                assert!(
+                    rolled <= most,
+                    "{node_bytes} B leaves, key {id}: rolled {rolled} > {most}"
+                );
+            }
+            let appended = model([4000], 1, 160);
+            let least = entry_encoded_len(&base[3999]) + entry_encoded_len(&appended[0]);
+            let rolled = rolled_by(&puts(&appended));
+            assert!(
+                (least..least + params.window).contains(&rolled),
+                "{node_bytes} B leaves, append: rolled {rolled}, the last two entries are {least}"
+            );
+        }
+    }
+
+    /// A replay offers old nodes on a leaf boundary, so every leaf under
+    /// them passes whole. Were the leaf builder off its boundary, walking a
+    /// leaf would misjudge a range's trailing leaf, which end of stream
+    /// closed: the expansion refuses instead.
+    #[test]
+    fn a_replay_never_walks_a_leaf() {
+        let store = MemStore::new_shared();
+        let params = PosParams::default();
+        let r = reader(&store);
+        let root = build(&r, &params, 0, &model(0..3000, 0, 240), 1).unwrap().unwrap().hash;
+        let level = r.load(&root).unwrap().level();
+        assert!(level > 0);
+        let mut pages = PageBatch::new();
+        let mut builders = Builders::new(&store, &params, 0, &mut pages);
+        // Shorter than a window, so it cannot end a leaf.
+        builders.push_entry(&Entry::new(b"a".to_vec(), b"b".to_vec())).unwrap();
+        let refused = Err(IndexError::CorruptStructure("replay reached a leaf"));
+        assert_eq!(expand(&r, &mut builders, level, &root), refused);
+    }
+
     #[test]
     fn streaming_update_equals_fresh_build() {
         let store = MemStore::new_shared();
@@ -900,34 +1025,6 @@ mod tests {
         use siri_store::{FileStore, NodeStore, StoreResult, StoreStats};
 
         use super::*;
-
-        /// A pseudo-random value: a constant byte run has one window
-        /// fingerprint, so it would almost never end a leaf by itself.
-        fn value(id: u64, version: u64, len: usize) -> Vec<u8> {
-            let mut x = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ version.rotate_left(32) ^ 1;
-            (0..len)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    x as u8
-                })
-                .collect()
-        }
-
-        fn key(id: u64) -> Bytes {
-            Bytes::from(format!("key{id:06}").into_bytes())
-        }
-
-        /// Sorted entries for `ids`, values `len / 2 .. len + len / 2`
-        /// bytes long.
-        fn model(ids: impl IntoIterator<Item = u64>, version: u64, len: usize) -> Vec<Entry> {
-            let mut ids: Vec<u64> = ids.into_iter().collect();
-            ids.sort_unstable();
-            ids.dedup();
-            let len_of = |id: u64| len / 2 + (id.wrapping_mul(0x2545_F491) as usize) % len.max(1);
-            ids.into_iter().map(|id| Entry::new(key(id), value(id, version, len_of(id)))).collect()
-        }
 
         /// Records every page a commit hands over, repeats included.
         struct Recorder {

@@ -2,8 +2,10 @@
 //! must be bit-identical to a from-scratch build of the merged content —
 //! for any base set, any edit batch, any parameterisation.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
-use siri_core::{Entry, MemStore, SiriIndex};
+use siri_core::{Entry, MemStore, SiriIndex, WriteBatch};
 use siri_pos_tree::{PosParams, PosTree};
 
 fn arb_kv(max: usize) -> impl Strategy<Value = Vec<(u16, u8)>> {
@@ -18,8 +20,72 @@ fn entries(raw: &[(u16, u8)], value_len: usize) -> Vec<Entry> {
         .collect()
 }
 
+/// Pseudo-random bytes. A constant run has one window fingerprint, so it
+/// almost never ends a leaf by itself and every window across an entry
+/// seam looks alike; these values do neither.
+fn noise(seed: u64, len: usize) -> Vec<u8> {
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        })
+        .collect()
+}
+
+/// (id, value length) pairs over a small id space, so edits hit old keys.
+fn arb_puts(max: usize) -> impl Strategy<Value = Vec<(u16, usize)>> {
+    proptest::collection::vec((0u16..2000, 1usize..=300), 0..max)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// Mixed-length pseudo-random values, overwrites, inserts and runs of
+    /// deletes, under windows of 1, 2, 67 and 128 bytes: a streaming update
+    /// still equals a fresh build.
+    #[test]
+    fn random_values_and_deletes_equal_fresh_build(
+        base in arb_puts(400),
+        puts in arb_puts(60),
+        // (start, length) runs of deletes among the keys present.
+        dels in proptest::collection::vec((proptest::num::usize::ANY, 1usize..6), 0..12),
+        seed in proptest::num::u64::ANY,
+    ) {
+        let key = |id: u16| format!("key{id:05}").into_bytes();
+        let mut model = BTreeMap::new();
+        for (i, (id, len)) in base.iter().enumerate() {
+            model.insert(key(*id), noise(seed ^ i as u64, *len));
+        }
+        let base_entries: Vec<Entry> =
+            model.iter().map(|(k, v)| Entry::new(k.clone(), v.clone())).collect();
+        let mut batch = WriteBatch::new();
+        for (i, (id, len)) in puts.iter().enumerate() {
+            let value = noise(!seed ^ i as u64, *len);
+            model.insert(key(*id), value.clone());
+            batch.put(key(*id), value);
+        }
+        let present: Vec<Vec<u8>> = model.keys().cloned().collect();
+        for (start, run) in &dels {
+            for k in present.iter().cycle().skip(start % present.len().max(1)).take(*run) {
+                model.remove(k);
+                batch.delete(k.clone());
+            }
+        }
+        let merged: Vec<Entry> = model.into_iter().map(|(k, v)| Entry::new(k, v)).collect();
+        for window in [1, 2, 67, 128] {
+            let params = PosParams { window, ..PosParams::default().with_node_bytes(512) };
+            let store = MemStore::new_shared();
+            let mut incremental = PosTree::new(store.clone(), params);
+            incremental.batch_insert(base_entries.clone()).unwrap();
+            incremental.commit(batch.clone()).unwrap();
+            let mut fresh = PosTree::new(store, params);
+            fresh.batch_insert(merged.clone()).unwrap();
+            prop_assert_eq!(incremental.root(), fresh.root(), "window {}", window);
+        }
+    }
 
     #[test]
     fn incremental_equals_fresh_build(
