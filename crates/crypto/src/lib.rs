@@ -26,6 +26,6 @@ pub use digest::Hash;
 pub use fasthash::{fx_hash_bytes, FxHashMap, FxHashSet, FxHasher};
 pub use rolling::{RollingHash, DEFAULT_WINDOW};
 pub use sha256::{
-    active_backend, available_backends, digest_with, hash_many, hash_many_with, sha256, Sha256,
-    Sha256Backend,
+    active_backend, available_backends, digest_with, hash_many, hash_many_into,
+    hash_many_into_with, hash_many_with, sha256, Sha256, Sha256Backend,
 };

@@ -459,14 +459,30 @@ impl<'a> PaddedBlocks<'a> {
 
 /// Hash a batch of independent buffers with an explicit backend.
 pub fn hash_many_with(backend: Sha256Backend, inputs: &[&[u8]]) -> Vec<Hash> {
+    let mut out = vec![Hash::ZERO; inputs.len()];
+    hash_many_into_with(backend, inputs, &mut out);
+    out
+}
+
+/// [`hash_many_with`] into the caller's `out`, one digest per input in
+/// order, allocating nothing: a commit hashes a branch's dirty children
+/// from fixed arrays.
+///
+/// # Panics
+/// Panics if `out` and `inputs` differ in length.
+pub fn hash_many_into_with(backend: Sha256Backend, inputs: &[&[u8]], out: &mut [Hash]) {
+    assert_eq!(inputs.len(), out.len(), "one digest per input");
     if backend != Sha256Backend::Scalar {
         // Hardware rounds already saturate the relevant ports; lanes run
         // back to back.
-        return inputs.iter().map(|d| digest_with(backend, d)).collect();
+        for (d, h) in inputs.iter().zip(out) {
+            *h = digest_with(backend, d);
+        }
+        return;
     }
-    let mut out = Vec::with_capacity(inputs.len());
     let mut pairs = inputs.chunks_exact(2);
-    for pair in &mut pairs {
+    let mut outs = out.chunks_exact_mut(2);
+    for (pair, o) in (&mut pairs).zip(&mut outs) {
         let pa = PaddedBlocks::new(pair[0]);
         let pb = PaddedBlocks::new(pair[1]);
         let mut sa = H0;
@@ -481,13 +497,17 @@ pub fn hash_many_with(backend: Sha256Backend, inputs: &[&[u8]]) -> Vec<Hash> {
         for i in common..pb.len() {
             compress_scalar(&mut sb, pb.block(i));
         }
-        out.push(state_to_hash(sa));
-        out.push(state_to_hash(sb));
+        o[0] = state_to_hash(sa);
+        o[1] = state_to_hash(sb);
     }
-    if let [last] = pairs.remainder() {
-        out.push(digest_with(Sha256Backend::Scalar, last));
+    if let ([last], [h]) = (pairs.remainder(), outs.into_remainder()) {
+        *h = digest_with(Sha256Backend::Scalar, last);
     }
-    out
+}
+
+/// [`hash_many`] into the caller's `out`, allocating nothing.
+pub fn hash_many_into(inputs: &[&[u8]], out: &mut [Hash]) {
+    hash_many_into_with(active_backend(), inputs, out)
 }
 
 /// Hash a batch of independent buffers — sibling pages of one index

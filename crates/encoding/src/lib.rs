@@ -14,6 +14,6 @@ pub mod rlp;
 pub mod rw;
 pub mod varint;
 
-pub use nibble::Nibbles;
-pub use rlp::{RlpError, RlpItem};
+pub use nibble::{NibbleView, Nibbles};
+pub use rlp::{FlatList, RlpError, RlpItem};
 pub use rw::{ByteReader, ByteWriter, CodecError, Scratch};

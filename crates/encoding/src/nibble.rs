@@ -6,6 +6,10 @@
 //! into bytes with Ethereum's *hex-prefix* encoding, whose flag nibble
 //! records (a) whether the run has odd length and (b) whether the node is a
 //! leaf.
+//!
+//! [`Nibbles`] holds a path unpacked, one nibble per byte; the trie itself
+//! reads paths through [`NibbleView`], which compares and re-encodes packed
+//! nibbles where they lie — in a key or in a stored page.
 
 use std::fmt;
 
@@ -80,15 +84,6 @@ impl Nibbles {
         Nibbles(out)
     }
 
-    /// Concatenate two paths — the extension/leaf path merge performed when
-    /// MPT deletion re-compacts a collapsed chain.
-    pub fn concat(&self, rest: &Nibbles) -> Nibbles {
-        let mut out = Vec::with_capacity(self.0.len() + rest.0.len());
-        out.extend_from_slice(&self.0);
-        out.extend_from_slice(&rest.0);
-        Nibbles(out)
-    }
-
     /// Repack an even-length nibble path into bytes. Returns `None` for odd
     /// lengths (callers that need a byte key must have consumed whole bytes).
     pub fn to_key(&self) -> Option<Vec<u8>> {
@@ -156,6 +151,171 @@ impl Nibbles {
             nibs.push(b & 0x0f);
         }
         Some((Nibbles(nibs), is_leaf))
+    }
+}
+
+/// A run of nibbles read in place from packed bytes, two to a byte, high
+/// nibble first: nibble `i` of the view is nibble `start + i` of `bytes`.
+///
+/// The borrowed counterpart of [`Nibbles`]. A key, or a hex-prefix path
+/// inside a stored page, is compared, sliced and re-encoded through a view
+/// without being unpacked, so walking a trie path copies nothing. Equality
+/// is by content, whatever the alignment of either side.
+#[derive(Clone, Copy)]
+pub struct NibbleView<'a> {
+    bytes: &'a [u8],
+    start: usize,
+    len: usize,
+}
+
+impl<'a> NibbleView<'a> {
+    /// Nibbles `start..start + len` of `bytes`.
+    ///
+    /// # Panics
+    /// Panics if the run does not fit in `bytes`.
+    pub fn new(bytes: &'a [u8], start: usize, len: usize) -> Self {
+        assert!(
+            start.checked_add(len).is_some_and(|end| end <= bytes.len() * 2),
+            "nibbles {start}+{len} of a {}-byte buffer",
+            bytes.len()
+        );
+        NibbleView { bytes, start, len }
+    }
+
+    /// Every nibble of a byte key.
+    pub fn key(key: &'a [u8]) -> Self {
+        NibbleView { bytes: key, start: 0, len: key.len() * 2 }
+    }
+
+    /// The path of a hex-prefix encoding, read in place, and its leaf flag
+    /// (the borrowed [`Nibbles::hex_prefix_decode`]).
+    pub fn hex_prefix(encoded: &'a [u8]) -> Option<(Self, bool)> {
+        let first = *encoded.first()?;
+        let flag = first >> 4;
+        if flag > 3 {
+            return None;
+        }
+        let odd = flag & 0x1 != 0;
+        if !odd && first & 0x0f != 0 {
+            return None; // pad nibble must be zero
+        }
+        let skip = if odd { 1 } else { 2 };
+        Some((
+            NibbleView { bytes: encoded, start: skip, len: encoded.len() * 2 - skip },
+            flag & 0x2 != 0,
+        ))
+    }
+
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Where the run starts in the buffer it was read from, in nibbles.
+    pub fn start(&self) -> usize {
+        self.start
+    }
+
+    /// Nibble `i`.
+    #[inline]
+    pub fn at(&self, i: usize) -> u8 {
+        debug_assert!(i < self.len, "nibble {i} of {}", self.len);
+        let n = self.start + i;
+        let b = self.bytes[n / 2];
+        if n.is_multiple_of(2) {
+            b >> 4
+        } else {
+            b & 0x0f
+        }
+    }
+
+    /// The run from nibble `from` on.
+    pub fn suffix(self, from: usize) -> Self {
+        assert!(from <= self.len, "suffix {from} of {}", self.len);
+        NibbleView { bytes: self.bytes, start: self.start + from, len: self.len - from }
+    }
+
+    /// Number of leading nibbles shared with `other`. Two runs at the same
+    /// alignment compare whole bytes at a time.
+    pub fn common_prefix_len(self, other: NibbleView<'_>) -> usize {
+        let n = self.len.min(other.len);
+        let mut i = 0;
+        if self.start % 2 == other.start % 2 {
+            if self.start % 2 == 1 && n > 0 {
+                if self.at(0) != other.at(0) {
+                    return 0;
+                }
+                i = 1;
+            }
+            let whole = (n - i) / 2;
+            let a = &self.bytes[(self.start + i) / 2..][..whole];
+            let b = &other.bytes[(other.start + i) / 2..][..whole];
+            i += 2 * a.iter().zip(b).take_while(|(x, y)| x == y).count();
+        }
+        while i < n && self.at(i) == other.at(i) {
+            i += 1;
+        }
+        i
+    }
+
+    pub fn starts_with(self, prefix: NibbleView<'_>) -> bool {
+        prefix.len <= self.len && self.common_prefix_len(prefix) == prefix.len
+    }
+
+    /// The nibbles in order.
+    pub fn iter(self) -> impl Iterator<Item = u8> + 'a {
+        (0..self.len).map(move |i| self.at(i))
+    }
+
+    /// The run unpacked into an owned path.
+    pub fn to_nibbles(self) -> Nibbles {
+        Nibbles(self.iter().collect())
+    }
+
+    /// Exact byte length of [`NibbleView::hex_prefix_encode_into`]'s output.
+    pub fn hex_prefix_encoded_len(&self) -> usize {
+        self.len / 2 + 1
+    }
+
+    /// Stream the hex-prefix encoding of the run into `out`, byte-identical
+    /// to [`Nibbles::hex_prefix_encode`] of the same nibbles. A run whose
+    /// body starts on a byte boundary is copied as bytes.
+    pub fn hex_prefix_encode_into(self, is_leaf: bool, out: &mut Vec<u8>) {
+        let odd = self.len % 2 == 1;
+        let flag = (u8::from(is_leaf) << 1 | u8::from(odd)) << 4;
+        let body = if odd {
+            out.push(flag | self.at(0));
+            self.suffix(1)
+        } else {
+            out.push(flag);
+            self
+        };
+        if body.start.is_multiple_of(2) {
+            out.extend_from_slice(&body.bytes[body.start / 2..][..body.len / 2]);
+        } else {
+            out.extend((0..body.len / 2).map(|j| body.at(2 * j) << 4 | body.at(2 * j + 1)));
+        }
+    }
+}
+
+impl PartialEq for NibbleView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.common_prefix_len(*other) == self.len
+    }
+}
+
+impl Eq for NibbleView<'_> {}
+
+impl fmt::Debug for NibbleView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "NibbleView(")?;
+        for n in self.iter() {
+            write!(f, "{n:x}")?;
+        }
+        write!(f, ")")
     }
 }
 
@@ -231,6 +391,54 @@ mod tests {
         assert!(Nibbles::hex_prefix_decode(&[]).is_none());
         assert!(Nibbles::hex_prefix_decode(&[0x40]).is_none(), "flag > 3");
         assert!(Nibbles::hex_prefix_decode(&[0x05]).is_none(), "nonzero pad");
+    }
+
+    #[test]
+    fn views_agree_with_unpacked_paths() {
+        let key = b"\x12\x34\x56\x78\x9a";
+        let all = Nibbles::from_key(key);
+        let view = NibbleView::key(key);
+        assert_eq!(view.to_nibbles(), all);
+        for from in 0..all.len() {
+            for to in from..=all.len() {
+                let v = NibbleView::new(key, from, to - from);
+                let want = all.slice(from, to);
+                assert_eq!(v.to_nibbles(), want, "{from}..{to}");
+                for leaf in [false, true] {
+                    let mut out = Vec::new();
+                    v.hex_prefix_encode_into(leaf, &mut out);
+                    assert_eq!(out, want.hex_prefix_encode(leaf), "{from}..{to} leaf {leaf}");
+                    assert_eq!(out.len(), v.hex_prefix_encoded_len());
+                    let (back, back_leaf) = NibbleView::hex_prefix(&out).unwrap();
+                    assert_eq!((back, back_leaf), (v, leaf));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn view_comparisons_ignore_alignment() {
+        let a = NibbleView::key(b"\xab\xcd\xef");
+        // The same nibbles one position later in another buffer.
+        let b = NibbleView::new(b"\x0a\xbc\xde\xf0", 1, 6);
+        assert_eq!(a, b);
+        assert_eq!(a.common_prefix_len(b), 6);
+        assert_eq!(a.suffix(1).common_prefix_len(b.suffix(1)), 5);
+        let c = NibbleView::key(b"\xab\xc0");
+        assert_eq!(a.common_prefix_len(c), 3);
+        assert_eq!(b.common_prefix_len(c), 3);
+        let abc = NibbleView::new(b"\xab\xc0", 0, 3);
+        assert!(a.starts_with(abc) && b.starts_with(abc));
+        assert!(!a.starts_with(c) && !c.starts_with(a));
+        assert_ne!(a, NibbleView::new(b"\xab\xcd\xef", 0, 5));
+        assert!(a.starts_with(NibbleView::new(b"", 0, 0)));
+    }
+
+    #[test]
+    fn view_hex_prefix_rejects_garbage() {
+        assert!(NibbleView::hex_prefix(&[]).is_none());
+        assert!(NibbleView::hex_prefix(&[0x40]).is_none(), "flag > 3");
+        assert!(NibbleView::hex_prefix(&[0x05]).is_none(), "nonzero pad");
     }
 
     #[test]

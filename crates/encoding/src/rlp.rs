@@ -48,6 +48,8 @@ pub enum RlpError {
     LengthOverflow,
     /// Decoder expected one kind of item and found the other.
     TypeMismatch { expected: &'static str },
+    /// A list holds more items than its fixed-size reader takes.
+    TooManyItems,
 }
 
 impl fmt::Display for RlpError {
@@ -58,6 +60,7 @@ impl fmt::Display for RlpError {
             RlpError::NonCanonical => write!(f, "rlp: non-canonical encoding"),
             RlpError::LengthOverflow => write!(f, "rlp: length overflows usize"),
             RlpError::TypeMismatch { expected } => write!(f, "rlp: expected {expected}"),
+            RlpError::TooManyItems => write!(f, "rlp: list has too many items"),
         }
     }
 }
@@ -278,73 +281,108 @@ pub fn decode_partial(input: &[u8]) -> Result<(RlpItem, &[u8]), RlpError> {
     }
 }
 
-/// Zero-copy parse of one top-level RLP **list of byte strings**: returns
-/// the payload range of every element, indexed into `input`.
+/// One top-level RLP **list of at most `N` byte strings**, parsed in one
+/// pass into a fixed table of payload bounds indexed into the input. The
+/// parse allocates nothing, so a page whose header claims millions of
+/// items costs no more than `N` of them.
 ///
-/// This is the shape of every MPT node (a 17- or 2-string list), and the
-/// ranges let the node codec slice keys/values straight out of a
-/// refcounted page instead of copying them through [`RlpItem`] — the MPT
-/// counterpart of the POS-Tree `decode_zc` hot path.
+/// This is the shape of every MPT node (a 17- or 2-string list): the node
+/// keeps the offsets and reads keys, values and digests straight out of
+/// its refcounted page instead of copying them through [`RlpItem`].
 ///
 /// Validation is identical to [`decode_partial`]: canonical-form rules are
 /// enforced, trailing bytes are rejected, and a nested list inside the
-/// payload is a `TypeMismatch` (MPT nodes never contain one).
-pub fn flat_list_ranges(input: &[u8]) -> Result<Vec<std::ops::Range<usize>>, RlpError> {
-    let (&first, _) = input.split_first().ok_or(RlpError::Truncated)?;
-    let (payload_start, payload_len) = match first {
-        0xc0..=0xf7 => (1usize, (first - 0xc0) as usize),
-        0xf8..=0xff => {
-            let len_len = (first - 0xf7) as usize;
-            let (len, _) = read_be_len(&input[1..], len_len)?;
-            if len <= 55 {
-                return Err(RlpError::NonCanonical); // short list long-form
-            }
-            (1 + len_len, len)
-        }
-        _ => return Err(RlpError::TypeMismatch { expected: "list" }),
-    };
-    let payload_end = payload_start.checked_add(payload_len).ok_or(RlpError::LengthOverflow)?;
-    if payload_end > input.len() {
-        return Err(RlpError::Truncated);
-    }
-    if payload_end != input.len() {
-        return Err(RlpError::TrailingBytes);
-    }
+/// payload is a `TypeMismatch` (MPT nodes never contain one). A list of
+/// more than `N` items is [`RlpError::TooManyItems`].
+#[derive(Debug, Clone, Copy)]
+pub struct FlatList<const N: usize> {
+    len: usize,
+    starts: [usize; N],
+    ends: [usize; N],
+}
 
-    let mut ranges = Vec::new();
-    let mut pos = payload_start;
-    while pos < payload_end {
-        let first = input[pos];
-        let (start, len) = match first {
-            0x00..=0x7f => (pos, 1usize),
-            0x80..=0xb7 => {
-                let len = (first - 0x80) as usize;
-                if len == 1 {
-                    let b = *input.get(pos + 1).ok_or(RlpError::Truncated)?;
-                    if b < 0x80 {
-                        return Err(RlpError::NonCanonical); // should be a single byte
-                    }
-                }
-                (pos + 1, len)
-            }
-            0xb8..=0xbf => {
-                let len_len = (first - 0xb7) as usize;
-                let (len, _) = read_be_len(&input[pos + 1..], len_len)?;
+impl<const N: usize> FlatList<N> {
+    /// Parse `input`, which must be exactly one list.
+    pub fn parse(input: &[u8]) -> Result<Self, RlpError> {
+        let (&first, _) = input.split_first().ok_or(RlpError::Truncated)?;
+        let (payload_start, payload_len) = match first {
+            0xc0..=0xf7 => (1usize, (first - 0xc0) as usize),
+            0xf8..=0xff => {
+                let len_len = (first - 0xf7) as usize;
+                let (len, _) = read_be_len(&input[1..], len_len)?;
                 if len <= 55 {
-                    return Err(RlpError::NonCanonical); // short string long-form
+                    return Err(RlpError::NonCanonical); // short list long-form
                 }
-                (pos + 1 + len_len, len)
+                (1 + len_len, len)
             }
-            _ => return Err(RlpError::TypeMismatch { expected: "bytes" }),
+            _ => return Err(RlpError::TypeMismatch { expected: "list" }),
         };
-        let end = start.checked_add(len).ok_or(RlpError::LengthOverflow)?;
-        if end > payload_end {
+        let payload_end = payload_start.checked_add(payload_len).ok_or(RlpError::LengthOverflow)?;
+        if payload_end > input.len() {
             return Err(RlpError::Truncated);
         }
-        ranges.push(start..end);
-        pos = end;
+        if payload_end != input.len() {
+            return Err(RlpError::TrailingBytes);
+        }
+
+        let mut list = FlatList { len: 0, starts: [0; N], ends: [0; N] };
+        let mut pos = payload_start;
+        while pos < payload_end {
+            if list.len == N {
+                return Err(RlpError::TooManyItems);
+            }
+            let first = input[pos];
+            let (start, len) = match first {
+                0x00..=0x7f => (pos, 1usize),
+                0x80..=0xb7 => {
+                    let len = (first - 0x80) as usize;
+                    if len == 1 {
+                        let b = *input.get(pos + 1).ok_or(RlpError::Truncated)?;
+                        if b < 0x80 {
+                            return Err(RlpError::NonCanonical); // should be a single byte
+                        }
+                    }
+                    (pos + 1, len)
+                }
+                0xb8..=0xbf => {
+                    let len_len = (first - 0xb7) as usize;
+                    let (len, _) = read_be_len(&input[pos + 1..], len_len)?;
+                    if len <= 55 {
+                        return Err(RlpError::NonCanonical); // short string long-form
+                    }
+                    (pos + 1 + len_len, len)
+                }
+                _ => return Err(RlpError::TypeMismatch { expected: "bytes" }),
+            };
+            let end = start.checked_add(len).ok_or(RlpError::LengthOverflow)?;
+            if end > payload_end {
+                return Err(RlpError::Truncated);
+            }
+            list.starts[list.len] = start;
+            list.ends[list.len] = end;
+            list.len += 1;
+            pos = end;
+        }
+        Ok(list)
     }
-    Ok(ranges)
+
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Item `i`'s payload bounds in the parsed input.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`.
+    pub fn range(&self, i: usize) -> std::ops::Range<usize> {
+        assert!(i < self.len, "item {i} of a {}-item list", self.len);
+        self.starts[i]..self.ends[i]
+    }
 }
 
 fn decode_list_payload(mut payload: &[u8]) -> Result<Vec<RlpItem>, RlpError> {
@@ -493,6 +531,11 @@ mod tests {
         assert_eq!(RlpItem::bytes(vec![1; 9]).as_uint(), Err(RlpError::LengthOverflow));
     }
 
+    /// Item `i` of a parsed list, as bytes of `enc`.
+    fn payload<'a, const N: usize>(enc: &'a [u8], list: &FlatList<N>, i: usize) -> &'a [u8] {
+        &enc[list.range(i)]
+    }
+
     #[test]
     fn flat_list_ranges_match_decoded_items() {
         // A 17-ish string list with every header form: single byte, short
@@ -505,36 +548,43 @@ mod tests {
         ];
         let list = RlpItem::list(items.clone());
         let enc = list.encode();
-        let ranges = flat_list_ranges(&enc).unwrap();
-        assert_eq!(ranges.len(), items.len());
-        for (range, item) in ranges.iter().zip(&items) {
-            assert_eq!(&enc[range.clone()], item.as_bytes().unwrap());
+        let parsed = FlatList::<17>::parse(&enc).unwrap();
+        assert_eq!(parsed.len(), items.len());
+        for (i, item) in items.iter().enumerate() {
+            assert_eq!(payload(&enc, &parsed, i), item.as_bytes().unwrap());
         }
-        // Empty list → no ranges.
-        assert_eq!(flat_list_ranges(&RlpItem::list(Vec::new()).encode()).unwrap(), vec![]);
+        // Empty list → no items.
+        assert!(FlatList::<17>::parse(&RlpItem::list(Vec::new()).encode()).unwrap().is_empty());
+        // Exactly as many items as the table holds, then one more.
+        let four = RlpItem::list(vec![RlpItem::bytes(vec![1u8]); 4]).encode();
+        assert_eq!(FlatList::<4>::parse(&four).unwrap().len(), 4);
+        assert_eq!(FlatList::<3>::parse(&four).unwrap_err(), RlpError::TooManyItems);
     }
 
     #[test]
     fn flat_list_ranges_reject_bad_input() {
+        type L = FlatList<17>;
         // Not a list.
         assert!(matches!(
-            flat_list_ranges(&RlpItem::bytes(b"x".to_vec()).encode()),
+            L::parse(&RlpItem::bytes(b"x".to_vec()).encode()),
             Err(RlpError::TypeMismatch { .. })
         ));
         // Nested list inside.
         let nested = RlpItem::list(vec![RlpItem::list(Vec::new())]).encode();
-        assert!(matches!(flat_list_ranges(&nested), Err(RlpError::TypeMismatch { .. })));
+        assert!(matches!(L::parse(&nested), Err(RlpError::TypeMismatch { .. })));
         // Truncated and trailing input.
         let good = RlpItem::list(vec![RlpItem::bytes(b"abc".to_vec())]).encode();
-        assert!(matches!(flat_list_ranges(&good[..good.len() - 1]), Err(RlpError::Truncated)));
+        assert!(matches!(L::parse(&good[..good.len() - 1]), Err(RlpError::Truncated)));
         let mut trailing = good.clone();
         trailing.push(0x00);
-        assert!(matches!(flat_list_ranges(&trailing), Err(RlpError::TrailingBytes)));
+        assert!(matches!(L::parse(&trailing), Err(RlpError::TrailingBytes)));
         // Non-canonical single byte wrapped in a string header.
-        assert!(matches!(flat_list_ranges(&[0xc2, 0x81, 0x05]), Err(RlpError::NonCanonical)));
-        // Ranges agree with decode_partial on every canonical node-like list.
+        assert!(matches!(L::parse(&[0xc2, 0x81, 0x05]), Err(RlpError::NonCanonical)));
+        // An item whose long-form length runs past the list.
+        assert!(matches!(L::parse(&[0xc3, 0xb8, 0x40, 0x00]), Err(RlpError::Truncated)));
+        // Items agree with decode_partial on every canonical node-like list.
         let probe = RlpItem::list(vec![RlpItem::bytes(vec![7u8; 56]); 2]).encode();
-        assert_eq!(flat_list_ranges(&probe).unwrap().len(), 2);
+        assert_eq!(L::parse(&probe).unwrap().len(), 2);
     }
 
     #[test]

@@ -11,19 +11,20 @@
 use bytes::Bytes;
 use siri_core::{DiffEntry, Result, SiriIndex};
 use siri_crypto::Hash;
-use siri_encoding::Nibbles;
+use siri_encoding::NibbleView;
 
-use crate::node::Node;
-use crate::MerklePatriciaTrie;
+use crate::node::{Node, Path};
+use crate::{key_of, MerklePatriciaTrie};
 
 /// A position in a (possibly virtual) subtree: `path` nibbles still to be
-/// consumed before reaching `target`.
+/// consumed before reaching `target`. Paths are windows of the pages they
+/// were read from, so consuming a nibble copies nothing.
 #[derive(Clone, PartialEq, Eq)]
 enum Cursor {
     /// A stored subtree.
-    Node { path: Nibbles, hash: Hash },
+    Node { path: Path, hash: Hash },
     /// The tail of a leaf already being traversed.
-    Value { path: Nibbles, value: Bytes },
+    Value { path: Path, value: Bytes },
 }
 
 type Slots = Box<[Option<Cursor>; 16]>;
@@ -41,38 +42,37 @@ fn expand(trie: &MerklePatriciaTrie, cursor: Cursor) -> Result<(Option<Bytes>, S
             if path.is_empty() {
                 return Ok((Some(value), slots));
             }
-            let head = path.at(0) as usize;
-            slots[head] = Some(Cursor::Value { path: path.suffix(1), value });
+            slots[path.at(0) as usize] = Some(Cursor::Value { path: path.suffix(1), value });
             Ok((None, slots))
         }
         Cursor::Node { path, hash } if !path.is_empty() => {
-            let head = path.at(0) as usize;
-            slots[head] = Some(Cursor::Node { path: path.suffix(1), hash });
+            slots[path.at(0) as usize] = Some(Cursor::Node { path: path.suffix(1), hash });
             Ok((None, slots))
         }
         Cursor::Node { hash, .. } => {
             // Through the trie's node cache: diffing adjacent versions
             // re-visits the shared spine, which the cache serves for free.
             match &*trie.reader.fetch(&hash)?.0 {
-                Node::Leaf { path, value, .. } => {
+                Node::Leaf(l) => {
+                    let path = l.path_buf();
                     if path.is_empty() {
-                        return Ok((Some(value.clone()), slots));
+                        return Ok((Some(l.value()), slots));
                     }
-                    let head = path.at(0) as usize;
-                    slots[head] =
-                        Some(Cursor::Value { path: path.suffix(1), value: value.clone() });
+                    slots[path.at(0) as usize] =
+                        Some(Cursor::Value { path: path.suffix(1), value: l.value() });
                     Ok((None, slots))
                 }
-                Node::Extension { path, child, .. } => {
-                    let head = path.at(0) as usize;
-                    slots[head] = Some(Cursor::Node { path: path.suffix(1), hash: *child });
+                Node::Extension(e) => {
+                    let path = e.path_buf();
+                    slots[path.at(0) as usize] =
+                        Some(Cursor::Node { path: path.suffix(1), hash: e.child() });
                     Ok((None, slots))
                 }
-                Node::Branch { children, value, .. } => {
-                    for (i, c) in children.iter().enumerate() {
-                        slots[i] = c.map(|h| Cursor::Node { path: Nibbles::empty(), hash: h });
+                Node::Branch(b) => {
+                    for (i, hash) in b.children() {
+                        slots[i] = Some(Cursor::Node { path: Path::empty(), hash });
                     }
-                    Ok((value.clone(), slots))
+                    Ok((b.value(), slots))
                 }
             }
         }
@@ -102,7 +102,7 @@ fn diff_rec(
         None => (None, empty_slots()),
     };
     if va != vb {
-        out.push(DiffEntry { key: crate::nibbles_to_key_for_diff(prefix)?, left: va, right: vb });
+        out.push(DiffEntry { key: key_of(prefix, NibbleView::key(&[]))?, left: va, right: vb });
     }
     for (i, (ca, cb)) in slots_a.into_iter().zip(*slots_b).enumerate() {
         if ca.is_none() && cb.is_none() {
@@ -117,7 +117,7 @@ fn diff_rec(
 
 pub(crate) fn diff(a: &MerklePatriciaTrie, b: &MerklePatriciaTrie) -> Result<Vec<DiffEntry>> {
     let cursor = |t: &MerklePatriciaTrie| {
-        (!t.root().is_zero()).then(|| Cursor::Node { path: Nibbles::empty(), hash: t.root() })
+        (!t.root().is_zero()).then(|| Cursor::Node { path: Path::empty(), hash: t.root() })
     };
     let mut out = Vec::new();
     let mut prefix = Vec::new();

@@ -35,13 +35,14 @@ use siri_core::{
     Recorder, Result, SiriIndex, StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::Hash;
-use siri_encoding::Nibbles;
+use siri_encoding::NibbleView;
 use siri_store::{
     reachable_pages, CacheStats, PageBatch, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY,
 };
 
 pub use cursor::RangeCursor;
-pub use node::Node;
+use node::Path;
+pub use node::{Branch, Extension, Leaf, Node};
 pub use proof::MptProofScheme;
 
 /// Handle to one MPT version: `(store, root digest)` plus the decoded-node
@@ -97,21 +98,19 @@ impl MerklePatriciaTrie {
         let mut stack: Vec<(Hash, u32)> = vec![(self.root, 1)];
         while let Some((h, depth)) = stack.pop() {
             match &*self.reader.fetch(&h)?.0 {
-                Node::Leaf { .. } => {
+                Node::Leaf(_) => {
                     total += depth as u64;
                     count += 1;
                     max = max.max(depth);
                 }
-                Node::Extension { child, .. } => stack.push((*child, depth + 1)),
-                Node::Branch { children, value, .. } => {
-                    if value.is_some() {
+                Node::Extension(e) => stack.push((e.child(), depth + 1)),
+                Node::Branch(b) => {
+                    if b.has_value() {
                         total += depth as u64;
                         count += 1;
                         max = max.max(depth);
                     }
-                    for c in children.iter().flatten() {
-                        stack.push((*c, depth + 1));
-                    }
+                    stack.extend(b.children().map(|(_, c)| (c, depth + 1)));
                 }
             }
         }
@@ -119,13 +118,19 @@ impl MerklePatriciaTrie {
     }
 }
 
-/// Nibble path → byte key; keys always have even nibble length because they
-/// are built from whole bytes.
-pub(crate) fn nibbles_to_key(nibbles: &[u8]) -> Result<Bytes> {
-    if !nibbles.len().is_multiple_of(2) {
+/// The byte key whose nibbles are `head` (one per byte) then `tail`; keys
+/// always have even nibble length because they are built from whole bytes.
+pub(crate) fn key_of(head: &[u8], tail: NibbleView<'_>) -> Result<Bytes> {
+    let len = head.len() + tail.len();
+    if !len.is_multiple_of(2) {
         return Err(IndexError::CorruptStructure("odd-length key path"));
     }
-    Ok(Bytes::from(nibbles.chunks_exact(2).map(|p| p[0] << 4 | p[1]).collect::<Vec<u8>>()))
+    let mut key = Vec::with_capacity(len / 2);
+    let mut nibbles = head.iter().copied().chain(tail.iter());
+    while let (Some(hi), Some(lo)) = (nibbles.next(), nibbles.next()) {
+        key.push(hi << 4 | lo);
+    }
+    Ok(Bytes::from(key))
 }
 
 impl SiriIndex for MerklePatriciaTrie {
@@ -151,29 +156,31 @@ impl SiriIndex for MerklePatriciaTrie {
         if self.root.is_zero() {
             return Ok(None);
         }
-        let nibbles = Nibbles::from_key(key);
+        let nibbles = NibbleView::key(key);
         let mut offset = 0usize;
         let mut hash = self.root;
         let found = loop {
             let (node, cached) = self.reader.fetch(&hash)?;
             t.node(cached);
+            let rest = nibbles.suffix(offset);
             match &*node {
-                Node::Leaf { path, value, .. } => {
+                Node::Leaf(l) => {
                     t.probe();
-                    break (nibbles.suffix(offset) == *path).then(|| value.clone());
+                    break (rest == l.path()).then(|| l.value());
                 }
-                Node::Extension { path, child, .. } => {
-                    if !nibbles.suffix(offset).starts_with(path) {
+                Node::Extension(e) => {
+                    let path = e.path();
+                    if !rest.starts_with(path) {
                         break None;
                     }
                     offset += path.len();
-                    hash = *child;
+                    hash = e.child();
                 }
-                Node::Branch { children, value, .. } => {
-                    if offset == nibbles.len() {
-                        break value.clone();
+                Node::Branch(b) => {
+                    if rest.is_empty() {
+                        break b.value();
                     }
-                    match children[nibbles.at(offset) as usize] {
+                    match b.child(rest.at(0) as usize) {
                         Some(child) => {
                             offset += 1;
                             hash = child;
@@ -192,20 +199,17 @@ impl SiriIndex for MerklePatriciaTrie {
         if ops.is_empty() {
             return Ok(self.clone());
         }
-        let mut overlay =
-            if self.root.is_zero() { None } else { Some(mem::MemNode::Stored(self.root)) };
+        let mut overlay = mem::Overlay::new(self);
+        let mut root = (!self.root.is_zero()).then(|| overlay.stored(self.root));
         for op in ops {
-            let suffix = Nibbles::from_key(&op.key);
-            overlay = match op.value {
-                Some(value) => Some(mem::MemNode::insert(overlay, self, suffix, value)?),
-                None => mem::MemNode::remove(overlay, self, suffix)?,
+            let key = Path::key(&op.key);
+            root = match op.value {
+                Some(value) => Some(overlay.insert(root, &key, 0, value)?),
+                None => overlay.remove(root, &key, 0)?,
             };
         }
-        let root = match overlay {
-            // One scratch buffer serves every node this commit encodes.
-            Some(overlay) => {
-                overlay.commit(self.store(), pages, &mut siri_encoding::Scratch::new())?
-            }
+        let root = match root {
+            Some(root) => overlay.commit(root, self.store(), pages)?,
             None => Hash::ZERO, // every record deleted
         };
         Ok(self.at_root(root))
@@ -253,8 +257,6 @@ impl StructureStats for MerklePatriciaTrie {
         MerklePatriciaTrie::node_cache_stats(self)
     }
 }
-
-pub(crate) use nibbles_to_key as nibbles_to_key_for_diff;
 
 #[cfg(test)]
 mod tests {

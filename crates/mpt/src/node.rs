@@ -12,48 +12,316 @@
 //! then digest/value). One deviation from Ethereum, documented in
 //! DESIGN.md: children are always referenced by digest — nodes under 32
 //! bytes are not inlined into their parents.
+//!
+//! A decoded node is a view of its page (DESIGN.md §11 *The in-place
+//! node*): one pass over the RLP list fills a fixed table of offsets, and
+//! children, values and paths are read from the page when asked.
 
 use bytes::Bytes;
 use siri_core::{IndexError, PageNode, Result};
 use siri_crypto::Hash;
-use siri_encoding::{rlp, Nibbles};
+use siri_encoding::{rlp, FlatList, NibbleView};
 
-/// A decoded MPT node. Each kind keeps the page it was decoded from
-/// ([`PageNode::page`]); a node the commit path builds to be encoded has
-/// none yet (`Bytes::new()`).
-///
-/// The Branch variant is much larger than the others (16 optional child
-/// digests); nodes are short-lived decode products on the read path, so
-/// boxing the array would add an allocation per branch visit for no
-/// footprint win.
-#[allow(clippy::large_enum_variant)]
+/// A decoded MPT node: its page and where in the page each part lies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
     /// 16 children (by nibble) and an optional value terminating exactly
     /// at this position.
-    Branch { children: [Option<Hash>; 16], value: Option<Bytes>, page: Bytes },
+    Branch(Branch),
     /// A run of nibbles shared by every key below, then one child.
-    Extension { path: Nibbles, child: Hash, page: Bytes },
+    Extension(Extension),
     /// A terminal run of nibbles and the value.
-    Leaf { path: Nibbles, value: Bytes, page: Bytes },
+    Leaf(Leaf),
+}
+
+// Every read decodes or shares one of these per node it visits; the
+// offsets keep it small whatever the page holds.
+const _: () = assert!(std::mem::size_of::<Node>() <= 128);
+
+/// A byte range of a page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    fn of(range: std::ops::Range<usize>) -> Span {
+        // `parse` refuses pages of 2 GiB and more.
+        Span { start: range.start as u32, end: range.end as u32 }
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
+/// A hex-prefix path inside a page, in nibbles of the page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    start: u32,
+    len: u32,
+}
+
+impl Run {
+    fn view(self, page: &[u8]) -> NibbleView<'_> {
+        NibbleView::new(page, self.start as usize, self.len as usize)
+    }
+}
+
+/// A branch page: where each child digest starts, and the value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Branch {
+    page: Bytes,
+    /// Offset of child `i`'s 32-byte digest, 0 for an empty slot (offset 0
+    /// is the list header, never a payload). A digest starts within the
+    /// first 505 bytes of a page (a list header of at most 9 bytes, at
+    /// most 15 slots of 33 bytes, one string header), so 16 bits hold it.
+    children: [u16; 16],
+    /// The value after its marker byte, `None` when the slot is empty.
+    value: Option<Span>,
+}
+
+impl Branch {
+    /// Child `nib`'s digest as it lies in the page.
+    pub fn digest(&self, nib: usize) -> Option<&[u8; 32]> {
+        match self.children[nib] as usize {
+            0 => None,
+            at => <&[u8; 32]>::try_from(&self.page[at..at + Hash::LEN]).ok(),
+        }
+    }
+
+    /// Child `nib`, if the slot is occupied.
+    pub fn child(&self, nib: usize) -> Option<Hash> {
+        self.digest(nib).map(|d| Hash::from_bytes(*d))
+    }
+
+    /// The occupied slots in nibble order.
+    pub fn children(&self) -> impl DoubleEndedIterator<Item = (usize, Hash)> + '_ {
+        (0..16).filter_map(|nib| self.child(nib).map(|h| (nib, h)))
+    }
+
+    /// The value terminating here, a slice of the page.
+    pub fn value(&self) -> Option<Bytes> {
+        self.value.map(|v| self.page.slice(v.range()))
+    }
+
+    pub fn has_value(&self) -> bool {
+        self.value.is_some()
+    }
+}
+
+/// An extension page: its path and where its child's digest starts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Extension {
+    page: Bytes,
+    path: Run,
+    child: u32,
+}
+
+impl Extension {
+    /// The compacted run, read in place.
+    pub fn path(&self) -> NibbleView<'_> {
+        self.path.view(&self.page)
+    }
+
+    pub fn child(&self) -> Hash {
+        let at = self.child as usize;
+        let mut digest = [0u8; Hash::LEN];
+        digest.copy_from_slice(&self.page[at..at + Hash::LEN]);
+        Hash::from_bytes(digest)
+    }
+
+    /// The path as a window of the page, for the commit overlay.
+    pub(crate) fn path_buf(&self) -> Path {
+        Path::window(&self.page, self.path)
+    }
+}
+
+/// A leaf page: its path and its value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Leaf {
+    page: Bytes,
+    path: Run,
+    value: Span,
+}
+
+impl Leaf {
+    /// The terminal run, read in place.
+    pub fn path(&self) -> NibbleView<'_> {
+        self.path.view(&self.page)
+    }
+
+    /// The value, a slice of the page.
+    pub fn value(&self) -> Bytes {
+        self.page.slice(self.value.range())
+    }
+
+    /// The path as a window of the page, for the commit overlay.
+    pub(crate) fn path_buf(&self) -> Path {
+        Path::window(&self.page, self.path)
+    }
+}
+
+/// A nibble path held as a window of a refcounted buffer — a page or a
+/// key — so the commit overlay and the diff walk slice paths by moving
+/// two numbers instead of copying nibbles.
+#[derive(Clone)]
+pub(crate) struct Path {
+    buf: Bytes,
+    start: usize,
+    len: usize,
+}
+
+impl Path {
+    pub(crate) fn empty() -> Path {
+        Path { buf: Bytes::new(), start: 0, len: 0 }
+    }
+
+    /// Every nibble of `key`.
+    pub(crate) fn key(key: &Bytes) -> Path {
+        Path { buf: key.clone(), start: 0, len: key.len() * 2 }
+    }
+
+    fn window(page: &Bytes, run: Run) -> Path {
+        Path { buf: page.clone(), start: run.start as usize, len: run.len as usize }
+    }
+
+    /// `nibbles`, packed into a buffer of their own — what deletion's
+    /// path merges build.
+    pub(crate) fn packed(nibbles: impl Iterator<Item = u8>) -> Path {
+        let mut buf = Vec::new();
+        let mut len = 0usize;
+        for n in nibbles {
+            if len.is_multiple_of(2) {
+                buf.push(n << 4);
+            } else if let Some(last) = buf.last_mut() {
+                *last |= n;
+            }
+            len += 1;
+        }
+        Path { buf: Bytes::from(buf), start: 0, len }
+    }
+
+    pub(crate) fn view(&self) -> NibbleView<'_> {
+        NibbleView::new(&self.buf, self.start, self.len)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    pub(crate) fn at(&self, i: usize) -> u8 {
+        self.view().at(i)
+    }
+
+    /// The path from nibble `from` on.
+    pub(crate) fn suffix(&self, from: usize) -> Path {
+        assert!(from <= self.len, "suffix {from} of {}", self.len);
+        Path { buf: self.buf.clone(), start: self.start + from, len: self.len - from }
+    }
+
+    /// The first `len` nibbles.
+    pub(crate) fn prefix(&self, len: usize) -> Path {
+        assert!(len <= self.len, "prefix {len} of {}", self.len);
+        Path { buf: self.buf.clone(), start: self.start, len }
+    }
+}
+
+impl PartialEq for Path {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for Path {}
+
+/// Where each part of a page lies, before the page is attached.
+enum Offsets {
+    Branch { children: [u16; 16], value: Option<Span> },
+    Extension { path: Run, child: u32 },
+    Leaf { path: Run, value: Span },
+}
+
+fn corrupt(what: &'static str) -> IndexError {
+    IndexError::CorruptStructure(what)
+}
+
+/// The one pass over a page: RLP list, slot shapes, hex-prefix flag.
+fn parse(page: &[u8]) -> Result<Offsets> {
+    // Offsets are kept as `u32` nibble indexes.
+    if page.len() > (u32::MAX / 2) as usize {
+        return Err(corrupt("MPT page too large"));
+    }
+    let list = FlatList::<17>::parse(page)?;
+    match list.len() {
+        17 => {
+            let mut children = [0u16; 16];
+            let mut any = false;
+            for (nib, slot) in children.iter_mut().enumerate() {
+                let r = list.range(nib);
+                match r.len() {
+                    0 => {}
+                    // Below 505: see `Branch::children`.
+                    Hash::LEN => {
+                        *slot = r.start as u16;
+                        any = true;
+                    }
+                    _ => return Err(corrupt("bad child digest length")),
+                }
+            }
+            let v = list.range(16);
+            let value = match page[v.clone()].first() {
+                None => None,
+                Some(0x01) => Some(Span::of(v.start + 1..v.end)),
+                Some(_) => return Err(corrupt("bad branch value marker")),
+            };
+            if value.is_none() && !any {
+                return Err(corrupt("empty branch node"));
+            }
+            Ok(Offsets::Branch { children, value })
+        }
+        2 => {
+            let hp = list.range(0);
+            let payload = list.range(1);
+            let (path, is_leaf) =
+                NibbleView::hex_prefix(&page[hp.clone()]).ok_or(corrupt("bad hex-prefix path"))?;
+            let path = Run { start: (2 * hp.start + path.start()) as u32, len: path.len() as u32 };
+            if is_leaf {
+                return Ok(Offsets::Leaf { path, value: Span::of(payload) });
+            }
+            if path.len == 0 {
+                return Err(corrupt("empty extension path"));
+            }
+            if payload.len() != Hash::LEN {
+                return Err(corrupt("bad extension child digest"));
+            }
+            Ok(Offsets::Extension { path, child: payload.start as u32 })
+        }
+        _ => Err(corrupt("MPT node is neither branch nor pair")),
+    }
 }
 
 /// Branch value slots need "absent" ≠ "empty value": absent encodes as the
 /// empty string, present values carry a 0x01 marker byte.
-fn value_slot_len(value: &Option<Bytes>) -> usize {
+fn value_slot_len(value: Option<&[u8]>) -> usize {
     match value {
-        None => 1,                    // empty string: 0x80
-        Some(v) if v.is_empty() => 1, // lone marker byte: single-byte literal
+        None => 1,     // empty string: 0x80
+        Some([]) => 1, // lone marker byte: single-byte literal
         Some(v) => rlp::str_header_len(v.len() + 1) + v.len() + 1,
     }
 }
 
 /// Stream the value slot: the marker byte and the borrowed value land in
 /// `out` directly — no `0x01 ++ value` temporary.
-fn write_value_slot(out: &mut Vec<u8>, value: &Option<Bytes>) {
+fn write_value_slot(out: &mut Vec<u8>, value: Option<&[u8]>) {
     match value {
         None => rlp::write_str(out, &[]),
-        Some(v) if v.is_empty() => out.push(0x01),
+        Some([]) => out.push(0x01),
         Some(v) => {
             rlp::write_str_header(out, v.len() + 1);
             out.push(0x01);
@@ -65,7 +333,7 @@ fn write_value_slot(out: &mut Vec<u8>, value: &Option<Bytes>) {
 /// Encoded length of a hex-prefix path as an RLP string. A one-byte
 /// encoding starts with the flag nibble (≤ 0x3f), so it always takes the
 /// single-byte literal form.
-fn hp_str_len(path: &Nibbles) -> usize {
+fn hp_str_len(path: NibbleView<'_>) -> usize {
     let hp = path.hex_prefix_encoded_len();
     if hp == 1 {
         1
@@ -74,148 +342,69 @@ fn hp_str_len(path: &Nibbles) -> usize {
     }
 }
 
-/// Stream a hex-prefix path as an RLP string, headerless when it is the
-/// single-byte literal form.
-fn write_hp_str(out: &mut Vec<u8>, path: &Nibbles, is_leaf: bool) {
-    let hp = path.hex_prefix_encoded_len();
-    if hp > 1 {
-        rlp::write_str_header(out, hp);
-    }
-    path.hex_prefix_encode_into(is_leaf, out);
+/// A page of `payload` list bytes, written by `write` into one buffer of
+/// exactly the page's size.
+fn page_of(payload: usize, write: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+    let len = rlp::list_header_len(payload) + payload;
+    let mut out = Vec::with_capacity(len);
+    rlp::write_list_header(&mut out, payload);
+    write(&mut out);
+    debug_assert_eq!(out.len(), len);
+    Bytes::from(out)
 }
 
-/// A branch's child slot: empty, or a 32-byte digest.
-fn child_slot(raw: &[u8]) -> Result<Option<Hash>> {
-    if raw.is_empty() {
-        return Ok(None);
-    }
-    Hash::from_slice(raw).map(Some).ok_or(IndexError::CorruptStructure("bad child digest length"))
+/// Encode a branch page from its parts, each borrowed where it lies.
+pub(crate) fn branch_page(children: &[Option<&[u8; 32]>; 16], value: Option<&[u8]>) -> Bytes {
+    // Occupied child: 0xa0 header + 32-byte digest. Empty: 0x80.
+    let kids: usize = children.iter().map(|c| if c.is_some() { 33 } else { 1 }).sum();
+    page_of(kids + value_slot_len(value), |out| {
+        for child in children {
+            rlp::write_str(out, child.map_or(&[][..], |d| &d[..]));
+        }
+        write_value_slot(out, value);
+    })
 }
 
-/// An extension's path and child, or a leaf's path alone (`None`).
-fn pair_path(hp: &[u8], payload: &[u8]) -> Result<(Nibbles, Option<Hash>)> {
-    let (path, is_leaf) = Nibbles::hex_prefix_decode(hp)
-        .ok_or(IndexError::CorruptStructure("bad hex-prefix path"))?;
-    if is_leaf {
-        return Ok((path, None));
-    }
-    if path.is_empty() {
-        return Err(IndexError::CorruptStructure("empty extension path"));
-    }
-    let child = Hash::from_slice(payload)
-        .ok_or(IndexError::CorruptStructure("bad extension child digest"))?;
-    Ok((path, Some(child)))
+/// Encode a leaf (`payload` = value) or extension (`payload` = child
+/// digest) page from its parts.
+pub(crate) fn pair_page(path: NibbleView<'_>, is_leaf: bool, payload: &[u8]) -> Bytes {
+    page_of(hp_str_len(path) + rlp::str_encoded_len(payload), |out| {
+        let hp = path.hex_prefix_encoded_len();
+        if hp > 1 {
+            rlp::write_str_header(out, hp);
+        }
+        path.hex_prefix_encode_into(is_leaf, out);
+        rlp::write_str(out, payload);
+    })
 }
 
 impl Node {
-    pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut out);
-        debug_assert_eq!(out.len(), self.encoded_len());
-        Bytes::from(out)
-    }
-
-    /// RLP payload length (list items only, excluding the list header).
-    fn payload_len(&self) -> usize {
-        match self {
-            Node::Branch { children, value, .. } => {
-                // Occupied child: 0xa0 header + 32-byte digest. Empty: 0x80.
-                let kids: usize = children.iter().map(|c| if c.is_some() { 33 } else { 1 }).sum();
-                kids + value_slot_len(value)
-            }
-            Node::Extension { path, .. } => hp_str_len(path) + 33,
-            Node::Leaf { path, value, .. } => hp_str_len(path) + rlp::str_encoded_len(value),
-        }
-    }
-
-    /// Exact byte length of [`Node::encode`]'s output, computed without
-    /// serializing — commit paths pre-size page buffers to it.
-    pub fn encoded_len(&self) -> usize {
-        let payload = self.payload_len();
-        rlp::list_header_len(payload) + payload
-    }
-
-    /// Stream the canonical encoding into `out` — byte-identical to
-    /// [`Node::encode`] but with zero intermediate allocations, so a commit
-    /// can serialize every node into one reusable scratch buffer. (The old
-    /// encoder built an [`RlpItem`](siri_encoding::RlpItem) tree: ~18
-    /// short-lived `Vec`s per branch page.)
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        rlp::write_list_header(out, self.payload_len());
-        match self {
-            Node::Branch { children, value, .. } => {
-                for child in children {
-                    match child {
-                        Some(h) => rlp::write_str(out, h.as_bytes()),
-                        None => rlp::write_str(out, &[]),
-                    }
-                }
-                write_value_slot(out, value);
-            }
-            Node::Extension { path, child, .. } => {
-                write_hp_str(out, path, false);
-                rlp::write_str(out, child.as_bytes());
-            }
-            Node::Leaf { path, value, .. } => {
-                write_hp_str(out, path, true);
-                rlp::write_str(out, value);
-            }
-        }
-    }
-
-    /// Zero-copy decode: branch/leaf values are refcounted slices of the
-    /// page — the one decoder. A cache hit downstream therefore shares the
-    /// page allocation instead of re-copying values out of it.
+    /// Zero-copy decode — the one decoder. The node keeps the page and
+    /// the offsets of its parts; nothing is copied out of it.
     pub fn decode_zc(page: &Bytes) -> Result<Node> {
-        let ranges = rlp::flat_list_ranges(page)?;
-        match ranges.len() {
-            17 => {
-                let mut children: [Option<Hash>; 16] = Default::default();
-                for (slot, range) in children.iter_mut().zip(&ranges[..16]) {
-                    *slot = child_slot(&page[range.clone()])?;
-                }
-                let vr = &ranges[16];
-                let value = match page[vr.clone()].split_first() {
-                    None => None,
-                    Some((0x01, _)) => Some(page.slice(vr.start + 1..vr.end)),
-                    Some(_) => return Err(IndexError::CorruptStructure("bad branch value marker")),
-                };
-                if value.is_none() && children.iter().all(Option::is_none) {
-                    return Err(IndexError::CorruptStructure("empty branch node"));
-                }
-                Ok(Node::Branch { children, value, page: page.clone() })
-            }
-            2 => match pair_path(&page[ranges[0].clone()], &page[ranges[1].clone()])? {
-                (path, None) => Ok(Node::Leaf {
-                    path,
-                    value: page.slice(ranges[1].clone()),
-                    page: page.clone(),
-                }),
-                (path, Some(child)) => Ok(Node::Extension { path, child, page: page.clone() }),
-            },
-            _ => Err(IndexError::CorruptStructure("MPT node is neither branch nor pair")),
-        }
+        let page = page.clone();
+        Ok(match parse(&page)? {
+            Offsets::Branch { children, value } => Node::Branch(Branch { page, children, value }),
+            Offsets::Extension { path, child } => Node::Extension(Extension { page, path, child }),
+            Offsets::Leaf { path, value } => Node::Leaf(Leaf { page, path, value }),
+        })
     }
 
     /// Child digests referenced by a page — the store-walk decoder, which
-    /// reads the slots in place and builds no node. A page that does not
+    /// reads the offsets in place and builds no node. A page that does not
     /// parse has none.
     pub fn children_of_page(page: &[u8]) -> Vec<Hash> {
-        let Ok(ranges) = rlp::flat_list_ranges(page) else {
-            return Vec::new();
+        let digest = |at: usize| {
+            let mut d = [0u8; Hash::LEN];
+            d.copy_from_slice(&page[at..at + Hash::LEN]);
+            Hash::from_bytes(d)
         };
-        let slot = |i: usize| &page[ranges[i].clone()];
-        match ranges.len() {
-            17 => (0..16)
-                .map(|i| child_slot(slot(i)))
-                .collect::<Result<Vec<_>>>()
-                .map(|slots| slots.into_iter().flatten().collect())
-                .unwrap_or_default(),
-            2 => match pair_path(slot(0), slot(1)) {
-                Ok((_, Some(child))) => vec![child],
-                _ => Vec::new(),
-            },
-            _ => Vec::new(),
+        match parse(page) {
+            Ok(Offsets::Branch { children, .. }) => {
+                children.iter().filter(|&&at| at != 0).map(|&at| digest(at as usize)).collect()
+            }
+            Ok(Offsets::Extension { child, .. }) => vec![digest(child as usize)],
+            Ok(Offsets::Leaf { .. }) | Err(_) => Vec::new(),
         }
     }
 }
@@ -227,9 +416,9 @@ impl PageNode for Node {
 
     fn page(&self) -> &Bytes {
         match self {
-            Node::Branch { page, .. } | Node::Extension { page, .. } | Node::Leaf { page, .. } => {
-                page
-            }
+            Node::Branch(Branch { page, .. })
+            | Node::Extension(Extension { page, .. })
+            | Node::Leaf(Leaf { page, .. }) => page,
         }
     }
 }
@@ -238,36 +427,70 @@ impl PageNode for Node {
 mod tests {
     use super::*;
     use siri_crypto::sha256;
-    use siri_encoding::RlpItem;
+    use siri_encoding::{Nibbles, RlpItem};
 
     fn nib(raw: &[u8]) -> Nibbles {
         Nibbles::from_raw(raw.to_vec())
     }
 
-    fn leaf(path: Nibbles, value: Bytes) -> Node {
-        Node::Leaf { path, value, page: Bytes::new() }
+    /// A node's parts, as the pre-view codec held them.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Parts {
+        Branch { children: Box<[Option<Hash>; 16]>, value: Option<Bytes> },
+        Extension { path: Nibbles, child: Hash },
+        Leaf { path: Nibbles, value: Bytes },
     }
 
-    fn ext(path: Nibbles, child: Hash) -> Node {
-        Node::Extension { path, child, page: Bytes::new() }
+    fn leaf(path: Nibbles, value: Bytes) -> Parts {
+        Parts::Leaf { path, value }
     }
 
-    fn branch(children: [Option<Hash>; 16], value: Option<Bytes>) -> Node {
-        Node::Branch { children, value, page: Bytes::new() }
+    fn ext(path: Nibbles, child: Hash) -> Parts {
+        Parts::Extension { path, child }
     }
 
-    /// `node` encodes to a page that decodes back to its content, holding
-    /// that page.
-    fn round_trip(node: Node) {
-        let page = node.encode();
+    fn branch(children: [Option<Hash>; 16], value: Option<Bytes>) -> Parts {
+        Parts::Branch { children: Box::new(children), value }
+    }
+
+    fn packed(nibbles: &Nibbles) -> Path {
+        Path::packed(nibbles.as_slice().iter().copied())
+    }
+
+    fn encode(parts: &Parts) -> Bytes {
+        match parts {
+            Parts::Branch { children, value } => branch_page(
+                &std::array::from_fn(|i| children[i].as_ref().map(Hash::as_bytes)),
+                value.as_deref(),
+            ),
+            Parts::Extension { path, child } => {
+                pair_page(packed(path).view(), false, child.as_bytes())
+            }
+            Parts::Leaf { path, value } => pair_page(packed(path).view(), true, value),
+        }
+    }
+
+    /// What the view reads back.
+    fn parts_of(node: &Node) -> Parts {
+        match node {
+            Node::Branch(b) => Parts::Branch {
+                children: Box::new(std::array::from_fn(|i| b.child(i))),
+                value: b.value(),
+            },
+            Node::Extension(e) => {
+                Parts::Extension { path: e.path().to_nibbles(), child: e.child() }
+            }
+            Node::Leaf(l) => Parts::Leaf { path: l.path().to_nibbles(), value: l.value() },
+        }
+    }
+
+    /// `parts` encode to a page that decodes back to them, holding that
+    /// page.
+    fn round_trip(parts: Parts) {
+        let page = encode(&parts);
         let back = Node::decode_zc(&page).unwrap();
-        let want = match node {
-            Node::Branch { children, value, .. } => Node::Branch { children, value, page },
-            Node::Extension { path, child, .. } => Node::Extension { path, child, page },
-            Node::Leaf { path, value, .. } => Node::Leaf { path, value, page },
-        };
-        assert_eq!(back, want);
-        assert_eq!(back.page(), want.page());
+        assert_eq!(parts_of(&back), parts);
+        assert_eq!(back.page(), &page);
     }
 
     #[test]
@@ -298,9 +521,9 @@ mod tests {
     /// changes every page address above it.
     #[test]
     fn streamed_encode_matches_rlp_item_reference() {
-        fn reference(node: &Node) -> Vec<u8> {
+        fn reference(node: &Parts) -> Vec<u8> {
             let item = match node {
-                Node::Branch { children, value, .. } => {
+                Parts::Branch { children, value } => {
                     let mut items: Vec<RlpItem> = children
                         .iter()
                         .map(|c| match c {
@@ -318,11 +541,11 @@ mod tests {
                     });
                     RlpItem::list(items)
                 }
-                Node::Extension { path, child, .. } => RlpItem::list(vec![
+                Parts::Extension { path, child } => RlpItem::list(vec![
                     RlpItem::bytes(path.hex_prefix_encode(false)),
                     RlpItem::bytes(child.as_bytes().to_vec()),
                 ]),
-                Node::Leaf { path, value, .. } => RlpItem::list(vec![
+                Parts::Leaf { path, value } => RlpItem::list(vec![
                     RlpItem::bytes(path.hex_prefix_encode(true)),
                     RlpItem::bytes(value.to_vec()),
                 ]),
@@ -346,9 +569,33 @@ mod tests {
             branch(full, Some(Bytes::from(vec![3u8; 100]))),
         ];
         for node in nodes {
-            let streamed = node.encode();
+            let streamed = encode(&node);
             assert_eq!(streamed.as_ref(), reference(&node).as_slice(), "{node:?}");
-            assert_eq!(streamed.len(), node.encoded_len());
+            // What the view reads back encodes to the same bytes.
+            let back = parts_of(&Node::decode_zc(&streamed).unwrap());
+            assert_eq!(encode(&back), streamed, "{node:?}");
+        }
+    }
+
+    #[test]
+    fn paths_at_either_alignment_encode_alike() {
+        // The same nibbles read from an odd and an even start.
+        let buf = [0x01, 0x23, 0x45];
+        for len in 0..5 {
+            let odd = NibbleView::new(&buf, 1, len);
+            let even = NibbleView::new(&buf[1..], 0, len);
+            let want = odd.to_nibbles();
+            assert_eq!(even.to_nibbles().as_slice(), &[2, 3, 4, 5][..len]);
+            assert_eq!(want.as_slice(), &[1, 2, 3, 4][..len]);
+            for is_leaf in [false, true] {
+                let page = pair_page(odd, is_leaf, sha256(b"c").as_bytes());
+                let reference = encode(&if is_leaf {
+                    leaf(want.clone(), Bytes::copy_from_slice(sha256(b"c").as_bytes()))
+                } else {
+                    ext(want.clone(), sha256(b"c"))
+                });
+                assert_eq!(page, reference, "len {len} leaf {is_leaf}");
+            }
         }
     }
 
@@ -356,8 +603,8 @@ mod tests {
     fn empty_value_distinct_from_absent() {
         let mut children: [Option<Hash>; 16] = Default::default();
         children[0] = Some(sha256(b"c"));
-        let absent = branch(children, None).encode();
-        let empty = branch(children, Some(Bytes::new())).encode();
+        let absent = encode(&branch(children, None));
+        let empty = encode(&branch(children, Some(Bytes::new())));
         assert_ne!(absent, empty);
     }
 
@@ -375,6 +622,8 @@ mod tests {
             .encode(),
             // Branch with all slots empty.
             RlpItem::list(vec![RlpItem::bytes(Vec::new()); 17]).encode(),
+            // 18 items: one more than the offset table holds.
+            RlpItem::list(vec![RlpItem::bytes(Vec::new()); 18]).encode(),
         ];
         for raw in bad_inputs {
             assert!(Node::decode_zc(&Bytes::from(raw.clone())).is_err(), "input {raw:?}");
@@ -406,9 +655,10 @@ mod tests {
     #[test]
     fn decode_shares_the_page() {
         // Values are slices of the page (no copy), and the node keeps it.
-        let page = leaf(nib(&[1]), Bytes::from_static(b"shared-payload")).encode();
+        let page = encode(&leaf(nib(&[1]), Bytes::from_static(b"shared-payload")));
         let node = Node::decode_zc(&page).unwrap();
-        let Node::Leaf { value, .. } = &node else { panic!() };
+        let Node::Leaf(l) = &node else { panic!() };
+        let value = l.value();
         let base = page.as_ptr() as usize;
         let v = value.as_ptr() as usize;
         assert!(v > base && v < base + page.len(), "value must point into the page");
@@ -417,15 +667,15 @@ mod tests {
 
     #[test]
     fn children_decoder() {
-        let ext_page = ext(nib(&[1]), sha256(b"c")).encode();
+        let ext_page = encode(&ext(nib(&[1]), sha256(b"c")));
         assert_eq!(Node::children_of_page(&ext_page), vec![sha256(b"c")]);
         assert!(
-            Node::children_of_page(&leaf(nib(&[1]), Bytes::from_static(b"v")).encode()).is_empty()
+            Node::children_of_page(&encode(&leaf(nib(&[1]), Bytes::from_static(b"v")))).is_empty()
         );
         let mut children: [Option<Hash>; 16] = Default::default();
         children[2] = Some(sha256(b"c2"));
         children[9] = Some(sha256(b"c9"));
-        let page = branch(children, Some(Bytes::from_static(b"bv"))).encode();
+        let page = encode(&branch(children, Some(Bytes::from_static(b"bv"))));
         assert_eq!(Node::children_of_page(&page), vec![sha256(b"c2"), sha256(b"c9")]);
         assert!(Node::children_of_page(&page[..page.len() - 1]).is_empty(), "truncated");
         assert!(Node::children_of_page(b"not rlp").is_empty());

@@ -1,7 +1,7 @@
 //! A commit's pages, hashed on the way in and handed to the store at once.
 
 use bytes::Bytes;
-use siri_crypto::{hash_many, sha256, Hash};
+use siri_crypto::{hash_many_into, sha256, Hash};
 
 use crate::{NodeStore, StoreResult};
 
@@ -42,16 +42,36 @@ impl PageBatch {
     }
 
     /// Add sibling pages, digested together by the multi-lane
-    /// [`hash_many`]; returns one content address per page, in order.
-    pub fn push_many(&mut self, pages: Vec<Bytes>) -> Vec<Hash> {
-        let views: Vec<&[u8]> = pages.iter().map(|p| p.as_ref()).collect();
-        let hashes = hash_many(&views);
-        self.pages.reserve(pages.len());
-        for (hash, page) in hashes.iter().zip(pages) {
-            self.bytes += page.len();
-            self.pages.push((*hash, page));
-        }
+    /// [`hash_many`](siri_crypto::hash_many); returns one content address
+    /// per page, in order.
+    pub fn push_many(&mut self, mut pages: Vec<Bytes>) -> Vec<Hash> {
+        let mut hashes = vec![Hash::ZERO; pages.len()];
+        self.push_siblings(&mut pages, &mut hashes);
         hashes
+    }
+
+    /// [`PageBatch::push_many`] into the caller's buffers: the pages are
+    /// taken out of `pages` (left empty) and their addresses written to
+    /// `out`, in order. Sixteen siblings at a time share one stack array
+    /// of views, so a caller holding its pages in fixed arrays allocates
+    /// nothing past the batch's own growth.
+    ///
+    /// # Panics
+    /// Panics if `out` and `pages` differ in length.
+    pub fn push_siblings(&mut self, pages: &mut [Bytes], out: &mut [Hash]) {
+        assert_eq!(pages.len(), out.len(), "one address per page");
+        self.pages.reserve(pages.len());
+        for (pages, out) in pages.chunks_mut(16).zip(out.chunks_mut(16)) {
+            let mut views: [&[u8]; 16] = [&[]; 16];
+            for (view, page) in views.iter_mut().zip(pages.iter()) {
+                *view = page;
+            }
+            hash_many_into(&views[..pages.len()], out);
+            for (hash, page) in out.iter().zip(pages) {
+                self.bytes += page.len();
+                self.pages.push((*hash, std::mem::take(page)));
+            }
+        }
     }
 
     /// Move every page of `other` to the end of this batch. The digests
@@ -97,6 +117,22 @@ mod tests {
         for (hash, page) in batch.pages() {
             assert_eq!(*hash, sha256(page));
         }
+    }
+
+    #[test]
+    fn siblings_past_one_view_array_hash_what_they_keep() {
+        // 37 pages: two full groups of 16 and an odd remainder.
+        let pages: Vec<Bytes> = (0..37u8).map(|i| Bytes::from(vec![i; i as usize * 9])).collect();
+        let mut batch = PageBatch::new();
+        let mut taken = pages.clone();
+        let mut got = vec![Hash::ZERO; pages.len()];
+        batch.push_siblings(&mut taken, &mut got);
+        let want: Vec<Hash> = pages.iter().map(|p| sha256(p)).collect();
+        assert_eq!(got, want);
+        let kept: Vec<(Hash, Bytes)> = want.into_iter().zip(pages.iter().cloned()).collect();
+        assert_eq!(batch.pages(), &kept[..]);
+        assert!(taken.iter().all(Bytes::is_empty), "the pages moved into the batch");
+        assert_eq!(batch.bytes, pages.iter().map(Bytes::len).sum::<usize>());
     }
 
     #[test]

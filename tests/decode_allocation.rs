@@ -1,9 +1,15 @@
 //! A page's count field must not size an allocation before the page is
 //! parsed. An 8 MiB page (the wire frame cap) of zeros whose count field
 //! claims millions of children or entries goes through the POS-Tree,
-//! MVMB+ and MBT page decoders and through proof verification; each must fail, and no single
-//! allocation made meanwhile may be larger than the page. (Reserving
-//! `count` 64-byte slots up front would allocate 511 MiB.)
+//! MVMB+ and MBT page decoders and through proof verification; each must
+//! fail, and no single allocation made meanwhile may be larger than the
+//! page. (Reserving `count` 64-byte slots up front would allocate 511 MiB.)
+//!
+//! MPT pages have no count field; their RLP list header claims a length
+//! instead. Two 8 MiB pages go through the MPT decoder and verifier under
+//! the same rule: a list header claiming the whole page of one-byte items
+//! (millions of items where a node has at most 17), and a two-item list
+//! whose second item's long-form length runs past the page's end.
 //!
 //! The counting allocator is global to this binary, so it holds one test.
 
@@ -13,13 +19,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use siri::crypto::sha256;
 use siri::encoding::ByteWriter;
 use siri::{
-    verify_anchored_membership, Bytes, Entry, MbtProofScheme, MvmbProofScheme, PageNode,
-    PosProofScheme, Proof, ProofScheme,
+    verify_anchored_membership, Bytes, Entry, MbtProofScheme, MptProofScheme, MvmbProofScheme,
+    PageNode, PosProofScheme, Proof, ProofScheme,
 };
 
 type PosNode = siri::pos_tree::Node;
 type MvmbNode = siri_mvmb::Node;
 type MbtNode = siri_mbt::Node;
+type MptNode = siri_mpt::Node;
 
 /// The system allocator, remembering the largest single request.
 struct Peak;
@@ -104,6 +111,46 @@ fn kinds() -> Vec<Kind> {
     ]
 }
 
+/// Decoding `page` as `what` and verifying a proof of it must fail, and no
+/// allocation made meanwhile may be larger than the page.
+fn refused_within_the_page(
+    what: &str,
+    page: &Bytes,
+    decode_fails: fn(&Bytes) -> bool,
+    scheme: &dyn ProofScheme,
+) {
+    let digest = sha256(page);
+    let proof = Proof::new(vec![page.clone()]);
+
+    LARGEST.store(0, Ordering::Relaxed);
+    assert!(decode_fails(page), "{what}: decoded");
+    let verdict = verify_anchored_membership(scheme, digest, b"k", &proof);
+    assert!(!verdict.is_valid(), "{what}: verified");
+    let largest = LARGEST.load(Ordering::Relaxed);
+    assert!(largest <= PAGE, "{what}: one allocation of {largest} bytes");
+}
+
+/// A long-form RLP list header claiming the rest of an 8 MiB page.
+fn whole_page_list() -> Vec<u8> {
+    let payload = PAGE - 4; // 0xfa: three length bytes follow
+    let mut page = vec![0xfa];
+    page.extend_from_slice(&(payload as u32).to_be_bytes()[1..]);
+    page
+}
+
+/// The MPT pages: every 0x00 byte after the header is a one-byte item, so
+/// the first holds millions of items; the second is a leaf's hex-prefix
+/// path (flag 0x20, empty) and then a string whose long-form length
+/// (0xba: three length bytes) runs past the page.
+fn mpt_pages() -> Vec<(&'static str, Bytes)> {
+    let mut items = whole_page_list();
+    items.resize(PAGE, 0);
+    let mut pair = whole_page_list();
+    pair.extend_from_slice(&[0x20, 0xba, 0xff, 0xff, 0xff]);
+    pair.resize(PAGE, 0);
+    vec![("MPT list of one-byte items", items.into()), ("MPT pair past the end", pair.into())]
+}
+
 #[test]
 fn a_lying_count_field_allocates_no_more_than_the_page() {
     for (what, header, decode_fails, scheme) in kinds() {
@@ -111,15 +158,11 @@ fn a_lying_count_field_allocates_no_more_than_the_page() {
         // that the bytes could hold it.
         for count in [PAGE as u64 - 16, (PAGE / 64) as u64] {
             let page = crafted(&header, count);
-            let digest = sha256(&page);
-            let proof = Proof::new(vec![page.clone()]);
-
-            LARGEST.store(0, Ordering::Relaxed);
-            assert!(decode_fails(&page), "{what}, count {count}: decoded");
-            let verdict = verify_anchored_membership(scheme, digest, b"k", &proof);
-            assert!(!verdict.is_valid(), "{what}, count {count}: verified");
-            let largest = LARGEST.load(Ordering::Relaxed);
-            assert!(largest <= PAGE, "{what}, count {count}: one allocation of {largest} bytes");
+            refused_within_the_page(&format!("{what}, count {count}"), &page, decode_fails, scheme);
         }
+    }
+    for (what, page) in mpt_pages() {
+        assert_eq!(page.len(), PAGE, "{what}");
+        refused_within_the_page(what, &page, fails::<MptNode>, &MptProofScheme);
     }
 }
