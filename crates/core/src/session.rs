@@ -21,8 +21,7 @@
 //! branch at a digest (`open_branch`), the collapsed head handle
 //! (`head`), `bulk_load`, the merges, the shard hooks (`shard_count`,
 //! `shard_stats`, `split_branch_shard`, `merge_branch_shards`) and the
-//! statistics (`engine_stats`, `sharding_policy`, `server_stats`,
-//! `server_store`).
+//! statistics (`engine_stats`, `server_stats`, `server_store`).
 
 use std::ops::Bound;
 

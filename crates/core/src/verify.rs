@@ -207,13 +207,6 @@ impl RangeVerdict {
             RangeVerdict::Invalid(_) => None,
         }
     }
-
-    pub fn into_entries(self) -> Option<Vec<Entry>> {
-        match self {
-            RangeVerdict::Complete(entries) => Some(entries),
-            RangeVerdict::Invalid(_) => None,
-        }
-    }
 }
 
 /// Outcome of verifying a batched multi-key proof: one per-key verdict in

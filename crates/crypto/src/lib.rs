@@ -5,8 +5,8 @@
 //! no external cryptography dependencies:
 //!
 //! * [`sha256()`] — FIPS 180-4 SHA-256, the content address of every index
-//!   page, with runtime-dispatched hardware backends (SHA-NI / NEON) and a
-//!   multi-lane [`hash_many`] for batches of sibling pages.
+//!   page, one digest per page, on the hardware backend (SHA-NI / NEON)
+//!   CPU detection picks, or the portable one.
 //! * [`struct@Hash`] — a 32-byte digest with hex formatting and ordering.
 //! * [`rolling`] — a Rabin-style rolling fingerprint over a sliding window,
 //!   the boundary detector used by POS-Tree leaf chunking (§3.4.3 of the
@@ -26,6 +26,5 @@ pub use digest::Hash;
 pub use fasthash::{fx_hash_bytes, FxHashMap, FxHashSet, FxHasher};
 pub use rolling::{RollingHash, DEFAULT_WINDOW};
 pub use sha256::{
-    active_backend, available_backends, digest_with, hash_many, hash_many_into,
-    hash_many_into_with, hash_many_with, sha256, Sha256, Sha256Backend,
+    active_backend, available_backends, digest_with, hash_many, sha256, Sha256, Sha256Backend,
 };

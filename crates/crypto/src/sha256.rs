@@ -15,19 +15,9 @@
 //!
 //! Backend choice never changes a digest: all backends compute the same
 //! function, block for block, and the differential tests in this module
-//! and in `tests/hash_backends.rs` pin that. The `SIRI_SHA256` environment
-//! variable overrides detection for testing and benchmarking:
-//! `SIRI_SHA256=scalar` forces the portable path, `SIRI_SHA256=accel`
-//! asks for the fastest available (falling back to scalar when the CPU
-//! has no crypto extensions). Any other value panics — a silent typo here
-//! would invalidate benchmark comparisons.
-//!
-//! [`hash_many`] hashes a batch of independent buffers ("sibling pages"
-//! in index-commit terms). On the scalar path it interleaves two
-//! compressions instruction-by-instruction, which buys instruction-level
-//! parallelism the serial dependency chain of a single SHA-256 forbids;
-//! on accelerated paths each lane is already near port-saturation, so
-//! lanes run back to back.
+//! and in `tests/hash_backends.rs` pin that. The process backend comes from
+//! CPU detection alone; [`digest_with`] and [`Sha256::with_backend`] reach
+//! every backend the machine can run, so the tests check each one.
 
 use crate::digest::Hash;
 
@@ -92,17 +82,12 @@ fn detect_backend() -> Sha256Backend {
     Sha256Backend::Scalar
 }
 
-/// The backend all digests in this process use, resolved once from CPU
-/// detection and the `SIRI_SHA256` override.
+/// The backend all digests in this process use: the fastest the CPU
+/// supports, detected once.
 pub fn active_backend() -> Sha256Backend {
     use std::sync::OnceLock;
     static ACTIVE: OnceLock<Sha256Backend> = OnceLock::new();
-    *ACTIVE.get_or_init(|| match std::env::var("SIRI_SHA256") {
-        Ok(v) if v == "scalar" => Sha256Backend::Scalar,
-        Ok(v) if v == "accel" || v.is_empty() => detect_backend(),
-        Ok(v) => panic!("SIRI_SHA256 must be `scalar` or `accel`, got `{v}`"),
-        Err(_) => detect_backend(),
-    })
+    *ACTIVE.get_or_init(detect_backend)
 }
 
 /// Every backend this binary can run on this machine. Scalar is always
@@ -186,69 +171,6 @@ fn compress_scalar(state: &mut [u32; 8], block: &[u8]) {
     state[5] = state[5].wrapping_add(f);
     state[6] = state[6].wrapping_add(g);
     state[7] = state[7].wrapping_add(h);
-}
-
-/// Two independent block compressions, interleaved instruction by
-/// instruction. SHA-256 rounds form a serial dependency chain, so a single
-/// compression leaves most execution ports idle; two chains fill them.
-/// This is what makes scalar [`hash_many`] faster than a sequential loop.
-fn compress2_scalar(sa: &mut [u32; 8], block_a: &[u8], sb: &mut [u32; 8], block_b: &[u8]) {
-    debug_assert_eq!(block_a.len(), 64);
-    debug_assert_eq!(block_b.len(), 64);
-    let mut wa = [0u32; 64];
-    let mut wb = [0u32; 64];
-    for i in 0..16 {
-        wa[i] = u32::from_be_bytes(block_a[i * 4..i * 4 + 4].try_into().unwrap());
-        wb[i] = u32::from_be_bytes(block_b[i * 4..i * 4 + 4].try_into().unwrap());
-    }
-    for i in 16..64 {
-        let sa0 = wa[i - 15].rotate_right(7) ^ wa[i - 15].rotate_right(18) ^ (wa[i - 15] >> 3);
-        let sb0 = wb[i - 15].rotate_right(7) ^ wb[i - 15].rotate_right(18) ^ (wb[i - 15] >> 3);
-        let sa1 = wa[i - 2].rotate_right(17) ^ wa[i - 2].rotate_right(19) ^ (wa[i - 2] >> 10);
-        let sb1 = wb[i - 2].rotate_right(17) ^ wb[i - 2].rotate_right(19) ^ (wb[i - 2] >> 10);
-        wa[i] = wa[i - 16].wrapping_add(sa0).wrapping_add(wa[i - 7]).wrapping_add(sa1);
-        wb[i] = wb[i - 16].wrapping_add(sb0).wrapping_add(wb[i - 7]).wrapping_add(sb1);
-    }
-    let [mut a0, mut b0, mut c0, mut d0, mut e0, mut f0, mut g0, mut h0] = *sa;
-    let [mut a1, mut b1, mut c1, mut d1, mut e1, mut f1, mut g1, mut h1] = *sb;
-    for i in 0..64 {
-        let t1a = h0
-            .wrapping_add(e0.rotate_right(6) ^ e0.rotate_right(11) ^ e0.rotate_right(25))
-            .wrapping_add((e0 & f0) ^ (!e0 & g0))
-            .wrapping_add(K[i])
-            .wrapping_add(wa[i]);
-        let t1b = h1
-            .wrapping_add(e1.rotate_right(6) ^ e1.rotate_right(11) ^ e1.rotate_right(25))
-            .wrapping_add((e1 & f1) ^ (!e1 & g1))
-            .wrapping_add(K[i])
-            .wrapping_add(wb[i]);
-        let t2a = (a0.rotate_right(2) ^ a0.rotate_right(13) ^ a0.rotate_right(22))
-            .wrapping_add((a0 & b0) ^ (a0 & c0) ^ (b0 & c0));
-        let t2b = (a1.rotate_right(2) ^ a1.rotate_right(13) ^ a1.rotate_right(22))
-            .wrapping_add((a1 & b1) ^ (a1 & c1) ^ (b1 & c1));
-        h0 = g0;
-        h1 = g1;
-        g0 = f0;
-        g1 = f1;
-        f0 = e0;
-        f1 = e1;
-        e0 = d0.wrapping_add(t1a);
-        e1 = d1.wrapping_add(t1b);
-        d0 = c0;
-        d1 = c1;
-        c0 = b0;
-        c1 = b1;
-        b0 = a0;
-        b1 = a1;
-        a0 = t1a.wrapping_add(t2a);
-        a1 = t1b.wrapping_add(t2b);
-    }
-    for (s, v) in sa.iter_mut().zip([a0, b0, c0, d0, e0, f0, g0, h0]) {
-        *s = s.wrapping_add(v);
-    }
-    for (s, v) in sb.iter_mut().zip([a1, b1, c1, d1, e1, f1, g1, h1]) {
-        *s = s.wrapping_add(v);
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -425,96 +347,9 @@ pub fn digest_with(backend: Sha256Backend, data: &[u8]) -> Hash {
     state_to_hash(state)
 }
 
-/// A message viewed as its exact padded block sequence, without copying the
-/// body: whole blocks come from the message, the final 1–2 from the pad
-/// buffer. Lets the multi-lane scalar path walk two messages of different
-/// lengths block-aligned.
-struct PaddedBlocks<'a> {
-    body: &'a [u8],
-    pad: [u8; 128],
-    blocks: usize,
-}
-
-impl<'a> PaddedBlocks<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        let full = data.len() - data.len() % 64;
-        let (pad, pad_blocks) = pad_tail(&data[full..], data.len() as u64);
-        PaddedBlocks { body: &data[..full], pad, blocks: full / 64 + pad_blocks }
-    }
-
-    fn len(&self) -> usize {
-        self.blocks
-    }
-
-    fn block(&self, i: usize) -> &[u8] {
-        let body_blocks = self.body.len() / 64;
-        if i < body_blocks {
-            &self.body[i * 64..i * 64 + 64]
-        } else {
-            let j = i - body_blocks;
-            &self.pad[j * 64..j * 64 + 64]
-        }
-    }
-}
-
-/// Hash a batch of independent buffers with an explicit backend.
-pub fn hash_many_with(backend: Sha256Backend, inputs: &[&[u8]]) -> Vec<Hash> {
-    let mut out = vec![Hash::ZERO; inputs.len()];
-    hash_many_into_with(backend, inputs, &mut out);
-    out
-}
-
-/// [`hash_many_with`] into the caller's `out`, one digest per input in
-/// order, allocating nothing: a commit hashes a branch's dirty children
-/// from fixed arrays.
-///
-/// # Panics
-/// Panics if `out` and `inputs` differ in length.
-pub fn hash_many_into_with(backend: Sha256Backend, inputs: &[&[u8]], out: &mut [Hash]) {
-    assert_eq!(inputs.len(), out.len(), "one digest per input");
-    if backend != Sha256Backend::Scalar {
-        // Hardware rounds already saturate the relevant ports; lanes run
-        // back to back.
-        for (d, h) in inputs.iter().zip(out) {
-            *h = digest_with(backend, d);
-        }
-        return;
-    }
-    let mut pairs = inputs.chunks_exact(2);
-    let mut outs = out.chunks_exact_mut(2);
-    for (pair, o) in (&mut pairs).zip(&mut outs) {
-        let pa = PaddedBlocks::new(pair[0]);
-        let pb = PaddedBlocks::new(pair[1]);
-        let mut sa = H0;
-        let mut sb = H0;
-        let common = pa.len().min(pb.len());
-        for i in 0..common {
-            compress2_scalar(&mut sa, pa.block(i), &mut sb, pb.block(i));
-        }
-        for i in common..pa.len() {
-            compress_scalar(&mut sa, pa.block(i));
-        }
-        for i in common..pb.len() {
-            compress_scalar(&mut sb, pb.block(i));
-        }
-        o[0] = state_to_hash(sa);
-        o[1] = state_to_hash(sb);
-    }
-    if let ([last], [h]) = (pairs.remainder(), outs.into_remainder()) {
-        *h = digest_with(Sha256Backend::Scalar, last);
-    }
-}
-
-/// [`hash_many`] into the caller's `out`, allocating nothing.
-pub fn hash_many_into(inputs: &[&[u8]], out: &mut [Hash]) {
-    hash_many_into_with(active_backend(), inputs, out)
-}
-
-/// Hash a batch of independent buffers — sibling pages of one index
-/// commit — returning one digest per input, identical to hashing each
-/// input alone.
+/// One digest per input, in order: [`sha256`] of each.
 pub fn hash_many(inputs: &[&[u8]]) -> Vec<Hash> {
-    hash_many_with(active_backend(), inputs)
+    inputs.iter().map(|d| sha256(d)).collect()
 }
 
 /// Streaming SHA-256 state.
@@ -656,11 +491,13 @@ mod tests {
     fn streaming_matches_oneshot_at_all_split_points() {
         let data: Vec<u8> = (0..257u16).map(|i| (i % 251) as u8).collect();
         let want = sha256(&data);
-        for split in 0..=data.len() {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), want, "split {}", split);
+        for backend in available_backends() {
+            for split in 0..=data.len() {
+                let mut h = Sha256::with_backend(backend);
+                h.update(&data[..split]);
+                h.update(&data[split..]);
+                assert_eq!(h.finalize(), want, "backend {backend:?} split {split}");
+            }
         }
     }
 
@@ -689,26 +526,6 @@ mod tests {
             let want = digest_with(Sha256Backend::Scalar, &data[..len]);
             for &b in &backends {
                 assert_eq!(digest_with(b, &data[..len]), want, "backend {b:?} len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn hash_many_matches_sequential_every_backend() {
-        // Lengths chosen to hit unequal block counts within a pair, empty
-        // inputs, and the odd-count remainder lane.
-        let bufs: Vec<Vec<u8>> = [0usize, 1, 55, 64, 65, 119, 128, 200, 1024, 3]
-            .iter()
-            .map(|&n| (0..n).map(|i| (i * 7 % 256) as u8).collect())
-            .collect();
-        let views: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
-        for backend in available_backends() {
-            // Every prefix size exercises even and odd batch sizes.
-            for take in 0..=views.len() {
-                let got = hash_many_with(backend, &views[..take]);
-                let want: Vec<Hash> =
-                    views[..take].iter().map(|d| digest_with(backend, d)).collect();
-                assert_eq!(got, want, "backend {backend:?} take {take}");
             }
         }
     }

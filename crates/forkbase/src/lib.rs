@@ -96,8 +96,8 @@ pub const MAX_COMMIT_ATTEMPTS: u32 = 1_000;
 
 /// Lock classes for the runtime lock-order tracker (DESIGN.md §9): the
 /// engine's documented acquisition order is branch map → slot head (the
-/// shard table) → store internals. Debug builds with `SIRI_LOCK_ORDER=1`
-/// panic on any out-of-order acquisition.
+/// shard table) → store internals. Debug builds panic on any out-of-order
+/// acquisition.
 static BRANCH_MAP_CLASS: LockClass = LockClass::new(10, "forkbase.branch-map");
 static SLOT_HEAD_CLASS: LockClass = LockClass::new(20, "forkbase.slot-head");
 
@@ -961,11 +961,6 @@ impl<F: IndexFactory> Forkbase<F> {
             splits: self.splits.load(Ordering::Relaxed),
             merges: self.merges.load(Ordering::Relaxed),
         }
-    }
-
-    /// The engine's sharding policy.
-    pub fn sharding_policy(&self) -> ShardingPolicy {
-        self.policy
     }
 
     /// What a proof of `branch` is recorded against: its published

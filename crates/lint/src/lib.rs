@@ -16,8 +16,8 @@
 //!
 //! Findings can be suppressed by `lint.toml` allowlist entries, each of
 //! which must carry a reason. The static pass is paired with a runtime
-//! lock-order tracker in the vendored `parking_lot` shim (enabled with
-//! `SIRI_LOCK_ORDER=1` in debug builds).
+//! lock-order tracker in the vendored `parking_lot` shim (armed in every
+//! debug build).
 
 pub mod config;
 pub mod diag;

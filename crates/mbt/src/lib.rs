@@ -74,22 +74,19 @@ impl MerkleBucketTree {
         while level.len() > 1 {
             // Lower levels repeat a handful of distinct child runs (full
             // nodes plus ragged tails), so memoize pages by their *content*
-            // and hash the distinct ones as a single multi-lane group.
+            // and hash each distinct one once.
             // (An earlier revision keyed the memo by chunk length, which
             // conflates e.g. [full, full] with [full, tail] on ragged
             // shapes like 9 buckets × fanout 2.)
-            let mut memo: FxHashMap<&[Hash], usize> = FxHashMap::default();
-            let mut pages: Vec<Bytes> = Vec::new();
-            let mut slots = Vec::with_capacity(level.len().div_ceil(fanout));
+            let mut memo: FxHashMap<&[Hash], Hash> = FxHashMap::default();
+            let mut parents = Vec::with_capacity(level.len().div_ceil(fanout));
             for chunk in level.chunks(fanout) {
-                let slot = *memo.entry(chunk).or_insert_with(|| {
-                    pages.push(Node::encode_internal(b, m, chunk));
-                    pages.len() - 1
-                });
-                slots.push(slot);
+                let hash = *memo
+                    .entry(chunk)
+                    .or_insert_with(|| batch.push(Node::encode_internal(b, m, chunk)));
+                parents.push(hash);
             }
-            let hashes = batch.push_many(pages);
-            level = slots.into_iter().map(|s| hashes[s]).collect();
+            level = parents;
         }
         store.try_put_batch(&batch)?;
         let reader = PageReader::new(store, DEFAULT_NODE_CACHE_CAPACITY);
@@ -328,9 +325,8 @@ impl SiriIndex for MerkleBucketTree {
         // for life), so content addressing collapses it back onto the page
         // every empty bucket shares — delete-then-reinsert restores the
         // identical root.
-        // All rewritten buckets are hashed as one sibling group with the
-        // multi-lane hasher, and every page of the commit goes into the
-        // caller's batch (spilled level by level once it is full).
+        // Every page of the commit goes into the caller's batch, hashed as
+        // it is encoded (spilled level by level once it is full).
         //
         // Each touched root→bucket path is read once, and the old nodes are
         // kept by position for the parent rebuild below. The commit replaces
@@ -347,7 +343,6 @@ impl SiriIndex for MerkleBucketTree {
             Ok(node)
         };
         let mut changed: FxHashMap<topology::NodeId, Hash> = FxHashMap::default();
-        let mut bucket_pages = Vec::with_capacity(per_bucket.len());
         for (bucket, bucket_ops) in &per_bucket {
             let merged = match &*self.descend(*bucket, &mut load_once)? {
                 Node::Bucket { entries, .. } => apply_ops(entries, bucket_ops),
@@ -355,11 +350,7 @@ impl SiriIndex for MerkleBucketTree {
                     return Err(IndexError::CorruptStructure("path did not end in a bucket"))
                 }
             };
-            bucket_pages.push(Node::encode_bucket(b, m, &merged));
-        }
-        let hashes = pages.push_many(bucket_pages);
-        for (bucket, h) in per_bucket.keys().zip(hashes) {
-            changed.insert((0, *bucket), h);
+            changed.insert((0, *bucket), pages.push(Node::encode_bucket(b, m, &merged)));
         }
         pages.spill_if_full(self.store())?;
 
@@ -371,10 +362,6 @@ impl SiriIndex for MerkleBucketTree {
                 .filter(|(l, _)| *l == level - 1)
                 .map(|(_, idx)| idx / self.topo.fanout())
                 .collect();
-            // Parents on one level are siblings of each other: encode them
-            // all, then hash them as one group.
-            let mut parent_ids = Vec::with_capacity(parents.len());
-            let mut parent_pages = Vec::with_capacity(parents.len());
             for parent in parents {
                 let id = (level, parent);
                 // A changed node's parent lies on the same loaded path.
@@ -388,12 +375,7 @@ impl SiriIndex for MerkleBucketTree {
                         *child = *h;
                     }
                 }
-                parent_pages.push(Node::encode_internal(b, m, &children));
-                parent_ids.push(id);
-            }
-            let hashes = pages.push_many(parent_pages);
-            for (id, h) in parent_ids.into_iter().zip(hashes) {
-                changed.insert(id, h);
+                changed.insert(id, pages.push(Node::encode_internal(b, m, &children)));
             }
             pages.spill_if_full(self.store())?;
         }

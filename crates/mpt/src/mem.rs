@@ -10,8 +10,8 @@
 //! decoded node and reads its untouched children's digests from that
 //! page; a loaded path is a window of its page, a new leaf's path a window
 //! of its key, and the walk moves an index along the key's nibbles.
-//! Dirty nodes are encoded from these parts, and a branch's dirty children
-//! are hashed as one sibling group out of fixed arrays.
+//! Dirty nodes are encoded from these parts and hashed into the commit's
+//! batch one page at a time, children before their parent.
 //!
 //! Deletion ([`Overlay::remove`]) maintains the trie's canonical form so
 //! Structural Invariance survives: a branch left with a lone child (or only
@@ -356,10 +356,8 @@ impl<'t> Overlay<'t> {
     }
 
     /// The page of dirty node `id`, once its dirty descendants are in the
-    /// batch. A branch's dirty children join the batch as one sibling group
-    /// ([`PageBatch::push_siblings`], the multi-lane hasher), after which a
-    /// full batch spills to `store`; an extension's lone child commits on
-    /// its own.
+    /// batch. Each dirty child joins the batch as soon as it is encoded;
+    /// after a branch's child, a full batch spills to `store`.
     fn encode(&mut self, id: Id, store: &SharedStore, batch: &mut PageBatch) -> Result<Bytes> {
         match self.take(id) {
             MemNode::Stored(_) => unreachable!("commit resolves stored stubs"),
@@ -376,27 +374,17 @@ impl<'t> Overlay<'t> {
             }
             MemNode::Branch { base, kids, value } => {
                 let mut digests = [None::<Hash>; 16];
-                let mut pages: [Bytes; 16] = Default::default();
-                let mut slots = [0usize; 16];
-                let mut dirty = 0;
                 for (nib, kid) in kids.iter().enumerate() {
                     let Kid::Mem(child) = *kid else { continue };
-                    match self.nodes[child as usize] {
-                        MemNode::Stored(h) => digests[nib] = Some(h),
+                    digests[nib] = Some(match self.nodes[child as usize] {
+                        MemNode::Stored(h) => h,
                         _ => {
-                            pages[dirty] = self.encode(child, store, batch)?;
-                            slots[dirty] = nib;
-                            dirty += 1;
+                            let page = self.encode(child, store, batch)?;
+                            let hash = batch.push(page);
+                            batch.spill_if_full(store)?;
+                            hash
                         }
-                    }
-                }
-                if dirty > 0 {
-                    let mut hashes = [Hash::ZERO; 16];
-                    batch.push_siblings(&mut pages[..dirty], &mut hashes[..dirty]);
-                    for (&nib, hash) in slots[..dirty].iter().zip(hashes) {
-                        digests[nib] = Some(hash);
-                    }
-                    batch.spill_if_full(store)?;
+                    });
                 }
                 let children = std::array::from_fn(|nib| match kids[nib] {
                     Kid::Empty => None,

@@ -115,10 +115,9 @@ impl MvmbTree {
     /// Split `items` into balanced chunks of at most `max` and emit one
     /// page per chunk, encoded straight from the chunk by `encode`, into
     /// the commit's `batch`; `key` is an item's key, and a chunk's last
-    /// one is its page's max key. The chunk pages are siblings, so they
-    /// are hashed as one [`PageBatch::push_many`] group (the multi-lane
-    /// hasher); a batch grown past the spill threshold is then handed to
-    /// the store early.
+    /// one is its page's max key. Each page is hashed as it is encoded; a
+    /// batch grown past the spill threshold is then handed to the store
+    /// early.
     fn emit_chunks<T>(
         &self,
         batch: &mut PageBatch,
@@ -132,19 +131,15 @@ impl MvmbTree {
         }
         let parts = items.len().div_ceil(max);
         let per = items.len().div_ceil(parts);
-        let mut max_keys = Vec::with_capacity(parts);
-        let mut pages = Vec::with_capacity(parts);
-        for chunk in items.chunks(per) {
-            max_keys.push(key(chunk.last().expect("never store empty nodes")).clone());
-            pages.push(encode(chunk));
-        }
-        let hashes = batch.push_many(pages);
+        let pieces = items
+            .chunks(per)
+            .map(|chunk| ChildRef {
+                max_key: key(chunk.last().expect("never store empty nodes")).clone(),
+                hash: batch.push(encode(chunk)),
+            })
+            .collect();
         batch.spill_if_full(self.store())?;
-        Ok(max_keys
-            .into_iter()
-            .zip(hashes)
-            .map(|(max_key, hash)| ChildRef { max_key, hash })
-            .collect())
+        Ok(pieces)
     }
 
     /// Recursive copy-on-write batch application. `ops` is normalized

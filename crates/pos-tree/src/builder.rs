@@ -20,7 +20,7 @@
 //! leaf whose rolling windows are unchanged gets the old build's boundary
 //! decision without being rolled ([`Kept`], DESIGN.md §8 *One chunker*).
 //!
-//! The leaf level is its own [`LeafStage`], so a key range of a commit can
+//! A [`LeafBuilder`] also runs on its own, so a key range of a commit can
 //! seal and hash its leaves apart from the level builders and hand them
 //! over later (`update.rs`, DESIGN.md §8 *Two-stage commit*).
 
@@ -35,11 +35,6 @@ use siri_store::{PageBatch, SharedStore};
 
 use crate::node;
 use crate::params::{InternalChunking, PosParams, SplitPolicy};
-
-/// Leaves queued for one multi-lane hashing round. Small enough that a
-/// resync flush mid-update wastes little batching, large enough to fill the
-/// SHA-256 lanes on a fresh build.
-const LEAF_BATCH: usize = 8;
 
 /// Sliding-window boundary detector: rolls a buzhash window over the
 /// node-local stream and fires when the low `bits` of the fingerprint are
@@ -154,16 +149,15 @@ impl<'a> Iterator for LeafMerge<'a> {
     }
 }
 
-/// A node sealed by the chunker but not yet hashed: its encoded
-/// page plus the max key its parent reference needs. Queued so sibling
-/// leaves can be hashed together through the multi-lane SHA-256 backend.
+/// A leaf sealed by the chunker but not yet hashed: its encoded page plus
+/// the max key its parent reference needs.
 pub struct DeferredSeal {
     pub max_key: Bytes,
     pub page: Bytes,
 }
 
 impl DeferredSeal {
-    /// Hash the page on its own into the commit's batch.
+    /// Hash the page into the commit's batch.
     pub fn push_into(self, batch: &mut PageBatch) -> ChildRef {
         ChildRef { max_key: self.max_key, hash: batch.push(self.page) }
     }
@@ -401,58 +395,8 @@ impl LevelBuilder {
     }
 }
 
-/// The leaf level of the pipeline: a [`LeafBuilder`] and the leaves it
-/// sealed that are not yet hashed. They are drained in stream order through
-/// one `push_many` per round, so sibling pages hit the multi-lane SHA-256
-/// backend together.
-pub(crate) struct LeafStage {
-    leaf: LeafBuilder,
-    pending: Vec<DeferredSeal>,
-}
-
-impl LeafStage {
-    pub fn new(salt: u64, params: &PosParams) -> Self {
-        LeafStage { leaf: LeafBuilder::new(salt, params), pending: Vec::new() }
-    }
-
-    /// The leaf builder sits on a node boundary. Queued leaves are sealed
-    /// already, so they do not change the answer.
-    pub fn at_boundary(&self) -> bool {
-        self.leaf.at_boundary()
-    }
-
-    /// Feed one entry, unchanged from an old leaf if `kept` says where it
-    /// sat; true once a full hashing round is queued.
-    pub fn push(&mut self, entry: &Entry, kept: Option<Kept>) -> bool {
-        if let Some(sealed) = self.leaf.feed(entry, kept) {
-            self.pending.push(sealed);
-        }
-        self.pending.len() >= LEAF_BATCH
-    }
-
-    /// Seal the trailing leaf at end of stream, if any.
-    pub fn finish(&mut self) {
-        if let Some(sealed) = self.leaf.finish() {
-            self.pending.push(sealed);
-        }
-    }
-
-    /// Hash every queued leaf into `batch` in one multi-lane round; their
-    /// references, in stream order.
-    pub fn drain(&mut self, batch: &mut PageBatch) -> Vec<ChildRef> {
-        if self.pending.is_empty() {
-            return Vec::new();
-        }
-        let (max_keys, pages): (Vec<Bytes>, Vec<Bytes>) =
-            std::mem::take(&mut self.pending).into_iter().map(|s| (s.max_key, s.page)).unzip();
-        let hashes = batch.push_many(pages);
-        max_keys.into_iter().zip(hashes).map(|(max_key, hash)| ChildRef { max_key, hash }).collect()
-    }
-}
-
-/// The full builder pipeline — a [`LeafBuilder`] with its queue of leaves
-/// to hash, and one [`LevelBuilder`] per internal level — with cascade and
-/// pass-through plumbing.
+/// The full builder pipeline — a [`LeafBuilder`] and one [`LevelBuilder`]
+/// per internal level — with cascade and pass-through plumbing.
 ///
 /// Every sealed page goes into the commit's [`PageBatch`]; the caller hands
 /// the batch to the store after [`Builders::finalize`]. `store` is only the
@@ -462,7 +406,7 @@ pub struct Builders<'a> {
     store: &'a SharedStore,
     params: &'a PosParams,
     salt: u64,
-    leaves: LeafStage,
+    leaf: LeafBuilder,
     /// Internal levels: `upper[i]` builds level `i + 1`.
     upper: Vec<LevelBuilder>,
     batch: &'a mut PageBatch,
@@ -479,14 +423,14 @@ impl<'a> Builders<'a> {
             store,
             params,
             salt,
-            leaves: LeafStage::new(salt, params),
+            leaf: LeafBuilder::new(salt, params),
             upper: Vec::new(),
             batch,
         }
     }
 
-    /// Feed one entry into the leaf level. Sealed leaves queue for batched
-    /// hashing.
+    /// Feed one entry into the leaf level. A leaf is hashed and cascaded
+    /// the moment it seals.
     pub fn push_entry(&mut self, entry: &Entry) -> Result<()> {
         self.push(entry, None)
     }
@@ -494,10 +438,18 @@ impl<'a> Builders<'a> {
     /// [`Builders::push_entry`] for an entry that may be an old leaf's,
     /// unchanged ([`LeafBuilder::feed`]).
     pub(crate) fn push(&mut self, entry: &Entry, kept: Option<Kept>) -> Result<()> {
-        if self.leaves.push(entry, kept) {
-            self.flush_leaves()?;
+        match self.leaf.feed(entry, kept) {
+            Some(sealed) => self.push_leaf(sealed),
+            None => Ok(()),
         }
-        Ok(())
+    }
+
+    /// Hash a sealed leaf into the batch, cascade its reference upward,
+    /// then spill the batch if it has grown past the threshold.
+    fn push_leaf(&mut self, sealed: DeferredSeal) -> Result<()> {
+        let piece = sealed.push_into(self.batch);
+        self.push_piece(1, piece)?;
+        Ok(self.batch.spill_if_full(self.store)?)
     }
 
     /// Take over pages another builder already hashed — a leaf stage run
@@ -508,10 +460,8 @@ impl<'a> Builders<'a> {
     }
 
     /// Feed one child reference into internal `level` (≥ 1), cascading
-    /// sealed nodes upward. Drains the leaf queue first so references
-    /// arrive in stream order.
+    /// sealed nodes upward.
     pub fn push_piece(&mut self, level: u32, piece: ChildRef) -> Result<()> {
-        self.flush_leaves()?;
         let mut next = Some(piece);
         let mut slot = level as usize - 1;
         while let Some(piece) = next {
@@ -525,43 +475,17 @@ impl<'a> Builders<'a> {
         Ok(())
     }
 
-    /// Hash every queued leaf into the batch in one multi-lane round,
-    /// cascade their references upward in stream order, then spill the
-    /// batch if it has grown past the threshold.
-    fn flush_leaves(&mut self) -> Result<()> {
-        // Checked here, not only in `drain`: every boundary check and
-        // pass-through comes through this call.
-        if self.leaves.pending.is_empty() {
-            return Ok(());
-        }
-        for piece in self.leaves.drain(self.batch) {
-            // Re-entrant flush inside push_piece sees an empty queue, so
-            // this cannot loop.
-            self.push_piece(1, piece)?;
-        }
-        Ok(self.batch.spill_if_full(self.store)?)
-    }
-
-    /// Non-mutating boundary check; only meaningful once queued leaves have
-    /// been drained (their cascade can still close or reopen upper nodes).
-    fn boundaries_clean(&self, level: u32) -> bool {
-        self.leaves.at_boundary()
-            && self.upper.iter().take(level as usize).all(LevelBuilder::at_boundary)
-    }
-
     /// All builders at `level` and below sit exactly on node boundaries —
-    /// the pass-through precondition. Drains the leaf queue first so the
-    /// answer reflects the true pipeline state.
-    pub fn clean_below(&mut self, level: u32) -> Result<bool> {
-        self.flush_leaves()?;
-        Ok(self.boundaries_clean(level))
+    /// the pass-through precondition.
+    pub fn clean_below(&self, level: u32) -> bool {
+        self.leaf.at_boundary()
+            && self.upper.iter().take(level as usize).all(LevelBuilder::at_boundary)
     }
 
     /// Re-use an untouched old node of `level` wholesale. Caller must have
     /// checked [`Builders::clean_below`]`(level)`.
     pub fn pass_through(&mut self, level: u32, piece: ChildRef) -> Result<()> {
-        self.flush_leaves()?;
-        debug_assert!(self.boundaries_clean(level), "pass-through requires clean builders");
+        debug_assert!(self.clean_below(level), "pass-through requires clean builders");
         self.push_piece(level + 1, piece)
     }
 
@@ -574,10 +498,11 @@ impl<'a> Builders<'a> {
     /// (and break structural invariance, since chain length would depend on
     /// history).
     pub fn finalize(mut self) -> Result<Option<ChildRef>> {
-        // Seal the trailing leaf and drain the queue so level 1 holds every
-        // leaf reference before the upward sweep.
-        self.leaves.finish();
-        self.flush_leaves()?;
+        // Seal the trailing leaf so level 1 holds every leaf reference
+        // before the upward sweep.
+        if let Some(sealed) = self.leaf.finish() {
+            self.push_leaf(sealed)?;
+        }
         let mut slot = 0usize;
         while slot < self.upper.len() {
             let is_top = slot + 1 == self.upper.len();

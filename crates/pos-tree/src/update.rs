@@ -31,7 +31,7 @@
 //! *Two-stage commit*). The **leaf stage** runs once per key range: it
 //! loads, applies edits, rolls, encodes and hashes leaves — range 0 on the
 //! calling thread, every later range on a scoped worker with its own
-//! [`LeafStage`] and [`PageBatch`]. The **level stage** builds the internal
+//! [`LeafBuilder`] and [`PageBatch`]. The **level stage** builds the internal
 //! levels in key order on the calling thread: range 0 feeds the
 //! [`Builders`] directly as it walks, and each later range's output —
 //! `(level, ChildRef)` tokens for the leaves it sealed and the untouched
@@ -49,7 +49,7 @@ use siri_core::{apply_ops, BatchOp, Entry, IndexError, PageReader, Result};
 use siri_crypto::Hash;
 use siri_store::{PageBatch, SharedStore};
 
-use crate::builder::{Builders, Kept, LeafBuilder, LeafMerge, LeafStage, LevelBuilder};
+use crate::builder::{Builders, DeferredSeal, Kept, LeafBuilder, LeafMerge, LevelBuilder};
 use crate::node::Node;
 use crate::params::PosParams;
 
@@ -254,7 +254,7 @@ impl Sink for Builders<'_> {
     }
 
     fn take_whole(&mut self, level: u32, piece: Child<'_>) -> Result<bool> {
-        if !self.clean_below(level)? {
+        if !self.clean_below(level) {
             return Ok(false);
         }
         self.pass_through(level, piece.to_ref())?;
@@ -269,34 +269,32 @@ impl Sink for Builders<'_> {
 /// highest level the walk offers and leaves the rest to the replay.
 struct RangeSink<'a> {
     store: &'a SharedStore,
-    leaves: LeafStage,
+    leaf: LeafBuilder,
     pages: PageBatch,
     tokens: Vec<(u32, ChildRef)>,
 }
 
 impl Sink for RangeSink<'_> {
     fn push(&mut self, entry: &Entry, kept: Option<Kept>) -> Result<()> {
-        if self.leaves.push(entry, kept) {
-            self.flush()?;
+        match self.leaf.feed(entry, kept) {
+            Some(sealed) => self.push_leaf(sealed),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn take_whole(&mut self, level: u32, piece: Child<'_>) -> Result<bool> {
-        if !self.leaves.at_boundary() {
+        if !self.leaf.at_boundary() {
             return Ok(false);
         }
-        self.flush()?;
         self.tokens.push((level, piece.to_ref()));
         Ok(true)
     }
 }
 
 impl RangeSink<'_> {
-    /// Hash the queued leaves and emit their tokens, keeping key order.
-    fn flush(&mut self) -> Result<()> {
-        let leaves = self.leaves.drain(&mut self.pages);
-        self.tokens.extend(leaves.into_iter().map(|leaf| (0, leaf)));
+    /// Hash a sealed leaf and emit its token, keeping key order.
+    fn push_leaf(&mut self, sealed: DeferredSeal) -> Result<()> {
+        self.tokens.push((0, sealed.push_into(&mut self.pages)));
         Ok(self.pages.spill_if_full(self.store)?)
     }
 }
@@ -313,17 +311,18 @@ fn leaf_stage<'a>(
 ) -> Result<RangeSink<'a>> {
     let mut sink = RangeSink {
         store: reader.store(),
-        leaves: LeafStage::new(salt, params),
+        leaf: LeafBuilder::new(salt, params),
         pages: PageBatch::new(),
         tokens: Vec::new(),
     };
     range.feed(reader, &mut sink)?;
     if last {
-        sink.leaves.finish();
-    } else if !sink.leaves.at_boundary() {
+        if let Some(sealed) = sink.leaf.finish() {
+            sink.push_leaf(sealed)?;
+        }
+    } else if !sink.leaf.at_boundary() {
         return Err(IndexError::CorruptStructure("range seam off a leaf boundary"));
     }
-    sink.flush()?;
     Ok(sink)
 }
 
@@ -336,7 +335,7 @@ fn replay(
     builders: &mut Builders<'_>,
     staged: RangeSink<'_>,
 ) -> Result<()> {
-    if !builders.clean_below(0)? {
+    if !builders.clean_below(0) {
         return Err(IndexError::CorruptStructure("range seam off a leaf boundary"));
     }
     builders.absorb(staged.pages)?;

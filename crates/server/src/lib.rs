@@ -14,7 +14,7 @@
 //! (acceptor/registry, classes 4 and 6) order *below* every engine lock
 //! (forkbase branch-map is 10), so a handler may consult the registry
 //! while the engine works but never the reverse — the same runtime-checked
-//! hierarchy `SIRI_LOCK_ORDER=1` enforces across the engine.
+//! hierarchy debug builds enforce across the engine.
 
 pub mod proto;
 
@@ -41,6 +41,9 @@ static ACCEPTOR_CLASS: LockClass = LockClass::new(4, "server.acceptor");
 /// Lock class for the live-connection registry.
 static REGISTRY_CLASS: LockClass = LockClass::new(6, "server.conn-registry");
 
+/// Server-side clamp on entries per scan page.
+const MAX_PAGE_ENTRIES: u32 = 4096;
+
 /// Server tuning. The defaults suit a trusted LAN peer; tests shrink the
 /// timeouts and caps to exercise the shedding and shutdown paths.
 #[derive(Debug, Clone)]
@@ -53,8 +56,6 @@ pub struct ServerOptions {
     pub write_timeout: Option<Duration>,
     /// Frame payload cap, both directions.
     pub max_frame_bytes: usize,
-    /// Server-side clamp on entries per scan page.
-    pub max_page_entries: u32,
     /// Honor `Request::Shutdown` (off by default: a remote stop switch is
     /// an operator decision, not a protocol default).
     pub allow_remote_shutdown: bool,
@@ -67,7 +68,6 @@ impl Default for ServerOptions {
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             max_frame_bytes: proto::MAX_FRAME_BYTES,
-            max_page_entries: 4096,
             allow_remote_shutdown: false,
         }
     }
@@ -519,7 +519,7 @@ where
         }
         Request::Range { branch, start, end, after, limit } => {
             counters.scan_pages.fetch_add(1, Ordering::Relaxed);
-            let limit = limit.clamp(1, shared.opts.max_page_entries) as usize;
+            let limit = limit.clamp(1, MAX_PAGE_ENTRIES) as usize;
             // Re-anchor past the last delivered key; the `after` cursor is
             // strictly inside the original window, so it only tightens the
             // start bound.

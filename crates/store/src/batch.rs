@@ -1,7 +1,7 @@
 //! A commit's pages, hashed on the way in and handed to the store at once.
 
 use bytes::Bytes;
-use siri_crypto::{hash_many_into, sha256, Hash};
+use siri_crypto::{sha256, Hash};
 
 use crate::{NodeStore, StoreResult};
 
@@ -12,9 +12,9 @@ pub const PAGE_BATCH_SPILL_BYTES: usize = 4 * 1024 * 1024;
 
 /// The pages one index commit writes, each next to its content address.
 ///
-/// The only way in is [`PageBatch::push`], [`PageBatch::push_slice`] or
-/// [`PageBatch::push_many`], and each computes the SHA-256 itself — so a
-/// digest in a batch *is* its page's digest, and
+/// The only way in is [`PageBatch::push`] or [`PageBatch::push_slice`],
+/// and each computes the SHA-256 itself — so a digest in a batch *is* its
+/// page's digest, and
 /// [`NodeStore::try_put_batch`] can trust it without hashing again.
 #[derive(Debug, Default, Clone)]
 pub struct PageBatch {
@@ -39,39 +39,6 @@ impl PageBatch {
     /// copying it; returns its content address.
     pub fn push_slice(&mut self, page: &[u8]) -> Hash {
         self.push(Bytes::copy_from_slice(page))
-    }
-
-    /// Add sibling pages, digested together by the multi-lane
-    /// [`hash_many`](siri_crypto::hash_many); returns one content address
-    /// per page, in order.
-    pub fn push_many(&mut self, mut pages: Vec<Bytes>) -> Vec<Hash> {
-        let mut hashes = vec![Hash::ZERO; pages.len()];
-        self.push_siblings(&mut pages, &mut hashes);
-        hashes
-    }
-
-    /// [`PageBatch::push_many`] into the caller's buffers: the pages are
-    /// taken out of `pages` (left empty) and their addresses written to
-    /// `out`, in order. Sixteen siblings at a time share one stack array
-    /// of views, so a caller holding its pages in fixed arrays allocates
-    /// nothing past the batch's own growth.
-    ///
-    /// # Panics
-    /// Panics if `out` and `pages` differ in length.
-    pub fn push_siblings(&mut self, pages: &mut [Bytes], out: &mut [Hash]) {
-        assert_eq!(pages.len(), out.len(), "one address per page");
-        self.pages.reserve(pages.len());
-        for (pages, out) in pages.chunks_mut(16).zip(out.chunks_mut(16)) {
-            let mut views: [&[u8]; 16] = [&[]; 16];
-            for (view, page) in views.iter_mut().zip(pages.iter()) {
-                *view = page;
-            }
-            hash_many_into(&views[..pages.len()], out);
-            for (hash, page) in out.iter().zip(pages) {
-                self.bytes += page.len();
-                self.pages.push((*hash, std::mem::take(page)));
-            }
-        }
     }
 
     /// Move every page of `other` to the end of this batch. The digests
@@ -109,29 +76,25 @@ mod tests {
         let mut batch = PageBatch::new();
         let a = batch.push(Bytes::from_static(b"alpha"));
         let b = batch.push_slice(b"beta");
-        let many = batch.push_many(vec![Bytes::from_static(b"gamma"), Bytes::from_static(b"")]);
+        let empty = batch.push(Bytes::new());
         assert_eq!(a, sha256(b"alpha"));
         assert_eq!(b, sha256(b"beta"));
-        assert_eq!(many, vec![sha256(b"gamma"), sha256(b"")]);
-        assert_eq!(batch.pages().len(), 4);
+        assert_eq!(empty, sha256(b""));
+        assert_eq!(batch.pages().len(), 3);
         for (hash, page) in batch.pages() {
             assert_eq!(*hash, sha256(page));
         }
     }
 
     #[test]
-    fn siblings_past_one_view_array_hash_what_they_keep() {
-        // 37 pages: two full groups of 16 and an odd remainder.
+    fn pushed_pages_keep_order_digests_and_the_byte_count() {
         let pages: Vec<Bytes> = (0..37u8).map(|i| Bytes::from(vec![i; i as usize * 9])).collect();
         let mut batch = PageBatch::new();
-        let mut taken = pages.clone();
-        let mut got = vec![Hash::ZERO; pages.len()];
-        batch.push_siblings(&mut taken, &mut got);
+        let got: Vec<Hash> = pages.iter().map(|p| batch.push(p.clone())).collect();
         let want: Vec<Hash> = pages.iter().map(|p| sha256(p)).collect();
         assert_eq!(got, want);
         let kept: Vec<(Hash, Bytes)> = want.into_iter().zip(pages.iter().cloned()).collect();
         assert_eq!(batch.pages(), &kept[..]);
-        assert!(taken.iter().all(Bytes::is_empty), "the pages moved into the batch");
         assert_eq!(batch.bytes, pages.iter().map(Bytes::len).sum::<usize>());
     }
 

@@ -352,8 +352,8 @@ fn cross_shard_reads_are_one_snapshot_under_reshaping() {
 /// readers get, provers take membership, range and batch proofs, and
 /// every proof verifies against the digest it was returned with. The
 /// prover borrows from the shard heads' node caches the readers fill, so
-/// it takes cache shard locks under whatever the other threads hold; the
-/// `SIRI_LOCK_ORDER=1` CI leg runs this with the lock-order tracker armed.
+/// it takes cache shard locks under whatever the other threads hold; a
+/// debug build runs this with the lock-order tracker armed.
 #[test]
 fn proofs_race_commits_and_gets_on_one_branch() {
     matrix::each(ENGINES, |cfg| {

@@ -139,8 +139,8 @@ fn wide_batch(t: usize, k: usize) -> WriteBatch {
 #[test]
 fn disjoint_branch_writers_whose_commits_split_match_single_threaded_replay() {
     // Each writer's commits run their own leaf-stage workers, which take
-    // store locks from threads of their own — under `SIRI_LOCK_ORDER=1`
-    // the tracker checks those too, on both stores and partitions.
+    // store locks from threads of their own — in a debug build the
+    // lock-order tracker checks those too, on both stores and partitions.
     matrix::each(ENGINES, |cfg| {
         let (writers, commits) = (4, 3 * stress_n());
         let fb = engine(cfg);

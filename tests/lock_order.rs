@@ -1,10 +1,10 @@
-//! Runtime lock-order tracker battery (ISSUE 7).
+//! Runtime lock-order tracker battery.
 //!
 //! The vendored `parking_lot` shim assigns classed locks a position in the
 //! engine's documented acquisition order (branch map → slot head → shard
-//! head → store internals, DESIGN.md §9) and — in debug builds with
-//! `SIRI_LOCK_ORDER=1` — panics the moment any thread acquires a
-//! lower-order lock while holding a higher-order guard.
+//! head → store internals, DESIGN.md §9) and — in every debug build —
+//! panics the moment any thread acquires a lower-order lock while holding a
+//! higher-order guard.
 //!
 //! This suite proves both directions:
 //!
@@ -22,7 +22,7 @@
 mod matrix;
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex as StdMutex, Once, Weak};
+use std::sync::{Arc, Mutex as StdMutex, Weak};
 
 use matrix::{ENGINES, STORES};
 use parking_lot::{lock_order, LockClass, Mutex, RwLock};
@@ -32,14 +32,6 @@ use siri::{
     StoreStats, WriteBatch, MAX_COMMIT_ATTEMPTS,
 };
 use siri_store::PageBatch;
-
-/// Arm the tracker before any classed lock runs in this process. The knob
-/// is read once through a `OnceLock`, so it must be set before first use;
-/// every test calls this first.
-fn init() {
-    static INIT: Once = Once::new();
-    INIT.call_once(|| std::env::set_var("SIRI_LOCK_ORDER", "1"));
-}
 
 fn factory() -> PosFactory {
     PosFactory(PosParams::default())
@@ -59,11 +51,10 @@ fn batch(tag: &str, k: usize) -> WriteBatch {
 
 #[test]
 fn deliberately_inverted_acquisition_panics() {
-    init();
     if !cfg!(debug_assertions) {
         return; // tracker is compiled down to a constant-false in release
     }
-    assert!(lock_order::is_active(), "init() must arm the tracker");
+    assert!(lock_order::is_active(), "debug builds arm the tracker");
 
     static LOW: LockClass = LockClass::new(1, "test.low");
     static HIGH: LockClass = LockClass::new(9, "test.high");
@@ -74,7 +65,7 @@ fn deliberately_inverted_acquisition_panics() {
         let _h = high.read();
         let _l = low.lock(); // lower order while higher is held: inversion
     }))
-    .expect_err("inverted acquisition must panic under SIRI_LOCK_ORDER=1");
+    .expect_err("inverted acquisition must panic under the tracker");
 
     let msg = err
         .downcast_ref::<String>()
@@ -87,7 +78,6 @@ fn deliberately_inverted_acquisition_panics() {
 
 #[test]
 fn ascending_order_and_try_lock_stay_silent() {
-    init();
     static A: LockClass = LockClass::new(2, "test.a");
     static B: LockClass = LockClass::new(4, "test.b");
     let a = RwLock::with_class(1u32, &A);
@@ -121,7 +111,6 @@ fn ascending_order_and_try_lock_stay_silent() {
 
 #[test]
 fn engine_commit_merge_fork_delete_interleavings_run_clean() {
-    init();
     matrix::each(ENGINES, |cfg| {
         let fb = Arc::new(cfg.engine(factory()));
         const WRITERS: usize = 4;
@@ -218,7 +207,6 @@ fn sharded_commit_merge_delete_interleavings_run_clean() {
     // spanning batches, whole-branch merges, split/merge resharding,
     // branch deletion's atomic retirement, and routed reads (20r) — under
     // the armed tracker.
-    init();
     matrix::each(STORES, |cfg| {
         const SHARDS: usize = 4;
         let fb = Arc::new(Forkbase::with_sharding(
@@ -295,7 +283,6 @@ fn sharded_commit_merge_delete_interleavings_run_clean() {
 
 #[test]
 fn group_commit_interleavings_run_clean_under_tracker() {
-    init();
     let dir =
         std::env::temp_dir().join("siri-lock-order").join(format!("group-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -395,7 +382,6 @@ impl NodeStore for ContentionStore {
 
 #[test]
 fn bounded_commit_attempts_force_deterministic_contention() {
-    init();
     let hook = Arc::new(ContentionStore::new(siri::MemStore::new_shared()));
     let store: SharedStore = hook.clone();
     let fb = Arc::new(Forkbase::with_store(factory(), store));
@@ -432,7 +418,6 @@ fn bounded_commit_attempts_force_deterministic_contention() {
 
 #[test]
 fn recorded_acquisition_edges_are_ascending() {
-    init();
     if !lock_order::is_active() {
         return;
     }

@@ -135,7 +135,7 @@ fn pages_appended_after_their_segment_was_mapped_are_served() {
     }
     let mut batch = PageBatch::new();
     let batch_pages: Vec<Bytes> = (200..260).map(|i| page(i, 500)).collect();
-    let hashes = batch.push_many(batch_pages.clone());
+    let hashes: Vec<_> = batch_pages.iter().map(|p| batch.push(p.clone())).collect();
     store.try_put_batch(&batch).unwrap();
     for (h, p) in hashes.iter().zip(batch_pages) {
         served.push((p, store.get(h).unwrap()));
